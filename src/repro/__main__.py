@@ -149,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--period", type=int, default=None,
                         help="sampling period override")
     parser.add_argument("--no-memo", action="store_true",
-                        help="disable iteration memoization (the engine's "
-                        "epoch-keyed classification cache and the "
-                        "profiler's cached-views fast path); results are "
+                        help="zero memo budget: retain nothing across "
+                        "iterations (every step runs the same pipeline "
+                        "into transient records); results are "
                         "bit-identical either way — this is a debugging "
                         "switch")
     parser.add_argument("--scale", type=float, default=1.0,
@@ -347,8 +347,7 @@ def _run(args: argparse.Namespace) -> int:
             machine_factory, build, threads,
             n_workers=args.workers, binding=binding,
             monitor_factory=lambda: NumaProfiler(
-                create_mechanism(mech_name, period, **kwargs),
-                memoize=memoize,
+                create_mechanism(mech_name, period, **kwargs)
             ),
             memoize=memoize,
             use_shm=False if args.no_shm else None,
@@ -360,7 +359,7 @@ def _run(args: argparse.Namespace) -> int:
         host_wall_s = time.perf_counter() - host_t0
         archive = engine.archive
     else:
-        profiler = NumaProfiler(mechanism, memoize=memoize)
+        profiler = NumaProfiler(mechanism)
         engine = ExecutionEngine(
             machine_factory(), build(), threads, monitor=profiler,
             binding=binding, memoize=memoize, **extrap_kwargs,

@@ -3,7 +3,7 @@
 ``python -m repro bench-perf`` times *real* (host) wall-clock runs of the
 four paper workloads on the Magny-Cours preset, once engine-only and once
 with the full profiler attached — each both with iteration memoization on
-(the default configuration) and off — and writes ``BENCH_perf.json`` with
+(the default configuration) and off (a zero memo budget) — and writes ``BENCH_perf.json`` with
 
 * wall seconds per run (memo-on and memo-off),
 * chunks/s and accesses/s throughput (the engine hot-path rates, memo on),
@@ -165,9 +165,11 @@ def _best_of(
 
 
 def _memo_stats(engine) -> dict:
-    """The engine memo's counters for the results JSON (zeros when off)."""
-    if engine.memo is None:
-        return {"hits": 0, "misses": 0, "evictions": 0}
+    """The engine memo's counters for the results JSON.
+
+    A zero-budget run (memo off) reports zeros: its transient builds are
+    neither hits nor misses.
+    """
     stats = engine.memo.stats()
     return {
         "hits": stats["hits"],
@@ -251,9 +253,7 @@ def run_perf(
         )
         mon_nm_s, _, _ = _timed_run(
             machine_factory, factory, threads,
-            monitor=NumaProfiler(
-                create_mechanism(mechanism, period), memoize=False
-            ),
+            monitor=NumaProfiler(create_mechanism(mechanism, period)),
             memoize=False,
         )
         mon_s, mon_res, mon_eng = _best_of(

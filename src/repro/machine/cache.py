@@ -98,12 +98,14 @@ class ChunkClassification:
 
 @dataclass
 class ChunkSummary:
-    """Output of :meth:`CacheHierarchy.classify_summary` for one chunk.
+    """One chunk's classification without per-access levels.
 
     ``fetch`` marks the accesses that fetch a new cache line; they are all
     serviced at ``fetch_level`` while every other access hits L1, so the
     full per-access level array of :class:`ChunkClassification` is
-    recoverable but never allocated.
+    recoverable but never allocated. The engine's summary path builds it
+    from :meth:`CacheHierarchy.chunk_fetch_products` (pure) and
+    :meth:`CacheHierarchy.chunk_fetch_level` (stateful).
     """
 
     fetch: np.ndarray           # per-access line-fetch mask
@@ -118,27 +120,15 @@ class ChunkSummary:
 
 
 @dataclass
-class StepClassification:
-    """Output of :meth:`CacheHierarchy.classify_step` for one step.
-
-    ``levels`` concatenates every chunk's per-access service levels in
-    step order; ``sequential`` and ``footprints`` are per-chunk.
-    """
-
-    levels: np.ndarray          # concatenated per-access service levels
-    sequential: np.ndarray      # per-chunk prefetchable-stream flags
-    footprints: np.ndarray      # per-chunk unique-line bytes
-
-
-@dataclass
 class StepFetchProducts:
-    """State-free half of a step's classification (see ``classify_step``).
+    """State-free half of a step's batched classification.
 
     Everything here is a pure function of the concatenated address
     stream, so the engine's memoization layer may cache it across a
     region's repeat iterations; the reuse-distance lookup
     (:meth:`CacheHierarchy.step_fetch_levels`) is the only stateful part
-    and must run live every iteration.
+    and must run live every iteration. Together they classify exactly as
+    one :meth:`CacheHierarchy.classify` call per chunk, in step order.
     """
 
     fetch: np.ndarray           # concatenated per-access line-fetch mask
@@ -394,31 +384,10 @@ class CacheHierarchy:
             footprint_bytes=footprint,
         )
 
-    def classify_summary(
-        self,
-        addrs: np.ndarray,
-        cpu: int,
-        seg_id: int,
-    ) -> ChunkSummary:
-        """Like :meth:`classify`, without materializing per-access levels.
-
-        Returns the line-fetch mask and the scalar service level of those
-        fetches (all other accesses hit L1). Monitor-less engine runs only
-        need aggregate cycle/traffic sums, so they use this summary and
-        touch per-access data solely on the fetch subset; reuse-distance
-        state advances exactly as :meth:`classify` does.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        if addrs.size == 0:
-            return ChunkSummary(np.empty(0, dtype=bool), LEVEL_L1, True, 0)
-        fetch, footprint, sequential = self.chunk_fetch_products(addrs)
-        level = self.chunk_fetch_level(cpu, seg_id, int(addrs[0]), footprint)
-        return ChunkSummary(fetch, level, sequential, footprint)
-
     def chunk_fetch_products(
         self, addrs: np.ndarray
     ) -> tuple[np.ndarray, int, bool]:
-        """Pure half of :meth:`classify_summary` for one non-empty chunk.
+        """Pure half of :meth:`classify` for one non-empty chunk.
 
         Returns ``(fetch_mask, footprint_bytes, sequential)`` — a pure
         function of the addresses, cacheable across iterations; the
@@ -432,7 +401,7 @@ class CacheHierarchy:
     def chunk_fetch_level(
         self, cpu: int, seg_id: int, first_addr: int, footprint: int
     ) -> int:
-        """Stateful half of :meth:`classify_summary`: one reuse lookup.
+        """Stateful half of :meth:`classify`: one reuse lookup.
 
         Advances the streaming state exactly as the per-chunk classify
         calls would; the memo layer calls this live every iteration.
@@ -445,12 +414,14 @@ class CacheHierarchy:
         starts: np.ndarray,
         scratch: ScratchPool | None = None,
     ) -> StepFetchProducts:
-        """Pure per-access half of :meth:`classify_step`.
+        """Pure per-access half of batched step classification.
 
-        Computes the concatenated line-fetch mask, per-chunk
-        sequentiality, footprints, and first addresses without touching
-        reuse-distance state — a pure function of ``addrs``/``starts``
-        that the memo layer caches across iterations. ``scratch``
+        ``addrs`` concatenates the step's chunk addresses; chunk ``j``
+        occupies ``addrs[starts[j]:starts[j+1]]``. Computes the
+        concatenated line-fetch mask, per-chunk sequentiality,
+        footprints, and first addresses without touching reuse-distance
+        state — a pure function of ``addrs``/``starts`` that the memo
+        layer caches across iterations. ``scratch``
         optionally supplies pooled buffers for the step-sized
         intermediates (line numbers, deltas, cumulative sums); the
         returned arrays are always owned allocations.
@@ -548,7 +519,7 @@ class CacheHierarchy:
         first_addrs: np.ndarray,
         footprints: np.ndarray,
     ) -> np.ndarray:
-        """Stateful half of :meth:`classify_step`: per-chunk fetch levels.
+        """Stateful half of batched step classification: fetch levels.
 
         Runs the reuse-distance lookup/update once per chunk in step
         order — exactly the sequence the per-chunk :meth:`classify` calls
@@ -573,44 +544,6 @@ class CacheHierarchy:
         return np.where(
             fetch, np.repeat(fetch_levels, lengths), np.uint8(LEVEL_L1)
         )
-
-    def classify_step(
-        self,
-        addrs: np.ndarray,
-        starts: np.ndarray,
-        cpus: list[int],
-        seg_ids: list[int],
-        scratch: ScratchPool | None = None,
-    ) -> StepClassification:
-        """Classify a whole execution step's chunks in one batched pass.
-
-        ``addrs`` concatenates the step's chunk addresses; chunk ``j``
-        occupies ``addrs[starts[j]:starts[j+1]]`` and was issued by
-        hardware thread ``cpus[j]`` against segment ``seg_ids[j]``.
-        Equivalent to calling :meth:`classify` once per chunk in order —
-        the reuse-distance state updates happen in the same chunk order —
-        but the per-access work (line mapping, first-occurrence masks,
-        footprints, sequentiality) runs as step-wide array operations.
-        Composed from :meth:`step_fetch_products` (pure) and
-        :meth:`step_fetch_levels` (stateful) so the memo layer can cache
-        the former while always running the latter.
-        """
-        n_chunks = len(cpus)
-        if addrs.size == 0:
-            return StepClassification(
-                np.full(addrs.shape, LEVEL_L1, dtype=np.uint8),
-                np.ones(n_chunks, dtype=bool),
-                np.zeros(n_chunks, dtype=np.int64),
-            )
-        starts = np.asarray(starts, dtype=np.int64)
-        pure = self.step_fetch_products(addrs, starts, scratch)
-        fetch_levels = self.step_fetch_levels(
-            cpus, seg_ids, pure.first_addrs, pure.footprints
-        )
-        levels = self.expand_step_levels(
-            pure.fetch, fetch_levels, np.diff(starts)
-        )
-        return StepClassification(levels, pure.sequential, pure.footprints)
 
     def level_counts(self, levels: np.ndarray) -> dict[str, int]:
         """Histogram of service levels, keyed by level name."""

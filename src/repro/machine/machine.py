@@ -96,7 +96,9 @@ class Machine:
         self.page_table.unmap_segment(seg)
 
     # ------------------------------------------------------------------ #
-    # access pipeline pieces (the engine wires these per execution step)
+    # access pipeline pieces: per-chunk primitives (the definition the
+    # engine's batched and summary step pipeline reproduces) and the
+    # batched latency kernel the engine calls
     # ------------------------------------------------------------------ #
 
     def classify_accesses(self, addrs: np.ndarray, cpu: int, seg: Segment):
@@ -110,35 +112,6 @@ class Machine:
         classification = self.cache.classify(addrs, cpu, seg.seg_id)
         pages = np.asarray(addrs, dtype=np.int64) // self.page_size
         target_domains = seg.domains[pages - seg.start_page]
-        return classification, target_domains
-
-    def classify_step(
-        self,
-        addrs: np.ndarray,
-        starts: np.ndarray,
-        cpus: list[int],
-        segments: list[Segment],
-        scratch=None,
-    ):
-        """Return ``(step_classification, target_domains)`` for one step.
-
-        Batched analogue of :meth:`classify_accesses` over the step's
-        concatenated chunk addresses (chunk ``j`` spans
-        ``addrs[starts[j]:starts[j+1]]``); pages must be bound first.
-        Chunks are single-segment by construction, so the page-owner
-        lookup is a direct gather from each chunk's segment rather than a
-        generic page-table walk. ``scratch`` optionally pools the
-        classification kernel's step-sized temporaries.
-        """
-        classification = self.cache.classify_step(
-            addrs, starts, cpus, [seg.seg_id for seg in segments], scratch
-        )
-        starts = np.asarray(starts, dtype=np.int64)
-        pages = addrs // self.page_size
-        target_domains = np.empty(addrs.shape, dtype=np.int64)
-        for k, seg in enumerate(segments):
-            s, e = starts[k], starts[k + 1]
-            target_domains[s:e] = seg.domains[pages[s:e] - seg.start_page]
         return classification, target_domains
 
     def step_access_latency(

@@ -75,6 +75,7 @@ class AutotuneConfig:
     #: Iterations of the target region that run before migration fires —
     #: the profiling window measured in region iterations.
     window_iterations: int = 2
+    #: False runs the engines with a zero memo budget (``--no-memo``).
     memoize: bool = True
     #: Where to write the report JSON and heatmap CSVs (None: no files).
     out_dir: str | Path | None = None
@@ -193,7 +194,6 @@ def _profiled_run(cfg: AutotuneConfig, schedule: PolicySchedule | None):
     def monitor_factory():
         return NumaProfiler(
             cfg.make_mechanism(),
-            memoize=cfg.memoize,
             seed=cfg.profiler_seed,
             heatmap=True,
         )

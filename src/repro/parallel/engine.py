@@ -53,6 +53,7 @@ from repro.runtime.arena import (
 )
 from repro.runtime.engine import ExecutionEngine, RunResult
 from repro.runtime.heap import HeapAllocator
+from repro.runtime.memo import memo_budget
 from repro.runtime.phase import (
     DEFAULT_DISARM_AFTER,
     DEFAULT_MAX_PERIOD,
@@ -193,8 +194,9 @@ class ParallelEngine:
         self.seed = seed
         self.force_sharded = force_sharded
         #: Iteration memoization, forwarded to every shard engine (and
-        #: the serial fallback); page-table epochs replay identically
-        #: across shards, so cached classification survives sharding.
+        #: the serial fallback; ``memoize=False`` is a zero budget);
+        #: page-table epochs replay identically across shards, so cached
+        #: classification survives sharding.
         self.memoize = bool(memoize)
         self.memo_bytes = memo_bytes
         #: Live-migration schedule (``repro.optim.policies.PolicySchedule``),
@@ -210,7 +212,9 @@ class ParallelEngine:
         #: arms a skip only when all shards agree, so entry/exit rounds
         #: are identical across worker counts. ``phase_report`` (a
         #: dict) is attached after a run when enabled.
-        self.extrapolate = bool(extrapolate) and bool(memoize)
+        self.extrapolate = (
+            bool(extrapolate) and memo_budget(memoize, memo_bytes) > 0
+        )
         self.extrap_warmup = max(1, int(extrap_warmup))
         self.extrap_period = max(1, int(extrap_period))
         self.extrap_disarm = max(0, int(extrap_disarm))

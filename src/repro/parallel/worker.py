@@ -46,8 +46,8 @@ from repro.runtime.arena import (
     encode_payload,
     worker_segment,
 )
-from repro.runtime.chunks import columnarize_steps, steps_nbytes
-from repro.runtime.engine import ExecutionEngine, _StepMem
+from repro.runtime.chunks import steps_nbytes
+from repro.runtime.engine import ExecutionEngine, _StepMem, _mem_positions
 from repro.runtime.phase import (
     IterationRecording,
     PhaseDetector,
@@ -99,7 +99,7 @@ class ShardEngine(ExecutionEngine):
         self._iter_owned: list | None = None
         self._iter_region = None
         self._iter_region_idx: int | None = None
-        self._iter_use_memo = False
+        self._iter_retain = False
         #: Source coordinates of this shard's own page events, in event
         #: order. Broadcast event columns omit IPs entirely — only the
         #: owning shard attributes a trap, and its own events appear in
@@ -176,7 +176,7 @@ class ShardEngine(ExecutionEngine):
         """
         region = self._regions[region_idx]
         memo = self.memo
-        use_memo = memo is not None and region.repeat > 1 and region.memoize
+        retain = memo.retains(region.repeat)
         self._iter_epoch0 = self.machine.page_table.epoch
         fired = False
         if self.schedule is not None:
@@ -189,7 +189,6 @@ class ShardEngine(ExecutionEngine):
             detector = None
             if (
                 self.extrapolate
-                and use_memo
                 # Mirrors the serial gate: repeat-1 regions can neither
                 # skip nor converge, so they never pay for observation.
                 and region.repeat > 1
@@ -244,30 +243,29 @@ class ShardEngine(ExecutionEngine):
             if self.monitor is not None:
                 self.monitor.on_region_enter(t.tid, region, iteration)
         if self.arena is not None:
-            # Non-memoized traces live in the per-iteration pool; the
+            # Non-retained traces live in the per-iteration pool; the
             # previous iteration is fully finished, so rewind it.
             self.arena.reset("iter")
-        cached = memo.gen_get(region_idx) if use_memo else None
+        cached = memo.gen_get(region_idx) if retain else None
         if cached is not None:
             steps, n_chunks, n_mem, acc_sum = cached
         else:
-            iters = {
-                t.tid: iter(region.kernel(self.ctx, t.tid)) for t in owned
-            }
-            steps = []
-            while iters:
-                step = []
-                for t in owned:
-                    if t.tid not in iters:
-                        continue
-                    try:
-                        step.append((t, next(iters[t.tid])))
-                    except StopIteration:
-                        del iters[t.tid]
-                if not step:
-                    break
-                steps.append(step)
+            # Pack the trace's addresses into one flat column — classify
+            # reads step slices in place, and with an arena the whole
+            # trace plane lives in this shard's shared segments
+            # (retained regions get a region pool unlinked on release;
+            # see IterationMemo.on_release).
+            alloc = None
+            if self.arena is not None:
+                pool = ("gen", region_idx) if retain else "iter"
+                arena = self.arena
 
+                def alloc(n, _pool=pool, _arena=arena):
+                    return _arena.alloc_array(n, np.int64, _pool)[0]
+
+            steps = self._draw_steps(owned, {
+                t.tid: iter(region.kernel(self.ctx, t.tid)) for t in owned
+            }, alloc)
             n_chunks = np.zeros(len(steps), dtype=np.int64)
             n_mem = np.zeros(len(steps), dtype=np.int64)
             acc_sum = np.zeros(len(steps), dtype=np.int64)
@@ -278,21 +276,7 @@ class ShardEngine(ExecutionEngine):
                         continue
                     n_mem[s] += 1
                     acc_sum[s] += chunk.n_accesses
-            # Pack the trace's addresses into one flat column — classify
-            # reads step slices in place, and with an arena the whole
-            # trace plane lives in this shard's shared segments
-            # (memoized regions get a region pool unlinked on release;
-            # see IterationMemo.on_release).
-            alloc = None
-            if self.arena is not None:
-                pool = ("gen", region_idx) if use_memo else "iter"
-                arena = self.arena
-
-                def alloc(n, _pool=pool, _arena=arena):
-                    return _arena.alloc_array(n, np.int64, _pool)[0]
-
-            steps = columnarize_steps(steps, alloc)
-            if use_memo:
+            if retain:
                 memo.gen_store(
                     region_idx,
                     (steps, n_chunks, n_mem, acc_sum),
@@ -324,7 +308,7 @@ class ShardEngine(ExecutionEngine):
         # Page events are *not* cacheable: the protected/unbound counters
         # are live machine state that drains as iterations bind pages, so
         # the candidate check reruns against current counters every time
-        # (exactly like the serial engine's memo replay in _page_phase).
+        # (exactly like the serial engine's record replay in _page_phase).
         # Events ship as columns — step/tid/cpu/var-id plus the
         # concatenated unique-page sets — so the merged broadcast is a
         # handful of flat arrays (descriptors, with an arena) instead of
@@ -378,7 +362,7 @@ class ShardEngine(ExecutionEngine):
         self._iter_owned = owned
         self._iter_region = (region, iteration)
         self._iter_region_idx = region_idx
-        self._iter_use_memo = use_memo
+        self._iter_retain = retain
         return {
             "n_chunks": n_chunks,
             "n_mem": n_mem,
@@ -407,8 +391,9 @@ class ShardEngine(ExecutionEngine):
         steps = self._iter_steps
         n_domains = self.machine.n_domains
         requests = np.zeros((n_steps, n_domains), dtype=np.int64)
-        states: list[_StepMem] = []
-        memo = self.memo if self._iter_use_memo else None
+        states: list[_StepMem | None] = []
+        memo = self.memo
+        transient = not self._iter_retain
         region_idx = self._iter_region_idx
         ev_step = events["step"]
         ev_tid = events["tid"]
@@ -441,20 +426,20 @@ class ShardEngine(ExecutionEngine):
                 if owned:
                     trap_by_tid[tid] = cost
 
-            step = steps[s] if s < len(steps) else []
-            st = _StepMem()
-            st.n_active = len(step)
-            st.trap_costs = [0.0] * len(step)
-            st.mem_idx = []
-            for i, (t, chunk) in enumerate(step):
-                if chunk.var is None or not chunk.n_accesses:
-                    continue
-                st.mem_idx.append(i)
-                st.trap_costs[i] = trap_by_tid.get(t.tid, 0.0)
-            rec = memo.record(region_idx, s) if memo is not None else None
+            if s >= len(steps):
+                # This shard's threads have no chunk in this step.
+                states.append(None)
+                continue
+            step = steps[s]
+            st = _StepMem(len(step))
+            # One chunk per thread per step, and only memory chunks
+            # carry page events.
+            st.trap_costs = [trap_by_tid.get(t.tid, 0.0) for t, _ in step]
+            rec = memo.record(region_idx, s, transient=transient)
+            st.mem_idx = _mem_positions(step, rec)
             self._classify_phase(
-                step, st, batched=bool(batched_flags[s]), rec=rec,
-                cat=steps.step_addrs(s),
+                step, st, rec, steps.step_addrs(s),
+                batched=bool(batched_flags[s]),
             )
             requests[s] = st.step_requests
             states.append(st)
@@ -482,9 +467,9 @@ class ShardEngine(ExecutionEngine):
         traffic = np.zeros((n_domains, n_domains), dtype=np.int64)
 
         for s, st in enumerate(self._iter_states):
-            step = steps[s] if s < len(steps) else []
-            if not step:
+            if st is None:
                 continue
+            step = steps[s]
             self._latency_phase(st, inflation[s])
             costs = self._monitor_phase(step, st)
             ins, acc = self._account_phase(
@@ -501,7 +486,7 @@ class ShardEngine(ExecutionEngine):
             if self.monitor is not None:
                 self.monitor.on_region_exit(t.tid, region, iteration)
             self.callstacks[t.tid].pop()
-        if self.memo is not None and iteration == region.repeat - 1:
+        if iteration == region.repeat - 1:
             self.memo.release_region(self._iter_region_idx)
         payload = {
             "region_cycles": region_cycles,
@@ -645,7 +630,7 @@ class ShardEngine(ExecutionEngine):
             self.machine.cache.phase_advance_cycle(
                 [r.cache_delta for r in recs], n_skip
             )
-        if release and self.memo is not None:
+        if release:
             self.memo.release_region(region_idx)
         tr = obs.TRACER
         mx = getattr(tr, "metrics", None) if tr.enabled else None
@@ -786,10 +771,9 @@ def _init_worker(claim_queue, barrier, spec) -> None:
         arena = ShmArena(worker_segment(shm_token, shard))
         reader = ArenaReader()
         engine.arena = arena
-        if engine.memo is not None:
-            engine.memo.on_release = (
-                lambda region_idx: arena.release_pool(("gen", region_idx))
-            )
+        engine.memo.on_release = (
+            lambda region_idx: arena.release_pool(("gen", region_idx))
+        )
     _WORKER["engine"] = engine
     _WORKER["shard"] = shard
     _WORKER["barrier"] = barrier

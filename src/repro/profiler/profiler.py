@@ -41,6 +41,7 @@ from repro.runtime.callstack import CallPath
 from repro.runtime.chunks import AccessChunk
 from repro.runtime.engine import ChunkView, ExecutionEngine, Monitor, RunResult
 from repro.runtime.heap import Variable, VariableKind
+from repro.runtime.memo import StepViews
 from repro.runtime.phase import relative_spread
 from repro.sampling.base import SamplingMechanism
 
@@ -73,14 +74,9 @@ class NumaProfiler(Monitor):
         (forwarded to :meth:`SamplingMechanism.configure`); sharded and
         serial runs must use the same value to stay bit-identical.
     memoize:
-        When true (the default), :meth:`on_step` takes a vectorized
-        accumulation path over the engine's cached
-        :class:`~repro.runtime.memo.StepViews` (interned accumulator-row
-        indices and per-step count arrays are cached on the views
-        object). Sampling itself is never cached — only the bookkeeping
-        around it — and the accumulated values are bit-identical to the
-        per-view loop (each row receives exactly one add per step either
-        way). ``False`` forces the reference loop for debugging.
+        Accepted and ignored: :meth:`on_step` has one accumulation path
+        over the engine's :class:`~repro.runtime.memo.StepViews`, at
+        every memo budget. Kept so existing callers keep working.
     """
 
     #: Trap-handler cost per faulting page (attribution + re-mprotect),
@@ -107,7 +103,6 @@ class NumaProfiler(Monitor):
         self.protect_static = protect_static
         self.protect_stack = protect_stack
         self.deferred = deferred
-        self.memoize = bool(memoize)
         self.seed = int(seed)
         #: Opt-in Migration-Profiler-style page heatmap: accumulate
         #: per (thread, page) sample counts and latency stats into
@@ -264,9 +259,18 @@ class NumaProfiler(Monitor):
         )
         return self._observe(view)
 
-    def on_step(self, views: list[ChunkView]):
+    def on_step(self, views: StepViews):
         """Batched observation: one mechanism ``select_step`` per step,
         metrics into flat accumulator rows, costs as one step-wide array.
+
+        ``views`` is the engine's :class:`~repro.runtime.memo.StepViews`
+        (a retained step hands back the same object every iteration):
+        accumulator-row indices and remote-event counts are interned
+        once and cached on ``views.memo``, the per-thread counter adds
+        and the unsampled code-row adds are fancy-indexed array adds,
+        and only views that drew samples are visited in Python. Every
+        counter row and code row belongs to a distinct thread within a
+        step, so each target row receives exactly one add per step.
 
         Falls back to the per-chunk immediate path when ``deferred`` is
         off (the golden reference for the parity tests).
@@ -286,140 +290,7 @@ class NumaProfiler(Monitor):
         lat_ok = caps.measures_latency and step.latency_captured
         if lat_ok:
             self._lat_seen = True
-        n_cols = self._n_cols
-        nsi = step.n_sampled_instructions
-        nev = step.n_events_total
-        counts = step.counts
-        starts = step.starts
-        indices = step.indices
-        code_rows = self._code_rows
-        ctab = self._code_tab
-        ctr = self._ctr
-        ctr_seen = self._ctr_seen
-        crows: list[int] = []
-        sampled: list[tuple] = []
 
-        if (
-            self.memoize
-            and views
-            and getattr(views, "tids", None) is not None
-        ):
-            crows, sampled = self._accumulate_memo(
-                views, step, counting, lat_ok
-            )
-        else:
-            # Recording collectors (phase extrapolation): the scalar
-            # adds below are packed into the same vectorized op shapes
-            # the memoized path records — each step's views hold
-            # distinct tids, so one vector add per row replays the
-            # identical per-element float adds.
-            rec_ops = self._phase_ops
-            rec_tids: list[int] = []
-            rec_add: list[list[float]] = []
-            rec_urows: list[int] = []
-            rec_uins: list[float] = []
-            rec_unsi: list[float] = []
-            rec_urev: list[float] = []
-            for k, v in enumerate(views):
-                chunk = v.chunk
-                tid = v.tid
-                n_ins = chunk.n_instructions
-                n_acc = chunk.n_accesses
-                n_s = int(counts[k])
-                c = ctr[tid]
-                c[0] += n_ins
-                c[1] += n_acc
-                c[2] += n_s
-                c[3] += nsi[k]
-                c[4] += nev[k]
-                ctr_seen[tid] = True
-                if rec_ops is not None:
-                    rec_tids.append(tid)
-                    rec_add.append([n_ins, n_acc, n_s, nsi[k], nev[k]])
-
-                remote_events = 0
-                if counting and n_acc:
-                    remote_events = v.remote_event_count()
-
-                key = (tid, v.path)
-                crow = code_rows.get(key)
-                if crow is None:
-                    crow = code_rows[key] = ctab.alloc()
-
-                if n_s == 0:
-                    row = ctab.data[crow]
-                    row[0] += n_ins
-                    row[1] += nsi[k]
-                    row[7] += remote_events
-                    if rec_ops is not None:
-                        rec_urows.append(crow)
-                        rec_uins.append(n_ins)
-                        rec_unsi.append(nsi[k])
-                        rec_urev.append(remote_events)
-                    continue
-
-                idx = indices[starts[k]:starts[k + 1]]
-                s_targets, remote, s_lat = v.gather_samples(
-                    idx, want_lat=lat_ok
-                )
-                n_rem = int(np.count_nonzero(remote))
-                m = np.zeros(n_cols, dtype=np.float64)
-                m[0] = n_ins
-                m[1] = nsi[k]
-                m[2] = n_s
-                m[3] = n_s - n_rem
-                m[4] = n_rem
-                m[7] = remote_events
-                m[8:] = np.bincount(s_targets, minlength=n_cols - 8)
-                if lat_ok:
-                    m[5] = s_lat.sum()
-                    m[6] = s_lat[remote].sum()
-                crows.append(crow)
-                sampled.append((v, chunk.addrs[idx], remote, s_lat, m))
-            if rec_ops is not None and rec_tids:
-                rec_ops.append((
-                    "ctr",
-                    np.array(rec_tids, dtype=np.int64),
-                    np.array(rec_add, dtype=np.float64),
-                ))
-            if rec_ops is not None and rec_urows:
-                rec_ops.append((
-                    "code_u",
-                    np.array(rec_urows, dtype=np.int64),
-                    np.array(rec_uins, dtype=np.float64),
-                    np.array(rec_unsi, dtype=np.float64),
-                    np.array(rec_urev, dtype=np.float64),
-                ))
-
-        if sampled:
-            if traced:
-                with tr.span("profiler.attribute", "profiler"):
-                    self._record_step_samples(sampled, crows, lat_ok)
-            else:
-                self._record_step_samples(sampled, crows, lat_ok)
-            if self.heatmap:
-                self._accumulate_heat(sampled, lat_ok)
-        costs = self.mechanism.cost_cycles_step(step, views)
-        if traced:
-            tr.end()
-        return costs
-
-    def _accumulate_memo(
-        self, views, step, counting: bool, lat_ok: bool
-    ) -> tuple[list[int], list[tuple]]:
-        """Vectorized twin of the :meth:`on_step` per-view loop.
-
-        Runs when the engine replays a cached
-        :class:`~repro.runtime.memo.StepViews` (same views object every
-        iteration of a region): accumulator-row indices and the
-        remote-event counts are interned/computed once and cached on
-        ``views.memo``, the per-thread counter adds and the unsampled
-        code-row adds become fancy-indexed array adds, and only views
-        that actually drew samples are visited in Python. Every counter
-        row and code row belongs to a distinct thread within a step, so
-        each target row receives exactly one add per step in both paths
-        — the accumulated floats are bit-identical to the loop's.
-        """
         prof = views.memo.get("prof")
         if prof is None:
             code_rows = self._code_rows
@@ -474,34 +345,45 @@ class NumaProfiler(Monitor):
                 None if rev is None else rev[unsampled],
             ))
 
-        crows: list[int] = []
-        sampled: list[tuple] = []
-        if step.n_samples == 0:
-            return crows, sampled
-        indices = step.indices
-        starts = step.starts
-        n_cols = self._n_cols
-        for k in np.nonzero(counts)[0].tolist():
-            v = views[k]
-            n_s = int(counts[k])
-            idx = indices[starts[k]:starts[k + 1]]
-            s_targets, remote, s_lat = v.gather_samples(idx, want_lat=lat_ok)
-            n_rem = int(np.count_nonzero(remote))
-            m = np.zeros(n_cols, dtype=np.float64)
-            m[0] = n_ins[k]
-            m[1] = nsi[k]
-            m[2] = n_s
-            m[3] = n_s - n_rem
-            m[4] = n_rem
-            if rev is not None:
-                m[7] = rev[k]
-            m[8:] = np.bincount(s_targets, minlength=n_cols - 8)
-            if lat_ok:
-                m[5] = s_lat.sum()
-                m[6] = s_lat[remote].sum()
-            crows.append(int(crow_arr[k]))
-            sampled.append((v, v.chunk.addrs[idx], remote, s_lat, m))
-        return crows, sampled
+        if step.n_samples:
+            indices = step.indices
+            starts = step.starts
+            n_cols = self._n_cols
+            crows: list[int] = []
+            sampled: list[tuple] = []
+            for k in np.nonzero(counts)[0].tolist():
+                v = views[k]
+                n_s = int(counts[k])
+                idx = indices[starts[k]:starts[k + 1]]
+                s_targets, remote, s_lat = v.gather_samples(
+                    idx, want_lat=lat_ok
+                )
+                n_rem = int(np.count_nonzero(remote))
+                m = np.zeros(n_cols, dtype=np.float64)
+                m[0] = n_ins[k]
+                m[1] = nsi[k]
+                m[2] = n_s
+                m[3] = n_s - n_rem
+                m[4] = n_rem
+                if rev is not None:
+                    m[7] = rev[k]
+                m[8:] = np.bincount(s_targets, minlength=n_cols - 8)
+                if lat_ok:
+                    m[5] = s_lat.sum()
+                    m[6] = s_lat[remote].sum()
+                crows.append(int(crow_arr[k]))
+                sampled.append((v, v.chunk.addrs[idx], remote, s_lat, m))
+            if traced:
+                with tr.span("profiler.attribute", "profiler"):
+                    self._record_step_samples(sampled, crows, lat_ok)
+            else:
+                self._record_step_samples(sampled, crows, lat_ok)
+            if self.heatmap:
+                self._accumulate_heat(sampled, lat_ok)
+        costs = self.mechanism.cost_cycles_step(step, views)
+        if traced:
+            tr.end()
+        return costs
 
     def _record_step_samples(
         self, sampled: list[tuple], crows: list[int], lat_ok: bool
@@ -738,15 +620,13 @@ class NumaProfiler(Monitor):
     # ------------------------------------------------------------------ #
 
     def phase_supported(self) -> bool:
-        """Deferred + memoized accumulation can record/replay deltas.
+        """Deferred accumulation can record/replay deltas.
 
         The heatmap path accumulates into per-(tid, page) dicts that the
         recorder does not capture, so it opts out; non-deferred mode
-        attributes immediately into CCTs (nothing to scale); the memo
-        gate keeps the recorded op shapes aligned with the engine's
-        cached-views fast path.
+        attributes immediately into CCTs (nothing to scale).
         """
-        return self.deferred and self.memoize and not self.heatmap
+        return self.deferred and not self.heatmap
 
     def phase_digest(self):
         """Mutable state affecting future selections: the mechanism's."""

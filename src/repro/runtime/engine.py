@@ -25,7 +25,13 @@ import numpy as np
 
 from repro import obs
 from repro.errors import AllocationError, ProgramError
-from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, LEVEL_L2, ScratchPool
+from repro.machine.cache import (
+    LEVEL_DRAM,
+    LEVEL_L1,
+    LEVEL_L2,
+    ChunkSummary,
+    ScratchPool,
+)
 from repro.machine.machine import Machine
 from repro.machine.pagetable import PlacementPolicy
 from repro.units import fast_unique
@@ -39,6 +45,7 @@ from repro.runtime.memo import (
     PureStep,
     StepViews,
     _nbytes,
+    memo_budget,
 )
 from repro.runtime.phase import (
     DEFAULT_DISARM_AFTER,
@@ -265,40 +272,43 @@ class LazyChunkView:
         return targets, remote, lat
 
 
+def _mem_positions(step, rec) -> list[int]:
+    """Step positions of the chunks with memory traffic.
+
+    A record that already holds the step's pure products supplies them:
+    chunk geometry is iteration-invariant.
+    """
+    if rec.pure is not None:
+        return rec.pure.mem_idx
+    return [
+        i for i, (_, c) in enumerate(step)
+        if c.var is not None and c.n_accesses
+    ]
+
+
 class _StepMem:
-    """Per-step memory-system products carried between engine phases.
+    """Per-step state carried between engine phases.
 
     The serial engine runs page traps → classification → latency →
     monitor → accounting back to back inside one step; the sharded
     engine (:mod:`repro.parallel`) runs the same phases in separate
     communication rounds — classification once the merged page state is
     ready, latency once the parent has the step's *global* contention
-    inflation — so the intermediate products live in an explicit bundle
-    rather than local variables. Lists indexed ``k`` run over the step's
-    memory chunks (``mem_idx[k]`` maps back to step position ``i``);
-    ``trap_costs`` / ``lat_sums`` are indexed by step position.
+    inflation — so the step's record and selected variants live in an
+    explicit bundle rather than local variables. ``mem_idx[k]`` maps
+    memory chunk ``k`` back to step position ``i``; ``trap_costs`` /
+    ``lat_sums`` are indexed by step position.
     """
 
     __slots__ = (
-        "n_active", "mem_idx", "mem", "trap_costs",
-        "lengths", "starts", "interleaved", "batched",
-        "cls", "targets_cat", "dram_cat",
-        "summaries", "fetch_idx", "dram_targets",
-        "step_requests",
+        "n_active", "mem_idx", "trap_costs", "step_requests",
         "lat_sums", "dram", "remote_dram", "traffic",
-        "chunk_levels", "chunk_targets", "chunk_seq",
-        "chunk_lat", "chunk_dram", "chunk_remote",
-        "memo_rec", "memo_var", "memo_lat",
+        "rec", "var", "lat",
     )
 
-    def __init__(self) -> None:
-        self.batched = False
-        self.mem = []
-        self.dram = 0
-        self.remote_dram = 0
-        self.memo_rec = None
-        self.memo_var = None
-        self.memo_lat = None
+    def __init__(self, n_active: int) -> None:
+        self.n_active = n_active
+        self.trap_costs = [0.0] * n_active
 
 
 class Monitor:
@@ -343,18 +353,19 @@ class Monitor:
         """Observe one executed chunk; returns monitoring cost in cycles."""
         return 0.0
 
-    def on_step(self, views: list[ChunkView]) -> list[float]:
+    def on_step(self, views: StepViews) -> list[float]:
         """Observe one execution step; returns per-chunk costs in cycles.
 
-        The engine calls this once per step with one view per executed
-        chunk, in step order — a :class:`ChunkView` with eager arrays for
-        small-chunk (batched) steps, a :class:`LazyChunkView` for
-        large-chunk steps. The default implementation preserves the
-        historical per-chunk contract by dispatching each view to
-        :meth:`on_chunk`, which materializes lazy views; batch-aware
-        monitors override it and consume samples through
-        ``gather_samples`` / ``remote_event_count`` so lazy views never
-        materialize whole-chunk arrays.
+        The engine calls this once per step with a :class:`StepViews`
+        holding one view per executed chunk, in step order — a
+        :class:`ChunkView` with eager arrays for small-chunk (batched)
+        steps, a :class:`LazyChunkView` for large-chunk steps. The
+        default implementation preserves the historical per-chunk
+        contract by dispatching each view to :meth:`on_chunk`, which
+        materializes lazy views; batch-aware monitors override it and
+        consume samples through ``gather_samples`` /
+        ``remote_event_count`` so lazy views never materialize
+        whole-chunk arrays.
         """
         return [
             self.on_chunk(
@@ -481,13 +492,13 @@ class ExecutionEngine:
     TRAP_BASE_COST = 50.0
 
     #: Mean accesses-per-chunk at or below which a step's chunks are
-    #: concatenated and run through the batched pipeline. Small chunks
+    #: concatenated and run through the batched variant. Small chunks
     #: are dominated by fixed per-chunk NumPy dispatch cost, which
     #: batching amortizes; large chunks already amortize it and are
-    #: faster processed one at a time because each chunk's working set
-    #: stays cache-resident. The two paths are exact equivalents, so this
-    #: is a pure performance knob (see ``tests/test_engine.py``'s
-    #: batched-vs-per-chunk parity test).
+    #: faster processed one at a time (the summary variant) because each
+    #: chunk's working set stays cache-resident. The two variants compute
+    #: identical per-access values, so this is a pure performance knob
+    #: (see ``tests/test_step_pipeline.py``).
     BATCH_MEAN_ACCESSES = 2048
 
     def __init__(
@@ -516,9 +527,10 @@ class ExecutionEngine:
         self.heap = HeapAllocator(machine)
         self.ctx = ProgramContext(machine, self.heap, self.threads, params, seed)
         self.callstacks = {t.tid: CallStack() for t in self.threads}
-        #: Iteration memoization (see :mod:`repro.runtime.memo`); results
-        #: are bit-identical with it on or off (``--no-memo``).
-        self.memo = IterationMemo(memo_bytes) if memoize else None
+        #: Iteration memoization (see :mod:`repro.runtime.memo`):
+        #: ``memoize=False`` (``--no-memo``) is a zero budget on the same
+        #: pipeline; results are bit-identical at every budget.
+        self.memo = IterationMemo(memo_budget(memoize, memo_bytes))
         #: Live-migration schedule (duck-typed
         #: :class:`repro.optim.policies.PolicySchedule` — the engine must
         #: not import :mod:`repro.optim` to avoid an import cycle).
@@ -529,10 +541,11 @@ class ExecutionEngine:
         #: Log of schedule applications (``AppliedAction``), in order.
         self.applied_actions: list[AppliedAction] = []
         #: Phase-adaptive extrapolation (see :mod:`repro.runtime.phase`).
-        #: Requires memoization; exact (ε=0) whenever the monitor's
-        #: selection state also reaches a fixed point, ε-accounted
-        #: otherwise. ``phase_report`` (a dict) is attached after the run.
-        self.extrapolate = bool(extrapolate) and memoize
+        #: Requires a non-zero memo budget; exact (ε=0) whenever the
+        #: monitor's selection state also reaches a fixed point,
+        #: ε-accounted otherwise. ``phase_report`` (a dict) is attached
+        #: after the run.
+        self.extrapolate = bool(extrapolate) and self.memo.budget > 0
         self.extrap_warmup = max(1, int(extrap_warmup))
         #: Longest phase cycle searched for (period-p detection).
         self.extrap_period = max(1, int(extrap_period))
@@ -793,13 +806,10 @@ class ExecutionEngine:
                 else self.threads[:1]
             )
             memo = self.memo
-            use_memo = (
-                memo is not None and region.repeat > 1 and region.memoize
-            )
+            retain = memo.retains(region.repeat)
             detector = None
             if (
                 self.extrapolate
-                and use_memo
                 # With the library, a region whose trace matches an
                 # already-converged phase can arm after a single live
                 # iteration, so any repeated region is worth watching.
@@ -904,22 +914,17 @@ class ExecutionEngine:
                     if self.monitor is not None:
                         self.monitor.on_region_enter(t.tid, region, iteration)
 
-                steps = memo.gen_get(region_idx) if use_memo else None
+                steps = memo.gen_get(region_idx) if retain else None
                 if steps is None:
-                    iters = {
+                    steps = self._draw_steps(active, {
                         t.tid: iter(region.kernel(self.ctx, t.tid))
                         for t in active
-                    }
-                    if use_memo:
-                        # Pre-draw the whole iteration's steps (same
-                        # generator consumption order as the interleaved
-                        # loop below) and cache the trace for replay.
-                        steps = self._draw_steps(active, iters)
+                    })
+                    if retain:
                         memo.gen_store(region_idx, steps, steps_nbytes(steps))
                 if (
                     observe
                     and iteration == 0
-                    and steps is not None
                     and self.phase_library is not None
                 ):
                     mon = self.monitor
@@ -940,51 +945,18 @@ class ExecutionEngine:
                 it_dram = it_remote = 0
                 it_requests = np.zeros_like(domain_requests)
                 it_traffic = np.zeros_like(domain_traffic)
-                if steps is not None:
-                    for s_idx, step in enumerate(steps):
-                        rec = memo.record(region_idx, s_idx)
-                        cat = steps.step_addrs(s_idx)
-                        if traced:
-                            tr.begin("engine.step", "engine")
-                            stats = self._execute_step(
-                                step, region_cycles, overhead_by_tid, rec,
-                                cat=cat,
-                            )
-                            tr.end()
-                        else:
-                            stats = self._execute_step(
-                                step, region_cycles, overhead_by_tid, rec,
-                                cat=cat,
-                            )
-                        it_instructions += stats["instructions"]
-                        it_accesses += stats["accesses"]
-                        it_chunks += len(step)
-                        it_dram += stats["dram"]
-                        it_remote += stats["remote_dram"]
-                        it_requests += stats["domain_requests"]
-                        it_traffic += stats["domain_traffic"]
-                    iters = None
-                while iters:
-                    step: list[tuple[SimThread, AccessChunk]] = []
-                    for t in active:
-                        if t.tid not in iters:
-                            continue
-                        try:
-                            step.append((t, next(iters[t.tid])))
-                        except StopIteration:
-                            del iters[t.tid]
-                    if not step:
-                        break
-
+                for s_idx, step in enumerate(steps):
+                    rec = memo.record(region_idx, s_idx, transient=not retain)
+                    cat = steps.step_addrs(s_idx)
                     if traced:
                         tr.begin("engine.step", "engine")
                         stats = self._execute_step(
-                            step, region_cycles, overhead_by_tid
+                            step, region_cycles, overhead_by_tid, rec, cat
                         )
                         tr.end()
                     else:
                         stats = self._execute_step(
-                            step, region_cycles, overhead_by_tid
+                            step, region_cycles, overhead_by_tid, rec, cat
                         )
                     it_instructions += stats["instructions"]
                     it_accesses += stats["accesses"]
@@ -1084,8 +1056,7 @@ class ExecutionEngine:
                     )
                 iteration += 1
 
-            if memo is not None:
-                memo.release_region(region_idx)
+            memo.release_region(region_idx)
             if self.extrapolate:
                 stats_r = phase_report.region(region.name)
                 stats_r.iterations += region.repeat
@@ -1140,13 +1111,13 @@ class ExecutionEngine:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _draw_steps(active: list[SimThread], iters: dict):
+    def _draw_steps(active: list[SimThread], iters: dict, alloc=None):
         """Drain the iteration's kernels into a :class:`StepTrace`.
 
-        Generator consumption order is exactly the interleaved execution
-        loop's, so pre-drawing changes nothing for deterministic kernels
-        (the sharded engine has always pre-drawn; see ``Region.memoize``
-        for the opt-out).
+        Each step takes the next chunk of every thread whose kernel is
+        not exhausted, in thread order; the steps are drawn before any of
+        them executes (see ``Region``). ``alloc`` optionally supplies the
+        trace's flat address buffer (see :func:`columnarize_steps`).
         """
         steps: list[list[tuple[SimThread, AccessChunk]]] = []
         while iters:
@@ -1163,31 +1134,40 @@ class ExecutionEngine:
             steps.append(step)
         # Pack the trace's addresses into one flat column so classify
         # reads each step's concatenation in place (values unchanged).
-        return columnarize_steps(steps)
+        return columnarize_steps(steps, alloc)
 
     def _execute_step(
         self,
         step: list[tuple[SimThread, AccessChunk]],
         region_cycles: dict[int, float],
         overhead_by_tid: np.ndarray,
-        rec=None,
-        cat: np.ndarray | None = None,
+        rec,
+        cat: np.ndarray,
     ) -> dict:
         """Run one lockstep set of chunks through the memory system.
 
         Page work (traps + first-touch binding) runs per chunk in step
         order — trap delivery and binding order are semantically ordered —
         but is skipped entirely for segments whose ``n_protected`` /
-        ``n_unbound`` counters are zero. The per-access work
-        (classification, placement lookup, latency, DRAM/traffic
-        accounting) then runs once on the step's concatenated arrays when
-        chunks are small (mean accesses/chunk <= ``BATCH_MEAN_ACCESSES``),
-        amortizing per-chunk dispatch overhead; steps of large chunks use
-        the classification *summary* (fetch mask + single fetch level),
-        touching per-access data only on the fetch subset, with monitors
-        served by :class:`LazyChunkView` so full per-access arrays are
-        reconstructed only if a monitor actually reads them. Both paths
-        compute identical per-access values.
+        ``n_unbound`` counters are zero. The per-access work then runs
+        through the step's record ``rec`` (see :mod:`repro.runtime.memo`):
+        pure products → a variant keyed by page-table epoch and fetch
+        levels → a latency variant keyed by the step's inflation → the
+        monitor's views. The record is retained across a repeated
+        region's iterations, or transient (built for this step only) in
+        repeat-1 regions and under a zero memo budget — the same code
+        either way. ``cat`` is the step's concatenated mem-chunk
+        addresses from the columnar trace.
+
+        Within the pipeline, steps of small chunks (mean accesses/chunk
+        <= ``BATCH_MEAN_ACCESSES``) take the batched variant, computed
+        on the step's concatenated arrays to amortize per-chunk dispatch
+        overhead; steps of large chunks take the summary variant (fetch
+        mask + single fetch level per chunk), touching per-access data
+        only on the fetch subset, with monitors served by
+        :class:`LazyChunkView` so full per-access arrays are
+        reconstructed only if a monitor actually reads them. Both compute
+        identical per-access values.
 
         The phases are factored into ``_page_phase`` / ``_classify_phase``
         / ``_latency_phase`` / ``_monitor_phase`` / ``_account_phase`` so
@@ -1207,33 +1187,18 @@ class ExecutionEngine:
             tr.end()
             tr.begin("engine.classify", "engine")
 
-        self._classify_phase(step, st, rec=rec, cat=cat)
+        self._classify_phase(step, st, rec, cat)
 
         if traced:
             if st.mem_idx:
                 tr.count(
-                    "engine.steps_batched" if st.batched
+                    "engine.steps_batched" if rec.pure.batched
                     else "engine.steps_summary"
                 )
             tr.end()
             tr.begin("engine.latency", "engine")
 
-        var = st.memo_var
-        if var is not None:
-            # Serial inflation is a pure function of the variant's
-            # step requests and the (iteration-invariant) active count.
-            inflation = var.serial_inflation
-            if inflation is None:
-                inflation = var.serial_inflation = (
-                    self.machine.contention.inflation(
-                        st.step_requests, st.n_active
-                    )
-                )
-        else:
-            inflation = self.machine.contention.inflation(
-                st.step_requests, st.n_active
-            )
-        self._latency_phase(st, inflation)
+        self._latency_phase(st)
 
         if traced:
             tr.end()
@@ -1292,34 +1257,18 @@ class ExecutionEngine:
         return cost
 
     def _page_phase(
-        self, step: list[tuple[SimThread, AccessChunk]], rec=None
+        self, step: list[tuple[SimThread, AccessChunk]], rec
     ) -> _StepMem:
-        """Ordered page-protection traps + first touches for one step."""
+        """Ordered page-protection traps + first touches for one step.
+
+        In steady state every segment's counters are already zero, so
+        only the positions scan remains.
+        """
         page_size = self.machine.page_size
-        st = _StepMem()
-        st.n_active = len(step)
-        st.trap_costs = [0.0] * st.n_active
-        if rec is not None and rec.pure is not None:
-            # Memo fast path: chunk geometry is iteration-invariant, so
-            # only the (ordered, live) page work remains — and in steady
-            # state every segment's counters are already zero.
-            pure = rec.pure
-            st.mem_idx = pure.mem_idx
-            for k, i in enumerate(pure.mem_idx):
-                t, chunk = pure.mem[k]
-                seg = chunk.var.segment
-                if seg.n_protected == 0 and seg.n_unbound == 0:
-                    continue
-                pages = fast_unique(chunk.addrs // page_size)
-                st.trap_costs[i] = self._apply_page_event(
-                    t.tid, t.cpu, chunk.var, pages, chunk.ip
-                )
-            return st
-        st.mem_idx = []  # positions in `step` with memory traffic
-        for i, (t, chunk) in enumerate(step):
-            if chunk.var is None or not chunk.n_accesses:
-                continue
-            st.mem_idx.append(i)
+        st = _StepMem(len(step))
+        st.mem_idx = _mem_positions(step, rec)
+        for i in st.mem_idx:
+            t, chunk = step[i]
             seg = chunk.var.segment
             if seg.n_protected == 0 and seg.n_unbound == 0:
                 continue
@@ -1333,124 +1282,39 @@ class ExecutionEngine:
         self,
         step: list[tuple[SimThread, AccessChunk]],
         st: _StepMem,
-        batched: bool | None = None,
-        rec=None,
-        cat: np.ndarray | None = None,
-    ) -> None:
-        """Classification / placement (batched or per-chunk summary).
-
-        ``batched=None`` decides from this step's own totals (serial);
-        the sharded engine passes the parent's globally computed flag so
-        every worker takes the same float-summation path. With a memo
-        record (``rec``), cached pure products and epoch/levels-keyed
-        variants replace recomputation — the reuse-distance lookup still
-        runs live every iteration (see :mod:`repro.runtime.memo`).
-        ``cat`` optionally carries the step's pre-concatenated mem-chunk
-        addresses from the columnar trace (:class:`StepTrace`) — same
-        values the per-chunk concatenation would produce, read in place.
-        """
-        machine = self.machine
-        page_size = machine.page_size
-        n_domains = machine.n_domains
-        n_mem = len(st.mem_idx)
-        if rec is not None and n_mem:
-            self._classify_memo(step, st, batched, rec, cat)
-            return
-        st.step_requests = np.zeros(n_domains, dtype=np.int64)
-        st.chunk_levels = [None] * n_mem
-        st.chunk_targets = [None] * n_mem
-        st.chunk_seq = [False] * n_mem
-        if not n_mem:
-            st.mem = []
-            return
-        mem = st.mem = [step[i] for i in st.mem_idx]
-        lengths = st.lengths = np.array(
-            [c.n_accesses for _, c in mem], dtype=np.int64
-        )
-        st.interleaved = [
-            c.var.segment.policy is PlacementPolicy.INTERLEAVE
-            for _, c in mem
-        ]
-        if batched is None:
-            batched = int(lengths.sum()) <= self.BATCH_MEAN_ACCESSES * n_mem
-        st.batched = batched
-        if batched:
-            starts = st.starts = np.zeros(n_mem + 1, dtype=np.int64)
-            np.cumsum(lengths, out=starts[1:])
-            if cat is not None and cat.size == int(starts[-1]):
-                addrs_cat = cat
-            else:
-                addrs_cat = np.concatenate([c.addrs for _, c in mem])
-            st.cls, st.targets_cat = machine.classify_step(
-                addrs_cat,
-                starts,
-                [t.cpu for t, _ in mem],
-                [c.var.segment for _, c in mem],
-                self._scratch,
-            )
-            st.dram_cat = st.cls.levels == LEVEL_DRAM
-            st.step_requests = np.bincount(
-                st.targets_cat[st.dram_cat], minlength=n_domains
-            ).astype(np.int64)
-        else:
-            # Large-chunk summary path: classify down to the line-fetch
-            # mask and touch per-access data only on the fetch subset
-            # (every non-fetch access hits L1, and only DRAM-level
-            # fetches have NUMA-relevant placement). Monitors see these
-            # chunks through lazy views that reconstruct full per-access
-            # arrays on demand.
-            st.summaries = [None] * n_mem
-            st.dram_targets = [None] * n_mem
-            st.fetch_idx = [None] * n_mem
-            for k, (t, c) in enumerate(mem):
-                seg = c.var.segment
-                summ = machine.cache.classify_summary(
-                    c.addrs, t.cpu, seg.seg_id
-                )
-                st.summaries[k] = summ
-                if summ.fetch_level == LEVEL_DRAM:
-                    fidx = np.nonzero(summ.fetch)[0]
-                    tgt = seg.domains[
-                        c.addrs[fidx] // page_size - seg.start_page
-                    ]
-                    st.fetch_idx[k] = fidx
-                    st.dram_targets[k] = tgt
-                    st.step_requests += np.bincount(tgt, minlength=n_domains)
-
-    def _classify_memo(
-        self,
-        step: list[tuple[SimThread, AccessChunk]],
-        st: _StepMem,
-        batched: bool | None,
         rec,
-        cat: np.ndarray | None = None,
+        cat: np.ndarray,
+        batched: bool | None = None,
     ) -> None:
-        """Memoized classification: pure products + epoch-keyed variants.
+        """Classification / placement: pure products + keyed variants.
 
-        The reuse-distance lookup (the only stateful part of
-        classification) runs live; its per-chunk result joins the
-        page-table epoch in the variant key, so both a cache-state
-        change and any page-placement mutation select — or build — a
-        different variant with exactly the values the uncached path
-        would compute.
+        ``batched=None`` decides the batched-vs-summary split from this
+        step's own totals (serial); the sharded engine passes the
+        parent's globally computed flag so every worker takes the same
+        float-summation path. The reuse-distance lookup (the only
+        stateful part of classification) runs live; its per-chunk result
+        joins the page-table epoch in the variant key, so both a
+        cache-state change and any page-placement mutation select — or
+        build — a different variant. ``cat`` carries the step's
+        concatenated mem-chunk addresses from the columnar trace
+        (:class:`StepTrace`), read in place.
         """
         machine = self.machine
         memo = self.memo
-        st.memo_rec = rec
+        st.rec = rec
+        if not st.mem_idx:
+            # Pure-compute steps have nothing to batch: the summary
+            # builders degenerate to empty products.
+            batched = False
         pure = rec.pure
         if pure is not None and (batched is None or pure.batched == batched):
-            memo.hit()
+            memo.hit(rec)
         else:
-            memo.miss()
-            pure = self._build_pure(step, st, batched, cat)
+            memo.miss(rec)
+            pure = self._build_pure(step, st.mem_idx, batched, cat)
             rec.pure = pure
             memo.charge(rec, pure.nbytes)
-        st.mem = pure.mem
         st.mem_idx = pure.mem_idx
-        st.lengths = pure.lengths
-        st.starts = pure.starts
-        st.interleaved = pure.interleaved
-        st.batched = pure.batched
         cache = machine.cache
         if pure.batched:
             fetch_levels = cache.step_fetch_levels(
@@ -1467,12 +1331,12 @@ class ExecutionEngine:
         ckey = (machine.page_table.epoch, fetch_levels.tobytes())
         if self._phase_sig is not None:
             # The iteration's phase signature is the sequence of memo
-            # variant keys it selects (ISSUE: signatures derive from the
-            # IterationMemo keys) — belt and braces over the state digest.
+            # variant keys it selects — belt and braces over the state
+            # digest.
             self._phase_sig.append(ckey)
         var = rec.variants.get(ckey)
         if var is None:
-            memo.miss()
+            memo.miss(rec)
             if pure.batched:
                 var = self._build_batched_variant(pure, fetch_levels)
             else:
@@ -1480,21 +1344,21 @@ class ExecutionEngine:
             rec.variants[ckey] = var
             memo.charge(rec, var.nbytes)
         else:
-            memo.hit()
-        st.memo_var = var
+            memo.hit(rec)
+        st.var = var
         st.step_requests = var.step_requests
 
     def _build_pure(
         self,
         step: list[tuple[SimThread, AccessChunk]],
-        st: _StepMem,
+        mem_idx: list[int],
         batched: bool | None,
-        cat: np.ndarray | None = None,
+        cat: np.ndarray,
     ) -> PureStep:
-        """Compute one step's iteration-invariant products (memo miss)."""
+        """Compute one step's iteration-invariant products."""
         machine = self.machine
         pure = PureStep()
-        pure.mem_idx = list(st.mem_idx)
+        pure.mem_idx = list(mem_idx)
         mem = pure.mem = [step[i] for i in pure.mem_idx]
         n_mem = len(mem)
         lengths = pure.lengths = np.array(
@@ -1515,18 +1379,11 @@ class ExecutionEngine:
         if batched:
             starts = pure.starts = np.zeros(n_mem + 1, dtype=np.int64)
             np.cumsum(lengths, out=starts[1:])
-            if cat is not None and cat.size == int(starts[-1]):
-                # Columnar trace slice: the concatenation already exists
-                # (chunk addrs are views of it) — retain it for the
-                # variant builder; its bytes are the gen trace's, so the
-                # memo does not charge them again.
-                addrs_cat = cat
-                pure.addrs_cat = cat
-            else:
-                addrs_cat = np.concatenate([c.addrs for _, c in mem])
-            fp = machine.cache.step_fetch_products(
-                addrs_cat, starts, self._scratch
-            )
+            # The columnar trace slice is the concatenation (chunk addrs
+            # are views of it); its bytes are the trace's, so the memo
+            # does not charge them again.
+            pure.addrs_cat = cat
+            fp = machine.cache.step_fetch_products(cat, starts, self._scratch)
             pure.fetch = fp.fetch
             pure.sequential = fp.sequential
             pure.footprints = fp.footprints
@@ -1563,7 +1420,7 @@ class ExecutionEngine:
         masks, domain requests, the traffic matrix, and the per-chunk
         view slices — in one pass over the step's concatenated arrays
         (the intermediates ride the scratch pool; retained arrays are
-        owned). Values are exactly what the uncached phases compute.
+        owned).
         """
         machine = self.machine
         n_domains = machine.n_domains
@@ -1571,18 +1428,10 @@ class ExecutionEngine:
         levels = var.levels = machine.cache.expand_step_levels(
             pure.fetch, fetch_levels, pure.lengths
         )
-        mem = pure.mem
         starts = pure.starts
         n = int(starts[-1])
-        addrs_cat = pure.addrs_cat
-        if addrs_cat is None:
-            addrs_cat = self._scratch.get("addrs_cat", n, np.int64)
-            pos = 0
-            for _, c in mem:
-                addrs_cat[pos : pos + c.addrs.size] = c.addrs
-                pos += c.addrs.size
         pages = self._scratch.get("pages", n, np.int64)
-        np.floor_divide(addrs_cat, machine.page_size, out=pages)
+        np.floor_divide(pure.addrs_cat, machine.page_size, out=pages)
         targets = var.targets_cat = np.empty(n, dtype=np.int64)
         for k, seg in enumerate(pure.segs):
             s, e = starts[k], starts[k + 1]
@@ -1595,6 +1444,8 @@ class ExecutionEngine:
         remote_cat = var.remote_cat = targets != acc_rep
         var.dram = int(np.count_nonzero(dram_cat))
         var.remote_dram = int(np.count_nonzero(dram_cat & remote_cat))
+        # Traffic matrix in one pass: bincount over flattened
+        # (accessor domain, target domain) pair codes of DRAM fetches.
         pair = acc_rep[dram_cat] * n_domains + targets[dram_cat]
         var.traffic = (
             np.bincount(pair, minlength=n_domains * n_domains)
@@ -1602,17 +1453,15 @@ class ExecutionEngine:
             .astype(np.int64)
         )
         if self.monitor is not None:
-            n_mem = len(mem)
+            n_mem = len(pure.mem)
             var.chunk_levels = [None] * n_mem
             var.chunk_targets = [None] * n_mem
-            var.chunk_seq = [False] * n_mem
             var.chunk_dram = [None] * n_mem
             var.chunk_remote = [None] * n_mem
             for k in range(n_mem):
                 s, e = starts[k], starts[k + 1]
                 var.chunk_levels[k] = levels[s:e]
                 var.chunk_targets[k] = targets[s:e]
-                var.chunk_seq[k] = bool(pure.sequential[k])
                 var.chunk_dram[k] = dram_cat[s:e]
                 var.chunk_remote[k] = remote_cat[s:e]
         var.nbytes = _nbytes(
@@ -1624,7 +1473,12 @@ class ExecutionEngine:
     def _build_summary_variant(
         self, pure: PureStep, fetch_levels: np.ndarray
     ) -> ClassifyVariant:
-        """Placement-dependent products for one summary-path variant."""
+        """Placement-dependent products for one summary-path variant.
+
+        Every non-fetch access hits L1 and only DRAM-level fetches have
+        NUMA-relevant placement, so page owners are looked up on the
+        fetch subset of DRAM-level chunks only.
+        """
         machine = self.machine
         page_size = machine.page_size
         n_domains = machine.n_domains
@@ -1638,8 +1492,6 @@ class ExecutionEngine:
         var.dram = 0
         var.remote_dram = 0
         var.traffic = np.zeros((n_domains, n_domains), dtype=np.int64)
-        from repro.machine.cache import ChunkSummary
-
         for k, (t, c) in enumerate(pure.mem):
             summ = ChunkSummary(
                 pure.chunk_fetch[k], int(fetch_levels[k]),
@@ -1660,124 +1512,45 @@ class ExecutionEngine:
         var.nbytes = _nbytes(var.dram_targets, var.fidx) + var.traffic.nbytes
         return var
 
-    def _latency_phase(self, st: _StepMem, inflation) -> None:
-        """Latency + DRAM/traffic accounting under step inflation."""
-        if st.memo_var is not None:
-            self._latency_memo(st, inflation)
-            return
-        machine = self.machine
-        n_domains = machine.n_domains
-        n_mem = len(st.mem_idx)
-        st.dram = 0
-        st.remote_dram = 0
-        st.traffic = np.zeros((n_domains, n_domains), dtype=np.int64)
-        st.lat_sums = [0.0] * st.n_active
-        #: Batched path: per-chunk slices of the step's latency array.
-        #: Large-chunk path: DRAM fetch-latency subsets for lazy views.
-        st.chunk_lat = [None] * n_mem
-        st.chunk_dram = [None] * n_mem
-        st.chunk_remote = [None] * n_mem
-        if n_mem and st.batched:
-            mem = st.mem
-            starts = st.starts
-            cls = st.cls
-            targets_cat = st.targets_cat
-            dram_cat = st.dram_cat
-            acc_domains = np.array([t.domain for t, _ in mem], dtype=np.int64)
-            lat_cat = machine.step_access_latency(
-                cls.levels,
-                targets_cat,
-                acc_domains,
-                starts,
-                inflation,
-                cls.sequential,
-                np.array(st.interleaved, dtype=bool),
-            )
-            acc_rep = np.repeat(acc_domains, st.lengths)
-            remote_cat = targets_cat != acc_rep
-            st.dram = int(np.count_nonzero(dram_cat))
-            st.remote_dram = int(np.count_nonzero(dram_cat & remote_cat))
-            # Traffic matrix in one pass: bincount over flattened
-            # (accessor domain, target domain) pair codes of DRAM fetches.
-            pair = acc_rep[dram_cat] * n_domains + targets_cat[dram_cat]
-            st.traffic = (
-                np.bincount(pair, minlength=n_domains * n_domains)
-                .reshape(n_domains, n_domains)
-                .astype(np.int64)
-            )
-            need_views = self.monitor is not None
-            for k, i in enumerate(st.mem_idx):
-                s, e = starts[k], starts[k + 1]
-                st.lat_sums[i] = float(lat_cat[s:e].sum())
-                if need_views:
-                    st.chunk_levels[k] = cls.levels[s:e]
-                    st.chunk_targets[k] = targets_cat[s:e]
-                    st.chunk_seq[k] = bool(cls.sequential[k])
-                    st.chunk_lat[k] = lat_cat[s:e]
-                    st.chunk_dram[k] = dram_cat[s:e]
-                    st.chunk_remote[k] = remote_cat[s:e]
-        elif n_mem:
-            latency_model = machine.latency_model
-            topology = machine.topology
-            l1 = latency_model.l1
-            lvl_lat = (latency_model.l1, latency_model.l2, latency_model.l3)
-            keep_fetch_lat = self.monitor is not None
-            for k, i in enumerate(st.mem_idx):
-                t, c = st.mem[k]
-                summ = st.summaries[k]
-                tgt = st.dram_targets[k]
-                nf = summ.footprint_bytes // machine.cache.config.line_size
-                if tgt is None:
-                    # All fetches hit a cache level: the chunk's latency
-                    # sum is exact closed-form arithmetic.
-                    st.lat_sums[i] = (
-                        (c.n_accesses - nf) * l1 + nf * lvl_lat[summ.fetch_level]
-                    )
-                else:
-                    fetch_lat = latency_model.dram_fetch_latencies(
-                        tgt,
-                        t.domain,
-                        topology,
-                        inflation,
-                        sequential=summ.sequential,
-                        interleaved=st.interleaved[k],
-                    )
-                    st.lat_sums[i] = (
-                        float(fetch_lat.sum()) + (c.n_accesses - nf) * l1
-                    )
-                    st.dram += nf
-                    st.remote_dram += int(np.count_nonzero(tgt != t.domain))
-                    st.traffic[t.domain] += np.bincount(
-                        tgt, minlength=n_domains
-                    )
-                    if keep_fetch_lat:
-                        st.chunk_lat[k] = fetch_lat
+    def _latency_phase(self, st: _StepMem, inflation=None) -> None:
+        """Latency under step inflation: variants keyed by its exact bytes.
 
-    def _latency_memo(self, st: _StepMem, inflation) -> None:
-        """Memoized latency: variants keyed by the exact inflation vector.
-
-        The inflation-independent accounting (DRAM counts, remote
-        counts, traffic matrix) lives on the classification variant; the
-        per-access latencies and per-chunk sums are cached per distinct
+        ``inflation=None`` (serial) derives the step's contention
+        inflation from the variant's own requests and the step's active
+        count — a pure function of the variant, cached on it; the
+        sharded engine passes the parent's merged inflation. The
+        inflation-independent accounting (DRAM counts, remote counts,
+        traffic matrix) lives on the classification variant; per-access
+        latencies and per-chunk sums are cached per distinct
         ``inflation.tobytes()`` within it. A cache-state or placement
         change produced a different classification variant upstream, so
         latency entries can never serve stale inputs.
         """
         machine = self.machine
         memo = self.memo
-        var = st.memo_var
-        rec = st.memo_rec
+        var = st.var
+        rec = st.rec
         pure = rec.pure
+        if inflation is None:
+            inflation = var.serial_inflation
+            if inflation is None:
+                inflation = var.serial_inflation = (
+                    machine.contention.inflation(
+                        var.step_requests, st.n_active
+                    )
+                )
         st.dram = var.dram
         st.remote_dram = var.remote_dram
         st.traffic = var.traffic
         lkey = inflation.tobytes()
         lv = var.lats.get(lkey)
         if lv is None:
-            memo.miss()
+            memo.miss(rec)
             need_views = self.monitor is not None
             n_mem = len(pure.mem)
             lat_sums = [0.0] * st.n_active
+            #: Batched: per-chunk slices of the step's latency array.
+            #: Summary: DRAM fetch-latency subsets for lazy views.
             chunk_lat = [None] * n_mem
             nbytes = 0
             if pure.batched:
@@ -1812,6 +1585,8 @@ class ExecutionEngine:
                     tgt = var.dram_targets[k]
                     nf = summ.footprint_bytes // line_size
                     if tgt is None:
+                        # All fetches hit a cache level: the chunk's
+                        # latency sum is exact closed-form arithmetic.
                         lat_sums[i] = (
                             (c.n_accesses - nf) * l1
                             + nf * lvl_lat[summ.fetch_level]
@@ -1835,68 +1610,65 @@ class ExecutionEngine:
             var.lats[lkey] = lv
             memo.charge(rec, lv.nbytes)
         else:
-            memo.hit()
-        st.memo_lat = lv
+            memo.hit(rec)
+        st.lat = lv
         st.lat_sums = lv.lat_sums
 
     def _monitor_phase(
         self, step: list[tuple[SimThread, AccessChunk]], st: _StepMem
     ) -> list[float] | None:
-        """One ``on_step`` call with per-chunk views; returns the costs."""
+        """One ``on_step`` call with the step's views; returns the costs.
+
+        The views — eager slices of the variant's concatenated arrays on
+        the batched path, lazy views on the summary path, empty arrays
+        for pure-compute chunks — are built once per latency variant.
+        Call paths come from the live callstacks, which hold the same
+        frames on every iteration of a region. The monitor itself —
+        sampling, attribution, costs — always runs live on them.
+        """
         if self.monitor is None:
             return None
         tr = obs.TRACER
         traced = tr.enabled
         if traced:
             tr.begin("engine.monitor", "engine")
-        lv = st.memo_lat
-        if lv is not None:
-            # Memoized path: the views (slices of cached variant arrays
-            # plus per-step invariants) are cached per latency variant;
-            # the monitor itself — sampling, attribution, costs — always
-            # runs live on them.
-            views = lv.views
-            if views is None:
-                self.memo.miss()
-                views = self._build_memo_views(step, st)
-                lv.views = views
-                # Views are slices into already-charged variant arrays;
-                # charge the per-view object overhead approximately.
-                self.memo.charge(st.memo_rec, 256 * len(views))
-            else:
-                self.memo.hit()
-            costs = list(self.monitor.on_step(views))
-            if traced:
-                tr.end()
-            if len(costs) != st.n_active:
-                raise ProgramError(
-                    f"monitor on_step returned {len(costs)} costs for "
-                    f"{st.n_active} chunks"
-                )
-            return costs
-        machine = self.machine
-        views = []
-        mem_rank = {i: k for k, i in enumerate(st.mem_idx)}
-        for i, (t, chunk) in enumerate(step):
-            path = self.callstacks[t.tid].with_leaf(chunk.ip)
-            k = mem_rank.get(i)
-            if k is None:
-                views.append(ChunkView(
-                    t.tid, t.cpu, t.domain, chunk, _EMPTY_U8, _EMPTY_I64,
-                    _EMPTY_F64, path, _EMPTY_BOOL, _EMPTY_BOOL,
-                ))
-            elif st.batched:
-                views.append(ChunkView(
-                    t.tid, t.cpu, t.domain, chunk, st.chunk_levels[k],
-                    st.chunk_targets[k], st.chunk_lat[k], path,
-                    st.chunk_dram[k], st.chunk_remote[k],
-                ))
-            else:
-                views.append(LazyChunkView(
-                    t.tid, t.cpu, t.domain, chunk, path, st.summaries[k],
-                    machine, st.fetch_idx[k], st.dram_targets[k],
-                    st.chunk_lat[k],
-                ))
+        memo = self.memo
+        rec = st.rec
+        var = st.var
+        lv = st.lat
+        views = lv.views
+        if views is None:
+            memo.miss(rec)
+            machine = self.machine
+            pure = rec.pure
+            mem_rank = {i: k for k, i in enumerate(pure.mem_idx)}
+            views = []
+            for i, (t, chunk) in enumerate(step):
+                path = self.callstacks[t.tid].with_leaf(chunk.ip)
+                k = mem_rank.get(i)
+                if k is None:
+                    views.append(ChunkView(
+                        t.tid, t.cpu, t.domain, chunk, _EMPTY_U8, _EMPTY_I64,
+                        _EMPTY_F64, path, _EMPTY_BOOL, _EMPTY_BOOL,
+                    ))
+                elif pure.batched:
+                    views.append(ChunkView(
+                        t.tid, t.cpu, t.domain, chunk, var.chunk_levels[k],
+                        var.chunk_targets[k], lv.chunk_lat[k], path,
+                        var.chunk_dram[k], var.chunk_remote[k],
+                    ))
+                else:
+                    views.append(LazyChunkView(
+                        t.tid, t.cpu, t.domain, chunk, path,
+                        var.summaries[k], machine, var.fidx[k],
+                        var.dram_targets[k], lv.chunk_lat[k],
+                    ))
+            views = lv.views = StepViews.from_views(views)
+            # Views are slices into already-charged variant arrays;
+            # charge the per-view object overhead approximately.
+            memo.charge(rec, 256 * len(views))
+        else:
+            memo.hit(rec)
         costs = list(self.monitor.on_step(views))
         if traced:
             tr.end()
@@ -1906,45 +1678,6 @@ class ExecutionEngine:
                 f"{st.n_active} chunks"
             )
         return costs
-
-    def _build_memo_views(
-        self, step: list[tuple[SimThread, AccessChunk]], st: _StepMem
-    ) -> StepViews:
-        """Build (once per latency variant) the step's cached view list.
-
-        Identical views to the uncached ``_monitor_phase`` body: eager
-        slices of the variant's concatenated arrays on the batched path,
-        lazy views on the summary path, empty arrays for pure-compute
-        chunks. Call paths are taken from the live callstacks, which
-        hold the same frames on every iteration of a region.
-        """
-        machine = self.machine
-        var = st.memo_var
-        lv = st.memo_lat
-        pure = st.memo_rec.pure
-        views = []
-        mem_rank = {i: k for k, i in enumerate(pure.mem_idx)}
-        for i, (t, chunk) in enumerate(step):
-            path = self.callstacks[t.tid].with_leaf(chunk.ip)
-            k = mem_rank.get(i)
-            if k is None:
-                views.append(ChunkView(
-                    t.tid, t.cpu, t.domain, chunk, _EMPTY_U8, _EMPTY_I64,
-                    _EMPTY_F64, path, _EMPTY_BOOL, _EMPTY_BOOL,
-                ))
-            elif pure.batched:
-                views.append(ChunkView(
-                    t.tid, t.cpu, t.domain, chunk, var.chunk_levels[k],
-                    var.chunk_targets[k], lv.chunk_lat[k], path,
-                    var.chunk_dram[k], var.chunk_remote[k],
-                ))
-            else:
-                views.append(LazyChunkView(
-                    t.tid, t.cpu, t.domain, chunk, path, var.summaries[k],
-                    machine, var.fidx[k], var.dram_targets[k],
-                    lv.chunk_lat[k],
-                ))
-        return StepViews.from_views(views)
 
     def _account_phase(
         self,

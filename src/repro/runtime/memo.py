@@ -1,21 +1,11 @@
-"""Iteration memoization for the execution engine.
+"""Iteration memoization: the engine's step pipeline and its cache.
 
-A region with ``repeat > 1`` re-executes a *deterministic* per-thread
-chunk stream: the generated addresses, the chunk partitioning, and the
-pure half of classification are identical on every iteration. What can
-change between iterations is (a) page placement — first-touch binding,
-migration, protection — and (b) the cache model's reuse-distance state
-and the step's contention inflation. The memo layer caches exactly the
-invariant parts and keys the variant parts on what they depend on:
+Every execution step runs through one pipeline of products, each keyed
+on exactly what it depends on:
 
-* **Generated steps** (the region's chunk trace) are cached once per
-  region. This is the same working set the sharded engine already holds
-  per iteration (it pre-draws every step before classifying), so it is
-  bounded by the program itself and tracked separately from the byte
-  budget below.
-* **Pure classification products** (:class:`PureStep`) — line-fetch
-  masks, footprints, sequentiality, chunk geometry — are a pure
-  function of the addresses and cached unconditionally per step.
+* **Pure products** (:class:`PureStep`) — line-fetch masks, footprints,
+  sequentiality, chunk geometry — are a pure function of the step's
+  addresses.
 * **Classification variants** (:class:`ClassifyVariant`) — per-access
   service levels, page owners, DRAM/remote masks, traffic — are keyed
   by ``(page-table epoch, per-chunk fetch levels)``. The reuse-distance
@@ -27,15 +17,24 @@ invariant parts and keys the variant parts on what they depend on:
   per-chunk latency sums — are keyed by the step's exact contention
   inflation vector (``inflation.tobytes()``) within their
   classification variant.
-* **Monitor views** are cached per latency variant; sampling,
-  CCT attribution, and accounting always run live on them, so
-  measurement is never cached — only the inputs it observes.
+* **Monitor views** (:class:`StepViews`) are built per latency variant;
+  sampling, CCT attribution, and accounting always run live on them,
+  so measurement is never cached — only the inputs it observes.
 
-Derived products (everything except the generated steps) are bounded by
-a least-recently-used byte budget (default 64 MB). Eviction is safe by
-construction: an evicted step record is rebuilt from the deterministic
-trace with bit-identical contents, so memo-on results never depend on
-the budget. See MODEL.md ("Epoch and invalidation contract").
+A region with ``repeat > 1`` re-executes a *deterministic* per-thread
+chunk stream, so :class:`IterationMemo` keeps its products across
+iterations: the region's generated trace once (bounded by the program
+itself, tracked outside the byte budget and dropped when the region
+completes), and each step's :class:`StepRecord` under a
+least-recently-used byte budget (default 64 MB). Eviction is safe by
+construction: an evicted record is rebuilt from the deterministic trace
+with bit-identical contents, so results never depend on the budget.
+
+Repeat-1 regions, and every region under a zero budget (``memoize=False``
+/ ``--no-memo``), run the same builders into a *transient* record that
+the memo never stores and whose builds count as neither hits nor
+misses — "memo off" is a budget, not a second implementation. See
+MODEL.md ("Epoch and invalidation contract").
 """
 
 from __future__ import annotations
@@ -48,6 +47,13 @@ from repro import obs
 
 #: Default byte budget for derived (classification/latency/view) caches.
 DEFAULT_MEMO_BYTES = 64 * 1024 * 1024
+
+
+def memo_budget(memoize: bool, memo_bytes: int | None) -> int:
+    """An engine's record budget: ``memoize=False`` is a zero budget."""
+    if not memoize:
+        return 0
+    return DEFAULT_MEMO_BYTES if memo_bytes is None else max(0, int(memo_bytes))
 
 
 def _nbytes(*objs) -> int:
@@ -64,14 +70,14 @@ def _nbytes(*objs) -> int:
 
 
 class StepViews(list):
-    """A step's monitor views plus cached per-step invariant arrays.
+    """A step's monitor views plus per-step invariant arrays.
 
-    Behaves exactly like the plain ``list`` of views the engine hands to
-    ``Monitor.on_step`` — monitors that don't know about it see a list.
-    Batch-aware monitors use the extra arrays (one entry per view, in
-    view order) instead of re-deriving them with per-view Python loops
-    every iteration, and may stash their own per-step invariants in
-    ``memo`` (keyed by consumer).
+    What the engine hands to ``Monitor.on_step``: a ``list`` of views —
+    monitors that don't know about it see a list. Batch-aware monitors
+    use the extra arrays (one entry per view, in view order) instead of
+    re-deriving them with per-view Python loops, and may stash their own
+    per-step invariants in ``memo`` (keyed by consumer); a retained
+    record hands the same object back on every iteration.
     """
 
     __slots__ = ("tids", "n_ins", "n_acc", "memo")
@@ -109,8 +115,7 @@ class PureStep:
         "lengths", "starts", "interleaved", "interleaved_arr",
         "acc_domains", "cpus", "seg_ids", "segs",
         # batched path (step-wide). ``addrs_cat`` is the step's slice of
-        # the columnar trace (a view, bytes owned by the gen store) when
-        # the step came from a StepTrace; None otherwise.
+        # the columnar trace (a view; its bytes belong to the trace).
         "addrs_cat",
         "fetch", "sequential", "footprints", "first_addrs",
         # summary path (per mem chunk):
@@ -131,8 +136,7 @@ class ClassifyVariant:
     __slots__ = (
         # batched path (step-wide):
         "levels", "targets_cat", "dram_cat", "remote_cat",
-        "chunk_levels", "chunk_targets", "chunk_seq",
-        "chunk_dram", "chunk_remote",
+        "chunk_levels", "chunk_targets", "chunk_dram", "chunk_remote",
         # summary path (per mem chunk):
         "summaries", "fidx", "dram_targets",
         # both:
@@ -160,7 +164,11 @@ class LatVariant:
 
 
 class StepRecord:
-    """All cached products for one (region, step) position."""
+    """All products for one (region, step) position.
+
+    ``key`` is ``None`` for a transient record: built for one step and
+    dropped, never stored, charged, or counted as a hit or miss.
+    """
 
     __slots__ = ("key", "pure", "variants", "nbytes")
 
@@ -178,15 +186,14 @@ class IterationMemo:
     against ``budget_bytes`` and are evicted least-recently-used; the
     record currently being filled is never evicted, so with a tiny
     budget the memo degrades to recompute-every-step, never to wrong
-    results. Generated step traces are tracked separately (they mirror
-    the sharded engine's per-iteration working set) and are dropped when
+    results. A zero budget retains nothing (see :meth:`retains`).
+    Generated step traces are tracked separately (they mirror the
+    sharded engine's per-iteration working set) and are dropped when
     their region completes, as are the region's records.
     """
 
-    def __init__(self, budget_bytes: int | None = None) -> None:
-        self.budget = (
-            DEFAULT_MEMO_BYTES if budget_bytes is None else int(budget_bytes)
-        )
+    def __init__(self, budget_bytes: int) -> None:
+        self.budget = int(budget_bytes)
         self._records: OrderedDict = OrderedDict()
         self._gen: dict = {}
         self._rec_bytes = 0
@@ -202,11 +209,17 @@ class IterationMemo:
 
     # -- counters ------------------------------------------------------ #
 
-    def hit(self) -> None:
+    def hit(self, rec: StepRecord | None = None) -> None:
+        """Count a reuse (``rec``: the record it came from, if any)."""
+        if rec is not None and rec.key is None:
+            return
         self.hits += 1
         obs.TRACER.count("engine.memo.hits")
 
-    def miss(self) -> None:
+    def miss(self, rec: StepRecord | None = None) -> None:
+        """Count a build that a later iteration could reuse."""
+        if rec is not None and rec.key is None:
+            return
         self.misses += 1
         obs.TRACER.count("engine.memo.misses")
 
@@ -217,8 +230,19 @@ class IterationMemo:
 
     # -- step records -------------------------------------------------- #
 
-    def record(self, region_idx: int, step_idx: int) -> StepRecord:
-        """Get-or-create the record for one step; touches LRU order."""
+    def retains(self, repeat: int) -> bool:
+        """Whether a region run ``repeat`` times keeps trace and records."""
+        return self.budget > 0 and repeat > 1
+
+    def record(
+        self, region_idx: int, step_idx: int, *, transient: bool = False
+    ) -> StepRecord:
+        """Get-or-create the record for one step; touches LRU order.
+
+        ``transient`` returns a fresh record the memo never stores.
+        """
+        if transient:
+            return StepRecord(None)
         key = (region_idx, step_idx)
         rec = self._records.get(key)
         if rec is None:
@@ -230,6 +254,8 @@ class IterationMemo:
 
     def charge(self, rec: StepRecord, delta: int) -> None:
         """Account ``delta`` bytes to ``rec``; evict LRU if over budget."""
+        if rec.key is None:
+            return
         rec.nbytes += delta
         self._rec_bytes += delta
         if self._rec_bytes > self.budget:

@@ -44,13 +44,11 @@ class Region:
     solver iterations); each repetition re-enters/exits the region frame
     so code-centric attribution aggregates across iterations.
 
-    ``memoize`` opts the region into the engine's iteration memoization
-    (see :mod:`repro.runtime.memo`): the kernel's chunk stream is
-    generated once and replayed on later iterations. Correct for any
-    kernel whose stream is a deterministic function of ``(ctx, tid)`` —
-    all bundled workloads — but must be set to ``False`` for kernels
-    that read mutable machine state (page placement, cache state)
-    *during* generation and expect per-iteration re-evaluation.
+    The engine draws a whole iteration's chunk stream before executing
+    it (and may replay it on later iterations; see
+    :mod:`repro.runtime.memo`), so a kernel's stream must be a
+    deterministic function of ``(ctx, tid)`` that does not read mutable
+    machine state (page placement, cache state) during generation.
     """
 
     name: str
@@ -58,7 +56,6 @@ class Region:
     kernel: Kernel
     src: SourceLoc
     repeat: int = 1
-    memoize: bool = True
 
     def __post_init__(self) -> None:
         if self.repeat <= 0:

@@ -572,8 +572,8 @@ class InstructionSamplingMixin:
             )
             tids = [v.tid for v in views]
         else:
-            # Engine memo replay: the cached StepViews carries the step's
-            # per-chunk counts pre-extracted (see repro.runtime.memo).
+            # Engine step: its StepViews carries the per-chunk counts
+            # pre-extracted (see repro.runtime.memo).
             n_acc = views.n_acc
             tids = views.tids
         carries = self._step_carries(tids)
