@@ -178,7 +178,7 @@ def assemble_shard_archive(
 
     ``shards`` holds each worker's ``(archive_meta, profiles)`` pair in
     shard order, where ``archive_meta`` is the metadata dict shipped by
-    ``ShardEngine.finish_run`` and ``profiles`` maps owned tids to
+    the worker's ``finish_run`` round and ``profiles`` maps owned tids to
     :class:`ThreadProfile` objects. Shards own disjoint thread sets, so
     the union is a plain dict update — duplicate tids mean the shard
     partition broke and raise. Metadata comes from the first shard that

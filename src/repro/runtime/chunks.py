@@ -91,7 +91,9 @@ class StepTrace(list):
     (memo store, page phase, monitors) iterates it unchanged — and adds
     one flat column: ``addrs_cat``, the concatenated addresses of every
     memory chunk in step-major order, with ``step_off[s] : step_off[s+1]``
-    delimiting step ``s``'s slice. After :func:`columnarize_steps` each
+    delimiting step ``s``'s slice; ``n_chunks[s]`` / ``n_mem[s]`` count
+    step ``s``'s chunks and memory chunks (its access total is the slice
+    length). After :func:`columnarize_steps` each
     chunk's ``.addrs`` is a zero-copy view into this buffer, so the
     classify kernels consume ``step_addrs(s)`` directly instead of
     re-concatenating per step, and the whole trace can live in one
@@ -99,12 +101,17 @@ class StepTrace(list):
     its arena; see :mod:`repro.runtime.arena`).
     """
 
-    __slots__ = ("addrs_cat", "step_off")
+    __slots__ = ("addrs_cat", "step_off", "n_chunks", "n_mem")
 
-    def __init__(self, steps, addrs_cat: np.ndarray, step_off: np.ndarray):
+    def __init__(
+        self, steps, addrs_cat: np.ndarray, step_off: np.ndarray,
+        n_mem: np.ndarray,
+    ):
         super().__init__(steps)
         self.addrs_cat = addrs_cat
         self.step_off = step_off
+        self.n_chunks = np.array([len(step) for step in steps], dtype=np.int64)
+        self.n_mem = n_mem
 
     def step_addrs(self, s: int) -> np.ndarray | None:
         """Step ``s``'s concatenated mem-chunk addresses (mem order)."""
@@ -122,7 +129,7 @@ def columnarize_steps(steps, alloc=None) -> StepTrace:
 
     Copies every memory chunk's addresses — chunks with a variable and
     at least one access, in step order then step position order, exactly
-    the order ``_page_phase`` builds ``mem_idx`` in — into one flat
+    the order the engine builds a step's ``mem_idx`` in — into one flat
     int64 buffer and rewrites each ``chunk.addrs`` as a view of its
     slice. Values are unchanged, so classification is bit-identical;
     only the memory layout (and the resulting zero-copy step slices)
@@ -132,13 +139,16 @@ def columnarize_steps(steps, alloc=None) -> StepTrace:
     """
     mem_chunks: list = []
     step_off = np.zeros(len(steps) + 1, dtype=np.int64)
+    n_mem = np.zeros(len(steps), dtype=np.int64)
     total = 0
     for s, step in enumerate(steps):
+        k = len(mem_chunks)
         for _, chunk in step:
             if chunk.var is None or not chunk.n_accesses:
                 continue
             mem_chunks.append(chunk)
             total += chunk.n_accesses
+        n_mem[s] = len(mem_chunks) - k
         step_off[s + 1] = total
     buf = alloc(total) if alloc is not None else np.empty(total, dtype=np.int64)
     pos = 0
@@ -147,7 +157,7 @@ def columnarize_steps(steps, alloc=None) -> StepTrace:
         buf[pos : pos + n] = chunk.addrs
         chunk.addrs = buf[pos : pos + n]
         pos += n
-    return StepTrace(steps, buf, step_off)
+    return StepTrace(steps, buf, step_off, n_mem)
 
 
 def compute_chunk(n_instructions: int, ip: SourceLoc) -> AccessChunk:

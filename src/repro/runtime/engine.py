@@ -47,18 +47,18 @@ from repro.runtime.memo import (
     _nbytes,
     memo_budget,
 )
+from repro.runtime.driver import InProcessBackend, RunResult, drive
 from repro.runtime.phase import (
     DEFAULT_DISARM_AFTER,
     DEFAULT_MAX_PERIOD,
+    INT_FIELDS,
     IterationRecording,
     PhaseDetector,
     PhaseLibrary,
-    PhaseReport,
-    mean_cycles,
-    next_schedule_boundary,
     sig_digest,
     slot_counts,
     trace_content_key,
+    window_eps,
 )
 from repro.runtime.program import Program, ProgramContext, Region, RegionKind
 from repro.runtime.thread import BindingPolicy, SimThread, bind_threads
@@ -287,15 +287,14 @@ def _mem_positions(step, rec) -> list[int]:
 
 
 class _StepMem:
-    """Per-step state carried between engine phases.
+    """Per-step state carried from classification to latency.
 
-    The serial engine runs page traps → classification → latency →
-    monitor → accounting back to back inside one step; the sharded
-    engine (:mod:`repro.parallel`) runs the same phases in separate
-    communication rounds — classification once the merged page state is
-    ready, latency once the parent has the step's *global* contention
-    inflation — so the step's record and selected variants live in an
-    explicit bundle rather than local variables. ``mem_idx[k]`` maps
+    :meth:`ExecutionEngine.classify_step` (page traps, classification)
+    and :meth:`ExecutionEngine.finish_step` (latency, monitor,
+    accounting) run back to back per step in process, but in separate
+    rounds in a worker pool — latency needs the step's contention
+    inflation over *every* shard's requests — so the step's record and
+    selected variants live in an explicit bundle. ``mem_idx[k]`` maps
     memory chunk ``k`` back to step position ``i``; ``trap_costs`` /
     ``lat_sums`` are indexed by step position.
     """
@@ -309,6 +308,32 @@ class _StepMem:
     def __init__(self, n_active: int) -> None:
         self.n_active = n_active
         self.trap_costs = [0.0] * n_active
+
+
+class _Iteration:
+    """One live region iteration's engine state, between round methods."""
+
+    __slots__ = (
+        "region_idx", "region", "iteration", "fired", "epoch0", "breaks0",
+        "observe", "cache_snap", "mon_snap", "oh_base", "owned", "retain",
+        "steps", "events", "ev_i", "own_ips", "own_i", "states",
+        "region_cycles", "instructions", "accesses", "chunks", "dram",
+        "remote_dram", "requests", "traffic",
+    )
+
+    def __init__(self, region_idx: int, region: Region, iteration: int):
+        self.region_idx = region_idx
+        self.region = region
+        self.iteration = iteration
+        self.fired = False
+        self.observe = False
+        self.breaks0 = 0
+        self.cache_snap = self.mon_snap = self.oh_base = None
+        self.requests = None
+        self.ev_i = self.own_i = 0
+        self.states: list = []
+        self.instructions = self.accesses = self.chunks = 0
+        self.dram = self.remote_dram = 0
 
 
 class Monitor:
@@ -419,48 +444,6 @@ class Monitor:
         return 0.0
 
 
-@dataclass
-class RunResult:
-    """Outcome of one simulated execution."""
-
-    program: str
-    n_threads: int
-    wall_cycles: float
-    thread_busy_cycles: np.ndarray
-    total_instructions: int
-    total_accesses: int
-    dram_accesses: int
-    remote_dram_accesses: int
-    monitor_overhead_cycles: float
-    region_wall_cycles: dict[str, float]
-    domain_dram_requests: np.ndarray
-    #: DRAM traffic matrix: ``[accessor_domain, target_domain]`` fetch
-    #: counts — the interconnect load picture behind Figure 1's bandwidth
-    #: argument (off-diagonal mass = cross-domain traffic).
-    domain_traffic: np.ndarray
-    ghz: float
-    #: Number of access chunks executed (every chunk counts, including
-    #: pure-compute ones) — the denominator of the perf harness's
-    #: chunks/s throughput metric.
-    total_chunks: int = 0
-
-    @property
-    def wall_seconds(self) -> float:
-        """Simulated wall-clock seconds."""
-        return self.wall_cycles / (self.ghz * 1e9)
-
-    @property
-    def remote_dram_fraction(self) -> float:
-        """Fraction of DRAM accesses that were remote."""
-        if self.dram_accesses == 0:
-            return 0.0
-        return self.remote_dram_accesses / self.dram_accesses
-
-    def region_seconds(self, name: str) -> float:
-        """Simulated seconds spent in (all iterations of) a region."""
-        return self.region_wall_cycles.get(name, 0.0) / (self.ghz * 1e9)
-
-
 @dataclass(frozen=True)
 class AppliedAction:
     """Record of one scheduled migration the engine applied (or refused).
@@ -500,6 +483,15 @@ class ExecutionEngine:
     #: identical per-access values, so this is a pure performance knob
     #: (see ``tests/test_step_pipeline.py``).
     BATCH_MEAN_ACCESSES = 2048
+
+    #: This engine's slice of a run: it executes (and attributes) the
+    #: threads with ``tid % n_shards == shard_id``. A standalone engine
+    #: is shard 0 of 1; a worker pool reassigns both per process.
+    shard_id = 0
+    n_shards = 1
+    #: A pool worker's shared-memory arena (outbound round payloads and
+    #: the columnar trace plane); None in process.
+    arena = None
 
     def __init__(
         self,
@@ -566,20 +558,31 @@ class ExecutionEngine:
         self._phase_sig: list | None = None
         self._scratch = ScratchPool()
         self._ran = False
+        self._regions: list | None = None
+        #: The current region's phase detector (None: not observed).
+        self._detector: PhaseDetector | None = None
+        self._it: _Iteration | None = None
+        # Overhead accumulates per thread and reduces once at the end:
+        # each tid's partial sum involves only that thread's own chunks
+        # in step order, so any sharding reduces bit-identically.
+        self._overhead_by_tid = np.zeros(len(self.threads), dtype=np.float64)
 
     def run(self) -> RunResult:
-        """Execute the program once and return timing/traffic statistics."""
+        """Execute the program once and return timing/traffic statistics.
+
+        A standalone run is the driver's in-process case: this engine is
+        the one shard and owns every thread (see
+        :mod:`repro.runtime.driver`).
+        """
         if self._ran:
             raise ProgramError("ExecutionEngine is single-use; build a new one")
         self._ran = True
-        tr = obs.TRACER
-        if not tr.enabled:
-            return self._run(tr)
-        tr.begin("engine.run", "engine", program=self.program.name)
-        try:
-            return self._run(tr)
-        finally:
-            tr.end()
+        with obs.TRACER.span("engine.run", "engine", program=self.program.name):
+            return drive(InProcessBackend(self))
+
+    def owns(self, tid: int) -> bool:
+        """Whether this engine executes (and attributes) thread ``tid``."""
+        return tid % self.n_shards == self.shard_id
 
     def _apply_schedule(
         self, region_idx: int, region: Region, iteration: int
@@ -602,511 +605,518 @@ class ExecutionEngine:
         for step in steps:
             domains = step.domain_list()
             var = self.heap.variables.get(step.var_name)
+            error = None
             if var is None:
-                self.applied_actions.append(
-                    AppliedAction(
-                        region_idx, iteration, step.var_name,
-                        step.policy.value,
-                        tuple(domains) if domains else None,
-                        False, page_table.epoch,
-                        error=f"unknown variable {step.var_name!r}",
-                    )
-                )
-                tr.count("optim.migrations_failed")
-                continue
-            seg = page_table.segment_of_addr(var.base)
-            if tr.enabled:
-                tr.begin(
+                error = f"unknown variable {step.var_name!r}"
+            else:
+                with tr.span(
                     "engine.migrate", "optim",
                     var=step.var_name, policy=step.policy.value,
                     region=region.name, iteration=iteration,
-                )
-            try:
-                page_table.migrate_segment(seg, step.policy, domains)
-            except AllocationError as exc:
-                self.applied_actions.append(
-                    AppliedAction(
-                        region_idx, iteration, step.var_name,
-                        step.policy.value,
-                        tuple(domains) if domains else None,
-                        False, page_table.epoch, error=str(exc),
-                    )
-                )
-                tr.count("optim.migrations_failed")
-            else:
-                self.applied_actions.append(
-                    AppliedAction(
-                        region_idx, iteration, step.var_name,
-                        step.policy.value,
-                        tuple(domains) if domains else None,
-                        True, page_table.epoch,
-                    )
-                )
-                tr.count("optim.migrations_applied")
-            finally:
-                if tr.enabled:
-                    tr.end()
+                ):
+                    try:
+                        page_table.migrate_segment(
+                            page_table.segment_of_addr(var.base),
+                            step.policy, domains,
+                        )
+                    except AllocationError as exc:
+                        error = str(exc)
+            self.applied_actions.append(AppliedAction(
+                region_idx, iteration, step.var_name, step.policy.value,
+                tuple(domains) if domains else None, error is None,
+                page_table.epoch, error=error or "",
+            ))
+            tr.count(
+                "optim.migrations_applied" if error is None
+                else "optim.migrations_failed"
+            )
         return True
 
-    def _phase_extrapolate(
-        self, detector, planned, region, active, n_skip, busy,
-        overhead_by_tid, domain_requests, domain_traffic, wall,
-        region_wall, tr,
-    ):
-        """Apply ``n_skip`` iterations' deltas without simulating them.
+    # ------------------------------------------------------------------ #
+    # round methods (called by repro.runtime.driver through a backend)
+    # ------------------------------------------------------------------ #
 
-        Skipped iteration ``t`` replays cycle slot ``t % period``.
-        Exact mode folds the recorded slot recordings per iteration in
-        slot order — the same float adds in the same order the live
-        loop would perform — so the result is bit-identical to
-        simulating (ε = 0). ε mode (engine periodic, sampling jittered)
-        folds each slot's window-mean cycle and overhead deltas scaled
-        by that slot's skip count and has the monitor scale its
-        per-slot window-mean accumulator deltas; engine-pure integers
-        multiply exactly per slot in both modes. Returns
-        ``(wall, int_deltas, mode, eps)``.
+    def start(self) -> dict:
+        """Run start: monitor hookup, program setup, region list.
+
+        Returns the region count (the driver cross-checks every shard
+        against its own copy), whether this shard can take part in
+        phase extrapolation, and whether it is monitored.
         """
-        name = region.name
-        mode, period, _ = planned
-        slots = detector.cycle_slots(period)
-        recs = [e.rec for e in slots]
-        counts = slot_counts(n_skip, period)
-        if tr.enabled:
-            tr.begin(
-                "engine.phase.extrapolate", "engine",
-                region=name, iterations=n_skip, mode=mode, period=period,
+        if self.monitor is not None:
+            self.heap.add_monitor(self.monitor)
+            self.monitor.on_run_start(self)
+        with obs.TRACER.span("engine.setup", "engine"):
+            self.program.setup(self.ctx)
+            self._regions = self.program.regions(self.ctx)
+        return {
+            "n_regions": len(self._regions),
+            "phase_ok": bool(
+                self.extrapolate
+                and (self.monitor is None or self.monitor.phase_supported())
+            ),
+            "monitored": self.monitor is not None,
+        }
+
+    def _new_detector(self, region: Region) -> PhaseDetector | None:
+        """The region's phase detector, or None where one cannot pay.
+
+        A repeat-1 region can neither skip nor converge. With the
+        library, a region whose trace matches an already-converged
+        phase can arm after a single live iteration, so any repeated
+        region is worth watching.
+        """
+        if not (
+            self.extrapolate
+            and region.repeat > 1
+            and (
+                region.repeat > self.extrap_warmup
+                or self.phase_library is not None
             )
+            and (self.monitor is None or self.monitor.phase_supported())
+        ):
+            return None
+        return PhaseDetector(
+            region.name,
+            warmup=self.extrap_warmup,
+            max_period=self.extrap_period,
+            allow_eps=self.monitor is not None,
+            monitor_present=self.monitor is not None,
+            disarm_after=self.extrap_disarm,
+            library=self.phase_library,
+        )
+
+    def begin_iteration(self, region_idx: int, iteration: int) -> None:
+        """Open a live region iteration: schedule, then phase observation.
+
+        Recording hooks are installed before the monitor's region-enter
+        callbacks (in :meth:`enter_region`) so the replay program covers
+        the whole iteration.
+        """
+        region = self._regions[region_idx]
+        page_table = self.machine.page_table
+        it = self._it = _Iteration(region_idx, region, iteration)
+        it.epoch0 = page_table.epoch
+        if self.schedule is not None:
+            it.fired = self._apply_schedule(region_idx, region, iteration)
+        if iteration == 0:
+            self._detector = self._new_detector(region)
+        detector = self._detector
+        if detector is None:
+            return
+        it.breaks0 = detector.breaks
+        if it.fired:
+            detector.invalidate()
+        it.observe = detector.begin_iteration(page_table.epoch)
+        if it.observe:
+            self._phase_oh_rec = []
+            self._phase_sig = []
+            it.cache_snap = self.machine.cache.phase_snapshot()
+            it.requests = np.zeros(self.machine.n_domains, dtype=np.int64)
+            if self.monitor is not None:
+                self.monitor.phase_record_begin()
+                if detector.allow_eps:
+                    it.mon_snap = self.monitor.phase_snapshot()
+                    it.oh_base = self._overhead_by_tid.copy()
+
+    def enter_region(self) -> dict:
+        """Enter the region and pre-draw this shard's step trace.
+
+        Returns per-step chunk, memory-chunk and access counts (the
+        driver's per-step decisions need the totals over every shard)
+        and this shard's page events (see :meth:`_page_events`).
+        """
+        it = self._it
+        region = it.region
+        memo = self.memo
+        active = (
+            self.threads
+            if region.kind is RegionKind.PARALLEL
+            else self.threads[:1]
+        )
+        owned = it.owned = [t for t in active if self.owns(t.tid)]
+        for t in owned:
+            self.callstacks[t.tid].push(region.src)
+            if self.monitor is not None:
+                self.monitor.on_region_enter(t.tid, region, it.iteration)
+        it.region_cycles = {t.tid: 0.0 for t in owned}
+        it.traffic = np.zeros(
+            (self.machine.n_domains, self.machine.n_domains), dtype=np.int64
+        )
+        retain = it.retain = memo.retains(region.repeat)
+        arena = self.arena
+        if arena is not None:
+            # Non-retained traces live in the per-iteration pool; the
+            # previous iteration is fully finished, so rewind it.
+            arena.reset("iter")
+        steps = memo.gen_get(it.region_idx) if retain else None
+        if steps is None:
+            # With an arena the whole trace plane lives in this shard's
+            # shared segments (retained regions get a region pool that
+            # is unlinked on release; see IterationMemo.on_release).
+            alloc = None
+            if arena is not None:
+                pool = ("gen", it.region_idx) if retain else "iter"
+
+                def alloc(n, _pool=pool):
+                    return arena.alloc_array(n, np.int64, _pool)[0]
+
+            steps = self._draw_steps(owned, {
+                t.tid: iter(region.kernel(self.ctx, t.tid)) for t in owned
+            }, alloc)
+            if retain:
+                memo.gen_store(
+                    it.region_idx, steps, steps_nbytes(steps),
+                    shared_nbytes=(
+                        steps.addrs_cat.nbytes if arena is not None else 0
+                    ),
+                )
+        it.steps = steps
+        if it.observe and it.iteration == 0 and self.phase_library is not None:
+            # Per-shard trace content key: each shard's library matches
+            # its own slice of the region's step stream, so regions that
+            # share in one process share identically under sharding.
+            mon = self.monitor
+            self._detector.set_library_key(
+                trace_content_key(steps),
+                type(getattr(mon, "mechanism", mon)).__name__
+                if mon is not None
+                else None,
+                self.machine.page_table.epoch,
+            )
+        it.events = self._page_events(steps)
+        return {
+            "n_chunks": steps.n_chunks,
+            "n_mem": steps.n_mem,
+            "acc_sum": np.diff(steps.step_off),
+            "events": it.events,
+        }
+
+    def _page_events(self, steps) -> dict:
+        """This shard's candidate page events, as flat columns.
+
+        One event per memory chunk whose segment still has protected or
+        unbound pages now: step / tid / cpu / variable id (into
+        ``names``), and the chunk's unique page set as a slice
+        ``pstart[i]:pstart[i+1]`` of ``pages``. Events are in
+        ``(step, tid)`` order. The counters only fall within an
+        iteration, so this is a superset of the step-time check, which
+        the replay repeats (see :meth:`_apply_page_event`). Page events
+        are never cached: the counters are live machine state. Source
+        coordinates stay in the shard (``own_ips``) — only the owner
+        attributes a trap.
+        """
+        page_size = self.machine.page_size
+        ev_step: list[int] = []
+        ev_tid: list[int] = []
+        ev_cpu: list[int] = []
+        ev_var: list[int] = []
+        ev_pages: list[np.ndarray] = []
+        ips: list = []
+        names: list[str] = []
+        name_id: dict[str, int] = {}
+        for s, step in enumerate(steps):
+            for t, chunk in step:
+                if chunk.var is None or not chunk.n_accesses:
+                    continue
+                seg = chunk.var.segment
+                if seg.n_protected or seg.n_unbound:
+                    name = chunk.var.name
+                    vid = name_id.get(name)
+                    if vid is None:
+                        vid = name_id[name] = len(names)
+                        names.append(name)
+                    ev_step.append(s)
+                    ev_tid.append(t.tid)
+                    ev_cpu.append(t.cpu)
+                    ev_var.append(vid)
+                    ev_pages.append(fast_unique(chunk.addrs // page_size))
+                    ips.append(chunk.ip)
+        self._it.own_ips = ips
+        pstart = np.zeros(len(ev_pages) + 1, dtype=np.int64)
+        np.cumsum([p.size for p in ev_pages], dtype=np.int64, out=pstart[1:])
+        return {
+            "step": np.array(ev_step, dtype=np.int64),
+            "tid": np.array(ev_tid, dtype=np.int64),
+            "cpu": np.array(ev_cpu, dtype=np.int64),
+            "var": np.array(ev_var, dtype=np.int64),
+            "pstart": pstart,
+            "pages": (
+                np.concatenate(ev_pages) if ev_pages
+                else np.empty(0, dtype=np.int64)
+            ),
+            "names": names,
+        }
+
+    def set_page_events(self, events: dict) -> None:
+        """Replace this shard's own page events with every shard's.
+
+        ``events`` has the :meth:`_page_events` layout, merged into
+        serial ``(step, tid)`` order; a single shard's own events are
+        already in that order.
+        """
+        self._it.events = events
+
+    def classify_step(self, s: int, batched: bool) -> np.ndarray | None:
+        """Replay step ``s``'s page events, then classify this shard's chunks.
+
+        Every event updates this shard's page table; only the owning
+        shard charges the trap and attributes it to its monitor.
+        ``batched`` is the driver's pipeline flag for the step. Returns
+        the step's DRAM request vector, or None when this shard has no
+        chunk in step ``s``.
+        """
+        it = self._it
+        tr = obs.TRACER
+        traced = tr.enabled
+        if traced:
+            tr.begin("engine.page_traps", "engine")
+        trap_by_tid = self._replay_page_events(s)
+        if traced:
+            tr.end()
+        steps = it.steps
+        if s >= len(steps):
+            it.states.append(None)
+            return None
+        step = steps[s]
+        st = _StepMem(len(step))
+        if trap_by_tid:
+            # One chunk per thread per step, and only memory chunks
+            # carry page events.
+            st.trap_costs = [trap_by_tid.get(t.tid, 0.0) for t, _ in step]
+        rec = self.memo.record(it.region_idx, s, transient=not it.retain)
+        st.mem_idx = _mem_positions(step, rec)
+        if traced:
+            tr.begin("engine.classify", "engine")
+            self._classify_phase(step, st, rec, steps.step_addrs(s), batched)
+            tr.end()
+        else:
+            self._classify_phase(step, st, rec, steps.step_addrs(s), batched)
+        it.states.append(st)
+        if it.requests is not None:
+            it.requests += st.step_requests
+        return st.step_requests
+
+    def _replay_page_events(self, s: int) -> dict | None:
+        """Apply step ``s``'s page events; returns owned trap costs by tid."""
+        it = self._it
+        ev = it.events
+        ev_step = ev["step"]
+        i = it.ev_i
+        n = ev_step.size
+        if i >= n or ev_step[i] != s:
+            return None
+        pstart = ev["pstart"]
+        pages = ev["pages"]
+        names = ev["names"]
+        trap_by_tid = {}
+        while i < n and ev_step[i] == s:
+            tid = int(ev["tid"][i])
+            owned = self.owns(tid)
+            ip = None  # never read: attribution is owner-only
+            if owned:
+                ip = it.own_ips[it.own_i]
+                it.own_i += 1
+            cost = self._apply_page_event(
+                tid, int(ev["cpu"][i]), self.ctx.var(names[ev["var"][i]]),
+                pages[pstart[i] : pstart[i + 1]], ip, attribute=owned,
+            )
+            if owned:
+                trap_by_tid[tid] = cost
+            i += 1
+        it.ev_i = i
+        return trap_by_tid
+
+    def finish_step(self, s: int, inflation: np.ndarray) -> None:
+        """Latency under the driver's step inflation, monitor, accounting."""
+        it = self._it
+        st = it.states[s]
+        if st is None:
+            return
+        it.states[s] = None
+        step = it.steps[s]
+        tr = obs.TRACER
+        if tr.enabled:
+            tr.begin("engine.latency", "engine")
+            self._latency_phase(st, inflation)
+            tr.end()
+        else:
+            self._latency_phase(st, inflation)
+        costs = self._monitor_phase(step, st)
+        instructions, accesses = self._account_phase(
+            step, st, costs, it.region_cycles, self._overhead_by_tid
+        )
+        it.instructions += instructions
+        it.accesses += accesses
+        it.chunks += len(step)
+        it.dram += st.dram
+        it.remote_dram += st.remote_dram
+        it.traffic += st.traffic
+
+    def exit_region(self) -> None:
+        """Region-exit callbacks for this shard's threads."""
+        it = self._it
+        for t in it.owned:
+            if self.monitor is not None:
+                self.monitor.on_region_exit(t.tid, it.region, it.iteration)
+            self.callstacks[t.tid].pop()
+
+    def end_iteration(self) -> dict:
+        """Close the live iteration; returns this shard's deltas.
+
+        The payload carries the per-tid region cycles, the integer
+        counters, the traffic matrix, the metrics flags this iteration
+        raised, and the detector's readiness (``phase``). A region's
+        memo state is released after its last iteration.
+        """
+        it = self._it
+        self._it = None
+        region = it.region
+        if it.iteration == region.repeat - 1:
+            self.memo.release_region(it.region_idx)
+        ints = {
+            "instructions": it.instructions,
+            "accesses": it.accesses,
+            "chunks": it.chunks,
+            "dram": it.dram,
+            "remote_dram": it.remote_dram,
+        }
+        detector = self._detector
+        if it.observe:
+            self._record_iteration(it, ints)
+        flags = 0
+        if it.fired:
+            flags |= obs.FLAG_SCHEDULE
+        if self.machine.page_table.epoch != it.epoch0:
+            flags |= obs.FLAG_EPOCH
+        if detector is not None and detector.breaks != it.breaks0:
+            flags |= obs.FLAG_PHASE_BREAK
+        return {
+            "region_cycles": it.region_cycles,
+            "ints": ints,
+            "traffic": it.traffic,
+            "flags": flags,
+            "steady": it.observe and detector.is_steady,
+            "phase": detector.phase_payload() if detector is not None else None,
+        }
+
+    def _record_iteration(self, it: "_Iteration", ints: dict) -> None:
+        """Feed an observed iteration to the region's phase detector."""
+        oh_ops, sig = self._phase_oh_rec, self._phase_sig
+        self._phase_oh_rec = self._phase_sig = None
+        mon_digest: object = ()
+        mon_prog = None
+        mon_delta = None
+        if self.monitor is not None:
+            mon_prog = self.monitor.phase_record_end()
+            mon_digest = self.monitor.phase_digest()
+            if it.mon_snap is not None:
+                mon_delta = self.monitor.phase_delta(it.mon_snap)
+        rec = IterationRecording(
+            ints=ints,
+            requests=it.requests,
+            traffic=it.traffic,
+            region_cycles=it.region_cycles,
+            # The barrier's elapsed time is a max over every shard's
+            # threads: the driver records it in its merged window.
+            elapsed=0.0,
+            oh_ops=oh_ops,
+            cache_delta=self.machine.cache.phase_delta(it.cache_snap),
+            monitor_prog=mon_prog,
+        )
+        # The cache's reuse-distance state needs no digest entry: an
+        # identical trace revisits the same keys every iteration, so
+        # fetch levels are periodic once the memo-key signature repeats
+        # (see phase.py); the recorded cache delta is compared exactly.
+        self._detector.end_live_iteration(
+            sig_digest(self.machine.page_table.epoch, sig),
+            mon_digest,
+            rec,
+            self._overhead_by_tid - it.oh_base
+            if it.oh_base is not None else None,
+            mon_delta,
+        )
+
+    def extrapolate_iterations(
+        self, region_idx: int, n_skip: int, release: bool,
+        mode: str, period: int,
+    ) -> dict:
+        """Apply ``n_skip`` iterations' shard-local effects unsimulated.
+
+        The driver has armed the skip at ``period`` (the smallest period
+        every shard is ready at, exact preferred) and clamped it to the
+        next scheduled boundary; it folds the merged cycle and integer
+        quantities itself. Here skipped iteration ``t`` replays cycle
+        slot ``t % period``'s overhead adds and monitor program — exact
+        mode in per-iteration slot order, the float adds of simulating
+        the cycle; ε mode as each slot's window mean scaled by its skip
+        count — and fast-forwards the cache. Returns this shard's ε,
+        library-hit count and integer deltas.
+        """
+        detector = self._detector
+        detector.note_armed(mode, period)
+        recs = [e.rec for e in detector.cycle_slots(period)]
+        counts = slot_counts(n_skip, period)
+        monitor = self.monitor
+        overhead = self._overhead_by_tid
         eps = 0.0
         if mode == "exact":
             for t_i in range(n_skip):
-                rec = recs[t_i % period]
-                for t in active:
-                    busy[t.tid] += rec.region_cycles[t.tid]
-                wall += rec.elapsed
-                region_wall[name] = region_wall.get(name, 0.0) + rec.elapsed
-                for tid, oh in rec.oh_ops:
-                    overhead_by_tid[tid] += oh
-            if self.monitor is not None:
+                for tid, oh in recs[t_i % period].oh_ops:
+                    overhead[tid] += oh
+            if monitor is not None:
                 if period == 1:
-                    self.monitor.phase_replay(recs[0].monitor_prog, n_skip)
+                    monitor.phase_replay(recs[0].monitor_prog, n_skip)
                 else:
-                    # Interleave per-iteration in slot order: replay
-                    # loops the identical numpy ops, so this is the
-                    # exact float-add order of simulating the cycle.
+                    # Per iteration in slot order: replay loops the
+                    # identical numpy ops, so this is the exact float-add
+                    # order of simulating the cycle.
                     for t_i in range(n_skip):
-                        self.monitor.phase_replay(
-                            recs[t_i % period].monitor_prog, 1
-                        )
+                        monitor.phase_replay(recs[t_i % period].monitor_prog, 1)
         else:
             windows = detector.slot_windows(period)
             for j, w in enumerate(windows):
-                cnt = counts[j]
-                if not cnt or not w:
+                if not counts[j] or not w:
                     continue
-                rc_mean, elapsed_mean = mean_cycles(w)
-                for t in active:
-                    busy[t.tid] += rc_mean[t.tid] * cnt
-                wall += elapsed_mean * cnt
-                region_wall[name] = (
-                    region_wall.get(name, 0.0) + elapsed_mean * cnt
-                )
                 oh_mean = w[0].oh_delta.copy()
-                for s in w[1:]:
-                    oh_mean += s.oh_delta
+                for sample in w[1:]:
+                    oh_mean += sample.oh_delta
                 oh_mean /= len(w)
-                overhead_by_tid += oh_mean * cnt
-            eps = detector.eps_value(period)
-            if self.monitor is not None:
-                for j, w in enumerate(windows):
-                    if not counts[j] or not w:
-                        continue
-                    eps = max(eps, self.monitor.extrapolate_flush(
-                        [s.monitor_delta for s in w], counts[j]
+                overhead += oh_mean * counts[j]
+                if monitor is not None:
+                    eps = max(eps, monitor.extrapolate_flush(
+                        [sample.monitor_delta for sample in w], counts[j]
                     ))
-        ints = {k: 0 for k in recs[0].ints}
-        for j, cnt in enumerate(counts):
-            if not cnt:
-                continue
-            rec = recs[j]
-            domain_requests += rec.requests * cnt
-            domain_traffic += rec.traffic * cnt
-            for k, v in rec.ints.items():
-                ints[k] += v * cnt
+            eps = max(eps, window_eps(windows))
         if recs[0].cache_delta is not None:
             # Fast-forward the reuse-distance state so regions after
             # this one classify bit-identically to the exact run.
             self.machine.cache.phase_advance_cycle(
                 [r.cache_delta for r in recs], n_skip
             )
-        if tr.enabled:
-            tr.count("engine.phase.extrapolated_iterations", n_skip)
-            tr.end()
-        return wall, ints, mode, eps
+        if release:
+            self.memo.release_region(region_idx)
+        ints = dict.fromkeys(INT_FIELDS, 0)
+        for rec, cnt in zip(recs, counts):
+            for k in INT_FIELDS:
+                ints[k] += rec.ints[k] * cnt
+        return {
+            "eps": eps,
+            "library_hits": detector.library_hits,
+            "ints": ints,
+        }
 
-    def _run(self, tr) -> RunResult:
-        if self.monitor is not None:
-            self.heap.add_monitor(self.monitor)
-            self.monitor.on_run_start(self)
-
-        if tr.enabled:
-            with tr.span("engine.setup", "engine"):
-                self.program.setup(self.ctx)
-                regions = self.program.regions(self.ctx)
-        else:
-            self.program.setup(self.ctx)
-            regions = self.program.regions(self.ctx)
-
-        # Metrics plane: a recorder attached to an enabled tracer gets a
-        # snapshot at every region-iteration boundary. Sampling is a
-        # read-only observer on host time — simulated results are
-        # bit-identical with it on or off (tests/test_metrics_parity.py).
-        mx = getattr(tr, "metrics", None) if tr.enabled else None
-
-        busy = np.zeros(len(self.threads), dtype=np.float64)
-        # Overhead accumulates per thread and reduces once at the end:
-        # each tid's partial sum involves only that thread's own chunks
-        # in step order, so a sharded run (which accumulates the same
-        # per-tid sequences in worker processes) reduces bit-identically.
-        overhead_by_tid = np.zeros(len(self.threads), dtype=np.float64)
-        total_instructions = 0
-        total_accesses = 0
-        total_chunks = 0
-        dram_accesses = 0
-        remote_dram = 0
-        wall = 0.0
-        region_wall: dict[str, float] = {}
-        domain_requests = np.zeros(self.machine.n_domains, dtype=np.int64)
-        domain_traffic = np.zeros(
-            (self.machine.n_domains, self.machine.n_domains), dtype=np.int64
-        )
-        phase_report = PhaseReport(enabled=self.extrapolate)
-
-        def _mx_values() -> dict:
-            # Cumulative engine totals snapshotted into the metrics plane.
-            # Passed explicitly (not read from tracer counters) so the
-            # sharded parent — whose counters live in the workers — can
-            # feed the same keys and share the rate-derivation path.
-            values = {
-                "engine.chunks": float(total_chunks),
-                "engine.accesses": float(total_accesses),
-                "engine.instructions": float(total_instructions),
-            }
-            if dram_accesses:
-                values["engine.remote_fraction"] = remote_dram / dram_accesses
-            for d in range(self.machine.n_domains):
-                values[f"engine.domain.requests.{d}"] = float(
-                    domain_requests[d]
-                )
-            return values
-
-        for region_idx, region in enumerate(regions):
-            active = (
-                self.threads
-                if region.kind is RegionKind.PARALLEL
-                else self.threads[:1]
-            )
-            memo = self.memo
-            retain = memo.retains(region.repeat)
-            detector = None
-            if (
-                self.extrapolate
-                # With the library, a region whose trace matches an
-                # already-converged phase can arm after a single live
-                # iteration, so any repeated region is worth watching.
-                # A repeat-1 region can neither skip nor converge, so
-                # it never pays for observation.
-                and region.repeat > 1
-                and (
-                    region.repeat > self.extrap_warmup
-                    or self.phase_library is not None
-                )
-                and (self.monitor is None or self.monitor.phase_supported())
-            ):
-                detector = PhaseDetector(
-                    region.name,
-                    warmup=self.extrap_warmup,
-                    max_period=self.extrap_period,
-                    allow_eps=self.monitor is not None,
-                    monitor_present=self.monitor is not None,
-                    disarm_after=self.extrap_disarm,
-                    library=self.phase_library,
-                )
-            n_exact = n_eps = 0
-            eps_max = 0.0
-            iteration = 0
-            while iteration < region.repeat:
-                fired = False
-                if mx is not None:
-                    epoch0 = self.machine.page_table.epoch
-                    breaks0 = detector.breaks if detector is not None else 0
-                if self.schedule is not None:
-                    fired = self._apply_schedule(region_idx, region, iteration)
-                    if fired and detector is not None:
-                        detector.invalidate()
-                observe = detector is not None and detector.begin_iteration(
-                    self.machine.page_table.epoch
-                )
-                planned = detector.plan() if observe else None
-                if planned is not None:
-                    stop = next_schedule_boundary(
-                        self.schedule, region_idx, iteration, region.repeat
-                    )
-                    n_skip = stop - iteration
-                    if planned[0] == "exact" and planned[1] > 1 \
-                            and self.monitor is not None:
-                        # The monitor's selection state cycles with the
-                        # phase; replay only advances its accumulators.
-                        # Skipping whole cycles lands that state back on
-                        # the live baseline; a partial cycle would
-                        # resume the monitor mid-cycle and diverge, so
-                        # the remainder iterations run live instead.
-                        n_skip -= n_skip % planned[1]
-                        stop = iteration + n_skip
-                    if n_skip > 0:
-                        detector.note_armed(planned)
-                        wall, ints, mode, eps = self._phase_extrapolate(
-                            detector, planned, region, active, n_skip, busy,
-                            overhead_by_tid, domain_requests, domain_traffic,
-                            wall, region_wall, tr,
-                        )
-                        total_instructions += ints["instructions"]
-                        total_accesses += ints["accesses"]
-                        total_chunks += ints["chunks"]
-                        dram_accesses += ints["dram"]
-                        remote_dram += ints["remote_dram"]
-                        if mode == "exact":
-                            n_exact += n_skip
-                        else:
-                            n_eps += n_skip
-                            eps_max = max(eps_max, eps)
-                        iteration = stop
-                        if mx is not None:
-                            mx.sample(
-                                tr,
-                                flags=obs.FLAG_EXTRAPOLATED,
-                                region=region.name,
-                                iteration=iteration - 1,
-                                values=_mx_values(),
-                            )
-                        continue
-                traced = tr.enabled
-                oh_ops: list = []
-                mon_snap = None
-                oh_base = None
-                cache_snap = None
-                if observe:
-                    self._phase_oh_rec = oh_ops
-                    self._phase_sig = sig = []
-                    cache_snap = self.machine.cache.phase_snapshot()
-                    if self.monitor is not None:
-                        self.monitor.phase_record_begin()
-                        if detector.allow_eps:
-                            mon_snap = self.monitor.phase_snapshot()
-                            oh_base = overhead_by_tid.copy()
-                if traced:
-                    iter_t0 = tr.now_ns()
-                    tr.begin(
-                        "engine.region", "engine",
-                        region=region.name, iteration=iteration,
-                    )
-                for t in active:
-                    self.callstacks[t.tid].push(region.src)
-                    if self.monitor is not None:
-                        self.monitor.on_region_enter(t.tid, region, iteration)
-
-                steps = memo.gen_get(region_idx) if retain else None
-                if steps is None:
-                    steps = self._draw_steps(active, {
-                        t.tid: iter(region.kernel(self.ctx, t.tid))
-                        for t in active
-                    })
-                    if retain:
-                        memo.gen_store(region_idx, steps, steps_nbytes(steps))
-                if (
-                    observe
-                    and iteration == 0
-                    and self.phase_library is not None
-                ):
-                    mon = self.monitor
-                    detector.set_library_key(
-                        trace_content_key(steps),
-                        type(getattr(mon, "mechanism", mon)).__name__
-                        if mon is not None
-                        else None,
-                        self.machine.page_table.epoch,
-                    )
-
-                region_cycles = {t.tid: 0.0 for t in active}
-                # Per-iteration integer deltas (folded into the run
-                # totals below; integer adds are associative, so this
-                # restructure is bit-identical — and it is exactly what
-                # the phase detector records for extrapolation).
-                it_instructions = it_accesses = it_chunks = 0
-                it_dram = it_remote = 0
-                it_requests = np.zeros_like(domain_requests)
-                it_traffic = np.zeros_like(domain_traffic)
-                for s_idx, step in enumerate(steps):
-                    rec = memo.record(region_idx, s_idx, transient=not retain)
-                    cat = steps.step_addrs(s_idx)
-                    if traced:
-                        tr.begin("engine.step", "engine")
-                        stats = self._execute_step(
-                            step, region_cycles, overhead_by_tid, rec, cat
-                        )
-                        tr.end()
-                    else:
-                        stats = self._execute_step(
-                            step, region_cycles, overhead_by_tid, rec, cat
-                        )
-                    it_instructions += stats["instructions"]
-                    it_accesses += stats["accesses"]
-                    it_chunks += len(step)
-                    it_dram += stats["dram"]
-                    it_remote += stats["remote_dram"]
-                    it_requests += stats["domain_requests"]
-                    it_traffic += stats["domain_traffic"]
-
-                for t in active:
-                    if self.monitor is not None:
-                        self.monitor.on_region_exit(t.tid, region, iteration)
-                    self.callstacks[t.tid].pop()
-
-                if traced:
-                    tr.end()
-                    # Per-simulated-thread mirror tracks: the region
-                    # iteration as each thread saw it (lockstep, so the
-                    # host-time interval is shared).
-                    iter_t1 = tr.now_ns()
-                    for t in active:
-                        tr.pair(
-                            region.name, "engine", t.tid, iter_t0, iter_t1
-                        )
-
-                elapsed = max(region_cycles.values()) if region_cycles else 0.0
-                for t in active:
-                    busy[t.tid] += region_cycles[t.tid]
-                wall += elapsed
-                region_wall[region.name] = region_wall.get(region.name, 0.0) + elapsed
-
-                total_instructions += it_instructions
-                total_accesses += it_accesses
-                total_chunks += it_chunks
-                dram_accesses += it_dram
-                remote_dram += it_remote
-                domain_requests += it_requests
-                domain_traffic += it_traffic
-
-                if observe:
-                    self._phase_oh_rec = None
-                    self._phase_sig = None
-                    mon_digest = ()
-                    mon_prog = None
-                    mon_delta = None
-                    if self.monitor is not None:
-                        mon_prog = self.monitor.phase_record_end()
-                        mon_digest = self.monitor.phase_digest()
-                        if mon_snap is not None:
-                            mon_delta = self.monitor.phase_delta(mon_snap)
-                    rec_i = IterationRecording(
-                        ints={
-                            "instructions": it_instructions,
-                            "accesses": it_accesses,
-                            "chunks": it_chunks,
-                            "dram": it_dram,
-                            "remote_dram": it_remote,
-                        },
-                        requests=it_requests,
-                        traffic=it_traffic,
-                        region_cycles=region_cycles,
-                        elapsed=elapsed,
-                        oh_ops=oh_ops,
-                        cache_delta=self.machine.cache.phase_delta(cache_snap),
-                        monitor_prog=mon_prog,
-                    )
-                    # The cache's reuse-distance state needs no digest
-                    # entry: an identical trace revisits the same keys
-                    # every iteration, so fetch levels are periodic once
-                    # the memo-key signature repeats (see phase.py); the
-                    # recorded cache delta is compared exactly instead.
-                    engine_digest = sig_digest(
-                        self.machine.page_table.epoch, sig
-                    )
-                    detector.end_live_iteration(
-                        engine_digest, mon_digest, rec_i,
-                        overhead_by_tid - oh_base
-                        if oh_base is not None else None,
-                        mon_delta,
-                    )
-                    if traced and detector.is_steady:
-                        tr.count("engine.phase.steady_iterations")
-                if mx is not None:
-                    flags = obs.FLAG_ITERATION
-                    if fired:
-                        flags |= obs.FLAG_SCHEDULE
-                    if self.machine.page_table.epoch != epoch0:
-                        flags |= obs.FLAG_EPOCH
-                    if detector is not None and detector.breaks != breaks0:
-                        flags |= obs.FLAG_PHASE_BREAK
-                    mx.sample(
-                        tr,
-                        flags=flags,
-                        region=region.name,
-                        iteration=iteration,
-                        values=_mx_values(),
-                    )
-                iteration += 1
-
-            memo.release_region(region_idx)
-            if self.extrapolate:
-                stats_r = phase_report.region(region.name)
-                stats_r.iterations += region.repeat
-                stats_r.extrapolated_exact += n_exact
-                stats_r.extrapolated_eps += n_eps
-                stats_r.simulated += region.repeat - n_exact - n_eps
-                if detector is not None:
-                    stats_r.breaks += detector.breaks
-                    stats_r.period = max(
-                        stats_r.period, detector.period_detected
-                    )
-                    stats_r.disarms += detector.disarms
-                    stats_r.library_hits += detector.library_hits
-                stats_r.epsilon = max(stats_r.epsilon, eps_max)
-                if traced and detector is not None and detector.breaks:
-                    tr.count("engine.phase.breaks", detector.breaks)
-
-        result = RunResult(
-            program=self.program.name,
-            n_threads=len(self.threads),
-            wall_cycles=wall,
-            thread_busy_cycles=busy,
-            total_instructions=total_instructions,
-            total_accesses=total_accesses,
-            dram_accesses=dram_accesses,
-            remote_dram_accesses=remote_dram,
-            monitor_overhead_cycles=float(overhead_by_tid.sum()),
-            region_wall_cycles=region_wall,
-            domain_dram_requests=domain_requests,
-            domain_traffic=domain_traffic,
-            ghz=self.machine.ghz,
-            total_chunks=total_chunks,
-        )
-        if self.extrapolate:
-            self.phase_report = phase_report.as_dict()
-            if tr.enabled:
-                tr.gauge(
-                    "engine.phase.epsilon", self.phase_report["epsilon"]
-                )
-                tr.gauge(
-                    "engine.phase.coverage_pct",
-                    self.phase_report["coverage_pct"],
-                )
-        if self.monitor is not None:
-            self.monitor.on_run_end(result)
-        if mx is not None:
-            # Final snapshot after run-end gauges (phase report, profiler
-            # row tables) are set, so the last row carries them all.
-            mx.sample(tr, flags=obs.FLAG_FINAL, values=_mx_values())
-        return result
+    def finish_run(self) -> dict:
+        """This shard's per-tid overhead totals and schedule log."""
+        overhead = self._overhead_by_tid
+        return {
+            "overhead_by_tid": {
+                t.tid: float(overhead[t.tid])
+                for t in self.threads
+                if self.owns(t.tid)
+            },
+            "applied_actions": list(self.applied_actions),
+        }
 
     # ------------------------------------------------------------------ #
 
@@ -1136,87 +1146,6 @@ class ExecutionEngine:
         # reads each step's concatenation in place (values unchanged).
         return columnarize_steps(steps, alloc)
 
-    def _execute_step(
-        self,
-        step: list[tuple[SimThread, AccessChunk]],
-        region_cycles: dict[int, float],
-        overhead_by_tid: np.ndarray,
-        rec,
-        cat: np.ndarray,
-    ) -> dict:
-        """Run one lockstep set of chunks through the memory system.
-
-        Page work (traps + first-touch binding) runs per chunk in step
-        order — trap delivery and binding order are semantically ordered —
-        but is skipped entirely for segments whose ``n_protected`` /
-        ``n_unbound`` counters are zero. The per-access work then runs
-        through the step's record ``rec`` (see :mod:`repro.runtime.memo`):
-        pure products → a variant keyed by page-table epoch and fetch
-        levels → a latency variant keyed by the step's inflation → the
-        monitor's views. The record is retained across a repeated
-        region's iterations, or transient (built for this step only) in
-        repeat-1 regions and under a zero memo budget — the same code
-        either way. ``cat`` is the step's concatenated mem-chunk
-        addresses from the columnar trace.
-
-        Within the pipeline, steps of small chunks (mean accesses/chunk
-        <= ``BATCH_MEAN_ACCESSES``) take the batched variant, computed
-        on the step's concatenated arrays to amortize per-chunk dispatch
-        overhead; steps of large chunks take the summary variant (fetch
-        mask + single fetch level per chunk), touching per-access data
-        only on the fetch subset, with monitors served by
-        :class:`LazyChunkView` so full per-access arrays are
-        reconstructed only if a monitor actually reads them. Both compute
-        identical per-access values.
-
-        The phases are factored into ``_page_phase`` / ``_classify_phase``
-        / ``_latency_phase`` / ``_monitor_phase`` / ``_account_phase`` so
-        the sharded engine can drive them across communication rounds;
-        this method is the serial orchestration.
-        """
-        tr = obs.TRACER
-        traced = tr.enabled
-        if traced:
-            tr.count("engine.steps")
-            tr.count("engine.chunks", len(step))
-            tr.begin("engine.page_traps", "engine")
-
-        st = self._page_phase(step, rec)
-
-        if traced:
-            tr.end()
-            tr.begin("engine.classify", "engine")
-
-        self._classify_phase(step, st, rec, cat)
-
-        if traced:
-            if st.mem_idx:
-                tr.count(
-                    "engine.steps_batched" if rec.pure.batched
-                    else "engine.steps_summary"
-                )
-            tr.end()
-            tr.begin("engine.latency", "engine")
-
-        self._latency_phase(st)
-
-        if traced:
-            tr.end()
-
-        costs = self._monitor_phase(step, st)
-        instructions, accesses = self._account_phase(
-            step, st, costs, region_cycles, overhead_by_tid
-        )
-
-        return {
-            "instructions": instructions,
-            "accesses": accesses,
-            "dram": st.dram,
-            "remote_dram": st.remote_dram,
-            "domain_requests": st.step_requests,
-            "domain_traffic": st.traffic,
-        }
-
     def _apply_page_event(
         self,
         tid: int,
@@ -1232,9 +1161,9 @@ class ExecutionEngine:
         Handles protection traps (unprotect + optional monitor
         attribution) and first-touch binding, returning the trap cost in
         cycles. ``attribute=False`` applies the page-table state changes
-        without involving the monitor — the sharded engine's replay of
-        *other* shards' page events, which must update every worker's
-        replicated page table but be attributed only by the owner.
+        without involving the monitor — the replay of *other* shards'
+        page events, which must update every shard's replicated page
+        table but be attributed only by the owner.
         """
         machine = self.machine
         seg = var.segment
@@ -1256,42 +1185,19 @@ class ExecutionEngine:
             machine.page_table.touch_pages(pages, cpu)
         return cost
 
-    def _page_phase(
-        self, step: list[tuple[SimThread, AccessChunk]], rec
-    ) -> _StepMem:
-        """Ordered page-protection traps + first touches for one step.
-
-        In steady state every segment's counters are already zero, so
-        only the positions scan remains.
-        """
-        page_size = self.machine.page_size
-        st = _StepMem(len(step))
-        st.mem_idx = _mem_positions(step, rec)
-        for i in st.mem_idx:
-            t, chunk = step[i]
-            seg = chunk.var.segment
-            if seg.n_protected == 0 and seg.n_unbound == 0:
-                continue
-            pages = fast_unique(chunk.addrs // page_size)
-            st.trap_costs[i] = self._apply_page_event(
-                t.tid, t.cpu, chunk.var, pages, chunk.ip
-            )
-        return st
-
     def _classify_phase(
         self,
         step: list[tuple[SimThread, AccessChunk]],
         st: _StepMem,
         rec,
         cat: np.ndarray,
-        batched: bool | None = None,
+        batched: bool,
     ) -> None:
         """Classification / placement: pure products + keyed variants.
 
-        ``batched=None`` decides the batched-vs-summary split from this
-        step's own totals (serial); the sharded engine passes the
-        parent's globally computed flag so every worker takes the same
-        float-summation path. The reuse-distance lookup (the only
+        ``batched`` is the driver's batched-vs-summary flag for the
+        step, computed from every shard's totals so each shard takes the
+        same float-summation path. The reuse-distance lookup (the only
         stateful part of classification) runs live; its per-chunk result
         joins the page-table epoch in the variant key, so both a
         cache-state change and any page-placement mutation select — or
@@ -1307,7 +1213,7 @@ class ExecutionEngine:
             # builders degenerate to empty products.
             batched = False
         pure = rec.pure
-        if pure is not None and (batched is None or pure.batched == batched):
+        if pure is not None and pure.batched == batched:
             memo.hit(rec)
         else:
             memo.miss(rec)
@@ -1352,7 +1258,7 @@ class ExecutionEngine:
         self,
         step: list[tuple[SimThread, AccessChunk]],
         mem_idx: list[int],
-        batched: bool | None,
+        batched: bool,
         cat: np.ndarray,
     ) -> PureStep:
         """Compute one step's iteration-invariant products."""
@@ -1373,8 +1279,6 @@ class ExecutionEngine:
         pure.segs = [c.var.segment for _, c in mem]
         pure.seg_ids = [seg.seg_id for seg in pure.segs]
         pure.acc_domains = np.array([t.domain for t, _ in mem], dtype=np.int64)
-        if batched is None:
-            batched = int(lengths.sum()) <= self.BATCH_MEAN_ACCESSES * n_mem
         pure.batched = batched
         if batched:
             starts = pure.starts = np.zeros(n_mem + 1, dtype=np.int64)
@@ -1512,14 +1416,11 @@ class ExecutionEngine:
         var.nbytes = _nbytes(var.dram_targets, var.fidx) + var.traffic.nbytes
         return var
 
-    def _latency_phase(self, st: _StepMem, inflation=None) -> None:
+    def _latency_phase(self, st: _StepMem, inflation: np.ndarray) -> None:
         """Latency under step inflation: variants keyed by its exact bytes.
 
-        ``inflation=None`` (serial) derives the step's contention
-        inflation from the variant's own requests and the step's active
-        count — a pure function of the variant, cached on it; the
-        sharded engine passes the parent's merged inflation. The
-        inflation-independent accounting (DRAM counts, remote counts,
+        ``inflation`` is the driver's contention inflation for the step,
+        from every shard's requests. The inflation-independent accounting (DRAM counts, remote counts,
         traffic matrix) lives on the classification variant; per-access
         latencies and per-chunk sums are cached per distinct
         ``inflation.tobytes()`` within it. A cache-state or placement
@@ -1531,14 +1432,6 @@ class ExecutionEngine:
         var = st.var
         rec = st.rec
         pure = rec.pure
-        if inflation is None:
-            inflation = var.serial_inflation
-            if inflation is None:
-                inflation = var.serial_inflation = (
-                    machine.contention.inflation(
-                        var.step_requests, st.n_active
-                    )
-                )
         st.dram = var.dram
         st.remote_dram = var.remote_dram
         st.traffic = var.traffic

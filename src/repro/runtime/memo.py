@@ -140,8 +140,7 @@ class ClassifyVariant:
         # summary path (per mem chunk):
         "summaries", "fidx", "dram_targets",
         # both:
-        "step_requests", "dram", "remote_dram", "traffic",
-        "serial_inflation", "lats", "nbytes",
+        "step_requests", "dram", "remote_dram", "traffic", "lats", "nbytes",
     )
 
     def __init__(self) -> None:

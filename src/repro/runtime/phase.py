@@ -323,11 +323,7 @@ class HistoryEntry:
 
 
 def mean_cycles(window: list[EpsSample]) -> tuple[dict, float]:
-    """Window-mean per-tid cycles and elapsed, in chronological order.
-
-    Shared by the serial engine and the sharded parent so both compute
-    the identical floats from the identical per-iteration values.
-    """
+    """Window-mean per-tid cycles and elapsed, in chronological order."""
     n = len(window)
     tids = window[0].rec.region_cycles.keys()
     rc_mean = {}
@@ -350,6 +346,45 @@ def relative_spread(values: list[float]) -> float:
     mean = sum(values) / len(values)
     scale = abs(mean) if mean else max(abs(hi), abs(lo))
     return (hi - lo) / (2.0 * scale) if scale else 0.0
+
+
+def slot_windows(tail: list, period: int, depth: int) -> list[list]:
+    """Per-slot trailing ε windows over an on-cycle tail.
+
+    ``tail`` holds the verified steady iterations' samples,
+    chronological, so every ``period``-th entry belongs to the same
+    cycle slot. Each slot's window is chronological and holds at most
+    ``depth`` samples; a None entry (an iteration recorded without an ε
+    sample) ends its slot's window.
+    """
+    windows: list[list] = []
+    for j in range(period):
+        idx = len(tail) - period + j
+        w: list = []
+        while idx >= 0 and len(w) < depth:
+            sample = tail[idx]
+            if sample is None:
+                break
+            w.append(sample)
+            idx -= period
+        w.reverse()
+        windows.append(w)
+    return windows
+
+
+def window_eps(windows: list[list[EpsSample]]) -> float:
+    """Observed relative half-spread of cycles across per-slot windows."""
+    eps = 0.0
+    for w in windows:
+        if len(w) < 2:
+            continue
+        eps = max(eps, relative_spread([s.rec.elapsed for s in w]))
+        for tid in w[0].rec.region_cycles:
+            eps = max(
+                eps,
+                relative_spread([s.rec.region_cycles[tid] for s in w]),
+            )
+    return eps
 
 
 @dataclass
@@ -438,11 +473,8 @@ class PhaseDetector:
             maxlen=self.max_period * (self.warmup + 2)
         )
         self.breaks = 0
-        self.recorded_live = 0
         self.disarms = 0
         self.library_hits = 0
-        #: Period of the last armed plan (0 = never armed).
-        self.period_detected = 0
         #: Disarm bookkeeping: a "window" is one full detection
         #: opportunity; after ``disarm_after`` windows with no
         #: convergence the detector goes quiescent, probing one window
@@ -604,7 +636,6 @@ class PhaseDetector:
         monitor_delta: object | None,
     ) -> None:
         """Fold one finished live iteration into the streak state."""
-        self.recorded_live += 1
         hist = self.history
         was_active = any(self.streaks[1:]) or self._lib_len > 0
         matched = False
@@ -655,14 +686,10 @@ class PhaseDetector:
 
     # -- readiness ------------------------------------------------------ #
 
-    def _local_period(self, *, exact: bool) -> int:
-        """Smallest period whose streaks satisfy the readiness rule."""
-        streaks = self.exact_streaks if exact else self.streaks
-        for p in range(1, self.max_period + 1):
-            s = streaks[p]
-            if s >= p and s + p >= self.warmup:
-                return p
-        return 0
+    def _streak_ready(self, p: int, *, exact: bool) -> bool:
+        """Whether the local streaks satisfy the readiness rule at ``p``."""
+        s = (self.exact_streaks if exact else self.streaks)[p]
+        return s >= p and s + p >= self.warmup
 
     def _lib_ready_at(self, p: int, *, exact: bool) -> bool:
         """Library-granted readiness at period ``p`` (stored period or
@@ -674,11 +701,18 @@ class PhaseDetector:
             return False
         return True
 
-    def _library_period(self, *, exact: bool) -> int:
-        e = self._lib_entry
-        if e is not None and self._lib_ready_at(e.period, exact=exact):
-            return e.period
-        return 0
+    def _ready_at(self, p: int, *, exact: bool) -> bool:
+        """Readiness at ``p``; ε also needs every slot's window filled."""
+        if not (
+            self._streak_ready(p, exact=exact)
+            or self._lib_ready_at(p, exact=exact)
+        ):
+            return False
+        return exact or (
+            self.allow_eps
+            and self.monitor_present
+            and all(self.slot_windows(p))
+        )
 
     @property
     def is_steady(self) -> bool:
@@ -687,68 +721,47 @@ class PhaseDetector:
 
     @property
     def ready_exact(self) -> bool:
-        return bool(
-            self._local_period(exact=True)
-            or self._library_period(exact=True)
+        return any(
+            self._ready_at(p, exact=True)
+            for p in range(1, self.max_period + 1)
         )
-
-    @property
-    def ready_eps(self) -> bool:
-        if not (self.allow_eps and self.monitor_present):
-            return False
-        p = (
-            self._local_period(exact=False)
-            or self._library_period(exact=False)
-        )
-        if not p:
-            return False
-        return all(self.slot_windows(p))
 
     @property
     def ready(self) -> bool:
-        return self.ready_exact or self.ready_eps
+        return self.ready_exact or any(
+            self._ready_at(p, exact=False)
+            for p in range(1, self.max_period + 1)
+        )
 
     def plan(self) -> tuple[str, int, bool] | None:
         """The armed extrapolation: ``(mode, period, via_library)``.
 
         Exact mode is preferred over ε; within a mode the smallest
         period wins, with a local streak beating a library match at
-        equal period (identical behavior, better provenance).
+        equal period (identical behavior, better provenance). This is
+        the run driver's choice for a single shard.
         """
-        p_loc = self._local_period(exact=True)
-        p_lib = self._library_period(exact=True)
-        if p_loc or p_lib:
-            if p_loc and (not p_lib or p_loc <= p_lib):
-                return ("exact", p_loc, False)
-            return ("exact", p_lib, True)
-        if self.allow_eps and self.monitor_present:
-            p_loc = self._local_period(exact=False)
-            p_lib = self._library_period(exact=False)
-            local = bool(p_loc and (not p_lib or p_loc <= p_lib))
-            p = p_loc if local else p_lib
-            if p and all(self.slot_windows(p)):
-                return ("eps", p, not local)
-        return None
+        planned = union_plan([self.phase_payload()], self.max_period)
+        if planned is None:
+            return None
+        mode, p, _ = planned
+        return mode, p, self.arming_provenance(mode, p)
 
     def arming_provenance(self, mode: str, period: int) -> bool:
         """Whether readiness at ``(mode, period)`` is library-only.
 
-        Used by the sharded worker, where the *parent* picks the union
-        period: a shard whose own streaks don't satisfy it but whose
-        library walk does is counted as a library hit, like serial.
+        The run driver picks the union period; a shard whose own streaks
+        don't satisfy it but whose library walk does counts a library
+        hit.
         """
-        streaks = self.exact_streaks if mode == "exact" else self.streaks
-        s = streaks[period]
-        loc = s >= period and s + period >= self.warmup
-        return not loc and self._lib_ready_at(
-            period, exact=(mode == "exact")
+        exact = mode == "exact"
+        return not self._streak_ready(period, exact=exact) and (
+            self._lib_ready_at(period, exact=exact)
         )
 
-    def note_armed(self, planned: tuple[str, int, bool]) -> None:
-        """Record that the engine armed extrapolation with ``planned``."""
-        _, p, via_lib = planned
-        self.period_detected = p
-        if via_lib:
+    def note_armed(self, mode: str, period: int) -> None:
+        """Record that the driver armed extrapolation at ``period``."""
+        if self.arming_provenance(mode, period):
             self.library_hits += 1
             if self.library is not None:
                 self.library.hits += 1
@@ -777,80 +790,32 @@ class PhaseDetector:
 
         The tail (``steady_len``) is entirely on-cycle — the baseline
         cycle's entries were verified retroactively by the lag-p match
-        — so every p-th entry belongs to the same slot. Windows are
-        chronological and capped at ``warmup`` samples per slot.
+        — so every p-th entry belongs to the same slot (see
+        :func:`slot_windows`); windows hold at most ``warmup`` samples.
         """
         tail_len = self.steady_len(period)
         hist = list(self.history)
         tail = hist[len(hist) - tail_len:] if tail_len else []
-        windows: list[list[EpsSample]] = []
-        for j in range(period):
-            idx = len(tail) - period + j
-            w: list[EpsSample] = []
-            while idx >= 0 and len(w) < self.warmup:
-                s = tail[idx].sample
-                if s is None:
-                    break
-                w.append(s)
-                idx -= period
-            w.reverse()
-            windows.append(w)
-        return windows
+        return slot_windows([e.sample for e in tail], period, self.warmup)
 
-    def eps_value(self, period: int) -> float:
-        """Observed relative half-spread across the per-slot windows."""
-        eps = 0.0
-        for w in self.slot_windows(period):
-            if len(w) < 2:
-                continue
-            eps = max(eps, relative_spread([s.rec.elapsed for s in w]))
-            for tid in w[0].rec.region_cycles:
-                eps = max(
-                    eps,
-                    relative_spread(
-                        [s.rec.region_cycles[tid] for s in w]
-                    ),
-                )
-        return eps
-
-    # -- sharded protocol ----------------------------------------------- #
+    # -- run-driver protocol -------------------------------------------- #
 
     def phase_payload(self) -> dict:
-        """Readiness vectors for the sharded round protocol.
+        """Readiness vectors for the run driver.
 
-        The parent arms the union region at the smallest period every
+        The driver arms the union region at the smallest period every
         shard reports ready (exact preferred) — by construction the
         union digest matches at lag p iff every shard's does, so this
-        reproduces the serial detector's decision from per-shard state.
+        reproduces :meth:`plan` over the union from per-shard state.
         """
-        ready_exact = []
-        ready_eps = []
-        steady = []
-        for p in range(1, self.max_period + 1):
-            s = self.exact_streaks[p]
-            loc_exact = s >= p and s + p >= self.warmup
-            ready_exact.append(
-                bool(loc_exact or self._lib_ready_at(p, exact=True))
-            )
-            s = self.streaks[p]
-            loc = s >= p and s + p >= self.warmup
-            ready_eps.append(
-                bool(
-                    self.allow_eps
-                    and self.monitor_present
-                    and (loc or self._lib_ready_at(p, exact=False))
-                )
-            )
-            steady.append(self.steady_len(p))
+        periods = range(1, self.max_period + 1)
         return {
-            "ready_exact": ready_exact,
-            "ready_eps": ready_eps,
-            "steady": steady,
+            "ready_exact": [self._ready_at(p, exact=True) for p in periods],
+            "ready_eps": [self._ready_at(p, exact=False) for p in periods],
+            "steady": [self.steady_len(p) for p in periods],
             "breaks": self.breaks,
-            "disarmed": not self.observing,
             "disarms": self.disarms,
             "library_hits": self.library_hits,
-            "period": self.period_detected,
         }
 
 
