@@ -58,7 +58,6 @@ from repro.runtime.phase import (
     sig_digest,
     slot_counts,
     trace_content_key,
-    window_eps,
 )
 from repro.runtime.program import Program, ProgramContext, Region, RegionKind
 from repro.runtime.thread import BindingPolicy, SimThread, bind_threads
@@ -1050,8 +1049,9 @@ class ExecutionEngine:
         slot ``t % period``'s overhead adds and monitor program — exact
         mode in per-iteration slot order, the float adds of simulating
         the cycle; ε mode as each slot's window mean scaled by its skip
-        count — and fast-forwards the cache. Returns this shard's ε,
-        library-hit count and integer deltas.
+        count — and fast-forwards the cache. Returns this shard's
+        monitor ε (the cycle spread is the driver's, over its merged
+        window), library-hit count and integer deltas.
         """
         detector = self._detector
         detector.note_armed(mode, period)
@@ -1087,7 +1087,6 @@ class ExecutionEngine:
                     eps = max(eps, monitor.extrapolate_flush(
                         [sample.monitor_delta for sample in w], counts[j]
                     ))
-            eps = max(eps, window_eps(windows))
         if recs[0].cache_delta is not None:
             # Fast-forward the reuse-distance state so regions after
             # this one classify bit-identically to the exact run.

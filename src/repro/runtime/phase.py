@@ -814,6 +814,7 @@ class PhaseDetector:
             "ready_eps": [self._ready_at(p, exact=False) for p in periods],
             "steady": [self.steady_len(p) for p in periods],
             "breaks": self.breaks,
+            "disarmed": not self.observing,
             "disarms": self.disarms,
             "library_hits": self.library_hits,
         }
