@@ -39,6 +39,7 @@ from repro import (
     presets,
 )
 from repro.errors import NumaProfError, UsageError
+from repro.profiler.metrics import LPI_THRESHOLD, verdict
 from repro.runtime.memo import DEFAULT_MEMO_BYTES
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
@@ -396,8 +397,8 @@ def _run(args: argparse.Namespace) -> int:
         return rc
     lpi = analysis.program_lpi()
     if lpi is not None:
-        verdict = "optimize" if lpi >= 0.1 else "not worth optimizing"
-        print(f"lpi_NUMA = {lpi:.3f} ({verdict}; threshold 0.1)\n")
+        action = "optimize" if verdict(lpi) else "not worth optimizing"
+        print(f"lpi_NUMA = {lpi:.3f} ({action}; threshold {LPI_THRESHOLD})\n")
     else:
         print(f"lpi_NUMA unavailable ({mech_name} measures no latency); "
               f"remote fraction of sampled accesses = "

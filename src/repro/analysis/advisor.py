@@ -3,7 +3,9 @@
 The paper's workflow, automated end to end:
 
 1. Check whole-program lpi_NUMA against the 0.1 threshold — if below,
-   recommend *no* NUMA optimization (the Blackscholes verdict).
+   recommend *no* NUMA optimization (the Blackscholes verdict). Without
+   latency, M_r must not be much smaller than M_l instead
+   (:func:`repro.profiler.metrics.verdict`).
 2. Rank variables by remote cost; for each hot variable, classify its
    access pattern — first over the whole program, and when that is
    irregular, re-scope to the hottest calling context (the Fig. 4 -> 5
@@ -28,7 +30,7 @@ from repro.analysis.patterns import (
     blockwise_domains_from_ranges,
     classify_ranges,
 )
-from repro.profiler.metrics import LPI_THRESHOLD
+from repro.profiler.metrics import LPI_THRESHOLD, MISMATCH_THRESHOLD, verdict
 from repro.runtime.callstack import CallPath
 
 
@@ -132,14 +134,15 @@ def _advise(
 ) -> Advice:
     merged = analysis.merged
     lpi = analysis.program_lpi()
-    if lpi is not None and lpi < lpi_threshold:
+    rf = analysis.program_remote_fraction() if lpi is None else None
+    if not verdict(lpi, rf, lpi_threshold):
         return Advice(
             program=merged.program,
             lpi=lpi,
             worth_optimizing=False,
             recommendations=[],
             rationale=(
-                f"whole-program lpi_NUMA = {lpi:.3f} < {lpi_threshold}: NUMA "
+                f"{_verdict_basis(lpi, rf, lpi_threshold, False)}: NUMA "
                 "losses are too small for optimization to pay off"
             ),
         )
@@ -182,21 +185,28 @@ def _advise(
             )
         )
 
-    if lpi is not None:
-        verdict = (
-            f"whole-program lpi_NUMA = {lpi:.3f} >= {lpi_threshold}: NUMA "
-            "losses warrant optimization"
-        )
-    else:
-        rf = analysis.program_remote_fraction()
-        verdict = (
-            f"mechanism measures no latency; remote access fraction = "
-            f"{rf:.1%} — high remote traffic suggests optimization"
-        )
     return Advice(
         program=merged.program,
         lpi=lpi,
         worth_optimizing=True,
         recommendations=recommendations,
-        rationale=verdict,
+        rationale=(
+            f"{_verdict_basis(lpi, rf, lpi_threshold, True)}: NUMA "
+            "losses warrant optimization"
+        ),
+    )
+
+
+def _verdict_basis(
+    lpi: float | None, rf: float | None, lpi_threshold: float, worth: bool
+) -> str:
+    """The number the verdict rests on, compared with its threshold."""
+    if lpi is not None:
+        return (
+            f"whole-program lpi_NUMA = {lpi:.3f} {'>=' if worth else '<'} "
+            f"{lpi_threshold}"
+        )
+    return (
+        f"mechanism measures no latency; remote access fraction = "
+        f"{rf:.1%}, so M_r/M_l {'>=' if worth else '<'} {MISMATCH_THRESHOLD}"
     )

@@ -20,23 +20,25 @@ from repro.analysis.views import (
     first_touch_view,
     region_table_view,
 )
-from repro.profiler.metrics import LPI_THRESHOLD
+from repro.profiler.metrics import LPI_THRESHOLD, MISMATCH_THRESHOLD, verdict
 
 
 def _verdict(analysis: NumaAnalysis) -> str:
     lpi = analysis.program_lpi()
-    if lpi is None:
-        rf = analysis.program_remote_fraction()
-        return (
-            f"lpi_NUMA unavailable (mechanism measures no latency); "
-            f"remote fraction of sampled accesses = {rf:.1%}"
-        )
-    side = "AT-OR-ABOVE" if lpi >= LPI_THRESHOLD else "below"
+    rf = analysis.program_remote_fraction() if lpi is None else None
+    worth = verdict(lpi, rf)
+    side = "AT-OR-ABOVE" if worth else "below"
     action = (
         "NUMA losses warrant optimization"
-        if lpi >= LPI_THRESHOLD
+        if worth
         else "NUMA optimization unlikely to pay off"
     )
+    if lpi is None:
+        return (
+            f"lpi_NUMA unavailable (mechanism measures no latency); "
+            f"remote fraction of sampled accesses = {rf:.1%} — M_r/M_l "
+            f"{side} the {MISMATCH_THRESHOLD} threshold: {action}"
+        )
     return (
         f"lpi_NUMA = {lpi:.3f} cycles/instruction — {side} the "
         f"{LPI_THRESHOLD} threshold: {action}"

@@ -45,3 +45,7 @@ class ProfileError(NumaProfError):
 
 class UsageError(NumaProfError):
     """Invalid workload/machine/mechanism combination requested by a caller."""
+
+
+class SharedMemoryError(NumaProfError):
+    """A POSIX shared-memory segment could not be created (``/dev/shm`` full)."""

@@ -255,6 +255,11 @@ class LatencyModel:
         )
         return lat
 
+    @property
+    def demand_min_latency(self) -> float:
+        """The least latency a *demand* DRAM miss exposes."""
+        return self.dram_local * 0.95
+
     def demand_mask(self, latencies: np.ndarray, levels: np.ndarray) -> np.ndarray:
         """Which accesses were *demand* DRAM misses (exposed full latency).
 
@@ -263,5 +268,5 @@ class LatencyModel:
         cause demand-miss events.
         """
         return (np.asarray(levels) == LEVEL_DRAM) & (
-            np.asarray(latencies) >= self.dram_local * 0.95
+            np.asarray(latencies) >= self.demand_min_latency
         )

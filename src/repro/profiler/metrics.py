@@ -128,3 +128,28 @@ def domain_request_counts(metrics: Mapping[str, float], n_domains: int) -> list[
 def warrants_optimization(lpi: float | None, threshold: float = LPI_THRESHOLD) -> bool:
     """Apply the paper's 0.1 cycles/instruction rule of thumb."""
     return lpi is not None and lpi >= threshold
+
+
+#: Section 4.1's rule for mechanisms that measure no latency: a thread may
+#: have a NUMA problem when M_r is not much smaller than M_l. "Much
+#: smaller" is an order of magnitude: M_r / M_l below 0.1.
+MISMATCH_THRESHOLD = 0.1
+
+
+def verdict(
+    lpi: float | None,
+    remote_frac: float | None = None,
+    threshold: float = LPI_THRESHOLD,
+) -> bool:
+    """Whether NUMA optimization is warranted — the one program verdict.
+
+    With latency, lpi_NUMA at or above ``threshold`` (Section 4.2).
+    Without (``lpi`` is ``None``), the remote share of sampled accesses
+    ``remote_frac`` = M_r / (M_l + M_r) decides: M_r / M_l at or above
+    :data:`MISMATCH_THRESHOLD` (Section 4.1).
+    """
+    if lpi is not None:
+        return warrants_optimization(lpi, threshold)
+    if remote_frac is None:
+        return False
+    return remote_frac >= MISMATCH_THRESHOLD * (1.0 - remote_frac)

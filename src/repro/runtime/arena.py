@@ -45,6 +45,8 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from repro.errors import SharedMemoryError
+
 __all__ = [
     "ArrayRef",
     "ShmArena",
@@ -194,7 +196,18 @@ class ShmArena:
             size *= 2
         name = f"{self.base_name}-{self._seq}"
         self._seq += 1
-        shm = _shared_memory().SharedMemory(name=name, create=True, size=size)
+        try:
+            shm = _shared_memory().SharedMemory(
+                name=name, create=True, size=size
+            )
+        except OSError as exc:
+            # A failed create leaves no segment behind (SharedMemory
+            # unlinks its own half-made one), so the run can stop here.
+            raise SharedMemoryError(
+                f"cannot create shared-memory segment {name} ({size} "
+                f"bytes): {exc.strerror or exc}; free space in /dev/shm "
+                "or rerun with --no-shm"
+            ) from None
         return _Segment(shm)
 
     def alloc(self, nbytes: int, pool: Any = ROUND_POOL):

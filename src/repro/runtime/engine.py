@@ -28,7 +28,6 @@ from repro.errors import AllocationError, ProgramError
 from repro.machine.cache import (
     LEVEL_DRAM,
     LEVEL_L1,
-    LEVEL_L2,
     ChunkSummary,
     ScratchPool,
 )
@@ -100,6 +99,26 @@ class ChunkView:
         """Remote DRAM accesses in this chunk (absolute event counters)."""
         return int(np.count_nonzero(self.dram_mask & self.remote_mask))
 
+    # Event primitives: the chunk-local indices of one sampling
+    # mechanism's trigger events, ascending. Event mechanisms select
+    # from these instead of masking the per-access arrays themselves.
+
+    def demand_miss_events(self, min_latency: float) -> np.ndarray:
+        """DRAM accesses with latency at least ``min_latency`` (MRK)."""
+        return np.flatnonzero(self.dram_mask & (self.latencies >= min_latency))
+
+    def miss_events(self) -> np.ndarray:
+        """Accesses not serviced by L1 (DEAR)."""
+        return np.flatnonzero(self.levels != LEVEL_L1)
+
+    def slow_events(self, threshold: float) -> np.ndarray:
+        """Accesses with latency above ``threshold`` (PEBS-LL)."""
+        return np.flatnonzero(self.latencies > threshold)
+
+    def latency_total(self) -> float:
+        """``float(self.latencies.sum())``."""
+        return float(self.latencies.sum())
+
     def gather_samples(self, idx: np.ndarray, *, want_lat: bool = True):
         """Per-access products at sampled indices only.
 
@@ -129,8 +148,9 @@ class LazyChunkView:
     fetches are serviced at the summary's fetch level, and
     ``dram_fetch_latencies`` produces exactly the DRAM entries
     ``access_latency`` would. Sampling monitors that only need values at
-    sampled indices call :meth:`gather_samples` /
-    :meth:`remote_event_count` and never pay full materialization.
+    sampled indices or trigger events call :meth:`gather_samples` /
+    :meth:`remote_event_count` / the event primitives and never pay full
+    materialization.
     """
 
     __slots__ = (
@@ -148,7 +168,7 @@ class LazyChunkView:
         path: CallPath,
         summ,
         machine: Machine,
-        fetch_idx: np.ndarray | None,
+        fetch_idx: np.ndarray,
         fetch_targets: np.ndarray | None,
         fetch_lat: np.ndarray | None,
     ) -> None:
@@ -196,17 +216,25 @@ class LazyChunkView:
         lat = self._lat
         if lat is None:
             obs.TRACER.count("engine.lazy.materialized_latencies")
-            summ = self._summ
-            lm = self._machine.latency_model
-            lat = np.full(self.chunk.n_accesses, lm.l1, dtype=np.float64)
-            if summ.fetch_level == LEVEL_DRAM:
-                lat[summ.fetch] = self._fetch_lat
-            elif summ.fetch_level != LEVEL_L1:
-                lat[summ.fetch] = (
-                    lm.l2 if summ.fetch_level == LEVEL_L2 else lm.l3
-                )
-            self._lat = lat
+            lat = self._lat = self._build_latencies()
         return lat
+
+    def _build_latencies(self) -> np.ndarray:
+        summ = self._summ
+        lat = np.full(
+            self.chunk.n_accesses, self._machine.latency_model.l1,
+            dtype=np.float64,
+        )
+        if summ.fetch_level == LEVEL_DRAM:
+            lat[summ.fetch] = self._fetch_lat
+        else:
+            lat[summ.fetch] = self._level_latency()
+        return lat
+
+    def _level_latency(self) -> float:
+        """The latency of a fetch serviced at the (non-DRAM) fetch level."""
+        lm = self._machine.latency_model
+        return (lm.l1, lm.l2, lm.l3)[self._summ.fetch_level]
 
     @property
     def dram_mask(self) -> np.ndarray:
@@ -233,6 +261,38 @@ class LazyChunkView:
         if self._fetch_targets is None:
             return 0
         return int(np.count_nonzero(self._fetch_targets != self.domain))
+
+    # Event primitives from the fetch subset: every non-fetch access is
+    # an L1 hit, and every fetch is serviced at the summary's level.
+
+    def demand_miss_events(self, min_latency: float) -> np.ndarray:
+        if self._summ.fetch_level != LEVEL_DRAM:
+            return _EMPTY_I64
+        return self._fetch_idx[self._fetch_lat >= min_latency]
+
+    def miss_events(self) -> np.ndarray:
+        # A chunk's fetches are serviced by L2, L3 or DRAM, never by L1.
+        return self._fetch_idx
+
+    def slow_events(self, threshold: float) -> np.ndarray:
+        if self._summ.fetch_level == LEVEL_DRAM:
+            hot = self._fetch_idx[self._fetch_lat > threshold]
+        elif self._level_latency() > threshold:
+            hot = self._fetch_idx
+        else:
+            hot = _EMPTY_I64
+        if not self._machine.latency_model.l1 > threshold:
+            return hot
+        # L1 itself is above the threshold: every access that is not a
+        # fetch is an event too.
+        mask = ~self._summ.fetch
+        mask[hot] = True
+        return np.flatnonzero(mask)
+
+    def latency_total(self) -> float:
+        """``float(self.latencies.sum())``, without keeping the array."""
+        lat = self._lat if self._lat is not None else self._build_latencies()
+        return float(lat.sum())
 
     def gather_samples(self, idx: np.ndarray, *, want_lat: bool = True):
         """Gather ``(targets, remote, latencies)`` at sampled indices.
@@ -265,9 +325,7 @@ class LazyChunkView:
                         pos = np.searchsorted(self._fetch_idx, idx[f])
                         lat[f] = self._fetch_lat[pos]
                     else:
-                        lat[f] = (
-                            lm.l2 if summ.fetch_level == LEVEL_L2 else lm.l3
-                        )
+                        lat[f] = self._level_latency()
         return targets, remote, lat
 
 
@@ -1389,7 +1447,6 @@ class ExecutionEngine:
         var = ClassifyVariant()
         n_mem = len(pure.mem)
         var.summaries = [None] * n_mem
-        var.fidx = [None] * n_mem
         var.dram_targets = [None] * n_mem
         var.step_requests = np.zeros(n_domains, dtype=np.int64)
         var.dram = 0
@@ -1405,14 +1462,13 @@ class ExecutionEngine:
                 fidx = pure.chunk_fidx[k]
                 seg = c.var.segment
                 tgt = seg.domains[c.addrs[fidx] // page_size - seg.start_page]
-                var.fidx[k] = fidx
                 var.dram_targets[k] = tgt
                 var.step_requests += np.bincount(tgt, minlength=n_domains)
                 nf = summ.footprint_bytes // line_size
                 var.dram += nf
                 var.remote_dram += int(np.count_nonzero(tgt != t.domain))
                 var.traffic[t.domain] += np.bincount(tgt, minlength=n_domains)
-        var.nbytes = _nbytes(var.dram_targets, var.fidx) + var.traffic.nbytes
+        var.nbytes = _nbytes(var.dram_targets) + var.traffic.nbytes
         return var
 
     def _latency_phase(self, st: _StepMem, inflation: np.ndarray) -> None:
@@ -1552,7 +1608,7 @@ class ExecutionEngine:
                 else:
                     views.append(LazyChunkView(
                         t.tid, t.cpu, t.domain, chunk, path,
-                        var.summaries[k], machine, var.fidx[k],
+                        var.summaries[k], machine, pure.chunk_fidx[k],
                         var.dram_targets[k], lv.chunk_lat[k],
                     ))
             views = lv.views = StepViews.from_views(views)

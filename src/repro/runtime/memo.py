@@ -138,7 +138,7 @@ class ClassifyVariant:
         "levels", "targets_cat", "dram_cat", "remote_cat",
         "chunk_levels", "chunk_targets", "chunk_dram", "chunk_remote",
         # summary path (per mem chunk):
-        "summaries", "fidx", "dram_targets",
+        "summaries", "dram_targets",
         # both:
         "step_requests", "dram", "remote_dram", "traffic", "lats", "nbytes",
     )

@@ -437,44 +437,6 @@ class SamplingMechanism(abc.ABC):
             latency_captured=latency_captured,
         )
 
-    def _select_step_from_event_mask(
-        self, views, event_mask: np.ndarray, lengths: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Shared batched selection for event-sampling mechanisms.
-
-        ``event_mask`` flags trigger events on the step's concatenated
-        per-access arrays (chunk boundaries given by ``lengths``). Applies
-        the per-thread periodic carry over each chunk's event subsequence
-        and maps selected events back to chunk-local access indices.
-
-        Returns ``(chosen_cat, counts, event_counts)`` — chunk-local
-        chosen indices concatenated in view order, samples per chunk, and
-        trigger events per chunk.
-        """
-        arr_starts = _starts_from_counts(lengths)
-        ev_global = np.nonzero(event_mask)[0]
-        csum = np.zeros(event_mask.size + 1, dtype=np.int64)
-        np.cumsum(event_mask, out=csum[1:])
-        ev_counts = csum[arr_starts[1:]] - csum[arr_starts[:-1]]
-        ev_offsets = _starts_from_counts(ev_counts)
-
-        tids = getattr(views, "tids", None)
-        if tids is None:
-            tids = [v.tid for v in views]
-        carries = self._step_carries(tids)
-        positions, rows, counts, new_carries = periodic_positions_step(
-            carries, ev_counts, self.period
-        )
-        self._store_step_carries(tids, new_carries)
-
-        if positions.size:
-            chosen_cat = (
-                ev_global[ev_offsets[rows] + positions] - arr_starts[rows]
-            )
-        else:
-            chosen_cat = np.empty(0, dtype=np.int64)
-        return chosen_cat, counts, ev_counts
-
     def cost_cycles(self, batch: SampleBatch, chunk: AccessChunk) -> float:
         """Monitoring cost charged to the thread for this chunk.
 
@@ -502,6 +464,155 @@ class SamplingMechanism(abc.ABC):
     def describe(self) -> str:
         """Human-readable one-liner for tables."""
         return f"{self.name} (period {self.period})"
+
+
+class EventSamplingMechanism(SamplingMechanism):
+    """Every ``period``-th trigger event, counted per thread.
+
+    A subclass names its trigger event twice, with the same meaning:
+    :meth:`_event_mask` over per-access arrays (scalar :meth:`select`,
+    the reference, and views without event primitives) and
+    :attr:`event_primitive` — the view method (see
+    ``repro.runtime.engine.ChunkView``) that returns the event indices
+    directly, so a lazy view serves them from its fetch subset without
+    materializing per-access arrays. A rate cap hooks in through
+    :meth:`_capped` / :meth:`_cap`.
+    """
+
+    #: Name of the view method returning chunk-local event indices,
+    #: called with :meth:`_event_args`.
+    event_primitive: str = ""
+
+    def _event_args(self) -> tuple:
+        return ()
+
+    @abc.abstractmethod
+    def _event_mask(
+        self, levels: np.ndarray, latencies: np.ndarray
+    ) -> np.ndarray:
+        """Which accesses are trigger events."""
+
+    def _capped(self) -> bool:
+        """Whether :meth:`_cap` thins selections (it needs latency sums)."""
+        return False
+
+    def _cap(
+        self, tid: int, chosen: np.ndarray, n_instructions: int,
+        lat_total: float,
+    ) -> np.ndarray:
+        """Thin one chunk's chosen events (``lat_total``: its latency sum)."""
+        return chosen
+
+    def select(
+        self,
+        tid: int,
+        chunk: AccessChunk,
+        levels: np.ndarray,
+        target_domains: np.ndarray,
+        latencies: np.ndarray,
+    ) -> SampleBatch:
+        event_idx = np.flatnonzero(self._event_mask(levels, latencies))
+        positions, new_carry = periodic_positions(
+            self._carry_of(tid), int(event_idx.size), self.period
+        )
+        self._set_carry(tid, new_carry)
+        chosen = event_idx[positions]
+        if chosen.size and self._capped():
+            chosen = self._cap(
+                tid, chosen, chunk.n_instructions, float(latencies.sum())
+            )
+        return self._finish(
+            SampleBatch(
+                indices=chosen.astype(np.int64),
+                n_sampled_instructions=int(chosen.size),
+                n_events_total=int(event_idx.size),
+                latency_captured=self.capabilities.measures_latency,
+            )
+        )
+
+    def _view_events(self, v) -> np.ndarray:
+        prim = getattr(v, self.event_primitive, None)
+        if prim is None:
+            return np.flatnonzero(self._event_mask(v.levels, v.latencies))
+        return prim(*self._event_args())
+
+    def _step_events(self, views):
+        """``(events_cat, ev_counts, offsets, lat_totals)`` for a step.
+
+        Chunk-local event indices of every view, concatenated in view
+        order, with per-view event counts, their prefix offsets, and —
+        when capped — each view's latency sum (zero for views without
+        events, which never reach :meth:`_cap`). A step's events depend
+        only on its views, so they are cached on ``views.memo``: a
+        retained step hands back the same :class:`StepViews` on later
+        iterations, which then reuse them.
+        """
+        memo = getattr(views, "memo", None)
+        capped = self._capped()
+        key = (self.event_primitive, *self._event_args(), capped)
+        got = memo.get(key) if memo is not None else None
+        if got is not None:
+            return got
+        events = [self._view_events(v) for v in views]
+        ev_counts = np.fromiter((e.size for e in events), np.int64, len(events))
+        lat_totals = None
+        if capped:
+            lat_totals = [0.0] * len(views)
+            for k in np.flatnonzero(ev_counts).tolist():
+                v = views[k]
+                total = getattr(v, "latency_total", None)
+                lat_totals[k] = (
+                    total() if total is not None
+                    else float(v.latencies.sum())
+                )
+        got = (
+            np.concatenate(events),
+            ev_counts,
+            _starts_from_counts(ev_counts),
+            lat_totals,
+        )
+        if memo is not None:
+            memo[key] = got
+        return got
+
+    @traced_select_step
+    def select_step(self, views) -> StepSampleBatch:
+        latency_captured = self.capabilities.measures_latency
+        if not views:
+            return self._empty_step(latency_captured=latency_captured)
+        events_cat, ev_counts, offsets, lat_totals = self._step_events(views)
+        tids = getattr(views, "tids", None)
+        if tids is None:
+            tids = [v.tid for v in views]
+        carries = self._step_carries(tids)
+        positions, rows, counts, new_carries = periodic_positions_step(
+            carries, ev_counts, self.period
+        )
+        self._store_step_carries(tids, new_carries)
+        chosen = events_cat[offsets[rows] + positions]
+        if lat_totals is not None and chosen.size:
+            # The cap's budget update is sequential per chunk, but only
+            # chunks that chose events are visited.
+            starts = _starts_from_counts(counts)
+            pieces = []
+            for k in np.flatnonzero(counts).tolist():
+                piece = self._cap(
+                    int(tids[k]), chosen[starts[k]:starts[k + 1]],
+                    views[k].chunk.n_instructions, lat_totals[k],
+                )
+                counts[k] = piece.size
+                pieces.append(piece)
+            chosen = np.concatenate(pieces)
+        return self._finish_step(
+            StepSampleBatch(
+                indices=chosen,
+                counts=counts,
+                starts=_starts_from_counts(counts),
+                n_sampled_instructions=counts.copy(),
+                n_events_total=ev_counts,
+                latency_captured=latency_captured,
+            )
+        )
 
 
 class InstructionSamplingMixin:

@@ -13,19 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.machine.cache import LEVEL_L1
-from repro.runtime.chunks import AccessChunk
-from repro.sampling.base import (
-    MechanismCapabilities,
-    SampleBatch,
-    SamplingMechanism,
-    StepSampleBatch,
-    _starts_from_counts,
-    traced_select_step,
-    periodic_positions,
-)
+from repro.sampling.base import EventSamplingMechanism, MechanismCapabilities
 
 
-class DEAR(SamplingMechanism):
+class DEAR(EventSamplingMechanism):
     """Event sampling of non-L1 accesses; no latency, no NUMA events."""
 
     name = "DEAR"
@@ -41,56 +32,14 @@ class DEAR(SamplingMechanism):
     #: Table 1 default: "DATA_EAR_CACHE_LAT4, 20000".
     DEFAULT_PERIOD = 20_000
 
+    event_primitive = "miss_events"
+
     def __init__(self, period: int = DEFAULT_PERIOD, **cost_overrides) -> None:
         cost = {"per_sample_cycles": 3_000.0, "instr_tax_cycles": 0.06}
         cost.update(cost_overrides)
         super().__init__(period, **cost)
 
-    def select(
-        self,
-        tid: int,
-        chunk: AccessChunk,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        latencies: np.ndarray,
-    ) -> SampleBatch:
-        event_idx = np.nonzero(levels != LEVEL_L1)[0]
-        positions, new_carry = periodic_positions(
-            self._carry_of(tid), int(event_idx.size), self.period
-        )
-        self._set_carry(tid, new_carry)
-        chosen = event_idx[positions]
-        return self._finish(
-            SampleBatch(
-                indices=chosen.astype(np.int64),
-                n_sampled_instructions=int(chosen.size),
-                n_events_total=int(event_idx.size),
-                latency_captured=False,
-            )
-        )
-
-    @traced_select_step
-    def select_step(self, views) -> StepSampleBatch:
-        if not views:
-            return self._empty_step(latency_captured=False)
-        lev_cat = (
-            np.concatenate([v.levels for v in views])
-            if len(views) > 1
-            else views[0].levels
-        )
-        lengths = np.fromiter(
-            (v.levels.size for v in views), np.int64, len(views)
-        )
-        chosen, counts, ev_counts = self._select_step_from_event_mask(
-            views, lev_cat != LEVEL_L1, lengths
-        )
-        return self._finish_step(
-            StepSampleBatch(
-                indices=chosen,
-                counts=counts,
-                starts=_starts_from_counts(counts),
-                n_sampled_instructions=counts.copy(),
-                n_events_total=ev_counts,
-                latency_captured=False,
-            )
-        )
+    def _event_mask(
+        self, levels: np.ndarray, latencies: np.ndarray
+    ) -> np.ndarray:
+        return levels != LEVEL_L1

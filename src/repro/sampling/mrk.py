@@ -15,19 +15,10 @@ import numpy as np
 
 from repro import obs
 from repro.machine.cache import LEVEL_DRAM
-from repro.runtime.chunks import AccessChunk
-from repro.sampling.base import (
-    MechanismCapabilities,
-    SampleBatch,
-    SamplingMechanism,
-    StepSampleBatch,
-    _starts_from_counts,
-    periodic_positions,
-    traced_select_step,
-)
+from repro.sampling.base import EventSamplingMechanism, MechanismCapabilities
 
 
-class MRK(SamplingMechanism):
+class MRK(EventSamplingMechanism):
     """Marked-event sampling of L3 misses with a hardware rate cap."""
 
     name = "MRK"
@@ -43,6 +34,10 @@ class MRK(SamplingMechanism):
 
     #: Table 1 default: period 1 (every marked L3 miss is a candidate).
     DEFAULT_PERIOD = 1
+
+    # Marked events fire on *demand* L3 misses; prefetched lines do not
+    # retire a marked miss.
+    event_primitive = "demand_miss_events"
 
     def __init__(
         self,
@@ -72,52 +67,32 @@ class MRK(SamplingMechanism):
         # so it is part of the phase detector's fixed-point condition.
         return tuple(sorted(self._budget.items()))
 
-    def select(
-        self,
-        tid: int,
-        chunk: AccessChunk,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        latencies: np.ndarray,
-    ) -> SampleBatch:
-        # Marked events fire on *demand* L3 misses; prefetched lines do
-        # not retire a marked miss.
+    def _event_args(self) -> tuple:
+        # Without a machine there is no latency model: every DRAM
+        # access counts.
+        if self.machine is None:
+            return (-np.inf,)
+        return (self.machine.latency_model.demand_min_latency,)
+
+    def _event_mask(
+        self, levels: np.ndarray, latencies: np.ndarray
+    ) -> np.ndarray:
         if self.machine is not None:
-            event_mask = self.machine.latency_model.demand_mask(latencies, levels)
-        else:
-            event_mask = levels == LEVEL_DRAM
-        event_idx = np.nonzero(event_mask)[0]
-        positions, new_carry = periodic_positions(
-            self._carry_of(tid), int(event_idx.size), self.period
-        )
-        self._set_carry(tid, new_carry)
-        chosen = self._apply_rate_cap(tid, event_idx[positions], chunk, latencies)
+            return self.machine.latency_model.demand_mask(latencies, levels)
+        return levels == LEVEL_DRAM
 
-        return self._finish(
-            SampleBatch(
-                indices=chosen.astype(np.int64),
-                n_sampled_instructions=int(chosen.size),
-                n_events_total=int(event_idx.size),
-                latency_captured=False,
-            )
-        )
+    def _capped(self) -> bool:
+        return self.max_rate is not None and self.machine is not None
 
-    def _apply_rate_cap(
-        self,
-        tid: int,
-        chosen: np.ndarray,
-        chunk: AccessChunk,
-        latencies: np.ndarray,
+    def _cap(
+        self, tid: int, chosen: np.ndarray, n_instructions: int,
+        lat_total: float,
     ) -> np.ndarray:
         """Hardware rate cap: at most max_rate samples per simulated second
         of execution, tracked as a fractional per-thread budget so the
         cap stays unbiased across chunk sizes."""
         cap_rate = self.max_rate
-        if cap_rate is None or self.machine is None or chosen.size == 0:
-            return chosen
-        chunk_cycles = (
-            chunk.n_instructions * self.machine.base_cpi + float(latencies.sum())
-        )
+        chunk_cycles = n_instructions * self.machine.base_cpi + lat_total
         chunk_seconds = chunk_cycles / (self.machine.ghz * 1e9)
         budget = self._budget.get(tid, 0.0) + chunk_seconds * cap_rate
         # The hardware cannot bank unused allowance indefinitely:
@@ -138,53 +113,3 @@ class MRK(SamplingMechanism):
                 chosen = chosen[keep]
         self._budget[tid] = budget - chosen.size
         return chosen
-
-    @traced_select_step
-    def select_step(self, views) -> StepSampleBatch:
-        if not views:
-            return self._empty_step(latency_captured=False)
-        if len(views) > 1:
-            lat_cat = np.concatenate([v.latencies for v in views])
-            lev_cat = np.concatenate([v.levels for v in views])
-        else:
-            lat_cat = views[0].latencies
-            lev_cat = views[0].levels
-        if self.machine is not None:
-            event_mask = self.machine.latency_model.demand_mask(lat_cat, lev_cat)
-        else:
-            event_mask = lev_cat == LEVEL_DRAM
-        lengths = np.fromiter(
-            (v.latencies.size for v in views), np.int64, len(views)
-        )
-        chosen_cat, counts, ev_counts = self._select_step_from_event_mask(
-            views, event_mask, lengths
-        )
-        if self.max_rate is not None and self.machine is not None and chosen_cat.size:
-            # The budget update is inherently sequential per chunk, but
-            # the cap keeps samples rare so this loop touches few chunks.
-            starts = _starts_from_counts(counts)
-            pieces = []
-            for k in np.nonzero(counts)[0]:
-                v = views[int(k)]
-                pieces.append(
-                    self._apply_rate_cap(
-                        v.tid,
-                        chosen_cat[starts[k]:starts[k + 1]],
-                        v.chunk,
-                        v.latencies,
-                    )
-                )
-                counts[k] = pieces[-1].size
-            chosen_cat = (
-                np.concatenate(pieces) if pieces else chosen_cat[:0]
-            )
-        return self._finish_step(
-            StepSampleBatch(
-                indices=chosen_cat.astype(np.int64),
-                counts=counts,
-                starts=_starts_from_counts(counts),
-                n_sampled_instructions=counts.copy(),
-                n_events_total=ev_counts,
-                latency_captured=False,
-            )
-        )

@@ -16,19 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.chunks import AccessChunk
-from repro.sampling.base import (
-    MechanismCapabilities,
-    SampleBatch,
-    SamplingMechanism,
-    StepSampleBatch,
-    _starts_from_counts,
-    traced_select_step,
-    periodic_positions,
-)
+from repro.sampling.base import EventSamplingMechanism, MechanismCapabilities
 
 
-class PEBSLL(SamplingMechanism):
+class PEBSLL(EventSamplingMechanism):
     """Latency-threshold event sampling with latency capture."""
 
     name = "PEBS-LL"
@@ -48,6 +39,8 @@ class PEBSLL(SamplingMechanism):
     #: default selects accesses that left the core's private caches.
     DEFAULT_THRESHOLD = 32.0
 
+    event_primitive = "slow_events"
+
     def __init__(
         self,
         period: int = DEFAULT_PERIOD,
@@ -60,51 +53,10 @@ class PEBSLL(SamplingMechanism):
         super().__init__(period, **cost)
         self.latency_threshold = latency_threshold
 
-    def select(
-        self,
-        tid: int,
-        chunk: AccessChunk,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        latencies: np.ndarray,
-    ) -> SampleBatch:
-        event_idx = np.nonzero(latencies > self.latency_threshold)[0]
-        positions, new_carry = periodic_positions(
-            self._carry_of(tid), int(event_idx.size), self.period
-        )
-        self._set_carry(tid, new_carry)
-        chosen = event_idx[positions]
-        return self._finish(
-            SampleBatch(
-                indices=chosen.astype(np.int64),
-                n_sampled_instructions=int(chosen.size),
-                n_events_total=int(event_idx.size),
-                latency_captured=True,
-            )
-        )
+    def _event_args(self) -> tuple:
+        return (self.latency_threshold,)
 
-    @traced_select_step
-    def select_step(self, views) -> StepSampleBatch:
-        if not views:
-            return self._empty_step(latency_captured=True)
-        lat_cat = (
-            np.concatenate([v.latencies for v in views])
-            if len(views) > 1
-            else views[0].latencies
-        )
-        lengths = np.fromiter(
-            (v.latencies.size for v in views), np.int64, len(views)
-        )
-        chosen, counts, ev_counts = self._select_step_from_event_mask(
-            views, lat_cat > self.latency_threshold, lengths
-        )
-        return self._finish_step(
-            StepSampleBatch(
-                indices=chosen,
-                counts=counts,
-                starts=_starts_from_counts(counts),
-                n_sampled_instructions=counts.copy(),
-                n_events_total=ev_counts,
-                latency_captured=True,
-            )
-        )
+    def _event_mask(
+        self, levels: np.ndarray, latencies: np.ndarray
+    ) -> np.ndarray:
+        return latencies > self.latency_threshold

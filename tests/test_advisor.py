@@ -133,3 +133,68 @@ class TestScoping:
         filtered = advise(an, min_cost_share=2.0)  # impossible bar
         assert filtered.worth_optimizing
         assert filtered.recommendations == []
+
+
+class TestNoLatencyVerdict:
+    """Without latency the verdict is Section 4.1's M_r vs M_l rule.
+
+    The advisor, the report and the CLI share ``metrics.verdict``, so a
+    remote fraction near zero can no longer come with a "high remote
+    traffic" verdict beside it.
+    """
+
+    class _FixedRemoteAnalysis:
+        """Duck-typed NumaAnalysis for a mechanism without latency."""
+
+        def __init__(self, remote_frac):
+            from types import SimpleNamespace
+
+            self._rf = remote_frac
+            self.merged = SimpleNamespace(program="no-latency", n_domains=4)
+            self.caps = SimpleNamespace(measures_latency=False)
+
+        def program_lpi(self):
+            return None
+
+        def program_remote_fraction(self):
+            return self._rf
+
+        def hot_variables(self, top):
+            return []
+
+    def test_rule(self):
+        from repro.profiler.metrics import verdict
+
+        # M_r / M_l >= 0.1 <=> remote fraction >= 1/11.
+        assert not verdict(None, 0.0)
+        assert not verdict(None, 0.08)
+        assert verdict(None, 0.1)
+        assert verdict(None, 1.0)
+        assert not verdict(None, None)
+        # With latency, lpi decides and the remote fraction is ignored.
+        assert verdict(0.5, 0.0)
+        assert not verdict(0.05, 1.0)
+
+    def test_low_remote_fraction_is_not_worth_optimizing(self):
+        advice = advise(self._FixedRemoteAnalysis(0.0))
+        assert not advice.worth_optimizing
+        assert advice.recommendations == []
+        assert "remote access fraction = 0.0%" in advice.rationale
+        assert "M_r/M_l < 0.1" in advice.rationale
+
+    def test_high_remote_fraction_warrants_optimization(self):
+        advice = advise(self._FixedRemoteAnalysis(0.86))
+        assert advice.worth_optimizing
+        assert "remote access fraction = 86.0%" in advice.rationale
+        assert "M_r/M_l >= 0.1" in advice.rationale
+
+    def test_umt_cli_verdict_agrees_with_its_number(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["umt", "--scale", "0.1", "--no-save"]) == 0
+        out = capsys.readouterr().out
+        assert "remote fraction of sampled accesses = 0%" in out
+        assert "high remote traffic" not in out
+        advisor = [ln for ln in out.splitlines() if ln.startswith("advisor:")]
+        assert len(advisor) == 1 and "M_r/M_l < 0.1" in advisor[0]
+        assert "  -> " not in out

@@ -14,6 +14,7 @@ ALL_ERRORS = [
     errors.MechanismError,
     errors.ProgramError,
     errors.ProfileError,
+    errors.SharedMemoryError,
 ]
 
 

@@ -10,6 +10,8 @@ sharing promises beyond result parity:
   does;
 * a worker that dies mid-round fails the run quickly with
   ``BrokenProcessPool`` and leaks no shared-memory segment;
+* a full ``/dev/shm`` at segment creation ends the CLI run in one
+  ``error:`` line, and leaks no segment either;
 * a schedule firing on a region's first or final iteration, and a
   1-byte memo budget, leave extrapolated runs bit-identical to fully
   simulated ones, in process and in a worker pool.
@@ -17,6 +19,7 @@ sharing promises beyond result parity:
 
 from __future__ import annotations
 
+import errno
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -24,7 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro import obs
-from repro.__main__ import _builders
+from repro.__main__ import _builders, main
 from repro.machine import presets
 from repro.parallel import ParallelEngine, sharding_supported
 from repro.profiler import NumaProfiler
@@ -165,6 +168,47 @@ def test_worker_death_mid_round_raises_and_leaks_nothing():
     with pytest.raises(BrokenProcessPool):
         par.run()
     assert time.monotonic() - t0 < 30.0
+    assert arena_mod.list_segments() == []
+
+
+# ---------------------------------------------------------------------- #
+# (a') /dev/shm is full when a segment is created
+# ---------------------------------------------------------------------- #
+
+
+class _FullShm:
+    """``multiprocessing.shared_memory`` whose creates of worker 1's
+    segments fail as on a full ``/dev/shm``. Every other create
+    succeeds, so worker 0 holds live segments when the run aborts."""
+
+    def __init__(self, real) -> None:
+        self._real = real
+
+    def SharedMemory(self, name=None, create=False, size=0):  # noqa: N802
+        if create and name is not None and "-w1-" in name:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._real.SharedMemory(name=name, create=create, size=size)
+
+
+@needs_fork
+@pytest.mark.skipif(
+    not arena_mod.shm_available(), reason="host has no POSIX shared memory"
+)
+def test_full_dev_shm_is_one_line_error_and_leaks_nothing(
+    monkeypatch, capsys
+):
+    real = arena_mod._shared_memory()
+    # Forked workers inherit the patched module attribute.
+    monkeypatch.setattr(arena_mod, "_shared_memory", lambda: _FullShm(real))
+    rc = main([
+        "lulesh", "--scale", str(SCALE), "--threads", str(THREADS),
+        "--machine", "generic", "--workers", "2", "--no-save",
+    ])
+    err = capsys.readouterr().err.strip()
+    assert rc == 2
+    assert "\n" not in err, err
+    assert err.startswith("error: cannot create shared-memory segment")
+    assert "No space left on device" in err and "--no-shm" in err
     assert arena_mod.list_segments() == []
 
 
