@@ -104,7 +104,8 @@ class ChunkSummary:
     serviced at ``fetch_level`` while every other access hits L1, so the
     full per-access level array of :class:`ChunkClassification` is
     recoverable but never allocated. The engine's summary path builds it
-    from :meth:`CacheHierarchy.chunk_fetch_products` (pure) and
+    from the chunk's ``fetch_products`` (pure; see
+    :mod:`repro.runtime.chunks`) and
     :meth:`CacheHierarchy.chunk_fetch_level` (stateful).
     """
 
@@ -391,7 +392,9 @@ class CacheHierarchy:
 
         Returns ``(fetch_mask, footprint_bytes, sequential)`` — a pure
         function of the addresses, cacheable across iterations; the
-        reuse-distance half is :meth:`chunk_fetch_level`.
+        reuse-distance half is :meth:`chunk_fetch_level`. This is the
+        explicit-array reference that a chunk's closed-form
+        ``fetch_products`` must reproduce.
         """
         lines = addrs // self.config.line_size
         fetch = first_occurrence_mask(lines)
@@ -426,9 +429,7 @@ class CacheHierarchy:
         intermediates (line numbers, deltas, cumulative sums); the
         returned arrays are always owned allocations.
 
-        ``addrs`` is never written: it may be a read-only zero-copy view
-        of a columnar step trace (possibly a shared-memory segment —
-        see :mod:`repro.runtime.arena`); every intermediate lands in the
+        ``addrs`` is never written: every intermediate lands in the
         scratch pool or a fresh allocation.
         """
         starts = np.asarray(starts, dtype=np.int64)

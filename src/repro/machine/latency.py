@@ -78,14 +78,19 @@ class LatencyModel:
         topology: NumaTopology,
         inflation: np.ndarray,
     ) -> np.ndarray:
-        """Full (exposed) DRAM latency per access given page placement."""
-        tgt = np.asarray(target_domains)
-        local = tgt == accessor_domain
+        """Full (exposed) DRAM latency per access given page placement.
+
+        The latency depends on the access only through its target
+        domain, so it is computed once per domain and gathered: the
+        same float operations per element, without access-sized
+        temporaries.
+        """
+        dist = topology.distances[accessor_domain]
+        local = np.arange(topology.n_domains) == accessor_domain
         base = np.where(local, self.dram_local, self.dram_remote)
-        dist = topology.distances[accessor_domain][tgt]
         hops = np.maximum(dist - 10, 0) / 10.0  # SLIT units above local
         base = base + hops * self.hop_cost * 10.0
-        return base * np.asarray(inflation)[tgt]
+        return (base * np.asarray(inflation))[np.asarray(target_domains)]
 
     def access_latency(
         self,
@@ -171,17 +176,17 @@ class LatencyModel:
         if not sequential:
             return demand
         tgt = np.asarray(target_domains)
-        remote_scale = np.where(
-            tgt == accessor_domain, 1.0, self.remote_exposure_factor
-        )
+        # Per target domain, then gathered (as in _demand_latency).
+        local = np.arange(topology.n_domains) == accessor_domain
+        remote_scale = np.where(local, 1.0, self.remote_exposure_factor)
         stream_scale = self.interleave_stream_penalty if interleaved else 1.0
         exposure = np.minimum(
             1.0,
             self.seq_exposure
-            * np.asarray(inflation)[tgt]
+            * np.asarray(inflation)
             * remote_scale
             * stream_scale,
-        )
+        )[tgt]
         idx = np.arange(tgt.size, dtype=np.float64)
         exposed = np.floor((idx + 1) * exposure) > np.floor(idx * exposure)
         return np.where(exposed, demand, self.prefetched_latency)

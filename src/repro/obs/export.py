@@ -15,6 +15,13 @@ Three consumers, three formats:
 :func:`validate_chrome_trace` is the schema check CI runs against the
 smoke trace: well-formed JSON, monotonic timestamps, matched ``B``/``E``
 pairs per track.
+
+Simulated-thread tracks are *mirrors* (:meth:`Tracer.pair`): display
+copies of harness work, already counted on the harness track. Both
+trace formats mark them — ``"mirror": true`` in the Chrome
+``thread_name`` metadata args and a ``mirror`` field on every JSONL
+event — so an external span sum can skip them and match
+:attr:`Tracer.self_ns`.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from repro.obs.tracer import Tracer
 
 __all__ = [
     "chrome_trace",
+    "is_mirror_track",
     "write_chrome_trace",
     "write_jsonl",
     "summary_table",
@@ -54,6 +62,15 @@ def _track_tid(track) -> int:
     return int(track) + 1 + _HARNESS_TID
 
 
+def is_mirror_track(track) -> bool:
+    """Whether ``track`` is a simulated thread's mirror track.
+
+    Harness work lands on ``"harness"`` or a stitched worker's
+    ``"w<k>"``; every numeric track is a simulated thread id.
+    """
+    return not isinstance(track, str)
+
+
 def _track_name(track) -> str:
     if track == "harness":
         return "harness"
@@ -75,11 +92,12 @@ def chrome_trace(tracer: Tracer) -> dict:
     )
     events: list[dict] = []
     for track in tracks:
-        tid = _track_tid(track)
-        name = _track_name(track)
+        meta = {"name": _track_name(track)}
+        if is_mirror_track(track):
+            meta["mirror"] = True
         events.append({
-            "name": "thread_name", "ph": "M", "pid": _PID, "tid": tid,
-            "ts": 0, "args": {"name": name},
+            "name": "thread_name", "ph": "M", "pid": _PID,
+            "tid": _track_tid(track), "ts": 0, "args": meta,
         })
     for ph, name, cat, track, ts_ns, args in sorted(
         tracer.events, key=lambda ev: ev[4]
@@ -117,6 +135,7 @@ def write_jsonl(tracer: Tracer, path: str | Path) -> Path:
             rec = {
                 "type": "event", "ph": ph, "name": name, "cat": cat,
                 "track": track, "ts_ns": ts_ns,
+                "mirror": is_mirror_track(track),
             }
             if args:
                 rec["args"] = args

@@ -47,7 +47,6 @@ from repro.runtime.arena import (
     worker_segment,
 )
 from repro.runtime.driver import totals_values
-from repro.runtime.engine import ExecutionEngine
 from repro.runtime.phase import INT_FIELDS
 
 
@@ -62,6 +61,16 @@ _WORKER: dict = {}
 # ---------------------------------------------------------------------- #
 # rounds
 # ---------------------------------------------------------------------- #
+
+
+def _start(engine) -> dict:
+    arena = _WORKER["arena"]
+    if arena is not None:
+        # Map the outbound round segment up front: a /dev/shm too full
+        # to hold it stops the run here with one clear error, not at
+        # whichever later round first ships a large column.
+        arena.alloc(0)
+    return engine.start()
 
 
 def _gen_iteration(engine, region_idx: int, iteration: int) -> dict:
@@ -143,7 +152,7 @@ def _finish_run(engine) -> dict:
 
 
 _ROUNDS = {
-    "start": ExecutionEngine.start,
+    "start": _start,
     "gen_iteration": _gen_iteration,
     "classify_iteration": _classify_iteration,
     "finish_iteration": _finish_iteration,
@@ -201,10 +210,6 @@ def _init_worker(claim_queue, barrier, spec) -> None:
         # them by name after an abort even if this process died.
         arena = ShmArena(worker_segment(shm_token, shard))
         reader = ArenaReader()
-        engine.arena = arena
-        engine.memo.on_release = (
-            lambda region_idx: arena.release_pool(("gen", region_idx))
-        )
     _WORKER["engine"] = engine
     _WORKER["shard"] = shard
     _WORKER["barrier"] = barrier

@@ -372,7 +372,7 @@ class NumaProfiler(Monitor):
                     m[5] = s_lat.sum()
                     m[6] = s_lat[remote].sum()
                 crows.append(int(crow_arr[k]))
-                sampled.append((v, v.chunk.addrs[idx], remote, s_lat, m))
+                sampled.append((v, v.chunk.addrs_at(idx), remote, s_lat, m))
             if traced:
                 with tr.span("profiler.attribute", "profiler"):
                     self._record_step_samples(sampled, crows, lat_ok)
@@ -586,7 +586,7 @@ class NumaProfiler(Monitor):
             return self.mechanism.cost_cycles(batch, chunk)
 
         idx = batch.indices
-        s_addrs = chunk.addrs[idx]
+        s_addrs = chunk.addrs_at(idx)
         s_targets = view.target_domains[idx]
         s_lat = view.latencies[idx]
         remote = view.remote_mask[idx]

@@ -18,8 +18,7 @@ Design notes
 * Pools make lifetime explicit: the per-round pool (``ROUND_POOL``) is
   reset at the start of every round — safe because rounds are barriered,
   so all reads of round *R* complete before round *R+1* bytes are
-  written — while region-scoped pools (generated-trace columns cached by
-  the iteration memo) live until ``release_pool``.
+  written — while any other named pool lives until ``release_pool``.
 * Segment names are deterministic per run (``<token>-w<shard>``) so the
   parent can best-effort unlink every worker segment in its ``finally``
   block even if a worker died mid-round: no leaked ``/dev/shm`` entries

@@ -5,20 +5,35 @@ array-reference site executed over many loop iterations — e.g. "this
 thread's slice of the sweep over ``z`` in ``CalcPosition``". Keeping
 thousands of accesses per chunk lets the whole simulator run as NumPy
 array operations (see the hpc-parallel guides: vectorize the hot loop).
+
+This module is the only one that knows how a chunk's addresses are
+stored. A sweep is an :class:`AffineChunk` — addresses ``first + step*i``
+for ``i < n``, kept as those three integers — and indirect or hand-built
+chunks are :class:`AccessChunk` with an explicit int64 array. Consumers
+ask the chunk what they need (``n_accesses``, ``first_addr``,
+``addrs_at``, ``unique_pages``, ``fetch_products``, ``checksum``,
+``nbytes``); an affine chunk answers each in closed form, so a sweep's
+addresses are never expanded on the engine's summary path. ``.addrs``
+materializes the whole array on every call and is reserved for full
+materialization; batched steps expand their chunks once through
+:func:`concat_addrs` (see docs/MODEL.md, "Chunk geometry").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro import obs
 from repro.errors import ProgramError
+from repro.machine.cache import SEQUENTIAL_STRIDE_LIMIT, is_sequential
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.heap import Variable
+from repro.units import fast_unique, first_occurrence_mask
+
+#: Address checksums are sums modulo 2**64 (``uint64`` wrap-around).
+_CHECKSUM_MOD = 1 << 64
 
 
-@dataclass
 class AccessChunk:
     """Memory accesses plus surrounding instructions for one access site.
 
@@ -28,10 +43,11 @@ class AccessChunk:
         The variable the addresses fall in (``None`` for pure-compute
         chunks with no memory traffic).
     addrs:
-        Absolute byte addresses, in program order.
+        Absolute byte addresses, in program order (an explicit array;
+        see :class:`AffineChunk` for the descriptor form).
     n_instructions:
         Total instructions this chunk represents, *including* the memory
-        instructions. Must be >= ``len(addrs)``.
+        instructions. Must be >= ``n_accesses``.
     ip:
         Precise source coordinate of the access site (code-centric
         attribution target).
@@ -41,123 +57,253 @@ class AccessChunk:
         Linux does on read faults too).
     """
 
-    var: Variable | None
-    addrs: np.ndarray
-    n_instructions: int
-    ip: SourceLoc
-    is_store: bool = False
+    __slots__ = ("var", "n_instructions", "ip", "is_store", "_addrs")
 
-    def __post_init__(self) -> None:
-        self.addrs = np.ascontiguousarray(np.asarray(self.addrs, dtype=np.int64))
-        if self.n_instructions < len(self.addrs):
+    def __init__(
+        self,
+        var: Variable | None,
+        addrs: np.ndarray,
+        n_instructions: int,
+        ip: SourceLoc,
+        is_store: bool = False,
+    ) -> None:
+        self.var = var
+        self.n_instructions = n_instructions
+        self.ip = ip
+        self.is_store = is_store
+        self._addrs = np.ascontiguousarray(np.asarray(addrs, dtype=np.int64))
+        self._check()
+
+    def _check(self) -> None:
+        """The instruction floor and the variable bounds, from the span."""
+        n = self.n_accesses
+        if self.n_instructions < n:
             raise ProgramError(
-                f"chunk at {self.ip} has {len(self.addrs)} accesses but only "
+                f"chunk at {self.ip} has {n} accesses but only "
                 f"{self.n_instructions} instructions"
             )
-        if self.var is not None and self.addrs.size:
-            lo, hi = int(self.addrs.min()), int(self.addrs.max())
+        if self.var is not None and n:
+            lo, hi = self._span()
             if lo < self.var.base or hi >= self.var.end:
                 raise ProgramError(
                     f"chunk at {self.ip} accesses [{lo:#x}, {hi:#x}] outside "
                     f"variable {self.var.name} [{self.var.base:#x}, {self.var.end:#x})"
                 )
 
+    def _span(self) -> tuple[int, int]:
+        """Lowest and highest address (non-empty chunks only)."""
+        return int(self._addrs.min()), int(self._addrs.max())
+
+    @property
+    def addrs(self) -> np.ndarray:
+        """Every address, in program order."""
+        return self._addrs
+
+    def _expand(self) -> np.ndarray:
+        """Every address, uncounted (see :func:`concat_addrs`)."""
+        return self._addrs
+
     @property
     def n_accesses(self) -> int:
         """Number of memory accesses in the chunk."""
-        return int(self.addrs.size)
+        return int(self._addrs.size)
+
+    @property
+    def first_addr(self) -> int:
+        """Address of the first access (non-empty chunks only)."""
+        return int(self._addrs[0])
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by this chunk's address array (memo accounting)."""
-        return int(self.addrs.nbytes)
+        """Bytes that hold the chunk's addresses (memo accounting)."""
+        return int(self._addrs.nbytes)
+
+    def addrs_at(self, idx: np.ndarray) -> np.ndarray:
+        """Addresses at chunk-local integer positions ``idx``."""
+        return self._addrs[idx]
+
+    def unique_pages(self, page_size: int) -> np.ndarray:
+        """The sorted unique pages the chunk touches."""
+        return fast_unique(self._addrs // page_size)
+
+    def fetch_products(
+        self, line_size: int
+    ) -> tuple[np.ndarray, np.ndarray, int, bool]:
+        """Pure classification products: ``(fetch, fidx, footprint, seq)``.
+
+        ``fetch`` marks each line's first access, ``fidx`` is its
+        ascending positions, ``footprint`` is unique lines times
+        ``line_size`` and ``seq`` the prefetchable-stream flag — exactly
+        :meth:`CacheHierarchy.chunk_fetch_products` on :attr:`addrs`.
+        """
+        a = self._addrs
+        fetch = first_occurrence_mask(a // line_size)
+        fidx = np.flatnonzero(fetch)
+        return fetch, fidx, int(fidx.size) * line_size, is_sequential(a)
+
+    def checksum(self) -> int:
+        """Sum of the addresses modulo 2**64 (trace content keys)."""
+        return int(self._addrs.sum(dtype=np.uint64))
 
 
-def steps_nbytes(steps) -> int:
-    """Total address bytes across a region's pre-drawn step list.
+class AffineChunk(AccessChunk):
+    """A sweep: ``n`` accesses at ``first + step*i``, stored as a descriptor.
 
-    Used by the engine's iteration memo to account the cached chunk
-    trace (``steps`` is a list of ``[(thread, chunk), ...]`` step
-    lists).
+    Every question :class:`AccessChunk` answers is answered here in
+    closed form. Only :attr:`addrs` (counted as
+    ``engine.lazy.materialized_addrs``) and :func:`concat_addrs` expand
+    the sweep.
     """
-    return sum(c.nbytes for step in steps for _, c in step)
+
+    __slots__ = ("_first", "_step", "_n")
+
+    def __init__(
+        self,
+        var: Variable,
+        first: int,
+        step: int,
+        n: int,
+        n_instructions: int,
+        ip: SourceLoc,
+        is_store: bool = False,
+    ) -> None:
+        self.var = var
+        self.n_instructions = n_instructions
+        self.ip = ip
+        self.is_store = is_store
+        self._first = int(first)
+        self._step = int(step)
+        self._n = int(n)
+        self._check()
+
+    def _span(self) -> tuple[int, int]:
+        last = self._first + self._step * (self._n - 1)
+        return min(self._first, last), max(self._first, last)
+
+    @property
+    def addrs(self) -> np.ndarray:
+        """The expanded sweep (built on every call, never cached)."""
+        obs.TRACER.count("engine.lazy.materialized_addrs")
+        return self._expand()
+
+    def _expand(self) -> np.ndarray:
+        return self._first + self._step * np.arange(self._n, dtype=np.int64)
+
+    @property
+    def n_accesses(self) -> int:
+        return self._n
+
+    @property
+    def first_addr(self) -> int:
+        return self._first
+
+    @property
+    def nbytes(self) -> int:
+        return 24  # the (first, step, n) descriptor
+
+    def addrs_at(self, idx: np.ndarray) -> np.ndarray:
+        out = np.multiply(idx, self._step, dtype=np.int64)
+        out += self._first
+        return out
+
+    def unique_pages(self, page_size: int) -> np.ndarray:
+        first, step, n = self._first, self._step, self._n
+        if abs(step) < page_size:
+            # Consecutive accesses never skip a page: the pages between
+            # the endpoints, all of them.
+            lo, hi = self._span()
+            return np.arange(
+                lo // page_size, hi // page_size + 1, dtype=np.int64
+            )
+        pages = (first + step * np.arange(n, dtype=np.int64)) // page_size
+        return pages if step > 0 else pages[::-1].copy()
+
+    def fetch_products(
+        self, line_size: int
+    ) -> tuple[np.ndarray, np.ndarray, int, bool]:
+        first, step, n = self._first, self._step, self._n
+        if abs(step) >= line_size:
+            # Every access lands on a line no earlier access touched.
+            fidx = np.arange(n, dtype=np.int64)
+            fetch = np.ones(n, dtype=bool)
+        elif step > 0 and line_size % step == 0:
+            # A stride dividing the line: after the first line, every
+            # ``line_size // step``-th access opens the next one.
+            k = line_size // step
+            # The first access in the second line (a ceiling division).
+            i1 = -(((first // line_size + 1) * line_size - first) // -step)
+            fidx = np.arange(i1 - k, n, k, dtype=np.int64)
+            fidx[0] = 0
+            fetch = np.zeros(n, dtype=bool)
+            fetch[0] = True
+            fetch[i1::k] = True
+        else:
+            # A stride under a line visits every line between the
+            # endpoints once, in order; line ``l``'s first access is the
+            # smallest ``i`` whose address crosses into it.
+            l0 = first // line_size
+            l1 = (first + step * (n - 1)) // line_size
+            if step > 0:
+                lines = np.arange(l0 + 1, l1 + 1, dtype=np.int64)
+                gap = lines * line_size - first
+            else:
+                lines = np.arange(l0 - 1, l1 - 1, -1, dtype=np.int64)
+                gap = first + 1 - (lines + 1) * line_size
+            s = abs(step) or 1
+            fidx = np.empty(lines.size + 1, dtype=np.int64)
+            fidx[0] = 0
+            np.floor_divide(gap + (s - 1), s, out=fidx[1:])
+            fetch = np.zeros(n, dtype=bool)
+            fetch[fidx] = True
+        seq = n < 2 or 0 <= step <= SEQUENTIAL_STRIDE_LIMIT
+        return fetch, fidx, int(fidx.size) * line_size, seq
+
+    def checksum(self) -> int:
+        n = self._n
+        return (n * self._first + self._step * (n * (n - 1) // 2)) % _CHECKSUM_MOD
 
 
 class StepTrace(list):
-    """A pre-drawn iteration trace with a flat columnar address plane.
+    """A region iteration's pre-drawn steps plus per-step counts.
 
-    Subclasses the plain step list — each element is the usual
-    ``[(thread, chunk), ...]`` lockstep step, so every existing consumer
-    (memo store, page phase, monitors) iterates it unchanged — and adds
-    one flat column: ``addrs_cat``, the concatenated addresses of every
-    memory chunk in step-major order, with ``step_off[s] : step_off[s+1]``
-    delimiting step ``s``'s slice; ``n_chunks[s]`` / ``n_mem[s]`` count
-    step ``s``'s chunks and memory chunks (its access total is the slice
-    length). After :func:`columnarize_steps` each
-    chunk's ``.addrs`` is a zero-copy view into this buffer, so the
-    classify kernels consume ``step_addrs(s)`` directly instead of
-    re-concatenating per step, and the whole trace can live in one
-    shared-memory segment (the sharded engine allocates the buffer from
-    its arena; see :mod:`repro.runtime.arena`).
+    Each element is the usual ``[(thread, chunk), ...]`` lockstep step.
+    ``n_chunks[s]``, ``n_mem[s]`` and ``acc_sum[s]`` count step ``s``'s
+    chunks, memory chunks (a variable and at least one access) and
+    accesses — the totals the run driver sums over shards for its
+    per-step decisions.
     """
 
-    __slots__ = ("addrs_cat", "step_off", "n_chunks", "n_mem")
+    __slots__ = ("n_chunks", "n_mem", "acc_sum")
 
-    def __init__(
-        self, steps, addrs_cat: np.ndarray, step_off: np.ndarray,
-        n_mem: np.ndarray,
-    ):
+    def __init__(self, steps) -> None:
         super().__init__(steps)
-        self.addrs_cat = addrs_cat
-        self.step_off = step_off
+        mem = [
+            [c.n_accesses for _, c in step if c.var is not None and c.n_accesses]
+            for step in steps
+        ]
         self.n_chunks = np.array([len(step) for step in steps], dtype=np.int64)
-        self.n_mem = n_mem
-
-    def step_addrs(self, s: int) -> np.ndarray | None:
-        """Step ``s``'s concatenated mem-chunk addresses (mem order)."""
-        if s >= len(self):
-            return None
-        return self.addrs_cat[self.step_off[s] : self.step_off[s + 1]]
+        self.n_mem = np.array([len(m) for m in mem], dtype=np.int64)
+        self.acc_sum = np.array([sum(m) for m in mem], dtype=np.int64)
 
     @property
     def nbytes(self) -> int:
-        return int(self.addrs_cat.nbytes + self.step_off.nbytes)
+        """Bytes that hold the trace's addresses (memo accounting)."""
+        return sum(c.nbytes for step in self for _, c in step)
 
 
-def columnarize_steps(steps, alloc=None) -> StepTrace:
-    """Pack a pre-drawn step list into a :class:`StepTrace`.
+def concat_addrs(chunks) -> np.ndarray:
+    """The chunks' addresses concatenated in order, as one owned array.
 
-    Copies every memory chunk's addresses — chunks with a variable and
-    at least one access, in step order then step position order, exactly
-    the order the engine builds a step's ``mem_idx`` in — into one flat
-    int64 buffer and rewrites each ``chunk.addrs`` as a view of its
-    slice. Values are unchanged, so classification is bit-identical;
-    only the memory layout (and the resulting zero-copy step slices)
-    differs. ``alloc(n)`` optionally supplies the destination buffer
-    (``n`` int64 elements) — the sharded engine passes a shared-memory
-    allocator so the trace plane is segment-backed.
+    The batched step builder's one expansion of its step; each affine
+    chunk it expands counts ``engine.batched.expanded_addrs``.
     """
-    mem_chunks: list = []
-    step_off = np.zeros(len(steps) + 1, dtype=np.int64)
-    n_mem = np.zeros(len(steps), dtype=np.int64)
-    total = 0
-    for s, step in enumerate(steps):
-        k = len(mem_chunks)
-        for _, chunk in step:
-            if chunk.var is None or not chunk.n_accesses:
-                continue
-            mem_chunks.append(chunk)
-            total += chunk.n_accesses
-        n_mem[s] = len(mem_chunks) - k
-        step_off[s + 1] = total
-    buf = alloc(total) if alloc is not None else np.empty(total, dtype=np.int64)
-    pos = 0
-    for chunk in mem_chunks:
-        n = chunk.addrs.size
-        buf[pos : pos + n] = chunk.addrs
-        chunk.addrs = buf[pos : pos + n]
-        pos += n
-    return StepTrace(steps, buf, step_off, n_mem)
+    tr = obs.TRACER
+    if tr.enabled:
+        tr.count(
+            "engine.batched.expanded_addrs",
+            sum(isinstance(c, AffineChunk) for c in chunks),
+        )
+    return np.concatenate([c._expand() for c in chunks])
 
 
 def compute_chunk(n_instructions: int, ip: SourceLoc) -> AccessChunk:
@@ -177,18 +323,18 @@ def sweep_chunk(
     stride_elems: int = 1,
     instructions_per_access: float = 4.0,
     is_store: bool = False,
-) -> AccessChunk:
+) -> AffineChunk:
     """Unit/strided-stride sweep over ``n_elems`` elements of ``var``.
 
     The workhorse pattern: thread-partitioned loops over arrays.
     """
     if n_elems <= 0:
         raise ProgramError(f"sweep needs a positive element count, got {n_elems}")
-    idx = start_elem + stride_elems * np.arange(n_elems, dtype=np.int64)
-    addrs = var.base + idx * elem_size
-    return AccessChunk(
-        var=var,
-        addrs=addrs,
+    return AffineChunk(
+        var,
+        var.base + start_elem * elem_size,
+        stride_elems * elem_size,
+        n_elems,
         n_instructions=max(int(n_elems * instructions_per_access), n_elems),
         ip=ip,
         is_store=is_store,

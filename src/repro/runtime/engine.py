@@ -33,9 +33,8 @@ from repro.machine.cache import (
 )
 from repro.machine.machine import Machine
 from repro.machine.pagetable import PlacementPolicy
-from repro.units import fast_unique
 from repro.runtime.callstack import CallPath, CallStack
-from repro.runtime.chunks import AccessChunk, columnarize_steps, steps_nbytes
+from repro.runtime.chunks import AccessChunk, StepTrace, concat_addrs
 from repro.runtime.heap import HeapAllocator, Variable
 from repro.runtime.memo import (
     ClassifyVariant,
@@ -308,7 +307,7 @@ class LazyChunkView:
             targets = self._targets[idx]
         else:
             seg = chunk.var.segment
-            pages = chunk.addrs[idx] // self._machine.page_size
+            pages = chunk.addrs_at(idx) // self._machine.page_size
             targets = seg.domains[pages - seg.start_page]
         remote = targets != self.domain
         lat = None
@@ -546,9 +545,6 @@ class ExecutionEngine:
     #: is shard 0 of 1; a worker pool reassigns both per process.
     shard_id = 0
     n_shards = 1
-    #: A pool worker's shared-memory arena (outbound round payloads and
-    #: the columnar trace plane); None in process.
-    arena = None
 
     def __init__(
         self,
@@ -801,33 +797,13 @@ class ExecutionEngine:
             (self.machine.n_domains, self.machine.n_domains), dtype=np.int64
         )
         retain = it.retain = memo.retains(region.repeat)
-        arena = self.arena
-        if arena is not None:
-            # Non-retained traces live in the per-iteration pool; the
-            # previous iteration is fully finished, so rewind it.
-            arena.reset("iter")
         steps = memo.gen_get(it.region_idx) if retain else None
         if steps is None:
-            # With an arena the whole trace plane lives in this shard's
-            # shared segments (retained regions get a region pool that
-            # is unlinked on release; see IterationMemo.on_release).
-            alloc = None
-            if arena is not None:
-                pool = ("gen", it.region_idx) if retain else "iter"
-
-                def alloc(n, _pool=pool):
-                    return arena.alloc_array(n, np.int64, _pool)[0]
-
             steps = self._draw_steps(owned, {
                 t.tid: iter(region.kernel(self.ctx, t.tid)) for t in owned
-            }, alloc)
+            })
             if retain:
-                memo.gen_store(
-                    it.region_idx, steps, steps_nbytes(steps),
-                    shared_nbytes=(
-                        steps.addrs_cat.nbytes if arena is not None else 0
-                    ),
-                )
+                memo.gen_store(it.region_idx, steps, steps.nbytes)
         it.steps = steps
         if it.observe and it.iteration == 0 and self.phase_library is not None:
             # Per-shard trace content key: each shard's library matches
@@ -845,7 +821,7 @@ class ExecutionEngine:
         return {
             "n_chunks": steps.n_chunks,
             "n_mem": steps.n_mem,
-            "acc_sum": np.diff(steps.step_off),
+            "acc_sum": steps.acc_sum,
             "events": it.events,
         }
 
@@ -887,7 +863,7 @@ class ExecutionEngine:
                     ev_tid.append(t.tid)
                     ev_cpu.append(t.cpu)
                     ev_var.append(vid)
-                    ev_pages.append(fast_unique(chunk.addrs // page_size))
+                    ev_pages.append(chunk.unique_pages(page_size))
                     ips.append(chunk.ip)
         self._it.own_ips = ips
         pstart = np.zeros(len(ev_pages) + 1, dtype=np.int64)
@@ -945,10 +921,10 @@ class ExecutionEngine:
         st.mem_idx = _mem_positions(step, rec)
         if traced:
             tr.begin("engine.classify", "engine")
-            self._classify_phase(step, st, rec, steps.step_addrs(s), batched)
+            self._classify_phase(step, st, rec, batched)
             tr.end()
         else:
-            self._classify_phase(step, st, rec, steps.step_addrs(s), batched)
+            self._classify_phase(step, st, rec, batched)
         it.states.append(st)
         if it.requests is not None:
             it.requests += st.step_requests
@@ -1178,13 +1154,12 @@ class ExecutionEngine:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _draw_steps(active: list[SimThread], iters: dict, alloc=None):
+    def _draw_steps(active: list[SimThread], iters: dict) -> StepTrace:
         """Drain the iteration's kernels into a :class:`StepTrace`.
 
         Each step takes the next chunk of every thread whose kernel is
         not exhausted, in thread order; the steps are drawn before any of
-        them executes (see ``Region``). ``alloc`` optionally supplies the
-        trace's flat address buffer (see :func:`columnarize_steps`).
+        them executes (see ``Region``).
         """
         steps: list[list[tuple[SimThread, AccessChunk]]] = []
         while iters:
@@ -1199,9 +1174,7 @@ class ExecutionEngine:
             if not step:
                 break
             steps.append(step)
-        # Pack the trace's addresses into one flat column so classify
-        # reads each step's concatenation in place (values unchanged).
-        return columnarize_steps(steps, alloc)
+        return StepTrace(steps)
 
     def _apply_page_event(
         self,
@@ -1247,7 +1220,6 @@ class ExecutionEngine:
         step: list[tuple[SimThread, AccessChunk]],
         st: _StepMem,
         rec,
-        cat: np.ndarray,
         batched: bool,
     ) -> None:
         """Classification / placement: pure products + keyed variants.
@@ -1258,9 +1230,7 @@ class ExecutionEngine:
         stateful part of classification) runs live; its per-chunk result
         joins the page-table epoch in the variant key, so both a
         cache-state change and any page-placement mutation select — or
-        build — a different variant. ``cat`` carries the step's
-        concatenated mem-chunk addresses from the columnar trace
-        (:class:`StepTrace`), read in place.
+        build — a different variant.
         """
         machine = self.machine
         memo = self.memo
@@ -1274,7 +1244,7 @@ class ExecutionEngine:
             memo.hit(rec)
         else:
             memo.miss(rec)
-            pure = self._build_pure(step, st.mem_idx, batched, cat)
+            pure = self._build_pure(step, st.mem_idx, batched)
             rec.pure = pure
             memo.charge(rec, pure.nbytes)
         st.mem_idx = pure.mem_idx
@@ -1316,9 +1286,14 @@ class ExecutionEngine:
         step: list[tuple[SimThread, AccessChunk]],
         mem_idx: list[int],
         batched: bool,
-        cat: np.ndarray,
     ) -> PureStep:
-        """Compute one step's iteration-invariant products."""
+        """Compute one step's iteration-invariant products.
+
+        Chunks answer their own geometry questions (see
+        :mod:`repro.runtime.chunks`); only the batched path expands
+        the step's addresses, once, into an owned array the record
+        keeps and the memo charges.
+        """
         machine = self.machine
         pure = PureStep()
         pure.mem_idx = list(mem_idx)
@@ -1340,17 +1315,14 @@ class ExecutionEngine:
         if batched:
             starts = pure.starts = np.zeros(n_mem + 1, dtype=np.int64)
             np.cumsum(lengths, out=starts[1:])
-            # The columnar trace slice is the concatenation (chunk addrs
-            # are views of it); its bytes are the trace's, so the memo
-            # does not charge them again.
-            pure.addrs_cat = cat
+            cat = pure.addrs_cat = concat_addrs([c for _, c in mem])
             fp = machine.cache.step_fetch_products(cat, starts, self._scratch)
             pure.fetch = fp.fetch
             pure.sequential = fp.sequential
             pure.footprints = fp.footprints
             pure.first_addrs = fp.first_addrs
             pure.nbytes = _nbytes(
-                pure.fetch, pure.footprints, pure.first_addrs,
+                cat, pure.fetch, pure.footprints, pure.first_addrs,
                 lengths, starts, pure.acc_domains,
             )
         else:
@@ -1359,15 +1331,14 @@ class ExecutionEngine:
             pure.chunk_fp = [0] * n_mem
             pure.chunk_first = [0] * n_mem
             pure.chunk_fidx = [None] * n_mem
+            line_size = machine.cache.config.line_size
             for k, (t, c) in enumerate(mem):
-                fetch, footprint, seq = machine.cache.chunk_fetch_products(
-                    c.addrs
-                )
+                fetch, fidx, footprint, seq = c.fetch_products(line_size)
                 pure.chunk_fetch[k] = fetch
                 pure.chunk_seq_flags[k] = seq
                 pure.chunk_fp[k] = footprint
-                pure.chunk_first[k] = int(c.addrs[0])
-                pure.chunk_fidx[k] = np.nonzero(fetch)[0]
+                pure.chunk_first[k] = c.first_addr
+                pure.chunk_fidx[k] = fidx
             pure.nbytes = _nbytes(pure.chunk_fetch, pure.chunk_fidx)
         return pure
 
@@ -1461,7 +1432,7 @@ class ExecutionEngine:
             if summ.fetch_level == LEVEL_DRAM:
                 fidx = pure.chunk_fidx[k]
                 seg = c.var.segment
-                tgt = seg.domains[c.addrs[fidx] // page_size - seg.start_page]
+                tgt = seg.domains[c.addrs_at(fidx) // page_size - seg.start_page]
                 var.dram_targets[k] = tgt
                 var.step_requests += np.bincount(tgt, minlength=n_domains)
                 nf = summ.footprint_bytes // line_size

@@ -114,8 +114,8 @@ class PureStep:
         "mem_idx", "mem", "batched",
         "lengths", "starts", "interleaved", "interleaved_arr",
         "acc_domains", "cpus", "seg_ids", "segs",
-        # batched path (step-wide). ``addrs_cat`` is the step's slice of
-        # the columnar trace (a view; its bytes belong to the trace).
+        # batched path (step-wide). ``addrs_cat`` is the step's
+        # expanded addresses (owned, charged with the record).
         "addrs_cat",
         "fetch", "sequential", "footprints", "first_addrs",
         # summary path (per mem chunk):
@@ -197,11 +197,6 @@ class IterationMemo:
         self._gen: dict = {}
         self._rec_bytes = 0
         self._gen_bytes = 0
-        self._gen_shared_bytes = 0
-        #: Optional hook fired with the region index when a region's
-        #: trace is released — the sharded engine uses it to unlink the
-        #: shared-memory pool backing that region's columnar trace.
-        self.on_release = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -284,24 +279,11 @@ class IterationMemo:
         self.hit()
         return got[0]
 
-    def gen_store(
-        self, region_idx: int, payload, nbytes: int,
-        shared_nbytes: int = 0,
-    ) -> None:
-        """Cache a region's pre-drawn trace.
-
-        ``shared_nbytes`` reports how many of the trace's bytes live in
-        shared-memory segments (the sharded engine's columnar trace
-        plane) — tracked as a gauge so occupancy reporting can tell
-        process-private from segment-backed storage.
-        """
-        self._gen[region_idx] = (payload, int(nbytes), int(shared_nbytes))
+    def gen_store(self, region_idx: int, payload, nbytes: int) -> None:
+        """Cache a region's pre-drawn trace (``nbytes``: its address
+        bytes — descriptor bytes for affine sweeps)."""
+        self._gen[region_idx] = (payload, int(nbytes))
         self._gen_bytes += int(nbytes)
-        self._gen_shared_bytes += int(shared_nbytes)
-        if shared_nbytes:
-            obs.TRACER.gauge(
-                "engine.memo.shm_bytes", float(self._gen_shared_bytes)
-            )
         self._gauge()
 
     def release_region(self, region_idx: int) -> None:
@@ -309,13 +291,8 @@ class IterationMemo:
         got = self._gen.pop(region_idx, None)
         if got is not None:
             self._gen_bytes -= got[1]
-            self._gen_shared_bytes -= got[2]
         for key in [k for k in self._records if k[0] == region_idx]:
             self._rec_bytes -= self._records.pop(key).nbytes
-        if self.on_release is not None:
-            # After the records are gone: nothing may hold views into
-            # the region's shared trace segments when they are unlinked.
-            self.on_release(region_idx)
         self._gauge()
 
     # -- reporting ----------------------------------------------------- #
@@ -328,7 +305,6 @@ class IterationMemo:
             "evictions": self.evictions,
             "record_bytes": self._rec_bytes,
             "gen_bytes": self._gen_bytes,
-            "gen_shared_bytes": self._gen_shared_bytes,
             "budget_bytes": self.budget,
             "records": len(self._records),
         }

@@ -181,7 +181,8 @@ def trace_content_key(steps) -> bytes:
     the library only transfers *state-evolution* trust, never monitor
     programs. Computed once per region per run (the trace is memoized).
 
-    Addresses enter as vectorized checksums (length + sum), not raw
+    Addresses enter as the trace's access count and address checksum
+    (sum modulo 2**64, which chunks compute in closed form), not raw
     bytes — hashing multi-megabyte address streams through blake2b
     would cost more than the warmup iterations the library saves. A
     checksum collision only starts a pattern walk; arming still
@@ -191,6 +192,8 @@ def trace_content_key(steps) -> bytes:
     h = blake2b(digest_size=16)
     meta: list[int] = []
     instr: list[float] = []
+    n_addrs = 0
+    checksum = 0
     for step in steps:
         meta.append(-1)  # step boundary
         for thread, chunk in step:
@@ -198,20 +201,13 @@ def trace_content_key(steps) -> bytes:
             meta.append(1 if chunk.is_store else 0)
             meta.append(int(chunk.n_accesses))
             instr.append(float(chunk.n_instructions))
+            if chunk.var is not None and chunk.n_accesses:
+                n_addrs += chunk.n_accesses
+                checksum += chunk.checksum()
     h.update(np.asarray(meta, dtype=np.int64).tobytes())
     h.update(np.asarray(instr, dtype=np.float64).tobytes())
-    addrs = getattr(steps, "addrs_cat", None)
-    if addrs is not None:
-        a = np.asarray(addrs)
-        h.update(int(a.size).to_bytes(8, "little"))
-        h.update(int(a.sum(dtype=np.uint64)).to_bytes(8, "little"))
-    else:
-        for step in steps:
-            for _, chunk in step:
-                if chunk.var is not None and chunk.n_accesses:
-                    a = np.asarray(chunk.addrs)
-                    h.update(int(a.size).to_bytes(8, "little"))
-                    h.update(int(a.sum(dtype=np.uint64)).to_bytes(8, "little"))
+    h.update(n_addrs.to_bytes(8, "little"))
+    h.update((checksum % (1 << 64)).to_bytes(8, "little"))
     return h.digest()
 
 

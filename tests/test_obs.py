@@ -144,6 +144,19 @@ class TestChromeExport:
         assert 0 in tids  # harness track
         assert 4 in tids  # simulated thread 3 -> tid 4
 
+    def test_mirror_tracks_marked_in_metadata(self, tracer):
+        with tracer.span("run", "engine"):
+            pass
+        t0 = tracer.now_ns()
+        tracer.pair("iter", "engine", 3, t0, t0 + 100)
+        doc = chrome_trace(tracer)
+        assert validate_chrome_trace(doc) == []
+        meta = {
+            e["tid"]: e["args"] for e in doc["traceEvents"] if e["ph"] == "M"
+        }
+        assert meta[4] == {"name": "thread 3", "mirror": True}
+        assert meta[0] == {"name": "harness"}
+
     def test_pair_events_sorted_into_monotonic_order(self, tracer):
         # pair() appends pre-timed events late; the exporter re-sorts.
         t0 = tracer.now_ns()
@@ -294,6 +307,58 @@ class TestJsonl:
         # The worker's events landed on the remapped track.
         tracks = {r.get("track") for r in recs if r["type"] == "event"}
         assert "w0" in tracks
+
+
+def _jsonl_self_ns(path) -> dict:
+    """Per-(cat, name) self time from a JSONL file's non-mirror spans."""
+    self_ns: dict = {}
+    stacks: dict = {}
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        if rec["type"] != "event" or rec["ph"] not in "BE":
+            continue
+        if rec["mirror"]:
+            continue
+        stack = stacks.setdefault(rec["track"], [])
+        if rec["ph"] == "B":
+            stack.append([rec["ts_ns"], 0])
+            continue
+        t0, child = stack.pop()
+        dur = rec["ts_ns"] - t0
+        key = (rec["cat"], rec["name"])
+        self_ns[key] = self_ns.get(key, 0) + dur - child
+        if stack:
+            stack[-1][1] += dur
+    return self_ns
+
+
+class TestMirrorTracks:
+    def test_non_mirror_span_sum_reproduces_self_ns(self, tmp_path):
+        from repro.__main__ import _builders
+        from repro.machine import presets
+        from repro.runtime import ExecutionEngine
+
+        tracer = Tracer()
+        old = obs.set_tracer(tracer)
+        try:
+            tracer.enable()
+            ExecutionEngine(
+                presets.PRESETS["generic"](), _builders(0.02)["lulesh"](), 8,
+            ).run()
+            worker = Tracer()
+            worker.enable()
+            with worker.span("shard.round", "shard"):
+                with worker.span("engine.classify", "engine"):
+                    pass
+            tracer.absorb(worker.export_state(), "w0")
+        finally:
+            obs.set_tracer(old)
+        path = write_jsonl(tracer, tmp_path / "t.jsonl")
+        recs = [json.loads(line) for line in path.read_text().splitlines()]
+        mirrors = [r for r in recs if r["type"] == "event" and r["mirror"]]
+        # One mirror pair per simulated thread per region iteration.
+        assert mirrors and {type(r["track"]) for r in mirrors} == {int}
+        assert _jsonl_self_ns(path) == tracer.self_ns
 
 
 class TestSummaryTable:
