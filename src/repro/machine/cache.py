@@ -176,6 +176,22 @@ def is_sequential(addrs: np.ndarray) -> bool:
     return bool(np.count_nonzero(ok) >= SEQUENTIAL_FRACTION * deltas.size)
 
 
+def array_fetch_products(
+    addrs: np.ndarray, line_size: int
+) -> tuple[np.ndarray, int, bool]:
+    """``(fetch_mask, footprint_bytes, sequential)`` of explicit addresses.
+
+    ``fetch_mask`` marks each line's first access and the footprint is
+    the unique lines times ``line_size``. This is the explicit-array
+    kernel behind :meth:`CacheHierarchy.classify` and
+    :meth:`CacheHierarchy.chunk_fetch_products`, and the reference an
+    affine chunk's closed-form ``fetch_products`` must reproduce.
+    """
+    fetch = first_occurrence_mask(addrs // line_size)
+    footprint = int(np.count_nonzero(fetch)) * line_size
+    return fetch, footprint, is_sequential(addrs)
+
+
 class CacheHierarchy:
     """Per-machine cache state: which level services each access.
 
@@ -374,14 +390,14 @@ class CacheHierarchy:
         if addrs.size == 0:
             return ChunkClassification(levels, True, 0)
 
-        lines = addrs // self.config.line_size
-        fetch = first_occurrence_mask(lines)
-        footprint = int(np.count_nonzero(fetch)) * self.config.line_size
+        fetch, footprint, sequential = array_fetch_products(
+            addrs, self.config.line_size
+        )
         levels[fetch] = self._fetch_level(cpu, seg_id, int(addrs[0]), footprint)
 
         return ChunkClassification(
             levels=levels,
-            sequential=is_sequential(addrs),
+            sequential=sequential,
             footprint_bytes=footprint,
         )
 
@@ -392,14 +408,9 @@ class CacheHierarchy:
 
         Returns ``(fetch_mask, footprint_bytes, sequential)`` — a pure
         function of the addresses, cacheable across iterations; the
-        reuse-distance half is :meth:`chunk_fetch_level`. This is the
-        explicit-array reference that a chunk's closed-form
-        ``fetch_products`` must reproduce.
+        reuse-distance half is :meth:`chunk_fetch_level`.
         """
-        lines = addrs // self.config.line_size
-        fetch = first_occurrence_mask(lines)
-        footprint = int(np.count_nonzero(fetch)) * self.config.line_size
-        return fetch, footprint, is_sequential(addrs)
+        return array_fetch_products(addrs, self.config.line_size)
 
     def chunk_fetch_level(
         self, cpu: int, seg_id: int, first_addr: int, footprint: int

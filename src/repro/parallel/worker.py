@@ -66,9 +66,10 @@ _WORKER: dict = {}
 def _start(engine) -> dict:
     arena = _WORKER["arena"]
     if arena is not None:
-        # Map the outbound round segment up front: a /dev/shm too full
-        # to hold it stops the run here with one clear error, not at
-        # whichever later round first ships a large column.
+        # Fail fast: map the outbound round segment before any work, so
+        # a /dev/shm too full to hold it stops the run here with one
+        # clear error, not at whichever later round first ships a large
+        # column. The mapping stays sparse until a payload is written.
         arena.alloc(0)
     return engine.start()
 

@@ -25,10 +25,10 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ProgramError
-from repro.machine.cache import SEQUENTIAL_STRIDE_LIMIT, is_sequential
+from repro.machine.cache import SEQUENTIAL_STRIDE_LIMIT, array_fetch_products
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.heap import Variable
-from repro.units import fast_unique, first_occurrence_mask
+from repro.units import fast_unique
 
 #: Address checksums are sums modulo 2**64 (``uint64`` wrap-around).
 _CHECKSUM_MOD = 1 << 64
@@ -134,12 +134,10 @@ class AccessChunk:
         ``fetch`` marks each line's first access, ``fidx`` is its
         ascending positions, ``footprint`` is unique lines times
         ``line_size`` and ``seq`` the prefetchable-stream flag — exactly
-        :meth:`CacheHierarchy.chunk_fetch_products` on :attr:`addrs`.
+        :func:`repro.machine.cache.array_fetch_products` on :attr:`addrs`.
         """
-        a = self._addrs
-        fetch = first_occurrence_mask(a // line_size)
-        fidx = np.flatnonzero(fetch)
-        return fetch, fidx, int(fidx.size) * line_size, is_sequential(a)
+        fetch, footprint, seq = array_fetch_products(self._addrs, line_size)
+        return fetch, np.flatnonzero(fetch), footprint, seq
 
     def checksum(self) -> int:
         """Sum of the addresses modulo 2**64 (trace content keys)."""
@@ -226,33 +224,26 @@ class AffineChunk(AccessChunk):
             # Every access lands on a line no earlier access touched.
             fidx = np.arange(n, dtype=np.int64)
             fetch = np.ones(n, dtype=bool)
-        elif step > 0 and line_size % step == 0:
-            # A stride dividing the line: after the first line, every
-            # ``line_size // step``-th access opens the next one.
-            k = line_size // step
-            # The first access in the second line (a ceiling division).
-            i1 = -(((first // line_size + 1) * line_size - first) // -step)
-            fidx = np.arange(i1 - k, n, k, dtype=np.int64)
-            fidx[0] = 0
-            fetch = np.zeros(n, dtype=bool)
-            fetch[0] = True
-            fetch[i1::k] = True
         else:
             # A stride under a line visits every line between the
-            # endpoints once, in order; line ``l``'s first access is the
-            # smallest ``i`` whose address crosses into it.
+            # endpoints once, in order. The ``j``-th line after the first
+            # starts ``gap = g0 + j*line_size`` bytes along the sweep, and
+            # its first access is ``ceil(gap / |step|)``.
             l0 = first // line_size
             l1 = (first + step * (n - 1)) // line_size
             if step > 0:
-                lines = np.arange(l0 + 1, l1 + 1, dtype=np.int64)
-                gap = lines * line_size - first
+                g0 = (l0 + 1) * line_size - first
             else:
-                lines = np.arange(l0 - 1, l1 - 1, -1, dtype=np.int64)
-                gap = first + 1 - (lines + 1) * line_size
+                g0 = first + 1 - l0 * line_size
             s = abs(step) or 1
-            fidx = np.empty(lines.size + 1, dtype=np.int64)
+            m = abs(l1 - l0)
+            fidx = np.empty(m + 1, dtype=np.int64)
             fidx[0] = 0
-            np.floor_divide(gap + (s - 1), s, out=fidx[1:])
+            c = g0 + s - 1
+            np.floor_divide(
+                np.arange(c, c + m * line_size, line_size, dtype=np.int64),
+                s, out=fidx[1:],
+            )
             fetch = np.zeros(n, dtype=bool)
             fetch[fidx] = True
         seq = n < 2 or 0 <= step <= SEQUENTIAL_STRIDE_LIMIT
