@@ -103,7 +103,7 @@ class ChunkSummary:
     ``fetch`` marks the accesses that fetch a new cache line; they are all
     serviced at ``fetch_level`` while every other access hits L1, so the
     full per-access level array of :class:`ChunkClassification` is
-    recoverable but never allocated. The engine's summary path builds it
+    recoverable but never allocated. The engine's step pipeline builds it
     from the chunk's ``fetch_products`` (pure; see
     :mod:`repro.runtime.chunks`) and
     :meth:`CacheHierarchy.chunk_fetch_level` (stateful).
@@ -118,53 +118,6 @@ class ChunkSummary:
     def n_fetches(self) -> int:
         """Number of line fetches (``footprint / line_size``)."""
         return int(np.count_nonzero(self.fetch))
-
-
-@dataclass
-class StepFetchProducts:
-    """State-free half of a step's batched classification.
-
-    Everything here is a pure function of the concatenated address
-    stream, so the engine's memoization layer may cache it across a
-    region's repeat iterations; the reuse-distance lookup
-    (:meth:`CacheHierarchy.step_fetch_levels`) is the only stateful part
-    and must run live every iteration. Together they classify exactly as
-    one :meth:`CacheHierarchy.classify` call per chunk, in step order.
-    """
-
-    fetch: np.ndarray           # concatenated per-access line-fetch mask
-    sequential: np.ndarray      # per-chunk prefetchable-stream flags
-    footprints: np.ndarray      # per-chunk unique-line bytes
-    first_addrs: np.ndarray     # per-chunk first access address
-
-
-class ScratchPool:
-    """Growable pool of named scratch buffers for the fused step kernel.
-
-    The batched small-chunk path allocates several step-sized temporaries
-    (line numbers, deltas, cumulative sums) per step; with thousands of
-    steps per region that allocation churn dominates the classify phase.
-    A pool hands out the same backing buffers every step instead.
-    Buffers are overwritten by the next request for the same name, so
-    only intermediates that never escape the kernel may live here —
-    anything retained (e.g. by the memo layer) must be an owned array.
-    """
-
-    def __init__(self) -> None:
-        self._bufs: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, size: int, dtype) -> np.ndarray:
-        """A length-``size`` array named ``name`` (contents undefined)."""
-        buf = self._bufs.get(name)
-        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
-            grow = 0 if buf is None or buf.dtype != np.dtype(dtype) else 2 * buf.size
-            buf = np.empty(max(size, grow), dtype=dtype)
-            self._bufs[name] = buf
-        return buf[:size]
-
-    def nbytes(self) -> int:
-        """Total bytes currently held by the pool."""
-        return sum(b.nbytes for b in self._bufs.values())
 
 
 def is_sequential(addrs: np.ndarray) -> bool:
@@ -421,141 +374,6 @@ class CacheHierarchy:
         calls would; the memo layer calls this live every iteration.
         """
         return self._fetch_level(cpu, seg_id, first_addr, footprint)
-
-    def step_fetch_products(
-        self,
-        addrs: np.ndarray,
-        starts: np.ndarray,
-        scratch: ScratchPool | None = None,
-    ) -> StepFetchProducts:
-        """Pure per-access half of batched step classification.
-
-        ``addrs`` concatenates the step's chunk addresses; chunk ``j``
-        occupies ``addrs[starts[j]:starts[j+1]]``. Computes the
-        concatenated line-fetch mask, per-chunk sequentiality,
-        footprints, and first addresses without touching reuse-distance
-        state — a pure function of ``addrs``/``starts`` that the memo
-        layer caches across iterations. ``scratch``
-        optionally supplies pooled buffers for the step-sized
-        intermediates (line numbers, deltas, cumulative sums); the
-        returned arrays are always owned allocations.
-
-        ``addrs`` is never written: every intermediate lands in the
-        scratch pool or a fresh allocation.
-        """
-        starts = np.asarray(starts, dtype=np.int64)
-        lengths = np.diff(starts)
-        n = addrs.size
-        pool = scratch
-        if pool is not None:
-            lines = pool.get("lines", n, np.int64)
-            np.floor_divide(addrs, self.config.line_size, out=lines)
-        else:
-            lines = addrs // self.config.line_size
-
-        # Global delta arrays; entries that span a chunk boundary are
-        # neutralized below (the boundary position is forced True in the
-        # fetch mask, and per-chunk delta counts only cover interior
-        # deltas via the exclusive-cumsum trick).
-        fetch = np.empty(addrs.shape, dtype=bool)
-        fetch[0] = True
-        if n > 1:
-            if pool is not None:
-                ldeltas = pool.get("ldeltas", n - 1, np.int64)
-                np.subtract(lines[1:], lines[:-1], out=ldeltas)
-                adeltas = pool.get("adeltas", n - 1, np.int64)
-                np.subtract(addrs[1:], addrs[:-1], out=adeltas)
-                np.greater(ldeltas, 0, out=fetch[1:])
-                dneg = pool.get("dneg", n - 1, bool)
-                np.less(ldeltas, 0, out=dneg)
-                neg_cum = pool.get("neg_cum", n, np.int64)
-                neg_cum[0] = 0
-                np.cumsum(dneg, dtype=np.int64, out=neg_cum[1:])
-                seq_ok = pool.get("seq_ok", n - 1, bool)
-                np.less_equal(adeltas, SEQUENTIAL_STRIDE_LIMIT, out=seq_ok)
-                seq_ok &= adeltas >= 0
-                ok_cum = pool.get("ok_cum", n, np.int64)
-                ok_cum[0] = 0
-                np.cumsum(seq_ok, dtype=np.int64, out=ok_cum[1:])
-            else:
-                ldeltas = np.diff(lines)
-                adeltas = np.diff(addrs)
-                fetch[1:] = ldeltas > 0
-                neg_cum = np.concatenate(
-                    ([0], np.cumsum(ldeltas < 0, dtype=np.int64))
-                )
-                seq_ok = (adeltas >= 0) & (adeltas <= SEQUENTIAL_STRIDE_LIMIT)
-                ok_cum = np.concatenate(
-                    ([0], np.cumsum(seq_ok, dtype=np.int64))
-                )
-        else:
-            neg_cum = np.zeros(1, dtype=np.int64)
-            ok_cum = np.zeros(1, dtype=np.int64)
-        fetch[starts[:-1]] = True
-
-        # Interior deltas of chunk j are global delta indices
-        # [starts[j], starts[j+1] - 2]; sums over them come from the
-        # exclusive cumulative counts.
-        s, e = starts[:-1], starts[1:]
-        n_deltas = lengths - 1
-        n_neg = neg_cum[np.maximum(e - 1, s)] - neg_cum[s]
-        n_ok = ok_cum[np.maximum(e - 1, s)] - ok_cum[s]
-        sequential = (n_deltas < 1) | (n_ok >= SEQUENTIAL_FRACTION * n_deltas)
-
-        # Chunks with backward line jumps need the generic (np.unique)
-        # first-occurrence mask; recompute only their slices.
-        for j in np.nonzero(n_neg > 0)[0]:
-            fetch[s[j] : e[j]] = first_occurrence_mask(lines[s[j] : e[j]])
-
-        if pool is not None:
-            fetch_cum = pool.get("fetch_cum", n + 1, np.int64)
-            fetch_cum[0] = 0
-            np.cumsum(fetch, dtype=np.int64, out=fetch_cum[1:])
-        else:
-            fetch_cum = np.concatenate(([0], np.cumsum(fetch, dtype=np.int64)))
-        footprints = (fetch_cum[e] - fetch_cum[s]) * self.config.line_size
-
-        return StepFetchProducts(
-            fetch=fetch,
-            sequential=sequential,
-            footprints=footprints,
-            # Fancy indexing already yields an owned array (no view into
-            # the possibly segment-backed input), so no defensive copy.
-            first_addrs=addrs[starts[:-1]],
-        )
-
-    def step_fetch_levels(
-        self,
-        cpus: list[int],
-        seg_ids: list[int],
-        first_addrs: np.ndarray,
-        footprints: np.ndarray,
-    ) -> np.ndarray:
-        """Stateful half of batched step classification: fetch levels.
-
-        Runs the reuse-distance lookup/update once per chunk in step
-        order — exactly the sequence the per-chunk :meth:`classify` calls
-        would perform. This is the *only* part of step classification
-        that mutates cache state, so the engine's memo layer calls it
-        live every iteration (never from cache) and keys cached variants
-        on its result.
-        """
-        n_chunks = len(cpus)
-        fetch_levels = np.empty(n_chunks, dtype=np.uint8)
-        for j in range(n_chunks):
-            fetch_levels[j] = self._fetch_level(
-                cpus[j], seg_ids[j], int(first_addrs[j]), int(footprints[j])
-            )
-        return fetch_levels
-
-    @staticmethod
-    def expand_step_levels(
-        fetch: np.ndarray, fetch_levels: np.ndarray, lengths: np.ndarray
-    ) -> np.ndarray:
-        """Per-access levels from the fetch mask + per-chunk fetch levels."""
-        return np.where(
-            fetch, np.repeat(fetch_levels, lengths), np.uint8(LEVEL_L1)
-        )
 
     def level_counts(self, levels: np.ndarray) -> dict[str, int]:
         """Histogram of service levels, keyed by level name."""

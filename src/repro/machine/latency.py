@@ -191,75 +191,6 @@ class LatencyModel:
         exposed = np.floor((idx + 1) * exposure) > np.floor(idx * exposure)
         return np.where(exposed, demand, self.prefetched_latency)
 
-    def step_latency(
-        self,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        accessor_domains: np.ndarray,
-        starts: np.ndarray,
-        topology: NumaTopology,
-        inflation: np.ndarray,
-        sequential: np.ndarray,
-        interleaved: np.ndarray,
-    ) -> np.ndarray:
-        """Per-access latency for a whole step's concatenated chunks.
-
-        Batched equivalent of calling :meth:`access_latency` per chunk:
-        chunk ``j`` spans ``[starts[j], starts[j+1])`` of ``levels`` /
-        ``target_domains`` and carries per-chunk ``accessor_domains[j]``,
-        ``sequential[j]``, and ``interleaved[j]``. Prefetch-exposure
-        spacing uses each DRAM fetch's ordinal *within its own chunk*, so
-        results match the per-chunk path exactly.
-        """
-        starts = np.asarray(starts, dtype=np.int64)
-        lengths = np.diff(starts)
-        levels = np.asarray(levels)
-        lat = np.empty(levels.shape, dtype=np.float64)
-        lat[levels == LEVEL_L1] = self.l1
-        lat[levels == LEVEL_L2] = self.l2
-        lat[levels == LEVEL_L3] = self.l3
-
-        dram_mask = levels == LEVEL_DRAM
-        if not np.any(dram_mask):
-            return lat
-
-        acc_rep = np.repeat(np.asarray(accessor_domains, dtype=np.int64), lengths)
-        tgt = np.asarray(target_domains)[dram_mask]
-        acc = acc_rep[dram_mask]
-        local = tgt == acc
-        base = np.where(local, self.dram_local, self.dram_remote)
-        dist = topology.distances[acc, tgt]
-        hops = np.maximum(dist - 10, 0) / 10.0  # SLIT units above local
-        base = base + hops * self.hop_cost * 10.0
-        infl = np.asarray(inflation)
-        demand = base * infl[tgt]
-
-        seq_acc = np.repeat(np.asarray(sequential, dtype=bool), lengths)[dram_mask]
-        if not np.any(seq_acc):
-            lat[dram_mask] = demand
-            return lat
-
-        # Within-chunk DRAM ordinal via exclusive cumulative counts.
-        dram_counts = np.cumsum(dram_mask, dtype=np.int64)
-        excl = dram_counts - dram_mask
-        idx = (excl - np.repeat(excl[starts[:-1]], lengths))[dram_mask].astype(
-            np.float64
-        )
-        remote_scale = np.where(local, 1.0, self.remote_exposure_factor)
-        stream_scale = np.where(
-            np.repeat(np.asarray(interleaved, dtype=bool), lengths)[dram_mask],
-            self.interleave_stream_penalty,
-            1.0,
-        )
-        exposure = np.minimum(
-            1.0, self.seq_exposure * infl[tgt] * remote_scale * stream_scale
-        )
-        exposed = np.floor((idx + 1) * exposure) > np.floor(idx * exposure)
-        lat[dram_mask] = np.where(
-            seq_acc, np.where(exposed, demand, self.prefetched_latency), demand
-        )
-        return lat
-
     @property
     def demand_min_latency(self) -> float:
         """The least latency a *demand* DRAM miss exposes."""

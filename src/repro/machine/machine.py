@@ -96,9 +96,8 @@ class Machine:
         self.page_table.unmap_segment(seg)
 
     # ------------------------------------------------------------------ #
-    # access pipeline pieces: per-chunk primitives (the definition the
-    # engine's batched and summary step pipeline reproduces) and the
-    # batched latency kernel the engine calls
+    # access pipeline pieces: per-chunk primitives, the definition the
+    # engine's step pipeline reproduces (tests/test_step_reference.py)
     # ------------------------------------------------------------------ #
 
     def classify_accesses(self, addrs: np.ndarray, cpu: int, seg: Segment):
@@ -113,28 +112,6 @@ class Machine:
         pages = np.asarray(addrs, dtype=np.int64) // self.page_size
         target_domains = seg.domains[pages - seg.start_page]
         return classification, target_domains
-
-    def step_access_latency(
-        self,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        accessor_domains: np.ndarray,
-        starts: np.ndarray,
-        inflation: np.ndarray,
-        sequential: np.ndarray,
-        interleaved: np.ndarray,
-    ) -> np.ndarray:
-        """Batched per-access latency for one step's concatenated chunks."""
-        return self.latency_model.step_latency(
-            levels,
-            target_domains,
-            accessor_domains,
-            starts,
-            self.topology,
-            inflation,
-            sequential,
-            interleaved,
-        )
 
     def dram_request_counts(
         self, levels: np.ndarray, target_domains: np.ndarray

@@ -7,13 +7,12 @@ its pool backend, which broadcasts each driver call to every worker as
 one round:
 
 1. **gen_iteration** — every worker opens the iteration, drains its own
-   threads' kernels, and reports per-step chunk/memory/access counts
+   threads' kernels, and reports per-step chunk and memory-chunk counts
    plus its page-binding events;
 2. **classify_iteration** — the parent merges the page events into
-   serial ``(step, tid)`` order and broadcasts them with the driver's
-   per-step batched flags; workers replay the events on replicated page
-   tables and classify their own chunks, step by step, reporting
-   per-step DRAM request counts;
+   serial ``(step, tid)`` order and broadcasts them; workers replay the
+   events on replicated page tables and classify their own chunks,
+   step by step, reporting per-step DRAM request counts;
 3. **finish_iteration** — the driver computes each step's contention
    inflation from the *merged* requests (so cross-shard contention
    survives sharding); workers compute latencies, deliver monitor
@@ -156,11 +155,9 @@ class _PoolBackend:
     def gen(self, region_idx: int, iteration: int) -> list[dict]:
         return self._round("gen_iteration", region_idx, iteration)
 
-    def run_iteration(self, gen, batched, n_steps: int, inflate) -> list[dict]:
+    def run_iteration(self, gen, n_steps: int, inflate) -> list[dict]:
         events = _merge_page_events([g["events"] for g in gen])
-        requests = self._round(
-            "classify_iteration", events, batched, n_steps
-        )
+        requests = self._round("classify_iteration", events, n_steps)
         step_requests = sum(requests)
         n_domains = self.engine.machine.n_domains
         inflation = np.ones((n_steps, n_domains), dtype=np.float64)

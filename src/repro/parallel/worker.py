@@ -19,10 +19,9 @@ bit-identical, enforced by ``tests/test_parallel_parity.py``):
   every worker against its own page-table copy — so placement lookups
   (``seg.domains``) agree everywhere, while only the owning shard
   attributes the trap to its monitor;
-* global per-step decisions (the batched-vs-summary pipeline flag and
-  the contention inflation computed from merged per-step domain
-  traffic) are computed by the driver from merged integer counts and
-  broadcast, so every worker takes the same float-summation path;
+* the per-step contention inflation is computed by the driver from
+  merged per-step domain traffic and broadcast, so every worker prices
+  its chunks under the same inflation;
 * per-thread state (sampling carries, per-thread RNG streams, profiler
   accumulator rows, cycle/overhead accumulation) is keyed by tid and
   never crosses shards.
@@ -80,7 +79,7 @@ def _gen_iteration(engine, region_idx: int, iteration: int) -> dict:
     return engine.enter_region()
 
 
-def _classify_iteration(engine, events: dict, batched, n_steps: int):
+def _classify_iteration(engine, events: dict, n_steps: int):
     """Replay every shard's page events and classify each step.
 
     Returns the shard's per-step DRAM request matrix
@@ -89,7 +88,7 @@ def _classify_iteration(engine, events: dict, batched, n_steps: int):
     engine.set_page_events(events)
     requests = np.zeros((n_steps, engine.machine.n_domains), dtype=np.int64)
     for s in range(n_steps):
-        step_requests = engine.classify_step(s, bool(batched[s]))
+        step_requests = engine.classify_step(s)
         if step_requests is not None:
             requests[s] = step_requests
     return requests

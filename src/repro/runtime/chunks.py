@@ -12,11 +12,10 @@ for ``i < n``, kept as those three integers — and indirect or hand-built
 chunks are :class:`AccessChunk` with an explicit int64 array. Consumers
 ask the chunk what they need (``n_accesses``, ``first_addr``,
 ``addrs_at``, ``unique_pages``, ``fetch_products``, ``checksum``,
-``nbytes``); an affine chunk answers each in closed form, so a sweep's
-addresses are never expanded on the engine's summary path. ``.addrs``
+``nbytes``); an affine chunk answers each in closed form, so the
+engine's step pipeline never expands a sweep's addresses. ``.addrs``
 materializes the whole array on every call and is reserved for full
-materialization; batched steps expand their chunks once through
-:func:`concat_addrs` (see docs/MODEL.md, "Chunk geometry").
+materialization (see docs/MODEL.md, "Chunk geometry").
 """
 
 from __future__ import annotations
@@ -99,10 +98,6 @@ class AccessChunk:
         """Every address, in program order."""
         return self._addrs
 
-    def _expand(self) -> np.ndarray:
-        """Every address, uncounted (see :func:`concat_addrs`)."""
-        return self._addrs
-
     @property
     def n_accesses(self) -> int:
         """Number of memory accesses in the chunk."""
@@ -149,8 +144,7 @@ class AffineChunk(AccessChunk):
 
     Every question :class:`AccessChunk` answers is answered here in
     closed form. Only :attr:`addrs` (counted as
-    ``engine.lazy.materialized_addrs``) and :func:`concat_addrs` expand
-    the sweep.
+    ``engine.lazy.materialized_addrs``) expands the sweep.
     """
 
     __slots__ = ("_first", "_step", "_n")
@@ -182,9 +176,6 @@ class AffineChunk(AccessChunk):
     def addrs(self) -> np.ndarray:
         """The expanded sweep (built on every call, never cached)."""
         obs.TRACER.count("engine.lazy.materialized_addrs")
-        return self._expand()
-
-    def _expand(self) -> np.ndarray:
         return self._first + self._step * np.arange(self._n, dtype=np.int64)
 
     @property
@@ -258,43 +249,28 @@ class StepTrace(list):
     """A region iteration's pre-drawn steps plus per-step counts.
 
     Each element is the usual ``[(thread, chunk), ...]`` lockstep step.
-    ``n_chunks[s]``, ``n_mem[s]`` and ``acc_sum[s]`` count step ``s``'s
-    chunks, memory chunks (a variable and at least one access) and
-    accesses — the totals the run driver sums over shards for its
-    per-step decisions.
+    ``n_chunks[s]`` and ``n_mem[s]`` count step ``s``'s chunks and
+    memory chunks (a variable and at least one access) — the totals the
+    run driver sums over shards for its step counters.
     """
 
-    __slots__ = ("n_chunks", "n_mem", "acc_sum")
+    __slots__ = ("n_chunks", "n_mem")
 
     def __init__(self, steps) -> None:
         super().__init__(steps)
-        mem = [
-            [c.n_accesses for _, c in step if c.var is not None and c.n_accesses]
-            for step in steps
-        ]
         self.n_chunks = np.array([len(step) for step in steps], dtype=np.int64)
-        self.n_mem = np.array([len(m) for m in mem], dtype=np.int64)
-        self.acc_sum = np.array([sum(m) for m in mem], dtype=np.int64)
+        self.n_mem = np.array(
+            [
+                sum(c.var is not None and c.n_accesses > 0 for _, c in step)
+                for step in steps
+            ],
+            dtype=np.int64,
+        )
 
     @property
     def nbytes(self) -> int:
         """Bytes that hold the trace's addresses (memo accounting)."""
         return sum(c.nbytes for step in self for _, c in step)
-
-
-def concat_addrs(chunks) -> np.ndarray:
-    """The chunks' addresses concatenated in order, as one owned array.
-
-    The batched step builder's one expansion of its step; each affine
-    chunk it expands counts ``engine.batched.expanded_addrs``.
-    """
-    tr = obs.TRACER
-    if tr.enabled:
-        tr.count(
-            "engine.batched.expanded_addrs",
-            sum(isinstance(c, AffineChunk) for c in chunks),
-        )
-    return np.concatenate([c._expand() for c in chunks])
 
 
 def compute_chunk(n_instructions: int, ip: SourceLoc) -> AccessChunk:

@@ -5,10 +5,8 @@ thread sets (``tid % n_shards``), keep all per-thread state, and the
 driver merges what they report. A standalone run is the one-shard case.
 The driver owns, once:
 
-* the region/iteration loop and the per-step global decisions — the
-  batched-vs-summary flag and the contention inflation — computed from
-  counts merged over every shard, so each shard takes the same
-  float-summation path;
+* the region/iteration loop and the per-step contention inflation,
+  computed from DRAM requests merged over every shard;
 * phase extrapolation: the union plan over the shards' readiness
   vectors, the skip clamp, and the exact/ε fold of the merged cycle;
 * run totals, the per-region phase report, metrics samples and the
@@ -22,7 +20,7 @@ returns one payload per shard, in shard order:
     run start on every shard;
 ``gen(region_idx, iteration)``
     open a live iteration and pre-draw its step trace;
-``run_iteration(gen, batched, n_steps, inflate)``
+``run_iteration(gen, n_steps, inflate)``
     classify and finish every step, then close the iteration.
     ``inflate(s, requests)`` takes step ``s``'s merged DRAM requests
     and returns its inflation;
@@ -133,14 +131,14 @@ class InProcessBackend:
             )
         return [engine.enter_region()]
 
-    def run_iteration(self, gen, batched, n_steps: int, inflate) -> list[dict]:
+    def run_iteration(self, gen, n_steps: int, inflate) -> list[dict]:
         engine = self.engine
         tr = obs.TRACER
         traced = tr.enabled
         for s in range(n_steps):
             if traced:
                 tr.begin("engine.step", "engine")
-            requests = engine.classify_step(s, bool(batched[s]))
+            requests = engine.classify_step(s)
             engine.finish_step(s, inflate(s, requests))
             if traced:
                 tr.end()
@@ -208,7 +206,6 @@ def drive(backend) -> RunResult:
         )
     phase_ok = engine.extrapolate and all(s["phase_ok"] for s in started)
     monitored = any(s["monitored"] for s in started)
-    batch_limit = engine.BATCH_MEAN_ACCESSES
 
     tr = obs.TRACER
     traced = tr.enabled
@@ -338,24 +335,14 @@ def drive(backend) -> RunResult:
             n_steps = max(g["n_chunks"].size for g in gen)
             n_active = np.zeros(n_steps, dtype=np.int64)
             n_mem = np.zeros(n_steps, dtype=np.int64)
-            acc_sum = np.zeros(n_steps, dtype=np.int64)
             for g in gen:
                 k = g["n_chunks"].size
                 n_active[:k] += g["n_chunks"]
                 n_mem[:k] += g["n_mem"]
-                acc_sum[:k] += g["acc_sum"]
-            # Small-chunk steps take the batched pipeline (see
-            # ExecutionEngine.BATCH_MEAN_ACCESSES).
-            batched = (n_mem > 0) & (acc_sum <= batch_limit * n_mem)
             if traced:
-                n_batched = int(np.count_nonzero(batched))
                 tr.count("engine.steps", n_steps)
                 tr.count("engine.chunks", int(n_active.sum()))
-                tr.count("engine.steps_batched", n_batched)
-                tr.count(
-                    "engine.steps_summary",
-                    int(np.count_nonzero(n_mem)) - n_batched,
-                )
+                tr.count("engine.steps_summary", int(np.count_nonzero(n_mem)))
             it_requests = np.zeros(n_domains, dtype=np.int64)
 
             def inflate(s, requests, _acc=it_requests, _n=n_active):
@@ -364,7 +351,7 @@ def drive(backend) -> RunResult:
                 _acc += requests
                 return contention.inflation(requests, int(_n[s]))
 
-            fin = backend.run_iteration(gen, batched, n_steps, inflate)
+            fin = backend.run_iteration(gen, n_steps, inflate)
             region_cycles: dict[int, float] = {}
             it_ints = dict.fromkeys(INT_FIELDS, 0)
             it_traffic = np.zeros((n_domains, n_domains), dtype=np.int64)

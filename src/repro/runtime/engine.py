@@ -25,16 +25,11 @@ import numpy as np
 
 from repro import obs
 from repro.errors import AllocationError, ProgramError
-from repro.machine.cache import (
-    LEVEL_DRAM,
-    LEVEL_L1,
-    ChunkSummary,
-    ScratchPool,
-)
+from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, ChunkSummary
 from repro.machine.machine import Machine
 from repro.machine.pagetable import PlacementPolicy
 from repro.runtime.callstack import CallPath, CallStack
-from repro.runtime.chunks import AccessChunk, StepTrace, concat_addrs
+from repro.runtime.chunks import AccessChunk, StepTrace
 from repro.runtime.heap import HeapAllocator, Variable
 from repro.runtime.memo import (
     ClassifyVariant,
@@ -137,16 +132,16 @@ class ChunkView:
 class LazyChunkView:
     """A :class:`ChunkView` that materializes per-access arrays on demand.
 
-    The monitored large-chunk path computes only each chunk's
+    The monitored step pipeline computes only each chunk's
     classification summary (line-fetch mask + single fetch level) plus —
     for DRAM-level chunks — the fetch subset's page owners and latencies,
     which the engine needed for timing/traffic accounting anyway. Full
     per-access ``levels`` / ``target_domains`` / ``latencies`` / masks
     are reconstructed lazily on first attribute access, with values
-    identical to the eager pipeline: every non-fetch access hits L1, all
-    fetches are serviced at the summary's fetch level, and
-    ``dram_fetch_latencies`` produces exactly the DRAM entries
-    ``access_latency`` would. Sampling monitors that only need values at
+    identical to the per-chunk reference primitives: every non-fetch
+    access hits L1, all fetches are serviced at the summary's fetch
+    level, and ``dram_fetch_latencies`` produces exactly the DRAM
+    entries ``access_latency`` would. Sampling monitors that only need values at
     sampled indices or trigger events call :meth:`gather_samples` /
     :meth:`remote_event_count` / the event primitives and never pay full
     materialization.
@@ -439,11 +434,13 @@ class Monitor:
 
         The engine calls this once per step with a :class:`StepViews`
         holding one view per executed chunk, in step order — a
-        :class:`ChunkView` with eager arrays for small-chunk (batched)
-        steps, a :class:`LazyChunkView` for large-chunk steps. The
-        default implementation preserves the historical per-chunk
-        contract by dispatching each view to :meth:`on_chunk`, which
-        materializes lazy views; batch-aware monitors override it and
+        :class:`LazyChunkView` for each memory chunk and a
+        :class:`ChunkView` with empty arrays for each pure-compute chunk
+        (the tests' per-chunk reference engine hands eager
+        :class:`ChunkView` arrays for memory chunks too). The default
+        implementation preserves the historical per-chunk contract by
+        dispatching each view to :meth:`on_chunk`, which materializes
+        lazy views; batch-aware monitors override it and
         consume samples through ``gather_samples`` /
         ``remote_event_count`` so lazy views never materialize
         whole-chunk arrays.
@@ -530,16 +527,6 @@ class ExecutionEngine:
     #: total runtime matches the paper's "low runtime overhead" claim.
     TRAP_BASE_COST = 50.0
 
-    #: Mean accesses-per-chunk at or below which a step's chunks are
-    #: concatenated and run through the batched variant. Small chunks
-    #: are dominated by fixed per-chunk NumPy dispatch cost, which
-    #: batching amortizes; large chunks already amortize it and are
-    #: faster processed one at a time (the summary variant) because each
-    #: chunk's working set stays cache-resident. The two variants compute
-    #: identical per-access values, so this is a pure performance knob
-    #: (see ``tests/test_step_pipeline.py``).
-    BATCH_MEAN_ACCESSES = 2048
-
     #: This engine's slice of a run: it executes (and attributes) the
     #: threads with ``tid % n_shards == shard_id``. A standalone engine
     #: is shard 0 of 1; a worker pool reassigns both per process.
@@ -609,7 +596,6 @@ class ExecutionEngine:
         #: is live): overhead (tid, cycles) pairs and memo variant keys.
         self._phase_oh_rec: list | None = None
         self._phase_sig: list | None = None
-        self._scratch = ScratchPool()
         self._ran = False
         self._regions: list | None = None
         #: The current region's phase detector (None: not observed).
@@ -775,9 +761,9 @@ class ExecutionEngine:
     def enter_region(self) -> dict:
         """Enter the region and pre-draw this shard's step trace.
 
-        Returns per-step chunk, memory-chunk and access counts (the
-        driver's per-step decisions need the totals over every shard)
-        and this shard's page events (see :meth:`_page_events`).
+        Returns per-step chunk and memory-chunk counts (the driver
+        counts steps over every shard) and this shard's page events
+        (see :meth:`_page_events`).
         """
         it = self._it
         region = it.region
@@ -821,7 +807,6 @@ class ExecutionEngine:
         return {
             "n_chunks": steps.n_chunks,
             "n_mem": steps.n_mem,
-            "acc_sum": steps.acc_sum,
             "events": it.events,
         }
 
@@ -890,14 +875,13 @@ class ExecutionEngine:
         """
         self._it.events = events
 
-    def classify_step(self, s: int, batched: bool) -> np.ndarray | None:
+    def classify_step(self, s: int) -> np.ndarray | None:
         """Replay step ``s``'s page events, then classify this shard's chunks.
 
         Every event updates this shard's page table; only the owning
         shard charges the trap and attributes it to its monitor.
-        ``batched`` is the driver's pipeline flag for the step. Returns
-        the step's DRAM request vector, or None when this shard has no
-        chunk in step ``s``.
+        Returns the step's DRAM request vector, or None when this shard
+        has no chunk in step ``s``.
         """
         it = self._it
         tr = obs.TRACER
@@ -921,10 +905,10 @@ class ExecutionEngine:
         st.mem_idx = _mem_positions(step, rec)
         if traced:
             tr.begin("engine.classify", "engine")
-            self._classify_phase(step, st, rec, batched)
+            self._classify_phase(step, st, rec)
             tr.end()
         else:
-            self._classify_phase(step, st, rec, batched)
+            self._classify_phase(step, st, rec)
         it.states.append(st)
         if it.requests is not None:
             it.requests += st.step_requests
@@ -1220,47 +1204,35 @@ class ExecutionEngine:
         step: list[tuple[SimThread, AccessChunk]],
         st: _StepMem,
         rec,
-        batched: bool,
     ) -> None:
         """Classification / placement: pure products + keyed variants.
 
-        ``batched`` is the driver's batched-vs-summary flag for the
-        step, computed from every shard's totals so each shard takes the
-        same float-summation path. The reuse-distance lookup (the only
-        stateful part of classification) runs live; its per-chunk result
-        joins the page-table epoch in the variant key, so both a
-        cache-state change and any page-placement mutation select — or
-        build — a different variant.
+        The reuse-distance lookup (the only stateful part of
+        classification) runs live; its per-chunk result joins the
+        page-table epoch in the variant key, so both a cache-state
+        change and any page-placement mutation select — or build — a
+        different variant.
         """
         machine = self.machine
         memo = self.memo
         st.rec = rec
-        if not st.mem_idx:
-            # Pure-compute steps have nothing to batch: the summary
-            # builders degenerate to empty products.
-            batched = False
         pure = rec.pure
-        if pure is not None and pure.batched == batched:
+        if pure is not None:
             memo.hit(rec)
         else:
             memo.miss(rec)
-            pure = self._build_pure(step, st.mem_idx, batched)
+            pure = self._build_pure(step, st.mem_idx)
             rec.pure = pure
             memo.charge(rec, pure.nbytes)
         st.mem_idx = pure.mem_idx
         cache = machine.cache
-        if pure.batched:
-            fetch_levels = cache.step_fetch_levels(
-                pure.cpus, pure.seg_ids, pure.first_addrs, pure.footprints
+        n_mem = len(pure.mem)
+        fetch_levels = np.empty(n_mem, dtype=np.uint8)
+        for k in range(n_mem):
+            fetch_levels[k] = cache.chunk_fetch_level(
+                pure.cpus[k], pure.seg_ids[k],
+                pure.chunk_first[k], pure.chunk_fp[k],
             )
-        else:
-            n_mem = len(pure.mem)
-            fetch_levels = np.empty(n_mem, dtype=np.uint8)
-            for k in range(n_mem):
-                fetch_levels[k] = cache.chunk_fetch_level(
-                    pure.cpus[k], pure.seg_ids[k],
-                    pure.chunk_first[k], pure.chunk_fp[k],
-                )
         ckey = (machine.page_table.epoch, fetch_levels.tobytes())
         if self._phase_sig is not None:
             # The iteration's phase signature is the sequence of memo
@@ -1270,10 +1242,7 @@ class ExecutionEngine:
         var = rec.variants.get(ckey)
         if var is None:
             memo.miss(rec)
-            if pure.batched:
-                var = self._build_batched_variant(pure, fetch_levels)
-            else:
-                var = self._build_summary_variant(pure, fetch_levels)
+            var = self._build_variant(pure, fetch_levels)
             rec.variants[ckey] = var
             memo.charge(rec, var.nbytes)
         else:
@@ -1285,127 +1254,42 @@ class ExecutionEngine:
         self,
         step: list[tuple[SimThread, AccessChunk]],
         mem_idx: list[int],
-        batched: bool,
     ) -> PureStep:
         """Compute one step's iteration-invariant products.
 
         Chunks answer their own geometry questions (see
-        :mod:`repro.runtime.chunks`); only the batched path expands
-        the step's addresses, once, into an owned array the record
-        keeps and the memo charges.
+        :mod:`repro.runtime.chunks`), so no address is expanded here.
         """
-        machine = self.machine
         pure = PureStep()
         pure.mem_idx = list(mem_idx)
         mem = pure.mem = [step[i] for i in pure.mem_idx]
         n_mem = len(mem)
-        lengths = pure.lengths = np.array(
-            [c.n_accesses for _, c in mem], dtype=np.int64
-        )
         pure.interleaved = [
             c.var.segment.policy is PlacementPolicy.INTERLEAVE
             for _, c in mem
         ]
-        pure.interleaved_arr = np.array(pure.interleaved, dtype=bool)
         pure.cpus = [t.cpu for t, _ in mem]
-        pure.segs = [c.var.segment for _, c in mem]
-        pure.seg_ids = [seg.seg_id for seg in pure.segs]
-        pure.acc_domains = np.array([t.domain for t, _ in mem], dtype=np.int64)
-        pure.batched = batched
-        if batched:
-            starts = pure.starts = np.zeros(n_mem + 1, dtype=np.int64)
-            np.cumsum(lengths, out=starts[1:])
-            cat = pure.addrs_cat = concat_addrs([c for _, c in mem])
-            fp = machine.cache.step_fetch_products(cat, starts, self._scratch)
-            pure.fetch = fp.fetch
-            pure.sequential = fp.sequential
-            pure.footprints = fp.footprints
-            pure.first_addrs = fp.first_addrs
-            pure.nbytes = _nbytes(
-                cat, pure.fetch, pure.footprints, pure.first_addrs,
-                lengths, starts, pure.acc_domains,
-            )
-        else:
-            pure.chunk_fetch = [None] * n_mem
-            pure.chunk_seq_flags = [True] * n_mem
-            pure.chunk_fp = [0] * n_mem
-            pure.chunk_first = [0] * n_mem
-            pure.chunk_fidx = [None] * n_mem
-            line_size = machine.cache.config.line_size
-            for k, (t, c) in enumerate(mem):
-                fetch, fidx, footprint, seq = c.fetch_products(line_size)
-                pure.chunk_fetch[k] = fetch
-                pure.chunk_seq_flags[k] = seq
-                pure.chunk_fp[k] = footprint
-                pure.chunk_first[k] = c.first_addr
-                pure.chunk_fidx[k] = fidx
-            pure.nbytes = _nbytes(pure.chunk_fetch, pure.chunk_fidx)
+        pure.seg_ids = [c.var.segment.seg_id for _, c in mem]
+        pure.chunk_fetch = [None] * n_mem
+        pure.chunk_seq_flags = [True] * n_mem
+        pure.chunk_fp = [0] * n_mem
+        pure.chunk_first = [0] * n_mem
+        pure.chunk_fidx = [None] * n_mem
+        line_size = self.machine.cache.config.line_size
+        for k, (t, c) in enumerate(mem):
+            fetch, fidx, footprint, seq = c.fetch_products(line_size)
+            pure.chunk_fetch[k] = fetch
+            pure.chunk_seq_flags[k] = seq
+            pure.chunk_fp[k] = footprint
+            pure.chunk_first[k] = c.first_addr
+            pure.chunk_fidx[k] = fidx
+        pure.nbytes = _nbytes(pure.chunk_fetch, pure.chunk_fidx)
         return pure
 
-    def _build_batched_variant(
+    def _build_variant(
         self, pure: PureStep, fetch_levels: np.ndarray
     ) -> ClassifyVariant:
-        """Fused placement/classification kernel for one batched variant.
-
-        Computes every inflation-independent product of the classify and
-        latency phases — per-access levels, page owners, DRAM/remote
-        masks, domain requests, the traffic matrix, and the per-chunk
-        view slices — in one pass over the step's concatenated arrays
-        (the intermediates ride the scratch pool; retained arrays are
-        owned).
-        """
-        machine = self.machine
-        n_domains = machine.n_domains
-        var = ClassifyVariant()
-        levels = var.levels = machine.cache.expand_step_levels(
-            pure.fetch, fetch_levels, pure.lengths
-        )
-        starts = pure.starts
-        n = int(starts[-1])
-        pages = self._scratch.get("pages", n, np.int64)
-        np.floor_divide(pure.addrs_cat, machine.page_size, out=pages)
-        targets = var.targets_cat = np.empty(n, dtype=np.int64)
-        for k, seg in enumerate(pure.segs):
-            s, e = starts[k], starts[k + 1]
-            targets[s:e] = seg.domains[pages[s:e] - seg.start_page]
-        dram_cat = var.dram_cat = levels == LEVEL_DRAM
-        var.step_requests = np.bincount(
-            targets[dram_cat], minlength=n_domains
-        ).astype(np.int64)
-        acc_rep = np.repeat(pure.acc_domains, pure.lengths)
-        remote_cat = var.remote_cat = targets != acc_rep
-        var.dram = int(np.count_nonzero(dram_cat))
-        var.remote_dram = int(np.count_nonzero(dram_cat & remote_cat))
-        # Traffic matrix in one pass: bincount over flattened
-        # (accessor domain, target domain) pair codes of DRAM fetches.
-        pair = acc_rep[dram_cat] * n_domains + targets[dram_cat]
-        var.traffic = (
-            np.bincount(pair, minlength=n_domains * n_domains)
-            .reshape(n_domains, n_domains)
-            .astype(np.int64)
-        )
-        if self.monitor is not None:
-            n_mem = len(pure.mem)
-            var.chunk_levels = [None] * n_mem
-            var.chunk_targets = [None] * n_mem
-            var.chunk_dram = [None] * n_mem
-            var.chunk_remote = [None] * n_mem
-            for k in range(n_mem):
-                s, e = starts[k], starts[k + 1]
-                var.chunk_levels[k] = levels[s:e]
-                var.chunk_targets[k] = targets[s:e]
-                var.chunk_dram[k] = dram_cat[s:e]
-                var.chunk_remote[k] = remote_cat[s:e]
-        var.nbytes = _nbytes(
-            levels, targets, dram_cat, remote_cat,
-            var.step_requests, var.traffic,
-        )
-        return var
-
-    def _build_summary_variant(
-        self, pure: PureStep, fetch_levels: np.ndarray
-    ) -> ClassifyVariant:
-        """Placement-dependent products for one summary-path variant.
+        """Placement-dependent products for one classification variant.
 
         Every non-fetch access hits L1 and only DRAM-level fetches have
         NUMA-relevant placement, so page owners are looked up on the
@@ -1446,12 +1330,13 @@ class ExecutionEngine:
         """Latency under step inflation: variants keyed by its exact bytes.
 
         ``inflation`` is the driver's contention inflation for the step,
-        from every shard's requests. The inflation-independent accounting (DRAM counts, remote counts,
-        traffic matrix) lives on the classification variant; per-access
-        latencies and per-chunk sums are cached per distinct
-        ``inflation.tobytes()`` within it. A cache-state or placement
-        change produced a different classification variant upstream, so
-        latency entries can never serve stale inputs.
+        from every shard's requests. The inflation-independent
+        accounting (DRAM counts, remote counts, traffic matrix) lives on
+        the classification variant; DRAM fetch latencies and per-chunk
+        sums are cached per distinct ``inflation.tobytes()`` within it.
+        A cache-state or placement change produced a different
+        classification variant upstream, so latency entries can never
+        serve stale inputs.
         """
         machine = self.machine
         memo = self.memo
@@ -1468,63 +1353,41 @@ class ExecutionEngine:
             need_views = self.monitor is not None
             n_mem = len(pure.mem)
             lat_sums = [0.0] * st.n_active
-            #: Batched: per-chunk slices of the step's latency array.
-            #: Summary: DRAM fetch-latency subsets for lazy views.
+            #: DRAM fetch-latency subsets for lazy views.
             chunk_lat = [None] * n_mem
             nbytes = 0
-            if pure.batched:
-                lat_cat = machine.step_access_latency(
-                    var.levels,
-                    var.targets_cat,
-                    pure.acc_domains,
-                    pure.starts,
-                    inflation,
-                    pure.sequential,
-                    pure.interleaved_arr,
-                )
-                starts = pure.starts
-                for k, i in enumerate(pure.mem_idx):
-                    s, e = starts[k], starts[k + 1]
-                    lat_sums[i] = float(lat_cat[s:e].sum())
+            latency_model = machine.latency_model
+            topology = machine.topology
+            l1 = latency_model.l1
+            lvl_lat = (latency_model.l1, latency_model.l2, latency_model.l3)
+            line_size = machine.cache.config.line_size
+            for k, i in enumerate(pure.mem_idx):
+                t, c = pure.mem[k]
+                summ = var.summaries[k]
+                tgt = var.dram_targets[k]
+                nf = summ.footprint_bytes // line_size
+                if tgt is None:
+                    # All fetches hit a cache level: the chunk's latency
+                    # sum is exact closed-form arithmetic.
+                    lat_sums[i] = (
+                        (c.n_accesses - nf) * l1
+                        + nf * lvl_lat[summ.fetch_level]
+                    )
+                else:
+                    fetch_lat = latency_model.dram_fetch_latencies(
+                        tgt,
+                        t.domain,
+                        topology,
+                        inflation,
+                        sequential=summ.sequential,
+                        interleaved=pure.interleaved[k],
+                    )
+                    lat_sums[i] = (
+                        float(fetch_lat.sum()) + (c.n_accesses - nf) * l1
+                    )
                     if need_views:
-                        chunk_lat[k] = lat_cat[s:e]
-                if need_views:
-                    nbytes += lat_cat.nbytes
-            else:
-                latency_model = machine.latency_model
-                topology = machine.topology
-                l1 = latency_model.l1
-                lvl_lat = (
-                    latency_model.l1, latency_model.l2, latency_model.l3
-                )
-                line_size = machine.cache.config.line_size
-                for k, i in enumerate(pure.mem_idx):
-                    t, c = pure.mem[k]
-                    summ = var.summaries[k]
-                    tgt = var.dram_targets[k]
-                    nf = summ.footprint_bytes // line_size
-                    if tgt is None:
-                        # All fetches hit a cache level: the chunk's
-                        # latency sum is exact closed-form arithmetic.
-                        lat_sums[i] = (
-                            (c.n_accesses - nf) * l1
-                            + nf * lvl_lat[summ.fetch_level]
-                        )
-                    else:
-                        fetch_lat = latency_model.dram_fetch_latencies(
-                            tgt,
-                            t.domain,
-                            topology,
-                            inflation,
-                            sequential=summ.sequential,
-                            interleaved=pure.interleaved[k],
-                        )
-                        lat_sums[i] = (
-                            float(fetch_lat.sum()) + (c.n_accesses - nf) * l1
-                        )
-                        if need_views:
-                            chunk_lat[k] = fetch_lat
-                            nbytes += fetch_lat.nbytes
+                        chunk_lat[k] = fetch_lat
+                        nbytes += fetch_lat.nbytes
             lv = LatVariant(lat_sums, chunk_lat, nbytes + 8 * st.n_active)
             var.lats[lkey] = lv
             memo.charge(rec, lv.nbytes)
@@ -1538,9 +1401,8 @@ class ExecutionEngine:
     ) -> list[float] | None:
         """One ``on_step`` call with the step's views; returns the costs.
 
-        The views — eager slices of the variant's concatenated arrays on
-        the batched path, lazy views on the summary path, empty arrays
-        for pure-compute chunks — are built once per latency variant.
+        The views — lazy views for memory chunks, empty arrays for
+        pure-compute chunks — are built once per latency variant.
         Call paths come from the live callstacks, which hold the same
         frames on every iteration of a region. The monitor itself —
         sampling, attribution, costs — always runs live on them.
@@ -1569,12 +1431,6 @@ class ExecutionEngine:
                     views.append(ChunkView(
                         t.tid, t.cpu, t.domain, chunk, _EMPTY_U8, _EMPTY_I64,
                         _EMPTY_F64, path, _EMPTY_BOOL, _EMPTY_BOOL,
-                    ))
-                elif pure.batched:
-                    views.append(ChunkView(
-                        t.tid, t.cpu, t.domain, chunk, var.chunk_levels[k],
-                        var.chunk_targets[k], lv.chunk_lat[k], path,
-                        var.chunk_dram[k], var.chunk_remote[k],
                     ))
                 else:
                     views.append(LazyChunkView(

@@ -3,17 +3,18 @@
 Every execution step runs through one pipeline of products, each keyed
 on exactly what it depends on:
 
-* **Pure products** (:class:`PureStep`) — line-fetch masks, footprints,
-  sequentiality, chunk geometry — are a pure function of the step's
-  addresses.
-* **Classification variants** (:class:`ClassifyVariant`) — per-access
-  service levels, page owners, DRAM/remote masks, traffic — are keyed
-  by ``(page-table epoch, per-chunk fetch levels)``. The reuse-distance
-  lookup itself (:meth:`CacheHierarchy.step_fetch_levels`) runs live on
-  every iteration; its result is part of the key, so a cache-state
-  change simply selects (or builds) a different variant. An epoch bump
-  — any page-table mutation — invalidates by the same mechanism.
-* **Latency variants** (:class:`LatVariant`) — per-access latencies and
+* **Pure products** (:class:`PureStep`) — per-chunk line-fetch masks,
+  footprints, sequentiality, first addresses — are a pure function of
+  the step's chunks.
+* **Classification variants** (:class:`ClassifyVariant`) — per-chunk
+  classification summaries, DRAM fetches' page owners, request counts,
+  traffic — are keyed by ``(page-table epoch, per-chunk fetch
+  levels)``. The reuse-distance lookup itself
+  (:meth:`CacheHierarchy.chunk_fetch_level`) runs live on every
+  iteration; its result is part of the key, so a cache-state change
+  simply selects (or builds) a different variant. An epoch bump — any
+  page-table mutation — invalidates by the same mechanism.
+* **Latency variants** (:class:`LatVariant`) — DRAM fetch latencies and
   per-chunk latency sums — are keyed by the step's exact contention
   inflation vector (``inflation.tobytes()``) within their
   classification variant.
@@ -105,20 +106,11 @@ class StepViews(list):
 class PureStep:
     """Iteration-invariant products of one step (pure functions of it).
 
-    ``batched`` selects which fields are populated: the batched
-    small-chunk path keeps step-wide concatenated arrays, the summary
-    large-chunk path keeps per-chunk lists.
+    Every list holds one entry per memory chunk, in step order.
     """
 
     __slots__ = (
-        "mem_idx", "mem", "batched",
-        "lengths", "starts", "interleaved", "interleaved_arr",
-        "acc_domains", "cpus", "seg_ids", "segs",
-        # batched path (step-wide). ``addrs_cat`` is the step's
-        # expanded addresses (owned, charged with the record).
-        "addrs_cat",
-        "fetch", "sequential", "footprints", "first_addrs",
-        # summary path (per mem chunk):
+        "mem_idx", "mem", "interleaved", "cpus", "seg_ids",
         "chunk_fetch", "chunk_seq_flags", "chunk_fp", "chunk_first",
         "chunk_fidx",
         "nbytes",
@@ -134,12 +126,9 @@ class ClassifyVariant:
     """Placement-dependent classification products for one epoch/levels key."""
 
     __slots__ = (
-        # batched path (step-wide):
-        "levels", "targets_cat", "dram_cat", "remote_cat",
-        "chunk_levels", "chunk_targets", "chunk_dram", "chunk_remote",
-        # summary path (per mem chunk):
+        # per mem chunk:
         "summaries", "dram_targets",
-        # both:
+        # step-wide:
         "step_requests", "dram", "remote_dram", "traffic", "lats", "nbytes",
     )
 
@@ -151,7 +140,13 @@ class ClassifyVariant:
 
 
 class LatVariant:
-    """Inflation-dependent latency products within one classify variant."""
+    """Inflation-dependent latency products within one classify variant.
+
+    ``lat_sums`` is indexed by step position. ``chunk_lat[k]`` holds
+    memory chunk ``k``'s DRAM fetch latencies in fetch order, for its
+    lazy view; it is None when the chunk's fetches hit a cache level or
+    no monitor is attached.
+    """
 
     __slots__ = ("lat_sums", "chunk_lat", "views", "nbytes")
 

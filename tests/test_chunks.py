@@ -237,34 +237,18 @@ def test_only_addrs_counts_a_materialization(var):
     ("umt", lambda: MRK(2, max_rate=2e6)),
     ("lulesh", lambda: IBS(4096)),
 ])
-@pytest.mark.parametrize("batch_mean", [0, None, 1 << 40])
-def test_summary_steps_materialize_no_addresses(
-    workload, mechanism, batch_mean
-):
-    """``BATCH_MEAN_ACCESSES = 0`` makes every step a summary step."""
+def test_summary_steps_materialize_no_addresses(workload, mechanism):
     tracer = obs.Tracer()
     old = obs.set_tracer(tracer)
     try:
         tracer.enable()
-        engine = ExecutionEngine(
+        ExecutionEngine(
             presets.PRESETS["generic"](), _builders(0.02)[workload](), 8,
             monitor=NumaProfiler(mechanism()),
             binding=BindingPolicy.COMPACT,
-        )
-        if batch_mean is not None:
-            engine.BATCH_MEAN_ACCESSES = batch_mean
-        engine.run()
+        ).run()
     finally:
         obs.set_tracer(old)
     counters = tracer.counters
+    assert counters.get("engine.steps_summary", 0) > 0
     assert counters.get("engine.lazy.materialized_addrs", 0) == 0
-    expanded = counters.get("engine.batched.expanded_addrs", 0)
-    if batch_mean == 0:
-        assert counters.get("engine.steps_summary", 0) > 0
-        assert counters.get("engine.steps_batched", 0) == 0
-        assert expanded == 0
-    if counters.get("engine.steps_batched", 0):
-        # The batched builder expands each step's sweeps once.
-        assert expanded > 0
-    if batch_mean == 1 << 40:
-        assert counters.get("engine.steps_batched", 0) > 0

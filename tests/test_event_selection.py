@@ -3,10 +3,9 @@
 MRK, DEAR and PEBS-LL find their trigger events through the views' event
 primitives (``demand_miss_events`` / ``miss_events`` / ``slow_events``)
 and cache each step's events on ``StepViews.memo``. These tests drive
-the engine on the summary path (lazy views) and on the batched path
-(eager views) and check, at every step, that ``select_step`` equals
-sequential scalar ``select`` calls over the materialized arrays — the
-reference — in indices, per-chunk counts, event totals, carries and
+the engine (lazy views) and check, at every step, that ``select_step``
+equals sequential scalar ``select`` calls over the materialized arrays —
+the reference — in indices, per-chunk counts, event totals, carries and
 MRK's rate-cap budget. Retained steps hand back the same ``StepViews``
 on later iterations, so the cached events are checked too. A traced
 profiler run on lazy views materializes no per-access array.
@@ -44,9 +43,6 @@ MECHANISMS = {
     # L1 itself is above the threshold: every access is an event.
     "PEBS-LL-below-L1": lambda: PEBSLL(3, latency_threshold=_LM.l1 / 2),
 }
-#: BATCH_MEAN_ACCESSES: 0 forces the summary path, a huge limit the
-#: batched one.
-PATHS = {"summary": 0, "batched": 1 << 40}
 
 
 class _SelectionChecker(Monitor):
@@ -99,35 +95,28 @@ class _SelectionChecker(Monitor):
         return [0.0] * len(views)
 
 
-def _run(workload: str, monitor, batch_mean: int) -> ExecutionEngine:
+def _run(workload: str, monitor) -> ExecutionEngine:
     engine = ExecutionEngine(
         presets.PRESETS["generic"](), _builders(SCALE)[workload](), THREADS,
         monitor=monitor, binding=BindingPolicy.COMPACT,
     )
-    engine.BATCH_MEAN_ACCESSES = batch_mean
     engine.run()
     return engine
 
 
-#: umt's summary steps fetch from L2 and DRAM, lulesh's from L3 too.
+#: umt's steps fetch from L2 and DRAM, lulesh's from L3 too.
 WORKLOADS = ["umt", "lulesh"]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("path", list(PATHS))
 @pytest.mark.parametrize("mech", list(MECHANISMS))
-def test_select_step_matches_scalar_select_on_engine_views(
-    mech, path, workload
-):
+def test_select_step_matches_scalar_select_on_engine_views(mech, workload):
     checker = _SelectionChecker(MECHANISMS[mech])
-    _run(workload, checker, PATHS[path])
+    _run(workload, checker)
     assert checker.samples > 0
     # Later iterations of retained steps reuse the cached events.
     assert 0 < checker.cache_hits < checker.steps
-    if path == "summary":
-        assert checker.lazy_views > 0 and checker.eager_views == 0
-    else:
-        assert checker.eager_views > 0 and checker.lazy_views == 0
+    assert checker.lazy_views > 0 and checker.eager_views == 0
     if mech == "MRK":
         budget = checker.step_mech._budget
         assert budget and budget == checker.ref_mech._budget
@@ -140,7 +129,7 @@ def test_traced_run_materializes_no_lazy_array(mech):
     old = obs.set_tracer(tracer)
     try:
         tracer.enable()
-        _run("umt", NumaProfiler(MECHANISMS[mech]()), PATHS["summary"])
+        _run("umt", NumaProfiler(MECHANISMS[mech]()))
     finally:
         obs.set_tracer(old)
     counters = tracer.counters
@@ -169,7 +158,7 @@ class _ViewCollector(Monitor):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_lazy_event_primitives_match_materialized_arrays(workload):
     collector = _ViewCollector()
-    _run(workload, collector, PATHS["summary"])
+    _run(workload, collector)
     assert collector.views
     for v in collector.views.values():
         # Thresholds on the boundaries: each level's latency and the

@@ -39,15 +39,15 @@ def _machine_factory():
     return presets.PRESETS["generic"]()
 
 
-def _monitor_factory(memoize: bool = True):
-    return NumaProfiler(create_mechanism("IBS", PERIOD), memoize=memoize)
+def _monitor_factory():
+    return NumaProfiler(create_mechanism("IBS", PERIOD))
 
 
 def _run_serial(workload: str, *, memoize: bool, memo_bytes=None,
                 profiler=None):
     build = _builders(SCALE)[workload]
     if profiler is None:
-        profiler = _monitor_factory(memoize=memoize)
+        profiler = _monitor_factory()
     engine = ExecutionEngine(
         _machine_factory(), build(), THREADS,
         monitor=profiler, binding=BindingPolicy.COMPACT,
@@ -185,9 +185,7 @@ class MigratingProfiler(NumaProfiler):
 
 
 def _run_migrating(memoize: bool):
-    profiler = MigratingProfiler(
-        create_mechanism("IBS", PERIOD), "data", memoize=memoize
-    )
+    profiler = MigratingProfiler(create_mechanism("IBS", PERIOD), "data")
     return _run_serial("sweep", memoize=memoize, profiler=profiler)
 
 
@@ -231,7 +229,7 @@ def _sweep_schedule():
 
 def _run_scheduled_serial(*, memoize: bool):
     build = _builders(SCALE)["sweep"]
-    profiler = _monitor_factory(memoize=memoize)
+    profiler = _monitor_factory()
     engine = ExecutionEngine(
         _machine_factory(), build(), THREADS,
         monitor=profiler, binding=BindingPolicy.COMPACT,

@@ -41,7 +41,7 @@ def _machine_factory():
 def _profiler():
     # Deterministic mechanism so extrapolation runs in exact mode and
     # any metrics-induced perturbation shows up as a hard mismatch.
-    return NumaProfiler(create_mechanism("DEAR", 1), memoize=True)
+    return NumaProfiler(create_mechanism("DEAR", 1))
 
 
 def _run_serial(workload: str):

@@ -52,14 +52,14 @@ def _machine_factory():
 def _dear_factory():
     """Deterministic mechanism: period-1 DEAR reaches a selection fixed
     point, so extrapolation runs in exact (ε = 0) mode."""
-    return NumaProfiler(create_mechanism("DEAR", 1), memoize=True)
+    return NumaProfiler(create_mechanism("DEAR", 1))
 
 
 def _ibs_factory():
     """Jittered mechanism: IBS randomizes per-sample skid, so steady
     iterations differ in cycle deltas and extrapolation must fall back
     to ε accounting."""
-    return NumaProfiler(create_mechanism("IBS", 512), memoize=True)
+    return NumaProfiler(create_mechanism("IBS", 512))
 
 
 def _run_serial(workload: str, *, extrapolate: bool, profiler=None,

@@ -56,7 +56,7 @@ def _dear_factory(period: int):
     count cycles its carried selection state with period ``period`` —
     deterministic, so extrapolation still runs in exact (ε = 0) mode,
     but only a period-p detector can arm."""
-    return NumaProfiler(create_mechanism("DEAR", period), memoize=True)
+    return NumaProfiler(create_mechanism("DEAR", period))
 
 
 def _run(workload, *, extrapolate, dear_period, warmup, **kw):
@@ -236,7 +236,7 @@ class TwinSweep(WorkloadBase):
 
 
 def _run_twins(*, extrapolate, extrap_share=True):
-    profiler = NumaProfiler(create_mechanism("DEAR", 1), memoize=True)
+    profiler = NumaProfiler(create_mechanism("DEAR", 1))
     engine = ExecutionEngine(
         _machine_factory(), TwinSweep(), THREADS,
         monitor=profiler, binding=BindingPolicy.COMPACT,

@@ -5,8 +5,7 @@ in-process engine and the worker pool. These tests pin what that
 sharing promises beyond result parity:
 
 * the step counters (``engine.steps``, ``engine.chunks``,
-  ``engine.steps_batched``, ``engine.steps_summary``) are counted once
-  per merged step, so a traced sharded run reports what a serial one
+  ``engine.steps_summary``) are counted once per merged step, so a traced sharded run reports what a serial one
   does;
 * a worker that dies mid-round fails the run quickly with
   ``BrokenProcessPool`` and leaks no shared-memory segment;
@@ -54,10 +53,7 @@ needs_fork = pytest.mark.skipif(
 
 SCALE = 0.02
 THREADS = 8
-STEP_COUNTERS = (
-    "engine.steps", "engine.chunks", "engine.steps_batched",
-    "engine.steps_summary",
-)
+STEP_COUNTERS = ("engine.steps", "engine.chunks", "engine.steps_summary")
 
 
 def _machine_factory():
@@ -101,10 +97,8 @@ def test_step_counters_equal_serial_and_sharded():
     want = {k: serial.get(k, 0) for k in STEP_COUNTERS}
     assert got == want
     assert all(want[k] > 0 for k in STEP_COUNTERS), want
-    # Pure-compute steps take neither classify path.
-    assert want["engine.steps"] >= (
-        want["engine.steps_batched"] + want["engine.steps_summary"]
-    )
+    # Pure-compute steps have no memory chunk to classify.
+    assert want["engine.steps"] >= want["engine.steps_summary"]
 
 
 # ---------------------------------------------------------------------- #

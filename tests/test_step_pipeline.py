@@ -1,7 +1,6 @@
-"""Tests for the hybrid step pipeline and its accounting invariants.
+"""Tests for the step pipeline's accounting invariants.
 
-Covers the batched/per-chunk/summary execution paths' exact equivalence,
-engine vs. profiler access-counter agreement, serial-region busy/wall
+Covers engine vs. profiler access-counter agreement, serial-region busy/wall
 accounting, protection traps on static and stack variables, and the
 golden per-bin attribution test proving samples land in their own bins
 (not smeared proportionally across the variable).
@@ -9,7 +8,6 @@ golden per-bin attribution test proving samples land in their own bins
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.machine import presets
@@ -23,65 +21,6 @@ from repro.runtime.program import Region, RegionKind
 from repro.sampling import IBS, SoftIBS
 
 from tests.conftest import ToyProgram
-
-
-def run_toy(threshold, monitor=None, n_elems=40_000, steps=2):
-    """Run the toy program with a forced batching threshold."""
-    machine = presets.generic(n_domains=4, cores_per_domain=2)
-    engine = ExecutionEngine(
-        machine, ToyProgram(n_elems, steps=steps), n_threads=8, monitor=monitor
-    )
-    engine.BATCH_MEAN_ACCESSES = threshold
-    return engine.run()
-
-
-class TestPipelineParity:
-    """The dispatch threshold is a pure performance knob: every path must
-    produce identical results (see ``ExecutionEngine.BATCH_MEAN_ACCESSES``)."""
-
-    def _assert_results_match(self, a, b):
-        assert a.total_accesses == b.total_accesses
-        assert a.total_instructions == b.total_instructions
-        assert a.total_chunks == b.total_chunks
-        assert a.dram_accesses == b.dram_accesses
-        assert a.remote_dram_accesses == b.remote_dram_accesses
-        assert np.array_equal(a.domain_dram_requests, b.domain_dram_requests)
-        assert np.array_equal(a.domain_traffic, b.domain_traffic)
-        assert a.wall_cycles == pytest.approx(b.wall_cycles, rel=1e-9)
-        assert a.thread_busy_cycles == pytest.approx(
-            b.thread_busy_cycles, rel=1e-9
-        )
-        assert a.monitor_overhead_cycles == pytest.approx(
-            b.monitor_overhead_cycles, rel=1e-9
-        )
-
-    def test_batched_matches_per_chunk_engine_only(self):
-        # threshold 0 forces the per-chunk (summary) path, a huge
-        # threshold forces full batching.
-        per_chunk = run_toy(0)
-        batched = run_toy(1 << 40)
-        self._assert_results_match(per_chunk, batched)
-        assert per_chunk.dram_accesses > 0  # the comparison is non-trivial
-
-    def test_batched_matches_per_chunk_monitored(self):
-        mon_a = NumaProfiler(IBS(period=256))
-        mon_b = NumaProfiler(IBS(period=256))
-        per_chunk = run_toy(0, monitor=mon_a)
-        batched = run_toy(1 << 40, monitor=mon_b)
-        self._assert_results_match(per_chunk, batched)
-        assert mon_a.archive is not None and mon_b.archive is not None
-        for tid in range(8):
-            ca = mon_a.archive.thread(tid).counters
-            cb = mon_b.archive.thread(tid).counters
-            assert ca == cb
-
-    def test_default_threshold_matches_forced_paths(self):
-        default = ExecutionEngine(
-            presets.generic(n_domains=4, cores_per_domain=2),
-            ToyProgram(40_000, steps=2),
-            n_threads=8,
-        ).run()
-        self._assert_results_match(default, run_toy(0))
 
 
 def test_engine_and_profiler_agree_on_access_counts():

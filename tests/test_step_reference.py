@@ -7,12 +7,12 @@ it with ``Machine.access_latency``, and handing every chunk to the
 monitor as an eager ``ChunkView``. Page traps, accounting and the
 region loop are the production engine's.
 
-The production pipeline (pure products → keyed variants → views, batched
-or summary) must reproduce it at every memo budget: the default, zero
+The production pipeline (pure products → keyed variants → lazy views)
+must reproduce it at every memo budget: the default, zero
 (``memoize=False`` is the same thing) and a 1-byte budget that evicts
 constantly. Integer results, merged-archive counters and CCT metrics
-match exactly. Cycle floats match within ``rel=1e-9``: the summary
-variant sums a chunk's latencies in closed form, which adds the same
+match exactly. Cycle floats match within ``rel=1e-9``: the pipeline
+sums a chunk's latencies in closed form, which adds the same
 values in a different order.
 """
 
@@ -51,7 +51,7 @@ _EMPTY = (
 class PerChunkReference(ExecutionEngine):
     """One chunk at a time through the machine's per-chunk primitives."""
 
-    def _classify_phase(self, step, st, rec, cat, batched=None):
+    def _classify_phase(self, step, st, rec):
         machine = self.machine
         self._ref_chunks = {}
         st.step_requests = np.zeros(machine.n_domains, dtype=np.int64)
@@ -122,10 +122,7 @@ def _sweep_schedule():
     return schedule
 
 
-def _run(
-    workload: str, engine_cls=ExecutionEngine, batch_mean=None,
-    **engine_kwargs,
-):
+def _run(workload: str, engine_cls=ExecutionEngine, **engine_kwargs):
     schedule = None
     if workload == "sweep-scheduled":
         workload, schedule = "sweep", _sweep_schedule()
@@ -135,8 +132,6 @@ def _run(
         monitor=profiler, binding=BindingPolicy.COMPACT, schedule=schedule,
         **engine_kwargs,
     )
-    if batch_mean is not None:
-        engine.BATCH_MEAN_ACCESSES = batch_mean
     return engine.run(), profiler.archive, engine
 
 
@@ -202,14 +197,6 @@ def test_pipeline_matches_per_chunk_reference(workload, memo_bytes):
         assert (stats["hits"], stats["misses"], stats["records"]) == (0, 0, 0)
     else:
         assert stats["hits"] > 0
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_summary_variant_matches_per_chunk_reference(workload):
-    # Threshold 0 sends every memory step down the summary variant (at
-    # test scale most steps are small enough to batch).
-    res, archive, engine = _run(workload, batch_mean=0)
-    _assert_matches_reference(workload, res, archive, engine)
 
 
 def test_memoize_false_is_a_zero_budget():

@@ -1,8 +1,7 @@
-"""TimelineRecorder stacked with NumaProfiler on the batched/lazy path.
+"""TimelineRecorder stacked with NumaProfiler on lazy step views.
 
-Satellite check for the observability PR: big partitioned chunks push the
-engine onto the summary-classify / ``LazyChunkView`` path, a
-``CompositeMonitor`` fans the step views out to both monitors, and with
+Satellite check for the observability PR: the engine hands each memory
+chunk to its monitor as a ``LazyChunkView``, a ``CompositeMonitor`` fans the step views out to both monitors, and with
 Soft-IBS at period 1 (every access sampled) the profiler's CCT totals
 must agree exactly with the recorder's full-stream bucket totals.
 """
@@ -27,8 +26,6 @@ def stacked_run(small_machine):
     profiler = NumaProfiler(create_mechanism("Soft-IBS", 1))
     engine = ExecutionEngine(
         small_machine,
-        # 400k accesses over 4 threads: ~100k per chunk, far above the
-        # engine's BATCH_MEAN_ACCESSES=2048 eager threshold.
         PartitionedSweep(n_elems=400_000, steps=2),
         n_threads=4,
         monitor=CompositeMonitor(timeline, profiler),
