@@ -172,18 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="K",
                         help="steady iterations observed before "
                         "extrapolation arms (default 2)")
-    parser.add_argument("--extrap-period", type=int, default=4,
-                        metavar="P",
-                        help="longest phase cycle the detector searches "
-                        "for (default 4; 1 = fixed points only)")
     parser.add_argument("--extrap-disarm", type=int, default=3,
                         metavar="M",
                         help="non-converging detection windows before "
                         "the phase detector disarms to a cheap epoch "
                         "check (default 3; 0 = never disarm)")
-    parser.add_argument("--no-extrap-share", action="store_true",
-                        help="disable the cross-region phase library "
-                        "(each region converges on its own)")
     parser.add_argument("--top", type=int, default=6,
                         help="variables to show in the data-centric view")
     parser.add_argument("--var", default=None,
@@ -257,14 +250,6 @@ def _print_phase_summary(report: dict | None) -> None:
         line += f"; declared eps = {report['epsilon']:.3g}"
     if report["breaks"]:
         line += f"; {report['breaks']} phase break(s)"
-    period = max(
-        (r.get("period", 0) for r in report.get("regions", {}).values()),
-        default=0,
-    )
-    if period > 1:
-        line += f"; longest cycle period {period}"
-    if report.get("library_hits"):
-        line += f"; {report['library_hits']} phase-library hit(s)"
     if report.get("disarms"):
         line += f"; detector disarmed {report['disarms']}x"
     print(line + "\n")
@@ -289,10 +274,6 @@ def _run(args: argparse.Namespace) -> int:
     if args.extrap_warmup < 1:
         raise UsageError(
             f"--extrap-warmup must be at least 1, got {args.extrap_warmup}"
-        )
-    if args.extrap_period < 1:
-        raise UsageError(
-            f"--extrap-period must be at least 1, got {args.extrap_period}"
         )
     if args.extrap_disarm < 0:
         raise UsageError(
@@ -325,9 +306,7 @@ def _run(args: argparse.Namespace) -> int:
     memo_bytes = int(DEFAULT_MEMO_BYTES * max(1.0, args.scale))
     extrap_kwargs = {
         "extrapolate": extrapolate, "extrap_warmup": args.extrap_warmup,
-        "extrap_period": args.extrap_period,
         "extrap_disarm": args.extrap_disarm,
-        "extrap_share": not args.no_extrap_share,
         "memo_bytes": memo_bytes,
     }
     with tr.span("cli.baseline_run", "harness"):

@@ -278,19 +278,11 @@ def run_perf(
                 extrap_speedup=mon_s / ext_s if ext_s > 0 else 0.0,
                 phase_coverage_pct=report.get("coverage_pct", 0.0),
                 epsilon=report.get("epsilon", 0.0),
-                phase_period=max(
-                    (r.get("period", 0)
-                     for r in report.get("regions", {}).values()),
-                    default=0,
-                ),
                 phase_disarms=report.get("disarms", 0),
-                phase_library_hits=report.get("library_hits", 0),
                 phase_coverage_by_region={
                     rname: {
                         "coverage_pct": r.get("coverage_pct", 0.0),
-                        "period": r.get("period", 0),
                         "disarms": r.get("disarms", 0),
-                        "library_hits": r.get("library_hits", 0),
                         "breaks": r.get("breaks", 0),
                     }
                     for rname, r in report.get("regions", {}).items()

@@ -189,28 +189,23 @@ class CacheHierarchy:
         """Copy of the raw streaming state (phase-recording baseline)."""
         return dict(self._stream_pos), dict(self._last_visit)
 
-    def phase_delta(
-        self, snapshot: tuple[dict, dict]
-    ) -> tuple[dict, list, dict]:
-        """How one iteration moved the state: per-CPU stream advances,
-        the keys it touched, and those keys' absolute end-of-iteration
-        last-visit positions. Advances and touched sets are
-        iteration-invariant for a steady (identical-trace) iteration,
-        which makes :meth:`phase_advance` exact; the last-visit values
-        grow by the cycle advance each period and are what
-        :meth:`phase_advance_cycle` reconstructs per slot."""
+    def phase_delta(self, snapshot: tuple[dict, dict]) -> tuple[dict, list]:
+        """How one iteration moved the state: per-CPU stream advances
+        and the keys it touched. Both are iteration-invariant for a
+        steady (identical-trace) iteration, which makes
+        :meth:`phase_advance` exact."""
         snap_pos, snap_lv = snapshot
         delta_pos = {
             cpu: pos - snap_pos.get(cpu, 0)
             for cpu, pos in self._stream_pos.items()
             if pos != snap_pos.get(cpu, 0)
         }
-        lv_obs = {
-            key: last
+        touched = [
+            key
             for key, last in self._last_visit.items()
             if snap_lv.get(key) != last
-        }
-        return delta_pos, list(lv_obs), lv_obs
+        ]
+        return delta_pos, touched
 
     def phase_advance(self, delta: tuple, n: int) -> None:
         """Fast-forward the state by ``n`` steady iterations, exactly.
@@ -222,78 +217,13 @@ class CacheHierarchy:
         last-visit markers riding along, untouched keys unchanged
         (their reuse distances grow by exactly the stream advance).
         """
-        delta_pos, touched = delta[0], delta[1]
+        delta_pos, touched = delta
         pos = self._stream_pos
         for cpu, d in delta_pos.items():
             pos[cpu] = pos.get(cpu, 0) + d * n
         lv = self._last_visit
         for key in touched:
             lv[key] += delta_pos.get(key[0], 0) * n
-
-    def phase_advance_cycle(self, slot_deltas: list[tuple], n: int) -> None:
-        """Fast-forward the state by ``n`` iterations of a period-p
-        cycle, exactly.
-
-        ``slot_deltas`` is the cycle's :meth:`phase_delta` per slot in
-        chronological order; the current state is the end of the live
-        baseline cycle (slot p-1 just finished), and skipped iteration
-        ``t`` replays slot ``t % p``. All arithmetic is integer:
-
-        * stream positions advance by ``C`` whole-cycle sums plus the
-          remainder slots' deltas (``n = C*p + m``);
-        * a key's last-visit marker lands where its final skipped visit
-          left it: the recorded end-of-slot value shifted by one cycle
-          advance per completed cycle since the baseline observation —
-          ``lv_obs[j] + (q+1) * cycle_pos`` for a last visit in slot
-          ``j`` of 0-based skipped cycle ``q``;
-        * keys no skipped iteration touches stay put (their reuse
-          distances grow by exactly the stream advance).
-
-        For p = 1 this reduces to :meth:`phase_advance`:
-        ``lv_obs[key] + n*d`` equals the old ``lv[key] += d*n`` because
-        the baseline value is the live iteration's own.
-        """
-        p = len(slot_deltas)
-        if p == 1:
-            self.phase_advance(slot_deltas[0], n)
-            return
-        full, rem = divmod(n, p)
-        cycle_pos: dict[int, int] = {}
-        for dp, _, _ in slot_deltas:
-            for cpu, d in dp.items():
-                cycle_pos[cpu] = cycle_pos.get(cpu, 0) + d
-        pos = self._stream_pos
-        for cpu, d in cycle_pos.items():
-            pos[cpu] = pos.get(cpu, 0) + d * full
-        for dp, _, _ in slot_deltas[:rem]:
-            for cpu, d in dp.items():
-                pos[cpu] = pos.get(cpu, 0) + d
-        # Last touching slot per key, split at the remainder boundary:
-        # a key's final visit is in the remainder partial cycle if any
-        # of its slots runs there, else in the last completed cycle.
-        last_slot: dict[tuple, int] = {}
-        last_slot_rem: dict[tuple, int] = {}
-        for j, (_, touched, _) in enumerate(slot_deltas):
-            for key in touched:
-                last_slot[key] = j
-                if j < rem:
-                    last_slot_rem[key] = j
-        lv = self._last_visit
-        for key, j in last_slot.items():
-            shift = cycle_pos.get(key[0], 0)
-            j_rem = last_slot_rem.get(key)
-            if j_rem is not None:
-                # Final visit in the remainder cycle (0-based cycle
-                # index ``full`` → ``full + 1`` cycle shifts from the
-                # live baseline observation).
-                lv[key] = slot_deltas[j_rem][2][key] + (full + 1) * shift
-            elif full >= 1:
-                lv[key] = slot_deltas[j][2][key] + full * shift
-            # else: no skipped iteration touches this key (n < its
-            # first slot in the remainder and no full cycle) — but with
-            # n >= 1 and p slots all inside the cycle, full == 0 and
-            # rem == n means slots >= n never run; leave those keys at
-            # their live-baseline values.
 
     def _fetch_level(
         self, cpu: int, seg_id: int, first_addr: int, footprint: int

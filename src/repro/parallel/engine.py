@@ -54,7 +54,7 @@ from repro.runtime.arena import (
 from repro.runtime.driver import RunResult, drive
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.memo import memo_budget
-from repro.runtime.phase import DEFAULT_DISARM_AFTER, DEFAULT_MAX_PERIOD
+from repro.runtime.phase import DEFAULT_DISARM_AFTER
 from repro.runtime.thread import BindingPolicy
 from repro.parallel.worker import _init_worker, _round_task
 
@@ -165,10 +165,9 @@ class _PoolBackend:
             inflation[s] = inflate(s, step_requests[s])
         return self._round("finish_iteration", inflation)
 
-    def extrapolate(self, region_idx, n_skip, release, mode, period):
+    def extrapolate(self, region_idx, n_skip, release, mode):
         return self._round(
-            "extrapolate_iterations", region_idx, n_skip, release, mode,
-            period,
+            "extrapolate_iterations", region_idx, n_skip, release, mode
         )
 
     def finish_run(self) -> list[dict]:
@@ -224,9 +223,7 @@ class ParallelEngine:
         schedule=None,
         extrapolate: bool = False,
         extrap_warmup: int = 2,
-        extrap_period: int = DEFAULT_MAX_PERIOD,
         extrap_disarm: int = DEFAULT_DISARM_AFTER,
-        extrap_share: bool = True,
         use_shm: bool | None = None,
     ) -> None:
         if n_workers < 1:
@@ -256,17 +253,15 @@ class ParallelEngine:
         #: everything except trap attribution, which the log omits).
         self.applied_actions: list = []
         #: Phase-adaptive extrapolation (see :mod:`repro.runtime.phase`):
-        #: every shard detects cycles over its slice, the driver arms a
-        #: skip only when all shards agree, so entry/exit rounds are
-        #: identical across worker counts. ``phase_report`` (a dict) is
+        #: every shard detects fixed points over its slice, the driver
+        #: arms a skip only when all shards agree, so entry/exit rounds
+        #: are identical across worker counts. ``phase_report`` (a dict) is
         #: attached after a run when enabled.
         self.extrapolate = (
             bool(extrapolate) and memo_budget(memoize, memo_bytes) > 0
         )
         self.extrap_warmup = max(1, int(extrap_warmup))
-        self.extrap_period = max(1, int(extrap_period))
         self.extrap_disarm = max(0, int(extrap_disarm))
-        self.extrap_share = bool(extrap_share)
         self.phase_report: dict | None = None
         #: Shared-memory round payloads: ``None`` probes availability at
         #: run time, ``False`` forces the pickled-payload fallback
@@ -296,9 +291,7 @@ class ParallelEngine:
             schedule=self.schedule,
             extrapolate=self.extrapolate,
             extrap_warmup=self.extrap_warmup,
-            extrap_period=self.extrap_period,
             extrap_disarm=self.extrap_disarm,
-            extrap_share=self.extrap_share,
         )
 
     # ------------------------------------------------------------------ #

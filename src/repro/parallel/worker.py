@@ -106,10 +106,10 @@ def _finish_iteration(engine, inflation: np.ndarray) -> dict:
     return payload
 
 
-def _extrapolate_iterations(engine, region_idx, n_skip, release, mode,
-                            period) -> dict:
+def _extrapolate_iterations(engine, region_idx, n_skip, release,
+                            mode) -> dict:
     payload = engine.extrapolate_iterations(
-        region_idx, n_skip, release, mode, period
+        region_idx, n_skip, release, mode
     )
     _WORKER["totals"]["skipped"] += n_skip
     _sample(payload["ints"], obs.FLAG_EXTRAPOLATED,

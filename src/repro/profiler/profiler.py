@@ -662,14 +662,6 @@ class NumaProfiler(Monitor):
         on the identical operand arrays in the identical order the live
         iteration performed, so the accumulated floats are bit-identical
         to having simulated the skipped iterations.
-
-        Period-p cycle contract: the engine holds one program per cycle
-        slot and calls ``phase_replay(slot_prog, 1)`` per skipped
-        iteration in slot order (``phase_replay(prog, n)`` for the
-        period-1 fast path). Replaying slot programs interleaved this
-        way reproduces the exact float-add order of simulating the
-        cycle, because each program's op list is self-contained (it
-        carries its own operand arrays and row indices).
         """
         ops, d_samples, d_events = prog
         ctr = self._ctr
@@ -754,11 +746,6 @@ class NumaProfiler(Monitor):
         Returns the observed relative half-spread across the window (the
         declared ε contribution). [min, max] address ranges are left at
         their simulated-window values — see MODEL.md for the contract.
-
-        Period-p cycle contract: the accumulation is purely additive
-        (``scale_rows`` adds ``mean * n``), so the engine calls this
-        once per cycle slot with that slot's trailing window and skip
-        count; per-slot contributions compose by addition in any order.
         """
         w = len(deltas)
         eps = 0.0

@@ -11,11 +11,11 @@ stored. A sweep is an :class:`AffineChunk` — addresses ``first + step*i``
 for ``i < n``, kept as those three integers — and indirect or hand-built
 chunks are :class:`AccessChunk` with an explicit int64 array. Consumers
 ask the chunk what they need (``n_accesses``, ``first_addr``,
-``addrs_at``, ``unique_pages``, ``fetch_products``, ``checksum``,
-``nbytes``); an affine chunk answers each in closed form, so the
-engine's step pipeline never expands a sweep's addresses. ``.addrs``
-materializes the whole array on every call and is reserved for full
-materialization (see docs/MODEL.md, "Chunk geometry").
+``addrs_at``, ``unique_pages``, ``fetch_products``, ``nbytes``); an
+affine chunk answers each in closed form, so the engine's step pipeline
+never expands a sweep's addresses. ``.addrs`` materializes the whole
+array on every call and is reserved for full materialization (see
+docs/MODEL.md, "Chunk geometry").
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from repro.machine.cache import SEQUENTIAL_STRIDE_LIMIT, array_fetch_products
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.heap import Variable
 from repro.units import fast_unique
-
-#: Address checksums are sums modulo 2**64 (``uint64`` wrap-around).
-_CHECKSUM_MOD = 1 << 64
 
 
 class AccessChunk:
@@ -134,10 +131,6 @@ class AccessChunk:
         fetch, footprint, seq = array_fetch_products(self._addrs, line_size)
         return fetch, np.flatnonzero(fetch), footprint, seq
 
-    def checksum(self) -> int:
-        """Sum of the addresses modulo 2**64 (trace content keys)."""
-        return int(self._addrs.sum(dtype=np.uint64))
-
 
 class AffineChunk(AccessChunk):
     """A sweep: ``n`` accesses at ``first + step*i``, stored as a descriptor.
@@ -239,10 +232,6 @@ class AffineChunk(AccessChunk):
             fetch[fidx] = True
         seq = n < 2 or 0 <= step <= SEQUENTIAL_STRIDE_LIMIT
         return fetch, fidx, int(fidx.size) * line_size, seq
-
-    def checksum(self) -> int:
-        n = self._n
-        return (n * self._first + self._step * (n * (n - 1) // 2)) % _CHECKSUM_MOD
 
 
 class StepTrace(list):

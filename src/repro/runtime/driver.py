@@ -7,8 +7,8 @@ The driver owns, once:
 
 * the region/iteration loop and the per-step contention inflation,
   computed from DRAM requests merged over every shard;
-* phase extrapolation: the union plan over the shards' readiness
-  vectors, the skip clamp, and the exact/ε fold of the merged cycle;
+* phase extrapolation: the union plan over the shards' readiness,
+  the skip clamp, and the exact/ε fold of the merged iteration;
 * run totals, the per-region phase report, metrics samples and the
   :class:`RunResult`.
 
@@ -24,7 +24,7 @@ returns one payload per shard, in shard order:
     classify and finish every step, then close the iteration.
     ``inflate(s, requests)`` takes step ``s``'s merged DRAM requests
     and returns its inflation;
-``extrapolate(region_idx, n_skip, release, mode, period)``
+``extrapolate(region_idx, n_skip, release, mode)``
     apply skipped iterations' shard-local effects;
 ``finish_run()`` / ``close(result, final)``
     per-shard totals, then the monitor hand-off once the result exists.
@@ -51,8 +51,7 @@ from repro.runtime.phase import (
     PhaseReport,
     mean_cycles,
     next_schedule_boundary,
-    slot_counts,
-    slot_windows,
+    trailing_window,
     union_plan,
     window_eps,
 )
@@ -153,14 +152,14 @@ class InProcessBackend:
                 tr.pair(it.region.name, "engine", t.tid, self._t0, t1)
         return [engine.end_iteration()]
 
-    def extrapolate(self, region_idx, n_skip, release, mode, period):
+    def extrapolate(self, region_idx, n_skip, release, mode):
         with obs.TRACER.span(
             "engine.phase.extrapolate", "engine",
             region=self.engine._regions[region_idx].name,
-            iterations=n_skip, mode=mode, period=period,
+            iterations=n_skip, mode=mode,
         ):
             return [self.engine.extrapolate_iterations(
-                region_idx, n_skip, release, mode, period
+                region_idx, n_skip, release, mode
             )]
 
     def finish_run(self) -> list[dict]:
@@ -193,7 +192,6 @@ def drive(backend) -> RunResult:
     threads = engine.threads
     n_domains = machine.n_domains
     schedule = engine.schedule
-    max_period = engine.extrap_period
     warmup = engine.extrap_warmup
 
     started = backend.start()
@@ -205,7 +203,6 @@ def drive(backend) -> RunResult:
             f"driver has {len(regions)}, shards report {n_regions}"
         )
     phase_ok = engine.extrapolate and all(s["phase_ok"] for s in started)
-    monitored = any(s["monitored"] for s in started)
 
     tr = obs.TRACER
     traced = tr.enabled
@@ -239,13 +236,13 @@ def drive(backend) -> RunResult:
         )
         #: Trailing merged-iteration window. Shard histories are
         #: contiguous suffixes of the live iterations, so its last
-        #: ``steady_tail`` entries are exactly the verified on-cycle tail
+        #: ``steady_tail`` entries are exactly the verified steady tail
         #: one detector over the union would hold.
-        window: deque = deque(maxlen=max_period * (warmup + 2))
+        window: deque = deque(maxlen=warmup)
         plan = None
         n_exact = n_eps = 0
         eps_max = 0.0
-        breaks = disarms = lib_hits = period_armed = 0
+        breaks = disarms = 0
         iteration = 0
         while iteration < region.repeat:
             if plan is not None:
@@ -253,32 +250,17 @@ def drive(backend) -> RunResult:
                     schedule, r_idx, iteration, region.repeat
                 )
                 n_skip = stop - iteration
-                mode, period, tail_len = plan
-                if mode == "exact" and period > 1 and monitored:
-                    # The monitor's selection state cycles with the
-                    # phase; replay only advances its accumulators.
-                    # Skipping whole cycles lands that state back on the
-                    # live baseline; a partial cycle would resume the
-                    # monitor mid-cycle and diverge, so the remainder
-                    # iterations run live instead.
-                    n_skip -= n_skip % period
-                    stop = iteration + n_skip
+                mode, tail_len = plan
                 if n_skip > 0:
                     shards = backend.extrapolate(
-                        r_idx, n_skip, stop == region.repeat, mode, period
+                        r_idx, n_skip, stop == region.repeat, mode
                     )
-                    period_armed = period
-                    lib_hits = max(
-                        lib_hits, max(p["library_hits"] for p in shards)
-                    )
-                    recs = [e.rec for e in list(window)[-period:]]
-                    counts = slot_counts(n_skip, period)
+                    rec = window[-1].rec
                     if mode == "exact":
-                        # Skipped iteration t replays slot t % period:
-                        # the same float adds, in the same order, as
-                        # simulating it.
-                        for t_i in range(n_skip):
-                            rec = recs[t_i % period]
+                        # Every skipped iteration replays the last live
+                        # one: the same float adds, in the same order,
+                        # as simulating it.
+                        for _ in range(n_skip):
                             for t in active:
                                 busy[t.tid] += rec.region_cycles[t.tid]
                             wall += rec.elapsed
@@ -287,34 +269,26 @@ def drive(backend) -> RunResult:
                             )
                         n_exact += n_skip
                     else:
-                        # ε: each slot's window-mean cycles, scaled by
-                        # its skip count.
+                        # ε: the window-mean cycles, scaled by the skip.
                         tail = list(window)[-tail_len:] if tail_len else []
-                        windows = slot_windows(tail, period, warmup)
-                        for w, cnt in zip(windows, counts):
-                            if not cnt or not w:
-                                continue
+                        w = trailing_window(tail, warmup)
+                        if w:
                             rc_mean, elapsed_mean = mean_cycles(w)
                             for t in active:
-                                busy[t.tid] += rc_mean[t.tid] * cnt
-                            wall += elapsed_mean * cnt
+                                busy[t.tid] += rc_mean[t.tid] * n_skip
+                            wall += elapsed_mean * n_skip
                             region_wall[name] = (
                                 region_wall.get(name, 0.0)
-                                + elapsed_mean * cnt
+                                + elapsed_mean * n_skip
                             )
-                        eps = max(
-                            [window_eps(windows)] + [p["eps"] for p in shards]
-                        )
+                        eps = max([window_eps(w)] + [p["eps"] for p in shards])
                         eps_max = max(eps_max, eps)
                         n_eps += n_skip
-                    # Engine-pure integers multiply exactly per slot.
-                    for rec, cnt in zip(recs, counts):
-                        if not cnt:
-                            continue
-                        for k in INT_FIELDS:
-                            totals[k] += rec.ints[k] * cnt
-                        domain_requests += rec.requests * cnt
-                        domain_traffic += rec.traffic * cnt
+                    # Engine-pure integers multiply exactly.
+                    for k in INT_FIELDS:
+                        totals[k] += rec.ints[k] * n_skip
+                    domain_requests += rec.requests * n_skip
+                    domain_traffic += rec.traffic * n_skip
                     iteration = stop
                     skipped += n_skip
                     if traced:
@@ -376,13 +350,10 @@ def drive(backend) -> RunResult:
 
             if phase_ok:
                 infos = [f["phase"] for f in fin]
-                plan = union_plan(infos, max_period)
+                plan = union_plan(infos)
                 if all(p is not None for p in infos):
                     breaks = max(breaks, max(p["breaks"] for p in infos))
                     disarms = max(disarms, max(p["disarms"] for p in infos))
-                    lib_hits = max(
-                        lib_hits, max(p["library_hits"] for p in infos)
-                    )
                 window.append(EpsSample(
                     rec=IterationRecording(
                         ints=it_ints,
@@ -414,9 +385,7 @@ def drive(backend) -> RunResult:
             stats_r.extrapolated_eps += n_eps
             stats_r.simulated += region.repeat - n_exact - n_eps
             stats_r.breaks += breaks
-            stats_r.period = max(stats_r.period, period_armed)
             stats_r.disarms += disarms
-            stats_r.library_hits += lib_hits
             stats_r.epsilon = max(stats_r.epsilon, eps_max)
             if traced and breaks:
                 tr.count("engine.phase.breaks", breaks)

@@ -43,14 +43,10 @@ from repro.runtime.memo import (
 from repro.runtime.driver import InProcessBackend, RunResult, drive
 from repro.runtime.phase import (
     DEFAULT_DISARM_AFTER,
-    DEFAULT_MAX_PERIOD,
     INT_FIELDS,
     IterationRecording,
     PhaseDetector,
-    PhaseLibrary,
     sig_digest,
-    slot_counts,
-    trace_content_key,
 )
 from repro.runtime.program import Program, ProgramContext, Region, RegionKind
 from repro.runtime.thread import BindingPolicy, SimThread, bind_threads
@@ -548,9 +544,7 @@ class ExecutionEngine:
         schedule=None,
         extrapolate: bool = False,
         extrap_warmup: int = 2,
-        extrap_period: int = DEFAULT_MAX_PERIOD,
         extrap_disarm: int = DEFAULT_DISARM_AFTER,
-        extrap_share: bool = True,
     ) -> None:
         self.machine = machine
         self.program = program
@@ -579,18 +573,8 @@ class ExecutionEngine:
         #: after the run.
         self.extrapolate = bool(extrapolate) and self.memo.budget > 0
         self.extrap_warmup = max(1, int(extrap_warmup))
-        #: Longest phase cycle searched for (period-p detection).
-        self.extrap_period = max(1, int(extrap_period))
         #: Non-converging windows before a detector disarms (0 = never).
         self.extrap_disarm = max(0, int(extrap_disarm))
-        #: Cross-region phase sharing: converged cycles land in a
-        #: run-scoped library keyed by trace content so identical
-        #: regions skip their warmup (see ``repro.runtime.phase``).
-        self.phase_library = (
-            PhaseLibrary()
-            if self.extrapolate and bool(extrap_share)
-            else None
-        )
         self.phase_report: dict | None = None
         #: Per-iteration recording hooks (active only while a detector
         #: is live): overhead (tid, cycles) pairs and memo variant keys.
@@ -679,8 +663,8 @@ class ExecutionEngine:
         """Run start: monitor hookup, program setup, region list.
 
         Returns the region count (the driver cross-checks every shard
-        against its own copy), whether this shard can take part in
-        phase extrapolation, and whether it is monitored.
+        against its own copy) and whether this shard can take part in
+        phase extrapolation.
         """
         if self.monitor is not None:
             self.heap.add_monitor(self.monitor)
@@ -694,35 +678,26 @@ class ExecutionEngine:
                 self.extrapolate
                 and (self.monitor is None or self.monitor.phase_supported())
             ),
-            "monitored": self.monitor is not None,
         }
 
     def _new_detector(self, region: Region) -> PhaseDetector | None:
         """The region's phase detector, or None where one cannot pay.
 
-        A repeat-1 region can neither skip nor converge. With the
-        library, a region whose trace matches an already-converged
-        phase can arm after a single live iteration, so any repeated
-        region is worth watching.
+        A region no longer than its warmup can converge only on its
+        last iteration, with nothing left to skip.
         """
         if not (
             self.extrapolate
-            and region.repeat > 1
-            and (
-                region.repeat > self.extrap_warmup
-                or self.phase_library is not None
-            )
+            and region.repeat > self.extrap_warmup
             and (self.monitor is None or self.monitor.phase_supported())
         ):
             return None
         return PhaseDetector(
             region.name,
             warmup=self.extrap_warmup,
-            max_period=self.extrap_period,
             allow_eps=self.monitor is not None,
             monitor_present=self.monitor is not None,
             disarm_after=self.extrap_disarm,
-            library=self.phase_library,
         )
 
     def begin_iteration(self, region_idx: int, iteration: int) -> None:
@@ -791,18 +766,6 @@ class ExecutionEngine:
             if retain:
                 memo.gen_store(it.region_idx, steps, steps.nbytes)
         it.steps = steps
-        if it.observe and it.iteration == 0 and self.phase_library is not None:
-            # Per-shard trace content key: each shard's library matches
-            # its own slice of the region's step stream, so regions that
-            # share in one process share identically under sharding.
-            mon = self.monitor
-            self._detector.set_library_key(
-                trace_content_key(steps),
-                type(getattr(mon, "mechanism", mon)).__name__
-                if mon is not None
-                else None,
-                self.machine.page_table.epoch,
-            )
         it.events = self._page_events(steps)
         return {
             "n_chunks": steps.n_chunks,
@@ -1055,72 +1018,51 @@ class ExecutionEngine:
         )
 
     def extrapolate_iterations(
-        self, region_idx: int, n_skip: int, release: bool,
-        mode: str, period: int,
+        self, region_idx: int, n_skip: int, release: bool, mode: str,
     ) -> dict:
         """Apply ``n_skip`` iterations' shard-local effects unsimulated.
 
-        The driver has armed the skip at ``period`` (the smallest period
-        every shard is ready at, exact preferred) and clamped it to the
-        next scheduled boundary; it folds the merged cycle and integer
-        quantities itself. Here skipped iteration ``t`` replays cycle
-        slot ``t % period``'s overhead adds and monitor program — exact
-        mode in per-iteration slot order, the float adds of simulating
-        the cycle; ε mode as each slot's window mean scaled by its skip
-        count — and fast-forwards the cache. Returns this shard's
-        monitor ε (the cycle spread is the driver's, over its merged
-        window), library-hit count and integer deltas.
+        The driver has armed the skip (exact when every shard is exact
+        ready) and clamped it to the next scheduled boundary; it folds
+        the merged cycle and integer quantities itself. Here every
+        skipped iteration replays the last live iteration's overhead
+        adds and monitor program — exact mode in per-iteration order,
+        the float adds of simulating it; ε mode as the window mean
+        scaled by ``n_skip`` — and fast-forwards the cache. Returns
+        this shard's monitor ε (the cycle spread is the driver's, over
+        its merged window) and integer deltas.
         """
         detector = self._detector
-        detector.note_armed(mode, period)
-        recs = [e.rec for e in detector.cycle_slots(period)]
-        counts = slot_counts(n_skip, period)
+        rec = detector.history[-1].rec
         monitor = self.monitor
         overhead = self._overhead_by_tid
         eps = 0.0
         if mode == "exact":
-            for t_i in range(n_skip):
-                for tid, oh in recs[t_i % period].oh_ops:
+            for _ in range(n_skip):
+                for tid, oh in rec.oh_ops:
                     overhead[tid] += oh
             if monitor is not None:
-                if period == 1:
-                    monitor.phase_replay(recs[0].monitor_prog, n_skip)
-                else:
-                    # Per iteration in slot order: replay loops the
-                    # identical numpy ops, so this is the exact float-add
-                    # order of simulating the cycle.
-                    for t_i in range(n_skip):
-                        monitor.phase_replay(recs[t_i % period].monitor_prog, 1)
+                monitor.phase_replay(rec.monitor_prog, n_skip)
         else:
-            windows = detector.slot_windows(period)
-            for j, w in enumerate(windows):
-                if not counts[j] or not w:
-                    continue
-                oh_mean = w[0].oh_delta.copy()
-                for sample in w[1:]:
-                    oh_mean += sample.oh_delta
-                oh_mean /= len(w)
-                overhead += oh_mean * counts[j]
-                if monitor is not None:
-                    eps = max(eps, monitor.extrapolate_flush(
-                        [sample.monitor_delta for sample in w], counts[j]
-                    ))
-        if recs[0].cache_delta is not None:
+            window = detector.eps_window()
+            oh_mean = window[0].oh_delta.copy()
+            for sample in window[1:]:
+                oh_mean += sample.oh_delta
+            oh_mean /= len(window)
+            overhead += oh_mean * n_skip
+            if monitor is not None:
+                eps = monitor.extrapolate_flush(
+                    [sample.monitor_delta for sample in window], n_skip
+                )
+        if rec.cache_delta is not None:
             # Fast-forward the reuse-distance state so regions after
             # this one classify bit-identically to the exact run.
-            self.machine.cache.phase_advance_cycle(
-                [r.cache_delta for r in recs], n_skip
-            )
+            self.machine.cache.phase_advance(rec.cache_delta, n_skip)
         if release:
             self.memo.release_region(region_idx)
-        ints = dict.fromkeys(INT_FIELDS, 0)
-        for rec, cnt in zip(recs, counts):
-            for k in INT_FIELDS:
-                ints[k] += rec.ints[k] * cnt
         return {
             "eps": eps,
-            "library_hits": detector.library_hits,
-            "ints": ints,
+            "ints": {k: rec.ints[k] * n_skip for k in INT_FIELDS},
         }
 
     def finish_run(self) -> dict:

@@ -1,13 +1,12 @@
 """Phase detection and extrapolated profiling (the Pac-Sim direction).
 
 Every region iteration of a memoized run replays the same chunk trace,
-so once the simulation's *behavioral state* starts repeating, every
-remaining iteration is a bit-identical replay of an already-simulated
-one. This module detects that repetition live — as a **period-p cycle**
-(p = 1 is the classic fixed point) — and lets the engine skip the
-remaining iterations, reconstructing their contribution to every
-reported metric by replaying the recorded per-slot deltas — the cost
-model changes from O(accesses) to O(distinct phases).
+so once the simulation's *behavioral state* reaches a fixed point,
+every remaining iteration is a bit-identical replay of the last
+simulated one. This module detects that fixed point live and lets the
+engine skip the remaining iterations, reconstructing their contribution
+to every reported metric by replaying the last iteration's recorded
+deltas — the cost model changes from O(accesses) to O(distinct phases).
 
 Signature definition
 --------------------
@@ -25,46 +24,27 @@ The behavioral state before an iteration is digested as:
   via :meth:`SamplingMechanism.state_digest` (ndarray members are
   collapsed to blake2b digests by :func:`freeze_state`).
 
-Period-p induction
-------------------
+Fixed-point induction
+---------------------
 
 If the digest after iteration *i* equals the digest after iteration
-*i − p* — with the recorded engine-pure deltas compared exactly as a
+*i − 1* — with the recorded engine-pure deltas compared exactly as a
 hash-collision defense — then iteration *i* mapped the behavioral state
-of slot ``i mod p`` onto itself one cycle later. Once every one of the
-p slots has been confirmed this way (``streaks[p] >= p``) and the
-verified steady run is at least ``warmup`` iterations long
-(``streaks[p] + p >= warmup``), the state walk is closed: by induction
-each future iteration *t* replays slot ``t mod p`` exactly, so the
-engine may skip whole cycles. The fixed point is the p = 1 special
-case. The smallest ready period wins; exact readiness (monitor digest
-periodic too, cycle deltas bit-equal) is preferred over ε readiness.
+onto itself. Once the verified steady run is at least ``warmup``
+iterations long (``streak + 1 >= warmup``), by induction every future
+iteration replays the last one exactly, so the engine may skip them.
+Exact readiness (monitor digest repeating too, cycle deltas bit-equal)
+is preferred over ε readiness.
 
 The induction over the cache hierarchy's reuse-distance state does not
 need the (monotonically growing) state in the digest: a memoized region
-replays an identical chunk trace every iteration, so fetch levels are
-periodic once the memo-key signature repeats. What the cache state
-*does* require is an exact **fast-forward** on skip
-(``CacheHierarchy.phase_advance`` / ``phase_advance_cycle``): n skipped
-iterations move stream positions by the cycle's summed advance and
-touched keys' last-visit markers to where their last skipped visit
-would have left them, while untouched keys (whose reuse distances grow
-linearly — they belong to *other* regions) stay put.
-
-Cross-region phase sharing
---------------------------
-
-A run-scoped :class:`PhaseLibrary` stores every converged cycle keyed
-by ``(chunk-trace content key, monitor class, page-table epoch)``. The
-stored pattern is the cycle's per-slot state digests plus engine-pure
-delta fingerprints. A region whose live iterations walk a stored cycle
-(digests and fingerprints matching slot by slot) arms as soon as one
-full cycle has been observed — the warmup streak requirement is waived,
-because the stored pattern already proved each slot state maps onto the
-next (identical trace + identical digested state ⇒ identical
-transition). The region still replays its **own** recordings on skip:
-monitor accumulation programs are CCT-path-keyed and never transferred
-between regions.
+replays an identical chunk trace every iteration, so fetch levels
+repeat once the memo-key signature does. What the cache state *does*
+require is an exact **fast-forward** on skip
+(``CacheHierarchy.phase_advance``): n skipped iterations move stream
+positions by n per-iteration advances and touched keys' last-visit
+markers along with them, while untouched keys (whose reuse distances
+grow linearly — they belong to *other* regions) stay put.
 
 Paying for itself
 -----------------
@@ -72,7 +52,7 @@ Paying for itself
 Detection has a per-iteration cost (signature build, state digests,
 delta recording). A region that never converges would pay it on every
 iteration, so the detector **disarms** after ``disarm_after``
-consecutive non-converging windows (window = ``warmup + max_period``
+consecutive non-converging windows (window = ``warmup + 1``
 iterations): observation stops and each iteration costs one epoch
 compare. A periodic re-arm probe re-enables observation for one window
 every ``disarm_after`` windows, and any epoch change re-arms
@@ -88,25 +68,24 @@ moment any of these happens:
   fires at an iteration boundary (extrapolation also never crosses a
   scheduled boundary: the skip is clamped to the next one);
 * the page-table epoch bumps inside the window (first touches, traps);
-* the digest sequence stops being periodic for any other reason (cache
-  warmup still in progress, sampling carry drift);
-* the region exits (detector state is per-region; only the library
-  outlives it).
+* the digest stops repeating for any other reason (cache warmup still
+  in progress, sampling carry drift);
+* the region exits (detector state is per-region).
 
 ε semantics
 -----------
 
 With jittered sampling (IBS-style randomized periods) the monitor's RNG
 state advances every iteration, so a *monitored* run usually never
-reaches an exact cycle even when the engine state has. In that case the
-engine may extrapolate with **declared error**: engine-pure quantities
-(instructions, accesses, DRAM/remote counts, traffic, domain requests)
-still repeat exactly per slot and are extrapolated exactly;
+reaches an exact fixed point even when the engine state has. In that
+case the engine may extrapolate with **declared error**: engine-pure
+quantities (instructions, accesses, DRAM/remote counts, traffic, domain
+requests) still repeat exactly and are extrapolated exactly;
 sampling-dependent quantities (sample counts, latency sums, monitor
 cost cycles, and hence wall time) are extrapolated with the *mean*
-per-slot delta over each slot's trailing window, and the run summary
+per-iteration delta over the trailing window, and the run summary
 reports ε — the maximum relative half-spread observed across the
-windows. ε is an empirical spread, not a guaranteed bound. Address
+window. ε is an empirical spread, not a guaranteed bound. Address
 [min, max] ranges are never scaled.
 """
 
@@ -118,8 +97,6 @@ from hashlib import blake2b
 
 import numpy as np
 
-#: Longest cycle the detector searches for (``--extrap-period``).
-DEFAULT_MAX_PERIOD = 4
 #: Non-converging windows before the detector disarms
 #: (``--extrap-disarm``; 0 = never disarm).
 DEFAULT_DISARM_AFTER = 3
@@ -169,59 +146,6 @@ def sig_digest(epoch: int, sig: list) -> tuple:
     return (int(epoch), len(sig), h.digest())
 
 
-def trace_content_key(steps) -> bytes:
-    """Content digest of a region's pre-drawn chunk trace.
-
-    Two regions with equal keys issue the same accesses from the same
-    threads with the same instruction counts and store flags — the
-    engine- and monitor-state transition of one iteration is then the
-    same function of the digested behavioral state, which is what the
-    :class:`PhaseLibrary` sharing argument needs. Source coordinates
-    are deliberately excluded: attribution differs between regions, but
-    the library only transfers *state-evolution* trust, never monitor
-    programs. Computed once per region per run (the trace is memoized).
-
-    Addresses enter as the trace's access count and address checksum
-    (sum modulo 2**64, which chunks compute in closed form), not raw
-    bytes — hashing multi-megabyte address streams through blake2b
-    would cost more than the warmup iterations the library saves. A
-    checksum collision only starts a pattern walk; arming still
-    requires the region's own live iterations to verify every delta,
-    so a false key match wastes a comparison, never corrupts a result.
-    """
-    h = blake2b(digest_size=16)
-    meta: list[int] = []
-    instr: list[float] = []
-    n_addrs = 0
-    checksum = 0
-    for step in steps:
-        meta.append(-1)  # step boundary
-        for thread, chunk in step:
-            meta.append(int(thread.tid))
-            meta.append(1 if chunk.is_store else 0)
-            meta.append(int(chunk.n_accesses))
-            instr.append(float(chunk.n_instructions))
-            if chunk.var is not None and chunk.n_accesses:
-                n_addrs += chunk.n_accesses
-                checksum += chunk.checksum()
-    h.update(np.asarray(meta, dtype=np.int64).tobytes())
-    h.update(np.asarray(instr, dtype=np.float64).tobytes())
-    h.update(n_addrs.to_bytes(8, "little"))
-    h.update((checksum % (1 << 64)).to_bytes(8, "little"))
-    return h.digest()
-
-
-def slot_counts(n_skip: int, period: int) -> list[int]:
-    """How many of ``n_skip`` skipped iterations land on each slot.
-
-    Skipped iteration ``t`` (0-based) replays slot ``t % period``, so
-    slot ``j`` runs ``n_skip // period`` times plus one more if ``j``
-    falls in the remainder prefix.
-    """
-    full, rem = divmod(n_skip, period)
-    return [full + (1 if j < rem else 0) for j in range(period)]
-
-
 #: Engine-pure integer counters extrapolated by exact multiplication.
 INT_FIELDS = ("instructions", "accesses", "chunks", "dram", "remote_dram")
 
@@ -239,7 +163,7 @@ class IterationRecording:
     adds; ``monitor_prog`` is the monitor's recorded accumulation
     program (see ``NumaProfiler.phase_record_end``). ``cache_delta``
     is ``CacheHierarchy.phase_delta``'s ``(stream advance, touched
-    keys, end-of-iteration last-visit values)``.
+    keys)``.
     """
 
     ints: dict
@@ -257,18 +181,16 @@ class IterationRecording:
 
         Cycles are deliberately excluded — they embed the monitor's
         (possibly jittered) sampling cost, whose drift is what ε mode
-        exists for. So are the absolute last-visit values inside
-        ``cache_delta`` (they grow monotonically by construction); the
-        stream advance and touched-key set must repeat exactly for
-        *any* extrapolation.
+        exists for. The cache's stream advance and touched-key set must
+        repeat exactly for *any* extrapolation.
         """
         if other is None:
             return False
         if (self.cache_delta is None) != (other.cache_delta is None):
             return False
         if self.cache_delta is not None:
-            d_pos, touched = self.cache_delta[0], self.cache_delta[1]
-            o_pos, o_touched = other.cache_delta[0], other.cache_delta[1]
+            d_pos, touched = self.cache_delta
+            o_pos, o_touched = other.cache_delta
             if d_pos != o_pos or set(touched) != set(o_touched):
                 return False
         return (
@@ -284,19 +206,6 @@ class IterationRecording:
             and self.region_cycles == other.region_cycles
             and self.elapsed == other.elapsed
         )
-
-
-def fingerprint(rec: IterationRecording) -> IterationRecording:
-    """A library-storable copy of ``rec``: pure deltas and cycles only.
-
-    Accumulation programs and overhead ops are CCT-path-keyed and never
-    replayed across regions, so the stored pattern drops them.
-    """
-    return IterationRecording(
-        ints=rec.ints, requests=rec.requests, traffic=rec.traffic,
-        region_cycles=rec.region_cycles, elapsed=rec.elapsed,
-        oh_ops=[], cache_delta=rec.cache_delta, monitor_prog=None,
-    )
 
 
 @dataclass
@@ -344,88 +253,33 @@ def relative_spread(values: list[float]) -> float:
     return (hi - lo) / (2.0 * scale) if scale else 0.0
 
 
-def slot_windows(tail: list, period: int, depth: int) -> list[list]:
-    """Per-slot trailing ε windows over an on-cycle tail.
+def trailing_window(tail: list, depth: int) -> list:
+    """The trailing ε window over a steady tail.
 
     ``tail`` holds the verified steady iterations' samples,
-    chronological, so every ``period``-th entry belongs to the same
-    cycle slot. Each slot's window is chronological and holds at most
+    chronological. The window is chronological and holds at most
     ``depth`` samples; a None entry (an iteration recorded without an ε
-    sample) ends its slot's window.
+    sample) ends it.
     """
-    windows: list[list] = []
-    for j in range(period):
-        idx = len(tail) - period + j
-        w: list = []
-        while idx >= 0 and len(w) < depth:
-            sample = tail[idx]
-            if sample is None:
-                break
-            w.append(sample)
-            idx -= period
-        w.reverse()
-        windows.append(w)
-    return windows
+    window: list = []
+    for sample in reversed(tail):
+        if sample is None or len(window) == depth:
+            break
+        window.append(sample)
+    window.reverse()
+    return window
 
 
-def window_eps(windows: list[list[EpsSample]]) -> float:
-    """Observed relative half-spread of cycles across per-slot windows."""
-    eps = 0.0
-    for w in windows:
-        if len(w) < 2:
-            continue
-        eps = max(eps, relative_spread([s.rec.elapsed for s in w]))
-        for tid in w[0].rec.region_cycles:
-            eps = max(
-                eps,
-                relative_spread([s.rec.region_cycles[tid] for s in w]),
-            )
+def window_eps(window: list[EpsSample]) -> float:
+    """Observed relative half-spread of cycles across the window."""
+    if len(window) < 2:
+        return 0.0
+    eps = relative_spread([s.rec.elapsed for s in window])
+    for tid in window[0].rec.region_cycles:
+        eps = max(
+            eps, relative_spread([s.rec.region_cycles[tid] for s in window])
+        )
     return eps
-
-
-@dataclass
-class PhasePattern:
-    """A converged cycle as stored in the :class:`PhaseLibrary`.
-
-    ``slots`` holds, per cycle slot in chronological order, the
-    ``(engine digest, monitor digest, delta fingerprint)`` triple.
-    ``exact`` records whether the cycle converged with the monitor
-    state verified periodic too (ε = 0 eligible for a matching region).
-    """
-
-    period: int
-    exact: bool
-    slots: list
-
-
-class PhaseLibrary:
-    """Run-scoped store of converged phases, shared across regions.
-
-    Keyed by ``(trace content key, monitor class, epoch)`` — a region
-    whose trace, monitor mechanism, and page placement match a stored
-    pattern may skip its warmup streak and arm as soon as its live
-    iterations have walked one full stored cycle. In a sharded run each
-    worker process keeps its own library over its shard slices (shard
-    traces partition the union trace, so per-shard hits compose).
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict = {}
-        self.stores = 0
-        self.hits = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key) -> PhasePattern | None:
-        return self._entries.get(key)
-
-    def put(self, key, pattern: PhasePattern) -> None:
-        """First convergence wins; an exact pattern upgrades an ε one."""
-        cur = self._entries.get(key)
-        if cur is None or (pattern.exact and not cur.exact):
-            self._entries[key] = pattern
-            self.stores += 1
 
 
 class PhaseDetector:
@@ -435,11 +289,9 @@ class PhaseDetector:
     the engine records at all (the pay-for-itself disarm machinery),
     and :meth:`end_live_iteration` is called after every observed live
     iteration with the engine digest, the monitor digest, and the
-    iteration's :class:`IterationRecording`. Lag-p digest matches feed
-    per-period streak vectors; readiness at period p needs every slot
-    confirmed (``streaks[p] >= p``) and ``warmup`` verified steady
-    iterations (``streaks[p] + p >= warmup``), unless a
-    :class:`PhaseLibrary` pattern match waives the streak requirement.
+    iteration's :class:`IterationRecording`. Lag-1 digest matches feed
+    the match streaks; readiness needs ``warmup`` verified steady
+    iterations (``streak + 1 >= warmup``).
     """
 
     def __init__(
@@ -447,115 +299,35 @@ class PhaseDetector:
         region_name: str,
         *,
         warmup: int = 2,
-        max_period: int = DEFAULT_MAX_PERIOD,
         allow_eps: bool = True,
         monitor_present: bool = False,
         disarm_after: int = DEFAULT_DISARM_AFTER,
-        library: PhaseLibrary | None = None,
     ) -> None:
         self.region_name = region_name
         self.warmup = max(1, int(warmup))
-        self.max_period = max(1, int(max_period))
         self.allow_eps = bool(allow_eps)
         self.monitor_present = bool(monitor_present)
         self.disarm_after = max(0, int(disarm_after))
-        self.library = library
-        #: Per-period match streaks, index 1..max_period (index 0 unused).
-        self.streaks = [0] * (self.max_period + 1)
-        self.exact_streaks = [0] * (self.max_period + 1)
-        #: Ring of observed live iterations — deep enough for the
-        #: longest cycle's per-slot ε windows.
-        self.history: deque = deque(
-            maxlen=self.max_period * (self.warmup + 2)
-        )
+        #: Consecutive lag-1 matches (engine-pure) and, within them,
+        #: consecutive exact matches (monitor state and cycles too).
+        self.streak = 0
+        self.exact_streak = 0
+        #: Ring of observed live iterations — deep enough for the ε
+        #: window.
+        self.history: deque = deque(maxlen=self.warmup)
         self.breaks = 0
         self.disarms = 0
-        self.library_hits = 0
         #: Disarm bookkeeping: a "window" is one full detection
         #: opportunity; after ``disarm_after`` windows with no
         #: convergence the detector goes quiescent, probing one window
         #: every ``probe_interval`` iterations.
-        self.disarm_window = self.warmup + self.max_period
+        self.disarm_window = self.warmup + 1
         self.probe_interval = max(1, self.disarm_after) * self.disarm_window
         self._state = "observing"  # observing | probing | quiescent
         self._idle = 0
         self._quiet = 0
         self._probe_left = 0
         self._last_epoch = None
-        # Library matching: the stored pattern (if any) and how many
-        # trailing live iterations walked it (offset = slot of the
-        # first matching iteration).
-        self._lib_base_key = None
-        self._lib_entry: PhasePattern | None = None
-        self._lib_offset = 0
-        self._lib_len = 0
-        self._lib_exact = False
-
-    # -- library wiring ------------------------------------------------- #
-
-    def set_library_key(self, trace_key: bytes, monitor_class: str | None,
-                        epoch: int) -> None:
-        """Attach the region's sharing key (trace content + monitor)."""
-        if self.library is None:
-            return
-        self._lib_base_key = (trace_key, monitor_class)
-        self._refresh_library(epoch)
-
-    def _refresh_library(self, epoch) -> None:
-        self._lib_len = 0
-        self._lib_exact = False
-        self._lib_entry = None
-        if self.library is not None and self._lib_base_key is not None:
-            self._lib_entry = self.library.get(
-                self._lib_base_key + (epoch,)
-            )
-
-    def _match_library(self, engine_digest, monitor_digest, rec) -> None:
-        entry = self._lib_entry
-        if entry is None:
-            return
-        p = entry.period
-
-        def matches(j: int) -> bool:
-            sd, _, srec = entry.slots[j]
-            return engine_digest == sd and rec.same_pure_deltas(srec)
-
-        def exact(j: int) -> bool:
-            _, smd, srec = entry.slots[j]
-            return monitor_digest == smd and rec.same_cycle_deltas(srec)
-
-        if self._lib_len:
-            j = (self._lib_offset + self._lib_len) % p
-            if matches(j):
-                self._lib_len += 1
-                self._lib_exact = self._lib_exact and exact(j)
-                return
-            self._lib_len = 0
-        for j in range(p):
-            if matches(j):
-                self._lib_offset = j
-                self._lib_len = 1
-                self._lib_exact = exact(j)
-                return
-
-    def _publish(self) -> None:
-        """Store the converged cycle for other regions to reuse."""
-        if self.library is None or self._lib_base_key is None:
-            return
-        planned = self.plan()
-        if planned is None or planned[2]:
-            return  # not converged locally / already from the library
-        mode, p, _ = planned
-        if len(self.history) < p:
-            return
-        slots = [
-            (e.engine_digest, e.monitor_digest, fingerprint(e.rec))
-            for e in list(self.history)[-p:]
-        ]
-        self.library.put(
-            self._lib_base_key + (self._last_epoch,),
-            PhasePattern(period=p, exact=(mode == "exact"), slots=slots),
-        )
 
     # -- live-iteration observation ------------------------------------ #
 
@@ -573,7 +345,10 @@ class PhaseDetector:
         probe window opens every ``probe_interval`` iterations.
         """
         if self._last_epoch is not None and epoch != self._last_epoch:
-            self._rearm(epoch)
+            # Any placement mutation invalidates every digest (the epoch
+            # is embedded in all of them): drop history and matching
+            # state and start observing again from scratch.
+            self.invalidate()
         self._last_epoch = epoch
         if self._state == "quiescent":
             self._quiet += 1
@@ -585,26 +360,9 @@ class PhaseDetector:
             return False
         return True
 
-    def _rearm(self, epoch) -> None:
-        # Any placement mutation invalidates every digest (the epoch is
-        # embedded in all of them): drop history and matching state and
-        # start observing again from scratch.
-        if any(self.streaks[1:]):
-            self.breaks += 1
-        self._reset_matching()
-        self._state = "observing"
-        self._idle = 0
-        self._quiet = 0
-        self._probe_left = 0
-        self._refresh_library(epoch)
-
     def _reset_matching(self) -> None:
         self.history.clear()
-        for p in range(1, self.max_period + 1):
-            self.streaks[p] = 0
-            self.exact_streaks[p] = 0
-        self._lib_len = 0
-        self._lib_exact = False
+        self.streak = self.exact_streak = 0
 
     def _quiesce(self) -> None:
         self._state = "quiescent"
@@ -615,7 +373,7 @@ class PhaseDetector:
 
     def invalidate(self, *, count_break: bool = True) -> None:
         """Phase broken externally (schedule fired at this boundary)."""
-        if count_break and (any(self.streaks[1:]) or self._lib_len):
+        if count_break and self.streak:
             self.breaks += 1
         self._reset_matching()
         self._state = "observing"
@@ -633,32 +391,26 @@ class PhaseDetector:
     ) -> None:
         """Fold one finished live iteration into the streak state."""
         hist = self.history
-        was_active = any(self.streaks[1:]) or self._lib_len > 0
-        matched = False
-        for p in range(1, self.max_period + 1):
-            base = hist[-p] if len(hist) >= p else None
+        base = hist[-1] if hist else None
+        if (
+            base is not None
+            and engine_digest == base.engine_digest
+            # A digest collision would be silent corruption; the exact
+            # integer-delta comparison closes that hole.
+            and rec.same_pure_deltas(base.rec)
+        ):
+            self.streak += 1
             if (
-                base is not None
-                and engine_digest == base.engine_digest
-                # A digest collision would be silent corruption; the
-                # exact integer-delta comparison closes that hole.
-                and rec.same_pure_deltas(base.rec)
+                monitor_digest == base.monitor_digest
+                and rec.same_cycle_deltas(base.rec)
             ):
-                self.streaks[p] += 1
-                matched = True
-                if (
-                    monitor_digest == base.monitor_digest
-                    and rec.same_cycle_deltas(base.rec)
-                ):
-                    self.exact_streaks[p] += 1
-                else:
-                    self.exact_streaks[p] = 0
+                self.exact_streak += 1
             else:
-                self.streaks[p] = 0
-                self.exact_streaks[p] = 0
-        self._match_library(engine_digest, monitor_digest, rec)
-        if not matched and self._lib_len == 0 and was_active:
-            self.breaks += 1
+                self.exact_streak = 0
+        else:
+            if self.streak:
+                self.breaks += 1
+            self.streak = self.exact_streak = 0
         sample = None
         if self.allow_eps and monitor_delta is not None:
             sample = EpsSample(rec, oh_delta, monitor_delta)
@@ -670,7 +422,6 @@ class PhaseDetector:
         if self.ready:
             self._idle = 0
             self._state = "observing"
-            self._publish()
         elif self._state == "probing":
             self._probe_left -= 1
             if self._probe_left <= 0:
@@ -682,159 +433,71 @@ class PhaseDetector:
 
     # -- readiness ------------------------------------------------------ #
 
-    def _streak_ready(self, p: int, *, exact: bool) -> bool:
-        """Whether the local streaks satisfy the readiness rule at ``p``."""
-        s = (self.exact_streaks if exact else self.streaks)[p]
-        return s >= p and s + p >= self.warmup
-
-    def _lib_ready_at(self, p: int, *, exact: bool) -> bool:
-        """Library-granted readiness at period ``p`` (stored period or
-        a multiple of it, with a full cycle of p observed matches)."""
-        e = self._lib_entry
-        if e is None or p % e.period or self._lib_len < p:
-            return False
-        if exact and not (e.exact and self._lib_exact):
-            return False
-        return True
-
-    def _ready_at(self, p: int, *, exact: bool) -> bool:
-        """Readiness at ``p``; ε also needs every slot's window filled."""
-        if not (
-            self._streak_ready(p, exact=exact)
-            or self._lib_ready_at(p, exact=exact)
-        ):
+    def _ready(self, *, exact: bool) -> bool:
+        """Whether the streaks satisfy the readiness rule; ε also needs
+        a filled window."""
+        s = self.exact_streak if exact else self.streak
+        if not (s >= 1 and s + 1 >= self.warmup):
             return False
         return exact or (
-            self.allow_eps
-            and self.monitor_present
-            and all(self.slot_windows(p))
+            self.allow_eps and self.monitor_present and bool(self.eps_window())
         )
 
     @property
     def is_steady(self) -> bool:
-        """Whether the last iteration extended any match streak."""
-        return any(self.streaks[1:]) or self._lib_len > 0
-
-    @property
-    def ready_exact(self) -> bool:
-        return any(
-            self._ready_at(p, exact=True)
-            for p in range(1, self.max_period + 1)
-        )
+        """Whether the last iteration extended the match streak."""
+        return self.streak > 0
 
     @property
     def ready(self) -> bool:
-        return self.ready_exact or any(
-            self._ready_at(p, exact=False)
-            for p in range(1, self.max_period + 1)
-        )
+        return self._ready(exact=True) or self._ready(exact=False)
 
-    def plan(self) -> tuple[str, int, bool] | None:
-        """The armed extrapolation: ``(mode, period, via_library)``.
+    # -- armed-phase access --------------------------------------------- #
 
-        Exact mode is preferred over ε; within a mode the smallest
-        period wins, with a local streak beating a library match at
-        equal period (identical behavior, better provenance). This is
-        the run driver's choice for a single shard.
-        """
-        planned = union_plan([self.phase_payload()], self.max_period)
-        if planned is None:
-            return None
-        mode, p, _ = planned
-        return mode, p, self.arming_provenance(mode, p)
-
-    def arming_provenance(self, mode: str, period: int) -> bool:
-        """Whether readiness at ``(mode, period)`` is library-only.
-
-        The run driver picks the union period; a shard whose own streaks
-        don't satisfy it but whose library walk does counts a library
-        hit.
-        """
-        exact = mode == "exact"
-        return not self._streak_ready(period, exact=exact) and (
-            self._lib_ready_at(period, exact=exact)
-        )
-
-    def note_armed(self, mode: str, period: int) -> None:
-        """Record that the driver armed extrapolation at ``period``."""
-        if self.arming_provenance(mode, period):
-            self.library_hits += 1
-            if self.library is not None:
-                self.library.hits += 1
-
-    # -- armed-cycle access --------------------------------------------- #
-
-    def steady_len(self, period: int) -> int:
-        """Trailing history iterations verified on the period-p cycle."""
-        n = self.streaks[period] + period if self.streaks[period] else 0
-        e = self._lib_entry
-        if (
-            e is not None
-            and period % e.period == 0
-            and self._lib_len >= period
-        ):
-            n = max(n, self._lib_len)
+    def steady_len(self) -> int:
+        """Trailing history iterations verified on the fixed point."""
+        n = self.streak + 1 if self.streak else 0
         return min(n, len(self.history))
 
-    def cycle_slots(self, period: int) -> list[HistoryEntry]:
-        """The cycle, chronological: the next skipped iteration replays
-        slot 0 (= ``history[-period]``), the one after slot 1, …"""
-        return list(self.history)[-period:]
-
-    def slot_windows(self, period: int) -> list[list[EpsSample]]:
-        """Per-slot trailing ε windows harvested from the steady tail.
-
-        The tail (``steady_len``) is entirely on-cycle — the baseline
-        cycle's entries were verified retroactively by the lag-p match
-        — so every p-th entry belongs to the same slot (see
-        :func:`slot_windows`); windows hold at most ``warmup`` samples.
-        """
-        tail_len = self.steady_len(period)
+    def eps_window(self) -> list[EpsSample]:
+        """The trailing ε window harvested from the steady tail (at most
+        ``warmup`` samples, see :func:`trailing_window`)."""
         hist = list(self.history)
-        tail = hist[len(hist) - tail_len:] if tail_len else []
-        return slot_windows([e.sample for e in tail], period, self.warmup)
+        tail = hist[len(hist) - self.steady_len():]
+        return trailing_window([e.sample for e in tail], self.warmup)
 
     # -- run-driver protocol -------------------------------------------- #
 
     def phase_payload(self) -> dict:
-        """Readiness vectors for the run driver.
+        """Readiness for the run driver.
 
-        The driver arms the union region at the smallest period every
-        shard reports ready (exact preferred) — by construction the
-        union digest matches at lag p iff every shard's does, so this
-        reproduces :meth:`plan` over the union from per-shard state.
+        The driver arms the union region only when every shard reports
+        ready (exact preferred) — by construction the union digest
+        repeats iff every shard's does, so this reproduces one detector
+        over the union from per-shard state.
         """
-        periods = range(1, self.max_period + 1)
         return {
-            "ready_exact": [self._ready_at(p, exact=True) for p in periods],
-            "ready_eps": [self._ready_at(p, exact=False) for p in periods],
-            "steady": [self.steady_len(p) for p in periods],
+            "ready_exact": self._ready(exact=True),
+            "ready_eps": self._ready(exact=False),
+            "steady": self.steady_len(),
             "breaks": self.breaks,
             "disarmed": not self.observing,
             "disarms": self.disarms,
-            "library_hits": self.library_hits,
         }
 
 
-def union_plan(
-    shard_phases: list[dict | None], max_period: int
-) -> tuple[str, int, int] | None:
-    """Combine per-shard readiness vectors into the union's plan.
+def union_plan(shard_phases: list[dict | None]) -> tuple[str, int] | None:
+    """Combine per-shard readiness into the union's plan.
 
-    Returns ``(mode, period, steady_tail)`` — the smallest period at
-    which *every* shard is ready (exact preferred over ε), with the
-    union's verified steady-tail length (min over shards) — or ``None``.
+    Returns ``(mode, steady_tail)`` — exact when every shard is exact
+    ready, else ε when every shard is ε ready, with the union's verified
+    steady-tail length (min over shards) — or ``None``.
     """
     if not shard_phases or any(ph is None for ph in shard_phases):
         return None
     for mode, key in (("exact", "ready_exact"), ("eps", "ready_eps")):
-        for p in range(1, max_period + 1):
-            if all(
-                len(ph.get(key, ())) >= p and ph[key][p - 1]
-                for ph in shard_phases
-            ):
-                tail = min(ph["steady"][p - 1] for ph in shard_phases)
-                return (mode, p, tail)
+        if all(ph[key] for ph in shard_phases):
+            return mode, min(ph["steady"] for ph in shard_phases)
     return None
 
 
@@ -848,9 +511,7 @@ class RegionPhaseStats:
     extrapolated_eps: int = 0
     breaks: int = 0
     epsilon: float = 0.0
-    period: int = 0
     disarms: int = 0
-    library_hits: int = 0
 
     def as_dict(self) -> dict:
         extrapolated = self.extrapolated_exact + self.extrapolated_eps
@@ -865,9 +526,7 @@ class RegionPhaseStats:
             "breaks": self.breaks,
             "epsilon": self.epsilon,
             "coverage_pct": coverage,
-            "period": self.period,
             "disarms": self.disarms,
-            "library_hits": self.library_hits,
         }
 
 
@@ -910,9 +569,6 @@ class PhaseReport:
             ),
             "breaks": sum(r.breaks for r in self.regions.values()),
             "disarms": sum(r.disarms for r in self.regions.values()),
-            "library_hits": sum(
-                r.library_hits for r in self.regions.values()
-            ),
             "regions": {
                 name: r.as_dict() for name, r in self.regions.items()
             },
@@ -950,7 +606,7 @@ def validate_phase_report(report: dict) -> list[str]:
             problems.append(
                 f"{where}: exact-only extrapolation must declare epsilon 0"
             )
-        for key in ("period", "disarms", "library_hits", "breaks"):
+        for key in ("disarms", "breaks"):
             if entry.get(key, 0) < 0:
                 problems.append(f"{where}: negative {key}")
 
@@ -964,15 +620,12 @@ def validate_phase_report(report: dict) -> list[str]:
     )
     if abs(run_eps - region_eps) > 1e-12:
         problems.append(f"run epsilon {run_eps} != max region {region_eps}")
-    for key in ("disarms", "library_hits"):
-        run_v = report.get(key, 0)
-        region_v = sum(
-            e.get(key, 0) for e in report.get("regions", {}).values()
-        )
-        if report.get("regions") and run_v != region_v:
-            problems.append(
-                f"run {key} {run_v} != sum of regions {region_v}"
-            )
+    run_v = report.get("disarms", 0)
+    region_v = sum(
+        e.get("disarms", 0) for e in report.get("regions", {}).values()
+    )
+    if report.get("regions") and run_v != region_v:
+        problems.append(f"run disarms {run_v} != sum of regions {region_v}")
     return problems
 
 

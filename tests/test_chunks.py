@@ -172,8 +172,6 @@ def test_affine_closed_form_matches_array_kernels(big_var, step, offset, n):
     np.testing.assert_array_equal(affine.addrs_at(idx), ref[idx])
     np.testing.assert_array_equal(array.addrs_at(idx), ref[idx])
 
-    want_sum = int(ref.sum(dtype=np.uint64))
-    assert affine.checksum() == array.checksum() == want_sum
     assert affine.n_accesses == array.n_accesses == n
     assert affine.first_addr == array.first_addr == int(ref[0])
     np.testing.assert_array_equal(affine.addrs, ref)
@@ -217,7 +215,6 @@ def test_only_addrs_counts_a_materialization(var):
         chunk.fetch_products(LINE)
         chunk.unique_pages(PAGE)
         chunk.addrs_at(np.arange(5))
-        chunk.checksum()
         assert "engine.lazy.materialized_addrs" not in tracer.counters
         chunk.addrs
         chunk.addrs  # not cached: every call expands again
