@@ -143,10 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shard the monitored run across N worker "
                         "processes (bit-identical results; falls back to "
                         "in-process when N=1 or the platform cannot fork)")
-    parser.add_argument("--no-shm", action="store_true",
-                        help="with --workers > 1: exchange round payloads "
-                        "by pickling instead of the shared-memory columnar "
-                        "arena (bit-identical either way; debugging switch)")
     parser.add_argument("--period", type=int, default=None,
                         help="sampling period override")
     parser.add_argument("--no-memo", action="store_true",
@@ -330,7 +326,6 @@ def _run(args: argparse.Namespace) -> int:
                 create_mechanism(mech_name, period, **kwargs)
             ),
             memoize=memoize,
-            use_shm=False if args.no_shm else None,
             **extrap_kwargs,
         )
         host_t0 = time.perf_counter()

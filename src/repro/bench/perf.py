@@ -580,13 +580,9 @@ def run_workers_sweep(
             "serial_extrap": _rates(serial_x_s, serial_x_res),
         }
         for n in workers:
-            # The ``_noshm`` twin times the same live sharded run with the
-            # shared-memory round arena disabled (pickled payloads), so
-            # the JSON records what the arena buys at each worker count.
-            for suffix, extrapolate, use_shm, ref_s in (
-                ("", False, None, serial_s),
-                ("_extrap", True, None, serial_x_s),
-                ("_noshm", False, False, serial_s),
+            for suffix, extrapolate, ref_s in (
+                ("", False, serial_s),
+                ("_extrap", True, serial_x_s),
             ):
                 par = ParallelEngine(
                     machine_factory, factory, threads, n_workers=n,
@@ -595,7 +591,6 @@ def run_workers_sweep(
                     ),
                     force_sharded=True,
                     extrapolate=extrapolate,
-                    use_shm=use_shm,
                 )
                 t0 = _clock()
                 result = par.run()
@@ -603,7 +598,6 @@ def run_workers_sweep(
                 entry[f"workers_{n}{suffix}"] = dict(
                     _rates(wall_s, result),
                     speedup_vs_serial=ref_s / wall_s if wall_s else 0.0,
-                    shm_used=par.shm_used,
                 )
         sweep["workloads"][name] = entry
     return sweep
@@ -904,7 +898,6 @@ def render(doc: dict) -> str:
             for suffix, label, serial_key in (
                 ("", "live", "serial"),
                 ("_extrap", "extrap", "serial_extrap"),
-                ("_noshm", "no-shm", "serial"),
             ):
                 serial = entry.get(serial_key)
                 cells = [

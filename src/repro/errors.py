@@ -47,5 +47,5 @@ class UsageError(NumaProfError):
     """Invalid workload/machine/mechanism combination requested by a caller."""
 
 
-class SharedMemoryError(NumaProfError):
-    """A POSIX shared-memory segment could not be created (``/dev/shm`` full)."""
+class WorkerError(NumaProfError):
+    """A shard worker process died mid-run (the worker pool broke)."""

@@ -36,21 +36,12 @@ from __future__ import annotations
 
 import multiprocessing as mp
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from repro import obs
-from repro.errors import ProgramError
-from repro.runtime.arena import (
-    ArenaReader,
-    ShmArena,
-    decode_payload,
-    encode_payload,
-    force_unlink,
-    run_token,
-    shm_available,
-    worker_segment,
-)
+from repro.errors import ProgramError, WorkerError
 from repro.runtime.driver import RunResult, drive
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.memo import memo_budget
@@ -109,44 +100,26 @@ class _PoolBackend:
     program, threads, settings); it is set up but never simulates.
     """
 
-    def __init__(self, engine, executor, n_workers: int, monitored: bool,
-                 arena: ShmArena | None, reader: ArenaReader | None) -> None:
+    def __init__(self, engine, executor, n_workers: int,
+                 monitored: bool) -> None:
         self.engine = engine
         self.executor = executor
         self.n_workers = n_workers
         self.monitored = monitored
-        self.arena = arena
-        self.reader = reader
         self.archive = None
 
     def _round(self, method: str, *args) -> list:
         """Broadcast one round to all workers; results in shard order.
 
-        With the arena, large arrays in ``args`` are written to shared
-        memory **once** and every worker receives the same tiny
-        descriptors — the pickled broadcast no longer scales with
-        payload size times worker count. The round pool is rewound
-        first: the previous round's args were only read during that
-        round (all its futures resolved before this call), so the bytes
-        are dead. Worker payloads come back the same way and are
-        materialized as zero-copy views here; the driver folds them into
-        parent-owned arrays before the next round is submitted, which is
-        what makes the workers' own pool rewinds safe.
+        ``args`` and each worker's payload travel pickled through the
+        executor's channel.
         """
-        if self.arena is not None and args:
-            self.arena.reset()
-            args = tuple(encode_payload(a, self.arena) for a in args)
         futures = [
             self.executor.submit(_round_task, method, args)
             for _ in range(self.n_workers)
         ]
-        results = sorted(f.result() for f in futures)
-        if self.reader is not None:
-            return [
-                decode_payload(payload, self.reader)
-                for _shard, payload in results
-            ]
-        return [payload for _shard, payload in results]
+        return [payload for _shard, payload in
+                sorted(f.result() for f in futures)]
 
     def start(self) -> list[dict]:
         self.engine.start()
@@ -224,7 +197,6 @@ class ParallelEngine:
         extrapolate: bool = False,
         extrap_warmup: int = 2,
         extrap_disarm: int = DEFAULT_DISARM_AFTER,
-        use_shm: bool | None = None,
     ) -> None:
         if n_workers < 1:
             raise ProgramError(f"n_workers must be >= 1, got {n_workers}")
@@ -263,14 +235,6 @@ class ParallelEngine:
         self.extrap_warmup = max(1, int(extrap_warmup))
         self.extrap_disarm = max(0, int(extrap_disarm))
         self.phase_report: dict | None = None
-        #: Shared-memory round payloads: ``None`` probes availability at
-        #: run time, ``False`` forces the pickled-payload fallback
-        #: (``--no-shm``), ``True`` requests shm but still degrades to
-        #: pickling when POSIX shared memory is unavailable.
-        self.use_shm = use_shm
-        #: Whether the last run actually exchanged rounds through the
-        #: arena (False for in-process or pickled rounds).
-        self.shm_used = False
         self.archive = None
         self.threads = None
         self._ran = False
@@ -331,22 +295,9 @@ class ParallelEngine:
         for k in range(n_workers):
             claim.put(k)
         barrier = mp_ctx.Barrier(n_workers)
-        use_shm = self.use_shm
-        if use_shm is None:
-            use_shm = shm_available()
-        elif use_shm and not shm_available():
-            obs.get_logger("parallel").warning(
-                "POSIX shared memory unavailable; "
-                "falling back to pickled round payloads"
-            )
-            use_shm = False
-        token = run_token() if use_shm else None
-        self.shm_used = bool(use_shm)
-        arena = ShmArena(f"{token}-p") if use_shm else None
-        reader = ArenaReader() if use_shm else None
         # The engine factory reaches the workers by fork inheritance, so
         # nothing it closes over need be picklable.
-        spec = (self._engine, self.monitor_factory, n_workers, use_shm, token)
+        spec = (self._engine, self.monitor_factory, n_workers)
         executor = ProcessPoolExecutor(
             max_workers=n_workers,
             mp_context=mp_ctx,
@@ -355,7 +306,6 @@ class ParallelEngine:
         )
         backend = _PoolBackend(
             engine, executor, n_workers, self.monitor_factory is not None,
-            arena, reader,
         )
         try:
             with obs.TRACER.span(
@@ -363,18 +313,12 @@ class ParallelEngine:
                 workers=n_workers, threads=self.n_threads,
             ):
                 result = drive(backend)
+        except BrokenProcessPool as exc:
+            raise WorkerError(
+                f"a shard worker process died mid-run; the {n_workers}-"
+                f"worker pool was aborted ({exc})"
+            ) from exc
         finally:
             executor.shutdown()
-            if use_shm:
-                # Views into worker segments are dead (workers have
-                # exited and every fold happened inline), so close our
-                # attachments, unlink our own segments, and reap the
-                # workers' by their deterministic names — best-effort on
-                # the abort path, exact on the normal path. No
-                # ``/dev/shm`` entries survive the run either way.
-                reader.close()
-                arena.destroy()
-                for k in range(n_workers):
-                    force_unlink(worker_segment(token, k))
         self.archive = backend.archive
         return result

@@ -38,13 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.runtime.arena import (
-    ArenaReader,
-    ShmArena,
-    decode_payload,
-    encode_payload,
-    worker_segment,
-)
 from repro.runtime.driver import totals_values
 from repro.runtime.phase import INT_FIELDS
 
@@ -60,17 +53,6 @@ _WORKER: dict = {}
 # ---------------------------------------------------------------------- #
 # rounds
 # ---------------------------------------------------------------------- #
-
-
-def _start(engine) -> dict:
-    arena = _WORKER["arena"]
-    if arena is not None:
-        # Fail fast: map the outbound round segment before any work, so
-        # a /dev/shm too full to hold it stops the run here with one
-        # clear error, not at whichever later round first ships a large
-        # column. The mapping stays sparse until a payload is written.
-        arena.alloc(0)
-    return engine.start()
 
 
 def _gen_iteration(engine, region_idx: int, iteration: int) -> dict:
@@ -152,7 +134,7 @@ def _finish_run(engine) -> dict:
 
 
 _ROUNDS = {
-    "start": _start,
+    "start": lambda engine: engine.start(),
     "gen_iteration": _gen_iteration,
     "classify_iteration": _classify_iteration,
     "finish_iteration": _finish_iteration,
@@ -198,23 +180,15 @@ def _init_worker(claim_queue, barrier, spec) -> None:
         tr.enable(clear=True)
         if capacity is not None:
             tr.metrics = obs.MetricsRecorder(capacity=capacity)
-    make_engine, monitor_factory, n_shards, use_shm, shm_token = spec
+    make_engine, monitor_factory, n_shards = spec
     engine = make_engine(
         monitor_factory() if monitor_factory is not None else None
     )
     engine.shard_id = shard
     engine.n_shards = n_shards
-    arena = reader = None
-    if use_shm:
-        # Deterministic per-shard segment names: the parent can reap
-        # them by name after an abort even if this process died.
-        arena = ShmArena(worker_segment(shm_token, shard))
-        reader = ArenaReader()
     _WORKER["engine"] = engine
     _WORKER["shard"] = shard
     _WORKER["barrier"] = barrier
-    _WORKER["arena"] = arena
-    _WORKER["reader"] = reader
     _WORKER["totals"] = dict.fromkeys(INT_FIELDS + ("skipped",), 0)
 
 
@@ -229,11 +203,6 @@ def _round_task(method: str, args: tuple):
     """
     _WORKER["barrier"].wait(timeout=_BARRIER_TIMEOUT_S)
     engine = _WORKER["engine"]
-    reader: ArenaReader | None = _WORKER.get("reader")
-    if reader is not None:
-        # Broadcast args may carry descriptors into the parent's arena;
-        # materialize them as zero-copy views (attachments are cached).
-        args = decode_payload(args, reader)
     tr = obs.TRACER
     fn = _ROUNDS[method]
     # finish_run snapshots the telemetry itself, so wrapping it in a
@@ -243,12 +212,4 @@ def _round_task(method: str, args: tuple):
             payload = fn(engine, *args)
     else:
         payload = fn(engine, *args)
-    arena: ShmArena | None = _WORKER.get("arena")
-    if arena is not None and method != "finish_run":
-        # The parent consumed the previous round's payload before it
-        # submitted this one, so the outbound pool can be rewound here.
-        # finish_run ships long-lived objects (profiles, telemetry) that
-        # the parent retains past arena teardown — those stay pickled.
-        arena.reset()
-        payload = encode_payload(payload, arena)
     return _WORKER["shard"], payload

@@ -14,7 +14,7 @@ ALL_ERRORS = [
     errors.MechanismError,
     errors.ProgramError,
     errors.ProfileError,
-    errors.SharedMemoryError,
+    errors.WorkerError,
 ]
 
 

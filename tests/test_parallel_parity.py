@@ -16,6 +16,9 @@ from repro.machine import presets
 from repro.parallel import ParallelEngine, sharding_supported
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
+from repro.runtime.callstack import SourceLoc
+from repro.runtime.chunks import sweep_chunk
+from repro.runtime.program import Region, RegionKind
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
 
@@ -26,7 +29,9 @@ pytestmark = pytest.mark.skipif(
 SCALE = 0.02
 THREADS = 8
 PERIOD = 512
-WORKLOADS = ["sweep", "hotspot", "lulesh", "amg"]
+#: The paper's four Table-2 workloads plus two canonical bug-pattern
+#: kernels.
+WORKLOADS = ["sweep", "hotspot", "lulesh", "amg", "blackscholes", "umt"]
 
 _serial_cache: dict[str, tuple] = {}
 
@@ -159,88 +164,15 @@ def test_parallel_engine_single_use():
         par.run()
 
 
-# -- shared-memory arena parity / fallback / cleanup ------------------ #
-
-from repro.runtime import arena as arena_mod  # noqa: E402
-from repro.runtime.callstack import SourceLoc  # noqa: E402
-from repro.runtime.chunks import sweep_chunk  # noqa: E402
-from repro.runtime.program import Region, RegionKind  # noqa: E402
-
-#: The paper's four Table-2 workloads (plus the existing WORKLOADS list,
-#: which trades two of them for the canonical bug-pattern kernels).
-PAPER_WORKLOADS = ["lulesh", "amg", "blackscholes", "umt"]
-
-
-def _sharded_shm(workload: str, n_workers: int, use_shm: bool):
-    build = _builders(SCALE)[workload]
-    par = ParallelEngine(
-        _machine_factory, build, THREADS,
-        n_workers=n_workers,
-        binding=BindingPolicy.COMPACT,
-        monitor_factory=_monitor_factory,
-        force_sharded=True,
-        use_shm=use_shm,
-    )
-    return par.run(), par.archive, par.shm_used
-
-
-@pytest.mark.skipif(
-    not arena_mod.shm_available(),
-    reason="host has no POSIX shared memory",
-)
-@pytest.mark.parametrize("workload", PAPER_WORKLOADS)
-@pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_arena_on_off_bit_identical(workload, n_workers):
-    """The shm columnar arena is a transport, not a model change: runs
-    with descriptor payloads and with pickled payloads must match
-    bit for bit, and neither may leak ``/dev/shm`` segments."""
-    r_on, a_on, used_on = _sharded_shm(workload, n_workers, True)
-    r_off, a_off, used_off = _sharded_shm(workload, n_workers, False)
-    assert used_on and not used_off
-    _assert_results_equal(r_on, r_off)
-    _assert_archives_equal(a_on, a_off)
-    assert arena_mod.list_segments() == []
-
-
-def test_shm_forced_fallback_matches_serial(monkeypatch):
-    """When POSIX shm is unavailable the engine must fall back to the
-    pickled-payload protocol transparently — same results, shm unused."""
-    from repro.parallel import engine as par_engine
-
-    monkeypatch.setattr(par_engine, "shm_available", lambda: False)
-    serial_result, serial_archive = _serial("sweep")
-    build = _builders(SCALE)["sweep"]
-    par = ParallelEngine(
-        _machine_factory, build, THREADS, n_workers=2,
-        binding=BindingPolicy.COMPACT, monitor_factory=_monitor_factory,
-        force_sharded=True,
-    )
-    result = par.run()
-    assert par.shm_used is False
-    _assert_results_equal(serial_result, result)
-    _assert_archives_equal(serial_archive, par.archive)
-
-
-def test_shm_requested_but_unavailable_warns_and_falls_back(monkeypatch):
-    from repro.parallel import engine as par_engine
-
-    monkeypatch.setattr(par_engine, "shm_available", lambda: False)
-    build = _builders(SCALE)["sweep"]
-    par = ParallelEngine(
-        _machine_factory, build, THREADS, n_workers=2,
-        binding=BindingPolicy.COMPACT, monitor_factory=_monitor_factory,
-        force_sharded=True, use_shm=True,
-    )
-    par.run()
-    assert par.shm_used is False
+# -- a mid-run exception inside a worker ------------------------------ #
 
 
 class _ExplodingProgram:
     """Toy-style program whose parallel body raises partway through a
-    generate round — inside a shard worker, mid-run, with the arena's
-    pools live.  (The threshold must sit inside the *first* iteration:
-    the memo replays the cached trace on later ones, so a generator
-    that survives iteration 1 is never called again.)"""
+    generate round — inside a shard worker, mid-run.  (The threshold
+    must sit inside the *first* iteration: the memo replays the cached
+    trace on later ones, so a generator that survives iteration 1 is
+    never called again.)"""
 
     name = "exploding"
 
@@ -277,19 +209,13 @@ class _ExplodingProgram:
         ]
 
 
-@pytest.mark.skipif(
-    not arena_mod.shm_available(),
-    reason="host has no POSIX shared memory",
-)
-def test_arena_cleanup_after_midrun_exception():
-    """A worker dying mid-run must not leak ``/dev/shm`` segments: the
-    parent's abort path reaps its own arena and every worker's
-    deterministically-named segments."""
+def test_midrun_exception_propagates():
+    """A kernel raising inside a worker fails the parent's run with the
+    worker's exception."""
     par = ParallelEngine(
         _machine_factory, lambda: _ExplodingProgram(), THREADS,
         n_workers=2, binding=BindingPolicy.COMPACT,
-        monitor_factory=_monitor_factory, force_sharded=True, use_shm=True,
+        monitor_factory=_monitor_factory, force_sharded=True,
     )
     with pytest.raises(Exception, match="boom"):
         par.run()
-    assert arena_mod.list_segments() == []

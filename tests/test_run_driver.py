@@ -8,9 +8,8 @@ sharing promises beyond result parity:
   ``engine.steps_summary``) are counted once per merged step, so a traced sharded run reports what a serial one
   does;
 * a worker that dies mid-round fails the run quickly with
-  ``BrokenProcessPool`` and leaks no shared-memory segment;
-* a full ``/dev/shm`` at segment creation ends the CLI run in one
-  ``error:`` line, and leaks no segment either;
+  :class:`~repro.errors.WorkerError`, and ends the CLI run in one
+  ``error:`` line;
 * a schedule firing on a region's first or final iteration, and a
   1-byte memo budget, leave extrapolated runs bit-identical to fully
   simulated ones, in process and in a worker pool.
@@ -18,7 +17,7 @@ sharing promises beyond result parity:
 
 from __future__ import annotations
 
-import errno
+import multiprocessing
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -27,11 +26,11 @@ import pytest
 
 from repro import obs
 from repro.__main__ import _builders, main
+from repro.errors import WorkerError
 from repro.machine import presets
 from repro.parallel import ParallelEngine, sharding_supported
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
-from repro.runtime import arena as arena_mod
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import sweep_chunk
 from repro.runtime.phase import validate_phase_report
@@ -110,8 +109,8 @@ class _DyingProgram:
     """A parallel body whose thread 1 kills its worker process outright.
 
     ``os._exit`` skips every cleanup handler — the worker vanishes
-    mid-round holding live arena segments. Only worker processes call
-    kernels; the guard on the test process's pid keeps it safe.
+    mid-round. Only worker processes call kernels; the guard on the test
+    process's pid keeps it safe.
     """
 
     name = "dying"
@@ -148,62 +147,40 @@ class _DyingProgram:
 
 
 @needs_fork
-@pytest.mark.skipif(
-    not arena_mod.shm_available(), reason="host has no POSIX shared memory"
-)
 def test_worker_death_mid_round_raises_and_leaks_nothing():
     pid = os.getpid()
     par = ParallelEngine(
         _machine_factory, lambda: _DyingProgram(pid), THREADS, n_workers=2,
         binding=BindingPolicy.COMPACT, monitor_factory=_ibs_factory,
-        force_sharded=True, use_shm=True,
+        force_sharded=True,
     )
     t0 = time.monotonic()
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(WorkerError) as info:
         par.run()
     assert time.monotonic() - t0 < 30.0
-    assert arena_mod.list_segments() == []
-
-
-# ---------------------------------------------------------------------- #
-# (a') /dev/shm is full when a segment is created
-# ---------------------------------------------------------------------- #
-
-
-class _FullShm:
-    """``multiprocessing.shared_memory`` whose creates of worker 1's
-    segments fail as on a full ``/dev/shm``. Every other create
-    succeeds, so worker 0 holds live segments when the run aborts."""
-
-    def __init__(self, real) -> None:
-        self._real = real
-
-    def SharedMemory(self, name=None, create=False, size=0):  # noqa: N802
-        if create and name is not None and "-w1-" in name:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return self._real.SharedMemory(name=name, create=create, size=size)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    # The pool's surviving workers were shut down, not left running.
+    assert multiprocessing.active_children() == []
 
 
 @needs_fork
-@pytest.mark.skipif(
-    not arena_mod.shm_available(), reason="host has no POSIX shared memory"
-)
-def test_full_dev_shm_is_one_line_error_and_leaks_nothing(
-    monkeypatch, capsys
-):
-    real = arena_mod._shared_memory()
-    # Forked workers inherit the patched module attribute.
-    monkeypatch.setattr(arena_mod, "_shared_memory", lambda: _FullShm(real))
+def test_worker_death_in_cli_is_one_line_error(monkeypatch, capsys):
+    pid = os.getpid()
+    # The CLI's serial baseline runs in this process, where the guard
+    # keeps the program alive; only the sharded monitored run dies.
+    monkeypatch.setattr("repro.__main__._builders", lambda scale: {
+        "lulesh": lambda tuning=None: _DyingProgram(pid),
+    })
+    t0 = time.monotonic()
     rc = main([
         "lulesh", "--scale", str(SCALE), "--threads", str(THREADS),
         "--machine", "generic", "--workers", "2", "--no-save",
     ])
     err = capsys.readouterr().err.strip()
+    assert time.monotonic() - t0 < 30.0
     assert rc == 2
     assert "\n" not in err, err
-    assert err.startswith("error: cannot create shared-memory segment")
-    assert "No space left on device" in err and "--no-shm" in err
-    assert arena_mod.list_segments() == []
+    assert err.startswith("error: a shard worker process died mid-run"), err
 
 
 # ---------------------------------------------------------------------- #
