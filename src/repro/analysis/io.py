@@ -148,8 +148,15 @@ def save_archive(archive: ProfileArchive, path: str | Path) -> Path:
         "capabilities": asdict(archive.capabilities)
         if archive.capabilities is not None
         else None,
-        "profiles": {
-            str(tid): {
+    }
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        # json.dumps runs the C encoder, which json.dump to a file never
+        # does; encoding one profile at a time bounds its token buffer.
+        fh.write(json.dumps(doc)[:-1] + ', "profiles": {')
+        for i, (tid, p) in enumerate(archive.profiles.items()):
+            profile = {
                 "tid": p.tid,
                 "cpu": p.cpu,
                 "domain": p.domain,
@@ -162,13 +169,8 @@ def save_archive(archive: ProfileArchive, path: str | Path) -> Path:
                     str(page): row for page, row in p.page_heat.items()
                 },
             }
-            for tid, p in archive.profiles.items()
-        },
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+            fh.write(f'{", " if i else ""}"{tid}": {json.dumps(profile)}')
+        fh.write("}}")
     return path
 
 
@@ -250,7 +252,7 @@ def save_series(state: dict, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
     return path
 
 

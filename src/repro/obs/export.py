@@ -123,7 +123,8 @@ def write_chrome_trace(tracer: Tracer, path: str | Path) -> Path:
     """Write :func:`chrome_trace` output to ``path``; returns the path."""
     path = Path(path)
     with open(path, "w") as fh:
-        json.dump(chrome_trace(tracer), fh)
+        # json.dumps runs the C encoder; json.dump to a file never does.
+        fh.write(json.dumps(chrome_trace(tracer)))
     return path
 
 

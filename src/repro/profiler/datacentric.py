@@ -12,6 +12,8 @@ against the ground truth).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.errors import InvalidAddressError
@@ -27,15 +29,21 @@ class VariableRegistry:
         self._ends = np.empty(0, dtype=np.int64)
         self._names: list[str] = []
         self._dirty = False
+        #: name -> registration number; numbers are never reused.
+        self._tickets: dict[str, int] = {}
+        self._next_ticket = itertools.count()
+        self._keys = np.empty(0, dtype=np.int64)
 
     def register(self, var: Variable) -> None:
         """Track a newly allocated variable."""
         self._vars[var.name] = var
+        self._tickets[var.name] = next(self._next_ticket)
         self._dirty = True
 
     def unregister(self, var: Variable) -> None:
         """Drop a freed variable (later samples to it become unresolved)."""
         self._vars.pop(var.name, None)
+        self._tickets.pop(var.name, None)
         self._dirty = True
 
     def _rebuild(self) -> None:
@@ -43,16 +51,14 @@ class VariableRegistry:
         self._bases = np.array([v.base for v in ordered], dtype=np.int64)
         self._ends = np.array([v.end for v in ordered], dtype=np.int64)
         self._names = [v.name for v in ordered]
+        self._keys = np.array(
+            [self._tickets[v.name] for v in ordered], dtype=np.int64
+        )
         self._dirty = False
 
     def resolve_addr(self, addr: int) -> Variable:
         """Resolve one address to its variable."""
-        if self._dirty:
-            self._rebuild()
-        idx = int(np.searchsorted(self._bases, addr, side="right")) - 1
-        if idx < 0 or addr >= self._ends[idx]:
-            raise InvalidAddressError(f"address {addr:#x} matches no variable")
-        return self._vars[self._names[idx]]
+        return self.resolve_addrs(np.array([addr]))
 
     def resolve_addrs(self, addrs: np.ndarray) -> Variable:
         """Resolve a batch of addresses known to share one variable.
@@ -62,12 +68,47 @@ class VariableRegistry:
         maximum stays O(log n) while still detecting straddles.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
-        var = self.resolve_addr(int(addrs.min()))
-        if int(addrs.max()) >= var.end:
+        pos = self.resolve_ranges(
+            addrs.min(keepdims=True), addrs.max(keepdims=True)
+        )
+        return self._vars[self._names[int(pos[0])]]
+
+    def resolve_ranges(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Resolve many batches at once, each given by its address range.
+
+        Returns, per ``[lo[j], hi[j]]`` range, the position of its
+        variable in :attr:`live_variables` (and :attr:`keys`): one
+        ``searchsorted`` for all batches. Raises
+        :class:`~repro.errors.InvalidAddressError` when a range starts
+        outside every variable or straddles its variable's end.
+        """
+        if self._dirty:
+            self._rebuild()
+        idx = np.searchsorted(self._bases, lo, side="right") - 1
+        bad = idx < 0
+        if self._ends.size:
+            bad |= lo >= self._ends[idx]
+        if np.any(bad):
+            addr = int(lo[np.flatnonzero(bad)[0]])
+            raise InvalidAddressError(f"address {addr:#x} matches no variable")
+        over = np.flatnonzero(hi >= self._ends[idx])
+        if over.size:
+            name = self._names[int(idx[over[0]])]
             raise InvalidAddressError(
-                f"sample batch straddles variable {var.name!r}"
+                f"sample batch straddles variable {name!r}"
             )
-        return var
+        return idx
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Registration number per live variable, in base order.
+
+        Equal keys mean the very same registration: a variable freed and
+        allocated again under its name gets a new key.
+        """
+        if self._dirty:
+            self._rebuild()
+        return self._keys
 
     @property
     def live_variables(self) -> list[Variable]:

@@ -4,9 +4,9 @@
 executed chunk:
 
 1. asks its sampling mechanism which accesses are sampled,
-2. resolves each sample's address to a variable through the data-centric
-   registry (the ``move_pages``-backed page-domain query happened in the
-   machine layer and arrives as the sample's target domain),
+2. asks the page table which domain owns each sampled address (the
+   ``move_pages`` query, ``PageTable.domains_of_addrs``) and resolves the
+   address to a variable through the data-centric registry,
 3. computes M_l / M_r / per-domain counts (Section 4.1) and, when the
    mechanism supports it, latency metrics for lpi_NUMA (Section 4.2),
 4. attributes everything three ways (Section 5): code-centric to the CCT
@@ -313,8 +313,13 @@ class NumaProfiler(Monitor):
                     np.float64,
                     len(views),
                 )
-            prof = views.memo["prof"] = (crow_arr, rev)
-        crow_arr, rev = prof
+            doms = np.fromiter((v.domain for v in views), np.int64, len(views))
+            # Per view, once sampled: the registry key of its variable,
+            # then var row, data row, range base, and the variable
+            # record's base, size, bin count and bin-block base.
+            var_rows = np.full((len(views), 8), -1, dtype=np.int64)
+            prof = views.memo["prof"] = (crow_arr, rev, doms, var_rows)
+        crow_arr, rev = prof[:2]
 
         tids = views.tids
         n_ins = views.n_ins
@@ -347,125 +352,101 @@ class NumaProfiler(Monitor):
             ))
 
         if step.n_samples:
-            indices = step.indices
-            starts = step.starts
-            n_cols = self._n_cols
-            crows: list[int] = []
-            sampled: list[tuple] = []
-            for k in np.nonzero(counts)[0].tolist():
-                v = views[k]
-                n_s = int(counts[k])
-                idx = indices[starts[k]:starts[k + 1]]
-                s_targets, remote, s_lat = v.gather_samples(
-                    idx, want_lat=lat_ok
-                )
-                n_rem = int(np.count_nonzero(remote))
-                m = np.zeros(n_cols, dtype=np.float64)
-                m[0] = n_ins[k]
-                m[1] = nsi[k]
-                m[2] = n_s
-                m[3] = n_s - n_rem
-                m[4] = n_rem
-                if rev is not None:
-                    m[7] = rev[k]
-                m[8:] = np.bincount(s_targets, minlength=n_cols - 8)
-                if lat_ok:
-                    m[5] = s_lat.sum()
-                    m[6] = s_lat[remote].sum()
-                crows.append(int(crow_arr[k]))
-                sampled.append((v, v.chunk.addrs_at(idx), remote, s_lat, m))
             if traced:
                 with tr.span("profiler.attribute", "profiler"):
-                    self._record_step_samples(sampled, crows, lat_ok)
+                    self._attribute_step(views, step, prof, lat_ok)
             else:
-                self._record_step_samples(sampled, crows, lat_ok)
-            if self.heatmap:
-                self._accumulate_heat(sampled, lat_ok)
+                self._attribute_step(views, step, prof, lat_ok)
         costs = self.mechanism.cost_cycles_step(step, views)
         if traced:
             tr.end()
         return costs
 
-    def _record_step_samples(
-        self, sampled: list[tuple], crows: list[int], lat_ok: bool
-    ) -> None:
-        """Deferred accumulation, vectorized across one step's sampled chunks.
+    def _attribute_step(self, views, step, prof, lat_ok: bool) -> None:
+        """Attribute one step's samples three ways in one pass.
 
-        The per-chunk pass below is limited to row interning and variable
-        resolution; all per-sample arithmetic (metric-row adds, bin
-        histograms, address ranges) then runs once on the
-        step-concatenated arrays. Every chunk in a step belongs to a
-        distinct thread, so no accumulator row receives samples from two
-        chunks of the same step and each row's accumulation order — and
-        hence its float value — is identical to per-chunk accumulation.
+        Python visits each sampled chunk only to gather its sampled
+        addresses (and latencies) and to sum its latencies. Page owners
+        come from one ``move_pages``-style query over the step's sampled
+        addresses, per-domain counts from one ``bincount`` over
+        (chunk, domain), and variables from one registry lookup over the
+        chunks' address ranges. Rows are interned per view the first
+        time it is sampled and cached on ``views.memo``. Every chunk in
+        a step belongs to a distinct thread, so no accumulator row
+        receives samples from two chunks of the same step and each row's
+        accumulation order — and hence its float value — is identical
+        to per-chunk accumulation.
         """
-        var_rows = self._var_rows
-        data_rows = self._data_rows
-        range_rows = self._range_rows
-        vrows: list[int] = []
-        drows: list[int] = []
-        bases: list[int] = []
-        sizes: list[int] = []
-        nbins: list[int] = []
-        bin_bases: list[int] = []
-        rng_bases: list[int] = []
-        for v, s_addrs, remote, s_lat, m in sampled:
-            var = self.registry.resolve_addrs(s_addrs)
-            chunk_var = v.chunk.var
-            if chunk_var is not None and var.name != chunk_var.name:
-                raise ProfileError(
-                    f"data-centric resolution found {var.name!r} but ground "
-                    f"truth is {chunk_var.name!r}"
-                )
-            tid = v.tid
-            vkey = (tid, var.name)
-            vrow = var_rows.get(vkey)
-            if vrow is None:
-                profile = self._profile(tid)
-                rec = profile.var_record(var, n_bins=self.n_bins)
-                vrow = var_rows[vkey] = self._var_tab.alloc()
-                self._var_recs.append(rec)
-                self._bin_bases.append(self._bin_tab.alloc(rec.n_bins))
-            else:
-                rec = self._var_recs[vrow]
-            dkey = (tid, var.name, v.path)
-            drow = data_rows.get(dkey)
-            if drow is None:
-                drow = data_rows[dkey] = self._data_tab.alloc()
-            rbase = range_rows.get(dkey)
-            if rbase is None:
-                rbase = range_rows[dkey] = self._mm.alloc(rec.n_bins + 1)
-            vrows.append(vrow)
-            drows.append(drow)
-            bases.append(rec.base)
-            sizes.append(max(rec.nbytes, 1))
-            nbins.append(rec.n_bins)
-            bin_bases.append(self._bin_bases[vrow])
-            rng_bases.append(rbase)
+        crow_arr, rev, doms, var_rows = prof
+        counts = step.counts
+        ks = np.flatnonzero(counts)
+        n_s = counts[ks]
+        lo_off = step.starts[ks]
+        hi_off = step.starts[ks + 1]
+        indices = step.indices
+        addr_parts = []
+        lat_parts = []
+        for k, a, b in zip(ks.tolist(), lo_off.tolist(), hi_off.tolist()):
+            v = views[k]
+            idx = indices[a:b]
+            addr_parts.append(v.chunk.addrs_at(idx))
+            if lat_ok:
+                lat_parts.append(v.latencies_at(idx))
+        addrs = np.concatenate(addr_parts)
 
-        # All rows are interned: table buffers are stable from here on.
-        M = np.stack([s[4] for s in sampled])
-        crows_a = np.asarray(crows)
-        vrows_a = np.asarray(vrows)
-        drows_a = np.asarray(drows)
+        n_k = ks.size
+        n_dom = self._n_cols - 8
+        own = doms[ks]
+        srow = np.repeat(np.arange(n_k), n_s)
+        targets = self._engine.machine.page_table.domains_of_addrs(addrs)
+        remote = targets != own[srow]
+        nodes = np.bincount(
+            srow * n_dom + targets, minlength=n_k * n_dom
+        ).reshape(n_k, n_dom)
+        del srow, targets
+        n_rem = n_s - nodes[np.arange(n_k), own]
+        M = np.zeros((n_k, self._n_cols), dtype=np.float64)
+        M[:, 0] = views.n_ins[ks]
+        M[:, 1] = step.n_sampled_instructions[ks]
+        M[:, 2] = n_s
+        M[:, 3] = n_s - n_rem
+        M[:, 4] = n_rem
+        if rev is not None:
+            M[:, 7] = rev[ks]
+        M[:, 8:] = nodes
+        if lat_ok:
+            for j, (lat, a, b) in enumerate(
+                zip(lat_parts, lo_off.tolist(), hi_off.tolist())
+            ):
+                M[j, 5] = lat.sum()
+                M[j, 6] = lat[remote[a:b]].sum()
+
+        reg = self.registry
+        pos = reg.resolve_ranges(
+            np.minimum.reduceat(addrs, lo_off),
+            np.maximum.reduceat(addrs, lo_off),
+        )
+        keys = reg.keys[pos]
+        miss = np.flatnonzero(var_rows[ks, 0] != keys)
+        if miss.size:
+            self._intern_var_rows(
+                views, ks[miss], pos[miss], keys[miss], var_rows
+            )
+        cached = var_rows[ks]
+        crows_a = crow_arr[ks]
+        vrows_a = cached[:, 1]
+        drows_a = cached[:, 2]
         np.add.at(self._code_tab.data, crows_a, M)
         np.add.at(self._var_tab.data, vrows_a, M)
         np.add.at(self._data_tab.data, drows_a, M)
 
-        cs = np.array([len(s[1]) for s in sampled])
-        addrs = np.concatenate([s[1] for s in sampled])
-        remote = np.concatenate([s[2] for s in sampled])
-
         # Per-sample bin index, then the row in the flat bin table:
         # same floor-divide formula as addresscentric.bin_indices, with
         # the per-chunk variable geometry repeated onto the samples.
-        nb = np.repeat(np.asarray(nbins, dtype=np.int64), cs)
-        rel = addrs - np.repeat(np.asarray(bases, dtype=np.int64), cs)
-        bins = np.clip(
-            (rel * nb) // np.repeat(np.asarray(sizes, dtype=np.int64), cs),
-            0, nb - 1,
-        )
-        rows = np.repeat(np.asarray(bin_bases, dtype=np.int64), cs) + bins
+        nb = np.repeat(cached[:, 6], n_s)
+        rel = addrs - np.repeat(cached[:, 4], n_s)
+        bins = np.clip((rel * nb) // np.repeat(cached[:, 5], n_s), 0, nb - 1)
+        rows = np.repeat(cached[:, 7], n_s) + bins
         n_rows = self._bin_tab.n_rows
         btab = self._bin_tab.data
         cnt = np.bincount(rows, minlength=n_rows)
@@ -476,7 +457,7 @@ class NumaProfiler(Monitor):
         btab[:n_rows, 2] += mis
         lat_b = lat_rb = None
         if lat_ok:
-            lat = np.concatenate([s[3] for s in sampled])
+            lat = np.concatenate(lat_parts)
             lat_b = np.bincount(rows, weights=lat, minlength=n_rows)
             lat_rb = np.bincount(
                 rows[remote], weights=lat[remote], minlength=n_rows
@@ -487,7 +468,7 @@ class NumaProfiler(Monitor):
         # Address ranges: row 0 of each block tracks the whole variable,
         # rows 1.. its bins — cover both with one scatter each.
         a64 = addrs.astype(np.float64)
-        whole = np.repeat(np.asarray(rng_bases, dtype=np.int64), cs)
+        whole = np.repeat(cached[:, 3], n_s)
         rng_rows = np.concatenate([whole, whole + 1 + bins])
         vals = np.concatenate([a64, a64])
         mm = self._mm.data
@@ -503,40 +484,84 @@ class NumaProfiler(Monitor):
                 "samples", crows_a, vrows_a, drows_a, M,
                 cnt, match, mis, lat_b, lat_rb,
             ))
+        if self.heatmap:
+            for j, k in enumerate(ks.tolist()):
+                self._accumulate_heat(
+                    views[k].tid, addr_parts[j], lat_parts[j] if lat_ok else None
+                )
 
-    def _accumulate_heat(self, sampled: list[tuple], lat_ok: bool) -> None:
-        """Fold one step's samples into the per-(thread, page) heatmap.
+    def _intern_var_rows(self, views, ks, pos, keys, var_rows) -> None:
+        """Check and intern the variable rows of views ``ks`` (ascending).
+
+        ``pos``/``keys`` are each view's resolved registry position and
+        key. Rows are interned in view order, var row then data row then
+        range block, exactly as when every sampled chunk was visited.
+        """
+        live = self.registry.live_variables
+        for k, p, key in zip(ks.tolist(), pos.tolist(), keys.tolist()):
+            v = views[k]
+            var = live[p]
+            chunk_var = v.chunk.var
+            if chunk_var is not None and var.name != chunk_var.name:
+                raise ProfileError(
+                    f"data-centric resolution found {var.name!r} but ground "
+                    f"truth is {chunk_var.name!r}"
+                )
+            tid = v.tid
+            vkey = (tid, var.name)
+            vrow = self._var_rows.get(vkey)
+            if vrow is None:
+                rec = self._profile(tid).var_record(var, n_bins=self.n_bins)
+                vrow = self._var_rows[vkey] = self._var_tab.alloc()
+                self._var_recs.append(rec)
+                self._bin_bases.append(self._bin_tab.alloc(rec.n_bins))
+            else:
+                rec = self._var_recs[vrow]
+            dkey = (tid, var.name, v.path)
+            drow = self._data_rows.get(dkey)
+            if drow is None:
+                drow = self._data_rows[dkey] = self._data_tab.alloc()
+            rbase = self._range_rows.get(dkey)
+            if rbase is None:
+                rbase = self._range_rows[dkey] = self._mm.alloc(rec.n_bins + 1)
+            var_rows[k] = (
+                key, vrow, drow, rbase, rec.base, max(rec.nbytes, 1),
+                rec.n_bins, self._bin_bases[vrow],
+            )
+
+    def _accumulate_heat(
+        self, tid: int, s_addrs: np.ndarray, s_lat: np.ndarray | None
+    ) -> None:
+        """Fold one chunk's samples into the per-(thread, page) heatmap.
 
         Each row is ``page -> [count, lat_sum, lat_min, lat_max]``;
         latency stats stay zero when the mechanism does not capture
-        latency. Kept per-tid so sharded runs ship the heat with each
-        owned :class:`ThreadProfile` and need no extra merge code.
+        latency (``s_lat`` is None). Kept per-tid so sharded runs ship
+        the heat with each owned :class:`ThreadProfile` and need no
+        extra merge code.
         """
         page_size = self._page_size
-        for v, s_addrs, _remote, s_lat, _m in sampled:
-            pages = s_addrs // page_size
-            uniq, inv = np.unique(pages, return_inverse=True)
-            counts = np.bincount(inv, minlength=uniq.size)
-            if lat_ok:
-                lat_sum = np.bincount(
-                    inv, weights=s_lat, minlength=uniq.size
-                )
-                lat_min = np.full(uniq.size, np.inf)
-                lat_max = np.zeros(uniq.size)
-                np.minimum.at(lat_min, inv, s_lat)
-                np.maximum.at(lat_max, inv, s_lat)
-            heat = self._heat.setdefault(v.tid, {})
-            for i, page in enumerate(uniq.tolist()):
-                row = heat.get(page)
-                if row is None:
-                    row = heat[page] = [0.0, 0.0, float("inf"), 0.0]
-                row[0] += float(counts[i])
-                if lat_ok:
-                    row[1] += float(lat_sum[i])
-                    if lat_min[i] < row[2]:
-                        row[2] = float(lat_min[i])
-                    if lat_max[i] > row[3]:
-                        row[3] = float(lat_max[i])
+        pages = s_addrs // page_size
+        uniq, inv = np.unique(pages, return_inverse=True)
+        counts = np.bincount(inv, minlength=uniq.size)
+        if s_lat is not None:
+            lat_sum = np.bincount(inv, weights=s_lat, minlength=uniq.size)
+            lat_min = np.full(uniq.size, np.inf)
+            lat_max = np.zeros(uniq.size)
+            np.minimum.at(lat_min, inv, s_lat)
+            np.maximum.at(lat_max, inv, s_lat)
+        heat = self._heat.setdefault(tid, {})
+        for i, page in enumerate(uniq.tolist()):
+            row = heat.get(page)
+            if row is None:
+                row = heat[page] = [0.0, 0.0, float("inf"), 0.0]
+            row[0] += float(counts[i])
+            if s_lat is not None:
+                row[1] += float(lat_sum[i])
+                if lat_min[i] < row[2]:
+                    row[2] = float(lat_min[i])
+                if lat_max[i] > row[3]:
+                    row[3] = float(lat_max[i])
 
     def _flush_heat(self) -> None:
         """Move accumulated heat into the per-thread profiles."""
@@ -606,7 +631,7 @@ class NumaProfiler(Monitor):
             metrics[MetricNames.LAT_REMOTE] = float(s_lat[remote].sum())
         if self.heatmap:
             self._accumulate_heat(
-                [(view, s_addrs, remote, s_lat, None)], lat_captured
+                view.tid, s_addrs, s_lat if lat_captured else None
             )
 
         self._attribute_code(profile, view.path, metrics)

@@ -109,20 +109,14 @@ class ChunkView:
         """``float(self.latencies.sum())``."""
         return float(self.latencies.sum())
 
-    def gather_samples(self, idx: np.ndarray, *, want_lat: bool = True):
-        """Per-access products at sampled indices only.
+    def latencies_at(self, idx: np.ndarray) -> np.ndarray:
+        """Latencies at sampled indices ``idx`` (sorted, chunk-local).
 
-        Returns ``(target_domains, remote, latencies)`` gathered at
-        ``idx`` (sorted chunk-local positions); ``latencies`` is ``None``
-        when ``want_lat`` is false. Sampling monitors go through this
-        instead of indexing the full arrays so lazy views
-        (:class:`LazyChunkView`) can serve samples without materializing
-        whole-chunk products.
+        Sampling monitors go through this instead of indexing the full
+        array so lazy views (:class:`LazyChunkView`) can serve samples
+        without materializing whole-chunk products.
         """
-        targets = self.target_domains[idx]
-        remote = self.remote_mask[idx]
-        lat = self.latencies[idx] if want_lat else None
-        return targets, remote, lat
+        return self.latencies[idx]
 
 
 class LazyChunkView:
@@ -138,8 +132,9 @@ class LazyChunkView:
     access hits L1, all fetches are serviced at the summary's fetch
     level, and ``dram_fetch_latencies`` produces exactly the DRAM
     entries ``access_latency`` would. Sampling monitors that only need values at
-    sampled indices or trigger events call :meth:`gather_samples` /
-    :meth:`remote_event_count` / the event primitives and never pay full
+    sampled indices or trigger events call :meth:`latencies_at` /
+    :meth:`remote_event_count` / the event primitives (and ask the page
+    table for sampled addresses' owners) and never pay full
     materialization.
     """
 
@@ -185,7 +180,7 @@ class LazyChunkView:
             obs.TRACER.count("engine.lazy.materialized_levels")
             summ = self._summ
             lv = np.full(self.chunk.n_accesses, LEVEL_L1, dtype=np.uint8)
-            lv[summ.fetch] = summ.fetch_level
+            lv[self._fetch_idx] = summ.fetch_level
             self._levels = lv
         return lv
 
@@ -216,9 +211,9 @@ class LazyChunkView:
             dtype=np.float64,
         )
         if summ.fetch_level == LEVEL_DRAM:
-            lat[summ.fetch] = self._fetch_lat
+            lat[self._fetch_idx] = self._fetch_lat
         else:
-            lat[summ.fetch] = self._level_latency()
+            lat[self._fetch_idx] = self._level_latency()
         return lat
 
     def _level_latency(self) -> float:
@@ -284,39 +279,27 @@ class LazyChunkView:
         lat = self._lat if self._lat is not None else self._build_latencies()
         return float(lat.sum())
 
-    def gather_samples(self, idx: np.ndarray, *, want_lat: bool = True):
-        """Gather ``(targets, remote, latencies)`` at sampled indices.
+    def latencies_at(self, idx: np.ndarray) -> np.ndarray:
+        """Latencies at sampled indices, from the fetch mask.
 
-        Targets come from a direct page-owner lookup on the sampled
-        addresses; latencies from the fetch mask (non-fetches are L1, a
-        sampled fetch's DRAM latency is found by its ordinal among the
-        chunk's fetches via ``searchsorted``). Values are identical to
-        indexing the materialized arrays.
+        Non-fetches are L1; a sampled fetch's DRAM latency is found by
+        its ordinal among the chunk's fetches via ``searchsorted``.
+        Values are identical to indexing the materialized array.
         """
-        chunk = self.chunk
-        if self._targets is not None:
-            targets = self._targets[idx]
-        else:
-            seg = chunk.var.segment
-            pages = chunk.addrs_at(idx) // self._machine.page_size
-            targets = seg.domains[pages - seg.start_page]
-        remote = targets != self.domain
-        lat = None
-        if want_lat:
-            if self._lat is not None:
-                lat = self._lat[idx]
+        if self._lat is not None:
+            return self._lat[idx]
+        summ = self._summ
+        lat = np.full(
+            idx.size, self._machine.latency_model.l1, dtype=np.float64
+        )
+        f = summ.fetch[idx]
+        if f.any():
+            if summ.fetch_level == LEVEL_DRAM:
+                pos = self._fetch_idx.searchsorted(idx[f])
+                lat[f] = self._fetch_lat[pos]
             else:
-                summ = self._summ
-                lm = self._machine.latency_model
-                lat = np.full(idx.size, lm.l1, dtype=np.float64)
-                f = summ.fetch[idx]
-                if np.any(f):
-                    if summ.fetch_level == LEVEL_DRAM:
-                        pos = np.searchsorted(self._fetch_idx, idx[f])
-                        lat[f] = self._fetch_lat[pos]
-                    else:
-                        lat[f] = self._level_latency()
-        return targets, remote, lat
+                lat[f] = self._level_latency()
+        return lat
 
 
 def _mem_positions(step, rec) -> list[int]:
@@ -437,7 +420,7 @@ class Monitor:
         implementation preserves the historical per-chunk contract by
         dispatching each view to :meth:`on_chunk`, which materializes
         lazy views; batch-aware monitors override it and
-        consume samples through ``gather_samples`` /
+        consume samples through ``latencies_at`` /
         ``remote_event_count`` so lazy views never materialize
         whole-chunk arrays.
         """
@@ -1260,11 +1243,12 @@ class ExecutionEngine:
                 seg = c.var.segment
                 tgt = seg.domains[c.addrs_at(fidx) // page_size - seg.start_page]
                 var.dram_targets[k] = tgt
-                var.step_requests += np.bincount(tgt, minlength=n_domains)
+                per_domain = np.bincount(tgt, minlength=n_domains)
+                var.step_requests += per_domain
                 nf = summ.footprint_bytes // line_size
                 var.dram += nf
                 var.remote_dram += int(np.count_nonzero(tgt != t.domain))
-                var.traffic[t.domain] += np.bincount(tgt, minlength=n_domains)
+                var.traffic[t.domain] += per_domain
         var.nbytes = _nbytes(var.dram_targets) + var.traffic.nbytes
         return var
 

@@ -189,7 +189,10 @@ def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
 
 
 def periodic_positions_step(
-    carries: np.ndarray, n_events: np.ndarray, period: int
+    carries: np.ndarray,
+    n_events: np.ndarray,
+    period: int,
+    mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`periodic_positions` over many (carry, events) pairs.
 
@@ -198,7 +201,9 @@ def periodic_positions_step(
     chunk order), how many each chunk got, and each chunk's new carry.
 
     Returns ``(positions_cat, rows, counts, new_carries)`` where ``rows``
-    maps each concatenated position back to its chunk index.
+    maps each concatenated position back to its chunk index. With a
+    boolean ``mask``, positions and rows are built only for the masked
+    chunks; counts and carries still cover every chunk (closed form).
     """
     if period <= 0:
         raise MechanismError(f"sampling period must be positive, got {period}")
@@ -216,12 +221,13 @@ def periodic_positions_step(
         n_events[selected] - 1
         - (first[selected] + (counts[selected] - 1) * period)
     )
-    starts = _starts_from_counts(counts)
+    built = counts if mask is None else np.where(mask, counts, 0)
+    starts = _starts_from_counts(built)
     total = int(starts[-1])
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, counts, new_carries
-    rows = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    rows = np.repeat(np.arange(counts.size, dtype=np.int64), built)
     within = np.arange(total, dtype=np.int64) - starts[rows]
     positions = first[rows] + within * period
     return positions, rows, counts, new_carries
@@ -668,7 +674,9 @@ class InstructionSamplingMixin:
         stream (concatenated in view order, so the result is
         bit-identical to per-chunk :meth:`_instruction_samples` calls),
         and one Bresenham pass mapping instruction slots to access
-        indices.
+        indices. Positions are built only in chunks with memory
+        accesses: a pure-compute chunk's sample count and carry are
+        closed form, O(1) however many instructions it runs.
 
         Returns ``(access_idx_cat, counts, n_positions, n_acc, n_ins)``.
         """
@@ -688,30 +696,25 @@ class InstructionSamplingMixin:
             n_acc = views.n_acc
             tids = views.tids
         carries = self._step_carries(tids)
-        positions, rows, n_positions, new_carries = periodic_positions_step(
-            carries, n_ins, self.period
+        # Chunks with no accesses take instruction samples but emit no
+        # memory samples — and, like the scalar path, draw no jitter —
+        # so positions are built for memory chunks only.
+        mem = n_acc > 0
+        mem_pos, mem_rows, n_positions, new_carries = periodic_positions_step(
+            carries, n_ins, self.period, mem
         )
         self._store_step_carries(tids, new_carries)
-
-        # Chunks with no accesses take instruction samples but emit no
-        # memory samples — and, like the scalar path, draw no jitter.
-        qualifies = (n_positions > 0) & (n_acc > 0)
-        keep_pos = qualifies[rows] if positions.size else np.empty(0, bool)
-        mem_pos = positions[keep_pos]
-        mem_rows = rows[keep_pos]
         jitter_width = self._jitter_width
         if jitter_width > 1 and mem_pos.size:
             # One bounded draw per chunk from that thread's own stream;
             # mem_rows is ascending, so concatenating per-row draws in
             # view order reproduces the scalar path's stream consumption.
-            row_counts = np.bincount(mem_rows, minlength=n)
             jitter = np.concatenate(
                 [
                     self._rng_for(tids[r]).integers(
-                        0, jitter_width, size=int(c)
+                        0, jitter_width, size=int(n_positions[r])
                     )
-                    for r, c in enumerate(row_counts)
-                    if c
+                    for r in np.flatnonzero(mem & (n_positions > 0)).tolist()
                 ]
             )
             mem_pos = np.maximum(mem_pos - jitter, 0)

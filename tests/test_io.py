@@ -97,3 +97,17 @@ class TestFormat:
         _, _, arc = toy_archive
         path = save_archive(arc, tmp_path / "a" / "b" / "p.json")
         assert path.exists()
+
+    @pytest.mark.parametrize("n_profiles", [None, 1, 0])
+    def test_bytes_are_one_json_dumps(self, toy_archive, tmp_path, n_profiles):
+        """Profiles are encoded one at a time, yet the file is exactly
+        what one ``json.dumps`` of the whole document writes."""
+        import copy
+        import json
+
+        _, _, arc = toy_archive
+        arc = copy.copy(arc)
+        arc.profiles = dict(list(arc.profiles.items())[:n_profiles])
+        text = save_archive(arc, tmp_path / "p.json").read_text()
+        assert text == json.dumps(json.loads(text))
+        assert len(json.loads(text)["profiles"]) == len(arc.profiles)

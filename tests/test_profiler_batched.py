@@ -14,9 +14,16 @@ differently in the last ulp).
 import numpy as np
 import pytest
 
+from repro.errors import InvalidAddressError
 from repro.machine import presets
+from repro.machine.cache import LEVEL_L1
+from repro.machine.pagetable import PlacementPolicy
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
+from repro.runtime.callstack import SourceLoc
+from repro.runtime.chunks import AccessChunk
+from repro.runtime.engine import ChunkView
+from repro.runtime.memo import StepViews
 from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
 from tests.conftest import ToyProgram
 
@@ -118,3 +125,54 @@ def test_deferred_cct_totals_match():
         assert pd.cct.total("LAT_TOTAL") == pytest.approx(
             pi.cct.total("LAT_TOTAL"), rel=1e-9
         )
+
+
+def _sample_every_access(addrs_of, registered=("a", "b")):
+    """Push one eager step through ``on_step`` with every access sampled.
+
+    ``addrs_of(a, b, page_size)`` gives the chunk's addresses, for two
+    mapped variables ``a`` and ``b`` of which the profiler knows the
+    ``registered`` ones; the chunk carries no ground-truth variable, so
+    only resolution can object.
+    """
+    machine = presets.generic(n_domains=2, cores_per_domain=2)
+    profiler = NumaProfiler(SoftIBS(period=1))
+    engine = ExecutionEngine(machine, ToyProgram(), 2, monitor=profiler)
+    profiler.on_run_start(engine)
+    a, b = (
+        engine.heap.malloc(
+            8 * 4096, name, (SourceLoc("main"),),
+            policy=PlacementPolicy.INTERLEAVE, domains=[0, 1],
+        )
+        for name in ("a", "b")
+    )
+    for var in (a, b):
+        if var.name in registered:
+            profiler.on_alloc(var)
+    addrs = np.asarray(addrs_of(a, b, machine.page_size), dtype=np.int64)
+    n = addrs.size
+    t = engine.threads[0]
+    view = ChunkView(
+        t.tid, t.cpu, t.domain, AccessChunk(None, addrs, n, SourceLoc("k")),
+        np.full(n, LEVEL_L1, dtype=np.uint8), np.zeros(n, np.int64),
+        np.full(n, 4.0), (SourceLoc("k"),), np.zeros(n, bool),
+        np.zeros(n, bool),
+    )
+    profiler.on_step(StepViews.from_views([view]))
+
+
+@pytest.mark.parametrize("addrs_of, match", [
+    # Starts in ``a`` and ends in ``b``.
+    (lambda a, b, ps: [a.base, a.base + 64, b.base], "straddles"),
+    # Past every mapped page.
+    (lambda a, b, ps: [b.end + 16 * ps], "not mapped"),
+])
+def test_bad_sample_address_raises_through_on_step(addrs_of, match):
+    with pytest.raises(InvalidAddressError, match=match):
+        _sample_every_access(addrs_of)
+
+
+def test_sample_in_unregistered_variable_raises():
+    """A mapped page whose variable the registry does not know."""
+    with pytest.raises(InvalidAddressError, match="matches no variable"):
+        _sample_every_access(lambda a, b, ps: [a.base + 8], registered=("b",))

@@ -17,6 +17,7 @@ from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk, compute_chunk
 from repro.runtime.heap import HeapAllocator
 from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
+from repro.sampling.base import periodic_positions_step
 
 
 class StubView:
@@ -30,10 +31,10 @@ class StubView:
         self.latencies = latencies
 
 
-def make_steps(machine, n_steps=8, n_threads=5, seed=123):
-    """Random multi-chunk steps: varying sizes, empty and compute chunks,
-    threads that skip steps — one chunk per thread per step, like the
-    engine guarantees."""
+def make_steps(machine, n_steps=8, n_threads=5, seed=123, compute=(1, 500)):
+    """Random multi-chunk steps: varying sizes, empty and compute chunks
+    (``compute``: their instruction-count range), threads that skip
+    steps — one chunk per thread per step, like the engine guarantees."""
     heap = HeapAllocator(machine)
     rng = np.random.default_rng(seed)
     n_elems = 300_000
@@ -47,7 +48,7 @@ def make_steps(machine, n_steps=8, n_threads=5, seed=123):
                 continue  # this thread skips the step
             if r < 0.3:
                 views.append(StubView(
-                    tid, compute_chunk(int(rng.integers(1, 500)), SourceLoc("c")),
+                    tid, compute_chunk(int(rng.integers(*compute)), SourceLoc("c")),
                     np.empty(0, np.uint8), np.empty(0, np.int64),
                     np.empty(0, np.float64),
                 ))
@@ -85,9 +86,25 @@ def test_select_step_matches_sequential_select(name):
     """Every mechanism: step-batched selection == per-chunk selection,
     including cross-chunk and cross-step carries and exact costs."""
     machine = presets.generic(n_domains=4, cores_per_domain=2)
-    steps = make_steps(machine)
-    seq = MECHS[name]()
-    bat = MECHS[name]()
+    assert_step_parity(MECHS[name], machine, make_steps(machine))
+
+
+@pytest.mark.parametrize("name", ["ibs", "pebs", "pebs_noskid"])
+def test_instruction_select_step_with_long_compute_chunks(name):
+    """Pure-compute chunks of >= 10^6 instructions between memory chunks
+    draw no positions, yet selection, carries and every thread's jitter
+    stream still match sequential ``select``."""
+    machine = presets.generic(n_domains=4, cores_per_domain=2)
+    steps = make_steps(machine, compute=(1_000_000, 3_000_000))
+    assert any(v.chunk.n_instructions >= 1_000_000 for s in steps for v in s)
+    seq, bat = assert_step_parity(MECHS[name], machine, steps)
+    assert bat.state_digest() == seq.state_digest()
+
+
+def assert_step_parity(make_mech, machine, steps):
+    """Run ``steps`` through step and sequential selection; compare."""
+    seq = make_mech()
+    bat = make_mech()
     seq.configure(machine)
     bat.configure(machine)
     for views in steps:
@@ -111,6 +128,7 @@ def test_select_step_matches_sequential_select(name):
         assert bat._carry == seq._carry
     assert bat.total_samples == seq.total_samples
     assert bat.total_events == seq.total_events
+    return seq, bat
 
 
 class ForcedJitterRNG:
@@ -174,3 +192,27 @@ class TestJitterDedupe:
             np.testing.assert_array_equal(
                 step.batch_for(k).indices, [0, 7, 15, 23]
             )
+
+
+@pytest.mark.parametrize("period", [1, 3, 64])
+def test_masked_positions_filter_rows_and_keep_counts(period):
+    """A row mask drops positions and rows of unmasked chunks only:
+    counts and carries still cover every chunk."""
+    rng = np.random.default_rng(period)
+    n = 60
+    carries = rng.integers(0, period, size=n)
+    n_events = rng.integers(0, 400, size=n)
+    n_events[::7] = 0
+    mask = rng.random(n) < 0.5
+    pos, rows, counts, new = periodic_positions_step(carries, n_events, period)
+    m_pos, m_rows, m_counts, m_new = periodic_positions_step(
+        carries, n_events, period, mask
+    )
+    np.testing.assert_array_equal(m_counts, counts)
+    np.testing.assert_array_equal(m_new, new)
+    keep = mask[rows]
+    np.testing.assert_array_equal(m_pos, pos[keep])
+    np.testing.assert_array_equal(m_rows, rows[keep])
+    none = periodic_positions_step(carries, n_events, period, mask & False)
+    assert none[0].size == none[1].size == 0
+    np.testing.assert_array_equal(none[2], counts)
