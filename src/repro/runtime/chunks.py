@@ -11,11 +11,12 @@ stored. A sweep is an :class:`AffineChunk` — addresses ``first + step*i``
 for ``i < n``, kept as those three integers — and indirect or hand-built
 chunks are :class:`AccessChunk` with an explicit int64 array. Consumers
 ask the chunk what they need (``n_accesses``, ``first_addr``,
-``addrs_at``, ``unique_pages``, ``fetch_products``, ``nbytes``); an
-affine chunk answers each in closed form, so the engine's step pipeline
-never expands a sweep's addresses. ``.addrs`` materializes the whole
-array on every call and is reserved for full materialization (see
-docs/MODEL.md, "Chunk geometry").
+``addrs_at``, ``unique_pages``, ``fetch_products``, ``fetch_key``,
+``fetch_page_runs``, ``nbytes``); an affine chunk answers each in
+closed form, so the engine's step pipeline never expands a sweep's
+addresses. ``.addrs`` materializes the whole array on every call and
+is reserved for full materialization (see docs/MODEL.md, "Chunk
+geometry").
 """
 
 from __future__ import annotations
@@ -131,6 +132,27 @@ class AccessChunk:
         fetch, footprint, seq = array_fetch_products(self._addrs, line_size)
         return fetch, np.flatnonzero(fetch), footprint, seq
 
+    def fetch_key(self, line_size: int):
+        """What :meth:`fetch_products` depends on, or None.
+
+        Chunks with equal non-None keys have equal fetch products, so a
+        step builds them once. An explicit chunk's products depend on
+        every address: it answers None and never shares.
+        """
+        return None
+
+    def fetch_page_runs(
+        self, fidx: np.ndarray, page_size: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The fetches at ``fidx`` as page runs: ``(pages, counts)``.
+
+        In fetch order, ``np.repeat(pages, counts)`` equals
+        ``addrs_at(fidx) // page_size``. An explicit chunk answers one
+        run per fetch.
+        """
+        pages = self.addrs_at(fidx) // page_size
+        return pages, np.ones(pages.size, dtype=np.int64)
+
 
 class AffineChunk(AccessChunk):
     """A sweep: ``n`` accesses at ``first + step*i``, stored as a descriptor.
@@ -232,6 +254,33 @@ class AffineChunk(AccessChunk):
             fetch[fidx] = True
         seq = n < 2 or 0 <= step <= SEQUENTIAL_STRIDE_LIMIT
         return fetch, fidx, int(fidx.size) * line_size, seq
+
+    def fetch_key(self, line_size: int):
+        # The line grid only sees ``first`` through its offset in a line.
+        return self._first % line_size, self._step, self._n
+
+    def fetch_page_runs(
+        self, fidx: np.ndarray, page_size: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        first, step = self._first, self._step
+        if step == 0 or abs(step) >= page_size or not fidx.size:
+            return super().fetch_page_runs(fidx, page_size)
+        # As in fetch_products, one page at a time: the ``j``-th page
+        # after the first starts ``gap = g0 + j*page_size`` bytes along
+        # the sweep, so its first access is ``ceil(gap / |step|)`` and
+        # its run starts at the first fetch at or after that access.
+        # ``j`` runs from -1 (gap <= 0: run 0 starts at fetch 0) to the
+        # page past the last fetch (its run starts at ``fidx.size``).
+        r = first % page_size
+        g0 = page_size - r if step > 0 else r + 1
+        s = abs(step)
+        m = abs((first + step * int(fidx[-1])) // page_size - first // page_size)
+        c = g0 + s - 1 - page_size
+        edges = fidx.searchsorted(
+            np.arange(c, c + (m + 1) * page_size + 1, page_size) // s
+        )
+        pages = first // page_size + np.sign(step) * np.arange(m + 1)
+        return pages, edges[1:] - edges[:-1]
 
 
 class StepTrace(list):

@@ -1184,6 +1184,8 @@ class ExecutionEngine:
 
         Chunks answer their own geometry questions (see
         :mod:`repro.runtime.chunks`), so no address is expanded here.
+        Chunks with equal ``fetch_key`` share one read-only copy of the
+        fetch products.
         """
         pure = PureStep()
         pure.mem_idx = list(mem_idx)
@@ -1201,13 +1203,22 @@ class ExecutionEngine:
         pure.chunk_first = [0] * n_mem
         pure.chunk_fidx = [None] * n_mem
         line_size = self.machine.cache.config.line_size
+        shared = {}
         for k, (t, c) in enumerate(mem):
-            fetch, fidx, footprint, seq = c.fetch_products(line_size)
+            key = c.fetch_key(line_size)
+            if key is None:
+                key = k  # an explicit chunk: never a geometry key
+            got = shared.get(key)
+            if got is None:
+                got = shared[key] = c.fetch_products(line_size)
+                got[0].flags.writeable = got[1].flags.writeable = False
+            fetch, fidx, footprint, seq = got
             pure.chunk_fetch[k] = fetch
             pure.chunk_seq_flags[k] = seq
             pure.chunk_fp[k] = footprint
             pure.chunk_first[k] = c.first_addr
             pure.chunk_fidx[k] = fidx
+        obs.TRACER.count("engine.build.shared_fetch", n_mem - len(shared))
         pure.nbytes = _nbytes(pure.chunk_fetch, pure.chunk_fidx)
         return pure
 
@@ -1218,12 +1229,11 @@ class ExecutionEngine:
 
         Every non-fetch access hits L1 and only DRAM-level fetches have
         NUMA-relevant placement, so page owners are looked up on the
-        fetch subset of DRAM-level chunks only.
+        fetch subset of DRAM-level chunks only, once per page run.
         """
         machine = self.machine
         page_size = machine.page_size
         n_domains = machine.n_domains
-        line_size = machine.cache.config.line_size
         var = ClassifyVariant()
         n_mem = len(pure.mem)
         var.summaries = [None] * n_mem
@@ -1241,13 +1251,19 @@ class ExecutionEngine:
             if summ.fetch_level == LEVEL_DRAM:
                 fidx = pure.chunk_fidx[k]
                 seg = c.var.segment
-                tgt = seg.domains[c.addrs_at(fidx) // page_size - seg.start_page]
-                var.dram_targets[k] = tgt
-                per_domain = np.bincount(tgt, minlength=n_domains)
+                pages, counts = c.fetch_page_runs(fidx, page_size)
+                owners = seg.domains[pages - seg.start_page]
+                var.dram_targets[k] = (
+                    owners if owners.size == fidx.size  # a run per fetch
+                    else np.repeat(owners, counts)
+                )
+                # Float weights sum small integers exactly.
+                per_domain = np.bincount(
+                    owners, counts, minlength=n_domains
+                ).astype(np.int64)
                 var.step_requests += per_domain
-                nf = summ.footprint_bytes // line_size
-                var.dram += nf
-                var.remote_dram += int(np.count_nonzero(tgt != t.domain))
+                var.dram += fidx.size
+                var.remote_dram += fidx.size - int(per_domain[t.domain])
                 var.traffic[t.domain] += per_domain
         var.nbytes = _nbytes(var.dram_targets) + var.traffic.nbytes
         return var
@@ -1262,7 +1278,9 @@ class ExecutionEngine:
         sums are cached per distinct ``inflation.tobytes()`` within it.
         A cache-state or placement change produced a different
         classification variant upstream, so latency entries can never
-        serve stale inputs.
+        serve stale inputs. Within one build, chunks with equal
+        latency inputs (accessor domain, stream flags, fetch targets)
+        share one read-only latency array and its sum.
         """
         machine = self.machine
         memo = self.memo
@@ -1281,7 +1299,8 @@ class ExecutionEngine:
             lat_sums = [0.0] * st.n_active
             #: DRAM fetch-latency subsets for lazy views.
             chunk_lat = [None] * n_mem
-            nbytes = 0
+            shared = {}
+            n_dram = 0
             latency_model = machine.latency_model
             topology = machine.topology
             l1 = latency_model.l1
@@ -1300,21 +1319,29 @@ class ExecutionEngine:
                         + nf * lvl_lat[summ.fetch_level]
                     )
                 else:
-                    fetch_lat = latency_model.dram_fetch_latencies(
-                        tgt,
-                        t.domain,
-                        topology,
-                        inflation,
-                        sequential=summ.sequential,
-                        interleaved=pure.interleaved[k],
+                    key = (
+                        t.domain, summ.sequential, pure.interleaved[k],
+                        tgt.tobytes(),
                     )
-                    lat_sums[i] = (
-                        float(fetch_lat.sum()) + (c.n_accesses - nf) * l1
-                    )
+                    got = shared.get(key)
+                    if got is None:
+                        fetch_lat = latency_model.dram_fetch_latencies(
+                            tgt, t.domain, topology, inflation,
+                            sequential=summ.sequential,
+                            interleaved=pure.interleaved[k],
+                        )
+                        fetch_lat.flags.writeable = False
+                        got = shared[key] = (fetch_lat, float(fetch_lat.sum()))
+                    lat_sums[i] = got[1] + (c.n_accesses - nf) * l1
+                    n_dram += 1
                     if need_views:
-                        chunk_lat[k] = fetch_lat
-                        nbytes += fetch_lat.nbytes
-            lv = LatVariant(lat_sums, chunk_lat, nbytes + 8 * st.n_active)
+                        chunk_lat[k] = got[0]
+            obs.TRACER.count(
+                "engine.build.shared_latency", n_dram - len(shared)
+            )
+            lv = LatVariant(
+                lat_sums, chunk_lat, _nbytes(chunk_lat) + 8 * st.n_active
+            )
             var.lats[lkey] = lv
             memo.charge(rec, lv.nbytes)
         else:

@@ -5,7 +5,8 @@ on exactly what it depends on:
 
 * **Pure products** (:class:`PureStep`) — per-chunk line-fetch masks,
   footprints, sequentiality, first addresses — are a pure function of
-  the step's chunks.
+  the step's chunks. Chunks with equal fetch geometry share one
+  read-only set of arrays, built once per step.
 * **Classification variants** (:class:`ClassifyVariant`) — per-chunk
   classification summaries, DRAM fetches' page owners, request counts,
   traffic — are keyed by ``(page-table epoch, per-chunk fetch
@@ -17,7 +18,8 @@ on exactly what it depends on:
 * **Latency variants** (:class:`LatVariant`) — DRAM fetch latencies and
   per-chunk latency sums — are keyed by the step's exact contention
   inflation vector (``inflation.tobytes()``) within their
-  classification variant.
+  classification variant. Chunks with equal latency inputs share one
+  read-only latency array. Byte accounting counts a shared array once.
 * **Monitor views** (:class:`StepViews`) are built per latency variant;
   sampling, CCT attribution, and accounting always run live on them,
   so measurement is never cached — only the inputs it observes.
@@ -58,16 +60,14 @@ def memo_budget(memoize: bool, memo_bytes: int | None) -> int:
 
 
 def _nbytes(*objs) -> int:
-    """Total nbytes of the ndarray members of ``objs`` (lists descend)."""
-    total = 0
+    """Total nbytes of the distinct ndarray members of ``objs`` (lists
+    descend); an array that several chunks share counts once."""
+    arrays = {}
     for o in objs:
-        if isinstance(o, np.ndarray):
-            total += o.nbytes
-        elif isinstance(o, (list, tuple)):
-            for x in o:
-                if isinstance(x, np.ndarray):
-                    total += x.nbytes
-    return total
+        for x in o if isinstance(o, (list, tuple)) else (o,):
+            if isinstance(x, np.ndarray):
+                arrays[id(x)] = x.nbytes
+    return sum(arrays.values())
 
 
 class StepViews(list):

@@ -177,6 +177,44 @@ def test_affine_closed_form_matches_array_kernels(big_var, step, offset, n):
     np.testing.assert_array_equal(affine.addrs, ref)
 
 
+@pytest.mark.parametrize("n", COUNTS)
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("step", STRIDES)
+def test_fetch_page_runs_expand_to_fetch_pages(big_var, step, offset, n):
+    affine, array, ref = _pair(big_var, offset, step, n)
+    fidx = affine.fetch_products(LINE)[1]
+    sampled = np.unique(np.random.default_rng(n + offset).integers(0, n, 17))
+    for idx in (fidx, sampled):
+        for chunk in (affine, array):
+            pages, counts = chunk.fetch_page_runs(idx, PAGE)
+            assert pages.dtype == counts.dtype == np.int64
+            np.testing.assert_array_equal(
+                np.repeat(pages, counts), ref[idx] // PAGE
+            )
+    # The chunk's own fetches: every affine run is a distinct page with
+    # at least one fetch; an explicit chunk answers one run per fetch.
+    pages, counts = affine.fetch_page_runs(fidx, PAGE)
+    assert (counts > 0).all()
+    assert (np.diff(pages) != 0).all()
+    assert (array.fetch_page_runs(fidx, PAGE)[1] == 1).all()
+
+
+@pytest.mark.parametrize("step", STRIDES)
+def test_equal_fetch_keys_mean_equal_fetch_products(big_var, step):
+    n = 1000
+    affine, array, _ = _pair(big_var, 37, step, n)
+    assert array.fetch_key(LINE) is None
+    # Whole lines and pages further along: the same offset in a line.
+    shift = (3 * PAGE + 5 * LINE) * (1 if step >= 0 else -1)
+    moved = AffineChunk(big_var, affine.first_addr + shift, step, n, n, IP)
+    assert moved.fetch_key(LINE) == affine.fetch_key(LINE)
+    for got, want in zip(moved.fetch_products(LINE), affine.fetch_products(LINE)):
+        np.testing.assert_array_equal(got, want)
+    # One byte further is another offset in the line, so another key.
+    nudged = AffineChunk(big_var, affine.first_addr + 1, step, n, n, IP)
+    assert nudged.fetch_key(LINE) != affine.fetch_key(LINE)
+
+
 @pytest.mark.parametrize("step", [8, -8, PAGE])
 def test_affine_errors_match_array_errors(big_var, step):
     # Instruction floor.
