@@ -50,6 +50,10 @@ LEVEL_DRAM = 3
 
 LEVEL_NAMES = {LEVEL_L1: "L1", LEVEL_L2: "L2", LEVEL_L3: "L3", LEVEL_DRAM: "DRAM"}
 
+#: Last-visit marker of a reuse slot not visited since the last reset
+#: (real markers are stream positions after a visit, never negative).
+_NEVER = -1
+
 #: Maximum forward byte-stride still considered a prefetchable stream.
 SEQUENTIAL_STRIDE_LIMIT = 256
 
@@ -106,7 +110,7 @@ class ChunkSummary:
     recoverable but never allocated. The engine's step pipeline builds it
     from the chunk's ``fetch_products`` (pure; see
     :mod:`repro.runtime.chunks`) and
-    :meth:`CacheHierarchy.chunk_fetch_level` (stateful).
+    :meth:`CacheHierarchy.fetch_levels` (stateful).
     """
 
     fetch: np.ndarray           # per-access line-fetch mask
@@ -148,28 +152,86 @@ def array_fetch_products(
 class CacheHierarchy:
     """Per-machine cache state: which level services each access.
 
-    State: per-CPU streamed-byte counters and per-(cpu, segment) last
-    visit positions, implementing the reuse-distance approximation.
-    ``reset()`` clears everything (cold caches).
+    State: per-CPU streamed-byte counters and per-(cpu, segment, block)
+    last-visit positions, implementing the reuse-distance approximation,
+    in int64 arrays indexed by CPU and by *slot*: each reuse key is
+    interned to a slot once (:meth:`slots`), and a step's lookups are a
+    few array operations (:meth:`fetch_levels`). ``reset()`` clears the
+    state (cold caches) and keeps the slots.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._stream_pos: dict[int, int] = {}
-        self._last_visit: dict[tuple[int, int, int], int] = {}
+        self._bounds = np.array([config.l2_bytes, config.l3_bytes])
+        #: Reuse key -> slot, in slot order.
+        self._slot_of: dict[tuple[int, int, int], int] = {}
+        self._slot_cpu = np.zeros(0, dtype=np.int64)
+        self._pos = np.zeros(0, dtype=np.int64)  # bytes streamed per CPU
+        self._last = np.zeros(0, dtype=np.int64)  # per slot, or _NEVER
 
     def reset(self) -> None:
         """Forget all streaming state (cold caches)."""
-        self._stream_pos.clear()
-        self._last_visit.clear()
+        self._pos[:] = 0
+        self._last[:] = _NEVER
+
+    def slots(self, cpus, seg_ids, first_addrs) -> np.ndarray:
+        """The reuse-key slots of chunks, interning new keys.
+
+        Reuse state is keyed by (cpu, segment, L3-sized block within the
+        segment): touching a *different* region of the same variable
+        (e.g. the next angle plane of UMT's STime) is a compulsory miss,
+        not a hot revisit. Slots are stable for the cache's lifetime.
+        """
+        block = max(self.config.l3_bytes, 1)
+        out = np.empty(len(cpus), dtype=np.int64)
+        for k, key in enumerate(
+            zip(cpus, seg_ids, (a // block for a in first_addrs))
+        ):
+            out[k] = self._slot_of.setdefault(key, len(self._slot_of))
+        n_new = len(self._slot_of) - self._last.size
+        if n_new:
+            self._last = np.append(self._last, np.full(n_new, _NEVER))
+            self._slot_cpu = np.array([key[0] for key in self._slot_of])
+            grow = int(self._slot_cpu.max()) + 1 - self._pos.size
+            self._pos = np.append(self._pos, np.zeros(max(grow, 0), np.int64))
+        return out
+
+    def fetch_levels(
+        self, cpus: np.ndarray, slots: np.ndarray, footprints: np.ndarray
+    ) -> np.ndarray:
+        """One step's reuse lookups + state updates (uint8 levels).
+
+        The CPUs must be distinct — ``bind_threads`` forbids
+        oversubscription, so a step's chunks run on distinct CPUs —
+        which makes the array update equal to sequential per-chunk
+        lookups: each CPU and each slot is read and written once.
+        """
+        pos = self._pos[cpus]
+        last = self._last[slots]
+        # L2 up to l2_bytes, L3 up to l3_bytes, DRAM beyond; a first
+        # visit is a compulsory DRAM fetch.
+        levels = np.where(
+            last == _NEVER, LEVEL_DRAM,
+            LEVEL_L2 + np.searchsorted(self._bounds, pos - last + footprints),
+        ).astype(np.uint8)
+        self._pos[cpus] = self._last[slots] = pos + footprints
+        return levels
+
+    def _fetch_level(
+        self, cpu: int, seg_id: int, first_addr: int, footprint: int
+    ) -> int:
+        """:meth:`fetch_levels` for one chunk."""
+        slots = self.slots((cpu,), (seg_id,), (first_addr,))
+        level = self.fetch_levels(np.array([cpu]), slots, np.array([footprint]))
+        return int(level[0])
 
     def state_digest(self) -> frozenset:
         """Translation-invariant digest of the reuse-distance state.
 
-        ``_stream_pos`` grows monotonically, so raw state never reaches
-        a fixed point; but :meth:`_fetch_level` only ever reads the
-        *difference* ``stream_pos[cpu] - last_visit[key]``, so two
-        states whose per-key differences (and key sets) match produce
+        The stream position grows monotonically, so raw state never
+        reaches a fixed point; but :meth:`fetch_levels` only ever reads
+        the *difference* ``pos[cpu] - last[slot]``, so two states whose
+        per-key differences (and visited key sets) match produce
         identical classifications for any identical future access
         stream. Differences are additionally clamped at
         ``l3_bytes + 1``: beyond it the next access to the key is a
@@ -178,34 +240,32 @@ class CacheHierarchy:
         don't keep a steady region out of its fixed point. frozenset
         equality is exact — no hash-collision risk.
         """
-        pos = self._stream_pos
-        sat = self.config.l3_bytes + 1
-        return frozenset(
-            (key, min(pos.get(key[0], 0) - last, sat))
-            for key, last in self._last_visit.items()
+        seen = np.flatnonzero(self._last != _NEVER)
+        diff = np.minimum(
+            self._pos[self._slot_cpu[seen]] - self._last[seen],
+            self.config.l3_bytes + 1,
         )
+        keys = list(self._slot_of)
+        return frozenset(zip(map(keys.__getitem__, seen), diff.tolist()))
 
-    def phase_snapshot(self) -> tuple[dict, dict]:
+    def phase_snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """Copy of the raw streaming state (phase-recording baseline)."""
-        return dict(self._stream_pos), dict(self._last_visit)
+        return self._pos.copy(), self._last.copy()
 
-    def phase_delta(self, snapshot: tuple[dict, dict]) -> tuple[dict, list]:
+    def phase_delta(self, snapshot: tuple) -> tuple[dict, np.ndarray]:
         """How one iteration moved the state: per-CPU stream advances
-        and the keys it touched. Both are iteration-invariant for a
-        steady (identical-trace) iteration, which makes
-        :meth:`phase_advance` exact."""
-        snap_pos, snap_lv = snapshot
-        delta_pos = {
-            cpu: pos - snap_pos.get(cpu, 0)
-            for cpu, pos in self._stream_pos.items()
-            if pos != snap_pos.get(cpu, 0)
-        }
-        touched = [
-            key
-            for key, last in self._last_visit.items()
-            if snap_lv.get(key) != last
-        ]
-        return delta_pos, touched
+        ``{cpu: bytes}`` and the slots it touched. Both are
+        iteration-invariant for a steady (identical-trace) iteration,
+        which makes :meth:`phase_advance` exact."""
+        snap_pos, snap_last = snapshot
+        adv = self._pos.copy()
+        adv[: snap_pos.size] -= snap_pos
+        was = np.full(self._last.size, _NEVER)  # new slots: unvisited
+        was[: snap_last.size] = snap_last
+        return (
+            {int(c): int(adv[c]) for c in np.flatnonzero(adv)},
+            np.flatnonzero(self._last != was),
+        )
 
     def phase_advance(self, delta: tuple, n: int) -> None:
         """Fast-forward the state by ``n`` steady iterations, exactly.
@@ -218,41 +278,11 @@ class CacheHierarchy:
         (their reuse distances grow by exactly the stream advance).
         """
         delta_pos, touched = delta
-        pos = self._stream_pos
-        for cpu, d in delta_pos.items():
-            pos[cpu] = pos.get(cpu, 0) + d * n
-        lv = self._last_visit
-        for key in touched:
-            lv[key] += delta_pos.get(key[0], 0) * n
-
-    def _fetch_level(
-        self, cpu: int, seg_id: int, first_addr: int, footprint: int
-    ) -> int:
-        """Reuse-distance lookup + state update for one chunk's fetches.
-
-        Reuse state is keyed by (cpu, segment, L3-sized block within the
-        segment): touching a *different* region of the same variable
-        (e.g. the next angle plane of UMT's STime) is a compulsory miss,
-        not a hot revisit.
-        """
-        pos = self._stream_pos.get(cpu, 0)
-        block = first_addr // max(self.config.l3_bytes, 1)
-        key = (cpu, seg_id, block)
-        last = self._last_visit.get(key)
-        if last is None:
-            fetch_level = LEVEL_DRAM  # compulsory: first visit ever
-        else:
-            distance = (pos - last) + footprint
-            if distance <= self.config.l2_bytes:
-                fetch_level = LEVEL_L2
-            elif distance <= self.config.l3_bytes:
-                fetch_level = LEVEL_L3
-            else:
-                fetch_level = LEVEL_DRAM
-        new_pos = pos + footprint
-        self._stream_pos[cpu] = new_pos
-        self._last_visit[key] = new_pos
-        return fetch_level
+        adv = np.zeros(self._pos.size, dtype=np.int64)
+        adv[list(delta_pos)] = list(delta_pos.values())
+        adv *= n
+        self._pos += adv
+        self._last[touched] += adv[self._slot_cpu[touched]]
 
     def classify(
         self,
@@ -291,19 +321,9 @@ class CacheHierarchy:
 
         Returns ``(fetch_mask, footprint_bytes, sequential)`` — a pure
         function of the addresses, cacheable across iterations; the
-        reuse-distance half is :meth:`chunk_fetch_level`.
+        reuse-distance half is :meth:`fetch_levels`.
         """
         return array_fetch_products(addrs, self.config.line_size)
-
-    def chunk_fetch_level(
-        self, cpu: int, seg_id: int, first_addr: int, footprint: int
-    ) -> int:
-        """Stateful half of :meth:`classify`: one reuse lookup.
-
-        Advances the streaming state exactly as the per-chunk classify
-        calls would; the memo layer calls this live every iteration.
-        """
-        return self._fetch_level(cpu, seg_id, first_addr, footprint)
 
     def level_counts(self, levels: np.ndarray) -> dict[str, int]:
         """Histogram of service levels, keyed by level name."""

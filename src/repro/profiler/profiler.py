@@ -27,7 +27,6 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ProfileError
-from repro.machine.cache import LEVEL_DRAM
 from repro.profiler.accum import MinMaxTable, RowTable
 from repro.profiler.cct import DUMMY_ACCESS, DUMMY_FIRST_TOUCH
 from repro.profiler.datacentric import VariableRegistry
@@ -38,8 +37,12 @@ from repro.profiler.profile_data import (
     ThreadProfile,
 )
 from repro.runtime.callstack import CallPath
-from repro.runtime.chunks import AccessChunk
-from repro.runtime.engine import ChunkView, ExecutionEngine, Monitor, RunResult
+from repro.runtime.engine import (
+    ExecutionEngine,
+    Monitor,
+    RunResult,
+    gather_samples,
+)
 from repro.runtime.heap import Variable, VariableKind
 from repro.runtime.memo import StepViews
 from repro.runtime.phase import relative_spread
@@ -60,15 +63,6 @@ class NumaProfiler(Monitor):
         Which variable kinds get first-touch page protection. The paper
         implements heap protection and lists static (at load time) and
         stack support as future work; all three are available here.
-    deferred:
-        When true (the default), :meth:`on_step` runs the batched
-        pipeline: one ``select_step`` per step, metrics accumulated into
-        flat numpy tables keyed by interned ``(tid, path, var)`` rows,
-        flushed into the CCT/record structures once at
-        :meth:`on_run_end`. Profiles are therefore only readable after
-        the run ends. ``deferred=False`` keeps the historical per-chunk
-        immediate-attribution path; the two produce identical archives
-        (see ``tests/test_profiler_batched.py``).
     seed:
         Base seed for the mechanism's per-thread jitter streams
         (forwarded to :meth:`SamplingMechanism.configure`); sharded and
@@ -93,7 +87,6 @@ class NumaProfiler(Monitor):
         protect_heap: bool = True,
         protect_static: bool = False,
         protect_stack: bool = False,
-        deferred: bool = True,
         seed: int = 0x1B5,
         memoize: bool = True,
         heatmap: bool = False,
@@ -103,7 +96,6 @@ class NumaProfiler(Monitor):
         self.protect_heap = protect_heap
         self.protect_static = protect_static
         self.protect_stack = protect_stack
-        self.deferred = deferred
         self.seed = int(seed)
         #: Opt-in Migration-Profiler-style page heatmap: accumulate
         #: per (thread, page) sample counts and latency stats into
@@ -144,8 +136,7 @@ class NumaProfiler(Monitor):
             )
         self._heat = {}
         self._page_size = machine.page_size
-        if self.deferred:
-            self._init_accumulators(machine, engine)
+        self._init_accumulators(machine, engine)
 
     def _init_accumulators(self, machine, engine: ExecutionEngine) -> None:
         """Set up the flat deferred-attribution tables for one run.
@@ -229,37 +220,6 @@ class NumaProfiler(Monitor):
         profile.data_cct.attribute(mixed, {"FIRST_TOUCH_PAGES": float(record.n_pages)})
         return self.FIRST_TOUCH_HANDLER_COST * record.n_pages
 
-    def on_chunk(
-        self,
-        tid: int,
-        cpu: int,
-        chunk: AccessChunk,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        latencies: np.ndarray,
-        path: CallPath,
-    ) -> float:
-        """Per-chunk compatibility entry point: rebuild the step masks.
-
-        The engine now delivers chunks through :meth:`on_step` with the
-        DRAM/remote masks precomputed on the step's concatenated arrays;
-        direct per-chunk callers go through this wrapper instead.
-        """
-        profile = self._profile(tid)
-        view = ChunkView(
-            tid=tid,
-            cpu=cpu,
-            domain=profile.domain,
-            chunk=chunk,
-            levels=levels,
-            target_domains=target_domains,
-            latencies=latencies,
-            path=path,
-            dram_mask=np.asarray(levels) == LEVEL_DRAM,
-            remote_mask=np.asarray(target_domains) != profile.domain,
-        )
-        return self._observe(view)
-
     def on_step(self, views: StepViews):
         """Batched observation: one mechanism ``select_step`` per step,
         metrics into flat accumulator rows, costs as one step-wide array.
@@ -272,17 +232,11 @@ class NumaProfiler(Monitor):
         and only views that drew samples are visited in Python. Every
         counter row and code row belongs to a distinct thread within a
         step, so each target row receives exactly one add per step.
-
-        Falls back to the per-chunk immediate path when ``deferred`` is
-        off (the golden reference for the parity tests).
+        ``tests/reference/immediate_profiler.py`` is the per-chunk
+        reference it must reproduce.
         """
         tr = obs.TRACER
         traced = tr.enabled
-        if not self.deferred:
-            if traced:
-                with tr.span("profiler.on_step", "profiler"):
-                    return [self._observe(v) for v in views]
-            return [self._observe(v) for v in views]
         if traced:
             tr.begin("profiler.on_step", "profiler")
         step = self.mechanism.select_step(views)
@@ -365,8 +319,9 @@ class NumaProfiler(Monitor):
     def _attribute_step(self, views, step, prof, lat_ok: bool) -> None:
         """Attribute one step's samples three ways in one pass.
 
-        Python visits each sampled chunk only to gather its sampled
-        addresses (and latencies) and to sum its latencies. Page owners
+        Sampled addresses and latencies come from one step-wide gather
+        (:func:`~repro.runtime.engine.gather_samples`), and Python
+        visits each sampled chunk only to sum its latencies. Page owners
         come from one ``move_pages``-style query over the step's sampled
         addresses, per-domain counts from one ``bincount`` over
         (chunk, domain), and variables from one registry lookup over the
@@ -383,16 +338,7 @@ class NumaProfiler(Monitor):
         n_s = counts[ks]
         lo_off = step.starts[ks]
         hi_off = step.starts[ks + 1]
-        indices = step.indices
-        addr_parts = []
-        lat_parts = []
-        for k, a, b in zip(ks.tolist(), lo_off.tolist(), hi_off.tolist()):
-            v = views[k]
-            idx = indices[a:b]
-            addr_parts.append(v.chunk.addrs_at(idx))
-            if lat_ok:
-                lat_parts.append(v.latencies_at(idx))
-        addrs = np.concatenate(addr_parts)
+        addrs, lat = gather_samples(views, ks, n_s, step.indices, lat_ok)
 
         n_k = ks.size
         n_dom = self._n_cols - 8
@@ -415,11 +361,11 @@ class NumaProfiler(Monitor):
             M[:, 7] = rev[ks]
         M[:, 8:] = nodes
         if lat_ok:
-            for j, (lat, a, b) in enumerate(
-                zip(lat_parts, lo_off.tolist(), hi_off.tolist())
-            ):
-                M[j, 5] = lat.sum()
-                M[j, 6] = lat[remote[a:b]].sum()
+            # Per-chunk ndarray.sum() keeps each chunk's rounding.
+            for j, (a, b) in enumerate(zip(lo_off.tolist(), hi_off.tolist())):
+                part = lat[a:b]
+                M[j, 5] = part.sum()
+                M[j, 6] = part[remote[a:b]].sum()
 
         reg = self.registry
         pos = reg.resolve_ranges(
@@ -457,7 +403,6 @@ class NumaProfiler(Monitor):
         btab[:n_rows, 2] += mis
         lat_b = lat_rb = None
         if lat_ok:
-            lat = np.concatenate(lat_parts)
             lat_b = np.bincount(rows, weights=lat, minlength=n_rows)
             lat_rb = np.bincount(
                 rows[remote], weights=lat[remote], minlength=n_rows
@@ -485,9 +430,9 @@ class NumaProfiler(Monitor):
                 cnt, match, mis, lat_b, lat_rb,
             ))
         if self.heatmap:
-            for j, k in enumerate(ks.tolist()):
+            for k, a, b in zip(ks.tolist(), lo_off.tolist(), hi_off.tolist()):
                 self._accumulate_heat(
-                    views[k].tid, addr_parts[j], lat_parts[j] if lat_ok else None
+                    views[k].tid, addrs[a:b], lat[a:b] if lat_ok else None
                 )
 
     def _intern_var_rows(self, views, ks, pos, keys, var_rows) -> None:
@@ -579,68 +524,6 @@ class NumaProfiler(Monitor):
             self.archive.profiles[tid].page_heat = out
         self._heat = {}
 
-    def _observe(self, view: ChunkView) -> float:
-        """Sample one chunk and attribute code-, data-, address-centric."""
-        chunk = view.chunk
-        profile = self._profile(view.tid)
-        batch = self.mechanism.select(
-            view.tid, chunk, view.levels, view.target_domains, view.latencies
-        )
-        caps = self.mechanism.capabilities
-
-        profile.counters["instructions"] += chunk.n_instructions
-        profile.counters["accesses"] += chunk.n_accesses
-        profile.counters["samples"] += batch.n_samples
-        profile.counters["sampled_instructions"] += batch.n_sampled_instructions
-        profile.counters["events"] += batch.n_events_total
-
-        metrics: dict[str, float] = {
-            MetricNames.INSTR: float(chunk.n_instructions),
-            MetricNames.SAMPLED_INSTR: float(batch.n_sampled_instructions),
-        }
-
-        # Absolute remote-event counter (conventional PMU counter running
-        # alongside sampling; available on counting-capable mechanisms).
-        if caps.counts_absolute_events and chunk.n_accesses:
-            remote_events = int(
-                np.count_nonzero(view.dram_mask & view.remote_mask)
-            )
-            metrics[MetricNames.EVENTS_NUMA] = float(remote_events)
-
-        if batch.n_samples == 0:
-            self._attribute_code(profile, view.path, metrics)
-            return self.mechanism.cost_cycles(batch, chunk)
-
-        idx = batch.indices
-        s_addrs = chunk.addrs_at(idx)
-        s_targets = view.target_domains[idx]
-        s_lat = view.latencies[idx]
-        remote = view.remote_mask[idx]
-
-        metrics[MetricNames.SAMPLES] = float(batch.n_samples)
-        metrics[MetricNames.NUMA_MATCH] = float(np.count_nonzero(~remote))
-        metrics[MetricNames.NUMA_MISMATCH] = float(np.count_nonzero(remote))
-        dom_counts = np.bincount(
-            s_targets, minlength=self._engine.machine.n_domains
-        )
-        for d in np.nonzero(dom_counts)[0]:
-            metrics[MetricNames.numa_node(int(d))] = float(dom_counts[d])
-        lat_captured = caps.measures_latency and batch.latency_captured
-        if lat_captured:
-            metrics[MetricNames.LAT_TOTAL] = float(s_lat.sum())
-            metrics[MetricNames.LAT_REMOTE] = float(s_lat[remote].sum())
-        if self.heatmap:
-            self._accumulate_heat(
-                view.tid, s_addrs, s_lat if lat_captured else None
-            )
-
-        self._attribute_code(profile, view.path, metrics)
-        self._attribute_data(
-            profile, chunk, view.path, s_addrs, remote,
-            s_lat if lat_captured else None, metrics,
-        )
-        return self.mechanism.cost_cycles(batch, chunk)
-
     # ------------------------------------------------------------------ #
     # Phase-extrapolation protocol (repro.runtime.phase)
     # ------------------------------------------------------------------ #
@@ -649,10 +532,9 @@ class NumaProfiler(Monitor):
         """Deferred accumulation can record/replay deltas.
 
         The heatmap path accumulates into per-(tid, page) dicts that the
-        recorder does not capture, so it opts out; non-deferred mode
-        attributes immediately into CCTs (nothing to scale).
+        recorder does not capture, so it opts out.
         """
-        return self.deferred and not self.heatmap
+        return not self.heatmap
 
     def phase_digest(self):
         """Mutable state affecting future selections: the mechanism's."""
@@ -817,14 +699,14 @@ class NumaProfiler(Monitor):
     def on_run_end(self, result: RunResult) -> None:
         """Flush deferred accumulators and attach the run's timing result.
 
-        In deferred mode this is the moment the archive becomes readable:
+        This is the moment the archive becomes readable:
         every flat accumulator row is folded into the classic
         CCT/VarRecord/bin structures here, exactly once.
         """
         if self.archive is not None:
             self.archive.run_result = result
         self._flush_heat()
-        if self.deferred and self.archive is not None and not self._flushed:
+        if self.archive is not None and not self._flushed:
             tr = obs.TRACER
             if tr.enabled:
                 tr.gauge("profiler.code_rows", self._code_tab.n_rows)
@@ -898,74 +780,3 @@ class NumaProfiler(Monitor):
         if self.archive is None:
             raise ProfileError("profiler used before on_run_start")
         return self.archive.profiles[tid]
-
-    def _attribute_code(
-        self, profile: ThreadProfile, path: CallPath, metrics: dict[str, float]
-    ) -> None:
-        profile.cct.attribute(path, metrics)
-
-    def _attribute_data(
-        self,
-        profile: ThreadProfile,
-        chunk: AccessChunk,
-        path: CallPath,
-        s_addrs: np.ndarray,
-        remote: np.ndarray,
-        s_lat: np.ndarray | None,
-        metrics: dict[str, float],
-    ) -> None:
-        # Resolve through the registry (the real tool's heap/symbol map);
-        # ground truth (chunk.var) is only used as a consistency check.
-        var = self.registry.resolve_addrs(s_addrs)
-        if chunk.var is not None and var.name != chunk.var.name:
-            raise ProfileError(
-                f"data-centric resolution found {var.name!r} but ground truth "
-                f"is {chunk.var.name!r}"
-            )
-        rec = profile.var_record(var, n_bins=self.n_bins)
-        # Skip zero values like CCT.attribute does: rec.metrics is a
-        # defaultdict, so key presence is unobservable to readers, and
-        # staying sparse keeps the deferred flush path's output identical.
-        for name, value in metrics.items():
-            if value:
-                rec.metrics[name] += value
-        bins = rec.record_samples(path, s_addrs)
-        self._attribute_bins(rec, bins, remote, s_lat)
-        # Augmented CCT: variable costs under allocation path + dummy +
-        # access path (mixed calling-context sequence, Section 7.1).
-        mixed = var.alloc_path + (DUMMY_ACCESS,) + path
-        profile.data_cct.attribute(mixed, metrics)
-
-    def _attribute_bins(
-        self,
-        rec,
-        bins: np.ndarray,
-        remote: np.ndarray,
-        s_lat: np.ndarray | None,
-    ) -> None:
-        """Attribute each sample's own metrics to its own bin.
-
-        Section 5.2's hot-spot semantics: a bin full of remote samples
-        must show all the mismatches and remote latency, not an average
-        share — so every per-bin metric is a weighted bincount over the
-        actual per-sample arrays, never a proportional split.
-        """
-        counts = np.bincount(bins, minlength=rec.n_bins)
-        mismatch = np.bincount(
-            bins, weights=remote.astype(np.float64), minlength=rec.n_bins
-        )
-        if s_lat is not None:
-            lat_total = np.bincount(bins, weights=s_lat, minlength=rec.n_bins)
-            lat_remote = np.bincount(
-                bins, weights=np.where(remote, s_lat, 0.0), minlength=rec.n_bins
-            )
-        for b in np.nonzero(counts)[0]:
-            bin_metrics = rec.bins[int(b)].metrics
-            bin_metrics[MetricNames.SAMPLES] += float(counts[b])
-            bin_metrics[MetricNames.NUMA_MATCH] += float(
-                counts[b] - mismatch[b]
-            )
-            bin_metrics[MetricNames.NUMA_MISMATCH] += float(mismatch[b])
-            if s_lat is not None:
-                bin_metrics[MetricNames.LAT_TOTAL] += float(lat_total[b])
-                bin_metrics[MetricNames.LAT_REMOTE] += float(lat_remote[b])

@@ -141,6 +141,10 @@ class AccessChunk:
         """
         return None
 
+    def affine_form(self) -> tuple[int, int] | None:
+        """``(first, step)`` of a sweep; None for explicit addresses."""
+        return None
+
     def fetch_page_runs(
         self, fidx: np.ndarray, page_size: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -259,6 +263,9 @@ class AffineChunk(AccessChunk):
         # The line grid only sees ``first`` through its offset in a line.
         return self._first % line_size, self._step, self._n
 
+    def affine_form(self) -> tuple[int, int]:
+        return self._first, self._step
+
     def fetch_page_runs(
         self, fidx: np.ndarray, page_size: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -290,20 +297,33 @@ class StepTrace(list):
     ``n_chunks[s]`` and ``n_mem[s]`` count step ``s``'s chunks and
     memory chunks (a variable and at least one access) — the totals the
     run driver sums over shards for its step counters.
+    :meth:`columns` hands out each step's per-chunk thread ids and
+    instruction and access counts as arrays.
     """
 
-    __slots__ = ("n_chunks", "n_mem")
+    __slots__ = ("n_chunks", "n_mem", "_cols", "_starts")
 
     def __init__(self, steps) -> None:
         super().__init__(steps)
         self.n_chunks = np.array([len(step) for step in steps], dtype=np.int64)
-        self.n_mem = np.array(
+        self._starts = np.zeros(len(steps) + 1, dtype=np.int64)
+        np.cumsum(self.n_chunks, out=self._starts[1:])
+        self._cols = np.array(
             [
-                sum(c.var is not None and c.n_accesses > 0 for _, c in step)
-                for step in steps
+                (t.tid, c.n_instructions, c.n_accesses, c.var is not None)
+                for step in steps for t, c in step
             ],
             dtype=np.int64,
-        )
+        ).reshape(-1, 4).T.copy()
+        n_mem = np.zeros(self._starts[-1] + 1, dtype=np.int64)
+        np.cumsum((self._cols[2] > 0) & (self._cols[3] > 0), out=n_mem[1:])
+        self.n_mem = np.diff(n_mem[self._starts])
+
+    def columns(self, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Step ``s``'s per-chunk ``(tids, n_ins, n_acc)``, in step order."""
+        a, b = self._starts[s], self._starts[s + 1]
+        cols = self._cols
+        return cols[0, a:b], cols[1, a:b], cols[2, a:b]
 
     @property
     def nbytes(self) -> int:

@@ -302,6 +302,85 @@ class LazyChunkView:
         return lat
 
 
+class SampleGather:
+    """Closed-form sampled addresses and latencies of one step's views.
+
+    Per view: a sweep's ``(first, stride)``, its cache-level fetch
+    latency and the offset of its DRAM fetch latencies in the latency
+    variant's ``lat_buf`` (-1: fetches hit a cache level). A sampled
+    access of a sweep fetches iff it is the first or changes line; its
+    fetch ordinal is its line distance from the first access for
+    strides under a line (every line in between is visited) and its
+    index otherwise — what :meth:`LazyChunkView.latencies_at` finds by
+    ``searchsorted``.
+    """
+
+    __slots__ = (
+        "first", "stride", "explicit", "fetch_lat", "lat_off", "lat_buf",
+        "l1", "line",
+    )
+
+    def __init__(self, step, pure, var, lv, machine: Machine) -> None:
+        n = len(step)
+        lm = machine.latency_model
+        self.l1, self.line = lm.l1, machine.cache.config.line_size
+        self.lat_buf = lv.lat_buf
+        self.first = np.zeros(n, dtype=np.int64)
+        self.stride = np.zeros(n, dtype=np.int64)
+        self.explicit = np.zeros(n, dtype=bool)
+        self.fetch_lat = np.zeros(n)
+        self.fetch_lat[pure.mem_idx] = np.array([lm.l1, lm.l2, lm.l3, 0.0])[var.levels]
+        self.lat_off = np.full(n, -1, dtype=np.int64)
+        if lv.lat_off is not None:
+            self.lat_off[pure.mem_idx] = lv.lat_off
+        for i, (_, chunk) in zip(pure.mem_idx.tolist(), pure.mem):
+            form = chunk.affine_form()
+            self.explicit[i] = form is None
+            self.first[i], self.stride[i] = form or (0, 0)
+
+    def __call__(self, ks, n_s, idx, lat_ok: bool):
+        """``(addrs, latencies or None, views left to ask)``."""
+        rows = np.repeat(ks, n_s)
+        first, stride = self.first[rows], self.stride[rows]
+        addrs = idx * stride + first
+        lat = None
+        if lat_ok:
+            lines = addrs // self.line
+            fetch = (lines != (addrs - stride) // self.line) | (idx == 0)
+            ordinal = np.where(
+                np.abs(stride) >= self.line, idx, np.abs(lines - first // self.line)
+            )
+            lat = np.full(idx.size, self.l1, dtype=np.float64)
+            off = self.lat_off[rows]
+            cached = fetch & (off < 0)
+            lat[cached] = self.fetch_lat[rows[cached]]
+            dram = fetch & (off >= 0)
+            if dram.any():
+                lat[dram] = self.lat_buf[off[dram] + ordinal[dram]]
+        return addrs, lat, np.flatnonzero(self.explicit[ks])
+
+
+def gather_samples(views, ks, n_s, idx, lat_ok: bool):
+    """Sampled addresses (and latencies if ``lat_ok``) of views ``ks``,
+    whose ``n_s`` samples sit in ``idx`` in view order: in closed form
+    for an engine step's sweeps (:class:`SampleGather`), through each
+    view's ``chunk.addrs_at`` / ``latencies_at`` otherwise."""
+    if views.gather is not None:
+        addrs, lat, ask = views.gather(ks, n_s, idx, lat_ok)
+    else:
+        addrs = np.empty(idx.size, dtype=np.int64)
+        lat = np.empty(idx.size) if lat_ok else None
+        ask = range(ks.size)
+    ends = np.cumsum(n_s)
+    for j in ask:
+        a, b = ends[j] - n_s[j], ends[j]
+        v = views[ks[j]]
+        addrs[a:b] = v.chunk.addrs_at(idx[a:b])
+        if lat_ok:
+            lat[a:b] = v.latencies_at(idx[a:b])
+    return addrs, lat
+
+
 def _mem_positions(step, rec) -> list[int]:
     """Step positions of the chunks with memory traffic.
 
@@ -326,18 +405,19 @@ class _StepMem:
     inflation over *every* shard's requests — so the step's record and
     selected variants live in an explicit bundle. ``mem_idx[k]`` maps
     memory chunk ``k`` back to step position ``i``; ``trap_costs`` /
-    ``lat_sums`` are indexed by step position.
+    ``lat_sums`` are indexed by step position, and ``cols`` holds the
+    step's per-chunk ``(tids, n_ins, n_acc)`` (``StepTrace.columns``).
     """
 
     __slots__ = (
-        "n_active", "mem_idx", "trap_costs", "step_requests",
+        "n_active", "cols", "mem_idx", "trap_costs", "step_requests",
         "lat_sums", "dram", "remote_dram", "traffic",
         "rec", "var", "lat",
     )
 
     def __init__(self, n_active: int) -> None:
         self.n_active = n_active
-        self.trap_costs = [0.0] * n_active
+        self.trap_costs = np.zeros(n_active)
 
 
 class _Iteration:
@@ -736,7 +816,7 @@ class ExecutionEngine:
             self.callstacks[t.tid].push(region.src)
             if self.monitor is not None:
                 self.monitor.on_region_enter(t.tid, region, it.iteration)
-        it.region_cycles = {t.tid: 0.0 for t in owned}
+        it.region_cycles = np.zeros(len(self.threads))
         it.traffic = np.zeros(
             (self.machine.n_domains, self.machine.n_domains), dtype=np.int64
         )
@@ -843,10 +923,13 @@ class ExecutionEngine:
             return None
         step = steps[s]
         st = _StepMem(len(step))
+        st.cols = steps.columns(s)
         if trap_by_tid:
             # One chunk per thread per step, and only memory chunks
             # carry page events.
-            st.trap_costs = [trap_by_tid.get(t.tid, 0.0) for t, _ in step]
+            st.trap_costs = np.array(
+                [trap_by_tid.get(t.tid, 0.0) for t, _ in step]
+            )
         rec = self.memo.record(it.region_idx, s, transient=not it.retain)
         st.mem_idx = _mem_positions(step, rec)
         if traced:
@@ -907,7 +990,7 @@ class ExecutionEngine:
             self._latency_phase(st, inflation)
         costs = self._monitor_phase(step, st)
         instructions, accesses = self._account_phase(
-            step, st, costs, it.region_cycles, self._overhead_by_tid
+            st, costs, it.region_cycles, self._overhead_by_tid
         )
         it.instructions += instructions
         it.accesses += accesses
@@ -937,6 +1020,9 @@ class ExecutionEngine:
         region = it.region
         if it.iteration == region.repeat - 1:
             self.memo.release_region(it.region_idx)
+        it.region_cycles = {
+            t.tid: float(it.region_cycles[t.tid]) for t in it.owned
+        }
         ints = {
             "instructions": it.instructions,
             "accesses": it.accesses,
@@ -1022,8 +1108,8 @@ class ExecutionEngine:
         eps = 0.0
         if mode == "exact":
             for _ in range(n_skip):
-                for tid, oh in rec.oh_ops:
-                    overhead[tid] += oh
+                for tids, oh in rec.oh_ops:
+                    overhead[tids] += oh
             if monitor is not None:
                 monitor.phase_replay(rec.monitor_prog, n_skip)
         else:
@@ -1133,10 +1219,11 @@ class ExecutionEngine:
         """Classification / placement: pure products + keyed variants.
 
         The reuse-distance lookup (the only stateful part of
-        classification) runs live; its per-chunk result joins the
-        page-table epoch in the variant key, so both a cache-state
-        change and any page-placement mutation select — or build — a
-        different variant.
+        classification) runs live, as one array lookup over the step's
+        memory chunks; its result joins the page-table epoch in the
+        variant key, so both a cache-state change and any
+        page-placement mutation select — or build — a different
+        variant.
         """
         machine = self.machine
         memo = self.memo
@@ -1150,14 +1237,9 @@ class ExecutionEngine:
             rec.pure = pure
             memo.charge(rec, pure.nbytes)
         st.mem_idx = pure.mem_idx
-        cache = machine.cache
-        n_mem = len(pure.mem)
-        fetch_levels = np.empty(n_mem, dtype=np.uint8)
-        for k in range(n_mem):
-            fetch_levels[k] = cache.chunk_fetch_level(
-                pure.cpus[k], pure.seg_ids[k],
-                pure.chunk_first[k], pure.chunk_fp[k],
-            )
+        fetch_levels = machine.cache.fetch_levels(
+            pure.cpus, pure.slots, pure.chunk_fp
+        )
         ckey = (machine.page_table.epoch, fetch_levels.tobytes())
         if self._phase_sig is not None:
             # The iteration's phase signature is the sequence of memo
@@ -1185,24 +1267,32 @@ class ExecutionEngine:
         Chunks answer their own geometry questions (see
         :mod:`repro.runtime.chunks`), so no address is expanded here.
         Chunks with equal ``fetch_key`` share one read-only copy of the
-        fetch products.
+        fetch products. Each chunk's reuse key is interned to a cache
+        slot here, once.
         """
         pure = PureStep()
-        pure.mem_idx = list(mem_idx)
-        mem = pure.mem = [step[i] for i in pure.mem_idx]
+        pure.mem_idx = np.array(mem_idx, dtype=np.int64)
+        mem = pure.mem = [step[i] for i in mem_idx]
         n_mem = len(mem)
         pure.interleaved = [
             c.var.segment.policy is PlacementPolicy.INTERLEAVE
             for _, c in mem
         ]
-        pure.cpus = [t.cpu for t, _ in mem]
-        pure.seg_ids = [c.var.segment.seg_id for _, c in mem]
+        cpus = [t.cpu for t, _ in mem]
+        pure.cpus = np.array(cpus, dtype=np.int64)
+        pure.domains = np.array([t.domain for t, _ in mem], dtype=np.int64)
+        pure.n_acc = np.array([c.n_accesses for _, c in mem], dtype=np.int64)
+        cache = self.machine.cache
+        pure.slots = cache.slots(
+            cpus,
+            [c.var.segment.seg_id for _, c in mem],
+            [c.first_addr for _, c in mem],
+        )
         pure.chunk_fetch = [None] * n_mem
         pure.chunk_seq_flags = [True] * n_mem
-        pure.chunk_fp = [0] * n_mem
-        pure.chunk_first = [0] * n_mem
         pure.chunk_fidx = [None] * n_mem
-        line_size = self.machine.cache.config.line_size
+        footprints = [0] * n_mem
+        line_size = cache.config.line_size
         shared = {}
         for k, (t, c) in enumerate(mem):
             key = c.fetch_key(line_size)
@@ -1215,9 +1305,9 @@ class ExecutionEngine:
             fetch, fidx, footprint, seq = got
             pure.chunk_fetch[k] = fetch
             pure.chunk_seq_flags[k] = seq
-            pure.chunk_fp[k] = footprint
-            pure.chunk_first[k] = c.first_addr
+            footprints[k] = footprint
             pure.chunk_fidx[k] = fidx
+        pure.chunk_fp = np.array(footprints, dtype=np.int64)
         obs.TRACER.count("engine.build.shared_fetch", n_mem - len(shared))
         pure.nbytes = _nbytes(pure.chunk_fetch, pure.chunk_fidx)
         return pure
@@ -1230,41 +1320,81 @@ class ExecutionEngine:
         Every non-fetch access hits L1 and only DRAM-level fetches have
         NUMA-relevant placement, so page owners are looked up on the
         fetch subset of DRAM-level chunks only, once per page run.
+        Chunks whose ``(owners, counts)`` runs are equal share one
+        read-only target array, its request counts, and an integer id
+        that keys their latency group: chunks with equal accessor
+        domain, stream flags and target id get one latency build.
         """
         machine = self.machine
         page_size = machine.page_size
         n_domains = machine.n_domains
         var = ClassifyVariant()
         n_mem = len(pure.mem)
-        var.summaries = [None] * n_mem
-        var.dram_targets = [None] * n_mem
-        var.step_requests = np.zeros(n_domains, dtype=np.int64)
-        var.dram = 0
-        var.remote_dram = 0
-        var.traffic = np.zeros((n_domains, n_domains), dtype=np.int64)
-        for k, (t, c) in enumerate(pure.mem):
-            summ = ChunkSummary(
-                pure.chunk_fetch[k], int(fetch_levels[k]),
-                pure.chunk_seq_flags[k], pure.chunk_fp[k],
+        var.levels = fetch_levels
+        var.summaries = [
+            ChunkSummary(fetch, level, seq, fp)
+            for fetch, level, seq, fp in zip(
+                pure.chunk_fetch, fetch_levels.tolist(),
+                pure.chunk_seq_flags, pure.chunk_fp.tolist(),
             )
-            var.summaries[k] = summ
-            if summ.fetch_level == LEVEL_DRAM:
-                fidx = pure.chunk_fidx[k]
+        ]
+        var.dram_targets = [None] * n_mem
+        var.lat_group = np.full(n_mem, -1, dtype=np.int64)
+        var.lat_groups = []
+        var.step_requests = np.zeros(n_domains, dtype=np.int64)
+        var.traffic = np.zeros((n_domains, n_domains), dtype=np.int64)
+        var.dram = var.remote_dram = 0
+        dram_k = np.flatnonzero(fetch_levels == LEVEL_DRAM)
+        if dram_k.size:
+            owners, counts = [], []
+            for k in dram_k.tolist():
+                c = pure.mem[k][1]
                 seg = c.var.segment
-                pages, counts = c.fetch_page_runs(fidx, page_size)
-                owners = seg.domains[pages - seg.start_page]
-                var.dram_targets[k] = (
-                    owners if owners.size == fidx.size  # a run per fetch
-                    else np.repeat(owners, counts)
+                pages, cnt = c.fetch_page_runs(pure.chunk_fidx[k], page_size)
+                owners.append(seg.domains[pages - seg.start_page])
+                counts.append(cnt)
+            # Equal runs must mean equal targets: merge adjacent runs of
+            # one owner within a chunk. A chunk's key is its slice of one
+            # byte string of every chunk's runs.
+            own = np.concatenate(owners)
+            first = np.cumsum([0] + [o.size for o in owners[:-1]])
+            head = np.r_[True, own[1:] != own[:-1]]
+            head[first] = True
+            heads = np.flatnonzero(head)
+            runs = np.stack(
+                [own[heads], np.add.reduceat(np.concatenate(counts), heads)], 1
+            )
+            ends = np.cumsum(np.add.reduceat(head, first)).tolist()
+            raw, width = runs.tobytes(), 2 * runs.itemsize
+            n_fetch = pure.chunk_fp[dram_k] // machine.cache.config.line_size
+            doms = pure.domains[dram_k]
+            target_of, targets, per_domain, groups = {}, [], [], {}
+            ids = np.empty(dram_k.size, dtype=np.int64)
+            for j, (k, a, b) in enumerate(zip(dram_k.tolist(), [0] + ends, ends)):
+                tid = ids[j] = target_of.setdefault(
+                    raw[a * width : b * width], len(targets)
                 )
-                # Float weights sum small integers exactly.
-                per_domain = np.bincount(
-                    owners, counts, minlength=n_domains
-                ).astype(np.int64)
-                var.step_requests += per_domain
-                var.dram += fidx.size
-                var.remote_dram += fidx.size - int(per_domain[t.domain])
-                var.traffic[t.domain] += per_domain
+                if tid == len(targets):
+                    o, cnt = runs[a:b, 0], runs[a:b, 1]
+                    # A run per fetch: the owners are the targets.
+                    tgt = o.copy() if o.size == n_fetch[j] else np.repeat(o, cnt)
+                    tgt.flags.writeable = False
+                    targets.append(tgt)
+                    # Float weights sum small integers exactly.
+                    per_domain.append(np.bincount(o, cnt, minlength=n_domains))
+                var.dram_targets[k] = targets[tid]
+                gkey = (int(doms[j]), pure.chunk_seq_flags[k], pure.interleaved[k])
+                g = var.lat_group[k] = groups.setdefault((*gkey, tid), len(groups))
+                if g == len(var.lat_groups):
+                    var.lat_groups.append((targets[tid], *gkey))
+            obs.TRACER.count(
+                "engine.build.shared_targets", dram_k.size - len(targets)
+            )
+            per = np.array(per_domain).astype(np.int64)[ids]
+            var.step_requests = per.sum(axis=0)
+            np.add.at(var.traffic, doms, per)
+            var.dram = int(n_fetch.sum())
+            var.remote_dram = var.dram - int(per[np.arange(doms.size), doms].sum())
         var.nbytes = _nbytes(var.dram_targets) + var.traffic.nbytes
         return var
 
@@ -1278,9 +1408,10 @@ class ExecutionEngine:
         sums are cached per distinct ``inflation.tobytes()`` within it.
         A cache-state or placement change produced a different
         classification variant upstream, so latency entries can never
-        serve stale inputs. Within one build, chunks with equal
-        latency inputs (accessor domain, stream flags, fetch targets)
-        share one read-only latency array and its sum.
+        serve stale inputs. A build prices each latency group of the
+        variant once (one array and its ``ndarray.sum()``) and every
+        chunk's sum with array arithmetic; views get read-only slices
+        of one buffer of the group arrays.
         """
         machine = self.machine
         memo = self.memo
@@ -1294,54 +1425,39 @@ class ExecutionEngine:
         lv = var.lats.get(lkey)
         if lv is None:
             memo.miss(rec)
-            need_views = self.monitor is not None
-            n_mem = len(pure.mem)
-            lat_sums = [0.0] * st.n_active
-            #: DRAM fetch-latency subsets for lazy views.
-            chunk_lat = [None] * n_mem
-            shared = {}
-            n_dram = 0
-            latency_model = machine.latency_model
+            lm = machine.latency_model
             topology = machine.topology
-            l1 = latency_model.l1
-            lvl_lat = (latency_model.l1, latency_model.l2, latency_model.l3)
-            line_size = machine.cache.config.line_size
-            for k, i in enumerate(pure.mem_idx):
-                t, c = pure.mem[k]
-                summ = var.summaries[k]
-                tgt = var.dram_targets[k]
-                nf = summ.footprint_bytes // line_size
-                if tgt is None:
-                    # All fetches hit a cache level: the chunk's latency
-                    # sum is exact closed-form arithmetic.
-                    lat_sums[i] = (
-                        (c.n_accesses - nf) * l1
-                        + nf * lvl_lat[summ.fetch_level]
-                    )
-                else:
-                    key = (
-                        t.domain, summ.sequential, pure.interleaved[k],
-                        tgt.tobytes(),
-                    )
-                    got = shared.get(key)
-                    if got is None:
-                        fetch_lat = latency_model.dram_fetch_latencies(
-                            tgt, t.domain, topology, inflation,
-                            sequential=summ.sequential,
-                            interleaved=pure.interleaved[k],
-                        )
-                        fetch_lat.flags.writeable = False
-                        got = shared[key] = (fetch_lat, float(fetch_lat.sum()))
-                    lat_sums[i] = got[1] + (c.n_accesses - nf) * l1
-                    n_dram += 1
-                    if need_views:
-                        chunk_lat[k] = got[0]
+            g_lat = [
+                lm.dram_fetch_latencies(
+                    tgt, domain, topology, inflation,
+                    sequential=seq, interleaved=interleaved,
+                )
+                for tgt, domain, seq, interleaved in var.lat_groups
+            ]
+            g_sum = np.array([float(lat.sum()) for lat in g_lat])
+            n_fetch = pure.chunk_fp // machine.cache.config.line_size
+            rest = (pure.n_acc - n_fetch) * lm.l1
+            # All fetches of a cache-level chunk hit one level: its sum
+            # is exact closed-form arithmetic.
+            lvl = np.array([lm.l1, lm.l2, lm.l3, 0.0])
+            sums = rest + n_fetch * lvl[var.levels]
+            group = var.lat_group
+            dram = np.flatnonzero(group >= 0)
+            sums[dram] = g_sum[group[dram]] + rest[dram]
+            lat_sums = np.zeros(st.n_active)
+            lat_sums[pure.mem_idx] = sums
             obs.TRACER.count(
-                "engine.build.shared_latency", n_dram - len(shared)
+                "engine.build.shared_latency", dram.size - len(g_lat)
             )
-            lv = LatVariant(
-                lat_sums, chunk_lat, _nbytes(chunk_lat) + 8 * st.n_active
-            )
+            lv = LatVariant(lat_sums, [None] * len(pure.mem), 8 * st.n_active)
+            if self.monitor is not None and g_lat:
+                lv.lat_buf = np.concatenate(g_lat)
+                lv.lat_buf.flags.writeable = False
+                g_off = np.cumsum([0] + [lat.size for lat in g_lat])
+                g_views = np.split(lv.lat_buf, g_off[1:-1])
+                lv.chunk_lat = [g_views[g] if g >= 0 else None for g in group.tolist()]
+                lv.lat_off = np.where(group >= 0, g_off[group], -1)
+                lv.nbytes += lv.lat_buf.nbytes
             var.lats[lkey] = lv
             memo.charge(rec, lv.nbytes)
         else:
@@ -1351,14 +1467,15 @@ class ExecutionEngine:
 
     def _monitor_phase(
         self, step: list[tuple[SimThread, AccessChunk]], st: _StepMem
-    ) -> list[float] | None:
+    ) -> np.ndarray | None:
         """One ``on_step`` call with the step's views; returns the costs.
 
         The views — lazy views for memory chunks, empty arrays for
-        pure-compute chunks — are built once per latency variant.
-        Call paths come from the live callstacks, which hold the same
-        frames on every iteration of a region. The monitor itself —
-        sampling, attribution, costs — always runs live on them.
+        pure-compute chunks — and their :class:`SampleGather` are built
+        once per latency variant. Call paths come from the live
+        callstacks, which hold the same frames on every iteration of a
+        region. The monitor itself — sampling, attribution, costs —
+        always runs live on them.
         """
         if self.monitor is None:
             return None
@@ -1375,7 +1492,7 @@ class ExecutionEngine:
             memo.miss(rec)
             machine = self.machine
             pure = rec.pure
-            mem_rank = {i: k for k, i in enumerate(pure.mem_idx)}
+            mem_rank = {i: k for k, i in enumerate(pure.mem_idx.tolist())}
             views = []
             for i, (t, chunk) in enumerate(step):
                 path = self.callstacks[t.tid].with_leaf(chunk.ip)
@@ -1391,52 +1508,54 @@ class ExecutionEngine:
                         var.summaries[k], machine, pure.chunk_fidx[k],
                         var.dram_targets[k], lv.chunk_lat[k],
                     ))
-            views = lv.views = StepViews.from_views(views)
+            views = lv.views = StepViews(views, *st.cols)
+            views.gather = SampleGather(step, pure, var, lv, machine)
             # Views are slices into already-charged variant arrays;
             # charge the per-view object overhead approximately.
             memo.charge(rec, 256 * len(views))
         else:
             memo.hit(rec)
-        costs = list(self.monitor.on_step(views))
+        costs = np.asarray(self.monitor.on_step(views), dtype=np.float64)
         if traced:
             tr.end()
-        if len(costs) != st.n_active:
+        if costs.shape != (st.n_active,):
             raise ProgramError(
-                f"monitor on_step returned {len(costs)} costs for "
+                f"monitor on_step returned {costs.size} costs for "
                 f"{st.n_active} chunks"
             )
         return costs
 
     def _account_phase(
         self,
-        step: list[tuple[SimThread, AccessChunk]],
         st: _StepMem,
-        costs: list[float] | None,
-        region_cycles: dict[int, float],
+        costs,
+        region_cycles: np.ndarray,
         overhead_by_tid: np.ndarray,
     ) -> tuple[int, int]:
-        """Cycle / counter accounting; returns (instructions, accesses)."""
-        instructions = 0
-        accesses = 0
-        base_cpi = self.machine.base_cpi
-        mlp = self.machine.mlp
+        """Cycle / counter accounting; returns (instructions, accesses).
+
+        Every chunk of a step runs on a distinct thread, so the per-tid
+        array adds over the step's ``(tids, n_ins, n_acc)`` columns
+        equal per-chunk adds in step order.
+        """
+        tids, n_ins, n_acc = st.cols
+        cycles = (
+            n_ins * self.machine.base_cpi
+            + st.trap_costs
+            + np.asarray(st.lat_sums) / self.machine.mlp
+        )
+        oh = st.trap_costs
+        if costs is not None:
+            costs = np.asarray(costs, dtype=np.float64)
+            cycles += costs
+            oh = oh + costs
+        overhead_by_tid[tids] += oh
         oh_rec = self._phase_oh_rec
-        for i, (t, chunk) in enumerate(step):
-            cycles = (
-                chunk.n_instructions * base_cpi
-                + st.trap_costs[i]
-                + st.lat_sums[i] / mlp
-            )
-            oh = st.trap_costs[i]
-            if costs is not None:
-                cycles += costs[i]
-                oh += costs[i]
-            overhead_by_tid[t.tid] += oh
-            if oh_rec is not None and oh != 0.0:
-                # Zero adds are exact no-ops; recording only the nonzero
-                # ones keeps replay cheap and bit-identical.
-                oh_rec.append((t.tid, oh))
-            instructions += chunk.n_instructions
-            accesses += chunk.n_accesses
-            region_cycles[t.tid] += cycles
-        return instructions, accesses
+        if oh_rec is not None:
+            # Zero adds are exact no-ops; recording only the nonzero
+            # ones keeps replay cheap and bit-identical.
+            nz = oh != 0.0
+            if nz.any():
+                oh_rec.append((tids[nz], oh[nz]))
+        region_cycles[tids] += cycles
+        return int(n_ins.sum()), int(n_acc.sum())

@@ -4,17 +4,19 @@ Every execution step runs through one pipeline of products, each keyed
 on exactly what it depends on:
 
 * **Pure products** (:class:`PureStep`) — per-chunk line-fetch masks,
-  footprints, sequentiality, first addresses — are a pure function of
-  the step's chunks. Chunks with equal fetch geometry share one
-  read-only set of arrays, built once per step.
+  footprints, sequentiality, interned reuse-key slots — are a pure
+  function of the step's chunks. Chunks with equal fetch geometry
+  share one read-only set of arrays, built once per step.
 * **Classification variants** (:class:`ClassifyVariant`) — per-chunk
   classification summaries, DRAM fetches' page owners, request counts,
   traffic — are keyed by ``(page-table epoch, per-chunk fetch
   levels)``. The reuse-distance lookup itself
-  (:meth:`CacheHierarchy.chunk_fetch_level`) runs live on every
-  iteration; its result is part of the key, so a cache-state change
-  simply selects (or builds) a different variant. An epoch bump — any
-  page-table mutation — invalidates by the same mechanism.
+  (:meth:`CacheHierarchy.fetch_levels`, one array lookup per step)
+  runs live on every iteration; its result is part of the key, so a
+  cache-state change simply selects (or builds) a different variant.
+  An epoch bump — any page-table mutation — invalidates by the same
+  mechanism. Chunks with equal ``(owner, count)`` page runs share one
+  read-only DRAM target array.
 * **Latency variants** (:class:`LatVariant`) — DRAM fetch latencies and
   per-chunk latency sums — are keyed by the step's exact contention
   inflation vector (``inflation.tobytes()``) within their
@@ -81,7 +83,7 @@ class StepViews(list):
     record hands the same object back on every iteration.
     """
 
-    __slots__ = ("tids", "n_ins", "n_acc", "memo")
+    __slots__ = ("tids", "n_ins", "n_acc", "memo", "gather")
 
     def __init__(self, views, tids, n_ins, n_acc) -> None:
         super().__init__(views)
@@ -89,6 +91,9 @@ class StepViews(list):
         self.n_ins = n_ins
         self.n_acc = n_acc
         self.memo: dict = {}
+        #: The engine's closed-form sample gather for these views
+        #: (``repro.runtime.engine.SampleGather``), or None.
+        self.gather = None
 
     @classmethod
     def from_views(cls, views) -> "StepViews":
@@ -106,12 +111,14 @@ class StepViews(list):
 class PureStep:
     """Iteration-invariant products of one step (pure functions of it).
 
-    Every list holds one entry per memory chunk, in step order.
+    Every list and array holds one entry per memory chunk, in step
+    order: ``cpus``/``domains``/``n_acc``/``slots`` (reuse-key slots
+    of the machine's cache)/``chunk_fp`` are int64 arrays.
     """
 
     __slots__ = (
-        "mem_idx", "mem", "interleaved", "cpus", "seg_ids",
-        "chunk_fetch", "chunk_seq_flags", "chunk_fp", "chunk_first",
+        "mem_idx", "mem", "interleaved", "cpus", "domains", "n_acc",
+        "slots", "chunk_fetch", "chunk_seq_flags", "chunk_fp",
         "chunk_fidx",
         "nbytes",
     )
@@ -123,13 +130,19 @@ class PureStep:
 
 
 class ClassifyVariant:
-    """Placement-dependent classification products for one epoch/levels key."""
+    """Placement-dependent classification products for one epoch/levels key.
+
+    ``lat_group[k]`` is memory chunk ``k``'s index into ``lat_groups``
+    (-1 for a cache-level chunk); each group is one distinct latency
+    input ``(targets, domain, sequential, interleaved)``.
+    """
 
     __slots__ = (
         # per mem chunk:
-        "summaries", "dram_targets",
+        "levels", "summaries", "dram_targets", "lat_group",
         # step-wide:
-        "step_requests", "dram", "remote_dram", "traffic", "lats", "nbytes",
+        "lat_groups", "step_requests", "dram", "remote_dram", "traffic",
+        "lats", "nbytes",
     )
 
     def __init__(self) -> None:
@@ -145,14 +158,18 @@ class LatVariant:
     ``lat_sums`` is indexed by step position. ``chunk_lat[k]`` holds
     memory chunk ``k``'s DRAM fetch latencies in fetch order, for its
     lazy view; it is None when the chunk's fetches hit a cache level or
-    no monitor is attached.
+    no monitor is attached. Otherwise it is the slice of ``lat_buf``
+    (one read-only buffer per variant) starting at ``lat_off[k]``.
     """
 
-    __slots__ = ("lat_sums", "chunk_lat", "views", "nbytes")
+    __slots__ = (
+        "lat_sums", "chunk_lat", "lat_buf", "lat_off", "views", "nbytes",
+    )
 
     def __init__(self, lat_sums, chunk_lat, nbytes) -> None:
         self.lat_sums = lat_sums
         self.chunk_lat = chunk_lat
+        self.lat_buf = self.lat_off = None
         self.views: StepViews | None = None
         self.nbytes = nbytes
 

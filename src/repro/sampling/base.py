@@ -21,6 +21,10 @@ from repro.errors import MechanismError
 from repro.machine.machine import Machine
 from repro.runtime.chunks import AccessChunk
 
+#: Jitter values a thread draws from its stream per ``integers`` call
+#: (more when one chunk needs more).
+JITTER_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class MechanismCapabilities:
@@ -276,6 +280,7 @@ class SamplingMechanism(abc.ABC):
         self._carry: dict[int, int] = {}
         self._seed = 0x1B5
         self._rngs: dict[int, np.random.Generator] = {}
+        self._reset_jitter()
         self.machine: Machine | None = None
         self.total_samples = 0
         self.total_events = 0
@@ -295,6 +300,55 @@ class SamplingMechanism(abc.ABC):
         # interleave — the invariance the sharded engine relies on.
         self._seed = int(seed)
         self._rngs = {}
+        self._reset_jitter()
+
+    def _reset_jitter(self) -> None:
+        # Row tid: draws taken ahead from thread tid's stream, of which
+        # ``_jit_buf[tid, _jit_cur[tid]:_jit_end[tid]]`` are unread.
+        self._jit_buf = np.zeros((0, JITTER_BLOCK), dtype=np.int64)
+        self._jit_cur = np.zeros(0, dtype=np.int64)
+        self._jit_end = np.zeros(0, dtype=np.int64)
+
+    def _jitter(self, tids: np.ndarray, need: np.ndarray) -> np.ndarray:
+        """The next ``need[r]`` jitter draws of each (distinct) thread
+        ``tids[r]``, concatenated in row order, in one gather.
+
+        A thread refills its row from its stream to
+        ``max(JITTER_BLOCK, need)`` values when it runs short. Bounded
+        ``integers`` draws from one PCG64 stream give the same values
+        however they are split into calls, so the values equal
+        per-chunk draws; refills depend only on the thread's own
+        history, so :meth:`select` and :meth:`select_step` consume the
+        same blocks.
+        """
+        grow = int(tids.max()) + 1 - self._jit_cur.size
+        if grow > 0:
+            self._jit_buf = np.pad(self._jit_buf, ((0, grow), (0, 0)))
+            self._jit_cur = np.append(self._jit_cur, np.zeros(grow, np.int64))
+            self._jit_end = np.append(self._jit_end, np.zeros(grow, np.int64))
+        for r in np.flatnonzero(
+            self._jit_cur[tids] + need > self._jit_end[tids]
+        ).tolist():
+            tid = int(tids[r])
+            rest = self._jit_buf[tid, self._jit_cur[tid] : self._jit_end[tid]]
+            width = max(JITTER_BLOCK, int(need[r]))
+            if width > self._jit_buf.shape[1]:
+                self._jit_buf = np.pad(
+                    self._jit_buf, ((0, 0), (0, width - self._jit_buf.shape[1]))
+                )
+            row = self._jit_buf[tid]
+            row[: rest.size] = rest.copy()
+            row[rest.size : width] = self._rng_for(tid).integers(
+                0, self._jitter_width, size=width - rest.size
+            )
+            self._jit_cur[tid], self._jit_end[tid] = 0, width
+            obs.TRACER.count("sampling.jitter.draws")
+        cur = self._jit_cur[tids]
+        self._jit_cur[tids] = cur + need
+        starts = np.repeat(np.cumsum(need) - need - cur, need)
+        return self._jit_buf[
+            np.repeat(tids, need), np.arange(starts.size) - starts
+        ]
 
     def _rng_for(self, tid: int) -> np.random.Generator:
         """Thread ``tid``'s private jitter stream (lazily spawned)."""
@@ -311,8 +365,9 @@ class SamplingMechanism(abc.ABC):
     def state_digest(self) -> tuple:
         """Hashable digest of all mutable selection state.
 
-        Covers the per-thread periodic carries and jitter-RNG states
-        plus whatever :meth:`_extra_state_digest` contributes (e.g.
+        Covers the per-thread periodic carries, jitter-RNG states and
+        jitter values drawn ahead but not yet used, plus whatever
+        :meth:`_extra_state_digest` contributes (e.g.
         MRK's rate budget). Equal digests before two iterations of the
         same chunk stream mean the mechanism selects bit-identical
         samples in both — the phase detector's exactness condition.
@@ -325,7 +380,12 @@ class SamplingMechanism(abc.ABC):
         return (
             tuple(sorted(self._carry.items())),
             tuple(
-                (tid, freeze_state(rng.bit_generator.state))
+                (
+                    tid, freeze_state(rng.bit_generator.state),
+                    self._jit_buf[
+                        tid, self._jit_cur[tid] : self._jit_end[tid]
+                    ].tobytes(),
+                )
                 for tid, rng in sorted(self._rngs.items())
             ),
             self._extra_state_digest(),
@@ -352,7 +412,7 @@ class SamplingMechanism(abc.ABC):
     ) -> SampleBatch:
         """Choose samples from one executed chunk."""
 
-    @traced_select_step
+    @abc.abstractmethod
     def select_step(self, views) -> StepSampleBatch:
         """Choose samples for every chunk of one execution step at once.
 
@@ -363,31 +423,9 @@ class SamplingMechanism(abc.ABC):
         within a call. Results are exactly what sequential :meth:`select`
         calls in view order would produce — batching is a pure
         performance knob (see ``tests/test_sampling_step.py``).
-
-        The base implementation loops over :meth:`select`; mechanisms
-        override it with vectorized selection over step-concatenated
-        event counts.
+        Mechanisms implement it with vectorized selection over
+        step-concatenated event counts.
         """
-        batches = [
-            self.select(v.tid, v.chunk, v.levels, v.target_domains, v.latencies)
-            for v in views
-        ]
-        counts = np.array([b.n_samples for b in batches], dtype=np.int64)
-        return StepSampleBatch(
-            indices=(
-                np.concatenate([b.indices for b in batches])
-                if batches else np.empty(0, dtype=np.int64)
-            ),
-            counts=counts,
-            starts=_starts_from_counts(counts),
-            n_sampled_instructions=np.array(
-                [b.n_sampled_instructions for b in batches], dtype=np.int64
-            ),
-            n_events_total=np.array(
-                [b.n_events_total for b in batches], dtype=np.int64
-            ),
-            latency_captured=bool(batches and batches[0].latency_captured),
-        )
 
     def cost_cycles_step(self, step: StepSampleBatch, views) -> np.ndarray:
         """Per-chunk monitoring cost for a whole step (see cost_cycles).
@@ -647,9 +685,11 @@ class InstructionSamplingMixin:
         # Randomize low bits of each sample position (as hardware does) so
         # the period never aliases with the chunk's access/instruction
         # interleave; carry accounting stays on the unjittered grid.
-        jitter_width = self._jitter_width
-        if jitter_width > 1:
-            jitter = self._rng_for(tid).integers(0, jitter_width, size=n_positions)
+        if self._jitter_width > 1:
+            jitter = self._jitter(
+                np.array([tid], dtype=np.int64),
+                np.array([n_positions], dtype=np.int64),
+            )
             positions = np.maximum(positions - jitter, 0)
             deduped = _dedupe_sorted(positions)
             if deduped.size != positions.size:
@@ -670,13 +710,14 @@ class InstructionSamplingMixin:
         """Step-wide :meth:`_instruction_samples` over every chunk at once.
 
         One vectorized periodic selection over the step's instruction
-        counts, one jitter draw per chunk from its thread's private
-        stream (concatenated in view order, so the result is
-        bit-identical to per-chunk :meth:`_instruction_samples` calls),
-        and one Bresenham pass mapping instruction slots to access
-        indices. Positions are built only in chunks with memory
-        accesses: a pure-compute chunk's sample count and carry are
-        closed form, O(1) however many instructions it runs.
+        counts, one gather of each chunk's jitter from its thread's
+        private stream (concatenated in view order, so the result is
+        bit-identical to per-chunk :meth:`_instruction_samples` calls;
+        see :meth:`_jitter`), and one Bresenham pass mapping
+        instruction slots to access indices. Positions are built only
+        in chunks with memory accesses: a pure-compute chunk's sample
+        count and carry are closed form, O(1) however many instructions
+        it runs.
 
         Returns ``(access_idx_cat, counts, n_positions, n_acc, n_ins)``.
         """
@@ -704,18 +745,12 @@ class InstructionSamplingMixin:
             carries, n_ins, self.period, mem
         )
         self._store_step_carries(tids, new_carries)
-        jitter_width = self._jitter_width
-        if jitter_width > 1 and mem_pos.size:
-            # One bounded draw per chunk from that thread's own stream;
-            # mem_rows is ascending, so concatenating per-row draws in
-            # view order reproduces the scalar path's stream consumption.
-            jitter = np.concatenate(
-                [
-                    self._rng_for(tids[r]).integers(
-                        0, jitter_width, size=int(n_positions[r])
-                    )
-                    for r in np.flatnonzero(mem & (n_positions > 0)).tolist()
-                ]
+        if self._jitter_width > 1 and mem_pos.size:
+            # mem_rows is ascending, so each thread's draws concatenated
+            # in view order reproduce the scalar path's consumption.
+            rows = np.flatnonzero(mem & (n_positions > 0))
+            jitter = self._jitter(
+                np.asarray(tids, dtype=np.int64)[rows], n_positions[rows]
             )
             mem_pos = np.maximum(mem_pos - jitter, 0)
             dedup = np.empty(mem_pos.size, dtype=bool)

@@ -6,9 +6,10 @@ alternate between the two domains. Within one build:
 
 * the step's fetch products are built once and handed, read-only, to
   every chunk;
-* DRAM fetch latencies are built once per (accessor domain, stream
-  flags, fetch targets): chunks that differ only in their page owners
-  get their own latencies, never a sibling's;
+* DRAM fetch targets are built once per distinct page-owner runs, and
+  DRAM fetch latencies once per (accessor domain, stream flags, fetch
+  targets): chunks that differ only in their page owners get their own
+  targets and latencies, never a sibling's;
 * the memo charges a shared array once.
 
 The per-chunk reference engine still agrees at every memo budget.
@@ -39,17 +40,28 @@ PAGE_ELEMS = PAGE_SIZE // 8
 
 
 class PageSlices:
-    """Thread ``t`` sweeps page ``t`` of an array interleaved over domains."""
+    """Thread ``t`` sweeps page ``t`` of an array interleaved over domains.
+
+    ``skew`` starts thread ``t``'s page ``t * skew`` elements late and
+    ``policy`` places the array, so slices can cross page boundaries at
+    different points of equally placed pages.
+    """
 
     name = "page_slices"
 
-    def __init__(self, repeat: int = 1) -> None:
+    def __init__(
+        self, repeat: int = 1, skew: int = 0,
+        policy=PlacementPolicy.INTERLEAVE, domains=None,
+    ) -> None:
         self.repeat = repeat
+        self.skew = skew
+        self.policy = policy
+        self.domains = domains
 
     def setup(self, ctx) -> None:
         ctx.heap.malloc(
-            THREADS * PAGE_SIZE, "a", (SourceLoc("main"),),
-            policy=PlacementPolicy.INTERLEAVE,
+            (THREADS + 1) * PAGE_SIZE, "a", (SourceLoc("main"),),
+            policy=self.policy, domains=self.domains,
         )
 
     def regions(self, ctx):
@@ -57,7 +69,8 @@ class PageSlices:
 
         def sweep(ctx, tid):
             yield sweep_chunk(
-                a, tid * PAGE_ELEMS, PAGE_ELEMS, SourceLoc("sweep", "s.c", 1)
+                a, tid * (PAGE_ELEMS + self.skew), PAGE_ELEMS,
+                SourceLoc("sweep", "s.c", 1),
             )
 
         return [
@@ -183,4 +196,63 @@ def test_shared_builds_match_per_chunk_reference(memo_bytes):
     assert got.wall_cycles == pytest.approx(want.wall_cycles, rel=1e-9)
     assert got.thread_busy_cycles == pytest.approx(
         want.thread_busy_cycles, rel=1e-9
+    )
+
+
+def test_equal_page_owners_share_one_target_array():
+    monitor = ViewRecorder()
+    counters = _traced_run(_engine(monitor=monitor))
+    (views,) = monitor.steps
+    owners = [int(v._fetch_targets[0]) for v in views]
+    assert owners == [0, 1] * 4
+    # Two distinct owner runs: one read-only target array each.
+    assert counters["engine.build.shared_targets"] == THREADS - 2
+    for v in views:
+        assert not v._fetch_targets.flags.writeable
+        for w in views:
+            same = owners[v.tid] == owners[w.tid]
+            assert (v._fetch_targets is w._fetch_targets) == same
+    with pytest.raises(ValueError):
+        views[0]._fetch_targets[0] = 1
+
+
+def test_runs_split_at_different_pages_share_targets(monkeypatch):
+    """Slices of one bound array cross page boundaries at different
+    points: their page runs differ, their targets do not, so they share
+    one target array and one latency build per accessor domain."""
+    latencies = _count_calls(monkeypatch, LatencyModel, "dram_fetch_latencies")
+    monitor = ViewRecorder()
+    counters = _traced_run(_engine(
+        monitor=monitor,
+        program={"skew": 8, "policy": PlacementPolicy.BIND, "domains": [0]},
+    ))
+    (views,) = monitor.steps
+    runs = {
+        tuple(v.chunk.fetch_page_runs(v._fetch_idx, PAGE_SIZE)[1].tolist())
+        for v in views
+    }
+    assert len(runs) > 1
+    first = views[0]
+    for v in views:
+        assert v._fetch_targets is first._fetch_targets
+        assert not v._fetch_targets.any()
+    assert counters["engine.build.shared_targets"] == THREADS - 1
+    assert len(latencies) == 2  # accessor domains 0 and 1
+
+
+def test_memo_charges_a_shared_target_array_once(monkeypatch):
+    built = []
+    original = ExecutionEngine._build_variant
+
+    def keep(self, *args):
+        built.append(original(self, *args))
+        return built[-1]
+
+    monkeypatch.setattr(ExecutionEngine, "_build_variant", keep)
+    _engine().run()
+    (var,) = built
+    distinct = {id(t): t for t in var.dram_targets}
+    assert len(distinct) == 2
+    assert var.nbytes == (
+        sum(t.nbytes for t in distinct.values()) + var.traffic.nbytes
     )

@@ -188,8 +188,8 @@ def test_phase_advance_matches_simulation():
     for _ in range(7):
         _steady_iteration(simulated)
     cache.phase_advance(delta, 7)
-    assert cache._stream_pos == simulated._stream_pos
-    assert cache._last_visit == simulated._last_visit
+    np.testing.assert_array_equal(cache._pos, simulated._pos)
+    np.testing.assert_array_equal(cache._last, simulated._last)
     assert cache.state_digest() == simulated.state_digest()
 
 

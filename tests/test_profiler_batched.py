@@ -1,9 +1,9 @@
 """Deferred (batched) profiler vs. the per-chunk immediate path.
 
-``NumaProfiler(deferred=True)`` — the default — accumulates metrics in
-flat numpy tables and flushes once at ``on_run_end``. These tests pin
-the golden contract: for every mechanism, a deferred run produces the
-*identical* archive a ``deferred=False`` run does — same RunResult
+``NumaProfiler`` accumulates metrics in flat numpy tables and flushes
+once at ``on_run_end``. These tests pin the golden contract: for every
+mechanism, a deferred run produces the *identical* archive the
+per-chunk ``ImmediateProfiler`` reference does — same RunResult
 timing, same CCT node sets and totals, same per-variable, per-bin, and
 per-range data-centric records, same counters. Integer-valued metrics
 must match exactly; accumulated latency sums are compared at 1e-9
@@ -26,6 +26,7 @@ from repro.runtime.engine import ChunkView
 from repro.runtime.memo import StepViews
 from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
 from tests.conftest import ToyProgram
+from tests.reference.immediate_profiler import ImmediateProfiler
 
 #: Metrics whose accumulation order may differ between the two paths.
 LAT_METRICS = {"LAT_TOTAL", "LAT_REMOTE"}
@@ -43,7 +44,7 @@ MECHS = {
 
 def profiled_run(make_mech, deferred):
     machine = presets.generic(n_domains=4, cores_per_domain=2)
-    profiler = NumaProfiler(make_mech(), deferred=deferred)
+    profiler = (NumaProfiler if deferred else ImmediateProfiler)(make_mech())
     result = ExecutionEngine(
         machine, ToyProgram(), 8, monitor=profiler
     ).run()

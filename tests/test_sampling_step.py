@@ -8,16 +8,20 @@ per-thread carries across steps — so that batching stays a pure
 performance knob.
 """
 
+import types
+
 import numpy as np
 import pytest
 
+from repro.__main__ import ANALYSIS_PERIODS
 from repro.machine import presets
 from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, LEVEL_L2
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk, compute_chunk
 from repro.runtime.heap import HeapAllocator
 from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
-from repro.sampling.base import periodic_positions_step
+from repro.sampling.base import JITTER_BLOCK, periodic_positions_step
+from repro.sampling.registry import MECHANISMS
 
 
 class StubView:
@@ -216,3 +220,118 @@ def test_masked_positions_filter_rows_and_keep_counts(period):
     none = periodic_positions_step(carries, n_events, period, mask & False)
     assert none[0].size == none[1].size == 0
     np.testing.assert_array_equal(none[2], counts)
+
+
+# ---------------------------------------------------------------------- #
+# jitter blocks: draws taken ahead equal per-chunk draws
+# ---------------------------------------------------------------------- #
+
+#: Every jitter width ``min(period, 64)`` above 1 that the six mechanisms
+#: use: their Table 1 periods, the CLI's analysis periods and the
+#: periods of the tests above.
+WIDTHS = sorted({
+    min(p, 64)
+    for p in [
+        *(cls.DEFAULT_PERIOD for cls in MECHANISMS.values()),
+        *ANALYSIS_PERIODS.values(),
+        *(make().period for make in MECHS.values()), 8,
+    ]
+} - {1})
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_block_draw_equals_concatenated_per_call_draws(width):
+    """Bounded draws from one PCG64 stream give the same values and the
+    same final state however they are split into calls."""
+    sizes_rng = np.random.default_rng(width)
+    for trial in range(6):
+        sizes = sizes_rng.integers(0, 3 * JITTER_BLOCK // 2, size=40)
+        sizes[sizes_rng.random(40) < 0.5] %= 7  # many tiny calls too
+        seed = np.random.SeedSequence(trial, spawn_key=(width,))
+        per_call = np.random.default_rng(seed)
+        block = np.random.default_rng(seed)
+        got = np.concatenate(
+            [per_call.integers(0, width, size=int(n)) for n in sizes]
+        )
+        want = block.integers(0, width, size=int(sizes.sum()))
+        np.testing.assert_array_equal(got, want)
+        assert per_call.bit_generator.state == block.bit_generator.state
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_jitter_gather_matches_per_thread_streams(width):
+    """The mechanism's blocked gather returns each thread's stream in
+    order; the unread draws plus the stream state are its future."""
+    machine = presets.generic(n_domains=4, cores_per_domain=2)
+    mech = IBS(period=width)
+    mech.configure(machine, seed=11)
+    ref = {
+        tid: np.random.default_rng(np.random.SeedSequence(11, spawn_key=(tid,)))
+        for tid in range(6)
+    }
+    rng = np.random.default_rng(width)
+    for _ in range(50):
+        tids = np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False))
+        need = rng.integers(1, 400, size=tids.size)
+        need[rng.random(tids.size) < 0.1] += 2 * JITTER_BLOCK  # past a block
+        got = mech._jitter(tids, need)
+        want = np.concatenate(
+            [ref[t].integers(0, width, size=int(n)) for t, n in zip(tids, need)]
+        )
+        np.testing.assert_array_equal(got, want)
+    # Reading one drawn-ahead value leaves the stream state as it was
+    # but changes the future, so it must change the digest.
+    tid = np.array([0])
+    if mech._jit_cur[0] == mech._jit_end[0]:
+        mech._jitter(tid, np.array([1]))
+        ref[0].integers(0, width, size=1)
+    before = mech.state_digest()
+    mech._jitter(tid, np.array([1]))
+    ref[0].integers(0, width, size=1)
+    assert mech.state_digest() != before
+    for tid, stream in ref.items():
+        unread = mech._jit_buf[tid, mech._jit_cur[tid] : mech._jit_end[tid]]
+        np.testing.assert_array_equal(
+            unread, stream.integers(0, width, size=unread.size)
+        )
+        assert mech._rngs[tid].bit_generator.state == stream.bit_generator.state
+
+
+def _per_call_jitter(self, tids, need):
+    """Per-call reference draw: one ``integers`` call per chunk."""
+    return np.concatenate([
+        self._rng_for(int(t)).integers(0, self._jitter_width, size=int(n))
+        for t, n in zip(tids, need)
+    ])
+
+
+@pytest.mark.parametrize("name", ["ibs", "pebs", "pebs_noskid"])
+def test_interleaved_select_and_select_step_match_per_call_reference(name):
+    """One mechanism alternating scalar ``select`` and ``select_step``
+    steps shares its jitter blocks across both paths, and still selects
+    what a fresh per-call reference selects."""
+    machine = presets.generic(n_domains=4, cores_per_domain=2)
+    steps = make_steps(machine, n_steps=40, seed=7)
+    mech = MECHS[name]()
+    ref = MECHS[name]()
+    ref._jitter = types.MethodType(_per_call_jitter, ref)
+    mech.configure(machine)
+    ref.configure(machine)
+    for s, views in enumerate(steps):
+        want = [
+            ref.select(v.tid, v.chunk, v.levels, v.target_domains, v.latencies)
+            for v in views
+        ]
+        if s % 2:
+            step = mech.select_step(views)
+            got = [step.batch_for(k) for k in range(len(views))]
+        else:
+            got = [
+                mech.select(v.tid, v.chunk, v.levels, v.target_domains, v.latencies)
+                for v in views
+            ]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.indices, w.indices)
+            assert g.n_sampled_instructions == w.n_sampled_instructions
+    assert mech._carry == ref._carry
+    assert mech.total_samples == ref.total_samples > 0
