@@ -33,168 +33,26 @@ Quick start::
     # re-run Lulesh(tuning) and compare result.wall_seconds
 """
 
-from repro._version import __version__
-from repro import errors, obs, units
-from repro.machine import (
-    CacheConfig,
-    CacheHierarchy,
-    ContentionModel,
-    LatencyModel,
-    Machine,
-    NumaTopology,
-    PageTable,
-    PlacementPolicy,
-    presets,
-)
-from repro.runtime import (
-    AccessChunk,
-    BindingPolicy,
-    CallStack,
-    ExecutionEngine,
-    HeapAllocator,
-    Monitor,
-    Program,
-    ProgramContext,
-    Region,
-    RegionKind,
-    RunResult,
-    SimThread,
-    SourceLoc,
-    Variable,
-    VariableKind,
-    bind_threads,
-)
-from repro.sampling import (
-    DEAR,
-    IBS,
-    MECHANISMS,
-    MRK,
-    PEBS,
-    PEBSLL,
-    SampleBatch,
-    SamplingMechanism,
-    SoftIBS,
-    create_mechanism,
-    table1_config,
-)
-from repro.profiler import (
-    CCT,
-    CCTNode,
-    CompositeMonitor,
-    MetricNames,
-    NumaProfiler,
-    ProfileArchive,
-    ThreadProfile,
-    TimelineRecorder,
-    lpi_numa,
-    remote_fraction,
-)
-from repro.analysis import (
-    AccessPattern,
-    Action,
-    MergedProfile,
-    NumaAnalysis,
-    ProfileDiff,
-    Recommendation,
-    address_centric_series,
-    address_centric_view,
-    advise,
-    classify_ranges,
-    code_centric_view,
-    data_centric_view,
-    diff_profiles,
-    first_touch_view,
-    load_archive,
-    merge_profiles,
-    save_archive,
-    traffic_matrix_view,
-)
-from repro.optim import (
-    NumaTuning,
-    PlacementSpec,
-    apply_advice,
-    blockwise_all,
-    interleave_all,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "errors",
-    "obs",
-    "units",
-    # machine
-    "CacheConfig",
-    "CacheHierarchy",
-    "ContentionModel",
-    "LatencyModel",
-    "Machine",
-    "NumaTopology",
-    "PageTable",
-    "PlacementPolicy",
-    "presets",
-    # runtime
-    "AccessChunk",
-    "BindingPolicy",
-    "CallStack",
-    "ExecutionEngine",
-    "HeapAllocator",
-    "Monitor",
-    "Program",
-    "ProgramContext",
-    "Region",
-    "RegionKind",
-    "RunResult",
-    "SimThread",
-    "SourceLoc",
-    "Variable",
-    "VariableKind",
-    "bind_threads",
-    # sampling
-    "DEAR",
-    "IBS",
-    "MECHANISMS",
-    "MRK",
-    "PEBS",
-    "PEBSLL",
-    "SampleBatch",
-    "SamplingMechanism",
-    "SoftIBS",
-    "create_mechanism",
-    "table1_config",
-    # profiler
-    "CCT",
-    "CCTNode",
-    "CompositeMonitor",
-    "MetricNames",
-    "NumaProfiler",
-    "ProfileArchive",
-    "ThreadProfile",
-    "TimelineRecorder",
-    "lpi_numa",
-    "remote_fraction",
-    # analysis
-    "AccessPattern",
-    "Action",
-    "MergedProfile",
-    "NumaAnalysis",
-    "ProfileDiff",
-    "Recommendation",
-    "address_centric_series",
-    "address_centric_view",
-    "advise",
-    "classify_ranges",
-    "code_centric_view",
-    "data_centric_view",
-    "diff_profiles",
-    "first_touch_view",
-    "load_archive",
-    "merge_profiles",
-    "save_archive",
-    "traffic_matrix_view",
-    # optim
-    "NumaTuning",
-    "PlacementSpec",
-    "apply_advice",
-    "blockwise_all",
-    "interleave_all",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "._version": "__version__",
+    ".": "errors obs units",
+    ".machine": """CacheConfig CacheHierarchy ContentionModel LatencyModel
+        Machine NumaTopology PageTable PlacementPolicy presets""",
+    ".runtime": """AccessChunk BindingPolicy CallStack ExecutionEngine
+        HeapAllocator Monitor Program ProgramContext Region RegionKind
+        RunResult SimThread SourceLoc Variable VariableKind bind_threads""",
+    ".sampling": """DEAR IBS MECHANISMS MRK PEBS PEBSLL SampleBatch
+        SamplingMechanism SoftIBS create_mechanism table1_config""",
+    ".profiler": """CCT CCTNode CompositeMonitor MetricNames NumaProfiler
+        ProfileArchive ThreadProfile TimelineRecorder lpi_numa
+        remote_fraction""",
+    ".analysis": """AccessPattern Action MergedProfile NumaAnalysis
+        ProfileDiff Recommendation address_centric_series
+        address_centric_view advise classify_ranges code_centric_view
+        data_centric_view diff_profiles first_touch_view load_archive
+        merge_profiles save_archive traffic_matrix_view""",
+    ".optim": """NumaTuning PlacementSpec apply_advice blockwise_all
+        interleave_all""",
+})

@@ -24,33 +24,8 @@ import math
 import sys
 import time
 
-from repro import (
-    ExecutionEngine,
-    NumaAnalysis,
-    NumaProfiler,
-    advise,
-    apply_advice,
-    address_centric_view,
-    code_centric_view,
-    data_centric_view,
-    first_touch_view,
-    merge_profiles,
-    obs,
-    presets,
-)
+from repro import obs
 from repro.errors import NumaProfError, UsageError
-from repro.profiler.metrics import LPI_THRESHOLD, verdict
-from repro.runtime.memo import DEFAULT_MEMO_BYTES
-from repro.runtime.thread import BindingPolicy
-from repro.sampling import create_mechanism
-from repro.workloads import (
-    AMG2006,
-    Blackscholes,
-    CentralHotspot,
-    Lulesh,
-    PartitionedSweep,
-    UMT2013,
-)
 
 
 #: Largest accepted ``--scale``: 100x the paper sizes is the documented
@@ -79,28 +54,32 @@ def _builders(scale: float) -> dict:
     """Workload factories at Table-2 sizes scaled by ``scale``.
 
     Each takes an optional :class:`NumaTuning` so the ``--optimize`` path
-    can rebuild the program with the advisor's fixes applied.
+    can rebuild the program with the advisor's fixes applied. A factory
+    looks its class up when called, so only the workload that runs is
+    imported.
     """
+    from repro import workloads as w
+
     n = _scaled
     return {
-        "lulesh": lambda tuning=None: Lulesh(
+        "lulesh": lambda tuning=None: w.Lulesh(
             tuning, n_nodes=n(600_000, scale, 8_000)
         ),
-        "amg": lambda tuning=None: AMG2006(
+        "amg": lambda tuning=None: w.AMG2006(
             tuning, n_rows=n(200_000, scale, 4_000)
         ),
-        "blackscholes": lambda tuning=None: Blackscholes(
+        "blackscholes": lambda tuning=None: w.Blackscholes(
             tuning, n_options=n(20_000, scale, 500)
         ),
-        "umt": lambda tuning=None: UMT2013(
+        "umt": lambda tuning=None: w.UMT2013(
             tuning,
             plane_elems=n(8_192, scale, 512),
             n_angles=n(96, scale, 8),
         ),
-        "sweep": lambda tuning=None: PartitionedSweep(
+        "sweep": lambda tuning=None: w.PartitionedSweep(
             tuning, n_elems=n(400_000, scale, 8_000)
         ),
-        "hotspot": lambda tuning=None: CentralHotspot(
+        "hotspot": lambda tuning=None: w.CentralHotspot(
             tuning, n_elems=n(250_000, scale, 8_000)
         ),
     }
@@ -252,6 +231,24 @@ def _print_phase_summary(report: dict | None) -> None:
 
 
 def _run(args: argparse.Namespace) -> int:
+    # The run stack is imported here, not at module top, so --help, the
+    # runs subcommand and usage errors load none of it.
+    from repro import (
+        ExecutionEngine,
+        NumaAnalysis,
+        NumaProfiler,
+        address_centric_view,
+        code_centric_view,
+        create_mechanism,
+        data_centric_view,
+        first_touch_view,
+        merge_profiles,
+        presets,
+    )
+    from repro.profiler.metrics import LPI_THRESHOLD, verdict
+    from repro.runtime.memo import DEFAULT_MEMO_BYTES
+    from repro.runtime.thread import BindingPolicy
+
     log = obs.get_logger("cli")
     default_preset, default_threads, default_mech = WORKLOADS[args.workload]
     build = _builders(args.scale)[args.workload]
@@ -490,6 +487,8 @@ def _advise_and_optimize(
     args, machine_factory, build, threads, binding, engine, analysis,
     baseline,
 ) -> int:
+    from repro import ExecutionEngine, advise, apply_advice
+
     advice = advise(
         analysis, thread_domains={t.tid: t.domain for t in engine.threads}
     )

@@ -12,48 +12,17 @@
   the address-centric plot of per-thread [min, max] ranges.
 """
 
-from repro.analysis.merge import MergedProfile, MergedVar, merge_profiles, merge_ranges
-from repro.analysis.io import export_heatmap_csvs, load_archive, save_archive
-from repro.analysis.diff import ProfileDiff, VariableDelta, diff_profiles
-from repro.analysis.report import full_report
-from repro.analysis.analyzer import NumaAnalysis
-from repro.analysis.patterns import AccessPattern, classify_ranges
-from repro.analysis.advisor import Action, Recommendation, advise
-from repro.analysis.views import (
-    AddressCentricSeries,
-    address_centric_series,
-    address_centric_view,
-    code_centric_view,
-    data_centric_view,
-    first_touch_view,
-    region_table_view,
-    traffic_matrix_view,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MergedProfile",
-    "MergedVar",
-    "merge_profiles",
-    "merge_ranges",
-    "load_archive",
-    "save_archive",
-    "export_heatmap_csvs",
-    "ProfileDiff",
-    "VariableDelta",
-    "diff_profiles",
-    "full_report",
-    "NumaAnalysis",
-    "AccessPattern",
-    "classify_ranges",
-    "Action",
-    "Recommendation",
-    "advise",
-    "AddressCentricSeries",
-    "address_centric_series",
-    "address_centric_view",
-    "code_centric_view",
-    "data_centric_view",
-    "first_touch_view",
-    "region_table_view",
-    "traffic_matrix_view",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".merge": "MergedProfile MergedVar merge_profiles merge_ranges",
+    ".io": "load_archive save_archive export_heatmap_csvs",
+    ".diff": "ProfileDiff VariableDelta diff_profiles",
+    ".report": "full_report",
+    ".analyzer": "NumaAnalysis",
+    ".patterns": "AccessPattern classify_ranges",
+    ".advisor": "Action Recommendation advise",
+    ".views": """AddressCentricSeries address_centric_series
+        address_centric_view code_centric_view data_centric_view
+        first_touch_view region_table_view traffic_matrix_view""",
+})

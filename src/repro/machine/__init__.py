@@ -9,22 +9,14 @@ facade tying these together; :mod:`repro.machine.presets` provides the five
 architectures from Table 1 of the paper.
 """
 
-from repro.machine.topology import NumaTopology
-from repro.machine.pagetable import PageTable, PlacementPolicy
-from repro.machine.cache import CacheConfig, CacheHierarchy
-from repro.machine.interconnect import ContentionModel
-from repro.machine.latency import LatencyModel
-from repro.machine.machine import Machine
-from repro.machine import presets
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NumaTopology",
-    "PageTable",
-    "PlacementPolicy",
-    "CacheConfig",
-    "CacheHierarchy",
-    "ContentionModel",
-    "LatencyModel",
-    "Machine",
-    "presets",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".topology": "NumaTopology",
+    ".pagetable": "PageTable PlacementPolicy",
+    ".cache": "CacheConfig CacheHierarchy",
+    ".interconnect": "ContentionModel",
+    ".latency": "LatencyModel",
+    ".machine": "Machine",
+    ".": "presets",
+})

@@ -272,6 +272,12 @@ class PageTable:
         """All currently mapped segments, ascending by base address."""
         return [self._segments[int(i)] for i in self._ids]
 
+    def has_pending_pages(self) -> bool:
+        """Whether any segment still has unbound or protected pages."""
+        return any(
+            seg.n_unbound or seg.n_protected for seg in self._segments.values()
+        )
+
     def segment_of_addr(self, addr: int) -> Segment:
         """Return the segment containing byte address ``addr``."""
         page = addr // self.page_size
@@ -314,7 +320,7 @@ class PageTable:
                 return seg.domains[pages - seg.start_page]
         out = np.full(addrs.shape, UNBOUND, dtype=np.int64)
         seg_idx = self.segments_of_pages(pages)
-        for si in np.unique(seg_idx):
+        for si in fast_unique(seg_idx):
             seg = self._segments[int(self._ids[si])]
             mask = seg_idx == si
             out[mask] = seg.domains[pages[mask] - seg.start_page]
@@ -336,7 +342,7 @@ class PageTable:
         domain = self.topology.domain_of_cpu(cpu)
         seg_idx = self.segments_of_pages(pages)
         newly_bound: list[np.ndarray] = []
-        for si in np.unique(seg_idx):
+        for si in fast_unique(seg_idx):
             seg = self._segments[int(self._ids[si])]
             if seg.n_unbound == 0:
                 continue
@@ -387,7 +393,7 @@ class PageTable:
         """Clear protection on the given absolute page numbers."""
         pages = fast_unique(np.asarray(pages, dtype=np.int64))
         seg_idx = self.segments_of_pages(pages)
-        for si in np.unique(seg_idx):
+        for si in fast_unique(seg_idx):
             seg = self._segments[int(self._ids[si])]
             local = pages[seg_idx == si] - seg.start_page
             cleared = int(np.count_nonzero(seg.protected[local]))
@@ -408,7 +414,7 @@ class PageTable:
                 return seg.protected[pages - seg.start_page]
         out = np.zeros(pages.shape, dtype=bool)
         seg_idx = self.segments_of_pages(pages)
-        for si in np.unique(seg_idx):
+        for si in fast_unique(seg_idx):
             seg = self._segments[int(self._ids[si])]
             mask = seg_idx == si
             out[mask] = seg.protected[pages[mask] - seg.start_page]

@@ -36,60 +36,19 @@ Span categories are the overhead-attribution phases: ``engine``
 
 from __future__ import annotations
 
-from repro.obs.export import (
-    chrome_trace,
-    phase_breakdown,
-    summary_table,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.log import configure_logging, get_logger, logger
-from repro.obs.timeseries import (
-    FLAG_EPOCH,
-    FLAG_EXTRAPOLATED,
-    FLAG_FINAL,
-    FLAG_ITERATION,
-    FLAG_PHASE_BREAK,
-    FLAG_SCHEDULE,
-    MetricsRecorder,
-)
-from repro.obs.tracer import (
-    DEFAULT_GAUGE_MERGE,
-    GAUGE_MERGE,
-    NOOP_SPAN,
-    CountingTracer,
-    Tracer,
-)
+from repro._lazy import lazy_exports
+from repro.obs.tracer import Tracer
 
-__all__ = [
-    "TRACER",
-    "Tracer",
-    "CountingTracer",
-    "NOOP_SPAN",
-    "GAUGE_MERGE",
-    "DEFAULT_GAUGE_MERGE",
-    "MetricsRecorder",
-    "FLAG_ITERATION",
-    "FLAG_SCHEDULE",
-    "FLAG_EPOCH",
-    "FLAG_PHASE_BREAK",
-    "FLAG_EXTRAPOLATED",
-    "FLAG_FINAL",
-    "enable",
-    "disable",
-    "get_tracer",
-    "set_tracer",
-    "chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "summary_table",
-    "phase_breakdown",
-    "validate_chrome_trace",
-    "configure_logging",
-    "get_logger",
-    "logger",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".tracer": """Tracer CountingTracer NOOP_SPAN GAUGE_MERGE
+        DEFAULT_GAUGE_MERGE FLAG_ITERATION FLAG_SCHEDULE FLAG_EPOCH
+        FLAG_PHASE_BREAK FLAG_EXTRAPOLATED FLAG_FINAL""",
+    ".timeseries": "MetricsRecorder",
+    ".export": """chrome_trace write_chrome_trace write_jsonl summary_table
+        phase_breakdown validate_chrome_trace""",
+    ".log": "configure_logging get_logger logger",
+})
+__all__ += ["TRACER", "enable", "disable", "get_tracer", "set_tracer"]
 
 #: The process-global tracer every instrumented module consults.
 TRACER = Tracer()

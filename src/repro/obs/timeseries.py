@@ -34,6 +34,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs.tracer import (
+    FLAG_EPOCH,
+    FLAG_EXTRAPOLATED,
+    FLAG_FINAL,
+    FLAG_ITERATION,
+    FLAG_PHASE_BREAK,
+    FLAG_SCHEDULE,
+)
+
 __all__ = [
     "MetricsRecorder",
     "FLAG_ITERATION",
@@ -44,19 +53,6 @@ __all__ = [
     "FLAG_FINAL",
     "FLAG_NAMES",
 ]
-
-#: Sample was taken at a region-iteration boundary (one live iteration).
-FLAG_ITERATION = 1
-#: A policy schedule fired during this iteration (autotune action).
-FLAG_SCHEDULE = 2
-#: The page-table epoch bumped during this iteration (pages migrated).
-FLAG_EPOCH = 4
-#: The phase detector broke a steady phase during this iteration.
-FLAG_PHASE_BREAK = 8
-#: Sample marks a closed-form extrapolation skip (batch of iterations).
-FLAG_EXTRAPOLATED = 16
-#: Final snapshot at run end (run-level gauges are set by now).
-FLAG_FINAL = 32
 
 #: Bit -> short name, for exports and the ``runs timeline`` renderer.
 FLAG_NAMES = {

@@ -32,7 +32,30 @@ __all__ = [
     "NOOP_SPAN",
     "GAUGE_MERGE",
     "DEFAULT_GAUGE_MERGE",
+    "FLAG_ITERATION",
+    "FLAG_SCHEDULE",
+    "FLAG_EPOCH",
+    "FLAG_PHASE_BREAK",
+    "FLAG_EXTRAPOLATED",
+    "FLAG_FINAL",
 ]
+
+# Metrics-plane sample flags (see repro.obs.timeseries). They live here,
+# beside the tracer every run imports, because the engine tags each
+# iteration with them whether or not a recorder is attached.
+
+#: Sample was taken at a region-iteration boundary (one live iteration).
+FLAG_ITERATION = 1
+#: A policy schedule fired during this iteration (autotune action).
+FLAG_SCHEDULE = 2
+#: The page-table epoch bumped during this iteration (pages migrated).
+FLAG_EPOCH = 4
+#: The phase detector broke a steady phase during this iteration.
+FLAG_PHASE_BREAK = 8
+#: Sample marks a closed-form extrapolation skip (batch of iterations).
+FLAG_EXTRAPOLATED = 16
+#: Final snapshot at run end (run-level gauges are set by now).
+FLAG_FINAL = 32
 
 #: Per-gauge merge policy applied by :meth:`Tracer.absorb` when stitching
 #: worker snapshots: ``"sum"`` for gauges that are per-process resource

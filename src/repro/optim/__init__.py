@@ -14,23 +14,10 @@ mid-run via ``PageTable.migrate_segment``, and quantifies the realized
 improvement with ``analysis.diff_profiles``.
 """
 
-from repro.optim.policies import (
-    MigrationStep,
-    NumaTuning,
-    PlacementSpec,
-    PolicySchedule,
-    blockwise_all,
-    interleave_all,
-)
-from repro.optim.transforms import apply_advice, plan_migrations
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MigrationStep",
-    "NumaTuning",
-    "PlacementSpec",
-    "PolicySchedule",
-    "blockwise_all",
-    "interleave_all",
-    "apply_advice",
-    "plan_migrations",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".policies": """MigrationStep NumaTuning PlacementSpec PolicySchedule
+        blockwise_all interleave_all""",
+    ".transforms": "apply_advice plan_migrations",
+})

@@ -265,13 +265,14 @@ class ParallelEngine:
         if self._ran:
             raise ProgramError("ParallelEngine is single-use; build a new one")
         self._ran = True
-        log = obs.get_logger("parallel")
         sharded = self.n_workers > 1 or self.force_sharded
         if sharded and not sharding_supported():
-            log.warning("platform lacks fork start method; running in-process")
+            obs.get_logger("parallel").warning(
+                "platform lacks fork start method; running in-process"
+            )
             sharded = False
         elif not sharded:
-            log.info("n_workers=1: running in-process")
+            obs.get_logger("parallel").info("n_workers=1: running in-process")
         if sharded:
             engine = self._engine(None)
             result = self._run_sharded(engine)

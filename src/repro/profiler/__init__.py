@@ -8,36 +8,14 @@ data-centric (variables and their bins), address-centric (per-thread
 and pinpoints first touches via page-protection traps (Section 6).
 """
 
-from repro.profiler.cct import CCT, CCTNode, DUMMY_ACCESS, DUMMY_FIRST_TOUCH
-from repro.profiler.metrics import MetricNames, lpi_numa, remote_fraction
-from repro.profiler.profile_data import (
-    BinRecord,
-    FirstTouchRecord,
-    ProfileArchive,
-    ThreadProfile,
-    VarRecord,
-)
-from repro.profiler.addresscentric import bin_count_for, bin_edges, bin_indices
-from repro.profiler.profiler import NumaProfiler
-from repro.profiler.timeline import CompositeMonitor, TimelineRecorder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CCT",
-    "CCTNode",
-    "DUMMY_ACCESS",
-    "DUMMY_FIRST_TOUCH",
-    "MetricNames",
-    "lpi_numa",
-    "remote_fraction",
-    "BinRecord",
-    "FirstTouchRecord",
-    "ProfileArchive",
-    "ThreadProfile",
-    "VarRecord",
-    "bin_count_for",
-    "bin_edges",
-    "bin_indices",
-    "NumaProfiler",
-    "CompositeMonitor",
-    "TimelineRecorder",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".cct": "CCT CCTNode DUMMY_ACCESS DUMMY_FIRST_TOUCH",
+    ".metrics": "MetricNames lpi_numa remote_fraction",
+    ".profile_data": """BinRecord FirstTouchRecord ProfileArchive
+        ThreadProfile VarRecord""",
+    ".addresscentric": "bin_count_for bin_edges bin_indices",
+    ".profiler": "NumaProfiler",
+    ".timeline": "CompositeMonitor TimelineRecorder",
+})

@@ -719,12 +719,6 @@ class NumaProfiler(Monitor):
             else:
                 self._flush()
             self._flushed = True
-            obs.get_logger("profiler").debug(
-                "flushed deferred accumulators: %d code rows, %d data rows, "
-                "%d variables",
-                self._code_tab.n_rows, self._data_tab.n_rows,
-                self._var_tab.n_rows,
-            )
 
     def _flush(self) -> None:
         """Fold the flat accumulator tables into the profile structures."""

@@ -9,28 +9,13 @@ running threads), accounts simulated cycles, and invokes monitoring hooks
 that the profiler attaches to.
 """
 
-from repro.runtime.callstack import SourceLoc, CallStack
-from repro.runtime.chunks import AccessChunk
-from repro.runtime.thread import SimThread, BindingPolicy, bind_threads
-from repro.runtime.heap import HeapAllocator, Variable, VariableKind
-from repro.runtime.program import Program, Region, ProgramContext, RegionKind
-from repro.runtime.engine import ExecutionEngine, Monitor, RunResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SourceLoc",
-    "CallStack",
-    "AccessChunk",
-    "SimThread",
-    "BindingPolicy",
-    "bind_threads",
-    "HeapAllocator",
-    "Variable",
-    "VariableKind",
-    "Program",
-    "Region",
-    "RegionKind",
-    "ProgramContext",
-    "ExecutionEngine",
-    "Monitor",
-    "RunResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".callstack": "SourceLoc CallStack",
+    ".chunks": "AccessChunk",
+    ".thread": "SimThread BindingPolicy bind_threads",
+    ".heap": "HeapAllocator Variable VariableKind",
+    ".program": "Program Region ProgramContext RegionKind",
+    ".engine": "ExecutionEngine Monitor RunResult",
+})

@@ -859,6 +859,9 @@ class ExecutionEngine:
         ips: list = []
         names: list[str] = []
         name_id: dict[str, int] = {}
+        if not self.machine.page_table.has_pending_pages():
+            # Every page is bound and unprotected: no chunk has an event.
+            steps = ()
         for s, step in enumerate(steps):
             for t, chunk in step:
                 if chunk.var is None or not chunk.n_accesses:

@@ -15,32 +15,16 @@ branch on, and a cost model that charges monitoring overhead to the
 simulated execution — the source of Table 2's overhead percentages.
 """
 
-from repro.sampling.base import (
-    MechanismCapabilities,
-    SampleBatch,
-    SamplingMechanism,
-    StepSampleBatch,
-)
-from repro.sampling.ibs import IBS
-from repro.sampling.mrk import MRK
-from repro.sampling.pebs import PEBS
-from repro.sampling.dear import DEAR
-from repro.sampling.pebs_ll import PEBSLL
-from repro.sampling.soft_ibs import SoftIBS
-from repro.sampling.registry import MECHANISMS, create_mechanism, table1_config
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MechanismCapabilities",
-    "SampleBatch",
-    "SamplingMechanism",
-    "StepSampleBatch",
-    "IBS",
-    "MRK",
-    "PEBS",
-    "DEAR",
-    "PEBSLL",
-    "SoftIBS",
-    "MECHANISMS",
-    "create_mechanism",
-    "table1_config",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": """MechanismCapabilities SampleBatch SamplingMechanism
+        StepSampleBatch""",
+    ".ibs": "IBS",
+    ".mrk": "MRK",
+    ".pebs": "PEBS",
+    ".dear": "DEAR",
+    ".pebs_ll": "PEBSLL",
+    ".soft_ibs": "SoftIBS",
+    ".registry": "MECHANISMS create_mechanism table1_config",
+})

@@ -547,6 +547,19 @@ class EventSamplingMechanism(SamplingMechanism):
         """Thin one chunk's chosen events (``lat_total``: its latency sum)."""
         return chosen
 
+    def _cap_step(
+        self, tids: np.ndarray, chosen: np.ndarray, counts: np.ndarray,
+        n_ins: np.ndarray, lat_totals: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_cap` over a step: ``(chosen, counts)`` after thinning.
+
+        Per-chunk arrays are in view order; ``chosen`` holds each
+        chunk's events back to back, ``counts[k]`` of them. A step's
+        tids are distinct, so the result must equal :meth:`_cap` applied
+        to each chunk with ``counts[k] > 0`` in turn.
+        """
+        return chosen, counts
+
     def select(
         self,
         tid: int,
@@ -601,7 +614,7 @@ class EventSamplingMechanism(SamplingMechanism):
         ev_counts = np.fromiter((e.size for e in events), np.int64, len(events))
         lat_totals = None
         if capped:
-            lat_totals = [0.0] * len(views)
+            lat_totals = np.zeros(len(views))
             for k in np.flatnonzero(ev_counts).tolist():
                 v = views[k]
                 total = getattr(v, "latency_total", None)
@@ -635,18 +648,12 @@ class EventSamplingMechanism(SamplingMechanism):
         self._store_step_carries(tids, new_carries)
         chosen = events_cat[offsets[rows] + positions]
         if lat_totals is not None and chosen.size:
-            # The cap's budget update is sequential per chunk, but only
-            # chunks that chose events are visited.
-            starts = _starts_from_counts(counts)
-            pieces = []
-            for k in np.flatnonzero(counts).tolist():
-                piece = self._cap(
-                    int(tids[k]), chosen[starts[k]:starts[k + 1]],
-                    views[k].chunk.n_instructions, lat_totals[k],
-                )
-                counts[k] = piece.size
-                pieces.append(piece)
-            chosen = np.concatenate(pieces)
+            n_ins = getattr(views, "n_ins", None)
+            if n_ins is None:
+                n_ins = np.array([v.chunk.n_instructions for v in views])
+            chosen, counts = self._cap_step(
+                np.asarray(tids), chosen, counts, n_ins, lat_totals
+            )
         return self._finish_step(
             StepSampleBatch(
                 indices=chosen,

@@ -15,7 +15,11 @@ import numpy as np
 
 from repro import obs
 from repro.machine.cache import LEVEL_DRAM
-from repro.sampling.base import EventSamplingMechanism, MechanismCapabilities
+from repro.sampling.base import (
+    EventSamplingMechanism,
+    MechanismCapabilities,
+    _starts_from_counts,
+)
 
 
 class MRK(EventSamplingMechanism):
@@ -113,3 +117,47 @@ class MRK(EventSamplingMechanism):
                 chosen = chosen[keep]
         self._budget[tid] = budget - chosen.size
         return chosen
+
+    def _cap_step(
+        self, tids: np.ndarray, chosen: np.ndarray, counts: np.ndarray,
+        n_ins: np.ndarray, lat_totals: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # :meth:`_cap` for every chunk that chose events at once, with
+        # the scalar code's float operations in the same order.
+        rows = np.flatnonzero(counts)
+        row_tids = tids[rows].tolist()
+        cap_rate = self.max_rate
+        chunk_cycles = n_ins[rows] * self.machine.base_cpi + lat_totals[rows]
+        chunk_seconds = chunk_cycles / (self.machine.ghz * 1e9)
+        carried = np.array([self._budget.get(t, 0.0) for t in row_tids])
+        budget = carried + chunk_seconds * cap_rate
+        budget = np.minimum(
+            budget, 3.0 * np.maximum(chunk_seconds * cap_rate, 1.0)
+        )
+        max_samples = budget.astype(np.int64)
+        sizes = counts[rows]
+        kept = np.minimum(sizes, max_samples)
+        dropped = int((sizes - kept).sum())
+        if dropped:
+            obs.TRACER.count("sampling.samples.dropped", dropped)
+            first = _starts_from_counts(counts)[rows]
+            chosen = chosen[first.repeat(kept) + _linspace_picks(sizes, kept)]
+            counts = counts.copy()
+            counts[rows] = kept
+        self._budget.update(zip(row_tids, (budget - kept).tolist()))
+        return chosen, counts
+
+
+def _linspace_picks(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``np.linspace(0, n[j] - 1, m[j]).astype(np.int64)`` for every
+    ``j`` (``m[j] <= n[j]``), concatenated, with linspace's float
+    products: a chunk that keeps all its events gets ``0..n[j]-1``."""
+    ends = np.cumsum(m)
+    ramp = np.arange(ends[-1]) - np.repeat(ends - m, m)
+    # linspace's step; a single point is index 0.
+    step = np.divide(n - 1, m - 1, out=np.zeros(m.size), where=m > 1)
+    picks = (ramp * np.repeat(step, m)).astype(np.int64)
+    # linspace pins its last point to the stop value.
+    multi = m > 1
+    picks[ends[multi] - 1] = n[multi] - 1
+    return picks

@@ -7,26 +7,37 @@ and sampling period.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from importlib import import_module
 
 from repro.errors import MechanismError
 from repro.sampling.base import SamplingMechanism
-from repro.sampling.dear import DEAR
-from repro.sampling.ibs import IBS
-from repro.sampling.mrk import MRK
-from repro.sampling.pebs import PEBS
-from repro.sampling.pebs_ll import PEBSLL
-from repro.sampling.soft_ibs import SoftIBS
+
+
+class _MechanismTable(Mapping):
+    """Read-only name -> mechanism class mapping. A lookup resolves the
+    class through the package's lazy exports, so a run imports only the
+    mechanism it names."""
+
+    def __init__(self, classes: dict[str, str]) -> None:
+        self._classes = classes
+
+    def __getitem__(self, name: str) -> type[SamplingMechanism]:
+        return getattr(import_module(__package__), self._classes[name])
+
+    def __iter__(self):
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
 
 #: Name -> mechanism class.
-MECHANISMS: dict[str, type[SamplingMechanism]] = {
-    "IBS": IBS,
-    "MRK": MRK,
-    "PEBS": PEBS,
-    "DEAR": DEAR,
-    "PEBS-LL": PEBSLL,
-    "Soft-IBS": SoftIBS,
-}
+MECHANISMS: Mapping[str, type[SamplingMechanism]] = _MechanismTable({
+    "IBS": "IBS", "MRK": "MRK", "PEBS": "PEBS", "DEAR": "DEAR",
+    "PEBS-LL": "PEBSLL", "Soft-IBS": "SoftIBS",
+})
 
 
 def create_mechanism(name: str, period: int | None = None, **kwargs) -> SamplingMechanism:

@@ -58,12 +58,15 @@ def fast_unique(values: np.ndarray) -> np.ndarray:
     if values.size <= 1:
         return values.copy()
     deltas = np.diff(values)
-    if np.all(deltas >= 0):
-        keep = np.empty(values.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = deltas > 0
-        return values[keep]
-    return np.unique(values)
+    if not np.all(deltas >= 0):
+        # Sort here rather than call ``np.unique``: its plain form
+        # imports ``numpy.ma`` (~20 ms) on first use.
+        values = np.sort(values)
+        deltas = np.diff(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = deltas > 0
+    return values[keep]
 
 
 def first_occurrence_mask(values: np.ndarray) -> np.ndarray:

@@ -20,19 +20,13 @@ bottlenecks and the optimizer reproduces the same fixes:
 patterns used by tests and the Figure 1 distribution benchmark.
 """
 
-from repro.workloads.base import WorkloadBase
-from repro.workloads.synthetic import PartitionedSweep, CentralHotspot
-from repro.workloads.lulesh import Lulesh
-from repro.workloads.amg import AMG2006
-from repro.workloads.blackscholes import Blackscholes
-from repro.workloads.umt import UMT2013
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WorkloadBase",
-    "PartitionedSweep",
-    "CentralHotspot",
-    "Lulesh",
-    "AMG2006",
-    "Blackscholes",
-    "UMT2013",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": "WorkloadBase",
+    ".synthetic": "PartitionedSweep CentralHotspot",
+    ".lulesh": "Lulesh",
+    ".amg": "AMG2006",
+    ".blackscholes": "Blackscholes",
+    ".umt": "UMT2013",
+})
