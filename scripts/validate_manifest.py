@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Validate run-registry manifests written by ``python -m repro``.
 
-Checks (see :func:`repro.registry.validate_manifest`): required keys,
+Checks (see :func:`repro.registry.read.validate_manifest`): required keys,
 format tag, the run id is 12 lowercase hex digits matching the manifest's
 content hash, section types, and that autotune manifests reference their
 baseline/tuned runs. Exits non-zero listing each problem — CI runs this
@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.registry import validate_manifest  # noqa: E402
+from repro.registry.read import validate_manifest  # noqa: E402
 
 
 def main(argv: list[str]) -> int:

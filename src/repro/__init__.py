@@ -43,8 +43,8 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ".runtime": """AccessChunk BindingPolicy CallStack ExecutionEngine
         HeapAllocator Monitor Program ProgramContext Region RegionKind
         RunResult SimThread SourceLoc Variable VariableKind bind_threads""",
-    ".sampling": """DEAR IBS MECHANISMS MRK PEBS PEBSLL SampleBatch
-        SamplingMechanism SoftIBS create_mechanism table1_config""",
+    ".sampling": """DEAR IBS MECHANISMS MRK PEBS PEBSLL SamplingMechanism
+        SoftIBS create_mechanism table1_config""",
     ".profiler": """CCT CCTNode CompositeMonitor MetricNames NumaProfiler
         ProfileArchive ThreadProfile TimelineRecorder lpi_numa
         remote_fraction""",

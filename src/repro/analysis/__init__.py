@@ -16,7 +16,8 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ".merge": "MergedProfile MergedVar merge_profiles merge_ranges",
-    ".io": "load_archive save_archive export_heatmap_csvs",
+    ".io": "save_archive",
+    ".postmortem": "load_archive export_heatmap_csvs",
     ".diff": "ProfileDiff VariableDelta diff_profiles",
     ".report": "full_report",
     ".analyzer": "NumaAnalysis",

@@ -44,7 +44,7 @@ class Action(enum.Enum):
     NONE = "no optimization warranted"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Recommendation:
     """One variable's recommendation with its supporting evidence."""
 
@@ -58,7 +58,7 @@ class Recommendation:
     rationale: str = ""
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Advice:
     """Whole-program advice: the verdict plus per-variable recommendations."""
 

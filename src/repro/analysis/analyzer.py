@@ -27,7 +27,7 @@ from repro.runtime.callstack import CallPath
 from repro.runtime.heap import VariableKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class VariableSummary:
     """One row of the data-centric ranking."""
 

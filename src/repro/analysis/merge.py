@@ -40,7 +40,7 @@ def merge_ranges(ranges: list[tuple[float, float]]) -> tuple[float, float] | Non
     return (min(los), max(his))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class MergedVar:
     """Cross-thread data-centric record for one variable."""
 
@@ -98,7 +98,7 @@ class MergedVar:
         return dict(merged)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class MergedProfile:
     """All threads merged: summed CCTs, merged variables, total counters."""
 

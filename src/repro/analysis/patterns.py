@@ -35,7 +35,7 @@ class AccessPattern(enum.Enum):
     SINGLE_THREAD = "single-thread"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PatternReport:
     """Classification plus the statistics that led to it."""
 

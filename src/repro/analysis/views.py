@@ -89,7 +89,7 @@ def data_centric_view(
     return "\n".join(lines)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AddressCentricSeries:
     """Raw data behind one address-centric plot."""
 

@@ -62,7 +62,7 @@ SEQUENTIAL_STRIDE_LIMIT = 256
 SEQUENTIAL_FRACTION = 0.9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CacheConfig:
     """Capacities (bytes) and line size of one core's reachable hierarchy.
 
@@ -86,30 +86,15 @@ class CacheConfig:
             raise ValueError(f"line size must be positive, got {self.line_size}")
 
 
-@dataclass
-class ChunkClassification:
-    """Output of :meth:`CacheHierarchy.classify` for one chunk."""
-
-    levels: np.ndarray          # per-access service level codes
-    sequential: bool            # prefetchable stream?
-    footprint_bytes: int        # unique lines touched * line size
-
-    @property
-    def n_fetches(self) -> int:
-        """Line fetches that left L1 (L2 + L3 + DRAM services)."""
-        return int(np.count_nonzero(self.levels != LEVEL_L1))
-
-
-@dataclass
+@dataclass(eq=False, repr=False)
 class ChunkSummary:
     """One chunk's classification without per-access levels.
 
     ``fetch`` marks the accesses that fetch a new cache line; they are all
     serviced at ``fetch_level`` while every other access hits L1, so the
-    full per-access level array of :class:`ChunkClassification` is
-    recoverable but never allocated. The engine's step pipeline builds it
-    from the chunk's ``fetch_products`` (pure; see
-    :mod:`repro.runtime.chunks`) and
+    full per-access level array is recoverable but never allocated. The
+    engine's step pipeline builds it from the chunk's ``fetch_products``
+    (pure; see :mod:`repro.runtime.chunks`) and
     :meth:`CacheHierarchy.fetch_levels` (stateful).
     """
 
@@ -139,10 +124,10 @@ def array_fetch_products(
     """``(fetch_mask, footprint_bytes, sequential)`` of explicit addresses.
 
     ``fetch_mask`` marks each line's first access and the footprint is
-    the unique lines times ``line_size``. This is the explicit-array
-    kernel behind :meth:`CacheHierarchy.classify` and
-    :meth:`CacheHierarchy.chunk_fetch_products`, and the reference an
-    affine chunk's closed-form ``fetch_products`` must reproduce.
+    the unique lines times ``line_size``: an explicit chunk's
+    ``fetch_products`` (an affine chunk answers in closed form). Pure in
+    the addresses, so cacheable across iterations; the reuse-distance
+    half of classification is :meth:`CacheHierarchy.fetch_levels`.
     """
     fetch = first_occurrence_mask(addrs // line_size)
     footprint = int(np.count_nonzero(fetch)) * line_size
@@ -217,37 +202,6 @@ class CacheHierarchy:
         self._pos[cpus] = self._last[slots] = pos + footprints
         return levels
 
-    def _fetch_level(
-        self, cpu: int, seg_id: int, first_addr: int, footprint: int
-    ) -> int:
-        """:meth:`fetch_levels` for one chunk."""
-        slots = self.slots((cpu,), (seg_id,), (first_addr,))
-        level = self.fetch_levels(np.array([cpu]), slots, np.array([footprint]))
-        return int(level[0])
-
-    def state_digest(self) -> frozenset:
-        """Translation-invariant digest of the reuse-distance state.
-
-        The stream position grows monotonically, so raw state never
-        reaches a fixed point; but :meth:`fetch_levels` only ever reads
-        the *difference* ``pos[cpu] - last[slot]``, so two states whose
-        per-key differences (and visited key sets) match produce
-        identical classifications for any identical future access
-        stream. Differences are additionally clamped at
-        ``l3_bytes + 1``: beyond it the next access to the key is a
-        DRAM fetch (which then resets its distance) no matter how much
-        further the stream advances, so cold keys from *other* regions
-        don't keep a steady region out of its fixed point. frozenset
-        equality is exact — no hash-collision risk.
-        """
-        seen = np.flatnonzero(self._last != _NEVER)
-        diff = np.minimum(
-            self._pos[self._slot_cpu[seen]] - self._last[seen],
-            self.config.l3_bytes + 1,
-        )
-        keys = list(self._slot_of)
-        return frozenset(zip(map(keys.__getitem__, seen), diff.tolist()))
-
     def phase_snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """Copy of the raw streaming state (phase-recording baseline)."""
         return self._pos.copy(), self._last.copy()
@@ -283,47 +237,6 @@ class CacheHierarchy:
         adv *= n
         self._pos += adv
         self._last[touched] += adv[self._slot_cpu[touched]]
-
-    def classify(
-        self,
-        addrs: np.ndarray,
-        cpu: int,
-        seg_id: int,
-    ) -> ChunkClassification:
-        """Classify one chunk of accesses for one CPU.
-
-        Parameters
-        ----------
-        addrs: byte addresses of the accesses, in program order.
-        cpu: hardware thread performing them.
-        seg_id: segment (variable) identity for reuse-distance state.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        levels = np.full(addrs.shape, LEVEL_L1, dtype=np.uint8)
-        if addrs.size == 0:
-            return ChunkClassification(levels, True, 0)
-
-        fetch, footprint, sequential = array_fetch_products(
-            addrs, self.config.line_size
-        )
-        levels[fetch] = self._fetch_level(cpu, seg_id, int(addrs[0]), footprint)
-
-        return ChunkClassification(
-            levels=levels,
-            sequential=sequential,
-            footprint_bytes=footprint,
-        )
-
-    def chunk_fetch_products(
-        self, addrs: np.ndarray
-    ) -> tuple[np.ndarray, int, bool]:
-        """Pure half of :meth:`classify` for one non-empty chunk.
-
-        Returns ``(fetch_mask, footprint_bytes, sequential)`` — a pure
-        function of the addresses, cacheable across iterations; the
-        reuse-distance half is :meth:`fetch_levels`.
-        """
-        return array_fetch_products(addrs, self.config.line_size)
 
     def level_counts(self, levels: np.ndarray) -> dict[str, int]:
         """Histogram of service levels, keyed by level name."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ContentionModel:
     """Maps per-domain DRAM request counts to latency inflation factors.
 

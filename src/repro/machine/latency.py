@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, LEVEL_L2, LEVEL_L3
+from repro.machine.cache import LEVEL_DRAM
 from repro.machine.topology import NumaTopology
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class LatencyModel:
     """Latency parameters (cycles) for each service point."""
 
@@ -92,66 +92,6 @@ class LatencyModel:
         base = base + hops * self.hop_cost * 10.0
         return (base * np.asarray(inflation))[np.asarray(target_domains)]
 
-    def access_latency(
-        self,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        accessor_domain: int,
-        topology: NumaTopology,
-        inflation: np.ndarray,
-        *,
-        sequential: bool = False,
-        interleaved: bool = False,
-    ) -> np.ndarray:
-        """Per-access latency in cycles.
-
-        Parameters
-        ----------
-        levels: service-level code per access (see :mod:`repro.machine.cache`).
-        target_domains: owner domain of the touched page per access; only
-            consulted for DRAM-level accesses.
-        accessor_domain: domain of the CPU issuing the accesses.
-        topology: supplies SLIT distances for hop costs.
-        inflation: per-domain contention inflation factors for this step.
-        sequential: whether the chunk is a prefetchable stream.
-        """
-        levels = np.asarray(levels)
-        lat = np.empty(levels.shape, dtype=np.float64)
-        lat[levels == LEVEL_L1] = self.l1
-        lat[levels == LEVEL_L2] = self.l2
-        lat[levels == LEVEL_L3] = self.l3
-
-        dram_mask = levels == LEVEL_DRAM
-        n_dram = int(np.count_nonzero(dram_mask))
-        if n_dram == 0:
-            return lat
-
-        tgt = np.asarray(target_domains)[dram_mask]
-        demand = self._demand_latency(tgt, accessor_domain, topology, inflation)
-        if not sequential:
-            lat[dram_mask] = demand
-            return lat
-
-        # Prefetch absorption, degraded by the target domain's contention
-        # and by the longer round trip of remote streams.
-        remote_scale = np.where(
-            tgt == accessor_domain, 1.0, self.remote_exposure_factor
-        )
-        stream_scale = self.interleave_stream_penalty if interleaved else 1.0
-        exposure = np.minimum(
-            1.0,
-            self.seq_exposure
-            * np.asarray(inflation)[tgt]
-            * remote_scale
-            * stream_scale,
-        )
-        # Deterministic even spacing: the k-th fetch to a given stream is
-        # exposed when its index crosses the next exposure quantum.
-        idx = np.arange(n_dram, dtype=np.float64)
-        exposed = np.floor((idx + 1) * exposure) > np.floor(idx * exposure)
-        lat[dram_mask] = np.where(exposed, demand, self.prefetched_latency)
-        return lat
-
     def dram_fetch_latencies(
         self,
         target_domains: np.ndarray,
@@ -164,11 +104,14 @@ class LatencyModel:
     ) -> np.ndarray:
         """Latency of one chunk's DRAM line fetches, in fetch order.
 
-        Compressed form of :meth:`access_latency` for chunks whose fetch
-        level is DRAM: ``target_domains`` holds only the fetching
-        accesses' page owners, so prefetch-exposure spacing runs on the
-        fetch ordinals directly. Values match the DRAM entries
-        :meth:`access_latency` would produce for the same chunk.
+        ``target_domains`` holds the fetching accesses' page owners. A
+        fetch costs its target domain's latency (remote base plus SLIT
+        hop cost) times the domain's contention inflation. In a
+        sequential (prefetchable) stream only the fetches crossing the
+        next exposure quantum expose it — the k-th fetch is exposed
+        when its index crosses a multiple of ``1 / exposure`` — and the
+        rest cost ``prefetched_latency``. Cache-level accesses cost the
+        level's fixed latency and never reach here.
         """
         demand = self._demand_latency(
             target_domains, accessor_domain, topology, inflation

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.machine.cache import CacheConfig, CacheHierarchy
 from repro.machine.frames import FrameManager
 from repro.machine.interconnect import ContentionModel
@@ -22,7 +20,7 @@ from repro.machine.topology import NumaTopology
 from repro.units import PAGE_SIZE
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Machine:
     """A complete simulated NUMA machine.
 
@@ -94,57 +92,6 @@ class Machine:
     def unmap_segment(self, seg: Segment) -> None:
         """Unmap a segment; see :meth:`PageTable.unmap_segment`."""
         self.page_table.unmap_segment(seg)
-
-    # ------------------------------------------------------------------ #
-    # access pipeline pieces: per-chunk primitives, the definition the
-    # engine's step pipeline reproduces (tests/test_step_reference.py)
-    # ------------------------------------------------------------------ #
-
-    def classify_accesses(self, addrs: np.ndarray, cpu: int, seg: Segment):
-        """Return ``(classification, target_domains)`` for a chunk.
-
-        ``target_domains`` carries the page owner per access (pages must be
-        bound before classification — the engine touches pages first).
-        Addresses must fall inside ``seg`` (chunks are single-variable by
-        construction), which makes the owner lookup a direct gather.
-        """
-        classification = self.cache.classify(addrs, cpu, seg.seg_id)
-        pages = np.asarray(addrs, dtype=np.int64) // self.page_size
-        target_domains = seg.domains[pages - seg.start_page]
-        return classification, target_domains
-
-    def dram_request_counts(
-        self, levels: np.ndarray, target_domains: np.ndarray
-    ) -> np.ndarray:
-        """Per-domain DRAM request counts for contention accounting."""
-        from repro.machine.cache import LEVEL_DRAM
-
-        dram_targets = np.asarray(target_domains)[np.asarray(levels) == LEVEL_DRAM]
-        return np.bincount(dram_targets, minlength=self.topology.n_domains).astype(
-            np.int64
-        )
-
-    def access_latency(
-        self,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        cpu: int,
-        inflation: np.ndarray,
-        *,
-        sequential: bool = False,
-        interleaved: bool = False,
-    ) -> np.ndarray:
-        """Per-access latency in cycles given this step's inflation."""
-        accessor_domain = self.topology.domain_of_cpu(cpu)
-        return self.latency_model.access_latency(
-            levels,
-            target_domains,
-            accessor_domain,
-            self.topology,
-            inflation,
-            sequential=sequential,
-            interleaved=interleaved,
-        )
 
     def cycles_to_seconds(self, cycles: float) -> float:
         """Convert simulated cycles to simulated seconds."""

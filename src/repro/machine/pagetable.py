@@ -55,7 +55,7 @@ class PlacementPolicy(enum.Enum):
     BLOCKWISE = "blockwise"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Segment:
     """A mapped virtual range with per-page NUMA state.
 

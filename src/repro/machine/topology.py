@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import TopologyError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class NumaTopology:
     """Immutable description of a machine's NUMA layout.
 

@@ -40,9 +40,10 @@ from repro._lazy import lazy_exports
 from repro.obs.tracer import Tracer
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    ".tracer": """Tracer CountingTracer NOOP_SPAN GAUGE_MERGE
-        DEFAULT_GAUGE_MERGE FLAG_ITERATION FLAG_SCHEDULE FLAG_EPOCH
+    ".tracer": """Tracer NOOP_SPAN FLAG_ITERATION FLAG_SCHEDULE FLAG_EPOCH
         FLAG_PHASE_BREAK FLAG_EXTRAPOLATED FLAG_FINAL""",
+    ".counting": "CountingTracer",
+    ".stitch": "GAUGE_MERGE DEFAULT_GAUGE_MERGE",
     ".timeseries": "MetricsRecorder",
     ".export": """chrome_trace write_chrome_trace write_jsonl summary_table
         phase_breakdown validate_chrome_trace""",

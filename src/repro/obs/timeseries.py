@@ -16,7 +16,7 @@ All timestamps are **host** nanoseconds on the owning tracer's epoch
 simulated machine, and therefore can never perturb simulated results.
 
 Sharded runs: each worker's recorder rides the existing
-``Tracer.export_state()`` / ``Tracer.absorb()`` stitching — the parent
+``repro.obs.stitch`` (``export_state`` / ``absorb``) stitching — the parent
 absorbs worker series in shard order with epoch-shifted timestamps, so
 the merged timeline is deterministic and byte-stable across runs.
 
@@ -64,7 +64,7 @@ FLAG_NAMES = {
     FLAG_FINAL: "final",
 }
 
-#: Serialized-series format tag (see ``analysis/io.save_series``).
+#: Serialized-series format tag (see ``analysis/postmortem.save_series``).
 SERIES_FORMAT = "repro-series/v1"
 
 
@@ -235,7 +235,7 @@ class MetricsRecorder:
         """Snapshot as plain lists, oldest row first.
 
         The result is JSON-friendly apart from NaN values, which
-        ``analysis/io.save_series`` sanitizes to ``null``; it is also the
+        ``analysis/postmortem.save_series`` sanitizes to ``null``; it is also the
         wire format :meth:`absorb` accepts from worker processes.
         """
         order = self._order()
@@ -262,7 +262,7 @@ class MetricsRecorder:
     def absorb(self, state: dict, track_label: str, shift_ns: int) -> None:
         """Append a foreign recorder's exported rows onto this timeline.
 
-        Called from ``Tracer.absorb`` in shard order, so the merged
+        Called from ``repro.obs.stitch.absorb`` in shard order, so the merged
         series is deterministic. The foreign ``"main"`` track lands on
         ``track_label`` (e.g. ``"w0"``); other foreign tracks keep their
         labels. Timestamps shift onto this recorder's epoch. Derived

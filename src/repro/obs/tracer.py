@@ -28,10 +28,7 @@ import time
 
 __all__ = [
     "Tracer",
-    "CountingTracer",
     "NOOP_SPAN",
-    "GAUGE_MERGE",
-    "DEFAULT_GAUGE_MERGE",
     "FLAG_ITERATION",
     "FLAG_SCHEDULE",
     "FLAG_EPOCH",
@@ -56,28 +53,6 @@ FLAG_PHASE_BREAK = 8
 FLAG_EXTRAPOLATED = 16
 #: Final snapshot at run end (run-level gauges are set by now).
 FLAG_FINAL = 32
-
-#: Per-gauge merge policy applied by :meth:`Tracer.absorb` when stitching
-#: worker snapshots: ``"sum"`` for gauges that are per-process resource
-#: sizes (each shard holds its own slice), ``"max"`` for run-level
-#: properties where any shard's value bounds the run, ``"last"`` to keep
-#: the absorbed snapshot's value (explicit opt-in to overwrite).
-GAUGE_MERGE: dict[str, str] = {
-    "engine.memo.bytes": "sum",
-    "profiler.code_rows": "sum",
-    "profiler.data_rows": "sum",
-    "profiler.var_rows": "sum",
-    "profiler.bin_rows": "sum",
-    "profiler.range_blocks": "sum",
-    "engine.phase.epsilon": "max",
-    "engine.phase.coverage_pct": "max",
-}
-
-#: Gauges without an explicit annotation merge with ``max`` — unlike the
-#: old last-write-wins behaviour, the result cannot depend on the order
-#: worker snapshots are absorbed in.
-DEFAULT_GAUGE_MERGE = "max"
-
 
 class _NoopSpan:
     """Shared inert context manager returned while tracing is disabled."""
@@ -143,7 +118,8 @@ class Tracer:
         self._stack: list[list] = []
         #: Optional attached metrics-plane recorder
         #: (:class:`repro.obs.timeseries.MetricsRecorder`); ``None`` when
-        #: the metrics plane is off. Travels with :meth:`export_state`.
+        #: the metrics plane is off. Travels with
+        #: :func:`repro.obs.stitch.export_state`.
         self.metrics = None
 
     # ------------------------------------------------------------------ #
@@ -177,70 +153,6 @@ class Tracer:
     def now_ns(self) -> int:
         """Monotonic nanoseconds since this tracer's epoch."""
         return time.perf_counter_ns() - self._epoch_ns
-
-    # ------------------------------------------------------------------ #
-    # cross-process stitching
-    # ------------------------------------------------------------------ #
-
-    def export_state(self) -> dict:
-        """Snapshot collected telemetry for shipping to another process.
-
-        The returned dict (events, counters, gauges, span aggregates,
-        and this tracer's epoch) is what a worker process sends back so
-        the parent can :meth:`absorb` it into one timeline.
-        """
-        return {
-            "events": list(self.events),
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "self_ns": dict(self.self_ns),
-            "total_ns": dict(self.total_ns),
-            "calls": dict(self.calls),
-            "epoch_ns": self._epoch_ns,
-            "metrics": (
-                self.metrics.export() if self.metrics is not None else None
-            ),
-        }
-
-    def absorb(self, state: dict, track_label: str) -> None:
-        """Stitch another process's :meth:`export_state` onto this timeline.
-
-        Timestamps shift by the epoch difference — ``perf_counter_ns``
-        is CLOCK_MONOTONIC on Linux, comparable across processes — so
-        worker spans land at their true wall-clock position. Events on
-        the foreign ``"harness"`` track move to ``track_label`` (e.g.
-        ``"w0"``); numeric simulated-thread tracks keep their ids, which
-        are globally unique because shards own disjoint thread sets.
-        Counters and span aggregates sum; gauges merge per the
-        :data:`GAUGE_MERGE` policy (``max`` unless annotated otherwise),
-        so the merged value never depends on absorb order. An attached
-        metrics recorder absorbs the snapshot's time series, if any.
-        """
-        shift = state["epoch_ns"] - self._epoch_ns
-        for ph, name, cat, track, ts_ns, args in state["events"]:
-            if track == "harness":
-                track = track_label
-            self.events.append((ph, name, cat, track, ts_ns + shift, args))
-        for key, value in state["counters"].items():
-            self.counters[key] = self.counters.get(key, 0) + value
-        for key, value in state["gauges"].items():
-            if key not in self.gauges:
-                self.gauges[key] = value
-                continue
-            policy = GAUGE_MERGE.get(key, DEFAULT_GAUGE_MERGE)
-            if policy == "sum":
-                self.gauges[key] += value
-            elif policy == "last":
-                self.gauges[key] = value
-            else:  # "max"
-                self.gauges[key] = max(self.gauges[key], value)
-        for src_name in ("self_ns", "total_ns", "calls"):
-            dst = getattr(self, src_name)
-            for key, value in state[src_name].items():
-                dst[key] = dst.get(key, 0) + value
-        series = state.get("metrics")
-        if series is not None and self.metrics is not None:
-            self.metrics.absorb(series, track_label, shift)
 
     # ------------------------------------------------------------------ #
     # spans
@@ -330,40 +242,3 @@ class Tracer:
         for (_cat, name), ns in self.self_ns.items():
             out[name] = out.get(name, 0.0) + ns / 1e9
         return out
-
-
-class CountingTracer(Tracer):
-    """A tracer that only counts touch points — no timing, no storage.
-
-    Used by the no-op overhead guard (``bench-perf --check``): running an
-    instrumented workload under a ``CountingTracer`` reveals how many
-    tracer calls the disabled path would have to absorb, without paying
-    for event recording.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.enabled = True
-        self.n_calls = 0
-
-    def begin(self, name, cat="harness", **args) -> None:  # noqa: ARG002
-        self.n_calls += 1
-
-    def end(self) -> None:
-        self.n_calls += 1
-
-    def span(self, name, cat="harness", **args):  # noqa: ARG002
-        self.n_calls += 2  # a span is a begin plus an end
-        return NOOP_SPAN
-
-    def pair(self, name, cat, track, t0_ns, t1_ns) -> None:  # noqa: ARG002
-        self.n_calls += 1
-
-    def instant(self, name, cat="harness", **args) -> None:  # noqa: ARG002
-        self.n_calls += 1
-
-    def count(self, name, n=1) -> None:  # noqa: ARG002
-        self.n_calls += 1
-
-    def gauge(self, name, value) -> None:  # noqa: ARG002
-        self.n_calls += 1

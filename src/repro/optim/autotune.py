@@ -10,10 +10,10 @@ migration profilers:
    baseline, so the loop needs exactly two runs;
 2. **advise** — feed the merged profile through
    :func:`repro.analysis.advisor.advise` and convert each
-   recommendation into a live :class:`~repro.optim.policies.MigrationStep`
-   (:func:`repro.optim.transforms.plan_migrations`);
+   recommendation into a live :class:`~repro.optim.schedule.MigrationStep`
+   (:func:`repro.optim.schedule.plan_migrations`);
 3. **live-migrate** — schedule the steps at a region-iteration boundary
-   (:class:`~repro.optim.policies.PolicySchedule`) and re-run: the
+   (:class:`~repro.optim.schedule.PolicySchedule`) and re-run: the
    engine applies them mid-run via the atomic
    ``PageTable.migrate_segment``, the page-table epoch bump invalidates
    memoized classification, and the run continues on the new placement;
@@ -21,7 +21,7 @@ migration profilers:
    (:func:`repro.analysis.diff.diff_profiles`) and report the realized
    movement in remote fraction and lpi_NUMA, plus per-page×thread
    access/latency heatmap CSVs
-   (:func:`repro.analysis.io.export_heatmap_csvs`).
+   (:func:`repro.analysis.postmortem.export_heatmap_csvs`).
 
 Determinism: the schedule is pure data fixed before the second run
 starts, and the engine applies it at the top of the scheduled region
@@ -41,10 +41,9 @@ from repro import obs
 from repro.analysis.advisor import advise
 from repro.analysis.analyzer import NumaAnalysis
 from repro.analysis.diff import ProfileDiff, diff_profiles
-from repro.analysis.io import export_heatmap_csvs
+from repro.analysis.postmortem import export_heatmap_csvs
 from repro.analysis.merge import merge_profiles
-from repro.optim.policies import MigrationStep, PolicySchedule
-from repro.optim.transforms import plan_migrations
+from repro.optim.schedule import MigrationStep, PolicySchedule, plan_migrations
 from repro.profiler.profiler import NumaProfiler
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.heap import HeapAllocator

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.machine.pagetable import PlacementPolicy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PlacementSpec:
     """Explicit placement for one variable."""
 
@@ -27,7 +27,7 @@ class PlacementSpec:
         return list(self.domains) if self.domains is not None else None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class NumaTuning:
     """The NUMA-relevant code changes applied to a workload.
 
@@ -72,76 +72,6 @@ class NumaTuning:
         for name in sorted(self.regroup):
             parts.append(f"{name}: layout regrouped")
         return "; ".join(parts) if parts else "(baseline, no tuning)"
-
-
-@dataclass(frozen=True)
-class MigrationStep:
-    """One live page-migration action the engine can apply mid-run.
-
-    The data form of a ``PageTable.migrate_segment`` call: rebind the
-    named variable's segment under ``policy`` (with ``domains`` where the
-    policy takes them). ``FIRST_TOUCH`` unbinds the pages so the worker
-    threads re-first-touch them where they next access them — the live
-    equivalent of parallelizing the initialization loop.
-    """
-
-    var_name: str
-    policy: PlacementPolicy
-    domains: tuple[int, ...] | None = None
-
-    def domain_list(self) -> list[int] | None:
-        """Domains as the list form ``migrate_segment`` expects."""
-        return list(self.domains) if self.domains is not None else None
-
-    def describe(self) -> str:
-        dom = f" over {list(self.domains)}" if self.domains else ""
-        return f"{self.var_name} -> {self.policy.value}{dom}"
-
-
-class PolicySchedule:
-    """Migration steps keyed to deterministic points in the region loop.
-
-    Pure data: a mapping ``(region_idx, iteration) -> [MigrationStep]``
-    that the execution engine consults at the top of every region
-    iteration, *before* any thread enters the region. Because the
-    schedule is fixed ahead of the run, every replica of the page table
-    in a sharded run applies the identical mutations at the identical
-    boundary — epochs stay in lockstep and memoized classification is
-    invalidated consistently everywhere.
-    """
-
-    def __init__(self) -> None:
-        self._steps: dict[tuple[int, int], list[MigrationStep]] = {}
-
-    def add(self, region_idx: int, iteration: int, step: MigrationStep) -> None:
-        """Schedule ``step`` before iteration ``iteration`` of region ``region_idx``."""
-        self._steps.setdefault((region_idx, iteration), []).append(step)
-
-    def steps_for(self, region_idx: int, iteration: int) -> list[MigrationStep]:
-        """Steps to apply at this boundary (empty when none scheduled)."""
-        return self._steps.get((region_idx, iteration), [])
-
-    def boundaries(self) -> list[tuple[int, int]]:
-        """All scheduled ``(region_idx, iteration)`` boundaries, sorted."""
-        return sorted(self._steps)
-
-    def __len__(self) -> int:
-        return sum(len(steps) for steps in self._steps.values())
-
-    def __bool__(self) -> bool:
-        return bool(self._steps)
-
-    def describe(self) -> str:
-        """Human-readable schedule listing."""
-        if not self._steps:
-            return "(empty schedule)"
-        parts = []
-        for (region_idx, iteration) in self.boundaries():
-            for step in self._steps[(region_idx, iteration)]:
-                parts.append(
-                    f"@region[{region_idx}] iter {iteration}: {step.describe()}"
-                )
-        return "; ".join(parts)
 
 
 def blockwise_all(var_names: list[str], n_domains: int) -> NumaTuning:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.analysis.advisor import Action, Advice
 from repro.machine.pagetable import PlacementPolicy
-from repro.optim.policies import MigrationStep, NumaTuning, PlacementSpec
+from repro.optim.policies import NumaTuning, PlacementSpec
 
 
 def apply_advice(advice: Advice, n_domains: int) -> NumaTuning:
@@ -49,51 +49,3 @@ def apply_advice(advice: Advice, n_domains: int) -> NumaTuning:
             tuning.parallel_init.add(rec.var_name)
         # Action.NONE: leave the variable alone.
     return tuning
-
-
-def plan_migrations(advice: Advice, n_domains: int) -> list[MigrationStep]:
-    """Convert advice into live migration steps for a running program.
-
-    The live counterpart of :func:`apply_advice`: instead of re-running
-    the workload with changed allocation code, each recommendation maps
-    to a ``migrate_segment`` action the engine can apply at a region
-    boundary mid-run:
-
-    * ``BLOCKWISE`` — rebind block-wise over the advisor's derived
-      domain order (the thread-to-block affinity measured in the
-      profile).
-    * ``INTERLEAVE`` — rebind round-robin over all domains.
-    * ``PARALLEL_INIT`` / ``RESTRUCTURE`` — unbind to ``FIRST_TOUCH``:
-      the pages rebind to whichever thread touches them next, which is
-      exactly the co-location a parallelized init (or regrouped layout)
-      achieves, applied live.
-
-    Returns an empty plan when optimization is not worthwhile.
-    """
-    steps: list[MigrationStep] = []
-    if not advice.worth_optimizing:
-        return steps
-    for rec in advice.recommendations:
-        if rec.action is Action.BLOCKWISE:
-            domains = (
-                tuple(rec.blockwise_domains)
-                if rec.blockwise_domains
-                else tuple(range(n_domains))
-            )
-            steps.append(
-                MigrationStep(rec.var_name, PlacementPolicy.BLOCKWISE, domains)
-            )
-        elif rec.action is Action.INTERLEAVE:
-            steps.append(
-                MigrationStep(
-                    rec.var_name,
-                    PlacementPolicy.INTERLEAVE,
-                    tuple(range(n_domains)),
-                )
-            )
-        elif rec.action in (Action.PARALLEL_INIT, Action.RESTRUCTURE):
-            steps.append(
-                MigrationStep(rec.var_name, PlacementPolicy.FIRST_TOUCH)
-            )
-        # Action.NONE: leave the variable alone.
-    return steps

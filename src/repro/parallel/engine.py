@@ -42,10 +42,10 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ProgramError, WorkerError
-from repro.runtime.driver import RunResult, drive
+from repro.obs.stitch import absorb
+from repro.runtime.driver import DEFAULT_DISARM_AFTER, RunResult, drive
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.memo import memo_budget
-from repro.runtime.phase import DEFAULT_DISARM_AFTER
 from repro.runtime.thread import BindingPolicy
 from repro.parallel.worker import _init_worker, _round_task
 
@@ -163,7 +163,7 @@ class _PoolBackend:
             for shard, payload in enumerate(final):
                 state = payload.get("telemetry")
                 if state is not None:
-                    tr.absorb(state, f"w{shard}")
+                    absorb(tr, state, f"w{shard}")
 
 
 class ParallelEngine:
@@ -216,7 +216,7 @@ class ParallelEngine:
         #: sharding.
         self.memoize = bool(memoize)
         self.memo_bytes = memo_bytes
-        #: Live-migration schedule (``repro.optim.policies.PolicySchedule``),
+        #: Live-migration schedule (``repro.optim.schedule.PolicySchedule``),
         #: forwarded verbatim to every shard engine so each page-table
         #: replica applies identical mutations at identical boundaries.
         self.schedule = schedule

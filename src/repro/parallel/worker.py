@@ -38,8 +38,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.runtime.driver import totals_values
-from repro.runtime.phase import INT_FIELDS
+from repro.obs.stitch import export_state
+from repro.runtime.driver import INT_FIELDS, totals_values
 
 
 #: Seconds a worker waits for its siblings at the per-round barrier
@@ -90,8 +90,10 @@ def _finish_iteration(engine, inflation: np.ndarray) -> dict:
 
 def _extrapolate_iterations(engine, region_idx, n_skip, release,
                             mode) -> dict:
-    payload = engine.extrapolate_iterations(
-        region_idx, n_skip, release, mode
+    from repro.runtime.phase import extrapolate_iterations
+
+    payload = extrapolate_iterations(
+        engine, region_idx, n_skip, release, mode
     )
     _WORKER["totals"]["skipped"] += n_skip
     _sample(payload["ints"], obs.FLAG_EXTRAPOLATED,
@@ -129,7 +131,7 @@ def _finish_run(engine) -> dict:
             if engine.owns(tid)
         }
     tr = obs.TRACER
-    payload["telemetry"] = tr.export_state() if tr.enabled else None
+    payload["telemetry"] = export_state(tr) if tr.enabled else None
     return payload
 
 

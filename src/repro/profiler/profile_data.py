@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.profiler.addresscentric import bin_count_for, bin_indices
+from repro.profiler.addresscentric import bin_count_for
 from repro.profiler.cct import CCT
 from repro.runtime.callstack import CallPath
 from repro.runtime.heap import Variable
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FirstTouchRecord:
     """One protection-trap event: who first touched which pages where."""
 
@@ -66,30 +66,6 @@ class VarRecord:
         self.bins = [BinRecord(i) for i in range(self.n_bins)]
         self.ranges: dict[CallPath, np.ndarray] = {}
 
-    def _range_array(self, path: CallPath) -> np.ndarray:
-        arr = self.ranges.get(path)
-        if arr is None:
-            arr = np.empty((self.n_bins + 1, 2), dtype=np.float64)
-            arr[:, 0] = np.inf
-            arr[:, 1] = -np.inf
-            self.ranges[path] = arr
-        return arr
-
-    def record_samples(self, path: CallPath, addrs: np.ndarray) -> np.ndarray:
-        """Tighten ranges for ``path`` with sampled addresses.
-
-        Returns each sample's bin index so the caller can attribute
-        per-bin metrics without recomputing the mapping.
-        """
-        bins = bin_indices(addrs, self.base, self.nbytes, self.n_bins)
-        arr = self._range_array(path)
-        lo, hi = float(addrs.min()), float(addrs.max())
-        arr[0, 0] = min(arr[0, 0], lo)
-        arr[0, 1] = max(arr[0, 1], hi)
-        np.minimum.at(arr[:, 0], bins + 1, addrs.astype(np.float64))
-        np.maximum.at(arr[:, 1], bins + 1, addrs.astype(np.float64))
-        return bins
-
     def range_for(self, path: CallPath | None = None) -> tuple[float, float] | None:
         """[min, max] for a context, or across all contexts when ``None``."""
         if path is not None:
@@ -106,7 +82,7 @@ class VarRecord:
         return float(lo), float(hi)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ThreadProfile:
     """Everything one thread's hpcrun-analogue collected."""
 
@@ -155,7 +131,7 @@ class ThreadProfile:
         return total
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ProfileArchive:
     """A full measurement: per-thread profiles plus run metadata."""
 

@@ -45,7 +45,6 @@ from repro.runtime.engine import (
 )
 from repro.runtime.heap import Variable, VariableKind
 from repro.runtime.memo import StepViews
-from repro.runtime.phase import relative_spread
 from repro.sampling.base import SamplingMechanism
 
 
@@ -100,7 +99,7 @@ class NumaProfiler(Monitor):
         #: Opt-in Migration-Profiler-style page heatmap: accumulate
         #: per (thread, page) sample counts and latency stats into
         #: ``ThreadProfile.page_heat`` (exported by
-        #: ``analysis.io.export_heatmap_csvs``). Off by default — the
+        #: ``analysis.postmortem.export_heatmap_csvs``). Off by default — the
         #: per-page dictionaries cost memory proportional to the touched
         #: footprint.
         self.heatmap = bool(heatmap)
@@ -654,6 +653,8 @@ class NumaProfiler(Monitor):
         declared ε contribution). [min, max] address ranges are left at
         their simulated-window values — see MODEL.md for the contract.
         """
+        from repro.runtime.phase import relative_spread
+
         w = len(deltas)
         eps = 0.0
 

@@ -164,12 +164,6 @@ class CompositeMonitor(Monitor):
             m.on_first_touch(tid, cpu, var, pages, path) for m in self.monitors
         )
 
-    def on_chunk(self, tid, cpu, chunk, levels, targets, lat, path) -> float:
-        return sum(
-            m.on_chunk(tid, cpu, chunk, levels, targets, lat, path)
-            for m in self.monitors
-        )
-
     def on_step(self, views) -> list[float]:
         totals = [0.0] * len(views)
         for m in self.monitors:

@@ -20,22 +20,10 @@ This is the substrate the ROADMAP's profiling-as-a-service item builds
 on: a service's list/query/diff endpoints read the same directories.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.registry.store import (
-    MANIFEST_FORMAT,
-    RegistryError,
-    RunRegistry,
-    build_manifest,
-    content_id,
-    validate_manifest,
-)
-
-__all__ = [
-    "MANIFEST_FORMAT",
-    "RegistryError",
-    "RunRegistry",
-    "build_manifest",
-    "content_id",
-    "validate_manifest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".store": """MANIFEST_FORMAT RegistryError RunRegistry build_manifest
+        content_id""",
+    ".read": "validate_manifest",
+})

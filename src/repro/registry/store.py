@@ -18,8 +18,7 @@ import os
 import subprocess
 from pathlib import Path
 
-from repro.analysis.io import load_archive, save_archive, save_series
-from repro.analysis.io import load_series as _load_series_doc
+from repro.analysis.io import save_archive
 from repro.errors import NumaProfError
 
 MANIFEST_FORMAT = "repro-run/v1"
@@ -31,7 +30,8 @@ ID_LENGTH = 12
 ROOT_ENV = "REPRO_RUNS_DIR"
 
 #: Manifest keys every valid document must carry (see
-#: :func:`validate_manifest` for the per-key type checks).
+#: :func:`repro.registry.read.validate_manifest` for the per-key type
+#: checks).
 REQUIRED_KEYS = (
     "format",
     "id",
@@ -123,54 +123,12 @@ def build_manifest(
     }
 
 
-def validate_manifest(doc: dict) -> list[str]:
-    """Schema-check one manifest document; returns a problem list.
-
-    Checked by ``scripts/validate_manifest.py`` in CI and by
-    ``RunRegistry`` before trusting a directory.
-    """
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["manifest is not an object"]
-    for key in REQUIRED_KEYS:
-        if key not in doc:
-            problems.append(f"missing required key {key!r}")
-    if problems:
-        return problems
-    if doc["format"] != MANIFEST_FORMAT:
-        problems.append(
-            f"format is {doc['format']!r}, expected {MANIFEST_FORMAT!r}"
-        )
-    if doc["kind"] not in KINDS:
-        problems.append(f"kind {doc['kind']!r} not in {KINDS}")
-    rid = doc["id"]
-    if (
-        not isinstance(rid, str)
-        or len(rid) != ID_LENGTH
-        or any(c not in "0123456789abcdef" for c in rid)
-    ):
-        problems.append(f"id {rid!r} is not {ID_LENGTH} lowercase hex digits")
-    elif content_id(doc) != rid:
-        problems.append(
-            f"id {rid} does not match manifest content hash {content_id(doc)}"
-        )
-    if not isinstance(doc["created"], str) or not doc["created"]:
-        problems.append("created must be a non-empty ISO-8601 string")
-    for key in ("config", "flags", "headline", "artifacts"):
-        if not isinstance(doc[key], dict):
-            problems.append(f"{key} must be an object")
-    if not isinstance(doc["host_wall_s"], (int, float)):
-        problems.append("host_wall_s must be a number")
-    if doc["kind"] == "autotune":
-        refs = doc.get("refs", {})
-        for ref in ("baseline", "tuned"):
-            if ref not in refs:
-                problems.append(f"autotune manifest missing refs.{ref}")
-    return problems
-
-
 class RunRegistry:
-    """Reads and writes a directory of content-addressed runs."""
+    """Reads and writes a directory of content-addressed runs.
+
+    Recording a run is this module's job; the read side
+    (:mod:`repro.registry.read`) loads only when a run is read back.
+    """
 
     MANIFEST = "manifest.json"
     PROFILE = "profile.json"
@@ -224,6 +182,8 @@ class RunRegistry:
         if archive is not None:
             save_archive(archive, run_dir / self.PROFILE)
         if series is not None:
+            from repro.analysis.postmortem import save_series
+
             save_series(series, run_dir / self.SERIES)
         for _name, src in (extra_files or {}).items():
             src = Path(src)
@@ -233,75 +193,35 @@ class RunRegistry:
         return run_id
 
     # -------------------------------------------------------------- #
-    # reading
+    # reading (repro.registry.read)
     # -------------------------------------------------------------- #
 
     def list_runs(self) -> list[dict]:
         """All manifests, oldest first (by created, then id)."""
-        out = []
-        if not self.root.is_dir():
-            return out
-        for entry in sorted(self.root.iterdir()):
-            mpath = entry / self.MANIFEST
-            if not mpath.is_file():
-                continue
-            try:
-                with open(mpath) as fh:
-                    out.append(json.load(fh))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise RegistryError(f"unreadable manifest {mpath}: {exc}")
-        out.sort(key=lambda m: (m.get("created") or "", m.get("id") or ""))
-        return out
+        from repro.registry.read import list_runs
+
+        return list_runs(self)
 
     def resolve(self, id_or_prefix: str) -> str:
         """Resolve a (possibly abbreviated) run id to the full id."""
-        if not self.root.is_dir():
-            raise RegistryError(f"no run registry at {self.root}")
-        matches = [
-            entry.name
-            for entry in self.root.iterdir()
-            if entry.name.startswith(id_or_prefix)
-            and (entry / self.MANIFEST).is_file()
-        ]
-        if not matches:
-            raise RegistryError(
-                f"no run matching {id_or_prefix!r} in {self.root}"
-            )
-        if len(matches) > 1:
-            raise RegistryError(
-                f"ambiguous run id {id_or_prefix!r}: {sorted(matches)}"
-            )
-        return matches[0]
+        from repro.registry.read import resolve
+
+        return resolve(self, id_or_prefix)
 
     def manifest(self, id_or_prefix: str) -> dict:
         """Load one run's manifest (validated)."""
-        run_id = self.resolve(id_or_prefix)
-        with open(self.root / run_id / self.MANIFEST) as fh:
-            doc = json.load(fh)
-        problems = validate_manifest(doc)
-        if problems:
-            raise RegistryError(
-                f"invalid manifest for run {run_id}: {problems}"
-            )
-        return doc
+        from repro.registry.read import manifest
+
+        return manifest(self, id_or_prefix)
 
     def load_profile(self, id_or_prefix: str):
         """Load one run's ``ProfileArchive``."""
-        doc = self.manifest(id_or_prefix)
-        rel = doc["artifacts"].get("profile")
-        if rel is None:
-            raise RegistryError(
-                f"run {doc['id']} has no profile artifact"
-            )
-        return load_archive(self.root / doc["id"] / rel)
+        from repro.registry.read import load_profile
+
+        return load_profile(self, id_or_prefix)
 
     def load_series(self, id_or_prefix: str) -> dict:
         """Load one run's metrics-plane series document."""
-        doc = self.manifest(id_or_prefix)
-        rel = doc["artifacts"].get("series")
-        if rel is None:
-            raise RegistryError(
-                f"run {doc['id']} has no series artifact "
-                "(was it recorded with --metrics?)"
-            )
-        return _load_series_doc(self.root / doc["id"] / rel)
+        from repro.registry.read import load_series
+
+        return load_series(self, id_or_prefix)

@@ -8,15 +8,17 @@ site — exactly the information HPCToolkit's unwinder recovers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SourceLoc:
+class SourceLoc(NamedTuple):
     """A (function, file, line) source coordinate.
 
     Used both as a stack frame (function granularity) and as the precise
-    instruction pointer of an access site (line granularity).
+    instruction pointer of an access site (line granularity). A tuple,
+    so hashing a frame or a call path of frames runs in C: frames key
+    every CCT node and profile row. Hash, equality and ordering among
+    frames are those of ``(func, file, line)``.
     """
 
     func: str

@@ -44,21 +44,18 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ProgramError
-from repro.runtime.phase import (
-    INT_FIELDS,
-    EpsSample,
-    IterationRecording,
-    PhaseReport,
-    mean_cycles,
-    next_schedule_boundary,
-    trailing_window,
-    union_plan,
-    window_eps,
-)
 from repro.runtime.program import RegionKind
 
+#: Engine-pure integer counters, summed over shards and extrapolated by
+#: exact multiplication.
+INT_FIELDS = ("instructions", "accesses", "chunks", "dram", "remote_dram")
 
-@dataclass
+#: Non-converging windows before a phase detector disarms
+#: (``--extrap-disarm``; 0 = never disarm).
+DEFAULT_DISARM_AFTER = 3
+
+
+@dataclass(eq=False, repr=False)
 class RunResult:
     """Outcome of one simulated execution."""
 
@@ -153,13 +150,15 @@ class InProcessBackend:
         return [engine.end_iteration()]
 
     def extrapolate(self, region_idx, n_skip, release, mode):
+        from repro.runtime import phase
+
         with obs.TRACER.span(
             "engine.phase.extrapolate", "engine",
             region=self.engine._regions[region_idx].name,
             iterations=n_skip, mode=mode,
         ):
-            return [self.engine.extrapolate_iterations(
-                region_idx, n_skip, release, mode
+            return [phase.extrapolate_iterations(
+                self.engine, region_idx, n_skip, release, mode
             )]
 
     def finish_run(self) -> list[dict]:
@@ -219,7 +218,12 @@ def drive(backend) -> RunResult:
     region_wall: dict[str, float] = {}
     domain_requests = np.zeros(n_domains, dtype=np.int64)
     domain_traffic = np.zeros((n_domains, n_domains), dtype=np.int64)
-    phase_report = PhaseReport(enabled=engine.extrapolate)
+    phase = phase_report = None
+    if engine.extrapolate:
+        # Only a run that extrapolates loads the phase layer.
+        from repro.runtime import phase
+
+        phase_report = phase.PhaseReport(enabled=True)
 
     def _mx_values() -> dict:
         # Merged cumulative totals, passed explicitly: in a worker pool
@@ -246,7 +250,7 @@ def drive(backend) -> RunResult:
         iteration = 0
         while iteration < region.repeat:
             if plan is not None:
-                stop = next_schedule_boundary(
+                stop = phase.next_schedule_boundary(
                     schedule, r_idx, iteration, region.repeat
                 )
                 n_skip = stop - iteration
@@ -271,9 +275,9 @@ def drive(backend) -> RunResult:
                     else:
                         # ε: the window-mean cycles, scaled by the skip.
                         tail = list(window)[-tail_len:] if tail_len else []
-                        w = trailing_window(tail, warmup)
+                        w = phase.trailing_window(tail, warmup)
                         if w:
-                            rc_mean, elapsed_mean = mean_cycles(w)
+                            rc_mean, elapsed_mean = phase.mean_cycles(w)
                             for t in active:
                                 busy[t.tid] += rc_mean[t.tid] * n_skip
                             wall += elapsed_mean * n_skip
@@ -281,7 +285,7 @@ def drive(backend) -> RunResult:
                                 region_wall.get(name, 0.0)
                                 + elapsed_mean * n_skip
                             )
-                        eps = max([window_eps(w)] + [p["eps"] for p in shards])
+                        eps = max([phase.window_eps(w)] + [p["eps"] for p in shards])
                         eps_max = max(eps_max, eps)
                         n_eps += n_skip
                     # Engine-pure integers multiply exactly.
@@ -350,12 +354,12 @@ def drive(backend) -> RunResult:
 
             if phase_ok:
                 infos = [f["phase"] for f in fin]
-                plan = union_plan(infos)
+                plan = phase.union_plan(infos)
                 if all(p is not None for p in infos):
                     breaks = max(breaks, max(p["breaks"] for p in infos))
                     disarms = max(disarms, max(p["disarms"] for p in infos))
-                window.append(EpsSample(
-                    rec=IterationRecording(
+                window.append(phase.EpsSample(
+                    rec=phase.IterationRecording(
                         ints=it_ints,
                         requests=it_requests,
                         traffic=it_traffic,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.errors import AllocationError, ProgramError
+from repro.errors import ProgramError
 from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, ChunkSummary
 from repro.machine.machine import Machine
 from repro.machine.pagetable import PlacementPolicy
@@ -40,13 +40,11 @@ from repro.runtime.memo import (
     _nbytes,
     memo_budget,
 )
-from repro.runtime.driver import InProcessBackend, RunResult, drive
-from repro.runtime.phase import (
+from repro.runtime.driver import (
     DEFAULT_DISARM_AFTER,
-    INT_FIELDS,
-    IterationRecording,
-    PhaseDetector,
-    sig_digest,
+    InProcessBackend,
+    RunResult,
+    drive,
 )
 from repro.runtime.program import Program, ProgramContext, Region, RegionKind
 from repro.runtime.thread import BindingPolicy, SimThread, bind_threads
@@ -59,7 +57,7 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 _EMPTY_BOOL = np.empty(0, dtype=bool)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ChunkView:
     """One chunk's share of a step's memory products (see ``Monitor.on_step``).
 
@@ -128,11 +126,12 @@ class LazyChunkView:
     which the engine needed for timing/traffic accounting anyway. Full
     per-access ``levels`` / ``target_domains`` / ``latencies`` / masks
     are reconstructed lazily on first attribute access, with values
-    identical to the per-chunk reference primitives: every non-fetch
-    access hits L1, all fetches are serviced at the summary's fetch
-    level, and ``dram_fetch_latencies`` produces exactly the DRAM
-    entries ``access_latency`` would. Sampling monitors that only need values at
-    sampled indices or trigger events call :meth:`latencies_at` /
+    identical to the per-chunk, per-access definition
+    (``tests/reference/access.py``): every non-fetch access hits L1,
+    all fetches are serviced at the summary's fetch level, and
+    ``dram_fetch_latencies`` produces exactly its DRAM entries.
+    Sampling monitors that only need values at sampled indices or
+    trigger events call :meth:`latencies_at` /
     :meth:`remote_event_count` / the event primitives (and ask the page
     table for sampled addresses' owners) and never pay full
     materialization.
@@ -556,25 +555,6 @@ class Monitor:
         return 0.0
 
 
-@dataclass(frozen=True)
-class AppliedAction:
-    """Record of one scheduled migration the engine applied (or refused).
-
-    ``ok`` is False when the migration aborted (e.g. an exhausted
-    domain): ``migrate_segment`` is atomic, so the run simply continues
-    on the old placement, and ``error`` carries the reason.
-    """
-
-    region_idx: int
-    iteration: int
-    var_name: str
-    policy: str
-    domains: tuple[int, ...] | None
-    ok: bool
-    epoch: int
-    error: str = ""
-
-
 class ExecutionEngine:
     """Single-use runner: one engine executes one program on one machine."""
 
@@ -621,14 +601,15 @@ class ExecutionEngine:
         #: pipeline; results are bit-identical at every budget.
         self.memo = IterationMemo(memo_budget(memoize, memo_bytes))
         #: Live-migration schedule (duck-typed
-        #: :class:`repro.optim.policies.PolicySchedule` — the engine must
+        #: :class:`repro.optim.schedule.PolicySchedule` — the engine must
         #: not import :mod:`repro.optim` to avoid an import cycle).
-        #: Consulted at the top of every region iteration; mutations are
-        #: applied before any thread enters the region, so a sharded run
-        #: replays them identically in every worker.
+        #: Its ``apply`` runs at the top of every region iteration;
+        #: mutations are applied before any thread enters the region, so
+        #: a sharded run replays them identically in every worker.
         self.schedule = schedule
-        #: Log of schedule applications (``AppliedAction``), in order.
-        self.applied_actions: list[AppliedAction] = []
+        #: Log of schedule applications
+        #: (:class:`~repro.optim.schedule.AppliedAction`), in order.
+        self.applied_actions: list = []
         #: Phase-adaptive extrapolation (see :mod:`repro.runtime.phase`).
         #: Requires a non-zero memo budget; exact (ε=0) whenever the
         #: monitor's selection state also reaches a fixed point,
@@ -645,8 +626,9 @@ class ExecutionEngine:
         self._phase_sig: list | None = None
         self._ran = False
         self._regions: list | None = None
-        #: The current region's phase detector (None: not observed).
-        self._detector: PhaseDetector | None = None
+        #: The current region's phase detector
+        #: (:class:`~repro.runtime.phase.PhaseDetector`; None: not observed).
+        self._detector = None
         self._it: _Iteration | None = None
         # Overhead accumulates per thread and reduces once at the end:
         # each tid's partial sum involves only that thread's own chunks
@@ -669,54 +651,6 @@ class ExecutionEngine:
     def owns(self, tid: int) -> bool:
         """Whether this engine executes (and attributes) thread ``tid``."""
         return tid % self.n_shards == self.shard_id
-
-    def _apply_schedule(
-        self, region_idx: int, region: Region, iteration: int
-    ) -> bool:
-        """Apply scheduled live migrations at this iteration boundary.
-
-        Runs before any thread enters the region (and before the memo
-        reads the page-table epoch), so every worker in a sharded run —
-        each holding a replica of the page table — performs the same
-        mutations in the same order and arrives at the same epoch. A
-        failed migration is atomic (see ``PageTable.migrate_segment``):
-        it is logged with ``ok=False`` and the run continues unchanged.
-        Returns whether any action was scheduled here (a phase break).
-        """
-        steps = self.schedule.steps_for(region_idx, iteration)
-        if not steps:
-            return False
-        tr = obs.TRACER
-        page_table = self.machine.page_table
-        for step in steps:
-            domains = step.domain_list()
-            var = self.heap.variables.get(step.var_name)
-            error = None
-            if var is None:
-                error = f"unknown variable {step.var_name!r}"
-            else:
-                with tr.span(
-                    "engine.migrate", "optim",
-                    var=step.var_name, policy=step.policy.value,
-                    region=region.name, iteration=iteration,
-                ):
-                    try:
-                        page_table.migrate_segment(
-                            page_table.segment_of_addr(var.base),
-                            step.policy, domains,
-                        )
-                    except AllocationError as exc:
-                        error = str(exc)
-            self.applied_actions.append(AppliedAction(
-                region_idx, iteration, step.var_name, step.policy.value,
-                tuple(domains) if domains else None, error is None,
-                page_table.epoch, error=error or "",
-            ))
-            tr.count(
-                "optim.migrations_applied" if error is None
-                else "optim.migrations_failed"
-            )
-        return True
 
     # ------------------------------------------------------------------ #
     # round methods (called by repro.runtime.driver through a backend)
@@ -743,7 +677,7 @@ class ExecutionEngine:
             ),
         }
 
-    def _new_detector(self, region: Region) -> PhaseDetector | None:
+    def _new_detector(self, region: Region):
         """The region's phase detector, or None where one cannot pay.
 
         A region no longer than its warmup can converge only on its
@@ -755,6 +689,8 @@ class ExecutionEngine:
             and (self.monitor is None or self.monitor.phase_supported())
         ):
             return None
+        from repro.runtime.phase import PhaseDetector
+
         return PhaseDetector(
             region.name,
             warmup=self.extrap_warmup,
@@ -775,7 +711,7 @@ class ExecutionEngine:
         it = self._it = _Iteration(region_idx, region, iteration)
         it.epoch0 = page_table.epoch
         if self.schedule is not None:
-            it.fired = self._apply_schedule(region_idx, region, iteration)
+            it.fired = self.schedule.apply(self, region_idx, region, iteration)
         if iteration == 0:
             self._detector = self._new_detector(region)
         detector = self._detector
@@ -1035,7 +971,9 @@ class ExecutionEngine:
         }
         detector = self._detector
         if it.observe:
-            self._record_iteration(it, ints)
+            from repro.runtime.phase import record_iteration
+
+            record_iteration(self, it, ints)
         flags = 0
         if it.fired:
             flags |= obs.FLAG_SCHEDULE
@@ -1050,91 +988,6 @@ class ExecutionEngine:
             "flags": flags,
             "steady": it.observe and detector.is_steady,
             "phase": detector.phase_payload() if detector is not None else None,
-        }
-
-    def _record_iteration(self, it: "_Iteration", ints: dict) -> None:
-        """Feed an observed iteration to the region's phase detector."""
-        oh_ops, sig = self._phase_oh_rec, self._phase_sig
-        self._phase_oh_rec = self._phase_sig = None
-        mon_digest: object = ()
-        mon_prog = None
-        mon_delta = None
-        if self.monitor is not None:
-            mon_prog = self.monitor.phase_record_end()
-            mon_digest = self.monitor.phase_digest()
-            if it.mon_snap is not None:
-                mon_delta = self.monitor.phase_delta(it.mon_snap)
-        rec = IterationRecording(
-            ints=ints,
-            requests=it.requests,
-            traffic=it.traffic,
-            region_cycles=it.region_cycles,
-            # The barrier's elapsed time is a max over every shard's
-            # threads: the driver records it in its merged window.
-            elapsed=0.0,
-            oh_ops=oh_ops,
-            cache_delta=self.machine.cache.phase_delta(it.cache_snap),
-            monitor_prog=mon_prog,
-        )
-        # The cache's reuse-distance state needs no digest entry: an
-        # identical trace revisits the same keys every iteration, so
-        # fetch levels are periodic once the memo-key signature repeats
-        # (see phase.py); the recorded cache delta is compared exactly.
-        self._detector.end_live_iteration(
-            sig_digest(self.machine.page_table.epoch, sig),
-            mon_digest,
-            rec,
-            self._overhead_by_tid - it.oh_base
-            if it.oh_base is not None else None,
-            mon_delta,
-        )
-
-    def extrapolate_iterations(
-        self, region_idx: int, n_skip: int, release: bool, mode: str,
-    ) -> dict:
-        """Apply ``n_skip`` iterations' shard-local effects unsimulated.
-
-        The driver has armed the skip (exact when every shard is exact
-        ready) and clamped it to the next scheduled boundary; it folds
-        the merged cycle and integer quantities itself. Here every
-        skipped iteration replays the last live iteration's overhead
-        adds and monitor program — exact mode in per-iteration order,
-        the float adds of simulating it; ε mode as the window mean
-        scaled by ``n_skip`` — and fast-forwards the cache. Returns
-        this shard's monitor ε (the cycle spread is the driver's, over
-        its merged window) and integer deltas.
-        """
-        detector = self._detector
-        rec = detector.history[-1].rec
-        monitor = self.monitor
-        overhead = self._overhead_by_tid
-        eps = 0.0
-        if mode == "exact":
-            for _ in range(n_skip):
-                for tids, oh in rec.oh_ops:
-                    overhead[tids] += oh
-            if monitor is not None:
-                monitor.phase_replay(rec.monitor_prog, n_skip)
-        else:
-            window = detector.eps_window()
-            oh_mean = window[0].oh_delta.copy()
-            for sample in window[1:]:
-                oh_mean += sample.oh_delta
-            oh_mean /= len(window)
-            overhead += oh_mean * n_skip
-            if monitor is not None:
-                eps = monitor.extrapolate_flush(
-                    [sample.monitor_delta for sample in window], n_skip
-                )
-        if rec.cache_delta is not None:
-            # Fast-forward the reuse-distance state so regions after
-            # this one classify bit-identically to the exact run.
-            self.machine.cache.phase_advance(rec.cache_delta, n_skip)
-        if release:
-            self.memo.release_region(region_idx)
-        return {
-            "eps": eps,
-            "ints": {k: rec.ints[k] * n_skip for k in INT_FIELDS},
         }
 
     def finish_run(self) -> dict:

@@ -43,7 +43,7 @@ class VariableKind(enum.Enum):
     STACK = "stack"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Variable:
     """A named, mapped program variable.
 

@@ -95,18 +95,6 @@ class StepViews(list):
         #: (``repro.runtime.engine.SampleGather``), or None.
         self.gather = None
 
-    @classmethod
-    def from_views(cls, views) -> "StepViews":
-        n = len(views)
-        tids = np.fromiter((v.tid for v in views), dtype=np.int64, count=n)
-        n_ins = np.fromiter(
-            (v.chunk.n_instructions for v in views), dtype=np.int64, count=n
-        )
-        n_acc = np.fromiter(
-            (v.chunk.n_accesses for v in views), dtype=np.int64, count=n
-        )
-        return cls(views, tids, n_ins, n_acc)
-
 
 class PureStep:
     """Iteration-invariant products of one step (pure functions of it).

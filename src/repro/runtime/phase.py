@@ -64,7 +64,7 @@ Invalidation rules
 The phase breaks — and the engine falls back to live simulation — the
 moment any of these happens:
 
-* a scheduled :class:`~repro.optim.policies.PolicySchedule` action
+* a scheduled :class:`~repro.optim.schedule.PolicySchedule` action
   fires at an iteration boundary (extrapolation also never crosses a
   scheduled boundary: the skip is clamped to the next one);
 * the page-table epoch bumps inside the window (first touches, traps);
@@ -97,9 +97,7 @@ from hashlib import blake2b
 
 import numpy as np
 
-#: Non-converging windows before the detector disarms
-#: (``--extrap-disarm``; 0 = never disarm).
-DEFAULT_DISARM_AFTER = 3
+from repro.runtime.driver import DEFAULT_DISARM_AFTER, INT_FIELDS
 
 
 def freeze_state(value):
@@ -146,11 +144,7 @@ def sig_digest(epoch: int, sig: list) -> tuple:
     return (int(epoch), len(sig), h.digest())
 
 
-#: Engine-pure integer counters extrapolated by exact multiplication.
-INT_FIELDS = ("instructions", "accesses", "chunks", "dram", "remote_dram")
-
-
-@dataclass
+@dataclass(eq=False, repr=False)
 class IterationRecording:
     """One live iteration's effects, in replayable form.
 
@@ -208,7 +202,7 @@ class IterationRecording:
         )
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EpsSample:
     """One window entry for ε-mode extrapolation."""
 
@@ -217,7 +211,7 @@ class EpsSample:
     monitor_delta: object | None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class HistoryEntry:
     """One observed live iteration in the detector's ring."""
 
@@ -501,7 +495,7 @@ def union_plan(shard_phases: list[dict | None]) -> tuple[str, int] | None:
     return None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RegionPhaseStats:
     """Per-region outcome folded into the engine's phase report."""
 
@@ -530,7 +524,7 @@ class RegionPhaseStats:
         }
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class PhaseReport:
     """Run-level phase/extrapolation accounting (the ε report).
 
@@ -575,60 +569,6 @@ class PhaseReport:
         }
 
 
-def validate_phase_report(report: dict) -> list[str]:
-    """Internal-consistency check of a phase report dict.
-
-    Returns a list of problems (empty = valid). Used by the CI
-    extrapolate-smoke jobs and the parity tests.
-    """
-    problems: list[str] = []
-
-    def check(entry: dict, where: str) -> None:
-        total = entry.get("iterations", 0)
-        sim = entry.get("simulated", 0)
-        exact = entry.get("extrapolated_exact", 0)
-        eps = entry.get("extrapolated_eps", 0)
-        if min(total, sim, exact, eps) < 0:
-            problems.append(f"{where}: negative iteration counts")
-        if sim + exact + eps != total:
-            problems.append(
-                f"{where}: simulated+extrapolated != iterations "
-                f"({sim}+{exact}+{eps} != {total})"
-            )
-        cov = entry.get("coverage_pct", 0.0)
-        expect = 100.0 * (exact + eps) / total if total else 0.0
-        if abs(cov - expect) > 1e-9:
-            problems.append(f"{where}: coverage_pct {cov} != {expect}")
-        e = entry.get("epsilon", 0.0)
-        if not (e >= 0.0) or not np.isfinite(e):
-            problems.append(f"{where}: epsilon {e} not finite/non-negative")
-        if eps == 0 and exact > 0 and e != 0.0 and where != "run":
-            problems.append(
-                f"{where}: exact-only extrapolation must declare epsilon 0"
-            )
-        for key in ("disarms", "breaks"):
-            if entry.get(key, 0) < 0:
-                problems.append(f"{where}: negative {key}")
-
-    check(report, "run")
-    for name, entry in report.get("regions", {}).items():
-        check(entry, f"region {name!r}")
-    run_eps = report.get("epsilon", 0.0)
-    region_eps = max(
-        (e.get("epsilon", 0.0) for e in report.get("regions", {}).values()),
-        default=0.0,
-    )
-    if abs(run_eps - region_eps) > 1e-12:
-        problems.append(f"run epsilon {run_eps} != max region {region_eps}")
-    run_v = report.get("disarms", 0)
-    region_v = sum(
-        e.get("disarms", 0) for e in report.get("regions", {}).values()
-    )
-    if report.get("regions") and run_v != region_v:
-        problems.append(f"run disarms {run_v} != sum of regions {region_v}")
-    return problems
-
-
 def next_schedule_boundary(schedule, region_idx: int, start: int, stop: int) -> int:
     """First iteration in ``[start, stop)`` with scheduled steps, else ``stop``.
 
@@ -642,3 +582,97 @@ def next_schedule_boundary(schedule, region_idx: int, start: int, stop: int) -> 
         if schedule.steps_for(region_idx, j):
             return j
     return stop
+
+
+def record_iteration(engine, it, ints: dict) -> None:
+    """Feed an observed live iteration of ``engine`` to its detector.
+
+    ``it`` is the engine's closing iteration state
+    (``repro.runtime.engine._Iteration``) and ``ints`` its integer
+    counters.
+    """
+    oh_ops, sig = engine._phase_oh_rec, engine._phase_sig
+    engine._phase_oh_rec = engine._phase_sig = None
+    monitor = engine.monitor
+    mon_digest: object = ()
+    mon_prog = None
+    mon_delta = None
+    if monitor is not None:
+        mon_prog = monitor.phase_record_end()
+        mon_digest = monitor.phase_digest()
+        if it.mon_snap is not None:
+            mon_delta = monitor.phase_delta(it.mon_snap)
+    cache = engine.machine.cache
+    rec = IterationRecording(
+        ints=ints,
+        requests=it.requests,
+        traffic=it.traffic,
+        region_cycles=it.region_cycles,
+        # The barrier's elapsed time is a max over every shard's
+        # threads: the driver records it in its merged window.
+        elapsed=0.0,
+        oh_ops=oh_ops,
+        cache_delta=cache.phase_delta(it.cache_snap),
+        monitor_prog=mon_prog,
+    )
+    # The cache's reuse-distance state needs no digest entry: an
+    # identical trace revisits the same keys every iteration, so fetch
+    # levels are periodic once the memo-key signature repeats (see the
+    # module docstring); the recorded cache delta is compared exactly.
+    engine._detector.end_live_iteration(
+        sig_digest(engine.machine.page_table.epoch, sig),
+        mon_digest,
+        rec,
+        engine._overhead_by_tid - it.oh_base
+        if it.oh_base is not None else None,
+        mon_delta,
+    )
+
+
+def extrapolate_iterations(
+    engine, region_idx: int, n_skip: int, release: bool, mode: str,
+) -> dict:
+    """Apply ``n_skip`` iterations' shard-local effects unsimulated.
+
+    The driver has armed the skip (exact when every shard is exact
+    ready) and clamped it to the next scheduled boundary; it folds the
+    merged cycle and integer quantities itself. Here every skipped
+    iteration replays the engine's last live iteration's overhead adds
+    and monitor program — exact mode in per-iteration order, the float
+    adds of simulating it; ε mode as the window mean scaled by
+    ``n_skip`` — and fast-forwards the cache. Returns this shard's
+    monitor ε (the cycle spread is the driver's, over its merged
+    window) and integer deltas.
+    """
+    detector = engine._detector
+    rec = detector.history[-1].rec
+    monitor = engine.monitor
+    overhead = engine._overhead_by_tid
+    eps = 0.0
+    if mode == "exact":
+        for _ in range(n_skip):
+            for tids, oh in rec.oh_ops:
+                overhead[tids] += oh
+        if monitor is not None:
+            monitor.phase_replay(rec.monitor_prog, n_skip)
+    else:
+        window = detector.eps_window()
+        oh_mean = window[0].oh_delta.copy()
+        for sample in window[1:]:
+            oh_mean += sample.oh_delta
+        oh_mean /= len(window)
+        overhead += oh_mean * n_skip
+        if monitor is not None:
+            eps = monitor.extrapolate_flush(
+                [sample.monitor_delta for sample in window], n_skip
+            )
+    if rec.cache_delta is not None:
+        # Fast-forward the reuse-distance state so regions after this
+        # one classify bit-identically to the exact run.
+        engine.machine.cache.phase_advance(rec.cache_delta, n_skip)
+    if release:
+        engine.memo.release_region(region_idx)
+    return {
+        "eps": eps,
+        "ints": {k: rec.ints[k] * n_skip for k in INT_FIELDS},
+    }

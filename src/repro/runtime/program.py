@@ -36,7 +36,7 @@ class RegionKind(enum.Enum):
 Kernel = Callable[["ProgramContext", int], Iterable[AccessChunk]]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Region:
     """One serial or parallel region of a program.
 

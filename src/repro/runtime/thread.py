@@ -31,7 +31,7 @@ class BindingPolicy(enum.Enum):
     SCATTER = "scatter"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SimThread:
     """A bound simulated thread."""
 

@@ -18,8 +18,7 @@ simulated execution — the source of Table 2's overhead percentages.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    ".base": """MechanismCapabilities SampleBatch SamplingMechanism
-        StepSampleBatch""",
+    ".base": "MechanismCapabilities SamplingMechanism StepSampleBatch",
     ".ibs": "IBS",
     ".mrk": "MRK",
     ".pebs": "PEBS",

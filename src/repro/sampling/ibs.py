@@ -11,18 +11,14 @@ eq. (2)'s lpi_NUMA, directly computable.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.runtime.chunks import AccessChunk
 from repro.sampling.base import (
-    InstructionSamplingMixin,
     MechanismCapabilities,
-    SampleBatch,
     SamplingMechanism,
     StepSampleBatch,
     _starts_from_counts,
     traced_select_step,
 )
+from repro.sampling.instruction import InstructionSamplingMixin
 
 
 class IBS(InstructionSamplingMixin, SamplingMechanism):
@@ -45,24 +41,6 @@ class IBS(InstructionSamplingMixin, SamplingMechanism):
         cost = {"per_sample_cycles": 12_500.0}
         cost.update(cost_overrides)
         super().__init__(period, **cost)
-
-    def select(
-        self,
-        tid: int,
-        chunk: AccessChunk,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        latencies: np.ndarray,
-    ) -> SampleBatch:
-        access_idx, n_instr_samples = self._instruction_samples(tid, chunk)
-        return self._finish(
-            SampleBatch(
-                indices=access_idx,
-                n_sampled_instructions=n_instr_samples,
-                n_events_total=chunk.n_instructions,
-                latency_captured=True,
-            )
-        )
 
     @traced_select_step
     def select_step(self, views) -> StepSampleBatch:

@@ -88,42 +88,15 @@ class MRK(EventSamplingMechanism):
     def _capped(self) -> bool:
         return self.max_rate is not None and self.machine is not None
 
-    def _cap(
-        self, tid: int, chosen: np.ndarray, n_instructions: int,
-        lat_total: float,
-    ) -> np.ndarray:
-        """Hardware rate cap: at most max_rate samples per simulated second
-        of execution, tracked as a fractional per-thread budget so the
-        cap stays unbiased across chunk sizes."""
-        cap_rate = self.max_rate
-        chunk_cycles = n_instructions * self.machine.base_cpi + lat_total
-        chunk_seconds = chunk_cycles / (self.machine.ghz * 1e9)
-        budget = self._budget.get(tid, 0.0) + chunk_seconds * cap_rate
-        # The hardware cannot bank unused allowance indefinitely:
-        # clamp the carried budget to a couple of chunks' worth so a
-        # long quiet phase does not license a later sampling burst.
-        budget = min(budget, 3.0 * max(chunk_seconds * cap_rate, 1.0))
-        max_samples = int(budget)
-        if chosen.size > max_samples:
-            obs.TRACER.count(
-                "sampling.samples.dropped", chosen.size - max_samples
-            )
-            if max_samples == 0:
-                chosen = chosen[:0]
-            else:
-                keep = np.linspace(0, chosen.size - 1, max_samples).astype(
-                    np.int64
-                )
-                chosen = chosen[keep]
-        self._budget[tid] = budget - chosen.size
-        return chosen
-
     def _cap_step(
         self, tids: np.ndarray, chosen: np.ndarray, counts: np.ndarray,
         n_ins: np.ndarray, lat_totals: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        # :meth:`_cap` for every chunk that chose events at once, with
-        # the scalar code's float operations in the same order.
+        """Hardware rate cap: at most ``max_rate`` samples per simulated
+        second of execution, tracked as a fractional per-thread budget
+        so the cap stays unbiased across chunk sizes. Every chunk that
+        chose events is capped at once, with the float operations of
+        capping it alone, in the same order."""
         rows = np.flatnonzero(counts)
         row_tids = tids[rows].tolist()
         cap_rate = self.max_rate
@@ -131,6 +104,9 @@ class MRK(EventSamplingMechanism):
         chunk_seconds = chunk_cycles / (self.machine.ghz * 1e9)
         carried = np.array([self._budget.get(t, 0.0) for t in row_tids])
         budget = carried + chunk_seconds * cap_rate
+        # The hardware cannot bank unused allowance indefinitely:
+        # clamp the carried budget to a couple of chunks' worth so a
+        # long quiet phase does not license a later sampling burst.
         budget = np.minimum(
             budget, 3.0 * np.maximum(chunk_seconds * cap_rate, 1.0)
         )

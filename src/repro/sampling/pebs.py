@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.chunks import AccessChunk
 from repro.sampling.base import (
-    InstructionSamplingMixin,
     MechanismCapabilities,
-    SampleBatch,
     SamplingMechanism,
     StepSampleBatch,
     _starts_from_counts,
     traced_select_step,
 )
+from repro.sampling.instruction import InstructionSamplingMixin
 
 
 class PEBS(InstructionSamplingMixin, SamplingMechanism):
@@ -59,27 +57,6 @@ class PEBS(InstructionSamplingMixin, SamplingMechanism):
         super().__init__(period, **cost)
         self.skid_correction = skid_correction
 
-    def select(
-        self,
-        tid: int,
-        chunk: AccessChunk,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        latencies: np.ndarray,
-    ) -> SampleBatch:
-        access_idx, n_instr_samples = self._instruction_samples(tid, chunk)
-        if not self.skid_correction and access_idx.size:
-            # Uncorrected skid: attribution lands on the following access.
-            access_idx = np.minimum(access_idx + 1, chunk.n_accesses - 1)
-        return self._finish(
-            SampleBatch(
-                indices=access_idx,
-                n_sampled_instructions=n_instr_samples,
-                n_events_total=chunk.n_instructions,
-                latency_captured=False,
-            )
-        )
-
     @traced_select_step
     def select_step(self, views) -> StepSampleBatch:
         if not views:
@@ -102,15 +79,9 @@ class PEBS(InstructionSamplingMixin, SamplingMechanism):
             )
         )
 
-    def cost_cycles(self, batch: SampleBatch, chunk: AccessChunk) -> float:
-        base = super().cost_cycles(batch, chunk)
-        if self.skid_correction:
-            # Binary analysis runs for every PEBS record, memory or not.
-            base += batch.n_sampled_instructions * self.CORRECTION_COST
-        return base
-
     def cost_cycles_step(self, step: StepSampleBatch, views) -> np.ndarray:
         base = super().cost_cycles_step(step, views)
         if self.skid_correction:
+            # Binary analysis runs for every PEBS record, memory or not.
             base = base + step.n_sampled_instructions * self.CORRECTION_COST
         return base

@@ -53,7 +53,7 @@ def create_mechanism(name: str, period: int | None = None, **kwargs) -> Sampling
     return cls(period, **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Table1Row:
     """One row of the paper's Table 1."""
 

@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.chunks import AccessChunk
 from repro.sampling.base import (
     MechanismCapabilities,
-    SampleBatch,
     SamplingMechanism,
     StepSampleBatch,
     _starts_from_counts,
-    traced_select_step,
-    periodic_positions,
     periodic_positions_step,
+    traced_select_step,
 )
 
 
@@ -51,27 +48,6 @@ class SoftIBS(SamplingMechanism):
         cost = {"per_sample_cycles": 10_000.0, "per_access_cycles": 100.0}
         cost.update(cost_overrides)
         super().__init__(period, **cost)
-
-    def select(
-        self,
-        tid: int,
-        chunk: AccessChunk,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        latencies: np.ndarray,
-    ) -> SampleBatch:
-        positions, new_carry = periodic_positions(
-            self._carry_of(tid), chunk.n_accesses, self.period
-        )
-        self._set_carry(tid, new_carry)
-        return self._finish(
-            SampleBatch(
-                indices=positions,
-                n_sampled_instructions=int(positions.size),
-                n_events_total=chunk.n_accesses,
-                latency_captured=False,
-            )
-        )
 
     @traced_select_step
     def select_step(self, views) -> StepSampleBatch:

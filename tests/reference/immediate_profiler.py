@@ -15,11 +15,35 @@ import numpy as np
 
 from repro.errors import ProfileError
 from repro.profiler import NumaProfiler
+from repro.profiler.addresscentric import bin_indices
 from repro.profiler.cct import DUMMY_ACCESS
 from repro.profiler.metrics import MetricNames
 from repro.profiler.profile_data import ThreadProfile
 from repro.runtime.callstack import CallPath
 from repro.runtime.engine import ChunkView
+from tests.reference.sampling import cost_cycles, select
+
+
+def record_samples(rec, path: CallPath, addrs: np.ndarray) -> np.ndarray:
+    """Tighten a ``VarRecord``'s [min, max] ranges for ``path`` with
+    sampled addresses, whole variable and per bin.
+
+    Returns each sample's bin index so the caller can attribute per-bin
+    metrics without recomputing the mapping.
+    """
+    bins = bin_indices(addrs, rec.base, rec.nbytes, rec.n_bins)
+    arr = rec.ranges.get(path)
+    if arr is None:
+        arr = np.empty((rec.n_bins + 1, 2), dtype=np.float64)
+        arr[:, 0] = np.inf
+        arr[:, 1] = -np.inf
+        rec.ranges[path] = arr
+    lo, hi = float(addrs.min()), float(addrs.max())
+    arr[0, 0] = min(arr[0, 0], lo)
+    arr[0, 1] = max(arr[0, 1], hi)
+    np.minimum.at(arr[:, 0], bins + 1, addrs.astype(np.float64))
+    np.maximum.at(arr[:, 1], bins + 1, addrs.astype(np.float64))
+    return bins
 
 
 class ImmediateProfiler(NumaProfiler):
@@ -36,8 +60,9 @@ class ImmediateProfiler(NumaProfiler):
         """Sample one chunk and attribute code-, data-, address-centric."""
         chunk = view.chunk
         profile = self._profile(view.tid)
-        batch = self.mechanism.select(
-            view.tid, chunk, view.levels, view.target_domains, view.latencies
+        batch = select(
+            self.mechanism, view.tid, chunk, view.levels,
+            view.target_domains, view.latencies,
         )
         caps = self.mechanism.capabilities
 
@@ -62,7 +87,7 @@ class ImmediateProfiler(NumaProfiler):
 
         if batch.n_samples == 0:
             self._attribute_code(profile, view.path, metrics)
-            return self.mechanism.cost_cycles(batch, chunk)
+            return cost_cycles(self.mechanism, batch, chunk)
 
         idx = batch.indices
         s_addrs = chunk.addrs_at(idx)
@@ -92,7 +117,7 @@ class ImmediateProfiler(NumaProfiler):
             profile, chunk, view.path, s_addrs, remote,
             s_lat if lat_captured else None, metrics,
         )
-        return self.mechanism.cost_cycles(batch, chunk)
+        return cost_cycles(self.mechanism, batch, chunk)
 
 
     def _attribute_code(
@@ -125,7 +150,7 @@ class ImmediateProfiler(NumaProfiler):
         for name, value in metrics.items():
             if value:
                 rec.metrics[name] += value
-        bins = rec.record_samples(path, s_addrs)
+        bins = record_samples(rec, path, s_addrs)
         self._attribute_bins(rec, bins, remote, s_lat)
         # Augmented CCT: variable costs under allocation path + dummy +
         # access path (mixed calling-context sequence, Section 7.1).

@@ -8,12 +8,33 @@ updated by one :meth:`DictReuseCache.fetch_level` call per chunk.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.machine.cache import (
     LEVEL_DRAM,
     LEVEL_L2,
     LEVEL_L3,
     CacheConfig,
 )
+
+
+def hierarchy_digest(cache) -> frozenset:
+    """A ``CacheHierarchy``'s reuse state as :meth:`DictReuseCache.state_digest`
+    reports it, read off the hierarchy's arrays.
+
+    Stream positions grow without bound, but a lookup only reads the
+    difference ``pos[cpu] - last[slot]``, so equal per-key differences
+    (and visited key sets) classify any future stream identically.
+    Differences clamp at ``l3_bytes + 1``: beyond it the next visit is a
+    DRAM fetch however far the stream advances.
+    """
+    seen = np.flatnonzero(cache._last >= 0)
+    diff = np.minimum(
+        cache._pos[cache._slot_cpu[seen]] - cache._last[seen],
+        cache.config.l3_bytes + 1,
+    )
+    keys = list(cache._slot_of)
+    return frozenset(zip(map(keys.__getitem__, seen), diff.tolist()))
 
 
 class DictReuseCache:

@@ -11,11 +11,11 @@ import json
 
 import pytest
 
-from repro.analysis.io import export_heatmap_csvs
+from repro.analysis.postmortem import export_heatmap_csvs
 from repro.machine import presets
 from repro.machine.pagetable import PlacementPolicy
 from repro.optim.autotune import AutotuneConfig, autotune, pick_boundary
-from repro.optim.policies import MigrationStep, PolicySchedule
+from repro.optim.schedule import MigrationStep, PolicySchedule
 from repro.parallel import sharding_supported
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine

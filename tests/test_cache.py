@@ -13,6 +13,7 @@ from repro.machine.cache import (
     CacheHierarchy,
     is_sequential,
 )
+from tests.reference.access import classify
 
 
 def make_cache(l1=1024, l2=8 * 1024, l3=64 * 1024):
@@ -37,25 +38,25 @@ class TestIntraChunk:
     def test_unit_stride_fetch_rate_is_elem_over_line(self):
         """8-byte elements on 64-byte lines: 1/8 of accesses fetch."""
         cache = make_cache()
-        cls = cache.classify(sweep(800), cpu=0, seg_id=1)
+        cls = classify(cache, sweep(800), cpu=0, seg_id=1)
         fetches = np.count_nonzero(cls.levels != LEVEL_L1)
         assert fetches == 100
 
     def test_repeated_line_accesses_hit_l1(self):
         cache = make_cache()
         addrs = np.repeat(sweep(4, stride=64), 10)
-        cls = cache.classify(addrs, cpu=0, seg_id=1)
+        cls = classify(cache, addrs, cpu=0, seg_id=1)
         assert np.count_nonzero(cls.levels == LEVEL_L1) == 36
         assert cls.n_fetches == 4
 
     def test_footprint_counts_unique_lines(self):
         cache = make_cache()
-        cls = cache.classify(sweep(16, stride=64), cpu=0, seg_id=1)
+        cls = classify(cache, sweep(16, stride=64), cpu=0, seg_id=1)
         assert cls.footprint_bytes == 16 * 64
 
     def test_empty_chunk(self):
         cache = make_cache()
-        cls = cache.classify(np.empty(0, dtype=np.int64), cpu=0, seg_id=1)
+        cls = classify(cache, np.empty(0, dtype=np.int64), cpu=0, seg_id=1)
         assert cls.levels.size == 0
         assert cls.footprint_bytes == 0
 
@@ -63,56 +64,56 @@ class TestIntraChunk:
 class TestReuseDistance:
     def test_first_visit_is_compulsory_dram(self):
         cache = make_cache()
-        cls = cache.classify(sweep(64), cpu=0, seg_id=1)
+        cls = classify(cache, sweep(64), cpu=0, seg_id=1)
         assert np.all(cls.levels[cls.levels != LEVEL_L1] == LEVEL_DRAM)
 
     def test_immediate_revisit_hits_l2(self):
         cache = make_cache()
         addrs = sweep(64)  # 512 bytes, well under L2
-        cache.classify(addrs, cpu=0, seg_id=1)
-        cls = cache.classify(addrs, cpu=0, seg_id=1)
+        classify(cache, addrs, cpu=0, seg_id=1)
+        cls = classify(cache, addrs, cpu=0, seg_id=1)
         assert np.all(cls.levels[cls.levels != LEVEL_L1] == LEVEL_L2)
 
     def test_revisit_after_medium_stream_hits_l3(self):
         cache = make_cache()
         a = sweep(64)
-        cache.classify(a, cpu=0, seg_id=1)
+        classify(cache, a, cpu=0, seg_id=1)
         # Stream ~16 KB through another segment: between L2 (8K) and L3 (64K).
-        cache.classify(sweep(2048, base=1 << 20), cpu=0, seg_id=2)
-        cls = cache.classify(a, cpu=0, seg_id=1)
+        classify(cache, sweep(2048, base=1 << 20), cpu=0, seg_id=2)
+        cls = classify(cache, a, cpu=0, seg_id=1)
         assert np.all(cls.levels[cls.levels != LEVEL_L1] == LEVEL_L3)
 
     def test_revisit_after_large_stream_is_dram(self):
         cache = make_cache()
         a = sweep(64)
-        cache.classify(a, cpu=0, seg_id=1)
-        cache.classify(sweep(32768, base=1 << 20), cpu=0, seg_id=2)  # 256 KB
-        cls = cache.classify(a, cpu=0, seg_id=1)
+        classify(cache, a, cpu=0, seg_id=1)
+        classify(cache, sweep(32768, base=1 << 20), cpu=0, seg_id=2)  # 256 KB
+        cls = classify(cache, a, cpu=0, seg_id=1)
         assert np.all(cls.levels[cls.levels != LEVEL_L1] == LEVEL_DRAM)
 
     def test_per_cpu_isolation(self):
         """One CPU's streaming does not evict another CPU's lines."""
         cache = make_cache()
         a = sweep(64)
-        cache.classify(a, cpu=0, seg_id=1)
-        cache.classify(sweep(32768, base=1 << 20), cpu=1, seg_id=2)
-        cls = cache.classify(a, cpu=0, seg_id=1)
+        classify(cache, a, cpu=0, seg_id=1)
+        classify(cache, sweep(32768, base=1 << 20), cpu=1, seg_id=2)
+        cls = classify(cache, a, cpu=0, seg_id=1)
         assert np.all(cls.levels[cls.levels != LEVEL_L1] == LEVEL_L2)
 
     def test_distinct_region_of_same_segment_is_compulsory(self):
         """Touching a new L3-block of a segment is a miss, not a revisit
         (the UMT angle-plane case)."""
         cache = make_cache()
-        cache.classify(sweep(64, base=0), cpu=0, seg_id=1)
-        cls = cache.classify(sweep(64, base=2 << 20), cpu=0, seg_id=1)
+        classify(cache, sweep(64, base=0), cpu=0, seg_id=1)
+        cls = classify(cache, sweep(64, base=2 << 20), cpu=0, seg_id=1)
         assert np.all(cls.levels[cls.levels != LEVEL_L1] == LEVEL_DRAM)
 
     def test_reset_forgets_state(self):
         cache = make_cache()
         a = sweep(64)
-        cache.classify(a, cpu=0, seg_id=1)
+        classify(cache, a, cpu=0, seg_id=1)
         cache.reset()
-        cls = cache.classify(a, cpu=0, seg_id=1)
+        cls = classify(cache, a, cpu=0, seg_id=1)
         assert np.all(cls.levels[cls.levels != LEVEL_L1] == LEVEL_DRAM)
 
 
@@ -145,7 +146,7 @@ class TestSequentialDetection:
 class TestLevelCounts:
     def test_histogram(self):
         cache = make_cache()
-        cls = cache.classify(sweep(80), cpu=0, seg_id=1)
+        cls = classify(cache, sweep(80), cpu=0, seg_id=1)
         counts = cache.level_counts(cls.levels)
         assert counts["DRAM"] == 10
         assert counts["L1"] == 70
@@ -161,7 +162,7 @@ def test_fetch_count_equals_unique_lines(n, stride):
     """Invariant: line fetches per chunk == unique lines touched."""
     cache = make_cache()
     addrs = sweep(n, stride=stride)
-    cls = cache.classify(addrs, cpu=0, seg_id=1)
+    cls = classify(cache, addrs, cpu=0, seg_id=1)
     unique_lines = np.unique(addrs // 64).size
     assert cls.n_fetches == unique_lines
 
@@ -173,6 +174,6 @@ def test_revisit_never_slower_than_first_visit(n):
     the compulsory first visit."""
     cache = make_cache()
     addrs = sweep(n)
-    first = cache.classify(addrs, cpu=0, seg_id=1)
-    second = cache.classify(addrs, cpu=0, seg_id=1)
+    first = classify(cache, addrs, cpu=0, seg_id=1)
+    second = classify(cache, addrs, cpu=0, seg_id=1)
     assert second.levels.max() <= first.levels.max()

@@ -23,6 +23,7 @@ from repro.runtime.thread import BindingPolicy
 from repro.sampling.ibs import IBS
 from repro.sampling.mrk import MRK
 from repro.units import CACHE_LINE, PAGE_SIZE
+from tests.reference.access import chunk_fetch_products
 
 IP = SourceLoc("kernel", "k.c", 1)
 
@@ -152,7 +153,7 @@ def _pair(var, offset, step, n, n_instructions=None):
 def test_affine_closed_form_matches_array_kernels(big_var, step, offset, n):
     affine, array, ref = _pair(big_var, offset, step, n)
     cache = CacheHierarchy(CacheConfig())
-    want_fetch, want_fp, want_seq = cache.chunk_fetch_products(ref)
+    want_fetch, want_fp, want_seq = chunk_fetch_products(cache, ref)
     fetch, fidx, fp, seq = affine.fetch_products(LINE)
     np.testing.assert_array_equal(fetch, want_fetch)
     np.testing.assert_array_equal(fidx, np.flatnonzero(want_fetch))

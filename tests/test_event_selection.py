@@ -26,6 +26,7 @@ from repro.runtime.thread import BindingPolicy
 from repro.sampling.dear import DEAR
 from repro.sampling.mrk import MRK
 from repro.sampling.pebs_ll import PEBSLL
+from tests.reference.sampling import select
 
 SCALE = 0.02
 THREADS = 8
@@ -69,8 +70,9 @@ class _SelectionChecker(Monitor):
         # The step path runs first, on views nobody has materialized.
         got = self.step_mech.select_step(views)
         want = [
-            self.ref_mech.select(
-                v.tid, v.chunk, v.levels, v.target_domains, v.latencies
+            select(
+                self.ref_mech, v.tid, v.chunk, v.levels, v.target_domains,
+                v.latencies,
             )
             for v in views
         ]

@@ -6,6 +6,7 @@ import pytest
 from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, LEVEL_L2, LEVEL_L3
 from repro.machine.latency import LatencyModel
 from repro.machine.topology import NumaTopology
+from tests.reference.access import access_latency
 
 
 @pytest.fixture
@@ -46,8 +47,8 @@ class TestValidation:
 class TestCacheLevels:
     def test_level_latencies(self, model, topo):
         levels = np.array([LEVEL_L1, LEVEL_L2, LEVEL_L3], dtype=np.uint8)
-        lat = model.access_latency(
-            levels, np.zeros(3, dtype=np.int64), 0, topo, ones(topo)
+        lat = access_latency(
+            model, levels, np.zeros(3, dtype=np.int64), 0, topo, ones(topo)
         )
         np.testing.assert_allclose(lat, [4, 12, 40])
 
@@ -56,8 +57,8 @@ class TestDramLatency:
     def test_local_vs_remote_random_access(self, model, topo):
         levels = np.full(2, LEVEL_DRAM, dtype=np.uint8)
         targets = np.array([0, 1])
-        lat = model.access_latency(
-            levels, targets, 0, topo, ones(topo), sequential=False
+        lat = access_latency(
+            model, levels, targets, 0, topo, ones(topo), sequential=False
         )
         assert lat[0] == pytest.approx(200)
         assert lat[1] > 300  # remote base + hop cost
@@ -69,23 +70,23 @@ class TestDramLatency:
         topo3 = NumaTopology(n_domains=3, cores_per_domain=1, distances=dist)
         m = LatencyModel(hop_cost=10.0)
         levels = np.full(2, LEVEL_DRAM, dtype=np.uint8)
-        lat = m.access_latency(
-            levels, np.array([1, 2]), 0, topo3, np.ones(3), sequential=False
+        lat = access_latency(
+            m, levels, np.array([1, 2]), 0, topo3, np.ones(3), sequential=False
         )
         assert lat[1] > lat[0]
 
     def test_inflation_multiplies_dram(self, model, topo):
         levels = np.array([LEVEL_DRAM], dtype=np.uint8)
         infl = np.array([3.0, 1.0, 1.0, 1.0])
-        lat = model.access_latency(
-            levels, np.array([0]), 0, topo, infl, sequential=False
+        lat = access_latency(
+            model, levels, np.array([0]), 0, topo, infl, sequential=False
         )
         assert lat[0] == pytest.approx(600)
 
     def test_inflation_does_not_touch_cache_hits(self, model, topo):
         levels = np.array([LEVEL_L2], dtype=np.uint8)
         infl = np.full(4, 5.0)
-        lat = model.access_latency(levels, np.array([0]), 0, topo, infl)
+        lat = access_latency(model, levels, np.array([0]), 0, topo, infl)
         assert lat[0] == pytest.approx(12)
 
 
@@ -93,28 +94,28 @@ class TestPrefetchExposure:
     def test_sequential_mostly_prefetched(self, model, topo):
         levels = np.full(100, LEVEL_DRAM, dtype=np.uint8)
         targets = np.zeros(100, dtype=np.int64)
-        lat = model.access_latency(
-            levels, targets, 0, topo, ones(topo), sequential=True
+        lat = access_latency(
+            model, levels, targets, 0, topo, ones(topo), sequential=True
         )
         exposed = np.count_nonzero(lat > model.prefetched_latency)
         assert exposed == pytest.approx(25, abs=2)  # seq_exposure 0.25
 
     def test_random_fully_exposed(self, model, topo):
         levels = np.full(50, LEVEL_DRAM, dtype=np.uint8)
-        lat = model.access_latency(
-            levels, np.zeros(50, dtype=np.int64), 0, topo, ones(topo),
+        lat = access_latency(
+            model, levels, np.zeros(50, dtype=np.int64), 0, topo, ones(topo),
             sequential=False,
         )
         assert np.all(lat == pytest.approx(200))
 
     def test_remote_streams_more_exposed(self, model, topo):
         levels = np.full(200, LEVEL_DRAM, dtype=np.uint8)
-        local = model.access_latency(
-            levels, np.zeros(200, dtype=np.int64), 0, topo, ones(topo),
+        local = access_latency(
+            model, levels, np.zeros(200, dtype=np.int64), 0, topo, ones(topo),
             sequential=True,
         )
-        remote = model.access_latency(
-            levels, np.ones(200, dtype=np.int64), 0, topo, ones(topo),
+        remote = access_latency(
+            model, levels, np.ones(200, dtype=np.int64), 0, topo, ones(topo),
             sequential=True,
         )
         exp_local = np.count_nonzero(local > model.prefetched_latency)
@@ -125,11 +126,11 @@ class TestPrefetchExposure:
         """Saturated controllers expose more fetches (the Fig. 1 coupling)."""
         levels = np.full(200, LEVEL_DRAM, dtype=np.uint8)
         targets = np.zeros(200, dtype=np.int64)
-        quiet = model.access_latency(
-            levels, targets, 0, topo, ones(topo), sequential=True
+        quiet = access_latency(
+            model, levels, targets, 0, topo, ones(topo), sequential=True
         )
-        loud = model.access_latency(
-            levels, targets, 0, topo, np.array([3.0, 1, 1, 1]),
+        loud = access_latency(
+            model, levels, targets, 0, topo, np.array([3.0, 1, 1, 1]),
             sequential=True,
         )
         assert loud.sum() > quiet.sum()
@@ -138,11 +139,11 @@ class TestPrefetchExposure:
         m = LatencyModel(seq_exposure=0.1, interleave_stream_penalty=4.0)
         levels = np.full(200, LEVEL_DRAM, dtype=np.uint8)
         targets = np.zeros(200, dtype=np.int64)
-        plain = m.access_latency(
-            levels, targets, 0, topo, ones(topo), sequential=True
+        plain = access_latency(
+            m, levels, targets, 0, topo, ones(topo), sequential=True
         )
-        interleaved = m.access_latency(
-            levels, targets, 0, topo, ones(topo),
+        interleaved = access_latency(
+            m, levels, targets, 0, topo, ones(topo),
             sequential=True, interleaved=True,
         )
         assert interleaved.sum() > plain.sum()
@@ -150,8 +151,8 @@ class TestPrefetchExposure:
     def test_exposure_capped_at_one(self, topo):
         m = LatencyModel(seq_exposure=0.9, remote_exposure_factor=5.0)
         levels = np.full(50, LEVEL_DRAM, dtype=np.uint8)
-        lat = m.access_latency(
-            levels, np.ones(50, dtype=np.int64), 0, topo, ones(topo),
+        lat = access_latency(
+            m, levels, np.ones(50, dtype=np.int64), 0, topo, ones(topo),
             sequential=True,
         )
         # Everything exposed; none at the prefetched latency.
@@ -161,8 +162,8 @@ class TestPrefetchExposure:
 class TestDemandMask:
     def test_separates_demand_from_prefetched(self, model, topo):
         levels = np.full(100, LEVEL_DRAM, dtype=np.uint8)
-        lat = model.access_latency(
-            levels, np.zeros(100, dtype=np.int64), 0, topo, ones(topo),
+        lat = access_latency(
+            model, levels, np.zeros(100, dtype=np.int64), 0, topo, ones(topo),
             sequential=True,
         )
         mask = model.demand_mask(lat, levels)

@@ -8,6 +8,11 @@ from repro.machine.cache import LEVEL_DRAM
 from repro.machine.machine import Machine
 from repro.machine.pagetable import PlacementPolicy
 from repro.machine.topology import NumaTopology
+from tests.reference.access import (
+    classify_accesses,
+    dram_request_counts,
+    machine_access_latency,
+)
 
 
 @pytest.fixture
@@ -48,7 +53,7 @@ class TestAccessPipeline:
             0, 4 * 4096, PlacementPolicy.BIND, domains=[2]
         )
         addrs = np.arange(0, 4096, 8, dtype=np.int64)
-        cls, targets = machine.classify_accesses(addrs, cpu=0, seg=seg)
+        cls, targets = classify_accesses(machine, addrs, cpu=0, seg=seg)
         assert np.all(targets == 2)
         assert cls.levels.shape == addrs.shape
 
@@ -57,8 +62,8 @@ class TestAccessPipeline:
             0, 4 * 4096, PlacementPolicy.BIND, domains=[1]
         )
         addrs = np.arange(0, 4 * 4096, 8, dtype=np.int64)
-        cls, targets = machine.classify_accesses(addrs, cpu=0, seg=seg)
-        req = machine.dram_request_counts(cls.levels, targets)
+        cls, targets = classify_accesses(machine, addrs, cpu=0, seg=seg)
+        req = dram_request_counts(machine, cls.levels, targets)
         assert req[1] == np.count_nonzero(cls.levels == LEVEL_DRAM)
         assert req.sum() == req[1]
 
@@ -72,18 +77,18 @@ class TestAccessPipeline:
         infl = np.ones(4)
         a_local = np.arange(0, 4096, 8, dtype=np.int64)
         a_remote = (1 << 20) + np.arange(0, 4096, 8, dtype=np.int64)
-        cls_l, t_l = machine.classify_accesses(a_local, 0, seg_local)
-        cls_r, t_r = machine.classify_accesses(a_remote, 0, seg_remote)
-        lat_l = machine.access_latency(cls_l.levels, t_l, 0, infl)
-        lat_r = machine.access_latency(cls_r.levels, t_r, 0, infl)
+        cls_l, t_l = classify_accesses(machine, a_local, 0, seg_local)
+        cls_r, t_r = classify_accesses(machine, a_remote, 0, seg_remote)
+        lat_l = machine_access_latency(machine, cls_l.levels, t_l, 0, infl)
+        lat_r = machine_access_latency(machine, cls_r.levels, t_r, 0, infl)
         assert lat_r.sum() > lat_l.sum()
 
     def test_reset_caches(self, machine):
         seg = machine.map_segment(0, 4096, PlacementPolicy.BIND, domains=[0])
         addrs = np.arange(0, 4096, 8, dtype=np.int64)
-        machine.classify_accesses(addrs, 0, seg)
+        classify_accesses(machine, addrs, 0, seg)
         machine.reset_caches()
-        cls, _ = machine.classify_accesses(addrs, 0, seg)
+        cls, _ = classify_accesses(machine, addrs, 0, seg)
         # Cold again: fetches go to DRAM.
         assert np.any(cls.levels == LEVEL_DRAM)
 

@@ -216,7 +216,7 @@ def test_migration_epoch_invalidation():
 
 def _sweep_schedule():
     """A mid-run rebind on the autotune path (engine-level schedule)."""
-    from repro.optim.policies import MigrationStep, PolicySchedule
+    from repro.optim.schedule import MigrationStep, PolicySchedule
 
     schedule = PolicySchedule()
     # Region 1 is the repeated compute region of the sweep; iteration 1

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from repro.machine import presets
-from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, ChunkClassification
+from repro.machine.cache import LEVEL_DRAM, LEVEL_L1
 from repro.machine.pagetable import PlacementPolicy
 from repro.profiler.timeline import TimelineBucket
 from repro.runtime import ExecutionEngine
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import compute_chunk
 from repro.runtime.program import Region, RegionKind
+from tests.reference.access import ChunkClassification
 
 
 class TestSegmentHelpers:

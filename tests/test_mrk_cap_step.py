@@ -17,6 +17,7 @@ from repro.machine import presets
 from repro.obs.tracer import Tracer
 from repro.sampling import MRK
 from repro.sampling.mrk import _linspace_picks
+from tests.reference.sampling import cap
 
 
 def _mrk(max_rate: float) -> MRK:
@@ -31,7 +32,8 @@ def _per_chunk(mech, tids, chosen, counts, n_ins, lat_totals):
     out = counts.copy()
     pieces = [chosen[:0]]
     for k in np.flatnonzero(counts).tolist():
-        piece = mech._cap(
+        piece = cap(
+            mech,
             int(tids[k]), chosen[starts[k]:starts[k + 1]],
             int(n_ins[k]), float(lat_totals[k]),
         )

@@ -8,6 +8,7 @@ import logging
 import pytest
 
 from repro import obs
+from repro.obs.stitch import absorb, export_state
 from repro.obs import (
     NOOP_SPAN,
     CountingTracer,
@@ -204,7 +205,7 @@ class TestValidator:
 
 
 class TestGaugeMerge:
-    """``Tracer.absorb`` gauge semantics: per-gauge merge policies, not
+    """``absorb`` gauge semantics: per-gauge merge policies, not
     last-write-wins (which silently depended on shard arrival order)."""
 
     def _state(self, gauges: dict) -> dict:
@@ -212,26 +213,26 @@ class TestGaugeMerge:
         tr.enable()
         for key, value in gauges.items():
             tr.gauge(key, value)
-        return tr.export_state()
+        return export_state(tr)
 
     def test_sum_policy_for_sharded_row_counts(self, tracer):
         assert obs.GAUGE_MERGE["profiler.code_rows"] == "sum"
         tracer.gauge("profiler.code_rows", 10)
-        tracer.absorb(self._state({"profiler.code_rows": 7}), "w0")
+        absorb(tracer, self._state({"profiler.code_rows": 7}), "w0")
         assert tracer.gauges["profiler.code_rows"] == 17
 
     def test_max_policy_for_epsilon(self, tracer):
         assert obs.GAUGE_MERGE["engine.phase.epsilon"] == "max"
         tracer.gauge("engine.phase.epsilon", 0.5)
-        tracer.absorb(self._state({"engine.phase.epsilon": 0.2}), "w0")
+        absorb(tracer, self._state({"engine.phase.epsilon": 0.2}), "w0")
         assert tracer.gauges["engine.phase.epsilon"] == 0.5
-        tracer.absorb(self._state({"engine.phase.epsilon": 0.9}), "w1")
+        absorb(tracer, self._state({"engine.phase.epsilon": 0.9}), "w1")
         assert tracer.gauges["engine.phase.epsilon"] == 0.9
 
     def test_unknown_gauges_default_to_max(self, tracer):
         assert obs.DEFAULT_GAUGE_MERGE == "max"
         tracer.gauge("custom.gauge", 5)
-        tracer.absorb(self._state({"custom.gauge": 3}), "w0")
+        absorb(tracer, self._state({"custom.gauge": 3}), "w0")
         assert tracer.gauges["custom.gauge"] == 5
 
     def test_absorb_order_independent(self):
@@ -246,7 +247,7 @@ class TestGaugeMerge:
             tr = Tracer()
             tr.enable()
             for i in order:
-                tr.absorb(states[i], f"w{i}")
+                absorb(tr, states[i], f"w{i}")
             return dict(tr.gauges)
 
         assert merge([0, 1, 2]) == merge([2, 1, 0]) == merge([1, 0, 2])
@@ -255,7 +256,7 @@ class TestGaugeMerge:
         }
 
     def test_absent_key_copies_value(self, tracer):
-        tracer.absorb(self._state({"profiler.bin_rows": 4}), "w0")
+        absorb(tracer, self._state({"profiler.bin_rows": 4}), "w0")
         assert tracer.gauges["profiler.bin_rows"] == 4
 
 
@@ -299,7 +300,7 @@ class TestJsonl:
         worker.gauge("profiler.code_rows", 2)
         with tracer.span("parent.round", "harness"):
             pass
-        tracer.absorb(worker.export_state(), "w0")
+        absorb(tracer, export_state(worker), "w0")
         path = write_jsonl(tracer, tmp_path / "t.jsonl")
         recs = [json.loads(line) for line in path.read_text().splitlines()]
         types = [r["type"] for r in recs]
@@ -350,7 +351,7 @@ class TestMirrorTracks:
             with worker.span("shard.round", "shard"):
                 with worker.span("engine.classify", "engine"):
                     pass
-            tracer.absorb(worker.export_state(), "w0")
+            absorb(tracer, export_state(worker), "w0")
         finally:
             obs.set_tracer(old)
         path = write_jsonl(tracer, tmp_path / "t.jsonl")

@@ -28,6 +28,8 @@ from repro.runtime.phase import (
 )
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
+from tests.reference.access import fetch_level
+from tests.reference.reuse import hierarchy_digest
 
 from tests.test_phase_parity import (
     SCALE,
@@ -171,9 +173,9 @@ def test_epoch_change_rearms_quiescent_detector():
 def _steady_iteration(cache: CacheHierarchy) -> None:
     """One iteration of a steady access pattern (two CPUs, one key
     shared by both)."""
-    cache._fetch_level(0, 1, 0, 6_400)
-    cache._fetch_level(0, 2, 0, 4_096)
-    cache._fetch_level(1, 1, 0, 512)
+    fetch_level(cache, 0, 1, 0, 6_400)
+    fetch_level(cache, 0, 2, 0, 4_096)
+    fetch_level(cache, 1, 1, 0, 512)
 
 
 def test_phase_advance_matches_simulation():
@@ -190,7 +192,7 @@ def test_phase_advance_matches_simulation():
     cache.phase_advance(delta, 7)
     np.testing.assert_array_equal(cache._pos, simulated._pos)
     np.testing.assert_array_equal(cache._last, simulated._last)
-    assert cache.state_digest() == simulated.state_digest()
+    assert hierarchy_digest(cache) == hierarchy_digest(simulated)
 
 
 # ---------------------------------------------------------------------- #

@@ -27,7 +27,7 @@ from repro.machine.pagetable import PlacementPolicy
 from repro.parallel import ParallelEngine, sharding_supported
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
-from repro.runtime.phase import validate_phase_report
+from tests.checks import validate_phase_report
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
 
@@ -198,7 +198,7 @@ def _long_sweep():
 def _sweep_schedule(iteration: int):
     """A rebind of ``data`` at the given iteration of the sweep's
     repeated region (region 1) — on the autotune/live-migration path."""
-    from repro.optim.policies import MigrationStep, PolicySchedule
+    from repro.optim.schedule import MigrationStep, PolicySchedule
 
     schedule = PolicySchedule()
     schedule.add(

@@ -13,6 +13,7 @@ from repro.profiler.profile_data import (
 )
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.heap import HeapAllocator
+from tests.reference.immediate_profiler import record_samples
 
 PATH_A = (SourceLoc("main"), SourceLoc("kernel_a"))
 PATH_B = (SourceLoc("main"), SourceLoc("kernel_b"))
@@ -32,21 +33,21 @@ class TestVarRecord:
 
     def test_record_samples_tightens_ranges(self, var):
         rec = VarRecord(var)
-        rec.record_samples(PATH_A, var.base + np.array([80, 160, 400]))
+        record_samples(rec, PATH_A, var.base + np.array([80, 160, 400]))
         lo, hi = rec.range_for(PATH_A)
         assert (lo, hi) == (var.base + 80, var.base + 400)
 
     def test_ranges_per_context(self, var):
         rec = VarRecord(var)
-        rec.record_samples(PATH_A, var.base + np.array([0, 100]))
-        rec.record_samples(PATH_B, var.base + np.array([5000, 9000]))
+        record_samples(rec, PATH_A, var.base + np.array([0, 100]))
+        record_samples(rec, PATH_B, var.base + np.array([5000, 9000]))
         assert rec.range_for(PATH_A) == (var.base, var.base + 100)
         assert rec.range_for(PATH_B) == (var.base + 5000, var.base + 9000)
 
     def test_range_across_contexts_is_min_max(self, var):
         rec = VarRecord(var)
-        rec.record_samples(PATH_A, var.base + np.array([100]))
-        rec.record_samples(PATH_B, var.base + np.array([9000]))
+        record_samples(rec, PATH_A, var.base + np.array([100]))
+        record_samples(rec, PATH_B, var.base + np.array([9000]))
         assert rec.range_for() == (var.base + 100, var.base + 9000)
 
     def test_range_for_unknown_context(self, var):
@@ -57,12 +58,12 @@ class TestVarRecord:
     def test_bin_indices_returned(self, var):
         rec = VarRecord(var)
         last = var.nbytes - 8
-        bins = rec.record_samples(PATH_A, var.base + np.array([0, last]))
+        bins = record_samples(rec, PATH_A, var.base + np.array([0, last]))
         np.testing.assert_array_equal(bins, [0, rec.n_bins - 1])
 
     def test_bin_ranges_tracked(self, var):
         rec = VarRecord(var)
-        rec.record_samples(PATH_A, var.base + np.array([0, var.nbytes - 8]))
+        record_samples(rec, PATH_A, var.base + np.array([0, var.nbytes - 8]))
         arr = rec.ranges[PATH_A]
         # Row 0 = whole var; row 1 = bin 0; last row = last bin.
         assert arr[1, 0] == var.base
@@ -82,7 +83,7 @@ class TestThreadProfile:
         prof = ThreadProfile(tid=0, cpu=0, domain=0)
         empty = prof.footprint_bytes()
         rec = prof.var_record(var)
-        rec.record_samples(PATH_A, var.base + np.array([0]))
+        record_samples(rec, PATH_A, var.base + np.array([0]))
         prof.first_touches.append(
             FirstTouchRecord("v", 0, 0, 0, np.arange(10), PATH_A)
         )
@@ -124,7 +125,7 @@ def test_range_invariants(offsets, request):
     var = heap.malloc(8 * 40_960, "v", (SourceLoc("main"),))
     rec = VarRecord(var)
     addrs = var.base + np.array(offsets, dtype=np.int64)
-    rec.record_samples(PATH_A, addrs)
+    record_samples(rec, PATH_A, addrs)
     lo, hi = rec.range_for(PATH_A)
     assert lo == addrs.min() and hi == addrs.max()
     arr = rec.ranges[PATH_A]

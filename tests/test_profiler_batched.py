@@ -23,9 +23,9 @@ from repro.runtime import ExecutionEngine
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk
 from repro.runtime.engine import ChunkView
-from repro.runtime.memo import StepViews
 from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
 from tests.conftest import ToyProgram
+from tests.reference.access import step_views
 from tests.reference.immediate_profiler import ImmediateProfiler
 
 #: Metrics whose accumulation order may differ between the two paths.
@@ -159,7 +159,7 @@ def _sample_every_access(addrs_of, registered=("a", "b")):
         np.full(n, 4.0), (SourceLoc("k"),), np.zeros(n, bool),
         np.zeros(n, bool),
     )
-    profiler.on_step(StepViews.from_views([view]))
+    profiler.on_step(step_views([view]))
 
 
 @pytest.mark.parametrize("addrs_of, match", [

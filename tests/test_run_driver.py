@@ -33,10 +33,10 @@ from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import sweep_chunk
-from repro.runtime.phase import validate_phase_report
 from repro.runtime.program import Region, RegionKind
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
+from tests.checks import validate_phase_report
 from tests.test_phase_parity import (
     _assert_archives_equal,
     _assert_results_equal,

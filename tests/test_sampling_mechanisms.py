@@ -9,6 +9,7 @@ from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk
 from repro.runtime.heap import HeapAllocator
 from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
+from tests.reference.sampling import cost_cycles, select
 
 
 @pytest.fixture
@@ -47,7 +48,7 @@ class TestIBS:
         mech = IBS(period=1000)
         mech.configure(machine)
         levels, targets, lat = uniform_inputs(chunk)
-        batch = mech.select(0, chunk, levels, targets, lat)
+        batch = select(mech, 0, chunk, levels, targets, lat)
         assert batch.n_sampled_instructions == 80
         # Memory samples ~ instruction samples x (accesses / instructions).
         assert batch.n_samples == pytest.approx(80 / 8, abs=6)
@@ -56,7 +57,7 @@ class TestIBS:
         mech = IBS(period=64)
         mech.configure(machine)
         levels, targets, lat = uniform_inputs(chunk)
-        batch = mech.select(0, chunk, levels, targets, lat)
+        batch = select(mech, 0, chunk, levels, targets, lat)
         # Samples spread over the whole index range, not clustered.
         idx = batch.indices
         assert idx.min() < chunk.n_accesses * 0.1
@@ -68,13 +69,13 @@ class TestIBS:
         mech = IBS(period=1024)  # 1024 % 8 == 0
         mech.configure(machine)
         levels, targets, lat = uniform_inputs(chunk)
-        batch = mech.select(0, chunk, levels, targets, lat)
+        batch = select(mech, 0, chunk, levels, targets, lat)
         assert batch.n_samples > 0
 
     def test_latency_captured(self, machine, chunk):
         mech = IBS(period=100)
         mech.configure(machine)
-        batch = mech.select(0, chunk, *uniform_inputs(chunk))
+        batch = select(mech, 0, chunk, *uniform_inputs(chunk))
         assert batch.latency_captured
 
 
@@ -89,7 +90,7 @@ class TestMRK:
         mech = MRK(max_rate=1e12)
         mech.configure(machine)
         levels, targets, lat = uniform_inputs(chunk, dram_latency=300.0)
-        batch = mech.select(0, chunk, levels, targets, lat)
+        batch = select(mech, 0, chunk, levels, targets, lat)
         # All events are the DRAM accesses with demand latency.
         assert batch.n_events_total == np.count_nonzero(levels == LEVEL_DRAM)
         assert np.all(levels[batch.indices] == LEVEL_DRAM)
@@ -99,7 +100,7 @@ class TestMRK:
         mech.configure(machine)
         levels, targets, lat = uniform_inputs(chunk)
         lat[levels == LEVEL_DRAM] = 44.0  # prefetched: below demand latency
-        batch = mech.select(0, chunk, levels, targets, lat)
+        batch = select(mech, 0, chunk, levels, targets, lat)
         assert batch.n_events_total == 0
         assert batch.n_samples == 0
 
@@ -107,10 +108,10 @@ class TestMRK:
         capped = MRK(max_rate=100.0)
         capped.configure(machine)
         levels, targets, lat = uniform_inputs(chunk)
-        batch = capped.select(0, chunk, levels, targets, lat)
+        batch = select(capped, 0, chunk, levels, targets, lat)
         free = MRK(max_rate=1e12)
         free.configure(machine)
-        batch_free = free.select(0, chunk, levels, targets, lat)
+        batch_free = select(free, 0, chunk, levels, targets, lat)
         assert batch.n_samples < batch_free.n_samples
 
     def test_rate_cap_budget_accumulates(self, machine, chunk):
@@ -121,10 +122,10 @@ class TestMRK:
         levels, targets, lat = uniform_inputs(chunk)
         total = 0
         for _ in range(10):
-            total += mech.select(0, chunk, levels, targets, lat).n_samples
+            total += select(mech, 0, chunk, levels, targets, lat).n_samples
         mech2 = MRK(max_rate=50000.0)
         mech2.configure(machine)
-        one = mech2.select(0, chunk, levels, targets, lat).n_samples
+        one = select(mech2, 0, chunk, levels, targets, lat).n_samples
         assert total == pytest.approx(one, abs=2)
 
 
@@ -137,13 +138,13 @@ class TestPEBS:
         corrected = PEBS(period=1000)
         corrected.configure(machine)
         levels, targets, lat = uniform_inputs(chunk)
-        batch = corrected.select(0, chunk, levels, targets, lat)
-        cost_corrected = corrected.cost_cycles(batch, chunk)
+        batch = select(corrected, 0, chunk, levels, targets, lat)
+        cost_corrected = cost_cycles(corrected, batch, chunk)
 
         uncorrected = PEBS(period=1000, skid_correction=False)
         uncorrected.configure(machine)
-        batch_u = uncorrected.select(0, chunk, levels, targets, lat)
-        cost_plain = uncorrected.cost_cycles(batch_u, chunk)
+        batch_u = select(uncorrected, 0, chunk, levels, targets, lat)
+        cost_plain = cost_cycles(uncorrected, batch_u, chunk)
         assert cost_corrected > cost_plain
 
     def test_uncorrected_skid_shifts_attribution(self, machine, chunk):
@@ -152,8 +153,8 @@ class TestPEBS:
         a.configure(machine, seed=1)
         b.configure(machine, seed=1)
         levels, targets, lat = uniform_inputs(chunk)
-        ia = a.select(0, chunk, levels, targets, lat).indices
-        ib = b.select(0, chunk, levels, targets, lat).indices
+        ia = select(a, 0, chunk, levels, targets, lat).indices
+        ib = select(b, 0, chunk, levels, targets, lat).indices
         assert ia.size == ib.size
         assert np.all(ib >= ia)
         assert np.any(ib == ia + 1)
@@ -172,7 +173,7 @@ class TestDEAR:
         levels = np.full(n, LEVEL_L1, dtype=np.uint8)
         levels[::4] = LEVEL_L2
         levels[::16] = LEVEL_DRAM
-        batch = mech.select(0, chunk, levels, np.zeros(n), np.zeros(n))
+        batch = select(mech, 0, chunk, levels, np.zeros(n), np.zeros(n))
         assert batch.n_events_total == np.count_nonzero(levels != LEVEL_L1)
         assert np.all(levels[batch.indices] != LEVEL_L1)
 
@@ -187,7 +188,7 @@ class TestPEBSLL:
         mech = PEBSLL(period=1, latency_threshold=100.0)
         mech.configure(machine)
         levels, targets, lat = uniform_inputs(chunk, dram_latency=300.0)
-        batch = mech.select(0, chunk, levels, targets, lat)
+        batch = select(mech, 0, chunk, levels, targets, lat)
         assert batch.n_events_total == np.count_nonzero(lat > 100.0)
         assert np.all(lat[batch.indices] > 100.0)
 
@@ -195,7 +196,7 @@ class TestPEBSLL:
         mech = PEBSLL(period=10, latency_threshold=100.0)
         mech.configure(machine)
         levels, targets, lat = uniform_inputs(chunk)
-        batch = mech.select(0, chunk, levels, targets, lat)
+        batch = select(mech, 0, chunk, levels, targets, lat)
         assert batch.n_events_total == 1250
         assert batch.n_samples == 125
 
@@ -210,7 +211,7 @@ class TestSoftIBS:
         mech = SoftIBS(period=100)
         mech.configure(machine)
         levels, targets, lat = uniform_inputs(chunk)
-        batch = mech.select(0, chunk, levels, targets, lat)
+        batch = select(mech, 0, chunk, levels, targets, lat)
         assert batch.n_samples == 100
         np.testing.assert_array_equal(np.diff(batch.indices), 100)
 
@@ -218,15 +219,15 @@ class TestSoftIBS:
         mech = SoftIBS(period=10**9)
         mech.configure(machine)
         levels, targets, lat = uniform_inputs(chunk)
-        batch = mech.select(0, chunk, levels, targets, lat)
+        batch = select(mech, 0, chunk, levels, targets, lat)
         assert batch.n_samples == 0
         # Cost is nonzero even with zero samples: every access pays.
-        assert mech.cost_cycles(batch, chunk) >= chunk.n_accesses * 10
+        assert cost_cycles(mech, batch, chunk) >= chunk.n_accesses * 10
 
     def test_counts_all_accesses_as_events(self, machine, chunk):
         mech = SoftIBS(period=100)
         mech.configure(machine)
-        batch = mech.select(0, chunk, *uniform_inputs(chunk))
+        batch = select(mech, 0, chunk, *uniform_inputs(chunk))
         assert batch.n_events_total == chunk.n_accesses
 
 
@@ -238,14 +239,14 @@ class TestCrossMechanism:
         costs = {}
         for mech in (IBS(), MRK(), PEBS(), DEAR(), PEBSLL(), SoftIBS()):
             mech.configure(machine)
-            batch = mech.select(0, chunk, levels, targets, lat)
-            costs[mech.name] = mech.cost_cycles(batch, chunk)
+            batch = select(mech, 0, chunk, levels, targets, lat)
+            costs[mech.name] = cost_cycles(mech, batch, chunk)
         assert costs["Soft-IBS"] == max(costs.values())
 
     def test_independent_thread_state(self, machine, chunk):
         mech = SoftIBS(period=3000)
         mech.configure(machine)
         levels, targets, lat = uniform_inputs(chunk)
-        b0 = mech.select(0, chunk, levels, targets, lat)
-        b1 = mech.select(1, chunk, levels, targets, lat)
+        b0 = select(mech, 0, chunk, levels, targets, lat)
+        b1 = select(mech, 1, chunk, levels, targets, lat)
         np.testing.assert_array_equal(b0.indices, b1.indices)

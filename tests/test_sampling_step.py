@@ -20,8 +20,10 @@ from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk, compute_chunk
 from repro.runtime.heap import HeapAllocator
 from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
-from repro.sampling.base import JITTER_BLOCK, periodic_positions_step
+from repro.sampling.base import periodic_positions_step
+from repro.sampling.instruction import JITTER_BLOCK
 from repro.sampling.registry import MECHANISMS
+from tests.reference.sampling import batch_for, cost_cycles, select
 
 
 class StubView:
@@ -113,15 +115,15 @@ def assert_step_parity(make_mech, machine, steps):
     bat.configure(machine)
     for views in steps:
         batches = [
-            seq.select(v.tid, v.chunk, v.levels, v.target_domains, v.latencies)
+            select(seq, v.tid, v.chunk, v.levels, v.target_domains, v.latencies)
             for v in views
         ]
         step = bat.select_step(views)
-        seq_costs = [seq.cost_cycles(b, v.chunk) for b, v in zip(batches, views)]
+        seq_costs = [cost_cycles(seq, b, v.chunk) for b, v in zip(batches, views)]
         bat_costs = bat.cost_cycles_step(step, views)
         assert int(step.counts.sum()) == step.n_samples
         for k, (b, v) in enumerate(zip(batches, views)):
-            sb = step.batch_for(k)
+            sb = batch_for(step, k)
             np.testing.assert_array_equal(sb.indices, b.indices)
             assert sb.n_sampled_instructions == b.n_sampled_instructions
             assert sb.n_events_total == b.n_events_total
@@ -168,8 +170,8 @@ class TestJitterDedupe:
         mech._rng_for = lambda tid: ForcedJitterRNG(40)
         chunk = _unit_chunk(HeapAllocator(machine), "j", 64)
         levels = np.full(64, LEVEL_L1, dtype=np.uint8)
-        batch = mech.select(
-            0, chunk, levels, np.zeros(64, np.int64), np.full(64, 4.0)
+        batch = select(
+            mech, 0, chunk, levels, np.zeros(64, np.int64), np.full(64, 4.0)
         )
         # Grid 7,15,...,63 minus 40 clamps the first five to 0.
         np.testing.assert_array_equal(batch.indices, [0, 7, 15, 23])
@@ -194,7 +196,7 @@ class TestJitterDedupe:
         step = mech.select_step(views)
         for k in range(2):
             np.testing.assert_array_equal(
-                step.batch_for(k).indices, [0, 7, 15, 23]
+                batch_for(step, k).indices, [0, 7, 15, 23]
             )
 
 
@@ -319,15 +321,15 @@ def test_interleaved_select_and_select_step_match_per_call_reference(name):
     ref.configure(machine)
     for s, views in enumerate(steps):
         want = [
-            ref.select(v.tid, v.chunk, v.levels, v.target_domains, v.latencies)
+            select(ref, v.tid, v.chunk, v.levels, v.target_domains, v.latencies)
             for v in views
         ]
         if s % 2:
             step = mech.select_step(views)
-            got = [step.batch_for(k) for k in range(len(views))]
+            got = [batch_for(step, k) for k in range(len(views))]
         else:
             got = [
-                mech.select(v.tid, v.chunk, v.levels, v.target_domains, v.latencies)
+                select(mech, v.tid, v.chunk, v.levels, v.target_domains, v.latencies)
                 for v in views
             ]
         for g, w in zip(got, want):

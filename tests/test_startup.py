@@ -29,7 +29,8 @@ PIPELINE = ROOT / "e2ebench" / "pipeline.py"
 #: Packages whose ``__all__`` is derived from a lazy export table.
 PACKAGES = (
     "repro", "repro.analysis", "repro.machine", "repro.obs", "repro.optim",
-    "repro.profiler", "repro.runtime", "repro.sampling", "repro.workloads",
+    "repro.profiler", "repro.registry", "repro.runtime", "repro.sampling",
+    "repro.workloads",
 )
 
 #: Cold subsystems that only the code turning them on may import.
@@ -37,7 +38,11 @@ COLD = (
     "repro.obs.export", "repro.obs.timeseries", "repro.obs.log", "logging",
     "repro.analysis.diff", "repro.profiler.timeline", "repro.parallel",
     "repro.optim.autotune", "repro.bench", "numpy.ma",
+    "repro.optim.schedule", "repro.obs.stitch", "repro.obs.counting",
 )
+
+#: Read-back code: archive and series readers, the registry's read side.
+READERS = ("repro.analysis.postmortem", "repro.registry.read")
 
 #: The run stack that ``--help`` and ``runs`` must not import.
 RUN_STACK = (
@@ -95,7 +100,51 @@ def test_pipeline_run_loads_only_what_it_executes(tmp_path):
             "repro.runtime.engine"} <= modules
     unnamed = [m for k, m in MECHANISM_MODULES.items() if k != "IBS"]
     unnamed += [m for m in WORKLOAD_MODULES if m != "repro.workloads.lulesh"]
-    assert [m for m in (*COLD, *unnamed) if _loaded(modules, m)] == []
+    # Recording the run writes the registry; nothing reads it back.
+    stray = [m for m in (*COLD, *READERS, *unnamed) if _loaded(modules, m)]
+    assert stray == []
+    # Extrapolation is off: the phase layer stays unloaded. (``hashlib``
+    # loads anyway: ``numpy.random`` imports it.)
+    assert "repro.runtime.phase" not in modules
+
+
+def test_mrk_run_loads_no_instruction_sampling(tmp_path):
+    modules = _modules_after(
+        "from repro.__main__ import main\n"
+        "main(['umt', '--scale', '0.05', '--quiet', '--runs-dir', 'runs'])\n",
+        tmp_path,
+    )
+    assert {"repro.sampling.mrk", "repro.registry.store"} <= modules
+    stray = [m for m in ("repro.sampling.instruction", "repro.sampling.ibs",
+                         *READERS) if m in modules]
+    assert stray == []
+
+
+def test_oracles_are_not_in_production():
+    """The per-chunk references live in ``tests/reference/``."""
+    import repro.sampling.base as base
+    from repro.machine.cache import CacheHierarchy
+    from repro.machine.latency import LatencyModel
+    from repro.machine.machine import Machine
+    from repro.runtime.memo import StepViews
+    from repro.sampling import MRK
+
+    gone = {
+        Machine: ("classify_accesses", "access_latency",
+                  "dram_request_counts"),
+        CacheHierarchy: ("classify", "chunk_fetch_products", "_fetch_level",
+                         "state_digest"),
+        LatencyModel: ("access_latency",),
+        SamplingMechanism: ("select", "cost_cycles", "_finish"),
+        MRK: ("select", "_cap"),
+        StepViews: ("from_views",),
+    }
+    left = [f"{cls.__name__}.{name}" for cls, names in gone.items()
+            for name in names if hasattr(cls, name)]
+    assert left == []
+    assert not any(hasattr(cls, "select") for cls in MECHANISMS.values())
+    assert not hasattr(base, "SampleBatch")
+    assert not hasattr(base, "periodic_positions")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,10 +2,10 @@
 
 ``PerChunkReference`` is a deliberately slow, obviously correct engine:
 it overrides only the classify, latency and monitor phases, classifying
-each memory chunk on its own with ``Machine.classify_accesses``, pricing
-it with ``Machine.access_latency``, and handing every chunk to the
-monitor as an eager ``ChunkView``. Page traps, accounting and the
-region loop are the production engine's.
+each memory chunk on its own with ``classify_accesses``, pricing it
+with ``machine_access_latency`` (both in ``tests/reference/access.py``),
+and handing every chunk to the monitor as an eager ``ChunkView``. Page
+traps, accounting and the region loop are the production engine's.
 
 The production pipeline (pure products → keyed variants → lazy views)
 must reproduce it at every memo budget: the default, zero
@@ -29,9 +29,14 @@ from repro.machine.pagetable import PlacementPolicy
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
 from repro.runtime.engine import ChunkView
-from repro.runtime.memo import StepViews
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
+from tests.reference.access import (
+    classify_accesses,
+    dram_request_counts,
+    machine_access_latency,
+    step_views,
+)
 
 SCALE = 0.02
 THREADS = 8
@@ -57,12 +62,12 @@ class PerChunkReference(ExecutionEngine):
         st.step_requests = np.zeros(machine.n_domains, dtype=np.int64)
         for i in st.mem_idx:
             t, chunk = step[i]
-            cls, targets = machine.classify_accesses(
-                chunk.addrs, t.cpu, chunk.var.segment
+            cls, targets = classify_accesses(
+                machine, chunk.addrs, t.cpu, chunk.var.segment
             )
             self._ref_chunks[i] = (t, chunk, cls, targets)
-            st.step_requests += machine.dram_request_counts(
-                cls.levels, targets
+            st.step_requests += dram_request_counts(
+                machine, cls.levels, targets
             )
 
     def _latency_phase(self, st, inflation=None):
@@ -78,8 +83,8 @@ class PerChunkReference(ExecutionEngine):
         st.traffic = np.zeros((n_domains, n_domains), dtype=np.int64)
         self._ref_products = {}
         for i, (t, chunk, cls, targets) in self._ref_chunks.items():
-            lat = machine.access_latency(
-                cls.levels, targets, t.cpu, inflation,
+            lat = machine_access_latency(
+                machine, cls.levels, targets, t.cpu, inflation,
                 sequential=cls.sequential,
                 interleaved=(
                     chunk.var.segment.policy is PlacementPolicy.INTERLEAVE
@@ -108,12 +113,12 @@ class PerChunkReference(ExecutionEngine):
                 t.tid, t.cpu, t.domain, chunk, levels, targets, lat, path,
                 dram, remote,
             ))
-        return list(self.monitor.on_step(StepViews.from_views(views)))
+        return list(self.monitor.on_step(step_views(views)))
 
 
 def _sweep_schedule():
     """A mid-run rebind of the sweep's repeated region (iteration 1)."""
-    from repro.optim.policies import MigrationStep, PolicySchedule
+    from repro.optim.schedule import MigrationStep, PolicySchedule
 
     schedule = PolicySchedule()
     schedule.add(

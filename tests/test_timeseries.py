@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro import obs
-from repro.analysis import io as analysis_io
+from repro.analysis import postmortem as analysis_io
 from repro.obs import (
     FLAG_EXTRAPOLATED,
     FLAG_FINAL,
@@ -16,6 +16,7 @@ from repro.obs import (
     MetricsRecorder,
     Tracer,
 )
+from repro.obs.stitch import absorb, export_state
 from repro.obs.timeseries import FLAG_NAMES, SERIES_FORMAT
 
 
@@ -189,7 +190,7 @@ class TestExportAndAbsorb:
         parent = Tracer()
         parent.enable()
         parent.metrics = MetricsRecorder(capacity=8)
-        parent.absorb(worker.export_state(), "w3")
+        absorb(parent, export_state(worker), "w3")
         assert parent.metrics.tracks == ["main", "w3"]
         assert parent.metrics.last_values("w3")["engine.chunks"] == 5
 
@@ -200,7 +201,7 @@ class TestExportAndAbsorb:
         worker.metrics.sample(worker)
         parent = Tracer()
         parent.enable()
-        parent.absorb(worker.export_state(), "w0")  # must not raise
+        absorb(parent, export_state(worker), "w0")  # must not raise
         assert parent.metrics is None
 
     def test_deterministic_merge(self):
