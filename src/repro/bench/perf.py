@@ -630,22 +630,15 @@ def run_autotune_bench(
     sampled remote fraction does (the cache hides post-migration DRAM
     traffic); wall speedups need sizes that exceed the cache.
     """
-    from repro.__main__ import _builders
     from repro.optim.autotune import AutotuneConfig, autotune
-    from repro.runtime.thread import BindingPolicy
+    from repro.spec import RunSpec
 
-    machine_factory = presets.PRESETS[preset]
-    builders = _builders(scale)
     bench: dict = {"workloads": {}}
     for name in workload_names:
-        cfg = AutotuneConfig(
-            machine_factory=machine_factory,
-            program_factory=builders[name],
-            n_threads=threads,
-            binding=BindingPolicy.COMPACT,
-            mechanism_name=mechanism,
-            period=period,
-        )
+        cfg = AutotuneConfig(RunSpec(
+            name, scale=scale, machine=preset, threads=threads,
+            mechanism=mechanism, period=period,
+        ))
         t0 = _clock()
         report = autotune(cfg)
         host_s = _clock() - t0

@@ -33,7 +33,6 @@ the :class:`AutotuneReport` is bit-identical at any worker count.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -44,48 +43,33 @@ from repro.analysis.diff import ProfileDiff, diff_profiles
 from repro.analysis.postmortem import export_heatmap_csvs
 from repro.analysis.merge import merge_profiles
 from repro.optim.schedule import MigrationStep, PolicySchedule, plan_migrations
-from repro.profiler.profiler import NumaProfiler
-from repro.runtime.engine import ExecutionEngine
 from repro.runtime.heap import HeapAllocator
 from repro.runtime.program import ProgramContext, RegionKind
 from repro.runtime.thread import BindingPolicy, bind_threads
-from repro.sampling import create_mechanism
+from repro.spec import (
+    Profile,
+    RunSpec,
+    add_run_arguments,
+    manifest_fields,
+    profile,
+    profile_manifest,
+)
 
 
 @dataclass
 class AutotuneConfig:
-    """Everything one closed-loop autotune needs.
+    """Everything one closed-loop autotune needs: the run both of its
+    profiles simulate, and where the loop's outputs go."""
 
-    Factories, not instances: each of the two runs (and every worker in
-    a sharded run) builds its own machine/program, exactly like
-    :class:`~repro.parallel.engine.ParallelEngine`.
-    """
-
-    machine_factory: object
-    program_factory: object
-    n_threads: int
-    binding: BindingPolicy = BindingPolicy.COMPACT
-    mechanism_name: str = "IBS"
-    period: int = 4096
-    mechanism_kwargs: dict = field(default_factory=dict)
-    seed: int = 0
-    profiler_seed: int = 0x1B5
-    n_workers: int = 1
+    spec: RunSpec
     #: Iterations of the target region that run before migration fires —
     #: the profiling window measured in region iterations.
     window_iterations: int = 2
-    #: False runs the engines with a zero memo budget (``--no-memo``).
-    memoize: bool = True
     #: Where to write the report JSON and heatmap CSVs (None: no files).
     out_dir: str | Path | None = None
     #: Run-registry root to record the loop's runs in (None: no
     #: registration). The CLI sets this by default; see ``--no-save``.
     runs_dir: str | Path | None = None
-
-    def make_mechanism(self):
-        return create_mechanism(
-            self.mechanism_name, self.period, **self.mechanism_kwargs
-        )
 
 
 @dataclass
@@ -184,50 +168,8 @@ class AutotuneReport:
 # ---------------------------------------------------------------------- #
 
 
-def _profiled_run(cfg: AutotuneConfig, schedule: PolicySchedule | None):
-    """One profiled run (serial or sharded) with an optional schedule.
-
-    Returns ``(result, archive, applied_actions, threads)``. The
-    heatmap is always collected — it is the re-verify artifact.
-    """
-    def monitor_factory():
-        return NumaProfiler(
-            cfg.make_mechanism(),
-            seed=cfg.profiler_seed,
-            heatmap=True,
-        )
-
-    if cfg.n_workers > 1:
-        from repro.parallel import ParallelEngine
-
-        engine = ParallelEngine(
-            cfg.machine_factory, cfg.program_factory, cfg.n_threads,
-            n_workers=cfg.n_workers,
-            binding=cfg.binding,
-            monitor_factory=monitor_factory,
-            seed=cfg.seed,
-            force_sharded=True,
-            memoize=cfg.memoize,
-            schedule=schedule,
-        )
-        result = engine.run()
-        return result, engine.archive, engine.applied_actions, engine.threads
-
-    profiler = monitor_factory()
-    engine = ExecutionEngine(
-        cfg.machine_factory(), cfg.program_factory(), cfg.n_threads,
-        binding=cfg.binding,
-        monitor=profiler,
-        seed=cfg.seed,
-        memoize=cfg.memoize,
-        schedule=schedule,
-    )
-    result = engine.run()
-    return result, profiler.archive, engine.applied_actions, engine.threads
-
-
 def pick_boundary(
-    cfg: AutotuneConfig, window_iterations: int
+    spec: RunSpec, window_iterations: int
 ) -> tuple[int, int] | None:
     """The ``(region_idx, iteration)`` where migration should fire.
 
@@ -237,11 +179,13 @@ def pick_boundary(
     shrinks to fit short regions (at least one iteration runs on each
     side of the boundary). ``None`` when no parallel region repeats.
     """
-    machine = cfg.machine_factory()
-    program = cfg.program_factory()
-    threads = bind_threads(machine.topology, cfg.n_threads, cfg.binding)
+    machine = spec.machine_factory()()
+    program = spec.program()
+    threads = bind_threads(
+        machine.topology, spec.threads, BindingPolicy[spec.binding.upper()]
+    )
     ctx = ProgramContext(
-        machine, HeapAllocator(machine), threads, None, cfg.seed
+        machine, HeapAllocator(machine), threads, None, spec.seed
     )
     program.setup(ctx)
     regions = program.regions(ctx)
@@ -276,69 +220,57 @@ def autotune(cfg: AutotuneConfig) -> AutotuneReport:
     tr = obs.TRACER
     log = obs.get_logger("optim")
 
-    host_t0 = time.perf_counter()
     with tr.span("autotune.profile_window", "optim"):
-        base_result, base_archive, _, threads = _profiled_run(cfg, None)
-    base_wall_s = time.perf_counter() - host_t0
-    merged_base = merge_profiles(base_archive)
+        base = profile(cfg.spec, heatmap=True)
+    merged_base = merge_profiles(base.archive)
     analysis = NumaAnalysis(merged_base)
 
     with tr.span("autotune.advise", "optim"):
         advice = advise(
             analysis,
-            thread_domains={t.tid: t.domain for t in threads},
+            thread_domains={t.tid: t.domain for t in base.threads},
         )
         n_domains = merged_base.n_domains
         steps = plan_migrations(advice, n_domains)
     tr.count("autotune.migrations_planned", len(steps))
     log.info("advisor planned %d migration step(s)", len(steps))
 
-    boundary = pick_boundary(cfg, cfg.window_iterations) if steps else None
+    boundary = (
+        pick_boundary(cfg.spec, cfg.window_iterations) if steps else None
+    )
     if boundary is None:
         steps = []
 
     if not steps:
         report = _report_from(
-            cfg, merged_base, advice, [], None, [],
-            base_result, base_result,
+            cfg, merged_base, advice, [], None, base, base,
             diff_profiles(merged_base, merged_base),
         )
-        _write_artifacts(cfg, report, base_archive, base_archive)
-        _register_runs(
-            cfg, report, base_archive, base_archive,
-            merged_base, merged_base, base_result, base_result,
-            base_wall_s, 0.0,
-        )
+        _write_artifacts(cfg, report, base, base)
+        _register_runs(cfg, report, base, base, merged_base, merged_base)
         return report
 
     schedule = build_schedule(steps, boundary)
     log.info("schedule: %s", schedule.describe())
 
-    host_t0 = time.perf_counter()
     with tr.span("autotune.reverify", "optim"):
-        tuned_result, tuned_archive, applied, _ = _profiled_run(cfg, schedule)
-    tuned_wall_s = time.perf_counter() - host_t0
-    merged_tuned = merge_profiles(tuned_archive)
+        tuned = profile(cfg.spec, schedule=schedule, heatmap=True)
+    merged_tuned = merge_profiles(tuned.archive)
 
     with tr.span("autotune.diff", "optim"):
         diff = diff_profiles(merged_base, merged_tuned)
 
     report = _report_from(
-        cfg, merged_base, advice, steps, boundary, applied,
-        base_result, tuned_result, diff,
+        cfg, merged_base, advice, steps, boundary, base, tuned, diff,
     )
-    _write_artifacts(cfg, report, base_archive, tuned_archive)
-    _register_runs(
-        cfg, report, base_archive, tuned_archive,
-        merged_base, merged_tuned, base_result, tuned_result,
-        base_wall_s, tuned_wall_s,
-    )
+    _write_artifacts(cfg, report, base, tuned)
+    _register_runs(cfg, report, base, tuned, merged_base, merged_tuned)
     return report
 
 
 def _report_from(
-    cfg, merged_base, advice, steps, boundary, applied,
-    base_result, tuned_result, diff: ProfileDiff,
+    cfg, merged_base, advice, steps, boundary, base: Profile,
+    tuned: Profile, diff: ProfileDiff,
 ) -> AutotuneReport:
     lpi_b, lpi_a = diff.lpi_before, diff.lpi_after
     remote_improved = diff.remote_after < diff.remote_before
@@ -347,21 +279,21 @@ def _report_from(
     )
     return AutotuneReport(
         program=merged_base.program,
-        mechanism=cfg.mechanism_name,
-        n_threads=cfg.n_threads,
-        n_workers=cfg.n_workers,
-        seed=cfg.seed,
+        mechanism=cfg.spec.mechanism,
+        n_threads=cfg.spec.threads,
+        n_workers=cfg.spec.workers,
+        seed=cfg.spec.seed,
         window_iterations=cfg.window_iterations,
         boundary=boundary,
         advice_rationale=advice.rationale,
         planned=[s.describe() for s in steps],
-        applied=[asdict(a) for a in applied],
+        applied=[asdict(a) for a in tuned.applied_actions],
         lpi_before=lpi_b,
         lpi_after=lpi_a,
         remote_before=diff.remote_before,
         remote_after=diff.remote_after,
-        wall_seconds_before=base_result.wall_seconds,
-        wall_seconds_after=tuned_result.wall_seconds,
+        wall_seconds_before=base.result.wall_seconds,
+        wall_seconds_after=tuned.result.wall_seconds,
         improved=bool(steps) and remote_improved and (
             lpi_improved or lpi_b is None
         ),
@@ -370,9 +302,7 @@ def _report_from(
 
 
 def _register_runs(
-    cfg, report, base_archive, tuned_archive,
-    merged_base, merged_tuned, base_result, tuned_result,
-    base_wall_s: float, tuned_wall_s: float,
+    cfg, report, base: Profile, tuned: Profile, merged_base, merged_tuned,
 ) -> None:
     """Record the loop's runs in the run registry.
 
@@ -387,60 +317,25 @@ def _register_runs(
     from repro.registry import RunRegistry, build_manifest
 
     registry = RunRegistry(cfg.runs_dir)
-    machine = getattr(cfg.machine_factory, "__name__", "custom")
-    config = {
-        "mechanism": cfg.mechanism_name,
-        "period": cfg.period,
-        "threads": cfg.n_threads,
-        "workers": cfg.n_workers,
-        "binding": cfg.binding.name.lower(),
-        "seed": cfg.seed,
-        "window_iterations": cfg.window_iterations,
-    }
-    flags = {"memoize": cfg.memoize}
+    config = {"window_iterations": cfg.window_iterations}
 
-    def _profile_manifest(merged, result, wall_s, role):
-        analysis = NumaAnalysis(merged)
-        return build_manifest(
-            kind="profile",
-            workload=merged.program,
-            machine=machine,
+    def record(run: Profile, merged, role: str) -> str:
+        manifest = profile_manifest(
+            cfg.spec, run, NumaAnalysis(merged),
             config={**config, "autotune_role": role},
-            flags=flags,
-            host_wall_s=wall_s,
-            headline={
-                "lpi_numa": analysis.program_lpi(),
-                "remote_fraction": analysis.program_remote_fraction(),
-                "chunks": result.total_chunks,
-                "accesses": result.total_accesses,
-            },
-            simulated={
-                "wall_cycles": result.wall_cycles,
-                "wall_seconds": result.wall_seconds,
-            },
         )
+        return registry.record(manifest, archive=run.archive)
 
-    base_id = registry.record(
-        _profile_manifest(merged_base, base_result, base_wall_s, "baseline"),
-        archive=base_archive,
+    base_id = record(base, merged_base, "baseline")
+    tuned_id = base_id if tuned is base else record(
+        tuned, merged_tuned, "tuned"
     )
-    if tuned_archive is base_archive:
-        tuned_id = base_id
-    else:
-        tuned_id = registry.record(
-            _profile_manifest(
-                merged_tuned, tuned_result, tuned_wall_s, "tuned"
-            ),
-            archive=tuned_archive,
-        )
     auto_id = registry.record(
         build_manifest(
             kind="autotune",
-            workload=merged_base.program,
-            machine=machine,
-            config=config,
-            flags=flags,
-            host_wall_s=base_wall_s + tuned_wall_s,
+            **manifest_fields(cfg.spec, config=config),
+            host_wall_s=base.host_wall_s
+            + (0.0 if tuned is base else tuned.host_wall_s),
             headline={
                 "lpi_before": report.lpi_before,
                 "lpi_after": report.lpi_after,
@@ -457,7 +352,7 @@ def _register_runs(
     }
 
 
-def _write_artifacts(cfg, report, base_archive, tuned_archive) -> None:
+def _write_artifacts(cfg, report, base: Profile, tuned: Profile) -> None:
     """Persist the report JSON and the before/after heatmap CSVs."""
     if cfg.out_dir is None:
         return
@@ -465,7 +360,7 @@ def _write_artifacts(cfg, report, base_archive, tuned_archive) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with obs.TRACER.span("autotune.export", "optim"):
         for label, archive in (
-            ("baseline", base_archive), ("autotuned", tuned_archive)
+            ("baseline", base.archive), ("autotuned", tuned.archive)
         ):
             try:
                 paths = export_heatmap_csvs(archive, out / label)
@@ -486,32 +381,16 @@ def _write_artifacts(cfg, report, base_archive, tuned_archive) -> None:
 def build_parser():
     import argparse
 
-    from repro.__main__ import WORKLOADS
-
     parser = argparse.ArgumentParser(
         prog="python -m repro autotune",
         description="Closed-loop NUMA autotuning: profile, advise, "
         "live-migrate mid-run, re-verify with a profile diff.",
     )
-    parser.add_argument("workload", choices=sorted(WORKLOADS))
-    parser.add_argument("--machine", default=None,
-                        help="machine preset (default: workload's paper host)")
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--mechanism", default=None,
-                        choices=["IBS", "MRK", "PEBS", "DEAR", "PEBS-LL",
-                                 "Soft-IBS"])
-    parser.add_argument("--binding", default="compact",
-                        choices=["compact", "scatter"])
-    parser.add_argument("--period", type=int, default=None)
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="shard both runs across N worker processes "
-                        "(the report is bit-identical at any N)")
+    add_run_arguments(parser)
     parser.add_argument("--window", type=int, default=2,
                         help="profiled iterations of the target region "
                         "before migration fires (default 2)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-memo", action="store_true")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="write autotune_report.json and heatmap CSVs "
                         "under DIR")
@@ -530,39 +409,16 @@ def build_parser():
 def main(argv: list[str] | None = None) -> int:
     import sys
 
-    from repro import presets
-    from repro.__main__ import ANALYSIS_PERIODS, WORKLOADS, _builders
     from repro.errors import NumaProfError, UsageError
 
     args = build_parser().parse_args(argv)
     obs.configure_logging(verbosity=args.verbose, quiet=args.quiet)
     try:
-        default_preset, default_threads, default_mech = WORKLOADS[args.workload]
-        preset_name = args.machine or default_preset
-        mech_name = args.mechanism or default_mech
-        machine_factory = presets.PRESETS.get(preset_name)
-        if machine_factory is None:
-            raise UsageError(
-                f"unknown machine preset {preset_name!r} "
-                f"(available: {', '.join(sorted(presets.PRESETS))})"
-            )
-        if args.scale <= 0:
-            raise UsageError(f"--scale must be positive, got {args.scale}")
         if args.window < 1:
             raise UsageError(f"--window must be >= 1, got {args.window}")
         cfg = AutotuneConfig(
-            machine_factory=machine_factory,
-            program_factory=_builders(args.scale)[args.workload],
-            n_threads=args.threads or default_threads,
-            binding=BindingPolicy[args.binding.upper()],
-            mechanism_name=mech_name,
-            period=args.period or ANALYSIS_PERIODS[mech_name],
-            mechanism_kwargs={"max_rate": 2e6} if mech_name == "MRK" else {},
-            seed=args.seed,
-            n_workers=args.workers,
-            window_iterations=args.window,
-            memoize=not args.no_memo,
-            out_dir=args.out,
+            RunSpec.from_args(args, seed=args.seed),
+            window_iterations=args.window, out_dir=args.out,
         )
         if not args.no_save:
             from repro.registry import RunRegistry

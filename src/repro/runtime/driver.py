@@ -51,7 +51,7 @@ from repro.runtime.program import RegionKind
 INT_FIELDS = ("instructions", "accesses", "chunks", "dram", "remote_dram")
 
 #: Non-converging windows before a phase detector disarms
-#: (``--extrap-disarm``; 0 = never disarm).
+#: (the engines' ``extrap_disarm``; 0 = never disarm).
 DEFAULT_DISARM_AFTER = 3
 
 

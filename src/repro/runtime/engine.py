@@ -597,7 +597,7 @@ class ExecutionEngine:
         self.ctx = ProgramContext(machine, self.heap, self.threads, params, seed)
         self.callstacks = {t.tid: CallStack() for t in self.threads}
         #: Iteration memoization (see :mod:`repro.runtime.memo`):
-        #: ``memoize=False`` (``--no-memo``) is a zero budget on the same
+        #: ``memoize=False`` is a zero budget on the same
         #: pipeline; results are bit-identical at every budget.
         self.memo = IterationMemo(memo_budget(memoize, memo_bytes))
         #: Live-migration schedule (duck-typed

@@ -35,8 +35,8 @@ least-recently-used byte budget (default 64 MB). Eviction is safe by
 construction: an evicted record is rebuilt from the deterministic trace
 with bit-identical contents, so results never depend on the budget.
 
-Repeat-1 regions, and every region under a zero budget (``memoize=False``
-/ ``--no-memo``), run the same builders into a *transient* record that
+Repeat-1 regions, and every region under a zero budget
+(``memoize=False``), run the same builders into a *transient* record that
 the memo never stores and whose builds count as neither hits nor
 misses — "memo off" is a budget, not a second implementation. See
 MODEL.md ("Epoch and invalidation contract").

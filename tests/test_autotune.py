@@ -21,25 +21,22 @@ from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
-from repro.__main__ import _builders
+from repro.spec import RunSpec
 
 SCALE = 0.05
 THREADS = 8
 PERIOD = 512
 
 
-def _config(workload="sweep", **overrides):
-    defaults = dict(
-        machine_factory=presets.PRESETS["generic"],
-        program_factory=_builders(SCALE)[workload],
-        n_threads=THREADS,
-        binding=BindingPolicy.COMPACT,
-        mechanism_name="IBS",
-        period=PERIOD,
-        seed=3,
+def _spec(workload="sweep", **overrides):
+    return RunSpec(
+        workload, scale=SCALE, machine="generic", threads=THREADS,
+        mechanism="IBS", period=PERIOD, seed=3, **overrides,
     )
-    defaults.update(overrides)
-    return AutotuneConfig(**defaults)
+
+
+def _config(out_dir=None, **overrides):
+    return AutotuneConfig(_spec(**overrides), out_dir=out_dir)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +81,7 @@ class TestClosedLoop:
 @pytest.mark.parametrize("n_workers", [2, 4])
 def test_report_identical_across_worker_counts(n_workers):
     serial = autotune(_config()).to_dict()
-    sharded = autotune(_config(n_workers=n_workers)).to_dict()
+    sharded = autotune(_config(workers=n_workers)).to_dict()
     serial["n_workers"] = sharded["n_workers"] = None
     assert serial == sharded
 
@@ -187,7 +184,7 @@ class TestHeatmapGolden:
         profiler = NumaProfiler(create_mechanism("IBS", PERIOD))  # no heatmap
         ExecutionEngine(
             presets.generic(n_domains=4, cores_per_domain=2),
-            _builders(SCALE)["sweep"](),
+            RunSpec("sweep", scale=SCALE).program(),
             THREADS,
             monitor=profiler,
         ).run()
@@ -197,15 +194,13 @@ class TestHeatmapGolden:
 
 class TestBoundary:
     def test_picks_most_repeated_parallel_region(self):
-        cfg = _config()
-        boundary = pick_boundary(cfg, 2)
+        boundary = pick_boundary(_spec(), 2)
         assert boundary is not None
         region_idx, iteration = boundary
         assert iteration == 2
 
     def test_window_clamped_to_region_length(self):
-        cfg = _config()
-        boundary = pick_boundary(cfg, 10_000)
+        boundary = pick_boundary(_spec(), 10_000)
         assert boundary is not None
         _, iteration = boundary
         assert iteration >= 1  # at least one pre-migration iteration...

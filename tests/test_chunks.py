@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.__main__ import _builders
 from repro.errors import ProgramError
 from repro.machine import presets
 from repro.machine.cache import CacheConfig, CacheHierarchy
@@ -22,6 +21,7 @@ from repro.runtime.heap import HeapAllocator
 from repro.runtime.thread import BindingPolicy
 from repro.sampling.ibs import IBS
 from repro.sampling.mrk import MRK
+from repro.spec import RunSpec
 from repro.units import CACHE_LINE, PAGE_SIZE
 from tests.reference.access import chunk_fetch_products
 
@@ -279,7 +279,8 @@ def test_summary_steps_materialize_no_addresses(workload, mechanism):
     try:
         tracer.enable()
         ExecutionEngine(
-            presets.PRESETS["generic"](), _builders(0.02)[workload](), 8,
+            presets.PRESETS["generic"](),
+            RunSpec(workload, scale=0.02).program(), 8,
             monitor=NumaProfiler(mechanism()),
             binding=BindingPolicy.COMPACT,
         ).run()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.__main__ import WORKLOADS, build_parser, main
+from repro.__main__ import build_parser, main
+from repro.spec import WORKLOADS
 
 
 class TestParser:
@@ -19,6 +20,22 @@ class TestParser:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nope"])
+
+    def test_both_commands_share_the_run_options(self):
+        import argparse
+
+        from repro.optim.autotune import build_parser as autotune_parser
+        from repro.spec import add_run_arguments
+
+        def dests(parser):
+            return {a.dest for a in parser._actions} - {"help"}
+
+        shared = argparse.ArgumentParser()
+        add_run_arguments(shared)
+        assert dests(shared) <= dests(build_parser())
+        assert dests(shared) <= dests(autotune_parser())
+        # The flag budget: 25 options before the run spec, 21 since.
+        assert len(dests(build_parser())) <= 22
 
     def test_mechanism_choices(self):
         with pytest.raises(SystemExit):
@@ -66,14 +83,15 @@ class TestMain:
         assert rc == 0
         assert "phase extrapolation:" in capsys.readouterr().out
 
-    def test_exact_flag_excludes_extrapolate(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--extrapolate", "--exact"])
-
     def test_exact_run_prints_no_phase_summary(self, capsys):
-        rc = main(["sweep", "--threads", "8", "--scale", "0.1", "--exact"])
+        rc = main(["sweep", "--threads", "8", "--scale", "0.1"])
         assert rc == 0
         assert "phase extrapolation:" not in capsys.readouterr().out
+
+
+#: ``python -m repro`` and ``python -m repro autotune``: both build their
+#: run from the same options.
+COMMANDS = [[], ["autotune"]]
 
 
 class TestErrors:
@@ -84,26 +102,39 @@ class TestErrors:
         assert captured.err.startswith("error: unknown machine preset")
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize(
-        "bad", ["0", "-1", "nan", "-inf", "inf", "1e18"]
-    )
-    def test_bad_scale_is_one_clean_line(self, capsys, bad):
+    @pytest.mark.parametrize("command, bad", [
+        pytest.param(command, bad, id="-".join([*command, bad]))
+        for command in COMMANDS
+        for bad in ["0", "-1", "nan", "-inf", "inf", "1e18"]
+    ])
+    def test_bad_scale_is_one_clean_line(self, capsys, command, bad):
         """Non-positive, NaN, and absurd --scale values die with a
         one-line usage error (exit 2) instead of a deep traceback from
         workload setup."""
-        rc = main(["sweep", f"--scale={bad}"])
+        rc = main([*command, "sweep", f"--scale={bad}"])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --scale")
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1
 
-    def test_bad_extrap_warmup_is_one_clean_line(self, capsys):
-        rc = main(["sweep", "--extrapolate", "--extrap-warmup", "0"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=["repro", "autotune"])
+    @pytest.mark.parametrize("flag, bad", [
+        ("--threads", "0"), ("--threads", "-4"), ("--period", "0"),
+        ("--workers", "0"), ("--workers", "-2"),
+    ])
+    def test_bad_count_is_rejected_before_the_run(
+        self, tmp_path, capsys, command, flag, bad
+    ):
+        """A zero or negative count is an error, not the default, and
+        the run writes nothing before it is rejected."""
+        rc = main([*command, "sweep", flag, bad, "--runs-dir",
+                   str(tmp_path / "runs")])
         assert rc == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: --extrap-warmup")
-        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be at least 1, got {bad}\n"
+        assert not (tmp_path / "runs").exists()
 
 
 class TestTelemetryFlags:

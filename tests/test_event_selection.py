@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.__main__ import _builders
 from repro.machine import presets
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
@@ -26,6 +25,7 @@ from repro.runtime.thread import BindingPolicy
 from repro.sampling.dear import DEAR
 from repro.sampling.mrk import MRK
 from repro.sampling.pebs_ll import PEBSLL
+from repro.spec import RunSpec
 from tests.reference.sampling import select
 
 SCALE = 0.02
@@ -99,7 +99,8 @@ class _SelectionChecker(Monitor):
 
 def _run(workload: str, monitor) -> ExecutionEngine:
     engine = ExecutionEngine(
-        presets.PRESETS["generic"](), _builders(SCALE)[workload](), THREADS,
+        presets.PRESETS["generic"](),
+        RunSpec(workload, scale=SCALE).program(), THREADS,
         monitor=monitor, binding=BindingPolicy.COMPACT,
     )
     engine.run()

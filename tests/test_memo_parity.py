@@ -16,7 +16,6 @@ import logging
 import numpy as np
 import pytest
 
-from repro.__main__ import _builders
 from repro.analysis.merge import merge_profiles
 from repro.machine import presets
 from repro.machine.pagetable import PlacementPolicy
@@ -25,6 +24,7 @@ from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
+from repro.spec import RunSpec
 
 SCALE = 0.02
 THREADS = 8
@@ -45,7 +45,7 @@ def _monitor_factory():
 
 def _run_serial(workload: str, *, memoize: bool, memo_bytes=None,
                 profiler=None):
-    build = _builders(SCALE)[workload]
+    build = RunSpec(workload, scale=SCALE).program
     if profiler is None:
         profiler = _monitor_factory()
     engine = ExecutionEngine(
@@ -134,7 +134,7 @@ def test_serial_memo_matches_no_memo(workload):
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_sharded_memo_matches_no_memo(workload, n_workers):
     ref_result, ref_archive = _reference(workload)
-    build = _builders(SCALE)[workload]
+    build = RunSpec(workload, scale=SCALE).program
     par = ParallelEngine(
         _machine_factory, build, THREADS,
         n_workers=n_workers,
@@ -228,7 +228,7 @@ def _sweep_schedule():
 
 
 def _run_scheduled_serial(*, memoize: bool):
-    build = _builders(SCALE)["sweep"]
+    build = RunSpec("sweep", scale=SCALE).program
     profiler = _monitor_factory()
     engine = ExecutionEngine(
         _machine_factory(), build(), THREADS,
@@ -253,7 +253,7 @@ def test_scheduled_migration_memo_parity_serial():
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_scheduled_migration_sharded_parity(n_workers):
     ref_result, ref_archive, ref_engine = _run_scheduled_serial(memoize=False)
-    build = _builders(SCALE)["sweep"]
+    build = RunSpec("sweep", scale=SCALE).program
     par = ParallelEngine(
         _machine_factory, build, THREADS,
         n_workers=n_workers,

@@ -15,13 +15,13 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.__main__ import _builders
 from repro.machine import presets
 from repro.parallel import ParallelEngine, sharding_supported
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
+from repro.spec import RunSpec
 from tests.test_phase_parity import (
     _assert_archives_equal,
     _assert_results_equal,
@@ -45,7 +45,7 @@ def _profiler():
 
 
 def _run_serial(workload: str):
-    build = _builders(SCALE)[workload]
+    build = RunSpec(workload, scale=SCALE).program
     profiler = _profiler()
     engine = ExecutionEngine(
         _machine_factory(), build(), THREADS,
@@ -56,7 +56,7 @@ def _run_serial(workload: str):
 
 
 def _run_sharded(workload: str, n_workers: int):
-    build = _builders(SCALE)[workload]
+    build = RunSpec(workload, scale=SCALE).program
     par = ParallelEngine(
         _machine_factory, build, THREADS,
         n_workers=n_workers,

@@ -335,16 +335,17 @@ def _jsonl_self_ns(path) -> dict:
 
 class TestMirrorTracks:
     def test_non_mirror_span_sum_reproduces_self_ns(self, tmp_path):
-        from repro.__main__ import _builders
         from repro.machine import presets
         from repro.runtime import ExecutionEngine
+        from repro.spec import RunSpec
 
         tracer = Tracer()
         old = obs.set_tracer(tracer)
         try:
             tracer.enable()
             ExecutionEngine(
-                presets.PRESETS["generic"](), _builders(0.02)["lulesh"](), 8,
+                presets.PRESETS["generic"](),
+                RunSpec("lulesh", scale=0.02).program(), 8,
             ).run()
             worker = Tracer()
             worker.enable()

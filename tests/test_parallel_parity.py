@@ -10,7 +10,6 @@ counters must come out *exactly* equal (no tolerances) for worker counts
 import numpy as np
 import pytest
 
-from repro.__main__ import _builders
 from repro.analysis.merge import merge_profiles
 from repro.machine import presets
 from repro.parallel import ParallelEngine, sharding_supported
@@ -21,6 +20,7 @@ from repro.runtime.chunks import sweep_chunk
 from repro.runtime.program import Region, RegionKind
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
+from repro.spec import RunSpec
 
 pytestmark = pytest.mark.skipif(
     not sharding_supported(), reason="platform cannot fork worker pools"
@@ -46,7 +46,7 @@ def _monitor_factory():
 
 def _serial(workload: str):
     if workload not in _serial_cache:
-        build = _builders(SCALE)[workload]
+        build = RunSpec(workload, scale=SCALE).program
         profiler = _monitor_factory()
         engine = ExecutionEngine(
             _machine_factory(), build(), THREADS,
@@ -58,7 +58,7 @@ def _serial(workload: str):
 
 
 def _sharded(workload: str, n_workers: int):
-    build = _builders(SCALE)[workload]
+    build = RunSpec(workload, scale=SCALE).program
     par = ParallelEngine(
         _machine_factory, build, THREADS,
         n_workers=n_workers,
@@ -125,7 +125,7 @@ def test_sharded_matches_serial(workload, n_workers):
 def test_inline_fallback_matches_serial():
     """``n_workers=1`` without force_sharded runs in-process, same results."""
     serial_result, serial_archive = _serial("sweep")
-    build = _builders(SCALE)["sweep"]
+    build = RunSpec("sweep", scale=SCALE).program
     par = ParallelEngine(
         _machine_factory, build, THREADS, n_workers=1,
         binding=BindingPolicy.COMPACT, monitor_factory=_monitor_factory,
@@ -138,7 +138,7 @@ def test_inline_fallback_matches_serial():
 
 def test_workers_clamped_to_threads():
     """More workers than threads clamps instead of forking idle shards."""
-    build = _builders(SCALE)["sweep"]
+    build = RunSpec("sweep", scale=SCALE).program
     par = ParallelEngine(
         _machine_factory, build, 2, n_workers=16,
         binding=BindingPolicy.COMPACT, monitor_factory=_monitor_factory,
@@ -157,7 +157,7 @@ def test_workers_clamped_to_threads():
 def test_parallel_engine_single_use():
     from repro.errors import ProgramError
 
-    build = _builders(SCALE)["sweep"]
+    build = RunSpec("sweep", scale=SCALE).program
     par = ParallelEngine(_machine_factory, build, 2, n_workers=1)
     par.run()
     with pytest.raises(ProgramError):

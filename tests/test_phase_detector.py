@@ -17,7 +17,6 @@ import copy
 
 import numpy as np
 
-from repro.__main__ import _builders
 from repro.machine.cache import CacheConfig, CacheHierarchy
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
@@ -28,6 +27,7 @@ from repro.runtime.phase import (
 )
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
+from repro.spec import RunSpec
 from tests.reference.access import fetch_level
 from tests.reference.reuse import hierarchy_digest
 
@@ -40,7 +40,7 @@ from tests.test_phase_parity import (
 
 
 def _run_dear(*, extrapolate, dear_period=4, warmup=6):
-    build = _builders(SCALE)["blackscholes"]
+    build = RunSpec("blackscholes", scale=SCALE).program
     profiler = NumaProfiler(create_mechanism("DEAR", dear_period))
     engine = ExecutionEngine(
         _machine_factory(), build(), THREADS,

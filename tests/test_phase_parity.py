@@ -20,7 +20,6 @@ iterations by closed-form multiplication. The contract has two tiers:
 import numpy as np
 import pytest
 
-from repro.__main__ import _builders
 from repro.analysis.merge import merge_profiles
 from repro.machine import presets
 from repro.machine.pagetable import PlacementPolicy
@@ -30,6 +29,7 @@ from repro.runtime import ExecutionEngine
 from tests.checks import validate_phase_report
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
+from repro.spec import RunSpec
 
 SCALE = 0.02
 THREADS = 8
@@ -64,7 +64,7 @@ def _ibs_factory():
 
 def _run_serial(workload: str, *, extrapolate: bool, profiler=None,
                 schedule=None):
-    build = _builders(SCALE)[workload]
+    build = RunSpec(workload, scale=SCALE).program
     engine = ExecutionEngine(
         _machine_factory(), build(), THREADS,
         monitor=profiler, binding=BindingPolicy.COMPACT,
@@ -164,7 +164,7 @@ def test_serial_extrapolated_matches_exact(workload):
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_sharded_extrapolated_matches_exact(workload, n_workers):
     ref_result, ref_archive = _exact(workload)
-    build = _builders(SCALE)[workload]
+    build = RunSpec(workload, scale=SCALE).program
     par = ParallelEngine(
         _machine_factory, build, THREADS,
         n_workers=n_workers,

@@ -25,7 +25,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro import obs
-from repro.__main__ import _builders, main
+from repro.__main__ import main
 from repro.errors import WorkerError
 from repro.machine import presets
 from repro.parallel import ParallelEngine, sharding_supported
@@ -36,6 +36,7 @@ from repro.runtime.chunks import sweep_chunk
 from repro.runtime.program import Region, RegionKind
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
+from repro.spec import RunSpec
 from tests.checks import validate_phase_report
 from tests.test_phase_parity import (
     _assert_archives_equal,
@@ -82,7 +83,7 @@ def _traced_counters(run) -> dict:
 
 @needs_fork
 def test_step_counters_equal_serial_and_sharded():
-    build = _builders(SCALE)["lulesh"]
+    build = RunSpec("lulesh", scale=SCALE).program
     serial = _traced_counters(lambda: ExecutionEngine(
         _machine_factory(), build(), THREADS, monitor=_ibs_factory(),
         binding=BindingPolicy.COMPACT,
@@ -168,9 +169,9 @@ def test_worker_death_in_cli_is_one_line_error(monkeypatch, capsys):
     pid = os.getpid()
     # The CLI's serial baseline runs in this process, where the guard
     # keeps the program alive; only the sharded monitored run dies.
-    monkeypatch.setattr("repro.__main__._builders", lambda scale: {
-        "lulesh": lambda tuning=None: _DyingProgram(pid),
-    })
+    monkeypatch.setattr(
+        RunSpec, "program", lambda self, tuning=None: _DyingProgram(pid)
+    )
     t0 = time.monotonic()
     rc = main([
         "lulesh", "--scale", str(SCALE), "--threads", str(THREADS),
@@ -230,7 +231,7 @@ def test_schedule_on_region_boundary_iteration(iteration, n_workers):
 
 
 def _run_dear(workload: str, n_workers: int, **kwargs):
-    build = _builders(SCALE)[workload]
+    build = RunSpec(workload, scale=SCALE).program
     if not n_workers:
         profiler = _dear_factory()
         engine = ExecutionEngine(

@@ -17,8 +17,7 @@ import json
 
 import pytest
 
-from repro.__main__ import _builders, main as repro_main
-from repro.machine import presets
+from repro.__main__ import main as repro_main
 from repro.optim.autotune import AutotuneConfig, autotune
 from repro.registry import (
     RegistryError,
@@ -28,7 +27,7 @@ from repro.registry import (
     validate_manifest,
 )
 from repro.registry.cli import main as runs_main
-from repro.runtime.thread import BindingPolicy
+from repro.spec import RunSpec
 
 SCALE = "0.05"
 
@@ -267,13 +266,8 @@ class TestAutotuneRegistration:
     def tuned(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("autotune") / "runs"
         cfg = AutotuneConfig(
-            machine_factory=presets.PRESETS["generic"],
-            program_factory=_builders(0.05)["sweep"],
-            n_threads=8,
-            binding=BindingPolicy.COMPACT,
-            mechanism_name="IBS",
-            period=512,
-            seed=3,
+            RunSpec("sweep", scale=0.05, machine="generic", threads=8,
+                    mechanism="IBS", period=512, seed=3),
             runs_dir=root,
         )
         return autotune(cfg), RunRegistry(root)
@@ -309,3 +303,20 @@ class TestAutotuneRegistration:
         text = report.render()
         assert report.run_ids["baseline"] in text
         assert report.run_ids["tuned"] in text
+
+    def test_profile_manifests_carry_the_cli_config(
+        self, tuned, registry_root, run_ids
+    ):
+        """Autotune and the CLI build manifests from one spec: the
+        loop's profiles have the CLI's config keys (``scale`` too), plus
+        the loop's own two."""
+        report, registry = tuned
+        cli = RunRegistry(registry_root).manifest(run_ids[0])
+        for role in ("baseline", "tuned"):
+            doc = registry.manifest(report.run_ids[role])
+            assert set(doc["config"]) == set(cli["config"]) | {
+                "window_iterations", "autotune_role",
+            }
+            assert doc["config"]["scale"] == 0.05
+            assert doc["config"]["autotune_role"] == role
+            assert doc["workload"] == cli["workload"] == "sweep"

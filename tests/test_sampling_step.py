@@ -13,7 +13,6 @@ import types
 import numpy as np
 import pytest
 
-from repro.__main__ import ANALYSIS_PERIODS
 from repro.machine import presets
 from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, LEVEL_L2
 from repro.runtime.callstack import SourceLoc
@@ -23,6 +22,7 @@ from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
 from repro.sampling.base import periodic_positions_step
 from repro.sampling.instruction import JITTER_BLOCK
 from repro.sampling.registry import MECHANISMS
+from repro.spec import ANALYSIS_PERIODS
 from tests.reference.sampling import batch_for, cost_cycles, select
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.__main__ import _builders
 from repro.analysis.merge import merge_profiles
 from repro.machine import presets
 from repro.machine.cache import LEVEL_DRAM
@@ -31,6 +30,7 @@ from repro.runtime import ExecutionEngine
 from repro.runtime.engine import ChunkView
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
+from repro.spec import RunSpec
 from tests.reference.access import (
     classify_accesses,
     dram_request_counts,
@@ -133,7 +133,8 @@ def _run(workload: str, engine_cls=ExecutionEngine, **engine_kwargs):
         workload, schedule = "sweep", _sweep_schedule()
     profiler = NumaProfiler(create_mechanism("IBS", PERIOD))
     engine = engine_cls(
-        presets.PRESETS["generic"](), _builders(SCALE)[workload](), THREADS,
+        presets.PRESETS["generic"](),
+        RunSpec(workload, scale=SCALE).program(), THREADS,
         monitor=profiler, binding=BindingPolicy.COMPACT, schedule=schedule,
         **engine_kwargs,
     )
