@@ -13,13 +13,13 @@ Examples::
         --binding scatter
     python -m repro sweep --threads 16 --machine generic
     python -m repro lulesh --trace out.trace.json --stats   # self-telemetry
-    python -m repro bench-perf --scale 0.25   # hot-path perf regression check
     python -m repro autotune lulesh --out results/autotune   # closed loop
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro import obs
@@ -77,10 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench-perf":
-        from repro.bench.perf import main as bench_perf_main
-
-        return bench_perf_main(argv[1:])
     if argv and argv[0] == "autotune":
         from repro.optim.autotune import main as autotune_main
 
@@ -143,15 +139,18 @@ def _run(args: argparse.Namespace, spec: RunSpec) -> int:
                  args.trace or args.trace_jsonl, args.stats, args.metrics)
     tr = obs.TRACER
 
-    scale_txt = f", scale {spec.scale:g}" if spec.scale != 1.0 else ""
-    print(f"workload {spec.workload} on {spec.machine} with {spec.threads} "
-          f"threads, {spec.mechanism} period {spec.period}{scale_txt}\n")
-
     with tr.span("cli.baseline_run", "harness"):
-        baseline = ExecutionEngine(
+        # Construction binds the threads, so a count the machine cannot
+        # hold is rejected before anything is printed.
+        engine = ExecutionEngine(
             spec.machine_factory()(), spec.program(), spec.threads,
             extrapolate=spec.extrapolate, **spec.engine_kwargs(),
-        ).run()
+        )
+        scale_txt = f", scale {spec.scale:g}" if spec.scale != 1.0 else ""
+        print(f"workload {spec.workload} on {spec.machine} with "
+              f"{spec.threads} threads, {spec.mechanism} period "
+              f"{spec.period}{scale_txt}\n")
+        baseline = engine.run()
     if args.metrics:
         # The metrics plane rides the tracer and covers the monitored
         # run only (installed after the baseline so its iterations do
@@ -295,4 +294,13 @@ def _advise_and_optimize(args, spec: RunSpec, run, analysis, baseline):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``). Point stdout at
+        # devnull so the interpreter's final flush does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)

@@ -8,7 +8,7 @@ from repro.obs.tracer import NOOP_SPAN, Tracer
 class CountingTracer(Tracer):
     """A tracer that only counts touch points — no timing, no storage.
 
-    Used by the no-op overhead guard (``bench-perf --check``): running an
+    Used by the no-op overhead test (``tests/checks.py``): running an
     instrumented workload under a ``CountingTracer`` reveals how many
     tracer calls the disabled path would have to absorb, without paying
     for event recording.

@@ -529,9 +529,8 @@ class PhaseReport:
     """Run-level phase/extrapolation accounting (the ε report).
 
     Attached to the engine after a run as ``engine.phase_report`` (a
-    plain dict via :meth:`as_dict`); the CLI prints it and bench-perf
-    records ``phase_coverage_pct``/``epsilon`` (plus the per-region
-    breakdown) from it.
+    plain dict via :meth:`as_dict`); the CLI prints it and records its
+    ``coverage_pct`` in the run manifest's headline.
     """
 
     enabled: bool = False

@@ -1,9 +1,12 @@
-"""Internal-consistency checks of run outputs, for tests and CI smoke jobs.
+"""Checks of run outputs and of telemetry cost, for tests and CI smoke jobs.
 
-Nothing in ``src/`` calls these; they check what the program reports.
+Nothing in ``src/`` calls these; they check what the program reports and
+what its instrumentation costs.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -60,3 +63,65 @@ def validate_phase_report(report: dict) -> list[str]:
     if report.get("regions") and run_v != region_v:
         problems.append(f"run disarms {run_v} != sum of regions {region_v}")
     return problems
+
+
+def measure_noop_overhead(
+    *,
+    preset: str = "generic",
+    threads: int = 8,
+    scale: float = 0.05,
+    repeats: int = 3,
+    bench_loops: int = 200_000,
+) -> dict:
+    """Estimate what disabled telemetry costs an engine-only run.
+
+    There is no un-instrumented build to race against, so the estimate is
+    constructive: run a small workload under a :class:`~repro.obs.counting.
+    CountingTracer` to count how many instrumentation sites actually fire,
+    microbenchmark the disabled per-site cost (a module-global fetch plus
+    an ``enabled`` test — exactly what every guarded hot path executes),
+    and compare their product against the run's wall time. The site count
+    is taken from the *enabled* path, which touches strictly more calls
+    than the disabled one, so the estimate errs high.
+    """
+    from repro import obs
+    from repro.machine import presets
+    from repro.runtime import ExecutionEngine
+    from repro.workloads import PartitionedSweep
+
+    machine_factory = presets.PRESETS[preset]
+    n_elems = max(int(400_000 * scale), 8_000)
+
+    def run() -> float:
+        engine = ExecutionEngine(
+            machine_factory(), PartitionedSweep(n_elems=n_elems), threads,
+        )
+        t0 = time.perf_counter()
+        engine.run()
+        return time.perf_counter() - t0
+
+    run()  # warm-up (imports, allocator pools)
+    wall_s = min(run() for _ in range(repeats))
+
+    counter = obs.CountingTracer()
+    old = obs.set_tracer(counter)
+    try:
+        run()
+    finally:
+        obs.set_tracer(old)
+
+    t0 = time.perf_counter()
+    for _ in range(bench_loops):
+        tr = obs.TRACER
+        if tr.enabled:  # pragma: no cover - tracer is disabled here
+            pass
+    per_site_s = (time.perf_counter() - t0) / bench_loops
+
+    estimated_s = counter.n_calls * per_site_s
+    return {
+        "wall_s": wall_s,
+        "instrumentation_sites": int(counter.n_calls),
+        "per_site_s": per_site_s,
+        "estimated_overhead_s": estimated_s,
+        "overhead_pct": 100.0 * estimated_s / wall_s if wall_s else 0.0,
+    }

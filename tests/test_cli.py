@@ -1,9 +1,16 @@
 """The ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_parser, main
 from repro.spec import WORKLOADS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -119,22 +126,54 @@ class TestErrors:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", COMMANDS, ids=["repro", "autotune"])
-    @pytest.mark.parametrize("flag, bad", [
-        ("--threads", "0"), ("--threads", "-4"), ("--period", "0"),
-        ("--workers", "0"), ("--workers", "-2"),
+    @pytest.mark.parametrize("flag, bad, error", [
+        pytest.param(flag, bad, f"{flag} must be at least 1, got {bad}",
+                     id=f"{flag}-{bad}")
+        for flag, bad in [
+            ("--threads", "0"), ("--threads", "-4"), ("--period", "0"),
+            ("--workers", "0"), ("--workers", "-2"),
+        ]
+    ] + [
+        # sweep runs on the 16-thread generic preset.
+        pytest.param("--threads", "1000",
+                     "1000 threads exceed 16 hardware threads",
+                     id="--threads-1000"),
     ])
     def test_bad_count_is_rejected_before_the_run(
-        self, tmp_path, capsys, command, flag, bad
+        self, tmp_path, capsys, command, flag, bad, error
     ):
         """A zero or negative count is an error, not the default, and
-        the run writes nothing before it is rejected."""
+        so is more threads than the machine has; the run writes nothing
+        before it is rejected."""
         rc = main([*command, "sweep", flag, bad, "--runs-dir",
                    str(tmp_path / "runs")])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {flag} must be at least 1, got {bad}\n"
+        assert captured.err == f"error: {error}\n"
         assert not (tmp_path / "runs").exists()
+
+
+def test_truncated_pipe_ends_quietly():
+    """A reader that closes the pipe early (``| head -1``) ends the run
+    with exit 1 and no traceback, whether stdout is buffered or not."""
+    for unbuffered in ("", "1"):
+        env = dict(os.environ, PYTHONPATH=str(SRC),
+                   PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # so the run's first write already fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "lulesh", "--scale", "0.05",
+                 "--no-save", "--quiet"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+                text=True, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "BrokenPipeError" not in proc.stderr, proc.stderr
 
 
 class TestTelemetryFlags:

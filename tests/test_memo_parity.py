@@ -11,8 +11,6 @@ even when a migration-heavy run bumps the page-table epoch mid-region
 or a tiny byte budget forces constant eviction.
 """
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -284,50 +282,3 @@ def test_tiny_budget_evicts_but_results_identical():
     assert stats["record_bytes"] <= stats["budget_bytes"] or (
         stats["records"] <= 1
     )
-
-
-# ---------------------------------------------------------------------- #
-# bench-perf workers sweep: underprovisioned host flag
-# ---------------------------------------------------------------------- #
-
-
-def _sweep_with_captured_log(monkeypatch, cpu_count: int):
-    """Run an empty workers sweep, capturing ``repro.bench`` records.
-
-    The CLI's ``configure_logging`` turns propagation off on the
-    ``repro`` logger, so ``caplog`` (which listens at the root) cannot
-    be trusted here — attach a handler to the subsystem logger itself.
-    """
-    from repro.bench.perf import run_workers_sweep
-
-    monkeypatch.setattr("os.cpu_count", lambda: cpu_count)
-    records: list[logging.LogRecord] = []
-
-    class _ListHandler(logging.Handler):
-        def emit(self, record):
-            records.append(record)
-
-    log = logging.getLogger("repro.bench")
-    handler = _ListHandler(level=logging.WARNING)
-    old_level = log.level
-    log.addHandler(handler)
-    log.setLevel(logging.WARNING)
-    try:
-        sweep = run_workers_sweep(workload_names=())
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(old_level)
-    return sweep, [r.getMessage() for r in records]
-
-
-def test_workers_sweep_flags_underprovisioned_host(monkeypatch):
-    sweep, messages = _sweep_with_captured_log(monkeypatch, cpu_count=1)
-    assert sweep["host_cpus"] == 1
-    assert sweep["underprovisioned"] is True
-    assert any("underprovisioned" in m for m in messages)
-
-
-def test_workers_sweep_not_underprovisioned(monkeypatch):
-    sweep, messages = _sweep_with_captured_log(monkeypatch, cpu_count=64)
-    assert sweep["underprovisioned"] is False
-    assert not any("underprovisioned" in m for m in messages)
