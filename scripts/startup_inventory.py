@@ -12,7 +12,10 @@ stderr):
 * ``uncalled``: per module, the lines (and code lines) of functions
   the run never called — code it compiled for nothing;
 * ``dataclasses``: the ``@dataclass`` classes those modules define and
-  the methods Python generated for them through ``exec`` at import.
+  the methods Python generated for them through ``exec`` at import;
+* ``totals.threads``: the process's OS thread count after the run, from
+  ``/proc/self/status`` (``null`` off Linux). ``import repro`` asks
+  OpenBLAS for one thread, so a run reports 1.
 
 Usage (from the repository root)::
 
@@ -99,6 +102,18 @@ def _dataclasses(module) -> list[dict]:
     return out
 
 
+def os_threads() -> int | None:
+    """This process's OS thread count; None off Linux."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
 def inventory(called: set[tuple[str, int]]) -> dict:
     """The JSON document for the ``repro`` modules now in ``sys.modules``."""
     modules, uncalled, dcs = {}, {}, {}
@@ -132,6 +147,7 @@ def inventory(called: set[tuple[str, int]]) -> dict:
             "dataclass_functions": sum(
                 len(c["generated"]) for v in dcs.values() for c in v
             ),
+            "threads": os_threads(),
         },
         "uncalled": uncalled,
         "dataclasses": dcs,

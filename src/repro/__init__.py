@@ -33,7 +33,22 @@ Quick start::
     # re-run Lulesh(tuning) and compare result.wall_seconds
 """
 
-from repro._lazy import lazy_exports
+import os as _os
+import sys as _sys
+
+# numpy's OpenBLAS starts one worker thread per extra CPU while numpy
+# loads, and nothing here calls BLAS (``tests/test_startup.py`` keeps
+# it so). Ask for one thread before anything can import numpy, unless
+# numpy is already loaded or the user chose a count: OpenBLAS reads
+# these variables, in this order, when it loads.
+if "numpy" not in _sys.modules and not any(
+    var in _os.environ
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+del _os, _sys
+
+from repro._lazy import lazy_exports  # noqa: E402
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "._version": "__version__",

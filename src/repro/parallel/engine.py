@@ -190,7 +190,6 @@ class ParallelEngine:
         monitor_factory=None,
         params: dict | None = None,
         seed: int = 0,
-        force_sharded: bool = False,
         memoize: bool = True,
         memo_bytes: int | None = None,
         schedule=None,
@@ -209,7 +208,6 @@ class ParallelEngine:
         self.monitor_factory = monitor_factory
         self.params = params
         self.seed = seed
-        self.force_sharded = force_sharded
         #: Iteration memoization, forwarded to every shard engine
         #: (``memoize=False`` is a zero budget); page-table epochs replay
         #: identically across shards, so cached classification survives
@@ -265,7 +263,7 @@ class ParallelEngine:
         if self._ran:
             raise ProgramError("ParallelEngine is single-use; build a new one")
         self._ran = True
-        sharded = self.n_workers > 1 or self.force_sharded
+        sharded = self.n_workers > 1
         if sharded and not sharding_supported():
             obs.get_logger("parallel").warning(
                 "platform lacks fork start method; running in-process"
@@ -274,22 +272,27 @@ class ParallelEngine:
         elif not sharded:
             obs.get_logger("parallel").info("n_workers=1: running in-process")
         if sharded:
-            engine = self._engine(None)
-            result = self._run_sharded(engine)
-        else:
-            monitor = (
-                self.monitor_factory()
-                if self.monitor_factory is not None else None
-            )
-            engine = self._engine(monitor)
-            result = engine.run()
-            self.archive = getattr(monitor, "archive", None)
+            return self._run_sharded()
+        monitor = (
+            self.monitor_factory()
+            if self.monitor_factory is not None else None
+        )
+        engine = self._engine(monitor)
+        result = engine.run()
+        self.archive = getattr(monitor, "archive", None)
+        self._adopt(engine)
+        return result
+
+    def _adopt(self, engine: ExecutionEngine) -> None:
+        """Take the run's binding, action log and phase report from
+        ``engine``."""
         self.threads = engine.threads
         self.applied_actions = engine.applied_actions
         self.phase_report = engine.phase_report
-        return result
 
-    def _run_sharded(self, engine: ExecutionEngine) -> RunResult:
+    def _run_sharded(self) -> RunResult:
+        """The run through forked shard workers, at any worker count."""
+        engine = self._engine(None)
         n_workers = self.n_workers
         mp_ctx = mp.get_context("fork")
         claim = mp_ctx.Queue()
@@ -322,4 +325,5 @@ class ParallelEngine:
         finally:
             executor.shutdown()
         self.archive = backend.archive
+        self._adopt(engine)
         return result

@@ -65,6 +65,17 @@ def validate_phase_report(report: dict) -> list[str]:
     return problems
 
 
+def run_sharded(par):
+    """Run the built ``ParallelEngine`` ``par`` through its shard workers.
+
+    ``ParallelEngine.run`` runs one worker in-process; the parity tests
+    drive the fork and IPC protocol at one worker too, so they call the
+    sharded path directly. Returns the ``RunResult``; ``par.archive``,
+    ``par.threads`` and ``par.phase_report`` are set as after ``run``.
+    """
+    return par._run_sharded()
+
+
 def measure_noop_overhead(
     *,
     preset: str = "generic",

@@ -138,7 +138,6 @@ def test_sharded_memo_matches_no_memo(workload, n_workers):
         n_workers=n_workers,
         binding=BindingPolicy.COMPACT,
         monitor_factory=_monitor_factory,
-        force_sharded=n_workers > 1,
         memoize=True,
     )
     result = par.run()
@@ -257,7 +256,6 @@ def test_scheduled_migration_sharded_parity(n_workers):
         n_workers=n_workers,
         binding=BindingPolicy.COMPACT,
         monitor_factory=_monitor_factory,
-        force_sharded=n_workers > 1,
         memoize=True,
         schedule=_sweep_schedule(),
     )

@@ -62,7 +62,6 @@ def _run_sharded(workload: str, n_workers: int):
         n_workers=n_workers,
         binding=BindingPolicy.COMPACT,
         monitor_factory=_profiler,
-        force_sharded=n_workers > 1,
         memoize=True,
         extrapolate=True,
     )

@@ -21,6 +21,7 @@ from repro.runtime.program import Region, RegionKind
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
 from repro.spec import RunSpec
+from tests.checks import run_sharded
 
 pytestmark = pytest.mark.skipif(
     not sharding_supported(), reason="platform cannot fork worker pools"
@@ -64,9 +65,9 @@ def _sharded(workload: str, n_workers: int):
         n_workers=n_workers,
         binding=BindingPolicy.COMPACT,
         monitor_factory=_monitor_factory,
-        force_sharded=True,  # exercise the protocol even at one worker
     )
-    return par.run(), par.archive
+    # Through the shard workers even at one worker.
+    return run_sharded(par), par.archive
 
 
 def _cct_flat(cct) -> dict:
@@ -123,7 +124,7 @@ def test_sharded_matches_serial(workload, n_workers):
 
 
 def test_inline_fallback_matches_serial():
-    """``n_workers=1`` without force_sharded runs in-process, same results."""
+    """``run`` at ``n_workers=1`` runs in-process, same results."""
     serial_result, serial_archive = _serial("sweep")
     build = RunSpec("sweep", scale=SCALE).program
     par = ParallelEngine(
@@ -142,7 +143,6 @@ def test_workers_clamped_to_threads():
     par = ParallelEngine(
         _machine_factory, build, 2, n_workers=16,
         binding=BindingPolicy.COMPACT, monitor_factory=_monitor_factory,
-        force_sharded=True,
     )
     assert par.n_workers == 2
     serial_prof = _monitor_factory()
@@ -215,7 +215,7 @@ def test_midrun_exception_propagates():
     par = ParallelEngine(
         _machine_factory, lambda: _ExplodingProgram(), THREADS,
         n_workers=2, binding=BindingPolicy.COMPACT,
-        monitor_factory=_monitor_factory, force_sharded=True,
+        monitor_factory=_monitor_factory,
     )
     with pytest.raises(Exception, match="boom"):
         par.run()

@@ -170,7 +170,6 @@ def test_sharded_extrapolated_matches_exact(workload, n_workers):
         n_workers=n_workers,
         binding=BindingPolicy.COMPACT,
         monitor_factory=_dear_factory,
-        force_sharded=n_workers > 1,
         memoize=True,
         extrapolate=True,
     )
@@ -253,7 +252,6 @@ def test_schedule_break_sharded_stays_identical(n_workers):
         n_workers=n_workers,
         binding=BindingPolicy.COMPACT,
         monitor_factory=_dear_factory,
-        force_sharded=True,
         memoize=True,
         extrapolate=True,
         schedule=_sweep_schedule(6),

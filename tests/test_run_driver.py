@@ -37,7 +37,7 @@ from repro.runtime.program import Region, RegionKind
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
 from repro.spec import RunSpec
-from tests.checks import validate_phase_report
+from tests.checks import run_sharded, validate_phase_report
 from tests.test_phase_parity import (
     _assert_archives_equal,
     _assert_results_equal,
@@ -91,7 +91,6 @@ def test_step_counters_equal_serial_and_sharded():
     sharded = _traced_counters(lambda: ParallelEngine(
         _machine_factory, build, THREADS, n_workers=2,
         binding=BindingPolicy.COMPACT, monitor_factory=_ibs_factory,
-        force_sharded=True,
     ).run())
     got = {k: sharded.get(k, 0) for k in STEP_COUNTERS}
     want = {k: serial.get(k, 0) for k in STEP_COUNTERS}
@@ -153,7 +152,6 @@ def test_worker_death_mid_round_raises_and_leaks_nothing():
     par = ParallelEngine(
         _machine_factory, lambda: _DyingProgram(pid), THREADS, n_workers=2,
         binding=BindingPolicy.COMPACT, monitor_factory=_ibs_factory,
-        force_sharded=True,
     )
     t0 = time.monotonic()
     with pytest.raises(WorkerError) as info:
@@ -193,10 +191,9 @@ def _sharded_long_sweep(n_workers: int, schedule):
     par = ParallelEngine(
         _machine_factory, _long_sweep, THREADS, n_workers=n_workers,
         binding=BindingPolicy.COMPACT, monitor_factory=_dear_factory,
-        force_sharded=True, memoize=True, extrapolate=True,
-        schedule=schedule,
+        memoize=True, extrapolate=True, schedule=schedule,
     )
-    return par.run(), par.archive, par
+    return run_sharded(par), par.archive, par
 
 
 @pytest.mark.parametrize("iteration", [0, 11])
@@ -242,7 +239,7 @@ def _run_dear(workload: str, n_workers: int, **kwargs):
     par = ParallelEngine(
         _machine_factory, build, THREADS, n_workers=n_workers,
         binding=BindingPolicy.COMPACT, monitor_factory=_dear_factory,
-        force_sharded=True, **kwargs,
+        **kwargs,
     )
     return par.run(), par.archive, par
 

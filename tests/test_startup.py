@@ -8,6 +8,7 @@ everything.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -236,3 +237,116 @@ def test_star_import_binds_every_name():
     exec("from repro import *", namespace)
     assert set(repro.__all__) <= namespace.keys()
     assert namespace["ExecutionEngine"] is repro.runtime.ExecutionEngine
+
+
+#: The variables OpenBLAS reads for its thread count, in that order.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _thread_state(code: str, tmp_path: Path, **preset: str) -> dict:
+    """The thread variables and OS thread count of a fresh interpreter
+    after it runs ``code``, started with none of the thread variables
+    but ``preset``."""
+    script = (
+        f"{code}\n"
+        "import json, os, sys\n"
+        "threads = None\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        threads = next(int(line.split()[1]) for line in f\n"
+        "                       if line.startswith('Threads:'))\n"
+        f"env = {{k: os.environ[k] for k in {THREAD_VARS!r}"
+        " if k in os.environ}\n"
+        "print(json.dumps({'env': env, 'threads': threads}))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_repro_keeps_numpy_to_one_thread(tmp_path):
+    state = _thread_state("import repro\nimport numpy", tmp_path)
+    assert state["env"] == {"OPENBLAS_NUM_THREADS": "1"}
+    if not sys.platform.startswith("linux"):
+        pytest.skip("thread count is read from /proc/self/status")
+    assert state["threads"] == 1
+
+
+@pytest.mark.parametrize("preset", [
+    {"OPENBLAS_NUM_THREADS": "2"},
+    {"OMP_NUM_THREADS": "3"},
+])
+def test_import_repro_keeps_a_preset_thread_count(tmp_path, preset):
+    state = _thread_state("import repro", tmp_path, **preset)
+    assert state["env"] == preset
+
+
+def test_import_repro_after_numpy_sets_nothing(tmp_path):
+    state = _thread_state("import numpy\nimport repro", tmp_path)
+    assert state["env"] == {}
+
+
+#: numpy routines that call BLAS; ``@`` and ``linalg`` are matched apart.
+BLAS_ROUTINES = frozenset({
+    "dot", "vdot", "inner", "matmul", "tensordot", "einsum", "cov",
+    "corrcoef", "polyfit", "lstsq",
+})
+
+
+def blas_uses(source: str) -> list[tuple[int, str]]:
+    """``(line, what)`` for each BLAS-backed numpy use in ``source``:
+    a call of a routine in :data:`BLAS_ROUTINES` (as ``np.dot(...)``,
+    ``a.dot(...)`` or an imported ``dot(...)``), the ``@`` operator, and
+    any reference to or import of ``linalg``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        what = None
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            if name in BLAS_ROUTINES:
+                what = f"{name}()"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            if isinstance(node.op, ast.MatMult):
+                what = "@"
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            what = "linalg"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.append(node.module)
+            if any("linalg" in n.split(".") for n in names):
+                what = "linalg"
+        if what is not None:
+            found.append((node.lineno, what))
+    return sorted(found)
+
+
+def test_blas_scan_finds_every_routine():
+    source = "\n".join([
+        "import numpy as np", "from numpy.linalg import norm",
+        "from numpy import linalg", "np.dot(a, b)", "a.dot(b)", "vdot(a, b)",
+        "np.inner(a, b)", "np.matmul(a, b)", "a @ b", "a @= b",
+        "np.tensordot(a, b)", "np.einsum('i,i', a, b)", "np.linalg.norm(a)",
+        "np.cov(a)", "np.corrcoef(a)", "np.polyfit(x, y, 1)",
+        "np.linalg.lstsq(a, b)", "np.sum(a * b)",
+    ])
+    lines = {line for line, _ in blas_uses(source)}
+    assert lines == set(range(2, 18))
+
+
+def test_simulator_calls_no_blas():
+    """``repro/__init__`` caps OpenBLAS at one thread because nothing
+    here calls BLAS; a call that does must revisit that default."""
+    found = [
+        f"{path.relative_to(SRC)}:{line}: {what}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for line, what in blas_uses(path.read_text())
+    ]
+    assert found == []
