@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import AllocationError, InvalidAddressError, ProtectionError
 from repro.machine.frames import FrameManager
-from repro.machine.topology import NumaTopology
+from repro.machine.topology import CPU_DTYPE, DOMAIN_DTYPE, NumaTopology
 from repro.units import PAGE_SIZE, fast_unique
 
 #: Sentinel domain for pages not yet bound (first-touch pending).
@@ -65,9 +65,12 @@ class Segment:
     base, nbytes: the virtual byte range ``[base, base + nbytes)``.
     start_page, n_pages: page-granular extent containing the range.
     policy: placement policy for pages in this segment.
-    domains: per-page owner domain, ``UNBOUND`` until bound.
+    domains: per-page owner domain (``DOMAIN_DTYPE``), ``UNBOUND`` until
+        bound.
     protected: per-page protection bit (True -> access traps).
     label: debugging / attribution label (usually the variable name).
+    first_toucher_cpu: per-page CPU (``CPU_DTYPE``) whose touch bound a
+        first-touch page, -1 otherwise.
     """
 
     seg_id: int
@@ -162,8 +165,10 @@ class PageTable:
         ``domains`` supplies the policy's domain argument: the single
         target for ``BIND``, the round-robin set for ``INTERLEAVE``
         (defaults to all domains), and the per-block owner list for
-        ``BLOCKWISE``. Overlapping an existing segment raises
-        :class:`~repro.errors.AllocationError`.
+        ``BLOCKWISE``. Overlapping an existing segment, or a domain
+        without the frames the binding needs, raises
+        :class:`~repro.errors.AllocationError` with nothing reserved or
+        mapped.
         """
         if nbytes <= 0:
             raise AllocationError(f"segment size must be positive, got {nbytes}")
@@ -177,7 +182,13 @@ class PageTable:
                 f"segment [{base:#x}, {base + nbytes:#x}) overlaps an existing mapping"
             )
 
-        dom = np.full(n_pages, UNBOUND, dtype=np.int64)
+        dom = self._plan_binding(policy, n_pages, domains)
+        need = self._check_frames(
+            dom, f"map segment {label or hex(base)} as {policy.value}"
+        )
+        # Commit: the check guarantees every reserve below succeeds.
+        for d in np.nonzero(need)[0].tolist():
+            self.frames.reserve_exact(d, int(need[d]))
         seg = Segment(
             seg_id=self._next_id,
             base=base,
@@ -188,43 +199,10 @@ class PageTable:
             domains=dom,
             protected=np.zeros(n_pages, dtype=bool),
             label=label,
-            first_toucher_cpu=np.full(n_pages, -1, dtype=np.int64),
+            first_toucher_cpu=np.full(n_pages, -1, dtype=CPU_DTYPE),
+            n_unbound=int(np.count_nonzero(dom == UNBOUND)),
         )
         self._next_id += 1
-
-        if policy is PlacementPolicy.BIND:
-            if not domains or len(domains) != 1:
-                raise AllocationError("BIND policy requires exactly one domain")
-            self._validate_domains(domains)
-            self.frames.reserve_exact(domains[0], n_pages)
-            dom[:] = domains[0]
-        elif policy is PlacementPolicy.INTERLEAVE:
-            targets = list(domains) if domains else list(range(self.topology.n_domains))
-            self._validate_domains(targets)
-            per_page = np.array(targets, dtype=np.int64)[
-                np.arange(n_pages) % len(targets)
-            ]
-            for d in targets:
-                count = int(np.count_nonzero(per_page == d))
-                if count:
-                    self.frames.reserve_exact(d, count)
-            dom[:] = per_page
-        elif policy is PlacementPolicy.BLOCKWISE:
-            if not domains:
-                raise AllocationError("BLOCKWISE policy requires a domain list")
-            self._validate_domains(domains)
-            bounds = np.linspace(0, n_pages, len(domains) + 1).astype(np.int64)
-            for i, d in enumerate(domains):
-                count = int(bounds[i + 1] - bounds[i])
-                if count:
-                    self.frames.reserve_exact(d, count)
-                    dom[bounds[i] : bounds[i + 1]] = d
-        elif policy is PlacementPolicy.FIRST_TOUCH:
-            pass  # bound lazily by touch()
-        else:  # pragma: no cover - enum is closed
-            raise AllocationError(f"unknown policy {policy}")
-
-        seg.n_unbound = int(np.count_nonzero(dom == UNBOUND))
         self._segments[seg.seg_id] = seg
         self._rebuild_index()
         self.epoch += 1
@@ -234,11 +212,9 @@ class PageTable:
         """Unmap a segment and release its bound frames."""
         if seg.seg_id not in self._segments:
             raise AllocationError(f"segment {seg.seg_id} is not mapped")
-        bound = seg.domains[seg.domains != UNBOUND]
-        if bound.size:
-            counts = np.bincount(bound, minlength=self.topology.n_domains)
-            for d in np.nonzero(counts)[0]:
-                self.frames.release(int(d), int(counts[d]))
+        counts = self._bound_counts(seg.domains)
+        for d in np.nonzero(counts)[0].tolist():
+            self.frames.release(d, int(counts[d]))
         del self._segments[seg.seg_id]
         self._rebuild_index()
         self.epoch += 1
@@ -318,7 +294,7 @@ class PageTable:
             if 0 <= idx and idx < self._ids.size and hi < self._ends[idx]:
                 seg = self._segments[int(self._ids[idx])]
                 return seg.domains[pages - seg.start_page]
-        out = np.full(addrs.shape, UNBOUND, dtype=np.int64)
+        out = np.full(addrs.shape, UNBOUND, dtype=DOMAIN_DTYPE)
         seg_idx = self.segments_of_pages(pages)
         for si in fast_unique(seg_idx):
             seg = self._segments[int(self._ids[si])]
@@ -439,28 +415,15 @@ class PageTable:
         is the simulator-level hook behind :mod:`repro.optim.transforms`
         and the live-migration path of :mod:`repro.optim.autotune`.
         """
-        n_pages = seg.n_pages
-        n_domains = self.topology.n_domains
-        new_dom = self._plan_binding(policy, n_pages, domains)
+        new_dom = self._plan_binding(policy, seg.n_pages, domains)
+        freed = self._bound_counts(seg.domains)
+        need = self._check_frames(
+            new_dom,
+            f"migrate segment {seg.label or seg.seg_id} to {policy.value}",
+            freed,
+        )
 
-        freed = np.zeros(n_domains, dtype=np.int64)
-        bound = seg.domains[seg.domains != UNBOUND]
-        if bound.size:
-            freed += np.bincount(bound, minlength=n_domains)
-        need = np.zeros(n_domains, dtype=np.int64)
-        new_bound = new_dom[new_dom != UNBOUND]
-        if new_bound.size:
-            need += np.bincount(new_bound, minlength=n_domains)
-        for d in np.nonzero(need)[0].tolist():
-            short = int(need[d]) - (self.frames.available(d) + int(freed[d]))
-            if short > 0:
-                raise AllocationError(
-                    f"cannot migrate segment {seg.label or seg.seg_id} to "
-                    f"{policy.value}: domain {d} is {short} frames short — "
-                    "migration aborted, nothing changed"
-                )
-
-        # Commit: the pre-check guarantees every reserve below succeeds.
+        # Commit: the check guarantees every reserve below succeeds.
         for d in np.nonzero(freed)[0].tolist():
             self.frames.release(d, int(freed[d]))
         for d in np.nonzero(need)[0].tolist():
@@ -477,28 +440,58 @@ class PageTable:
         n_pages: int,
         domains: list[int] | None,
     ) -> np.ndarray:
-        """The per-page domain array a policy would install, pure."""
+        """The per-page domain array a policy would install, pure.
+
+        The one place a segment's owner array is built, so it decides
+        the owner dtype (``DOMAIN_DTYPE``) for mapping and migration.
+        """
         if policy is PlacementPolicy.BIND:
             if not domains or len(domains) != 1:
                 raise AllocationError("BIND policy requires exactly one domain")
             self._validate_domains(domains)
-            return np.full(n_pages, domains[0], dtype=np.int64)
+            return np.full(n_pages, domains[0], dtype=DOMAIN_DTYPE)
         if policy is PlacementPolicy.INTERLEAVE:
             targets = list(domains) if domains else list(range(self.topology.n_domains))
             self._validate_domains(targets)
-            return np.array(targets, dtype=np.int64)[np.arange(n_pages) % len(targets)]
+            return np.array(targets, dtype=DOMAIN_DTYPE)[
+                np.arange(n_pages) % len(targets)
+            ]
         if policy is PlacementPolicy.BLOCKWISE:
             if not domains:
                 raise AllocationError("BLOCKWISE policy requires a domain list")
             self._validate_domains(domains)
-            out = np.full(n_pages, UNBOUND, dtype=np.int64)
+            out = np.full(n_pages, UNBOUND, dtype=DOMAIN_DTYPE)
             bounds = np.linspace(0, n_pages, len(domains) + 1).astype(np.int64)
             for i, d in enumerate(domains):
                 out[bounds[i] : bounds[i + 1]] = d
             return out
         if policy is PlacementPolicy.FIRST_TOUCH:
-            return np.full(n_pages, UNBOUND, dtype=np.int64)
+            return np.full(n_pages, UNBOUND, dtype=DOMAIN_DTYPE)
         raise AllocationError(f"unknown policy {policy}")  # pragma: no cover
+
+    def _check_frames(
+        self, dom: np.ndarray, action: str, freed: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Frames per domain that binding ``dom`` takes.
+
+        Raises :class:`~repro.errors.AllocationError` before anything
+        changes if a domain cannot supply them, counting the ``freed``
+        frames the caller releases first.
+        """
+        need = self._bound_counts(dom)
+        for d in np.nonzero(need)[0].tolist():
+            spare = self.frames.available(d) + (0 if freed is None else int(freed[d]))
+            if need[d] > spare:
+                raise AllocationError(
+                    f"cannot {action}: domain {d} is {int(need[d]) - spare} "
+                    "frames short; nothing changed"
+                )
+        return need
+
+    def _bound_counts(self, dom: np.ndarray) -> np.ndarray:
+        """Bound pages per domain in an owner array."""
+        bound = dom[dom != UNBOUND]
+        return np.bincount(bound, minlength=self.topology.n_domains)
 
     # ------------------------------------------------------------------ #
     # statistics
@@ -508,7 +501,5 @@ class PageTable:
         """Bound pages per domain across all segments."""
         counts = np.zeros(self.topology.n_domains, dtype=np.int64)
         for seg in self._segments.values():
-            bound = seg.domains[seg.domains != UNBOUND]
-            if bound.size:
-                counts += np.bincount(bound, minlength=self.topology.n_domains)
+            counts += self._bound_counts(seg.domains)
         return counts

@@ -19,6 +19,14 @@ import numpy as np
 
 from repro.errors import TopologyError
 
+#: Widths of the page table's per-page state: an owner is a domain id
+#: (-1 while unbound) and a first toucher a CPU id (-1 for none), so a
+#: topology has at most ``MAX_DOMAINS`` domains and ``MAX_CPUS`` CPUs.
+DOMAIN_DTYPE = np.dtype(np.int8)
+CPU_DTYPE = np.dtype(np.int16)
+MAX_DOMAINS = int(np.iinfo(DOMAIN_DTYPE).max)
+MAX_CPUS = int(np.iinfo(CPU_DTYPE).max)
+
 
 @dataclass(frozen=True, repr=False)
 class NumaTopology:
@@ -55,6 +63,12 @@ class NumaTopology:
             )
         if self.smt <= 0:
             raise TopologyError(f"smt must be positive, got {self.smt}")
+        if self.n_domains > MAX_DOMAINS or self.n_cpus > MAX_CPUS:
+            raise TopologyError(
+                f"{self.n_domains} domains and {self.n_cpus} hardware threads "
+                f"exceed the page table's limits of {MAX_DOMAINS} domains and "
+                f"{MAX_CPUS} hardware threads"
+            )
         if self.distances is None:
             dist = np.full((self.n_domains, self.n_domains), 20, dtype=np.int64)
             np.fill_diagonal(dist, 10)

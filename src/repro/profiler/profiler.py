@@ -410,14 +410,14 @@ class NumaProfiler(Monitor):
             btab[:n_rows, 4] += lat_rb
 
         # Address ranges: row 0 of each block tracks the whole variable,
-        # rows 1.. its bins — cover both with one scatter each.
+        # rows 1.. its bins. Min and max do not depend on order, so the
+        # bin rows are a second scatter rather than a concatenated copy.
         a64 = addrs.astype(np.float64)
         whole = np.repeat(cached[:, 3], n_s)
-        rng_rows = np.concatenate([whole, whole + 1 + bins])
-        vals = np.concatenate([a64, a64])
         mm = self._mm.data
-        np.minimum.at(mm[:, 0], rng_rows, vals)
-        np.maximum.at(mm[:, 1], rng_rows, vals)
+        for rng_rows in (whole, whole + 1 + bins):
+            np.minimum.at(mm[:, 0], rng_rows, a64)
+            np.maximum.at(mm[:, 1], rng_rows, a64)
 
         ops = self._phase_ops
         if ops is not None:

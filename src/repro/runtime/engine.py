@@ -1217,9 +1217,11 @@ class ExecutionEngine:
             head = np.r_[True, own[1:] != own[:-1]]
             head[first] = True
             heads = np.flatnonzero(head)
-            runs = np.stack(
-                [own[heads], np.add.reduceat(np.concatenate(counts), heads)], 1
-            )
+            # Targets keep the page table's owner dtype; only the keys
+            # read the two columns as one int64 array.
+            run_own = own[heads]
+            run_cnt = np.add.reduceat(np.concatenate(counts), heads)
+            runs = np.stack([run_own, run_cnt], 1)
             ends = np.cumsum(np.add.reduceat(head, first)).tolist()
             raw, width = runs.tobytes(), 2 * runs.itemsize
             n_fetch = pure.chunk_fp[dram_k] // machine.cache.config.line_size
@@ -1231,7 +1233,7 @@ class ExecutionEngine:
                     raw[a * width : b * width], len(targets)
                 )
                 if tid == len(targets):
-                    o, cnt = runs[a:b, 0], runs[a:b, 1]
+                    o, cnt = run_own[a:b], run_cnt[a:b]
                     # A run per fetch: the owners are the targets.
                     tgt = o.copy() if o.size == n_fetch[j] else np.repeat(o, cnt)
                     tgt.flags.writeable = False

@@ -12,8 +12,9 @@ from repro import obs
 from repro.sampling.base import periodic_positions_step
 
 #: Jitter values a thread draws from its stream per ``integers`` call
-#: (more when one chunk needs more).
-JITTER_BLOCK = 4096
+#: (more when one chunk needs more). Each thread holds a row this wide
+#: for the run, and a larger block buys no fewer values, only fewer calls.
+JITTER_BLOCK = 256
 
 
 class InstructionSamplingMixin:

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import AllocationError, InvalidAddressError, ProtectionError
 from repro.machine.frames import FrameManager
 from repro.machine.pagetable import UNBOUND, PageTable, PlacementPolicy
-from repro.machine.topology import NumaTopology
+from repro.machine.topology import (
+    CPU_DTYPE, DOMAIN_DTYPE, MAX_CPUS, MAX_DOMAINS, NumaTopology,
+)
 
 PAGE = 4096
 
@@ -319,6 +321,111 @@ class TestMigrateAtomic:
         with pytest.raises(AllocationError):
             pt.migrate_segment(seg, PlacementPolicy.BLOCKWISE, domains=None)
         self._assert_unchanged(pt, seg, snap)
+
+
+class TestMapAtomic:
+    """A failed map must reserve no frames and map nothing."""
+
+    def _two_small_domains(self):
+        # Two domains of four frames; domain 1 already holds three.
+        topo = NumaTopology(n_domains=2, cores_per_domain=1)
+        pt = PageTable(topo, FrameManager(topo, 4))
+        pt.map_segment(0x100000, 3 * PAGE, PlacementPolicy.BIND, domains=[1])
+        return pt
+
+    @pytest.mark.parametrize(
+        "policy", [PlacementPolicy.INTERLEAVE, PlacementPolicy.BLOCKWISE]
+    )
+    def test_short_later_domain_leaks_no_frames(self, policy):
+        pt = self._two_small_domains()
+        used, epoch = pt.frames.used.copy(), pt.epoch
+        segments = [s.seg_id for s in pt.segments]
+        with pytest.raises(AllocationError, match="domain 1 is 1 frames short"):
+            pt.map_segment(0, 4 * PAGE, policy, domains=[0, 1])
+        np.testing.assert_array_equal(pt.frames.used, used)
+        assert [s.seg_id for s in pt.segments] == segments
+        assert pt.epoch == epoch
+        # The space the failed map asked for is still free to map.
+        seg = pt.map_segment(0, 4 * PAGE, PlacementPolicy.BIND, domains=[0])
+        np.testing.assert_array_equal(pt.frames.used, [4, 3])
+        assert seg.seg_id == segments[-1] + 1
+
+    def test_short_bind_leaves_table_unchanged(self):
+        pt = self._two_small_domains()
+        used, epoch = pt.frames.used.copy(), pt.epoch
+        with pytest.raises(AllocationError):
+            pt.map_segment(0, 2 * PAGE, PlacementPolicy.BIND, domains=[1])
+        np.testing.assert_array_equal(pt.frames.used, used)
+        assert len(pt.segments) == 1 and pt.epoch == epoch
+
+
+class TestPerPageWidths:
+    """Owners and first touchers keep their narrow dtypes everywhere."""
+
+    def _assert_widths(self, seg):
+        assert seg.domains.dtype == DOMAIN_DTYPE
+        assert seg.first_toucher_cpu.dtype == CPU_DTYPE
+
+    @pytest.mark.parametrize("policy", list(PlacementPolicy))
+    def test_map_touch_migrate_unmap(self, policy):
+        pt = make_table()
+        domains = {
+            PlacementPolicy.BIND: [2], PlacementPolicy.BLOCKWISE: [0, 3],
+        }.get(policy)
+        seg = pt.map_segment(0, 8 * PAGE, policy, domains=domains)
+        self._assert_widths(seg)
+        pt.touch_pages(np.arange(8), cpu=7)
+        self._assert_widths(seg)
+        assert pt.domains_of_addrs(np.arange(8) * PAGE).dtype == DOMAIN_DTYPE
+        for target, doms in (
+            (PlacementPolicy.INTERLEAVE, None),
+            (PlacementPolicy.FIRST_TOUCH, None),
+            (PlacementPolicy.BLOCKWISE, [3, 1]),
+        ):
+            pt.migrate_segment(seg, target, doms)
+            self._assert_widths(seg)
+        pt.unmap_segment(seg)
+        self._assert_widths(seg)
+        np.testing.assert_array_equal(pt.frames.used, 0)
+
+    def test_widest_ids_fit(self):
+        # The largest topology the limits allow: ids 126 and 32766.
+        topo = NumaTopology(n_domains=MAX_DOMAINS, cores_per_domain=258)
+        assert topo.n_cpus <= MAX_CPUS
+        pt = PageTable(topo, FrameManager(topo, 4))
+        last = topo.n_cpus - 1
+        seg = pt.map_segment(0, 2 * PAGE)
+        pt.touch_pages(np.array([1]), cpu=last)
+        assert seg.domains.tolist() == [UNBOUND, MAX_DOMAINS - 1]
+        assert seg.first_toucher_cpu.tolist() == [-1, last]
+        pt.migrate_segment(seg, PlacementPolicy.BIND, [MAX_DOMAINS - 1])
+        assert seg.domains.tolist() == [MAX_DOMAINS - 1] * 2
+
+    @pytest.mark.parametrize("program", [
+        {},
+        {"skew": 8, "policy": PlacementPolicy.BIND, "domains": [1]},
+    ])
+    def test_variant_dram_targets_share_the_owner_dtype(
+        self, monkeypatch, program
+    ):
+        from repro.runtime import ExecutionEngine
+        from tests.test_build_sharing import _engine
+
+        built = []
+        original = ExecutionEngine._build_variant
+
+        def keep(self, *args):
+            built.append(original(self, *args))
+            return built[-1]
+
+        monkeypatch.setattr(ExecutionEngine, "_build_variant", keep)
+        _engine(program=program).run()
+        targets = [t for var in built for t in var.dram_targets]
+        assert targets and all(t is not None for t in targets)
+        assert {t.dtype for t in targets} == {DOMAIN_DTYPE}
+        assert {tgt.dtype for var in built for tgt, *_ in var.lat_groups} == {
+            DOMAIN_DTYPE
+        }
 
 
 class TestStatistics:

@@ -20,6 +20,7 @@ from repro.runtime.chunks import AccessChunk, compute_chunk
 from repro.runtime.heap import HeapAllocator
 from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
 from repro.sampling.base import periodic_positions_step
+from repro.sampling import instruction
 from repro.sampling.instruction import JITTER_BLOCK
 from repro.sampling.registry import MECHANISMS
 from repro.spec import ANALYSIS_PERIODS
@@ -260,10 +261,27 @@ def test_block_draw_equals_concatenated_per_call_draws(width):
         assert per_call.bit_generator.state == block.bit_generator.state
 
 
+#: Reserve sizes the gather must be indifferent to: one draw, an odd
+#: size, the shipped block and a wide one.
+BLOCKS = [1, 7, JITTER_BLOCK, 4096]
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_jitter_gather_matches_per_thread_streams(width):
     """The mechanism's blocked gather returns each thread's stream in
     order; the unread draws plus the stream state are its future."""
+    _check_jitter_gather(width, JITTER_BLOCK)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("width", WIDTHS)
+def test_jitter_gather_is_indifferent_to_the_reserve(width, block, monkeypatch):
+    """The same draws and stream states with any reserve size."""
+    monkeypatch.setattr(instruction, "JITTER_BLOCK", block)
+    _check_jitter_gather(width, block)
+
+
+def _check_jitter_gather(width, block):
     machine = presets.generic(n_domains=4, cores_per_domain=2)
     mech = IBS(period=width)
     mech.configure(machine, seed=11)
@@ -275,7 +293,7 @@ def test_jitter_gather_matches_per_thread_streams(width):
     for _ in range(50):
         tids = np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False))
         need = rng.integers(1, 400, size=tids.size)
-        need[rng.random(tids.size) < 0.1] += 2 * JITTER_BLOCK  # past a block
+        need[rng.random(tids.size) < 0.1] += 2 * block  # past a block
         got = mech._jitter(tids, need)
         want = np.concatenate(
             [ref[t].integers(0, width, size=int(n)) for t, n in zip(tids, need)]
@@ -312,6 +330,18 @@ def test_interleaved_select_and_select_step_match_per_call_reference(name):
     """One mechanism alternating scalar ``select`` and ``select_step``
     steps shares its jitter blocks across both paths, and still selects
     what a fresh per-call reference selects."""
+    _check_interleaved_select(name)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("name", ["ibs", "pebs", "pebs_noskid"])
+def test_select_is_indifferent_to_the_reserve(name, block, monkeypatch):
+    """The same selections and carries with any reserve size."""
+    monkeypatch.setattr(instruction, "JITTER_BLOCK", block)
+    _check_interleaved_select(name)
+
+
+def _check_interleaved_select(name):
     machine = presets.generic(n_domains=4, cores_per_domain=2)
     steps = make_steps(machine, n_steps=40, seed=7)
     mech = MECHS[name]()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.machine.topology import NumaTopology
+from repro.machine.topology import MAX_CPUS, MAX_DOMAINS, NumaTopology
 
 
 class TestConstruction:
@@ -31,6 +31,19 @@ class TestConstruction:
         dist = np.array([[10, 20], [30, 10]])
         with pytest.raises(TopologyError):
             NumaTopology(n_domains=2, cores_per_domain=1, distances=dist)
+
+    def test_limits_of_the_page_table_widths(self):
+        # Page owners are int8 (-1 = unbound) and first touchers int16.
+        assert (MAX_DOMAINS, MAX_CPUS) == (127, 32767)
+        NumaTopology(n_domains=MAX_DOMAINS, cores_per_domain=1)
+        NumaTopology(n_domains=1, cores_per_domain=MAX_CPUS)
+        for kwargs in (
+            dict(n_domains=MAX_DOMAINS + 1, cores_per_domain=1),
+            dict(n_domains=1, cores_per_domain=MAX_CPUS + 1),
+            dict(n_domains=2, cores_per_domain=4096, smt=4),
+        ):
+            with pytest.raises(TopologyError, match="exceed the page table"):
+                NumaTopology(**kwargs)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(TopologyError):
