@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.machine.machine import Machine
-from repro.machine.pagetable import PlacementPolicy, Segment
+from repro.machine.pagetable import UNBOUND, PlacementPolicy, Segment
 
 
 class LibNuma:
@@ -44,7 +44,11 @@ class LibNuma:
         With ``nodes is None`` (the profiler's usage, paper Section 4.1):
         returns the owner node per address, ``-1`` for not-yet-bound
         first-touch pages. With ``nodes`` given: migrates each address's
-        page to the corresponding node and returns the new placement.
+        page to the corresponding node (the last entry wins for a page
+        listed twice) and returns the new placement. A node outside
+        ``[0, n_domains)``, an unmapped address or a node short of free
+        frames (counting those the moves release) raises before anything
+        changes.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
         if nodes is None:
@@ -52,24 +56,35 @@ class LibNuma:
         if len(nodes) != len(addrs):
             raise ValueError("nodes must match addrs length")
         pt = self.machine.page_table
+        nodes = [int(n) for n in nodes]
+        pt._validate_domains(nodes)
         pages = addrs // pt.page_size
-        moved = 0
-        for page, node in zip(pages, nodes):
-            seg_idx = pt.segments_of_pages(np.array([page]))[0]
-            seg = pt.segments[int(seg_idx)]
-            local = int(page - seg.start_page)
-            old = int(seg.domains[local])
-            if old == node:
-                continue
-            if old >= 0:
-                pt.frames.release(old, 1)
-            else:
-                seg.n_unbound -= 1
-            pt.frames.reserve_exact(int(node), 1)
+        segs = pt.segments
+        keys = zip(pt.segments_of_pages(pages).tolist(), pages.tolist())
+        dest = dict(zip(keys, nodes))
+        moves = []
+        for (si, page), node in dest.items():
+            seg = segs[si]
+            local = page - seg.start_page
+            if int(seg.domains[local]) != node:
+                moves.append((seg, local, node))
+        if not moves:
+            return pt.domains_of_addrs(addrs)
+        old = np.array([int(seg.domains[local]) for seg, local, _ in moves])
+        new = np.array([node for _, _, node in moves])
+        freed = pt._bound_counts(old)
+        need = pt._check_frames(new, "move pages", freed)
+
+        # Commit: the check guarantees every reserve below succeeds.
+        for d in np.nonzero(freed)[0].tolist():
+            pt.frames.release(d, int(freed[d]))
+        for d in np.nonzero(need)[0].tolist():
+            pt.frames.reserve_exact(d, int(need[d]))
+        for (seg, local, node), was in zip(moves, old.tolist()):
             seg.domains[local] = node
-            moved += 1
-        if moved:
-            pt.epoch += 1
+            if was == UNBOUND:
+                seg.n_unbound -= 1
+        pt.epoch += 1
         return pt.domains_of_addrs(addrs)
 
     def numa_distance(self, a: int, b: int) -> int:

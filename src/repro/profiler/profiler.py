@@ -388,10 +388,17 @@ class NumaProfiler(Monitor):
         # Per-sample bin index, then the row in the flat bin table:
         # same floor-divide formula as addresscentric.bin_indices, with
         # the per-chunk variable geometry repeated onto the samples.
+        # Computed in place: ``bins`` goes rel -> rel * nb -> bin.
+        bins = np.repeat(cached[:, 4], n_s)
+        np.subtract(addrs, bins, out=bins)
         nb = np.repeat(cached[:, 6], n_s)
-        rel = addrs - np.repeat(cached[:, 4], n_s)
-        bins = np.clip((rel * nb) // np.repeat(cached[:, 5], n_s), 0, nb - 1)
-        rows = np.repeat(cached[:, 7], n_s) + bins
+        bins *= nb
+        bins //= np.repeat(cached[:, 5], n_s)
+        nb -= 1
+        np.clip(bins, 0, nb, out=bins)
+        del nb
+        rows = np.repeat(cached[:, 7], n_s)
+        rows += bins
         n_rows = self._bin_tab.n_rows
         btab = self._bin_tab.data
         cnt = np.bincount(rows, minlength=n_rows)
@@ -408,16 +415,21 @@ class NumaProfiler(Monitor):
             )
             btab[:n_rows, 3] += lat_b
             btab[:n_rows, 4] += lat_rb
+        del rows
 
         # Address ranges: row 0 of each block tracks the whole variable,
         # rows 1.. its bins. Min and max do not depend on order, so the
-        # bin rows are a second scatter rather than a concatenated copy.
+        # bin rows are a second scatter, over ``bins`` turned into rows.
         a64 = addrs.astype(np.float64)
         whole = np.repeat(cached[:, 3], n_s)
         mm = self._mm.data
-        for rng_rows in (whole, whole + 1 + bins):
-            np.minimum.at(mm[:, 0], rng_rows, a64)
-            np.maximum.at(mm[:, 1], rng_rows, a64)
+        np.minimum.at(mm[:, 0], whole, a64)
+        np.maximum.at(mm[:, 1], whole, a64)
+        bins += whole
+        del whole
+        bins += 1
+        np.minimum.at(mm[:, 0], bins, a64)
+        np.maximum.at(mm[:, 1], bins, a64)
 
         ops = self._phase_ops
         if ops is not None:

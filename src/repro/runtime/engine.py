@@ -1268,8 +1268,10 @@ class ExecutionEngine:
         classification variant upstream, so latency entries can never
         serve stale inputs. A build prices each latency group of the
         variant once (one array and its ``ndarray.sum()``) and every
-        chunk's sum with array arithmetic; views get read-only slices
-        of one buffer of the group arrays.
+        chunk's sum with array arithmetic. Each group array lives only
+        while it is summed and, in a monitored run, copied into its
+        slice of one preallocated buffer; views get read-only slices of
+        that buffer.
         """
         machine = self.machine
         memo = self.memo
@@ -1285,14 +1287,22 @@ class ExecutionEngine:
             memo.miss(rec)
             lm = machine.latency_model
             topology = machine.topology
-            g_lat = [
-                lm.dram_fetch_latencies(
+            groups = var.lat_groups
+            g_off = np.cumsum([0] + [g[0].size for g in groups])
+            lat_buf = None
+            if self.monitor is not None and groups:
+                lat_buf = np.empty(int(g_off[-1]))
+            g_sum = np.empty(len(groups))
+            for g, (tgt, domain, seq, interleaved) in enumerate(groups):
+                lat = lm.dram_fetch_latencies(
                     tgt, domain, topology, inflation,
                     sequential=seq, interleaved=interleaved,
                 )
-                for tgt, domain, seq, interleaved in var.lat_groups
-            ]
-            g_sum = np.array([float(lat.sum()) for lat in g_lat])
+                g_sum[g] = float(lat.sum())
+                if lat_buf is not None:
+                    lat_buf[g_off[g] : g_off[g + 1]] = lat
+                # Freed before the next group is priced, not after.
+                del lat
             n_fetch = pure.chunk_fp // machine.cache.config.line_size
             rest = (pure.n_acc - n_fetch) * lm.l1
             # All fetches of a cache-level chunk hit one level: its sum
@@ -1305,13 +1315,12 @@ class ExecutionEngine:
             lat_sums = np.zeros(st.n_active)
             lat_sums[pure.mem_idx] = sums
             obs.TRACER.count(
-                "engine.build.shared_latency", dram.size - len(g_lat)
+                "engine.build.shared_latency", dram.size - len(groups)
             )
             lv = LatVariant(lat_sums, [None] * len(pure.mem), 8 * st.n_active)
-            if self.monitor is not None and g_lat:
-                lv.lat_buf = np.concatenate(g_lat)
+            if lat_buf is not None:
+                lv.lat_buf = lat_buf
                 lv.lat_buf.flags.writeable = False
-                g_off = np.cumsum([0] + [lat.size for lat in g_lat])
                 g_views = np.split(lv.lat_buf, g_off[1:-1])
                 lv.chunk_lat = [g_views[g] if g >= 0 else None for g in group.tolist()]
                 lv.lat_off = np.where(group >= 0, g_off[group], -1)

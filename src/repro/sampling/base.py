@@ -366,7 +366,8 @@ class EventSamplingMechanism(SamplingMechanism):
         events, which the cap never sees). A step's events depend
         only on its views, so they are cached on ``views.memo``: a
         retained step hands back the same :class:`StepViews` on later
-        iterations, which then reuse them.
+        iterations, which then reuse them. At period 1 the events and
+        counts are the step's selection itself, so they are read-only.
         """
         memo = getattr(views, "memo", None)
         capped = self._capped()
@@ -376,6 +377,9 @@ class EventSamplingMechanism(SamplingMechanism):
             return got
         events = [self._view_events(v) for v in views]
         ev_counts = np.fromiter((e.size for e in events), np.int64, len(events))
+        events_cat = np.concatenate(events)
+        del events
+        events_cat.flags.writeable = ev_counts.flags.writeable = False
         lat_totals = None
         if capped:
             lat_totals = np.zeros(len(views))
@@ -387,7 +391,7 @@ class EventSamplingMechanism(SamplingMechanism):
                     else float(v.latencies.sum())
                 )
         got = (
-            np.concatenate(events),
+            events_cat,
             ev_counts,
             _starts_from_counts(ev_counts),
             lat_totals,
@@ -406,11 +410,21 @@ class EventSamplingMechanism(SamplingMechanism):
         if tids is None:
             tids = [v.tid for v in views]
         carries = self._step_carries(tids)
-        positions, rows, counts, new_carries = periodic_positions_step(
-            carries, ev_counts, self.period
-        )
-        self._store_step_carries(tids, new_carries)
-        chosen = events_cat[offsets[rows] + positions]
+        if self.period == 1 and not carries.any():
+            # Every event is chosen and the zero carries stay zero: the
+            # step's events are the selection, with no positions to
+            # build and no gathered copy.
+            chosen, counts = events_cat, ev_counts
+            self._store_step_carries(tids, carries)
+        else:
+            positions, rows, counts, new_carries = periodic_positions_step(
+                carries, ev_counts, self.period
+            )
+            self._store_step_carries(tids, new_carries)
+            positions += offsets[rows]
+            del rows
+            chosen = events_cat[positions]
+            del positions
         if lat_totals is not None and chosen.size:
             n_ins = getattr(views, "n_ins", None)
             if n_ins is None:

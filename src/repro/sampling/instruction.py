@@ -14,7 +14,7 @@ from repro.sampling.base import periodic_positions_step
 #: Jitter values a thread draws from its stream per ``integers`` call
 #: (more when one chunk needs more). Each thread holds a row this wide
 #: for the run, and a larger block buys no fewer values, only fewer calls.
-JITTER_BLOCK = 256
+JITTER_BLOCK = 4096
 
 
 class InstructionSamplingMixin:
@@ -67,7 +67,8 @@ class InstructionSamplingMixin:
     def _reset_jitter(self) -> None:
         # Row tid: draws taken ahead from thread tid's stream, of which
         # ``_jit_buf[tid, _jit_cur[tid]:_jit_end[tid]]`` are unread.
-        self._jit_buf = np.zeros((0, JITTER_BLOCK), dtype=np.int64)
+        # Draws are below ``_jitter_width`` <= 64, so a byte holds each.
+        self._jit_buf = np.zeros((0, JITTER_BLOCK), dtype=np.uint8)
         self._jit_cur = np.zeros(0, dtype=np.int64)
         self._jit_end = np.zeros(0, dtype=np.int64)
 

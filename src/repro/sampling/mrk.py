@@ -116,8 +116,9 @@ class MRK(EventSamplingMechanism):
         dropped = int((sizes - kept).sum())
         if dropped:
             obs.TRACER.count("sampling.samples.dropped", dropped)
-            first = _starts_from_counts(counts)[rows]
-            chosen = chosen[first.repeat(kept) + _linspace_picks(sizes, kept)]
+            picks = _linspace_picks(sizes, kept)
+            picks += _starts_from_counts(counts)[rows].repeat(kept)
+            chosen = chosen[picks]
             counts = counts.copy()
             counts[rows] = kept
         self._budget.update(zip(row_tids, (budget - kept).tolist()))
@@ -127,12 +128,17 @@ class MRK(EventSamplingMechanism):
 def _linspace_picks(n: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``np.linspace(0, n[j] - 1, m[j]).astype(np.int64)`` for every
     ``j`` (``m[j] <= n[j]``), concatenated, with linspace's float
-    products: a chunk that keeps all its events gets ``0..n[j]-1``."""
+    products: a chunk that keeps all its events gets ``0..n[j]-1``.
+    Holds at most two arrays of ``sum(m)`` values at once."""
     ends = np.cumsum(m)
-    ramp = np.arange(ends[-1]) - np.repeat(ends - m, m)
+    # The ramp 0..m[j]-1 of each chunk, as the exact float64 values that
+    # multiplying the integer ramp by the float step would convert it to.
+    ramp = np.arange(ends[-1], dtype=np.float64)
+    ramp -= np.repeat(ends - m, m)
     # linspace's step; a single point is index 0.
     step = np.divide(n - 1, m - 1, out=np.zeros(m.size), where=m > 1)
-    picks = (ramp * np.repeat(step, m)).astype(np.int64)
+    ramp *= np.repeat(step, m)
+    picks = ramp.astype(np.int64)
     # linspace pins its last point to the stop value.
     multi = m > 1
     picks[ends[multi] - 1] = n[multi] - 1

@@ -101,3 +101,55 @@ def test_linspace_picks_equal_numpy_linspace():
         np.linspace(0, a - 1, b).astype(np.int64) for a, b in pairs
     ])
     np.testing.assert_array_equal(_linspace_picks(n, m), want)
+
+
+def _large_step(rng, n: int = 24):
+    """One step of more than 100k chosen events, as MRK's period 1 on
+    a memory-heavy step yields."""
+    tids = rng.permutation(24)[:n].astype(np.int64)
+    counts = rng.integers(2_000, 20_000, n).astype(np.int64)
+    counts[rng.random(n) < 0.2] = 0
+    chosen = np.concatenate([
+        np.sort(rng.choice(4 * c + 1, size=c, replace=False))
+        for c in counts.tolist()
+    ]).astype(np.int64)
+    n_ins = rng.integers(100_000, 2_000_000, n).astype(np.int64)
+    lat_totals = rng.uniform(1e5, 1e7, n)
+    return tids, chosen, counts, n_ins, lat_totals
+
+
+@pytest.mark.parametrize("max_rate", [2e6, 2e7, 2e9])
+def test_cap_step_equals_per_chunk_cap_on_large_steps(max_rate):
+    rng = np.random.default_rng(int(max_rate) % 97)
+    ref, vec = _mrk(max_rate), _mrk(max_rate)
+    dropped = 0
+    for _ in range(3):
+        tids, chosen, counts, n_ins, lat = _large_step(rng)
+        assert chosen.size > 100_000
+        (want, want_counts), want_drop = _traced(
+            _per_chunk, ref, tids, chosen, counts, n_ins, lat
+        )
+        (got, got_counts), got_drop = _traced(
+            vec._cap_step, tids, chosen, counts, n_ins, lat
+        )
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got_counts, want_counts)
+        assert list(vec._budget.items()) == list(ref._budget.items())
+        assert got_drop == want_drop
+        dropped += want_drop
+    # The lowest rate thins every step, the highest keeps every event.
+    assert (dropped > 0) == (max_rate < 2e9)
+
+
+def test_linspace_picks_equal_numpy_linspace_for_large_chunks():
+    rng = np.random.default_rng(3)
+    n = rng.integers(100_000, 3_000_000, 40)
+    m = np.minimum(n, rng.integers(0, 20_000, 40))
+    m[:3] = [n[0] // 50 + 1, 1, 0]
+    want = np.concatenate([
+        np.linspace(0, a - 1, b).astype(np.int64)
+        for a, b in zip(n.tolist(), m.tolist())
+    ])
+    assert want.size > 100_000
+    np.testing.assert_array_equal(_linspace_picks(n, m), want)

@@ -262,8 +262,8 @@ def test_block_draw_equals_concatenated_per_call_draws(width):
 
 
 #: Reserve sizes the gather must be indifferent to: one draw, an odd
-#: size, the shipped block and a wide one.
-BLOCKS = [1, 7, JITTER_BLOCK, 4096]
+#: size, a narrow block and the shipped one.
+BLOCKS = [1, 7, 256, JITTER_BLOCK]
 
 
 @pytest.mark.parametrize("width", WIDTHS)
