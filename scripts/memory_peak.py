@@ -16,7 +16,16 @@ stdout goes to stderr):
   two calls. That heap lies within a few percent of the peak, below it
   by the temporaries a single numpy expression holds. A site is the
   innermost ``repro`` line of the allocation's stack, so an array a
-  numpy function builds is charged to the simulator line calling it.
+  numpy function builds is charged to the simulator line calling it;
+* ``rss_peak_phase`` and ``rss_phases``: the top-level phase in which
+  the resident high-water mark (``VmHWM``) last rose, and every phase
+  in which it rose with the mark (MB) at the phase's end. The hook
+  reads ``VmHWM`` as each phase starts and ends: the workload build,
+  each engine run, the profiler's flush, the merge and the registry
+  record; time outside them is ``start-up`` or ``after <phase>``.
+  The heap peak and the RSS high-water can sit in different phases.
+  Both fields are ``null`` where ``/proc/self/status`` is unreadable
+  (off Linux).
 
 Usage (from the repository root)::
 
@@ -25,8 +34,11 @@ Usage (from the repository root)::
         e2ebench/pipeline.py lulesh --optimize --scale 4 --result /tmp/r.json
 
 Arguments are those of ``python -m repro``, or a script path and its
-arguments. The hook slows the run several-fold. See
-``docs/OBSERVABILITY.md``, "Memory".
+arguments. The command runs twice, untraced and then traced, with all
+its side effects each time: without ``--no-save`` (or with a scratch
+``--runs-dir``) the registry gets two records, and a ``--result`` file
+is written twice. The traced run is several times slower than the bare
+command. See ``docs/OBSERVABILITY.md``, "Memory".
 """
 
 from __future__ import annotations
@@ -52,6 +64,92 @@ FRAMES = 12
 MB = 1024 * 1024
 STDLIB = Path(sysconfig.get_paths()["stdlib"])
 REPRO = f"{os.sep}repro{os.sep}"
+#: (module, function name) -> the top-level phase it runs; a
+#: workload's ``__init__`` is the build. Keyed on ``co_name``, which
+#: every supported Python has (``co_qualname`` is 3.11+); each name is
+#: unique in its module.
+PHASES = {
+    ("repro.runtime.engine", "run"): "engine run",
+    ("repro.parallel.engine", "run"): "engine run",
+    ("repro.profiler.profiler", "_flush"): "flush",
+    ("repro.analysis.merge", "merge_profiles"): "merge",
+    ("repro.registry.store", "record"): "record",
+}
+STATUS = Path("/proc/self/status")
+
+
+def _hwm_mb() -> float | None:
+    """The process's resident high-water mark (``VmHWM``), or None."""
+    try:
+        text = STATUS.read_text()
+    except OSError:
+        return None
+    for line in text.splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024
+    return None
+
+
+def _phase(frame) -> str | None:
+    """The phase ``frame``'s function runs, or None."""
+    module = frame.f_globals.get("__name__", "")
+    if not module.startswith("repro."):
+        return None
+    name = frame.f_code.co_name
+    if name == "__init__" and module.startswith("repro.workloads."):
+        return "build"
+    return PHASES.get((module, name))
+
+
+class _RssPhases:
+    """``VmHWM`` at each phase boundary, and where it rose."""
+
+    def __init__(self) -> None:
+        self.open: list[tuple[object, str]] = []
+        self.last: str | None = None
+        self.runs = 0
+        self.hwm = _hwm_mb()
+        self.rises: list[dict] = []
+
+    def _label(self) -> str:
+        """The phase now running."""
+        if self.open:
+            return self.open[-1][1]
+        return "start-up" if self.last is None else f"after {self.last}"
+
+    def _read(self, label: str) -> None:
+        """Close the segment ``label`` at the current ``VmHWM``."""
+        hwm = _hwm_mb()
+        if hwm is not None and hwm > self.hwm:
+            if self.rises and self.rises[-1]["phase"] == label:
+                self.rises[-1]["hwm_mb"] = hwm
+            else:
+                self.rises.append({"phase": label, "hwm_mb": hwm})
+            self.hwm = hwm
+
+    def event(self, frame, event: str) -> None:
+        if event == "call":
+            phase = _phase(frame)
+            if phase is None:
+                return
+            self._read(self._label())
+            if phase == "engine run":
+                self.runs += 1
+                phase = f"engine run {self.runs}"
+            elif self.open and phase == "build":
+                phase = self.open[-1][1]
+            self.open.append((frame, phase))
+        elif event == "return" and self.open and self.open[-1][0] is frame:
+            self._read(self._label())
+            self.last = self.open.pop()[1]
+
+    def report(self) -> dict:
+        self._read(self._label())
+        return {
+            "rss_hwm_mb": self.hwm,
+            "rss_peak_phase": self.rises[-1]["phase"] if self.rises else None,
+            "rss_phases": self.rises,
+        }
 
 
 def _where(frame) -> str:
@@ -102,8 +200,65 @@ def _top(snapshot) -> list[dict]:
     ]
 
 
+def _run_command(argv: list[str], out) -> None:
+    """Run ``argv`` in this interpreter, its stdout going to ``out``."""
+    if argv and argv[0].endswith(".py"):
+        target, run_it = argv[0], runpy.run_path
+    else:
+        target, run_it = "repro", runpy.run_module
+        argv = ["repro", *argv]
+    saved = sys.argv
+    sys.argv = list(argv)
+    try:
+        with contextlib.redirect_stdout(out):
+            run_it(target, run_name="__main__")
+    except SystemExit as exc:
+        if exc.code not in (None, 0):
+            raise
+    finally:
+        sys.argv = saved
+
+
+def rss_phases(argv: list[str]) -> dict:
+    """Run ``argv`` once with only the phase hook, in a forked child.
+
+    Untraced, so ``VmHWM`` is the command's own: tracemalloc's
+    bookkeeping would add tens of MB that grow with the live objects.
+    """
+    none = {"rss_hwm_mb": None, "rss_peak_phase": None, "rss_phases": None}
+    if _hwm_mb() is None or not hasattr(os, "fork"):
+        return none
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        code = 1
+        try:
+            phases = _RssPhases()
+            sys.setprofile(lambda frame, event, _arg: phases.event(frame, event))
+            try:
+                with open(os.devnull, "w") as null:
+                    _run_command(argv, null)
+            finally:
+                sys.setprofile(None)
+            with os.fdopen(write, "w") as fh:
+                json.dump(phases.report(), fh)
+            code = 0
+        finally:
+            sys.stderr.flush()
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read) as fh:
+        text = fh.read()
+    _, status = os.waitpid(pid, 0)
+    if status:
+        raise RuntimeError(f"the untraced run failed (wait status {status})")
+    return json.loads(text)
+
+
 def run(argv: list[str]) -> dict:
-    """Run ``argv`` under tracemalloc; returns the peak's report."""
+    """Run ``argv`` untraced, then under tracemalloc; returns the report."""
+    rss = rss_phases(argv)
     state = {"peak": 0, "stack": [], "snap": None, "snap_bytes": 0}
 
     def profile(frame, event, _arg):
@@ -117,26 +272,14 @@ def run(argv: list[str]) -> dict:
             state["snap"] = tracemalloc.take_snapshot()
             state["snap_bytes"] = current
 
-    if argv and argv[0].endswith(".py"):
-        target, run_it = argv[0], runpy.run_path
-    else:
-        target, run_it = "repro", runpy.run_module
-        argv = ["repro", *argv]
-    saved = sys.argv
-    sys.argv = list(argv)
     tracemalloc.start(FRAMES)
     sys.setprofile(profile)
     try:
-        with contextlib.redirect_stdout(sys.stderr):
-            run_it(target, run_name="__main__")
-    except SystemExit as exc:
-        if exc.code not in (None, 0):
-            raise
+        _run_command(argv, sys.stderr)
     finally:
         sys.setprofile(None)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        sys.argv = saved
     snap = state["snap"].filter_traces(
         [tracemalloc.Filter(False, tracemalloc.__file__)]
     )
@@ -146,6 +289,7 @@ def run(argv: list[str]) -> dict:
         "at_peak": {"function": state["stack"][0], "stack": state["stack"]},
         "snapshot_mb": state["snap_bytes"] / MB,
         "top": _top(snap),
+        **rss,
     }
 
 

@@ -18,13 +18,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 
 from repro.profiler.cct import CCT
-from repro.profiler.profile_data import FirstTouchRecord, ProfileArchive, VarRecord
+from repro.profiler.profile_data import (
+    FirstTouchRecord,
+    ProfileArchive,
+    ThreadProfile,
+    VarRecord,
+)
 from repro.runtime.callstack import SourceLoc
 
 FORMAT_VERSION = 1
+#: Entries of a page-sized list that are Python objects at once while
+#: it is written.
+SLICE = 2048
 
 
 # ---------------------------------------------------------------------- #
@@ -47,6 +56,21 @@ def _cct(cct: CCT) -> list:
     return rows
 
 
+def _array(fh, arr) -> None:
+    """Write ``json.dumps(arr.tolist())`` one bounded slice at a time.
+
+    Only ``SLICE`` values are Python objects at once, whatever the
+    array's length; the slices' encodings join with the encoder's
+    ``", "``.
+    """
+    fh.write("[")
+    for i in range(0, len(arr), SLICE):
+        if i:
+            fh.write(", ")
+        fh.write(json.dumps(arr[i:i + SLICE].tolist())[1:-1])
+    fh.write("]")
+
+
 def _var_record(rec: VarRecord) -> dict:
     return {
         "name": rec.name,
@@ -63,15 +87,47 @@ def _var_record(rec: VarRecord) -> dict:
     }
 
 
-def _first_touch(ft: FirstTouchRecord) -> dict:
-    return {
+def _first_touch(fh, ft: FirstTouchRecord) -> None:
+    head = {
         "var_name": ft.var_name,
         "tid": ft.tid,
         "cpu": ft.cpu,
         "domain": ft.domain,
-        "pages": ft.pages.tolist(),
-        "path": _path(ft.path),
     }
+    fh.write(json.dumps(head)[:-1] + ', "pages": ')
+    _array(fh, ft.pages)
+    fh.write(f', "path": {json.dumps(_path(ft.path))}}}')
+
+
+def _page_heat(fh, heat: dict) -> None:
+    """``heat`` as a JSON object, ``SLICE`` pages at a time."""
+    fh.write("{")
+    items = iter(heat.items())
+    sep = ""
+    while part := {str(page): row for page, row in islice(items, SLICE)}:
+        fh.write(sep + json.dumps(part)[1:-1])
+        sep = ", "
+    fh.write("}")
+
+
+def _profile(fh, p: ThreadProfile) -> None:
+    """One thread's profile, section by section in the dict form's key order."""
+    head = {
+        "tid": p.tid,
+        "cpu": p.cpu,
+        "domain": p.domain,
+        "cct": _cct(p.cct),
+        "data_cct": _cct(p.data_cct),
+        "vars": {name: _var_record(r) for name, r in p.vars.items()},
+    }
+    fh.write(json.dumps(head)[:-1] + ', "first_touches": [')
+    for i, ft in enumerate(p.first_touches):
+        if i:
+            fh.write(", ")
+        _first_touch(fh, ft)
+    fh.write(f'], "counters": {json.dumps(dict(p.counters))}, "page_heat": ')
+    _page_heat(fh, p.page_heat)
+    fh.write("}")
 
 
 # ---------------------------------------------------------------------- #
@@ -79,7 +135,18 @@ def _first_touch(ft: FirstTouchRecord) -> dict:
 # ---------------------------------------------------------------------- #
 
 def save_archive(archive: ProfileArchive, path: str | Path) -> Path:
-    """Write an archive as one JSON document; returns the path."""
+    """Write an archive as one JSON document; returns the path.
+
+    The document is what ``json.dumps`` makes of the archive's dict form,
+    byte for byte, but it is written piece by piece, so no profile's
+    object tree or token list is ever held whole. The lists whose length
+    follows the data — first-touch pages and page heat, one entry per
+    page — go a bounded slice at a time. The rest of a profile goes
+    through ``json.dumps`` (the C encoder, which ``json.dump`` to a file
+    never runs) in a few calls: its CCTs and variable records grow with
+    calling contexts and bins (``n_bins + 1`` range rows per context,
+    as many as the record's bin metrics), not with pages.
+    """
     doc = {
         "format_version": FORMAT_VERSION,
         "program": archive.program,
@@ -93,23 +160,9 @@ def save_archive(archive: ProfileArchive, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        # json.dumps runs the C encoder, which json.dump to a file never
-        # does; encoding one profile at a time bounds its token buffer.
         fh.write(json.dumps(doc)[:-1] + ', "profiles": {')
         for i, (tid, p) in enumerate(archive.profiles.items()):
-            profile = {
-                "tid": p.tid,
-                "cpu": p.cpu,
-                "domain": p.domain,
-                "cct": _cct(p.cct),
-                "data_cct": _cct(p.data_cct),
-                "vars": {name: _var_record(r) for name, r in p.vars.items()},
-                "first_touches": [_first_touch(ft) for ft in p.first_touches],
-                "counters": dict(p.counters),
-                "page_heat": {
-                    str(page): row for page, row in p.page_heat.items()
-                },
-            }
-            fh.write(f'{", " if i else ""}"{tid}": {json.dumps(profile)}')
+            fh.write(f'{", " if i else ""}"{tid}": ')
+            _profile(fh, p)
         fh.write("}}")
     return path

@@ -274,8 +274,16 @@ class LazyChunkView:
         return np.flatnonzero(mask)
 
     def latency_total(self) -> float:
-        """``float(self.latencies.sum())``, without keeping the array."""
-        lat = self._lat if self._lat is not None else self._build_latencies()
+        """``float(self.latencies.sum())``, without keeping the array.
+
+        Unless the view is materialized, this builds the chunk's whole
+        per-access latency array only to sum it; such builds count as
+        ``engine.lazy.latency_sum_builds``.
+        """
+        lat = self._lat
+        if lat is None:
+            obs.TRACER.count("engine.lazy.latency_sum_builds")
+            lat = self._build_latencies()
         return float(lat.sum())
 
     def latencies_at(self, idx: np.ndarray) -> np.ndarray:
@@ -339,11 +347,14 @@ class SampleGather:
 
     def __call__(self, ks, n_s, idx, lat_ok: bool):
         """``(addrs, latencies or None, views left to ask)``."""
-        rows = np.repeat(ks, n_s)
-        first, stride = self.first[rows], self.stride[rows]
-        addrs = idx * stride + first
+        # ``idx * stride + first`` per sample, built in place.
+        addrs = np.repeat(self.stride[ks], n_s)
+        addrs *= idx
+        addrs += np.repeat(self.first[ks], n_s)
         lat = None
         if lat_ok:
+            rows = np.repeat(ks, n_s)
+            first, stride = self.first[rows], self.stride[rows]
             lines = addrs // self.line
             fetch = (lines != (addrs - stride) // self.line) | (idx == 0)
             ordinal = np.where(
@@ -1383,6 +1394,7 @@ class ExecutionEngine:
         else:
             memo.hit(rec)
         costs = np.asarray(self.monitor.on_step(views), dtype=np.float64)
+        memo.charge_views(rec, views)
         if traced:
             tr.end()
         if costs.shape != (st.n_active,):

@@ -83,7 +83,7 @@ class StepViews(list):
     record hands the same object back on every iteration.
     """
 
-    __slots__ = ("tids", "n_ins", "n_acc", "memo", "gather")
+    __slots__ = ("tids", "n_ins", "n_acc", "memo", "memo_charged", "gather")
 
     def __init__(self, views, tids, n_ins, n_acc) -> None:
         super().__init__(views)
@@ -91,6 +91,9 @@ class StepViews(list):
         self.n_ins = n_ins
         self.n_acc = n_acc
         self.memo: dict = {}
+        #: Bytes of ``memo`` already charged to the record holding these
+        #: views (:meth:`IterationMemo.charge_views`).
+        self.memo_charged = 0
         #: The engine's closed-form sample gather for these views
         #: (``repro.runtime.engine.SampleGather``), or None.
         self.gather = None
@@ -255,6 +258,17 @@ class IterationMemo:
         if self._rec_bytes > self.budget:
             self._evict(keep=rec)
         self._gauge()
+
+    def charge_views(self, rec: StepRecord, views: StepViews) -> None:
+        """Charge ``rec`` for the arrays consumers have cached on
+        ``views.memo`` since the last call (step events, profiler rows):
+        they live as long as the record retains the views."""
+        if rec.key is None:
+            return
+        held = _nbytes(*views.memo.values())
+        if held != views.memo_charged:
+            self.charge(rec, held - views.memo_charged)
+            views.memo_charged = held
 
     def _evict(self, keep: StepRecord) -> None:
         for key in list(self._records):

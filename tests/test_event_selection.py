@@ -143,6 +143,11 @@ def test_traced_run_materializes_no_lazy_array(mech):
         if k.startswith("engine.lazy.materialized_")
     }
     assert materialized == {}
+    # MRK's rate cap sums each event chunk's latencies through
+    # ``latency_total``, building a per-access array it never keeps;
+    # those builds are counted apart. No other mechanism makes them.
+    builds = counters.get("engine.lazy.latency_sum_builds", 0)
+    assert (builds > 0) == (mech == "MRK")
 
 
 class _ViewCollector(Monitor):
@@ -168,7 +173,14 @@ def test_lazy_event_primitives_match_materialized_arrays(workload):
         # chunk's own DRAM latencies, plus one below everything.
         lats = v._fetch_lat if v._fetch_lat is not None else []
         thresholds = {0.0, _LM.l1, _LM.l2, _LM.l3, *np.unique(lats)[:4]}
-        total = v.latency_total()
+        tracer = obs.Tracer()
+        old = obs.set_tracer(tracer)
+        try:
+            tracer.enable()
+            total = v.latency_total()
+        finally:
+            obs.set_tracer(old)
+        assert tracer.counters == {"engine.lazy.latency_sum_builds": 1}
         miss = v.miss_events()
         got = {
             x: (v.demand_miss_events(x), v.slow_events(x))

@@ -100,8 +100,8 @@ class TestFormat:
 
     @pytest.mark.parametrize("n_profiles", [None, 1, 0])
     def test_bytes_are_one_json_dumps(self, toy_archive, tmp_path, n_profiles):
-        """Profiles are encoded one at a time, yet the file is exactly
-        what one ``json.dumps`` of the whole document writes."""
+        """Profiles are written piece by piece, yet the file is exactly
+        what one ``json.dumps`` of the archive's dict form writes."""
         import copy
         import json
 
@@ -110,4 +110,160 @@ class TestFormat:
         arc.profiles = dict(list(arc.profiles.items())[:n_profiles])
         text = save_archive(arc, tmp_path / "p.json").read_text()
         assert text == json.dumps(json.loads(text))
+        assert text == _dict_form(arc)
         assert len(json.loads(text)["profiles"]) == len(arc.profiles)
+
+
+# ---------------------------------------------------------------------- #
+# the streamed writer against one json.dumps of the archive's dict form
+# ---------------------------------------------------------------------- #
+
+def _dict_form(arc) -> str:
+    """The whole archive as one dict, encoded by one ``json.dumps``: the
+    document ``save_archive`` writes piece by piece."""
+    import json
+    from dataclasses import asdict
+
+    def path(p):
+        return [[f.func, f.file, f.line] for f in p]
+
+    def cct(c):
+        return [
+            [path(node.path()), dict(node.metrics)]
+            for node in c.root.walk() if node.metrics
+        ]
+
+    def var(rec):
+        return {
+            "name": rec.name,
+            "kind": rec.kind.value,
+            "alloc_path": path(rec.alloc_path),
+            "base": rec.base,
+            "nbytes": rec.nbytes,
+            "n_bins": rec.n_bins,
+            "metrics": dict(rec.metrics),
+            "bins": [dict(b.metrics) for b in rec.bins],
+            "ranges": [[path(p), a.tolist()] for p, a in rec.ranges.items()],
+        }
+
+    def touch(ft):
+        return {
+            "var_name": ft.var_name, "tid": ft.tid, "cpu": ft.cpu,
+            "domain": ft.domain, "pages": ft.pages.tolist(),
+            "path": path(ft.path),
+        }
+
+    return json.dumps({
+        "format_version": 1,
+        "program": arc.program,
+        "machine_desc": arc.machine_desc,
+        "n_domains": arc.n_domains,
+        "mechanism_name": arc.mechanism_name,
+        "capabilities": asdict(arc.capabilities)
+        if arc.capabilities is not None else None,
+        "profiles": {
+            tid: {
+                "tid": p.tid, "cpu": p.cpu, "domain": p.domain,
+                "cct": cct(p.cct), "data_cct": cct(p.data_cct),
+                "vars": {name: var(r) for name, r in p.vars.items()},
+                "first_touches": [touch(ft) for ft in p.first_touches],
+                "counters": dict(p.counters),
+                "page_heat": {str(pg): row for pg, row in p.page_heat.items()},
+            }
+            for tid, p in arc.profiles.items()
+        },
+    })
+
+
+def _variant(arc, edit):
+    """A copy of ``arc`` whose profiles are ``edit(tid, profile)``."""
+    import copy
+    import dataclasses
+
+    out = copy.copy(arc)
+    out.profiles = {
+        tid: edit(tid, dataclasses.replace(p, vars=dict(p.vars),
+                                           first_touches=list(p.first_touches)))
+        for tid, p in arc.profiles.items()
+    }
+    return out
+
+
+class TestStreamedBytes:
+    def _check(self, arc, tmp_path):
+        text = save_archive(arc, tmp_path / "p.json").read_text()
+        assert text == _dict_form(arc)
+        return text
+
+    def test_no_first_touches(self, toy_archive, tmp_path):
+        _, _, arc = toy_archive
+
+        def edit(tid, p):
+            p.first_touches = []
+            return p
+
+        text = self._check(_variant(arc, edit), tmp_path)
+        assert '"first_touches": []' in text
+
+    def test_300k_page_record(self, toy_archive, tmp_path):
+        from repro.analysis.io import SLICE
+        from repro.profiler.profile_data import FirstTouchRecord
+
+        _, _, arc = toy_archive
+        ft0 = next(ft for p in arc.profiles.values() for ft in p.first_touches)
+        pages = np.arange(300_000, dtype=np.uint32) * 3 + 2**31
+        assert pages.size % SLICE
+
+        def edit(tid, p):
+            if tid == ft0.tid:
+                p.first_touches.append(FirstTouchRecord(
+                    ft0.var_name, tid, p.cpu, p.domain, pages, ft0.path,
+                ))
+            return p
+
+        arc = _variant(arc, edit)
+        self._check(arc, tmp_path)
+        loaded = load_archive(tmp_path / "p.json")
+        got = loaded.thread(ft0.tid).first_touches[-1].pages
+        assert np.array_equal(got, pages)
+
+    def test_non_ascii_variable_name(self, toy_archive, tmp_path):
+        import copy
+
+        _, _, arc = toy_archive
+        name = "température_Δt"
+
+        def edit(tid, p):
+            recs = {}
+            for key, rec in p.vars.items():
+                rec = copy.copy(rec)
+                rec.name = name if key == "a" else key
+                recs[rec.name] = rec
+            p.vars = recs
+            p.first_touches = [
+                copy.copy(ft) for ft in p.first_touches
+            ]
+            for ft in p.first_touches:
+                if ft.var_name == "a":
+                    ft.var_name = name
+            return p
+
+        arc = _variant(arc, edit)
+        text = self._check(arc, tmp_path)
+        assert name not in text and "\\u0394" in text
+        loaded = load_archive(tmp_path / "p.json")
+        assert name in loaded.thread(5).vars
+
+    def test_page_heat_over_several_slices(self, toy_archive, tmp_path):
+        from repro.analysis.io import SLICE
+
+        _, _, arc = toy_archive
+
+        def edit(tid, p):
+            p.page_heat = {
+                page: [1.0, 0.5 * page, float("inf") if page % 7 else 3.0, 2.0]
+                for page in range(tid, tid + 2 * SLICE + 5)
+            }
+            return p
+
+        self._check(_variant(arc, edit), tmp_path)

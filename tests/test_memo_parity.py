@@ -280,3 +280,57 @@ def test_tiny_budget_evicts_but_results_identical():
     assert stats["record_bytes"] <= stats["budget_bytes"] or (
         stats["records"] <= 1
     )
+
+
+def _peak_record_bytes(monkeypatch, workload, memo_bytes, profiler,
+                       charge_views=True):
+    """A serial memo run and the most record bytes it held at once."""
+    from repro.runtime.memo import IterationMemo
+
+    peak = [0]
+    charge = IterationMemo.charge
+
+    def tracked(self, rec, delta):
+        charge(self, rec, delta)
+        peak[0] = max(peak[0], self._rec_bytes)
+
+    with monkeypatch.context() as m:
+        m.setattr(IterationMemo, "charge", tracked)
+        if not charge_views:
+            m.setattr(IterationMemo, "charge_views", lambda *a: None)
+        result, archive, engine = _run_serial(
+            workload, memoize=True, memo_bytes=memo_bytes, profiler=profiler(),
+        )
+    return result, archive, engine, peak[0]
+
+
+@pytest.mark.parametrize("workload,mechanism,period", [
+    ("amg", "IBS", PERIOD),   # the profiler's interned rows
+    ("umt", "MRK", 1),        # plus the sampler's cached step events
+])
+def test_view_caches_are_charged_and_evict(monkeypatch, workload, mechanism,
+                                           period):
+    """Arrays consumers cache on ``views.memo`` count against the memo
+    budget: a budget that holds every record without them evicts with
+    them, and the results still equal the unbudgeted run."""
+    def profiler():
+        return NumaProfiler(create_mechanism(mechanism, period))
+
+    ref_result, ref_archive, _, _ = _peak_record_bytes(
+        monkeypatch, workload, None, profiler,
+    )
+    *_, uncharged = _peak_record_bytes(
+        monkeypatch, workload, 1 << 40, profiler, charge_views=False,
+    )
+    *_, charged = _peak_record_bytes(monkeypatch, workload, 1 << 40, profiler)
+    assert charged > uncharged
+    _, _, engine, _ = _peak_record_bytes(
+        monkeypatch, workload, uncharged, profiler, charge_views=False,
+    )
+    assert engine.memo.stats()["evictions"] == 0
+    result, archive, engine, _ = _peak_record_bytes(
+        monkeypatch, workload, uncharged, profiler,
+    )
+    assert engine.memo.stats()["evictions"] > 0
+    _assert_results_equal(ref_result, result)
+    _assert_archives_equal(ref_archive, archive)

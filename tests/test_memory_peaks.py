@@ -8,10 +8,13 @@ bounds it in bytes per event or per fetch:
   positions, rows or gathered copy, and its rate cap thins the kept
   samples holding at most two arrays of them at once;
 * a cold ``_latency_phase`` build holds one latency group at a time,
-  and a monitored one writes each group straight into one buffer.
+  and a monitored one writes each group straight into one buffer;
+* ``save_archive`` writes a first-touch record's pages a bounded slice
+  at a time, never a Python list of them.
 
-A selection that builds positions, or a build that keeps every group
-array (and concatenates them), exceeds these bounds.
+A selection that builds positions, a build that keeps every group
+array (and concatenates them), or a writer that encodes a profile's
+whole object tree at once, exceeds these bounds.
 """
 
 from __future__ import annotations
@@ -21,9 +24,14 @@ import types
 
 import numpy as np
 
+from repro.analysis.io import save_archive
 from repro.machine import presets
 from repro.machine.cache import LEVEL_DRAM
 from repro.machine.topology import DOMAIN_DTYPE
+from repro.profiler.profile_data import (
+    FirstTouchRecord, ProfileArchive, ThreadProfile,
+)
+from repro.runtime.callstack import SourceLoc
 from repro.runtime.engine import ExecutionEngine, _StepMem
 from repro.runtime.memo import (
     ClassifyVariant, IterationMemo, PureStep, StepRecord, StepViews,
@@ -34,6 +42,8 @@ from repro.sampling import MRK
 #: synthetic latency step (int64 indices and float64 latencies: 8 B each).
 N_EVENTS = 400_000
 N_FETCHES = 400_000
+#: First-touched pages of the synthetic archive's one large record.
+N_PAGES = 300_000
 
 
 def _peak_bytes(fn, *args):
@@ -164,3 +174,18 @@ def test_monitored_latency_build_fills_one_buffer():
     # The buffer itself plus one group, not the group arrays and their
     # concatenation (twice the buffer).
     assert peak < 1.5 * lv.lat_buf.nbytes
+
+
+def test_archive_write_holds_no_python_list_of_pages(tmp_path):
+    path = (SourceLoc("init", "lulesh.cc", 12),)
+    pages = np.arange(N_PAGES, dtype=np.uint32) * 3 + 2**20
+    profile = ThreadProfile(0, 0, 0)
+    profile.first_touches.append(FirstTouchRecord("x", 0, 0, 0, pages, path))
+    archive = ProfileArchive("p", "m", 2, "IBS", None, {0: profile})
+    _, peak = _peak_bytes(save_archive, archive, tmp_path / "p.json")
+    assert (tmp_path / "p.json").stat().st_size > 8 * N_PAGES
+    # A Python int per page is 36 B with its list slot, before the
+    # encoder's string per page (57 B/page in all when the record was
+    # encoded whole); one slice's ints and strings hold about 250 kB
+    # whatever the record's length.
+    assert peak < 2 * N_PAGES
