@@ -24,8 +24,13 @@ stdout goes to stderr):
   each engine run, the profiler's flush, the merge and the registry
   record; time outside them is ``start-up`` or ``after <phase>``.
   The heap peak and the RSS high-water can sit in different phases.
-  Both fields are ``null`` where ``/proc/self/status`` is unreadable
-  (off Linux).
+* ``rss_startup`` and ``rss_at_peak``: the resident set split into
+  ``anon_mb`` (``RssAnon``: heap and arrays) and ``file_mb``
+  (``RssFile``: mapped files, such as OpenSSL's ``libcrypto`` once
+  ``hashlib`` is imported), read as start-up ends (when the first
+  phase opens) and at the phase boundary where ``VmHWM`` last rose.
+  These fields and the two above are ``null`` where
+  ``/proc/self/status`` is unreadable (off Linux).
 
 Usage (from the repository root)::
 
@@ -78,16 +83,34 @@ PHASES = {
 STATUS = Path("/proc/self/status")
 
 
-def _hwm_mb() -> float | None:
-    """The process's resident high-water mark (``VmHWM``), or None."""
+def _status_mb(*keys: str) -> list[float] | None:
+    """The ``/proc/self/status`` fields ``keys`` in MB, or None."""
     try:
         text = STATUS.read_text()
     except OSError:
         return None
+    found = {}
     for line in text.splitlines():
-        if line.startswith("VmHWM:"):
-            return int(line.split()[1]) / 1024
-    return None
+        key, _, value = line.partition(":")
+        if key in keys:
+            found[key] = int(value.split()[0]) / 1024
+    if len(found) < len(keys):
+        return None
+    return [found[k] for k in keys]
+
+
+def _hwm_mb() -> float | None:
+    """The process's resident high-water mark (``VmHWM``), or None."""
+    got = _status_mb("VmHWM")
+    return None if got is None else got[0]
+
+
+def _rss_split_mb() -> dict | None:
+    """Resident memory now, split into anonymous pages (``RssAnon``:
+    heap and arrays) and file pages (``RssFile``: mapped libraries such
+    as OpenSSL's ``libcrypto``), or None."""
+    got = _status_mb("RssAnon", "RssFile")
+    return None if got is None else {"anon_mb": got[0], "file_mb": got[1]}
 
 
 def _phase(frame) -> str | None:
@@ -102,7 +125,9 @@ def _phase(frame) -> str | None:
 
 
 class _RssPhases:
-    """``VmHWM`` at each phase boundary, and where it rose."""
+    """``VmHWM`` at each phase boundary, and where it rose; the
+    ``RssAnon``/``RssFile`` split as start-up ends and where ``VmHWM``
+    last rose."""
 
     def __init__(self) -> None:
         self.open: list[tuple[object, str]] = []
@@ -110,6 +135,8 @@ class _RssPhases:
         self.runs = 0
         self.hwm = _hwm_mb()
         self.rises: list[dict] = []
+        self.startup: dict | None = None
+        self.at_peak: dict | None = None
 
     def _label(self) -> str:
         """The phase now running."""
@@ -120,12 +147,15 @@ class _RssPhases:
     def _read(self, label: str) -> None:
         """Close the segment ``label`` at the current ``VmHWM``."""
         hwm = _hwm_mb()
+        if label == "start-up":
+            self.startup = _rss_split_mb()
         if hwm is not None and hwm > self.hwm:
             if self.rises and self.rises[-1]["phase"] == label:
                 self.rises[-1]["hwm_mb"] = hwm
             else:
                 self.rises.append({"phase": label, "hwm_mb": hwm})
             self.hwm = hwm
+            self.at_peak = _rss_split_mb()
 
     def event(self, frame, event: str) -> None:
         if event == "call":
@@ -149,6 +179,8 @@ class _RssPhases:
             "rss_hwm_mb": self.hwm,
             "rss_peak_phase": self.rises[-1]["phase"] if self.rises else None,
             "rss_phases": self.rises,
+            "rss_startup": self.startup,
+            "rss_at_peak": self.at_peak,
         }
 
 
@@ -225,7 +257,10 @@ def rss_phases(argv: list[str]) -> dict:
     Untraced, so ``VmHWM`` is the command's own: tracemalloc's
     bookkeeping would add tens of MB that grow with the live objects.
     """
-    none = {"rss_hwm_mb": None, "rss_peak_phase": None, "rss_phases": None}
+    none = {
+        "rss_hwm_mb": None, "rss_peak_phase": None, "rss_phases": None,
+        "rss_startup": None, "rss_at_peak": None,
+    }
     if _hwm_mb() is None or not hasattr(os, "fork"):
         return none
     read, write = os.pipe()

@@ -15,7 +15,12 @@ stderr):
   the methods Python generated for them through ``exec`` at import;
 * ``totals.threads``: the process's OS thread count after the run, from
   ``/proc/self/status`` (``null`` off Linux). ``import repro`` asks
-  OpenBLAS for one thread, so a run reports 1.
+  OpenBLAS for one thread, so a run reports 1;
+* ``totals.openssl``: whether ``_hashlib`` is loaded, which maps
+  OpenSSL's ``libcrypto`` (about 3.5 MB resident). ``repro`` hashes
+  with CPython's builtin SHA-256 and BLAKE2b modules; ``numpy.random``
+  loads it (``secrets`` -> ``hmac`` -> ``hashlib``), so runs that draw
+  IBS or PEBS jitter report true.
 
 Usage (from the repository root)::
 
@@ -148,6 +153,7 @@ def inventory(called: set[tuple[str, int]]) -> dict:
                 len(c["generated"]) for v in dcs.values() for c in v
             ),
             "threads": os_threads(),
+            "openssl": "_hashlib" in sys.modules,
         },
         "uncalled": uncalled,
         "dataclasses": dcs,

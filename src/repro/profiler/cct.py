@@ -53,10 +53,14 @@ class CCTNode:
         return tuple(reversed(frames))
 
     def walk(self) -> Iterator["CCTNode"]:
-        """Pre-order traversal of this subtree."""
-        yield self
-        for child in self.children.values():
-            yield from child.walk()
+        """Pre-order traversal of this subtree, children in insertion
+        order. An explicit stack yields each node once, not once per
+        ancestor as nested generators would."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children.values()))
 
     def subtree_metric(self, metric: str) -> float:
         """Sum of ``metric`` over this subtree (exclusive values summed)."""

@@ -12,12 +12,12 @@ list`` stays cheap — it reads only manifests.
 from __future__ import annotations
 
 import datetime
-import hashlib
 import json
 import os
 import subprocess
 from pathlib import Path
 
+from repro._hashing import sha256
 from repro.analysis.io import save_archive
 from repro.errors import NumaProfError
 
@@ -80,7 +80,7 @@ def content_id(manifest: dict) -> str:
         k: v for k, v in manifest.items() if k not in ("id", "created")
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:ID_LENGTH]
+    return sha256(blob.encode()).hexdigest()[:ID_LENGTH]
 
 
 def build_manifest(

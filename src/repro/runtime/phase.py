@@ -93,10 +93,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from hashlib import blake2b
 
 import numpy as np
 
+from repro._hashing import blake2b
 from repro.runtime.driver import DEFAULT_DISARM_AFTER, INT_FIELDS
 
 

@@ -56,7 +56,9 @@ class StepSampleBatch:
     ----------
     indices:
         Chunk-local sampled access indices, concatenated in step (view)
-        order.
+        order. Event mechanisms return them at
+        :func:`event_index_dtype`'s width, so consumers index with them
+        or widen them to int64 before any arithmetic.
     counts / starts:
         Samples per chunk and the prefix offsets of each chunk's slice of
         ``indices`` (``starts`` has ``n_chunks + 1`` entries).
@@ -114,6 +116,14 @@ def _starts_from_counts(counts: np.ndarray) -> np.ndarray:
     starts = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     return starts
+
+
+def event_index_dtype(n_acc) -> type:
+    """The dtype of a step's chunk-local event indices: int32 when every
+    chunk has fewer than 2**31 accesses (``n_acc``, one count per
+    chunk), else int64. Consumers widen to int64 before an index takes
+    part in any address or ordinal arithmetic."""
+    return np.int32 if np.max(n_acc, initial=0) < 2**31 else np.int64
 
 
 def periodic_positions_step(
@@ -368,6 +378,7 @@ class EventSamplingMechanism(SamplingMechanism):
         retained step hands back the same :class:`StepViews` on later
         iterations, which then reuse them. At period 1 the events and
         counts are the step's selection itself, so they are read-only.
+        The indices are held at :func:`event_index_dtype`'s width.
         """
         memo = getattr(views, "memo", None)
         capped = self._capped()
@@ -377,7 +388,12 @@ class EventSamplingMechanism(SamplingMechanism):
             return got
         events = [self._view_events(v) for v in views]
         ev_counts = np.fromiter((e.size for e in events), np.int64, len(events))
-        events_cat = np.concatenate(events)
+        n_acc = getattr(views, "n_acc", None)
+        if n_acc is None:
+            n_acc = [v.chunk.n_accesses for v in views]
+        events_cat = np.concatenate(
+            events, dtype=event_index_dtype(n_acc), casting="same_kind"
+        )
         del events
         events_cat.flags.writeable = ev_counts.flags.writeable = False
         lat_totals = None

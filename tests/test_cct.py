@@ -1,5 +1,7 @@
 """Calling context trees: construction, attribution, traversal."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +73,34 @@ class TestTraversal:
         frames = [n.frame.func for n in cct.root.walk()]
         assert frames[0] == "main"
         assert set(frames) == {"main", "f", "g", "h"}
+
+    def test_walk_matches_recursive_preorder_on_deep_wide_tree(self):
+        """The explicit-stack walk visits nodes in the recursive
+        pre-order, so ``subtree_metric`` sums the same floats in the
+        same order."""
+
+        def recursive(node):
+            yield node
+            for child in node.children.values():
+                yield from recursive(child)
+
+        rng = random.Random(3)
+        cct = CCT()
+        locs = [SourceLoc(f"f{i}", "t.c", i) for i in range(12)]
+        for _ in range(400):
+            # Paths up to 60 frames deep over a 12-frame alphabet: wide
+            # near the root, a few long chains below.
+            depth = rng.choice((1, 2, 3, 5, 60))
+            path = (MAIN,) + tuple(rng.choice(locs) for _ in range(depth))
+            cct.attribute(path, {"M": rng.uniform(0.1, 1e6)})
+        ref = list(recursive(cct.root))
+        assert len(ref) > 2000
+        got = list(cct.root.walk())
+        assert [id(n) for n in got] == [id(n) for n in ref]
+        for node in ref[::97]:
+            want = sum(n.metrics.get("M", 0.0) for n in recursive(node))
+            assert node.subtree_metric("M") == want
+        assert cct.total("M") == sum(n.metrics.get("M", 0.0) for n in ref)
 
     def test_n_nodes(self):
         cct = CCT()

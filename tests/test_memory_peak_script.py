@@ -2,7 +2,8 @@
 
 The script reads ``VmHWM`` at each top-level phase boundary (workload
 build, engine runs, flush, merge, registry record) of an untraced run
-and reports every phase in which the mark rose.
+and reports every phase in which the mark rose, with the anonymous and
+file-backed resident set as start-up ends and where the mark last rose.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ def mp():
 def test_rises_are_charged_to_the_phase_running(mp, monkeypatch):
     hwm = iter([30.0, 31.0, 31.0, 32.0, 40.0, 41.0, 41.0, 41.0, 45.0, 45.0])
     monkeypatch.setattr(mp, "_hwm_mb", lambda: next(hwm))
+    # The split is read as start-up ends and at every rise.
+    reads = iter(range(1, 100))
+    monkeypatch.setattr(mp, "_rss_split_mb", lambda: {
+        "anon_mb": float(next(reads)), "file_mb": 9.0,
+    })
     monkeypatch.setattr(mp, "_phase", lambda frame: frame.phase)
     build, run, flush, record = (
         types.SimpleNamespace(phase=p)
@@ -55,6 +61,31 @@ def test_rises_are_charged_to_the_phase_running(mp, monkeypatch):
             {"phase": "flush", "hwm_mb": 41.0},
             {"phase": "record", "hwm_mb": 45.0},
         ],
+        # Read 1 ends start-up; reads 2-6 follow the five rises.
+        "rss_startup": {"anon_mb": 1.0, "file_mb": 9.0},
+        "rss_at_peak": {"anon_mb": 6.0, "file_mb": 9.0},
+    }
+
+
+def test_status_fields_are_parsed_and_null_when_unreadable(
+    mp, monkeypatch, tmp_path
+):
+    status = tmp_path / "status"
+    status.write_text(
+        "Name:\tpython\nVmHWM:\t  51200 kB\nRssAnon:\t   20480 kB\n"
+        "RssFile:\t   15360 kB\nRssShmem:\t       0 kB\n"
+    )
+    monkeypatch.setattr(mp, "STATUS", status)
+    assert mp._hwm_mb() == 50.0
+    assert mp._rss_split_mb() == {"anon_mb": 20.0, "file_mb": 15.0}
+    status.write_text("Name:\tpython\nVmHWM:\t  51200 kB\n")
+    assert mp._rss_split_mb() is None
+    monkeypatch.setattr(mp, "STATUS", tmp_path / "missing")
+    assert mp._hwm_mb() is None and mp._rss_split_mb() is None
+    phases = mp._RssPhases()
+    assert phases.report() == {
+        "rss_hwm_mb": None, "rss_peak_phase": None, "rss_phases": [],
+        "rss_startup": None, "rss_at_peak": None,
     }
 
 
@@ -108,4 +139,10 @@ def test_untraced_run_reports_its_phases(tmp_path):
     assert got["rss_hwm_mb"] == marks[-1]
     # The monitored run alone raises the mark by several MB.
     assert any(r["phase"].startswith("engine run") for r in rises)
+    # The resident set at start-up holds the interpreter's and numpy's
+    # mapped files; anonymous memory grows into the run.
+    start, peak = got["rss_startup"], got["rss_at_peak"]
+    assert start["anon_mb"] > 0 and start["file_mb"] > 0
+    assert peak["anon_mb"] > start["anon_mb"]
+    assert peak["anon_mb"] + peak["file_mb"] <= got["rss_hwm_mb"] + 1.0
     assert (tmp_path / "runs").is_dir()

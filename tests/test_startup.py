@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -104,8 +105,9 @@ def test_pipeline_run_loads_only_what_it_executes(tmp_path):
     # Recording the run writes the registry; nothing reads it back.
     stray = [m for m in (*COLD, *READERS, *unnamed) if _loaded(modules, m)]
     assert stray == []
-    # Extrapolation is off: the phase layer stays unloaded. (``hashlib``
-    # loads anyway: ``numpy.random`` imports it.)
+    # Extrapolation is off: the phase layer stays unloaded. (OpenSSL's
+    # ``_hashlib`` loads anyway: IBS jitter imports ``numpy.random``,
+    # whose ``secrets`` imports ``hmac``, which imports ``hashlib``.)
     assert "repro.runtime.phase" not in modules
 
 
@@ -119,6 +121,35 @@ def test_mrk_run_loads_no_instruction_sampling(tmp_path):
     stray = [m for m in ("repro.sampling.instruction", "repro.sampling.ibs",
                          *READERS) if m in modules]
     assert stray == []
+    # The run id is a SHA-256 from CPython's builtin module: no OpenSSL.
+    assert (tmp_path / "runs").is_dir()
+    assert "_hashlib" not in modules and "hashlib" not in modules
+
+
+def test_extrapolated_mrk_run_loads_no_openssl(tmp_path):
+    """The phase layer's BLAKE2b digests come from the builtin module
+    too, so neither hash site of an MRK run maps ``libcrypto``."""
+    modules = _modules_after(
+        "from repro.__main__ import main\n"
+        "main(['umt', '--extrapolate', '--scale', '0.05', '--quiet',"
+        " '--runs-dir', 'runs'])\n",
+        tmp_path,
+    )
+    assert {"repro.sampling.mrk", "repro.registry.store",
+            "repro.runtime.phase"} <= modules
+    assert any((tmp_path / "runs").iterdir())
+    assert "_hashlib" not in modules and "hashlib" not in modules
+
+
+def test_inventory_reports_whether_openssl_is_loaded():
+    spec = importlib.util.spec_from_file_location(
+        "startup_inventory", ROOT / "scripts" / "startup_inventory.py"
+    )
+    inv = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inv)
+    assert inv.inventory(set())["totals"]["openssl"] is (
+        "_hashlib" in sys.modules
+    )
 
 
 def test_oracles_are_not_in_production():
