@@ -18,9 +18,9 @@ stderr):
   OpenBLAS for one thread, so a run reports 1;
 * ``totals.openssl``: whether ``_hashlib`` is loaded, which maps
   OpenSSL's ``libcrypto`` (about 3.5 MB resident). ``repro`` hashes
-  with CPython's builtin SHA-256 and BLAKE2b modules; ``numpy.random``
-  loads it (``secrets`` -> ``hmac`` -> ``hashlib``), so runs that draw
-  IBS or PEBS jitter report true.
+  with CPython's builtin SHA-256 and BLAKE2b modules and imports
+  ``numpy.random`` past its ``secrets`` -> ``hmac`` -> ``hashlib``
+  chain (``repro._hashing``), so every run reports false.
 
 Usage (from the repository root)::
 

@@ -102,7 +102,12 @@ class ProgramContext:
 
     def rng(self, tid: int, salt: int = 0) -> np.random.Generator:
         """Deterministic per-thread random stream."""
-        return np.random.default_rng((self.seed, tid, salt))
+        # Imported on first use: loading ``_hashing`` at module import
+        # shifts the heap layout of runs that draw no stream, and raised
+        # umt's RSS peak by 0.5 MB.
+        from repro._hashing import numpy_random
+
+        return numpy_random().default_rng((self.seed, tid, salt))
 
     def partition(self, n_items: int, tid: int) -> tuple[int, int]:
         """Contiguous block partition of ``n_items`` across threads.

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro._hashing import numpy_random
 from repro.sampling.base import periodic_positions_step
 
 #: Jitter values a thread draws from its stream per ``integers`` call
@@ -119,8 +120,9 @@ class InstructionSamplingMixin:
         if rng is None:
             # spawn_key=(tid,) is bit-identical to the tid-th child of
             # SeedSequence(seed).spawn(...) but needs no up-front count.
-            rng = np.random.default_rng(
-                np.random.SeedSequence(self._seed, spawn_key=(tid,))
+            random = numpy_random()
+            rng = random.default_rng(
+                random.SeedSequence(self._seed, spawn_key=(tid,))
             )
             self._rngs[tid] = rng
         return rng

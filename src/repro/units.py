@@ -72,17 +72,32 @@ def fast_unique(values: np.ndarray) -> np.ndarray:
 def first_occurrence_mask(values: np.ndarray) -> np.ndarray:
     """Boolean mask of each value's first occurrence, in order.
 
-    O(n) for sorted inputs; falls back to ``np.unique`` otherwise.
+    O(n) for sorted inputs, and for unsorted integers spanning at most
+    ``4 * n`` values (a scatter of each value's least index); falls back
+    to ``np.unique`` otherwise.
     """
     values = np.asarray(values)
     mask = np.zeros(values.shape, dtype=bool)
     if values.size == 0:
         return mask
-    deltas = np.diff(values)
-    if np.all(deltas >= 0):
+    # Compare neighbours rather than take ``np.diff``: an unsigned diff
+    # wraps, so it never reads as descending.
+    if np.all(values[1:] >= values[:-1]):
         mask[0] = True
-        mask[1:] = deltas > 0
+        mask[1:] = values[1:] != values[:-1]
         return mask
+    n = values.size
+    if values.dtype.kind in "iu":
+        lo = values.min()
+        span = int(values.max()) - int(lo) + 1
+        if span <= 4 * n:
+            # Narrow types would wrap below: the span may exceed their range.
+            key = values.astype(np.int64) if values.itemsize < 8 else values
+            key = key - lo
+            order = np.arange(n)
+            first = np.full(span, n)
+            np.minimum.at(first, key, order)
+            return first[key] == order
     _, first_idx = np.unique(values, return_index=True)
     mask[first_idx] = True
     return mask

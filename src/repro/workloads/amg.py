@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._hashing import numpy_random
 from repro.optim.policies import NumaTuning
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import compute_chunk, indexed_chunk, sweep_chunk
@@ -105,7 +106,7 @@ class AMG2006(WorkloadBase):
         whole-program per-thread ranges non-monotone (Fig. 4's irregular
         picture) while each region's own pattern stays structured.
         """
-        perm = np.random.default_rng(ctx.seed + 7).permutation(ctx.n_threads)
+        perm = numpy_random().default_rng(ctx.seed + 7).permutation(ctx.n_threads)
         owner = int(perm[tid])
         bounds = np.linspace(0, n_items, ctx.n_threads + 1).astype(np.int64)
         return int(bounds[owner]), int(bounds[owner + 1])

@@ -105,10 +105,24 @@ def test_pipeline_run_loads_only_what_it_executes(tmp_path):
     # Recording the run writes the registry; nothing reads it back.
     stray = [m for m in (*COLD, *READERS, *unnamed) if _loaded(modules, m)]
     assert stray == []
-    # Extrapolation is off: the phase layer stays unloaded. (OpenSSL's
-    # ``_hashlib`` loads anyway: IBS jitter imports ``numpy.random``,
-    # whose ``secrets`` imports ``hmac``, which imports ``hashlib``.)
+    # Extrapolation is off: the phase layer stays unloaded.
     assert "repro.runtime.phase" not in modules
+    # IBS jitter draws from ``numpy.random``, imported past its
+    # ``secrets`` -> ``hmac`` -> ``hashlib`` chain: no OpenSSL.
+    assert "numpy.random" in modules
+    assert not {"_hashlib", "hashlib", "hmac"} & modules
+
+
+def test_amg_run_loads_no_openssl(tmp_path):
+    """amg draws its block permutation and per-thread streams from
+    ``numpy.random`` as well as IBS jitter."""
+    modules = _modules_after(
+        "from repro.__main__ import main\n"
+        "main(['amg', '--scale', '0.05', '--no-save', '--quiet'])\n",
+        tmp_path,
+    )
+    assert {"numpy.random", "repro.workloads.amg"} <= modules
+    assert not {"_hashlib", "hashlib", "hmac"} & modules
 
 
 def test_mrk_run_loads_no_instruction_sampling(tmp_path):

@@ -145,3 +145,42 @@ def test_first_occurrence_mask_property():
             assert a[i] not in a[:i]
 
     check()
+
+
+def test_first_occurrence_mask_equals_np_unique_property():
+    """Both paths for unsorted keys (the scatter over dense spans,
+    ``np.unique`` over sparse ones) and the sorted path mark exactly
+    ``np.unique``'s first indices."""
+    from hypothesis import given, settings, strategies as st
+
+    from repro.units import first_occurrence_mask
+
+    def unique_mask(a):
+        mask = np.zeros(a.size, dtype=bool)
+        mask[np.unique(a, return_index=True)[1]] = True
+        return mask
+
+    keys = st.one_of(
+        st.lists(st.integers(0, 40), max_size=200),  # dense
+        st.lists(st.integers(-60, -20), max_size=200),  # dense, negative
+        st.lists(st.integers(-(2**62), 2**62), max_size=50),  # sparse
+        st.lists(st.sampled_from([2**40 + 3, 0]), max_size=60),
+        st.integers(-(2**62), 2**62).flatmap(
+            lambda v: st.lists(st.just(v), max_size=30)  # one value
+        ),
+        st.lists(st.integers(-5, 5), max_size=1),  # length 0 and 1
+    )
+
+    @given(keys, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def check(values, ordered):
+        a = np.array(sorted(values) if ordered else values, dtype=np.int64)
+        np.testing.assert_array_equal(first_occurrence_mask(a), unique_mask(a))
+
+    check()
+    # Each side of the 4 * n span bound, and unsigned and narrow keys.
+    for a in (np.array([0, 8, 0]), np.array([0, 12, 0, 5]),
+              np.array([0, 13, 0, 5]), np.array([200, 7, 200], np.uint8),
+              np.array([127, -128, 127], np.int8),
+              np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], np.uint64)):
+        np.testing.assert_array_equal(first_occurrence_mask(a), unique_mask(a))
