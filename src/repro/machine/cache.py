@@ -202,42 +202,6 @@ class CacheHierarchy:
         self._pos[cpus] = self._last[slots] = pos + footprints
         return levels
 
-    def phase_snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copy of the raw streaming state (phase-recording baseline)."""
-        return self._pos.copy(), self._last.copy()
-
-    def phase_delta(self, snapshot: tuple) -> tuple[dict, np.ndarray]:
-        """How one iteration moved the state: per-CPU stream advances
-        ``{cpu: bytes}`` and the slots it touched. Both are
-        iteration-invariant for a steady (identical-trace) iteration,
-        which makes :meth:`phase_advance` exact."""
-        snap_pos, snap_last = snapshot
-        adv = self._pos.copy()
-        adv[: snap_pos.size] -= snap_pos
-        was = np.full(self._last.size, _NEVER)  # new slots: unvisited
-        was[: snap_last.size] = snap_last
-        return (
-            {int(c): int(adv[c]) for c in np.flatnonzero(adv)},
-            np.flatnonzero(self._last != was),
-        )
-
-    def phase_advance(self, delta: tuple, n: int) -> None:
-        """Fast-forward the state by ``n`` steady iterations, exactly.
-
-        A steady iteration advances each CPU's stream position by a
-        constant and re-visits the same key set at fixed offsets from
-        the stream head, so after ``n`` skipped iterations the exact
-        run's state is: positions advanced ``n`` deltas, touched keys'
-        last-visit markers riding along, untouched keys unchanged
-        (their reuse distances grow by exactly the stream advance).
-        """
-        delta_pos, touched = delta
-        adv = np.zeros(self._pos.size, dtype=np.int64)
-        adv[list(delta_pos)] = list(delta_pos.values())
-        adv *= n
-        self._pos += adv
-        self._last[touched] += adv[self._slot_cpu[touched]]
-
     def level_counts(self, levels: np.ndarray) -> dict[str, int]:
         """Histogram of service levels, keyed by level name."""
         counts = np.bincount(levels, minlength=4)

@@ -73,24 +73,22 @@ class LatencyModel:
 
     def _demand_latency(
         self,
-        target_domains: np.ndarray,
         accessor_domain: int,
         topology: NumaTopology,
         inflation: np.ndarray,
     ) -> np.ndarray:
-        """Full (exposed) DRAM latency per access given page placement.
+        """Full (exposed) DRAM latency per *target domain*.
 
-        The latency depends on the access only through its target
-        domain, so it is computed once per domain and gathered: the
-        same float operations per element, without access-sized
-        temporaries.
+        A fetch's latency depends on it only through its target domain,
+        so it is computed once per domain and gathered: the same float
+        operations per element, without access-sized temporaries.
         """
         dist = topology.distances[accessor_domain]
         local = np.arange(topology.n_domains) == accessor_domain
         base = np.where(local, self.dram_local, self.dram_remote)
         hops = np.maximum(dist - 10, 0) / 10.0  # SLIT units above local
         base = base + hops * self.hop_cost * 10.0
-        return (base * np.asarray(inflation))[np.asarray(target_domains)]
+        return base * np.asarray(inflation)
 
     def dram_fetch_latencies(
         self,
@@ -109,17 +107,15 @@ class LatencyModel:
         hop cost) times the domain's contention inflation. In a
         sequential (prefetchable) stream only the fetches crossing the
         next exposure quantum expose it — the k-th fetch is exposed
-        when its index crosses a multiple of ``1 / exposure`` — and the
-        rest cost ``prefetched_latency``. Cache-level accesses cost the
-        level's fixed latency and never reach here.
+        when ``floor((k + 1) * e) > floor(k * e)`` for its exposure
+        ``e`` — and the rest cost ``prefetched_latency``. Cache-level
+        accesses cost the level's fixed latency and never reach here.
         """
-        demand = self._demand_latency(
-            target_domains, accessor_domain, topology, inflation
-        )
-        if not sequential:
-            return demand
         tgt = np.asarray(target_domains)
-        # Per target domain, then gathered (as in _demand_latency).
+        demand = self._demand_latency(accessor_domain, topology, inflation)
+        if not sequential:
+            return demand[tgt]
+        # Per target domain, then gathered (as the demand latency).
         local = np.arange(topology.n_domains) == accessor_domain
         remote_scale = np.where(local, 1.0, self.remote_exposure_factor)
         stream_scale = self.interleave_stream_penalty if interleaved else 1.0
@@ -130,9 +126,20 @@ class LatencyModel:
             * remote_scale
             * stream_scale,
         )[tgt]
-        idx = np.arange(tgt.size, dtype=np.float64)
-        exposed = np.floor((idx + 1) * exposure) > np.floor(idx * exposure)
-        return np.where(exposed, demand, self.prefetched_latency)
+        # Three fetch-sized float arrays at most: floor(k * e), then
+        # floor((k + 1) * e) built in ``exposure``, then the output in
+        # the first one's buffer.
+        n = tgt.size
+        lat = np.arange(n, dtype=np.float64)
+        lat *= exposure
+        np.floor(lat, out=lat)
+        exposure *= np.arange(1, n + 1, dtype=np.float64)
+        np.floor(exposure, out=exposure)
+        exposed = exposure > lat
+        del exposure
+        lat.fill(self.prefetched_latency)
+        lat[exposed] = demand[tgt[exposed]]
+        return lat
 
     @property
     def demand_min_latency(self) -> float:

@@ -90,11 +90,7 @@ def _finish_iteration(engine, inflation: np.ndarray) -> dict:
 
 def _extrapolate_iterations(engine, region_idx, n_skip, release,
                             mode) -> dict:
-    from repro.runtime.phase import extrapolate_iterations
-
-    payload = extrapolate_iterations(
-        engine, region_idx, n_skip, release, mode
-    )
+    payload = engine._phase.extrapolate(region_idx, n_skip, release, mode)
     _WORKER["totals"]["skipped"] += n_skip
     _sample(payload["ints"], obs.FLAG_EXTRAPOLATED,
             engine._regions[region_idx].name, -1)

@@ -108,10 +108,9 @@ class NumaProfiler(Monitor):
         self._engine: ExecutionEngine | None = None
         self._heat: dict[int, dict[int, list[float]]] = {}
         self._page_size = 0
-        #: Live accumulation-op recording (phase extrapolation); None
-        #: when not recording. See :meth:`phase_record_begin`.
+        #: The accumulation ops of an iteration the phase layer records
+        #: (see :mod:`repro.profiler.phase`); None when not recording.
         self._phase_ops: list | None = None
-        self._phase_t0 = (0, 0)
 
     # ------------------------------------------------------------------ #
     # Monitor hooks
@@ -534,180 +533,6 @@ class NumaProfiler(Monitor):
                 ]
             self.archive.profiles[tid].page_heat = out
         self._heat = {}
-
-    # ------------------------------------------------------------------ #
-    # Phase-extrapolation protocol (repro.runtime.phase)
-    # ------------------------------------------------------------------ #
-
-    def phase_supported(self) -> bool:
-        """Deferred accumulation can record/replay deltas.
-
-        The heatmap path accumulates into per-(tid, page) dicts that the
-        recorder does not capture, so it opts out.
-        """
-        return not self.heatmap
-
-    def phase_digest(self):
-        """Mutable state affecting future selections: the mechanism's."""
-        return self.mechanism.state_digest()
-
-    def phase_record_begin(self) -> None:
-        """Start recording this iteration's accumulation operations."""
-        self._phase_ops = []
-        self._phase_t0 = (
-            self.mechanism.total_samples, self.mechanism.total_events
-        )
-
-    def phase_record_end(self):
-        """Stop recording; return the replayable delta program.
-
-        The program is ``(ops, d_samples, d_events)`` — exactly what
-        :meth:`phase_replay` re-applies per extrapolated iteration.
-        """
-        ops = self._phase_ops
-        self._phase_ops = None
-        t0 = self._phase_t0
-        return (
-            ops,
-            self.mechanism.total_samples - t0[0],
-            self.mechanism.total_events - t0[1],
-        )
-
-    def phase_replay(self, prog, n: int) -> None:
-        """Re-apply one recorded iteration's accumulation ``n`` times.
-
-        This is the exact (ε = 0) path: the identical numpy operations
-        on the identical operand arrays in the identical order the live
-        iteration performed, so the accumulated floats are bit-identical
-        to having simulated the skipped iterations.
-        """
-        ops, d_samples, d_events = prog
-        ctr = self._ctr
-        for _ in range(n):
-            for op in ops:
-                tag = op[0]
-                if tag == "ctr":
-                    ctr[op[1]] += op[2]
-                elif tag == "code_u":
-                    data = self._code_tab.data
-                    rows_u = op[1]
-                    data[rows_u, 0] += op[2]
-                    data[rows_u, 1] += op[3]
-                    if op[4] is not None:
-                        data[rows_u, 7] += op[4]
-                else:  # "samples"
-                    (_, crows_a, vrows_a, drows_a, M,
-                     cnt, match, mis, lat_b, lat_rb) = op
-                    np.add.at(self._code_tab.data, crows_a, M)
-                    np.add.at(self._var_tab.data, vrows_a, M)
-                    np.add.at(self._data_tab.data, drows_a, M)
-                    btab = self._bin_tab.data
-                    nb = cnt.shape[0]
-                    btab[:nb, 0] += cnt
-                    btab[:nb, 1] += match
-                    btab[:nb, 2] += mis
-                    if lat_b is not None:
-                        btab[:nb, 3] += lat_b
-                        btab[:nb, 4] += lat_rb
-        self.mechanism.total_samples += d_samples * n
-        self.mechanism.total_events += d_events * n
-
-    def phase_snapshot(self):
-        """Accumulator snapshot for ε-mode per-iteration deltas."""
-        return {
-            "code": self._code_tab.snapshot(),
-            "var": self._var_tab.snapshot(),
-            "data": self._data_tab.snapshot(),
-            "bin": self._bin_tab.snapshot(),
-            "ctr": self._ctr.copy(),
-            "totals": (
-                self.mechanism.total_samples, self.mechanism.total_events
-            ),
-            "rows": (
-                self._code_tab.n_rows, self._var_tab.n_rows,
-                self._data_tab.n_rows, self._bin_tab.n_rows,
-                self._mm.n_rows,
-            ),
-        }
-
-    def phase_delta(self, snapshot):
-        """Delta since ``snapshot``.
-
-        The accumulator tables are append-only with stable row indices,
-        so a row interned *after* the snapshot simply deltas from zero —
-        sparse sampling that keeps discovering new (path, var, bin) rows
-        mid-window does not restart ε detection.
-        """
-        def delta(tab, snap):
-            cur = tab.data[: tab.n_rows]
-            if snap.shape[0] == cur.shape[0]:
-                return cur - snap
-            out = cur.copy()
-            out[: snap.shape[0]] -= snap
-            return out
-
-        t0 = snapshot["totals"]
-        return {
-            "code": delta(self._code_tab, snapshot["code"]),
-            "var": delta(self._var_tab, snapshot["var"]),
-            "data": delta(self._data_tab, snapshot["data"]),
-            "bin": delta(self._bin_tab, snapshot["bin"]),
-            "ctr": self._ctr - snapshot["ctr"],
-            "samples": self.mechanism.total_samples - t0[0],
-            "events": self.mechanism.total_events - t0[1],
-        }
-
-    def extrapolate_flush(self, deltas: list, n: int) -> float:
-        """ε-mode extrapolation: scale the window-mean deltas onto the
-        deferred accumulators (multiply instead of re-scatter).
-
-        Returns the observed relative half-spread across the window (the
-        declared ε contribution). [min, max] address ranges are left at
-        their simulated-window values — see MODEL.md for the contract.
-        """
-        from repro.runtime.phase import relative_spread
-
-        w = len(deltas)
-        eps = 0.0
-
-        def padded(arrs):
-            # Window entries may predate rows interned later in the
-            # window; a missing row's delta was exactly zero then.
-            rows = max(a.shape[0] for a in arrs)
-            out = []
-            for a in arrs:
-                if a.shape[0] < rows:
-                    b = np.zeros((rows, a.shape[1]), dtype=a.dtype)
-                    b[: a.shape[0]] = a
-                    a = b
-                out.append(a)
-            return out
-
-        for key, tab in (
-            ("code", self._code_tab), ("var", self._var_tab),
-            ("data", self._data_tab), ("bin", self._bin_tab),
-        ):
-            aligned = padded([d[key] for d in deltas])
-            mean = aligned[0].copy()
-            for d in aligned[1:]:
-                mean += d
-            mean /= w
-            tab.scale_rows(mean, float(n))
-            for j in range(mean.shape[1]):
-                eps = max(eps, relative_spread(
-                    [float(d[key][:, j].sum()) for d in deltas]
-                ))
-        ctr_mean = deltas[0]["ctr"].copy()
-        for d in deltas[1:]:
-            ctr_mean += d["ctr"]
-        ctr_mean /= w
-        self._ctr += ctr_mean * n
-        s_vals = [float(d["samples"]) for d in deltas]
-        e_vals = [float(d["events"]) for d in deltas]
-        eps = max(eps, relative_spread(s_vals), relative_spread(e_vals))
-        self.mechanism.total_samples += int(round(sum(s_vals) / w * n))
-        self.mechanism.total_events += int(round(sum(e_vals) / w * n))
-        return eps
 
     def on_run_end(self, result: RunResult) -> None:
         """Flush deferred accumulators and attach the run's timing result.

@@ -7,10 +7,11 @@ The driver owns, once:
 
 * the region/iteration loop and the per-step contention inflation,
   computed from DRAM requests merged over every shard;
-* phase extrapolation: the union plan over the shards' readiness,
-  the skip clamp, and the exact/ε fold of the merged iteration;
-* run totals, the per-region phase report, metrics samples and the
-  :class:`RunResult`.
+* folding extrapolated iterations into the run totals; the union
+  plan over the shards' readiness, the skip clamp and the phase report
+  are :class:`repro.runtime.phase.RunPhase`'s, loaded only by a run
+  that extrapolates;
+* run totals, metrics samples and the :class:`RunResult`.
 
 A backend runs the engine round methods (see
 :class:`~repro.runtime.engine.ExecutionEngine`) on its shards and
@@ -37,7 +38,6 @@ worker pool's lives in :mod:`repro.parallel.engine`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,15 +150,13 @@ class InProcessBackend:
         return [engine.end_iteration()]
 
     def extrapolate(self, region_idx, n_skip, release, mode):
-        from repro.runtime import phase
-
         with obs.TRACER.span(
             "engine.phase.extrapolate", "engine",
             region=self.engine._regions[region_idx].name,
             iterations=n_skip, mode=mode,
         ):
-            return [phase.extrapolate_iterations(
-                self.engine, region_idx, n_skip, release, mode
+            return [self.engine._phase.extrapolate(
+                region_idx, n_skip, release, mode
             )]
 
     def finish_run(self) -> list[dict]:
@@ -201,7 +199,6 @@ def drive(backend) -> RunResult:
             "shard region lists diverged: "
             f"driver has {len(regions)}, shards report {n_regions}"
         )
-    phase_ok = engine.extrapolate and all(s["phase_ok"] for s in started)
 
     tr = obs.TRACER
     traced = tr.enabled
@@ -218,12 +215,12 @@ def drive(backend) -> RunResult:
     region_wall: dict[str, float] = {}
     domain_requests = np.zeros(n_domains, dtype=np.int64)
     domain_traffic = np.zeros((n_domains, n_domains), dtype=np.int64)
-    phase = phase_report = None
+    phase = None
     if engine.extrapolate:
         # Only a run that extrapolates loads the phase layer.
-        from repro.runtime import phase
+        from repro.runtime.phase import RunPhase
 
-        phase_report = phase.PhaseReport(enabled=True)
+        phase = RunPhase(warmup, all(s["phase_ok"] for s in started))
 
     def _mx_values() -> dict:
         # Merged cumulative totals, passed explicitly: in a worker pool
@@ -238,76 +235,41 @@ def drive(backend) -> RunResult:
         active = (
             threads if region.kind is RegionKind.PARALLEL else threads[:1]
         )
-        #: Trailing merged-iteration window. Shard histories are
-        #: contiguous suffixes of the live iterations, so its last
-        #: ``steady_tail`` entries are exactly the verified steady tail
-        #: one detector over the union would hold.
-        window: deque = deque(maxlen=warmup)
-        plan = None
-        n_exact = n_eps = 0
-        eps_max = 0.0
-        breaks = disarms = 0
+        if phase is not None:
+            phase.begin_region()
         iteration = 0
         while iteration < region.repeat:
-            if plan is not None:
-                stop = phase.next_schedule_boundary(
-                    schedule, r_idx, iteration, region.repeat
+            fold = None
+            if phase is not None:
+                fold = phase.skip(
+                    backend, schedule, r_idx, iteration, region.repeat
                 )
-                n_skip = stop - iteration
-                mode, tail_len = plan
-                if n_skip > 0:
-                    shards = backend.extrapolate(
-                        r_idx, n_skip, stop == region.repeat, mode
+            if fold is not None:
+                n_skip, rec, cycles, elapsed, times = fold
+                # One add per skipped iteration (exact) or one scaled add.
+                for _ in range(times):
+                    for t in active:
+                        busy[t.tid] += cycles[t.tid]
+                    wall += elapsed
+                    region_wall[name] = region_wall.get(name, 0.0) + elapsed
+                # Engine-pure integers multiply exactly.
+                for k in INT_FIELDS:
+                    totals[k] += rec.ints[k] * n_skip
+                domain_requests += rec.requests * n_skip
+                domain_traffic += rec.traffic * n_skip
+                iteration += n_skip
+                skipped += n_skip
+                if traced:
+                    tr.count("engine.phase.extrapolated_iterations", n_skip)
+                if mx is not None:
+                    mx.sample(
+                        tr,
+                        flags=obs.FLAG_EXTRAPOLATED,
+                        region=name,
+                        iteration=iteration - 1,
+                        values=_mx_values(),
                     )
-                    rec = window[-1].rec
-                    if mode == "exact":
-                        # Every skipped iteration replays the last live
-                        # one: the same float adds, in the same order,
-                        # as simulating it.
-                        for _ in range(n_skip):
-                            for t in active:
-                                busy[t.tid] += rec.region_cycles[t.tid]
-                            wall += rec.elapsed
-                            region_wall[name] = (
-                                region_wall.get(name, 0.0) + rec.elapsed
-                            )
-                        n_exact += n_skip
-                    else:
-                        # ε: the window-mean cycles, scaled by the skip.
-                        tail = list(window)[-tail_len:] if tail_len else []
-                        w = phase.trailing_window(tail, warmup)
-                        if w:
-                            rc_mean, elapsed_mean = phase.mean_cycles(w)
-                            for t in active:
-                                busy[t.tid] += rc_mean[t.tid] * n_skip
-                            wall += elapsed_mean * n_skip
-                            region_wall[name] = (
-                                region_wall.get(name, 0.0)
-                                + elapsed_mean * n_skip
-                            )
-                        eps = max([phase.window_eps(w)] + [p["eps"] for p in shards])
-                        eps_max = max(eps_max, eps)
-                        n_eps += n_skip
-                    # Engine-pure integers multiply exactly.
-                    for k in INT_FIELDS:
-                        totals[k] += rec.ints[k] * n_skip
-                    domain_requests += rec.requests * n_skip
-                    domain_traffic += rec.traffic * n_skip
-                    iteration = stop
-                    skipped += n_skip
-                    if traced:
-                        tr.count(
-                            "engine.phase.extrapolated_iterations", n_skip
-                        )
-                    if mx is not None:
-                        mx.sample(
-                            tr,
-                            flags=obs.FLAG_EXTRAPOLATED,
-                            region=name,
-                            iteration=iteration - 1,
-                            values=_mx_values(),
-                        )
-                    continue
+                continue
 
             gen = backend.gen(r_idx, iteration)
             n_steps = max(g["n_chunks"].size for g in gen)
@@ -352,26 +314,11 @@ def drive(backend) -> RunResult:
             wall += elapsed
             region_wall[name] = region_wall.get(name, 0.0) + elapsed
 
-            if phase_ok:
-                infos = [f["phase"] for f in fin]
-                plan = phase.union_plan(infos)
-                if all(p is not None for p in infos):
-                    breaks = max(breaks, max(p["breaks"] for p in infos))
-                    disarms = max(disarms, max(p["disarms"] for p in infos))
-                window.append(phase.EpsSample(
-                    rec=phase.IterationRecording(
-                        ints=it_ints,
-                        requests=it_requests,
-                        traffic=it_traffic,
-                        region_cycles=region_cycles,
-                        elapsed=elapsed,
-                        oh_ops=[],
-                    ),
-                    oh_delta=None,
-                    monitor_delta=None,
-                ))
-                if traced and all(f["steady"] for f in fin):
-                    tr.count("engine.phase.steady_iterations")
+            if phase is not None:
+                phase.observe(
+                    fin, it_ints, it_requests, it_traffic, region_cycles,
+                    elapsed,
+                )
             if mx is not None:
                 mx.sample(
                     tr,
@@ -382,26 +329,11 @@ def drive(backend) -> RunResult:
                 )
             iteration += 1
 
-        if engine.extrapolate:
-            stats_r = phase_report.region(name)
-            stats_r.iterations += region.repeat
-            stats_r.extrapolated_exact += n_exact
-            stats_r.extrapolated_eps += n_eps
-            stats_r.simulated += region.repeat - n_exact - n_eps
-            stats_r.breaks += breaks
-            stats_r.disarms += disarms
-            stats_r.epsilon = max(stats_r.epsilon, eps_max)
-            if traced and breaks:
-                tr.count("engine.phase.breaks", breaks)
+        if phase is not None:
+            phase.end_region(name, region.repeat)
 
-    if engine.extrapolate:
-        engine.phase_report = phase_report.as_dict()
-        if traced:
-            tr.gauge("engine.phase.epsilon", engine.phase_report["epsilon"])
-            tr.gauge(
-                "engine.phase.coverage_pct",
-                engine.phase_report["coverage_pct"],
-            )
+    if phase is not None:
+        engine.phase_report = phase.finish()
     final = backend.finish_run()
     overhead_by_tid = np.zeros(len(threads), dtype=np.float64)
     for payload in final:

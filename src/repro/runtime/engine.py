@@ -434,11 +434,10 @@ class _Iteration:
     """One live region iteration's engine state, between round methods."""
 
     __slots__ = (
-        "region_idx", "region", "iteration", "fired", "epoch0", "breaks0",
-        "observe", "cache_snap", "mon_snap", "oh_base", "owned", "retain",
-        "steps", "events", "ev_i", "own_ips", "own_i", "states",
+        "region_idx", "region", "iteration", "fired", "epoch0", "owned",
+        "retain", "steps", "events", "ev_i", "own_ips", "own_i", "states",
         "region_cycles", "instructions", "accesses", "chunks", "dram",
-        "remote_dram", "requests", "traffic",
+        "remote_dram", "traffic",
     )
 
     def __init__(self, region_idx: int, region: Region, iteration: int):
@@ -446,10 +445,6 @@ class _Iteration:
         self.region = region
         self.iteration = iteration
         self.fired = False
-        self.observe = False
-        self.breaks0 = 0
-        self.cache_snap = self.mon_snap = self.oh_base = None
-        self.requests = None
         self.ev_i = self.own_i = 0
         self.states: list = []
         self.instructions = self.accesses = self.chunks = 0
@@ -525,46 +520,6 @@ class Monitor:
     def on_run_end(self, result: "RunResult") -> None:
         """Called once after the last region."""
 
-    # -- phase-extrapolation protocol (see repro.runtime.phase) -------- #
-    #
-    # A monitor that cannot participate leaves ``phase_supported`` False
-    # and the engine simply never extrapolates monitored regions; the
-    # remaining hooks are only called when it returns True (or when the
-    # engine runs unmonitored, in which case none of them are called).
-
-    def phase_supported(self) -> bool:
-        """Whether this monitor can record/replay iteration deltas."""
-        return False
-
-    def phase_digest(self):
-        """Hashable digest of mutable state that affects future output."""
-        return None
-
-    def phase_record_begin(self) -> None:
-        """Start recording this iteration's accumulation program."""
-
-    def phase_record_end(self):
-        """Finish recording; returns the replayable program."""
-        return None
-
-    def phase_replay(self, prog, n: int) -> None:
-        """Re-apply a recorded iteration program ``n`` times (exactly)."""
-
-    def phase_snapshot(self):
-        """Snapshot accumulator state for ε-mode delta extraction."""
-        return None
-
-    def phase_delta(self, snapshot):
-        """Delta since ``snapshot``; None if structure changed (ε reset)."""
-        return None
-
-    def extrapolate_flush(self, deltas: list, n: int) -> float:
-        """Apply the window-mean of ``deltas`` scaled by ``n`` iterations.
-
-        Returns the observed relative half-spread (ε contribution).
-        """
-        return 0.0
-
 
 class ExecutionEngine:
     """Single-use runner: one engine executes one program on one machine."""
@@ -631,15 +586,14 @@ class ExecutionEngine:
         #: Non-converging windows before a detector disarms (0 = never).
         self.extrap_disarm = max(0, int(extrap_disarm))
         self.phase_report: dict | None = None
-        #: Per-iteration recording hooks (active only while a detector
-        #: is live): overhead (tid, cycles) pairs and memo variant keys.
-        self._phase_oh_rec: list | None = None
-        self._phase_sig: list | None = None
+        #: The phase layer's adapter for this engine
+        #: (:class:`~repro.runtime.phase.EnginePhase`), attached at run
+        #: start when extrapolating and the monitor has an adapter.
+        self._phase = None
+        #: The same adapter while it records a live iteration, else None.
+        self._phase_rec = None
         self._ran = False
         self._regions: list | None = None
-        #: The current region's phase detector
-        #: (:class:`~repro.runtime.phase.PhaseDetector`; None: not observed).
-        self._detector = None
         self._it: _Iteration | None = None
         # Overhead accumulates per thread and reduces once at the end:
         # each tid's partial sum involves only that thread's own chunks
@@ -672,76 +626,34 @@ class ExecutionEngine:
 
         Returns the region count (the driver cross-checks every shard
         against its own copy) and whether this shard can take part in
-        phase extrapolation.
+        phase extrapolation: whether the phase layer attached an adapter.
         """
         if self.monitor is not None:
             self.heap.add_monitor(self.monitor)
             self.monitor.on_run_start(self)
+        if self.extrapolate:
+            from repro.runtime.phase import attach
+
+            self._phase = attach(self)
         with obs.TRACER.span("engine.setup", "engine"):
             self.program.setup(self.ctx)
             self._regions = self.program.regions(self.ctx)
         return {
             "n_regions": len(self._regions),
-            "phase_ok": bool(
-                self.extrapolate
-                and (self.monitor is None or self.monitor.phase_supported())
-            ),
+            "phase_ok": self._phase is not None,
         }
 
-    def _new_detector(self, region: Region):
-        """The region's phase detector, or None where one cannot pay.
-
-        A region no longer than its warmup can converge only on its
-        last iteration, with nothing left to skip.
-        """
-        if not (
-            self.extrapolate
-            and region.repeat > self.extrap_warmup
-            and (self.monitor is None or self.monitor.phase_supported())
-        ):
-            return None
-        from repro.runtime.phase import PhaseDetector
-
-        return PhaseDetector(
-            region.name,
-            warmup=self.extrap_warmup,
-            allow_eps=self.monitor is not None,
-            monitor_present=self.monitor is not None,
-            disarm_after=self.extrap_disarm,
-        )
-
     def begin_iteration(self, region_idx: int, iteration: int) -> None:
-        """Open a live region iteration: schedule, then phase observation.
-
-        Recording hooks are installed before the monitor's region-enter
-        callbacks (in :meth:`enter_region`) so the replay program covers
-        the whole iteration.
-        """
+        """Open a live region iteration: schedule, then phase observation
+        (before the monitor's region-enter callbacks in
+        :meth:`enter_region`)."""
         region = self._regions[region_idx]
-        page_table = self.machine.page_table
         it = self._it = _Iteration(region_idx, region, iteration)
-        it.epoch0 = page_table.epoch
+        it.epoch0 = self.machine.page_table.epoch
         if self.schedule is not None:
             it.fired = self.schedule.apply(self, region_idx, region, iteration)
-        if iteration == 0:
-            self._detector = self._new_detector(region)
-        detector = self._detector
-        if detector is None:
-            return
-        it.breaks0 = detector.breaks
-        if it.fired:
-            detector.invalidate()
-        it.observe = detector.begin_iteration(page_table.epoch)
-        if it.observe:
-            self._phase_oh_rec = []
-            self._phase_sig = []
-            it.cache_snap = self.machine.cache.phase_snapshot()
-            it.requests = np.zeros(self.machine.n_domains, dtype=np.int64)
-            if self.monitor is not None:
-                self.monitor.phase_record_begin()
-                if detector.allow_eps:
-                    it.mon_snap = self.monitor.phase_snapshot()
-                    it.oh_base = self._overhead_by_tid.copy()
+        if self._phase is not None:
+            self._phase.begin_iteration(it)
 
     def enter_region(self) -> dict:
         """Enter the region and pre-draw this shard's step trace.
@@ -889,8 +801,8 @@ class ExecutionEngine:
         else:
             self._classify_phase(step, st, rec)
         it.states.append(st)
-        if it.requests is not None:
-            it.requests += st.step_requests
+        if self._phase_rec is not None:
+            self._phase_rec.requests += st.step_requests
         return st.step_requests
 
     def _replay_page_events(self, s: int) -> dict | None:
@@ -961,9 +873,10 @@ class ExecutionEngine:
         """Close the live iteration; returns this shard's deltas.
 
         The payload carries the per-tid region cycles, the integer
-        counters, the traffic matrix, the metrics flags this iteration
-        raised, and the detector's readiness (``phase``). A region's
-        memo state is released after its last iteration.
+        counters, the traffic matrix and the metrics flags this
+        iteration raised; the phase adapter, when attached, adds the
+        detector's readiness (``phase``, ``steady``). A region's memo
+        state is released after its last iteration.
         """
         it = self._it
         self._it = None
@@ -980,26 +893,20 @@ class ExecutionEngine:
             "dram": it.dram,
             "remote_dram": it.remote_dram,
         }
-        detector = self._detector
-        if it.observe:
-            from repro.runtime.phase import record_iteration
-
-            record_iteration(self, it, ints)
         flags = 0
         if it.fired:
             flags |= obs.FLAG_SCHEDULE
         if self.machine.page_table.epoch != it.epoch0:
             flags |= obs.FLAG_EPOCH
-        if detector is not None and detector.breaks != it.breaks0:
-            flags |= obs.FLAG_PHASE_BREAK
-        return {
+        payload = {
             "region_cycles": it.region_cycles,
             "ints": ints,
             "traffic": it.traffic,
             "flags": flags,
-            "steady": it.observe and detector.is_steady,
-            "phase": detector.phase_payload() if detector is not None else None,
         }
+        if self._phase is not None:
+            self._phase.end_iteration(it, payload)
+        return payload
 
     def finish_run(self) -> dict:
         """This shard's per-tid overhead totals and schedule log."""
@@ -1108,11 +1015,11 @@ class ExecutionEngine:
             pure.cpus, pure.slots, pure.chunk_fp
         )
         ckey = (machine.page_table.epoch, fetch_levels.tobytes())
-        if self._phase_sig is not None:
+        if self._phase_rec is not None:
             # The iteration's phase signature is the sequence of memo
             # variant keys it selects — belt and braces over the state
             # digest.
-            self._phase_sig.append(ckey)
+            self._phase_rec.sig.append(ckey)
         var = rec.variants.get(ckey)
         if var is None:
             memo.miss(rec)
@@ -1429,12 +1336,11 @@ class ExecutionEngine:
             cycles += costs
             oh = oh + costs
         overhead_by_tid[tids] += oh
-        oh_rec = self._phase_oh_rec
-        if oh_rec is not None:
+        if self._phase_rec is not None:
             # Zero adds are exact no-ops; recording only the nonzero
             # ones keeps replay cheap and bit-identical.
             nz = oh != 0.0
             if nz.any():
-                oh_rec.append((tids[nz], oh[nz]))
+                self._phase_rec.oh_ops.append((tids[nz], oh[nz]))
         region_cycles[tids] += cycles
         return int(n_ins.sum()), int(n_acc.sum())

@@ -41,62 +41,31 @@ need the (monotonically growing) state in the digest: a memoized region
 replays an identical chunk trace every iteration, so fetch levels
 repeat once the memo-key signature does. What the cache state *does*
 require is an exact **fast-forward** on skip
-(``CacheHierarchy.phase_advance``): n skipped iterations move stream
+(:meth:`CachePhase.advance`): n skipped iterations move stream
 positions by n per-iteration advances and touched keys' last-visit
 markers along with them, while untouched keys (whose reuse distances
 grow linearly — they belong to *other* regions) stay put.
 
-Paying for itself
------------------
+The rest of the contract — what breaks a phase, the pay-for-itself
+disarm and re-arm probe, and ε mode's declared error for jittered
+sampling — is set out in ``docs/MODEL.md``, "Phase-adaptive
+extrapolation".
 
-Detection has a per-iteration cost (signature build, state digests,
-delta recording). A region that never converges would pay it on every
-iteration, so the detector **disarms** after ``disarm_after``
-consecutive non-converging windows (window = ``warmup + 1``
-iterations): observation stops and each iteration costs one epoch
-compare. A periodic re-arm probe re-enables observation for one window
-every ``disarm_after`` windows, and any epoch change re-arms
-immediately (new placement = new behavior worth re-checking).
-
-Invalidation rules
-------------------
-
-The phase breaks — and the engine falls back to live simulation — the
-moment any of these happens:
-
-* a scheduled :class:`~repro.optim.schedule.PolicySchedule` action
-  fires at an iteration boundary (extrapolation also never crosses a
-  scheduled boundary: the skip is clamped to the next one);
-* the page-table epoch bumps inside the window (first touches, traps);
-* the digest stops repeating for any other reason (cache warmup still
-  in progress, sampling carry drift);
-* the region exits (detector state is per-region).
-
-ε semantics
------------
-
-With jittered sampling (IBS-style randomized periods) the monitor's RNG
-state advances every iteration, so a *monitored* run usually never
-reaches an exact fixed point even when the engine state has. In that
-case the engine may extrapolate with **declared error**: engine-pure
-quantities (instructions, accesses, DRAM/remote counts, traffic, domain
-requests) still repeat exactly and are extrapolated exactly;
-sampling-dependent quantities (sample counts, latency sums, monitor
-cost cycles, and hence wall time) are extrapolated with the *mean*
-per-iteration delta over the trailing window, and the run summary
-reports ε — the maximum relative half-spread observed across the
-window. ε is an empirical spread, not a guaranteed bound. Address
-[min, max] ranges are never scaled.
+Only a run that extrapolates loads this module: the engine, its cache
+and its monitor reach it through the adapters :func:`attach` builds,
+and the run driver through :class:`RunPhase`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro._hashing import blake2b
+from repro.machine.cache import _NEVER
 from repro.runtime.driver import DEFAULT_DISARM_AFTER, INT_FIELDS
 
 
@@ -155,9 +124,8 @@ class IterationRecording:
     iterations fold n times — bit-identical to running them);
     ``oh_ops`` is the per-step sequence of nonzero per-thread overhead
     adds; ``monitor_prog`` is the monitor's recorded accumulation
-    program (see ``NumaProfiler.phase_record_end``). ``cache_delta``
-    is ``CacheHierarchy.phase_delta``'s ``(stream advance, touched
-    keys)``.
+    program (see ``ProfilerPhase.record_end``). ``cache_delta`` is
+    :meth:`CachePhase.delta`'s ``(stream advance, touched keys)``.
     """
 
     ints: dict
@@ -203,37 +171,32 @@ class IterationRecording:
 
 
 @dataclass(eq=False, repr=False)
-class EpsSample:
-    """One window entry for ε-mode extrapolation."""
-
-    rec: IterationRecording
-    oh_delta: np.ndarray
-    monitor_delta: object | None
-
-
-@dataclass(eq=False, repr=False)
 class HistoryEntry:
-    """One observed live iteration in the detector's ring."""
+    """One observed live iteration in the detector's ring.
+
+    ``oh_delta`` (per-thread overhead) and ``monitor_delta`` are its ε
+    sample; ``monitor_delta`` is None when it has none.
+    """
 
     engine_digest: object
     monitor_digest: object
     rec: IterationRecording
-    sample: EpsSample | None
+    oh_delta: np.ndarray | None
+    monitor_delta: object | None
 
 
-def mean_cycles(window: list[EpsSample]) -> tuple[dict, float]:
+def mean_cycles(window: list[IterationRecording]) -> tuple[dict, float]:
     """Window-mean per-tid cycles and elapsed, in chronological order."""
     n = len(window)
-    tids = window[0].rec.region_cycles.keys()
     rc_mean = {}
-    for tid in tids:
+    for tid in window[0].region_cycles:
         acc = 0.0
-        for s in window:
-            acc += s.rec.region_cycles[tid]
+        for rec in window:
+            acc += rec.region_cycles[tid]
         rc_mean[tid] = acc / n
     acc = 0.0
-    for s in window:
-        acc += s.rec.elapsed
+    for rec in window:
+        acc += rec.elapsed
     return rc_mean, acc / n
 
 
@@ -247,31 +210,14 @@ def relative_spread(values: list[float]) -> float:
     return (hi - lo) / (2.0 * scale) if scale else 0.0
 
 
-def trailing_window(tail: list, depth: int) -> list:
-    """The trailing ε window over a steady tail.
-
-    ``tail`` holds the verified steady iterations' samples,
-    chronological. The window is chronological and holds at most
-    ``depth`` samples; a None entry (an iteration recorded without an ε
-    sample) ends it.
-    """
-    window: list = []
-    for sample in reversed(tail):
-        if sample is None or len(window) == depth:
-            break
-        window.append(sample)
-    window.reverse()
-    return window
-
-
-def window_eps(window: list[EpsSample]) -> float:
+def window_eps(window: list[IterationRecording]) -> float:
     """Observed relative half-spread of cycles across the window."""
     if len(window) < 2:
         return 0.0
-    eps = relative_spread([s.rec.elapsed for s in window])
-    for tid in window[0].rec.region_cycles:
+    eps = relative_spread([rec.elapsed for rec in window])
+    for tid in window[0].region_cycles:
         eps = max(
-            eps, relative_spread([s.rec.region_cycles[tid] for s in window])
+            eps, relative_spread([rec.region_cycles[tid] for rec in window])
         )
     return eps
 
@@ -293,13 +239,13 @@ class PhaseDetector:
         region_name: str,
         *,
         warmup: int = 2,
-        allow_eps: bool = True,
         monitor_present: bool = False,
         disarm_after: int = DEFAULT_DISARM_AFTER,
     ) -> None:
         self.region_name = region_name
         self.warmup = max(1, int(warmup))
-        self.allow_eps = bool(allow_eps)
+        #: Only a monitored run has ε samples (monitor and overhead
+        #: deltas) to extrapolate with.
         self.monitor_present = bool(monitor_present)
         self.disarm_after = max(0, int(disarm_after))
         #: Consecutive lag-1 matches (engine-pure) and, within them,
@@ -405,12 +351,9 @@ class PhaseDetector:
             if self.streak:
                 self.breaks += 1
             self.streak = self.exact_streak = 0
-        sample = None
-        if self.allow_eps and monitor_delta is not None:
-            sample = EpsSample(rec, oh_delta, monitor_delta)
-        hist.append(
-            HistoryEntry(engine_digest, monitor_digest, rec, sample)
-        )
+        hist.append(HistoryEntry(
+            engine_digest, monitor_digest, rec, oh_delta, monitor_delta
+        ))
         # Pay-for-itself accounting: converging resets the idle count
         # (and ends a probe successfully); a fruitless window disarms.
         if self.ready:
@@ -434,7 +377,7 @@ class PhaseDetector:
         if not (s >= 1 and s + 1 >= self.warmup):
             return False
         return exact or (
-            self.allow_eps and self.monitor_present and bool(self.eps_window())
+            self.monitor_present and bool(self.eps_window())
         )
 
     @property
@@ -453,12 +396,17 @@ class PhaseDetector:
         n = self.streak + 1 if self.streak else 0
         return min(n, len(self.history))
 
-    def eps_window(self) -> list[EpsSample]:
-        """The trailing ε window harvested from the steady tail (at most
-        ``warmup`` samples, see :func:`trailing_window`)."""
+    def eps_window(self) -> list[HistoryEntry]:
+        """The trailing ε window over the steady tail, chronological: at
+        most ``warmup`` entries, ended by one without an ε sample."""
         hist = list(self.history)
-        tail = hist[len(hist) - self.steady_len():]
-        return trailing_window([e.sample for e in tail], self.warmup)
+        window: list = []
+        for entry in reversed(hist[len(hist) - self.steady_len():]):
+            if entry.monitor_delta is None:
+                break
+            window.append(entry)
+        window.reverse()
+        return window
 
     # -- run-driver protocol -------------------------------------------- #
 
@@ -475,7 +423,6 @@ class PhaseDetector:
             "ready_eps": self._ready(exact=False),
             "steady": self.steady_len(),
             "breaks": self.breaks,
-            "disarmed": not self.observing,
             "disarms": self.disarms,
         }
 
@@ -495,79 +442,6 @@ def union_plan(shard_phases: list[dict | None]) -> tuple[str, int] | None:
     return None
 
 
-@dataclass(eq=False, repr=False)
-class RegionPhaseStats:
-    """Per-region outcome folded into the engine's phase report."""
-
-    iterations: int = 0
-    simulated: int = 0
-    extrapolated_exact: int = 0
-    extrapolated_eps: int = 0
-    breaks: int = 0
-    epsilon: float = 0.0
-    disarms: int = 0
-
-    def as_dict(self) -> dict:
-        extrapolated = self.extrapolated_exact + self.extrapolated_eps
-        coverage = (
-            100.0 * extrapolated / self.iterations if self.iterations else 0.0
-        )
-        return {
-            "iterations": self.iterations,
-            "simulated": self.simulated,
-            "extrapolated_exact": self.extrapolated_exact,
-            "extrapolated_eps": self.extrapolated_eps,
-            "breaks": self.breaks,
-            "epsilon": self.epsilon,
-            "coverage_pct": coverage,
-            "disarms": self.disarms,
-        }
-
-
-@dataclass(eq=False, repr=False)
-class PhaseReport:
-    """Run-level phase/extrapolation accounting (the ε report).
-
-    Attached to the engine after a run as ``engine.phase_report`` (a
-    plain dict via :meth:`as_dict`); the CLI prints it and records its
-    ``coverage_pct`` in the run manifest's headline.
-    """
-
-    enabled: bool = False
-    regions: dict = field(default_factory=dict)
-
-    def region(self, name: str) -> RegionPhaseStats:
-        stats = self.regions.get(name)
-        if stats is None:
-            stats = self.regions[name] = RegionPhaseStats()
-        return stats
-
-    def as_dict(self) -> dict:
-        iterations = sum(r.iterations for r in self.regions.values())
-        simulated = sum(r.simulated for r in self.regions.values())
-        exact = sum(r.extrapolated_exact for r in self.regions.values())
-        eps = sum(r.extrapolated_eps for r in self.regions.values())
-        extrapolated = exact + eps
-        return {
-            "enabled": self.enabled,
-            "iterations": iterations,
-            "simulated": simulated,
-            "extrapolated_exact": exact,
-            "extrapolated_eps": eps,
-            "coverage_pct": (
-                100.0 * extrapolated / iterations if iterations else 0.0
-            ),
-            "epsilon": max(
-                (r.epsilon for r in self.regions.values()), default=0.0
-            ),
-            "breaks": sum(r.breaks for r in self.regions.values()),
-            "disarms": sum(r.disarms for r in self.regions.values()),
-            "regions": {
-                name: r.as_dict() for name, r in self.regions.items()
-            },
-        }
-
-
 def next_schedule_boundary(schedule, region_idx: int, start: int, stop: int) -> int:
     """First iteration in ``[start, stop)`` with scheduled steps, else ``stop``.
 
@@ -583,95 +457,400 @@ def next_schedule_boundary(schedule, region_idx: int, start: int, stop: int) -> 
     return stop
 
 
-def record_iteration(engine, it, ints: dict) -> None:
-    """Feed an observed live iteration of ``engine`` to its detector.
+# ---------------------------------------------------------------------- #
+# adapters
+# ---------------------------------------------------------------------- #
 
-    ``it`` is the engine's closing iteration state
-    (``repro.runtime.engine._Iteration``) and ``ints`` its integer
-    counters.
+
+def attach(engine) -> "EnginePhase | None":
+    """The engine's phase adapter, or None when its run cannot extrapolate.
+
+    Asks once each for the adapters of the engine's cache hierarchy and
+    monitor. This is the one support check: a monitor without an
+    adapter (see :func:`monitor_adapter`) keeps the run live.
     """
-    oh_ops, sig = engine._phase_oh_rec, engine._phase_sig
-    engine._phase_oh_rec = engine._phase_sig = None
-    monitor = engine.monitor
-    mon_digest: object = ()
-    mon_prog = None
-    mon_delta = None
-    if monitor is not None:
-        mon_prog = monitor.phase_record_end()
-        mon_digest = monitor.phase_digest()
-        if it.mon_snap is not None:
-            mon_delta = monitor.phase_delta(it.mon_snap)
-    cache = engine.machine.cache
-    rec = IterationRecording(
-        ints=ints,
-        requests=it.requests,
-        traffic=it.traffic,
-        region_cycles=it.region_cycles,
-        # The barrier's elapsed time is a max over every shard's
-        # threads: the driver records it in its merged window.
-        elapsed=0.0,
-        oh_ops=oh_ops,
-        cache_delta=cache.phase_delta(it.cache_snap),
-        monitor_prog=mon_prog,
-    )
-    # The cache's reuse-distance state needs no digest entry: an
-    # identical trace revisits the same keys every iteration, so fetch
-    # levels are periodic once the memo-key signature repeats (see the
-    # module docstring); the recorded cache delta is compared exactly.
-    engine._detector.end_live_iteration(
-        sig_digest(engine.machine.page_table.epoch, sig),
-        mon_digest,
-        rec,
-        engine._overhead_by_tid - it.oh_base
-        if it.oh_base is not None else None,
-        mon_delta,
-    )
+    monitor = None
+    if engine.monitor is not None:
+        monitor = monitor_adapter(engine.monitor)
+        if monitor is None:
+            return None
+    return EnginePhase(engine, CachePhase(engine.machine.cache), monitor)
 
 
-def extrapolate_iterations(
-    engine, region_idx: int, n_skip: int, release: bool, mode: str,
-) -> dict:
-    """Apply ``n_skip`` iterations' shard-local effects unsimulated.
+def monitor_adapter(monitor):
+    """``monitor``'s phase adapter, or None when it cannot take part.
 
-    The driver has armed the skip (exact when every shard is exact
-    ready) and clamped it to the next scheduled boundary; it folds the
-    merged cycle and integer quantities itself. Here every skipped
-    iteration replays the engine's last live iteration's overhead adds
-    and monitor program — exact mode in per-iteration order, the float
-    adds of simulating it; ε mode as the window mean scaled by
-    ``n_skip`` — and fast-forwards the cache. Returns this shard's
-    monitor ε (the cycle spread is the driver's, over its merged
-    window) and integer deltas.
+    Adapters go by exact type, so a subclass that attributes otherwise
+    (the per-chunk reference profiler in the tests) is never replayed
+    by its parent's recorder. The profiler's heatmap accumulates into
+    per-(tid, page) dicts that its recorder does not capture.
     """
-    detector = engine._detector
-    rec = detector.history[-1].rec
-    monitor = engine.monitor
-    overhead = engine._overhead_by_tid
-    eps = 0.0
-    if mode == "exact":
-        for _ in range(n_skip):
-            for tids, oh in rec.oh_ops:
-                overhead[tids] += oh
+    from repro.profiler.profiler import NumaProfiler
+
+    if type(monitor) is not NumaProfiler or monitor.heatmap:
+        return None
+    from repro.profiler.phase import ProfilerPhase
+
+    return ProfilerPhase(monitor)
+
+
+class CachePhase:
+    """The cache hierarchy's phase adapter: record and fast-forward the
+    reuse-distance state (per-CPU stream positions and per-slot
+    last-visit markers) of a :class:`~repro.machine.cache.CacheHierarchy`.
+    """
+
+    def __init__(self, cache) -> None:
+        self.cache = cache
+
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copy of the raw streaming state (the recording's baseline)."""
+        return self.cache._pos.copy(), self.cache._last.copy()
+
+    def delta(self, snapshot: tuple) -> tuple[dict, np.ndarray]:
+        """How one iteration moved the state: per-CPU stream advances
+        ``{cpu: bytes}`` and the slots it touched. Both are
+        iteration-invariant for a steady (identical-trace) iteration,
+        which makes :meth:`advance` exact."""
+        cache = self.cache
+        snap_pos, snap_last = snapshot
+        adv = cache._pos.copy()
+        adv[: snap_pos.size] -= snap_pos
+        was = np.full(cache._last.size, _NEVER)  # new slots: unvisited
+        was[: snap_last.size] = snap_last
+        return (
+            {int(c): int(adv[c]) for c in np.flatnonzero(adv)},
+            np.flatnonzero(cache._last != was),
+        )
+
+    def advance(self, delta: tuple, n: int) -> None:
+        """Fast-forward the state by ``n`` steady iterations, exactly.
+
+        A steady iteration advances each CPU's stream position by a
+        constant and re-visits the same key set at fixed offsets from
+        the stream head, so after ``n`` skipped iterations the exact
+        run's state is: positions advanced ``n`` deltas, touched keys'
+        last-visit markers riding along, untouched keys unchanged
+        (their reuse distances grow by exactly the stream advance).
+        """
+        cache = self.cache
+        delta_pos, touched = delta
+        adv = np.zeros(cache._pos.size, dtype=np.int64)
+        adv[list(delta_pos)] = list(delta_pos.values())
+        adv *= n
+        cache._pos += adv
+        cache._last[touched] += adv[cache._slot_cpu[touched]]
+
+
+class EnginePhase:
+    """The engine's phase adapter: the current region's detector, the
+    observation of each live iteration, and the replay of skipped ones.
+
+    The engine calls :meth:`begin_iteration` and :meth:`end_iteration`
+    around every live iteration; the run driver's backend calls
+    :meth:`extrapolate`. While an iteration is observed, the adapter is
+    the engine's ``_phase_rec``, and the engine's hot path appends to
+    its recording: the memo variant keys each step selects (``sig``,
+    the phase signature), the nonzero per-thread overhead adds
+    (``oh_ops``) and the DRAM requests.
+    """
+
+    def __init__(self, engine, cache: CachePhase, monitor) -> None:
+        self.engine = engine
+        self.cache = cache
+        #: The monitor's adapter; None for an unmonitored run.
+        self.monitor = monitor
+        #: The current region's detector (None: too short to pay).
+        self.detector: PhaseDetector | None = None
+        # The open iteration's observation.
+        self.observe = False
+        self.breaks0 = 0
+        self.cache_snap = self.mon_snap = self.oh_base = None
+        self.sig = self.oh_ops = self.requests = None
+
+    def begin_iteration(self, it) -> None:
+        """Open the observation of live iteration ``it``, after the
+        schedule ran (``it.fired``).
+
+        The recording hooks are installed before the monitor's
+        region-enter callbacks, so the replay program covers the whole
+        iteration.
+        """
+        engine = self.engine
+        if it.iteration == 0:
+            # A region no longer than its warmup could converge only on
+            # its last iteration, with nothing left to skip.
+            self.detector = None
+            if it.region.repeat > engine.extrap_warmup:
+                self.detector = PhaseDetector(
+                    it.region.name,
+                    warmup=engine.extrap_warmup,
+                    monitor_present=self.monitor is not None,
+                    disarm_after=engine.extrap_disarm,
+                )
+        detector = self.detector
+        self.observe = False
+        if detector is None:
+            return
+        self.breaks0 = detector.breaks
+        if it.fired:
+            detector.invalidate()
+        self.observe = detector.begin_iteration(engine.machine.page_table.epoch)
+        if not self.observe:
+            return
+        engine._phase_rec = self
+        self.sig, self.oh_ops = [], []
+        self.requests = np.zeros(engine.machine.n_domains, dtype=np.int64)
+        self.cache_snap = self.cache.snapshot()
+        if self.monitor is not None:
+            self.monitor.record_begin()
+            self.mon_snap = self.monitor.snapshot()
+            self.oh_base = engine._overhead_by_tid.copy()
+
+    def end_iteration(self, it, payload: dict) -> None:
+        """Feed the closing iteration to the detector; adds its phase
+        state to the engine's ``payload`` (``steady``, ``phase`` and the
+        phase-break flag)."""
+        detector = self.detector
+        if self.observe:
+            self._record(it, payload["ints"])
+        payload["steady"] = self.observe and detector.is_steady
+        payload["phase"] = None
+        if detector is not None:
+            if detector.breaks != self.breaks0:
+                payload["flags"] |= obs.FLAG_PHASE_BREAK
+            payload["phase"] = detector.phase_payload()
+
+    def _record(self, it, ints: dict) -> None:
+        """Fold the observed iteration into the detector.
+
+        ``it`` is the engine's closing iteration state
+        (``repro.runtime.engine._Iteration``) and ``ints`` its integer
+        counters.
+        """
+        engine = self.engine
+        engine._phase_rec = None
+        monitor = self.monitor
+        mon_digest: object = ()
+        mon_prog = mon_delta = oh_delta = None
         if monitor is not None:
-            monitor.phase_replay(rec.monitor_prog, n_skip)
-    else:
-        window = detector.eps_window()
-        oh_mean = window[0].oh_delta.copy()
-        for sample in window[1:]:
-            oh_mean += sample.oh_delta
-        oh_mean /= len(window)
-        overhead += oh_mean * n_skip
-        if monitor is not None:
-            eps = monitor.extrapolate_flush(
-                [sample.monitor_delta for sample in window], n_skip
-            )
-    if rec.cache_delta is not None:
-        # Fast-forward the reuse-distance state so regions after this
-        # one classify bit-identically to the exact run.
-        engine.machine.cache.phase_advance(rec.cache_delta, n_skip)
-    if release:
-        engine.memo.release_region(region_idx)
-    return {
-        "eps": eps,
-        "ints": {k: rec.ints[k] * n_skip for k in INT_FIELDS},
-    }
+            mon_prog = monitor.record_end()
+            mon_digest = monitor.digest()
+            mon_delta = monitor.delta(self.mon_snap)
+            oh_delta = engine._overhead_by_tid - self.oh_base
+        rec = IterationRecording(
+            ints=ints,
+            requests=self.requests,
+            traffic=it.traffic,
+            region_cycles=it.region_cycles,
+            # The barrier's elapsed time is a max over every shard's
+            # threads: the driver records it in its merged window.
+            elapsed=0.0,
+            oh_ops=self.oh_ops,
+            cache_delta=self.cache.delta(self.cache_snap),
+            monitor_prog=mon_prog,
+        )
+        self.cache_snap = self.mon_snap = self.oh_base = None
+        # The cache's reuse-distance state needs no digest entry: an
+        # identical trace revisits the same keys every iteration, so
+        # fetch levels are periodic once the memo-key signature repeats
+        # (see the module docstring); the recorded cache delta is
+        # compared exactly.
+        self.detector.end_live_iteration(
+            sig_digest(engine.machine.page_table.epoch, self.sig),
+            mon_digest,
+            rec,
+            oh_delta,
+            mon_delta,
+        )
+
+    def extrapolate(
+        self, region_idx: int, n_skip: int, release: bool, mode: str,
+    ) -> dict:
+        """Apply ``n_skip`` iterations' shard-local effects unsimulated.
+
+        The driver has armed the skip (exact when every shard is exact
+        ready) and clamped it to the next scheduled boundary; it folds
+        the merged cycle and integer quantities itself. Here every
+        skipped iteration replays the engine's last live iteration's
+        overhead adds and monitor program — exact mode in per-iteration
+        order, the float adds of simulating it; ε mode as the window
+        mean scaled by ``n_skip`` — and fast-forwards the cache. Returns
+        this shard's monitor ε (the cycle spread is the driver's, over
+        its merged window) and integer deltas.
+        """
+        engine = self.engine
+        detector = self.detector
+        rec = detector.history[-1].rec
+        monitor = self.monitor
+        overhead = engine._overhead_by_tid
+        eps = 0.0
+        if mode == "exact":
+            for _ in range(n_skip):
+                for tids, oh in rec.oh_ops:
+                    overhead[tids] += oh
+            if monitor is not None:
+                monitor.replay(rec.monitor_prog, n_skip)
+        else:
+            window = detector.eps_window()
+            oh_mean = window[0].oh_delta.copy()
+            for sample in window[1:]:
+                oh_mean += sample.oh_delta
+            oh_mean /= len(window)
+            overhead += oh_mean * n_skip
+            if monitor is not None:
+                eps = monitor.extrapolate_flush(
+                    [sample.monitor_delta for sample in window], n_skip
+                )
+        if rec.cache_delta is not None:
+            # Fast-forward the reuse-distance state so regions after this
+            # one classify bit-identically to the exact run.
+            self.cache.advance(rec.cache_delta, n_skip)
+        if release:
+            engine.memo.release_region(region_idx)
+        return {
+            "eps": eps,
+            "ints": {k: rec.ints[k] * n_skip for k in INT_FIELDS},
+        }
+
+
+# ---------------------------------------------------------------------- #
+# the run driver's side
+# ---------------------------------------------------------------------- #
+
+
+def _coverage(counts: dict) -> float:
+    """Extrapolated iterations as a percentage of all of them."""
+    skipped = counts["extrapolated_exact"] + counts["extrapolated_eps"]
+    n = counts["iterations"]
+    return 100.0 * skipped / n if n else 0.0
+
+
+class RunPhase:
+    """Phase extrapolation in the run driver (:func:`repro.runtime.driver.drive`).
+
+    Per region it holds the trailing window of merged live iterations
+    and the union plan over the shards' readiness, asks the backend to
+    extrapolate once armed, and keeps the run's phase report.
+    ``ok`` is False when a shard has no adapter: regions then run live
+    and are reported as simulated.
+
+    :meth:`observe` is where every phase decision of a run becomes
+    known in one place: the union plan arms (or stays disarmed) there,
+    and the shards' detectors report their breaks and disarms there.
+    """
+
+    def __init__(self, warmup: int, ok: bool) -> None:
+        self.warmup = warmup
+        self.ok = ok
+        #: Region name -> its phase report entry (see :meth:`finish`).
+        self.regions: dict[str, dict] = {}
+
+    def begin_region(self) -> None:
+        #: Trailing merged-iteration window. Shard histories are
+        #: contiguous suffixes of the live iterations, so its last
+        #: ``steady_tail`` entries are exactly the verified steady tail
+        #: one detector over the union would hold.
+        self.window: deque = deque(maxlen=self.warmup)
+        self.plan = None
+        self.n_exact = self.n_eps = 0
+        self.eps_max = 0.0
+        self.breaks = self.disarms = 0
+
+    def skip(self, backend, schedule, region_idx: int, iteration: int,
+             repeat: int):
+        """Extrapolate from ``iteration`` when the union is armed.
+
+        Returns None when ``iteration`` runs live, else ``(n_skip, rec,
+        cycles, elapsed, times)``: the driver adds the per-tid
+        ``cycles`` and ``elapsed`` ``times`` times — per skipped
+        iteration in exact mode, the float adds of simulating it; once,
+        scaled, in ε mode — and ``rec``'s integers times ``n_skip``.
+        """
+        if self.plan is None:
+            return None
+        stop = next_schedule_boundary(schedule, region_idx, iteration, repeat)
+        n_skip = stop - iteration
+        if n_skip <= 0:
+            return None
+        mode, tail_len = self.plan
+        shards = backend.extrapolate(region_idx, n_skip, stop == repeat, mode)
+        rec = self.window[-1]
+        if mode == "exact":
+            self.n_exact += n_skip
+            return n_skip, rec, rec.region_cycles, rec.elapsed, n_skip
+        w = list(self.window)[-tail_len:] if tail_len else []
+        cycles, elapsed, times = {}, 0.0, 0
+        if w:
+            rc_mean, elapsed_mean = mean_cycles(w)
+            cycles = {tid: c * n_skip for tid, c in rc_mean.items()}
+            elapsed, times = elapsed_mean * n_skip, 1
+        eps = max([window_eps(w)] + [p["eps"] for p in shards])
+        self.eps_max = max(self.eps_max, eps)
+        self.n_eps += n_skip
+        return n_skip, rec, cycles, elapsed, times
+
+    def observe(
+        self, fin: list[dict], ints: dict, requests: np.ndarray,
+        traffic: np.ndarray, region_cycles: dict, elapsed: float,
+    ) -> None:
+        """Fold a live iteration: the shards' payloads ``fin`` and the
+        merged deltas."""
+        if not self.ok:
+            return
+        infos = [f["phase"] for f in fin]
+        self.plan = union_plan(infos)
+        if all(p is not None for p in infos):
+            self.breaks = max(self.breaks, max(p["breaks"] for p in infos))
+            self.disarms = max(self.disarms, max(p["disarms"] for p in infos))
+        self.window.append(IterationRecording(
+            ints=ints,
+            requests=requests,
+            traffic=traffic,
+            region_cycles=region_cycles,
+            elapsed=elapsed,
+            oh_ops=[],
+        ))
+        tr = obs.TRACER
+        if tr.enabled and all(f["steady"] for f in fin):
+            tr.count("engine.phase.steady_iterations")
+
+    def end_region(self, name: str, repeat: int) -> None:
+        """Add the region's outcome to its report entry (summed over the
+        region's visits)."""
+        r = self.regions.setdefault(name, {
+            "iterations": 0, "simulated": 0, "extrapolated_exact": 0,
+            "extrapolated_eps": 0, "breaks": 0, "epsilon": 0.0,
+            "coverage_pct": 0.0, "disarms": 0,
+        })
+        r["iterations"] += repeat
+        r["simulated"] += repeat - self.n_exact - self.n_eps
+        r["extrapolated_exact"] += self.n_exact
+        r["extrapolated_eps"] += self.n_eps
+        r["breaks"] += self.breaks
+        r["epsilon"] = max(r["epsilon"], self.eps_max)
+        r["coverage_pct"] = _coverage(r)
+        r["disarms"] += self.disarms
+        tr = obs.TRACER
+        if tr.enabled and self.breaks:
+            tr.count("engine.phase.breaks", self.breaks)
+
+    def finish(self) -> dict:
+        """The run's phase report (``engine.phase_report``): every
+        iteration accounted as simulated, extrapolated exactly or within
+        ε, per region and in total; gauged when traced."""
+        regions = self.regions.values()
+        report = {"enabled": True}
+        for key in ("iterations", "simulated", "extrapolated_exact",
+                    "extrapolated_eps"):
+            report[key] = sum(r[key] for r in regions)
+        report["coverage_pct"] = _coverage(report)
+        report["epsilon"] = max((r["epsilon"] for r in regions), default=0.0)
+        report["breaks"] = sum(r["breaks"] for r in regions)
+        report["disarms"] = sum(r["disarms"] for r in regions)
+        report["regions"] = self.regions
+        tr = obs.TRACER
+        if tr.enabled:
+            tr.gauge("engine.phase.epsilon", report["epsilon"])
+            tr.gauge("engine.phase.coverage_pct", report["coverage_pct"])
+        return report

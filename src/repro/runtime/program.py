@@ -113,10 +113,17 @@ class ProgramContext:
         """Contiguous block partition of ``n_items`` across threads.
 
         Returns the half-open element range ``[lo, hi)`` owned by ``tid``
-        — the canonical OpenMP ``schedule(static)`` decomposition.
+        — the canonical OpenMP ``schedule(static)`` decomposition. The
+        bounds are ``np.linspace(0, n_items, n_threads + 1)`` truncated
+        to integers, computed for ``tid`` alone: linspace's ``k * step``
+        with its last bound pinned to ``n_items``.
         """
-        bounds = np.linspace(0, n_items, self.n_threads + 1).astype(np.int64)
-        return int(bounds[tid]), int(bounds[tid + 1])
+        step = n_items / self.n_threads
+        hi = (
+            int(n_items) if tid + 1 == self.n_threads
+            else int((tid + 1) * step)
+        )
+        return int(tid * step), hi
 
 
 class Program(Protocol):

@@ -51,21 +51,21 @@ def fast_unique(values: np.ndarray) -> np.ndarray:
     """``np.unique`` with an O(n) fast path for already-sorted input.
 
     The simulator's hot path calls unique on page/line arrays derived
-    from mostly-sorted sweep traces; checking sortedness with a diff is
-    far cheaper than the sort inside ``np.unique``.
+    from mostly-sorted sweep traces; checking sortedness is far
+    cheaper than the sort inside ``np.unique``.
     """
     values = np.asarray(values)
     if values.size <= 1:
         return values.copy()
-    deltas = np.diff(values)
-    if not np.all(deltas >= 0):
+    # Compare neighbours rather than take ``np.diff``: an unsigned diff
+    # wraps, so it never reads as descending.
+    if not np.all(values[1:] >= values[:-1]):
         # Sort here rather than call ``np.unique``: its plain form
         # imports ``numpy.ma`` (~20 ms) on first use.
         values = np.sort(values)
-        deltas = np.diff(values)
     keep = np.empty(values.size, dtype=bool)
     keep[0] = True
-    keep[1:] = deltas > 0
+    keep[1:] = values[1:] != values[:-1]
     return values[keep]
 
 

@@ -47,11 +47,13 @@ def record_samples(rec, path: CallPath, addrs: np.ndarray) -> np.ndarray:
 
 
 class ImmediateProfiler(NumaProfiler):
-    """One chunk at a time, attributed as it is observed."""
+    """One chunk at a time, attributed as it is observed.
 
-    def phase_supported(self) -> bool:
-        # Immediate attribution leaves nothing to record or scale.
-        return False
+    Immediate attribution leaves nothing to record or scale, and the
+    phase layer has no adapter for it
+    (``repro.runtime.phase.monitor_adapter`` goes by exact type), so its
+    runs are never extrapolated.
+    """
 
     def on_step(self, views):
         return [self._observe(v) for v in views]

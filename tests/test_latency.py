@@ -173,3 +173,39 @@ class TestDemandMask:
         levels = np.array([LEVEL_L3], dtype=np.uint8)
         lat = np.array([400.0])  # even with high latency value
         assert not model.demand_mask(lat, levels)[0]
+
+
+class TestFetchLatencies:
+    """``LatencyModel.dram_fetch_latencies`` (a chunk's DRAM fetches,
+    built in place) equals the per-access reference bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("sequential,interleaved", [
+        (False, False), (True, False), (True, True),
+    ])
+    def test_matches_reference(self, topo, seed, sequential, interleaved):
+        rng = np.random.default_rng(seed)
+        model = LatencyModel(
+            seq_exposure=float(rng.uniform(0.05, 1.0)),
+            remote_exposure_factor=float(rng.uniform(1.0, 4.0)),
+            interleave_stream_penalty=float(rng.uniform(1.0, 3.0)),
+        )
+        n = int(rng.integers(0, 3000))
+        # Mostly one domain, as a bound segment's pages are.
+        targets = np.where(
+            rng.random(n) < 0.8, int(rng.integers(0, 4)),
+            rng.integers(0, 4, n),
+        ).astype(np.int8)
+        inflation = rng.uniform(1.0, 3.0, topo.n_domains)
+        accessor = int(rng.integers(0, 4))
+        lat = model.dram_fetch_latencies(
+            targets, accessor, topo, inflation,
+            sequential=sequential, interleaved=interleaved,
+        )
+        ref = access_latency(
+            model, np.full(n, LEVEL_DRAM, dtype=np.uint8), targets,
+            accessor, topo, inflation,
+            sequential=sequential, interleaved=interleaved,
+        )
+        assert lat.dtype == np.float64
+        np.testing.assert_array_equal(lat, ref)

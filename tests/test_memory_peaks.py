@@ -9,6 +9,7 @@ bounds it in bytes per event or per fetch:
   samples holding at most two arrays of them at once;
 * a cold ``_latency_phase`` build holds one latency group at a time,
   and a monitored one writes each group straight into one buffer;
+* a sequential chunk's fetch latencies take three fetch-sized arrays;
 * ``save_archive`` writes a first-touch record's pages a bounded slice
   at a time, never a Python list of them.
 
@@ -174,6 +175,21 @@ def test_monitored_latency_build_fills_one_buffer():
     # The buffer itself plus one group, not the group arrays and their
     # concatenation (twice the buffer).
     assert peak < 1.5 * lv.lat_buf.nbytes
+
+
+def test_sequential_fetch_latencies_hold_three_fetch_arrays():
+    """A prefetchable stream's fetch latencies are built in place: the
+    exposure, ``floor(k * e)`` and ``floor((k + 1) * e)`` (whose buffer
+    becomes the output) are the only float arrays as long as the
+    fetches, against six when every step took a temporary."""
+    machine = presets.generic(n_domains=4, cores_per_domain=2)
+    rng = np.random.default_rng(2)
+    targets = rng.integers(0, 4, N_FETCHES).astype(DOMAIN_DTYPE)
+    lat, peak = _peak_bytes(lambda: machine.latency_model.dram_fetch_latencies(
+        targets, 0, machine.topology, np.full(4, 1.5), sequential=True,
+    ))
+    assert lat.size == N_FETCHES
+    assert peak < 3.5 * lat.nbytes
 
 
 def test_archive_write_holds_no_python_list_of_pages(tmp_path):

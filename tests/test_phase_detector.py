@@ -9,8 +9,10 @@ to end; this file covers the pieces behind it:
 * digest collisions with differing pure deltas must never arm;
 * the pay-for-itself disarm state machine (quiesce, probe, epoch
   re-arm);
-* ``CacheHierarchy.phase_advance`` against continued simulation;
-* ``union_plan`` combining per-shard readiness.
+* the cache adapter's fast-forward (``CachePhase.advance``) against
+  continued simulation;
+* ``union_plan`` combining per-shard readiness;
+* the adapter lookup: which monitors a run can extrapolate with.
 """
 
 import copy
@@ -20,28 +22,36 @@ import numpy as np
 from repro.machine.cache import CacheConfig, CacheHierarchy
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
+from repro.profiler.phase import ProfilerPhase
+from repro.runtime.engine import Monitor
 from repro.runtime.phase import (
+    CachePhase,
     IterationRecording,
     PhaseDetector,
+    monitor_adapter,
     union_plan,
 )
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
 from repro.spec import RunSpec
 from tests.reference.access import fetch_level
+from tests.reference.immediate_profiler import ImmediateProfiler
 from tests.reference.reuse import hierarchy_digest
 
 from tests.test_phase_parity import (
     SCALE,
     THREADS,
     _assert_report_engaged,
+    _assert_results_equal,
     _machine_factory,
 )
 
 
-def _run_dear(*, extrapolate, dear_period=4, warmup=6):
+def _run_dear(*, extrapolate, dear_period=4, warmup=6, heatmap=False):
     build = RunSpec("blackscholes", scale=SCALE).program
-    profiler = NumaProfiler(create_mechanism("DEAR", dear_period))
+    profiler = NumaProfiler(
+        create_mechanism("DEAR", dear_period), heatmap=heatmap
+    )
     engine = ExecutionEngine(
         _machine_factory(), build(), THREADS,
         monitor=profiler, binding=BindingPolicy.COMPACT,
@@ -166,7 +176,7 @@ def test_epoch_change_rearms_quiescent_detector():
 
 
 # ---------------------------------------------------------------------- #
-# cache fast-forward: phase_advance vs continued simulation
+# cache fast-forward: CachePhase.advance vs continued simulation
 # ---------------------------------------------------------------------- #
 
 
@@ -182,14 +192,15 @@ def test_phase_advance_matches_simulation():
     cache = CacheHierarchy(CacheConfig())
     for _ in range(4):
         _steady_iteration(cache)
-    snap = cache.phase_snapshot()
+    phase = CachePhase(cache)
+    snap = phase.snapshot()
     _steady_iteration(cache)
-    delta = cache.phase_delta(snap)
+    delta = phase.delta(snap)
 
     simulated = copy.deepcopy(cache)
     for _ in range(7):
         _steady_iteration(simulated)
-    cache.phase_advance(delta, 7)
+    phase.advance(delta, 7)
     np.testing.assert_array_equal(cache._pos, simulated._pos)
     np.testing.assert_array_equal(cache._last, simulated._last)
     assert hierarchy_digest(cache) == hierarchy_digest(simulated)
@@ -224,3 +235,27 @@ def test_union_plan_requires_every_shard():
     assert union_plan([ready, None]) is None
     assert union_plan([]) is None
     assert union_plan([ready, _payload(False, False, 0)]) is None
+
+
+# ---------------------------------------------------------------------- #
+# adapter lookup: the one support check
+# ---------------------------------------------------------------------- #
+
+
+def test_only_a_plain_profiler_has_an_adapter():
+    """The heatmap's per-page dicts are not recorded, and a subclass
+    may attribute otherwise (the per-chunk reference does)."""
+    dear = lambda: create_mechanism("DEAR", 1)  # noqa: E731
+    assert isinstance(monitor_adapter(NumaProfiler(dear())), ProfilerPhase)
+    for monitor in (NumaProfiler(dear(), heatmap=True),
+                    ImmediateProfiler(dear()), Monitor()):
+        assert monitor_adapter(monitor) is None
+
+
+def test_monitor_without_adapter_keeps_the_run_live():
+    ref_result, _ = _run_dear(extrapolate=False, heatmap=True)
+    result, engine = _run_dear(extrapolate=True, heatmap=True)
+    _assert_results_equal(ref_result, result)
+    report = engine.phase_report
+    assert report["iterations"] == report["simulated"] > 0
+    assert report["coverage_pct"] == 0.0

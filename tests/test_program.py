@@ -1,5 +1,7 @@
 """Program/region abstractions and the program context."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,16 @@ class TestPartition:
         sizes = [hi - lo for lo, hi in (ctx.partition(3, t) for t in range(8))]
         assert sum(sizes) == 3
         assert all(s >= 0 for s in sizes)
+
+    def test_bounds_equal_truncated_linspace(self):
+        """The per-thread bounds are the ``np.linspace`` decomposition's,
+        computed without building it."""
+        rng = np.random.default_rng(5)
+        items = list(range(150)) + rng.integers(0, 10**12, 40).tolist()
+        for n_threads in [*range(1, 41), 129, 256, 1000]:
+            stub = types.SimpleNamespace(n_threads=n_threads)
+            for n_items in items:
+                bounds = np.linspace(0, n_items, n_threads + 1).astype(np.int64)
+                got = [ProgramContext.partition(stub, n_items, t)
+                       for t in range(n_threads)]
+                assert got == list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))

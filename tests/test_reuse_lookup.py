@@ -3,10 +3,10 @@
 ``CacheHierarchy.fetch_levels`` classifies a whole step's memory chunks
 with array operations over interned reuse-key slots. It must equal the
 scalar lookup of ``tests/reference/reuse.py`` run chunk by chunk in step
-order — levels, state digest and the phase-extrapolation snapshot,
-delta and fast-forward — over random multi-step streams on several CPUs
-and segments. Every chunk of a step runs on a distinct CPU, as the
-engine guarantees.
+order — levels, state digest and the phase layer's snapshot, delta
+and fast-forward (``repro.runtime.phase.CachePhase``) — over random
+multi-step streams on several CPUs and segments. Every chunk of a step
+runs on a distinct CPU, as the engine guarantees.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.machine.cache import (
     CacheConfig,
     CacheHierarchy,
 )
+from repro.runtime.phase import CachePhase
 
 from tests.reference.reuse import DictReuseCache, hierarchy_digest
 
@@ -91,15 +92,16 @@ def test_phase_delta_and_advance_match_reference(seed):
     iteration = random_steps(seed + 100, 8)
     for step in warm + iteration:
         run_step(cache, ref, step)
-    snap, ref_snap = cache.phase_snapshot(), ref.phase_snapshot()
+    phase = CachePhase(cache)
+    snap, ref_snap = phase.snapshot(), ref.phase_snapshot()
     for step in iteration:
         run_step(cache, ref, step)
-    delta, ref_delta = cache.phase_delta(snap), ref.phase_delta(ref_snap)
+    delta, ref_delta = phase.delta(snap), ref.phase_delta(ref_snap)
     keys = list(cache._slot_of)
     assert delta[0] == ref_delta[0]
     assert {keys[s] for s in delta[1].tolist()} == set(ref_delta[1])
     assert len(delta[1]) == len(ref_delta[1])
-    cache.phase_advance(delta, 5)
+    phase.advance(delta, 5)
     ref.phase_advance(ref_delta, 5)
     assert_same_state(cache, ref)
     for step in iteration + random_steps(seed + 200, 20):
@@ -111,10 +113,11 @@ def test_new_slots_after_a_snapshot_count_as_touched():
     cache, ref = CacheHierarchy(CONFIG), DictReuseCache(CONFIG)
     steps = random_steps(3, 10)
     run_step(cache, ref, steps[0])
-    snap, ref_snap = cache.phase_snapshot(), ref.phase_snapshot()
+    phase = CachePhase(cache)
+    snap, ref_snap = phase.snapshot(), ref.phase_snapshot()
     for step in steps[1:]:
         run_step(cache, ref, step)
-    delta, ref_delta = cache.phase_delta(snap), ref.phase_delta(ref_snap)
+    delta, ref_delta = phase.delta(snap), ref.phase_delta(ref_snap)
     keys = list(cache._slot_of)
     assert delta[0] == ref_delta[0]
     assert {keys[s] for s in delta[1].tolist()} == set(ref_delta[1])

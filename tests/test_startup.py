@@ -113,6 +113,46 @@ def test_pipeline_run_loads_only_what_it_executes(tmp_path):
     assert not {"_hashlib", "hashlib", "hmac"} & modules
 
 
+#: The phase-extrapolation layer and its adapter modules.
+PHASE_MODULES = ("repro.runtime.phase", "repro.profiler.phase")
+
+
+def test_run_without_extrapolation_loads_no_phase_protocol(tmp_path):
+    """Phase extrapolation is a plug-in: a lulesh pipeline run without
+    ``--extrapolate`` loads neither the phase layer nor an adapter, and
+    the classes it adapts define none of its protocol."""
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = [{str(PIPELINE)!r}, 'lulesh', '--optimize',"
+        " '--scale', '0.05', '--result', 'result.json']\n"
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    runpy.run_path({str(PIPELINE)!r}, run_name='__main__')\n"
+    )
+    modules = _modules_after(code, tmp_path)
+    assert (tmp_path / "result.json").is_file()
+    assert "repro.profiler.profiler" in modules
+    assert [m for m in PHASE_MODULES if m in modules] == []
+    from repro.machine.cache import CacheHierarchy
+    from repro.profiler import NumaProfiler
+    from repro.runtime.engine import Monitor
+
+    protocol = [f"{cls.__name__}.{name}"
+                for cls in (Monitor, NumaProfiler, CacheHierarchy)
+                for name in dir(cls) if name.startswith("phase_")]
+    assert protocol == []
+
+
+def test_extrapolated_run_loads_the_phase_adapters(tmp_path):
+    modules = _modules_after(
+        "from repro.__main__ import main\n"
+        "main(['lulesh', '--extrapolate', '--scale', '0.05', '--no-save',"
+        " '--quiet'])\n",
+        tmp_path,
+    )
+    assert set(PHASE_MODULES) <= modules
+
+
 def test_amg_run_loads_no_openssl(tmp_path):
     """amg draws its block permutation and per-thread streams from
     ``numpy.random`` as well as IBS jitter."""

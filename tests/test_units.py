@@ -119,13 +119,24 @@ def test_fast_unique_matches_numpy_property():
 
     from repro.units import fast_unique
 
-    @given(st.lists(st.integers(min_value=0, max_value=50), max_size=200))
-    @settings(max_examples=60, deadline=None)
-    def check(values):
-        a = np.array(values, dtype=np.int64)
-        np.testing.assert_array_equal(fast_unique(a), np.unique(a))
+    @given(
+        st.lists(st.integers(min_value=0, max_value=50), max_size=200),
+        st.sampled_from([np.int64, np.uint8, np.uint64]),
+        st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def check(values, dtype, ordered):
+        # Unsigned keys once read as sorted whatever their order: the
+        # sortedness check took an ``np.diff``, which wraps.
+        a = np.array(sorted(values) if ordered else values, dtype=dtype)
+        out = fast_unique(a)
+        np.testing.assert_array_equal(out, np.unique(a))
+        assert out.dtype == a.dtype
 
     check()
+    for a in (np.array([5, 3, 5], np.uint8),
+              np.array([2**64 - 1, 0, 2**64 - 1], np.uint64)):
+        np.testing.assert_array_equal(fast_unique(a), np.unique(a))
 
 
 def test_first_occurrence_mask_property():
