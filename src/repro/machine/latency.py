@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.cache import LEVEL_DRAM
 from repro.machine.topology import NumaTopology
 
 
@@ -143,16 +142,11 @@ class LatencyModel:
 
     @property
     def demand_min_latency(self) -> float:
-        """The least latency a *demand* DRAM miss exposes."""
-        return self.dram_local * 0.95
+        """The least latency a *demand* DRAM miss exposes.
 
-    def demand_mask(self, latencies: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Which accesses were *demand* DRAM misses (exposed full latency).
-
-        Used to model event counters that fire on demand misses only
-        (e.g. MRK's ``PM_MRK_FROM_L3MISS``): prefetched lines do not
+        Event counters that fire on demand misses only (MRK's
+        ``PM_MRK_FROM_L3MISS``) count DRAM accesses at or above it
+        (``ChunkView.demand_miss_events``): prefetched lines do not
         cause demand-miss events.
         """
-        return (np.asarray(levels) == LEVEL_DRAM) & (
-            np.asarray(latencies) >= self.demand_min_latency
-        )
+        return self.dram_local * 0.95

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.phase import relative_spread
-
 
 class ProfilerPhase:
     """Phase adapter of one :class:`~repro.profiler.NumaProfiler`.
@@ -130,17 +128,20 @@ class ProfilerPhase:
         out["events"] = p.mechanism.total_events - t0[1]
         return out
 
-    def extrapolate_flush(self, deltas: list, n: int) -> float:
+    def extrapolate_flush(self, deltas: list, n: int) -> list[list[float]]:
         """ε-mode extrapolation: scale the window-mean deltas onto the
         deferred accumulators (multiply instead of re-scatter).
 
-        Returns the observed relative half-spread across the window (the
-        declared ε contribution). [min, max] address ranges are left at
-        their simulated-window values — see MODEL.md for the contract.
+        Returns each window iteration's column sums — every accumulator
+        table's columns, then samples and events — from which the run
+        driver declares ε over every shard at once
+        (:func:`~repro.runtime.phase.summed_spread`). [min, max] address
+        ranges are left at their simulated-window values — see MODEL.md
+        for the contract.
         """
         p = self.profiler
         w = len(deltas)
-        eps = 0.0
+        sums: list[list[float]] = [[] for _ in deltas]
 
         def padded(arrs):
             # Window entries may predate rows interned later in the
@@ -162,10 +163,10 @@ class ProfilerPhase:
                 mean += d
             mean /= w
             tab.scale_rows(mean, float(n))
-            for j in range(mean.shape[1]):
-                eps = max(eps, relative_spread(
-                    [float(d[key][:, j].sum()) for d in deltas]
-                ))
+            for row, d in zip(sums, deltas):
+                row.extend(
+                    float(d[key][:, j].sum()) for j in range(mean.shape[1])
+                )
         ctr_mean = deltas[0]["ctr"].copy()
         for d in deltas[1:]:
             ctr_mean += d["ctr"]
@@ -173,7 +174,8 @@ class ProfilerPhase:
         p._ctr += ctr_mean * n
         s_vals = [float(d["samples"]) for d in deltas]
         e_vals = [float(d["events"]) for d in deltas]
-        eps = max(eps, relative_spread(s_vals), relative_spread(e_vals))
+        for row, samples, events in zip(sums, s_vals, e_vals):
+            row += (samples, events)
         p.mechanism.total_samples += int(round(sum(s_vals) / w * n))
         p.mechanism.total_events += int(round(sum(e_vals) / w * n))
-        return eps
+        return sums

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.machine.cache import LEVEL_DRAM
 from repro.profiler.metrics import MetricNames
 from repro.runtime.engine import Monitor
 
@@ -51,10 +50,6 @@ class TimelineRecorder(Monitor):
     def __init__(self) -> None:
         self._current: dict[int, tuple[str, int]] = {}
         self.buckets: dict[tuple[str, int], TimelineBucket] = {}
-        self._machine = None
-
-    def on_run_start(self, engine) -> None:
-        self._machine = engine.machine
 
     def on_region_enter(self, tid: int, region, iteration: int) -> None:
         self._current[tid] = (region.name, iteration)
@@ -72,39 +67,26 @@ class TimelineRecorder(Monitor):
             self.buckets[key] = bucket
         return bucket
 
-    def on_chunk(
-        self, tid, cpu, chunk, levels, target_domains, latencies, path
-    ) -> float:
-        bucket = self._bucket(tid)
-        if bucket is None or chunk.n_accesses == 0:
-            return 0.0
-        domain = self._machine.topology.domain_of_cpu(cpu)
-        remote = target_domains != domain
-        dram = levels == LEVEL_DRAM
-        self._record(bucket, chunk, dram, remote, latencies)
-        return 0.0
-
     def on_step(self, views) -> list[float]:
-        """Batched observation using the engine's precomputed masks."""
-        for v in views:
+        """Count every chunk's instructions and, for memory chunks, its
+        exact access events from the engine's precomputed masks."""
+        for v, n_ins, n_acc in zip(
+            views, views.n_ins.tolist(), views.n_acc.tolist()
+        ):
             bucket = self._bucket(v.tid)
-            if bucket is None or v.chunk.n_accesses == 0:
+            if bucket is None:
                 continue
-            self._record(bucket, v.chunk, v.dram_mask, v.remote_mask,
-                         v.latencies)
+            m = bucket.metrics
+            if n_acc:
+                remote = v.remote_mask
+                latencies = v.latencies
+                m[MetricNames.NUMA_MATCH] += float(np.count_nonzero(~remote))
+                m[MetricNames.NUMA_MISMATCH] += float(np.count_nonzero(remote))
+                m[MetricNames.LAT_TOTAL] += float(latencies.sum())
+                m[MetricNames.LAT_REMOTE] += float(latencies[remote].sum())
+                m["DRAM"] += float(np.count_nonzero(v.dram_mask))
+            m[MetricNames.INSTR] += float(n_ins)
         return [0.0] * len(views)
-
-    def _record(self, bucket, chunk, dram, remote, latencies) -> None:
-        bucket.metrics[MetricNames.NUMA_MATCH] += float(
-            np.count_nonzero(~remote)
-        )
-        bucket.metrics[MetricNames.NUMA_MISMATCH] += float(
-            np.count_nonzero(remote)
-        )
-        bucket.metrics[MetricNames.LAT_TOTAL] += float(latencies.sum())
-        bucket.metrics[MetricNames.LAT_REMOTE] += float(latencies[remote].sum())
-        bucket.metrics["DRAM"] += float(np.count_nonzero(dram))
-        bucket.metrics[MetricNames.INSTR] += float(chunk.n_instructions)
 
     # ------------------------------------------------------------------ #
 

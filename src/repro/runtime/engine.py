@@ -480,42 +480,20 @@ class Monitor:
         """Protection-trap handler; returns handler cost in cycles."""
         return 0.0
 
-    def on_chunk(
-        self,
-        tid: int,
-        cpu: int,
-        chunk: AccessChunk,
-        levels: np.ndarray,
-        target_domains: np.ndarray,
-        latencies: np.ndarray,
-        path: CallPath,
-    ) -> float:
-        """Observe one executed chunk; returns monitoring cost in cycles."""
-        return 0.0
-
-    def on_step(self, views: StepViews) -> list[float]:
+    def on_step(self, views: StepViews) -> np.ndarray:
         """Observe one execution step; returns per-chunk costs in cycles.
 
-        The engine calls this once per step with a :class:`StepViews`
-        holding one view per executed chunk, in step order — a
+        The engine calls this once per step with a :class:`StepViews`:
+        one view per executed chunk, in step order — a
         :class:`LazyChunkView` for each memory chunk and a
-        :class:`ChunkView` with empty arrays for each pure-compute chunk
-        (the tests' per-chunk reference engine hands eager
-        :class:`ChunkView` arrays for memory chunks too). The default
-        implementation preserves the historical per-chunk contract by
-        dispatching each view to :meth:`on_chunk`, which materializes
-        lazy views; batch-aware monitors override it and
-        consume samples through ``latencies_at`` /
-        ``remote_event_count`` so lazy views never materialize
-        whole-chunk arrays.
+        :class:`ChunkView` with empty arrays for each pure-compute
+        chunk — plus the step's per-chunk ``tids`` / ``n_ins`` /
+        ``n_acc`` arrays and its ``memo``. Monitors consume samples
+        through ``latencies_at`` / ``remote_event_count`` and the event
+        primitives, so lazy views never materialize whole-chunk arrays.
+        The default observes nothing and costs nothing.
         """
-        return [
-            self.on_chunk(
-                v.tid, v.cpu, v.chunk, v.levels, v.target_domains,
-                v.latencies, v.path,
-            )
-            for v in views
-        ]
+        return np.zeros(len(views))
 
     def on_run_end(self, result: "RunResult") -> None:
         """Called once after the last region."""

@@ -75,12 +75,14 @@ def _nbytes(*objs) -> int:
 class StepViews(list):
     """A step's monitor views plus per-step invariant arrays.
 
-    What the engine hands to ``Monitor.on_step``: a ``list`` of views —
-    monitors that don't know about it see a list. Batch-aware monitors
-    use the extra arrays (one entry per view, in view order) instead of
-    re-deriving them with per-view Python loops, and may stash their own
-    per-step invariants in ``memo`` (keyed by consumer); a retained
-    record hands the same object back on every iteration.
+    The one thing the engine hands to ``Monitor.on_step`` and a
+    monitor hands on to ``SamplingMechanism.select_step`` /
+    ``cost_cycles_step``: a ``list`` of views that also carries the
+    step's per-chunk ``tids`` / ``n_ins`` / ``n_acc`` arrays (one entry
+    per view, in view order), so consumers never re-derive them with
+    per-view Python loops. Consumers may stash their own per-step
+    invariants in ``memo`` (keyed by consumer); a retained record hands
+    the same object back on every iteration.
     """
 
     __slots__ = ("tids", "n_ins", "n_acc", "memo", "memo_charged", "gather")

@@ -210,6 +210,28 @@ def relative_spread(values: list[float]) -> float:
     return (hi - lo) / (2.0 * scale) if scale else 0.0
 
 
+def summed_spread(shard_sums: list) -> float:
+    """The monitor's declared ε: the largest relative spread of any
+    column's per-iteration sum, added over every shard.
+
+    ``shard_sums[s][i][j]`` is shard ``s``'s sum of accumulator column
+    ``j`` in the ``i``-th iteration of its ε window (``None`` without
+    one). Every window ends at the last live iteration, so the shards'
+    common trailing iterations are added column by column. Shards hold
+    disjoint threads, so the sums are the run's own: a column that one
+    shard barely touches does not declare a spread of its own.
+    """
+    sums = [s for s in shard_sums if s]
+    if not sums:
+        return 0.0
+    n = min(len(s) for s in sums)
+    rows = [
+        [sum(col) for col in zip(*shard_rows)]
+        for shard_rows in zip(*(s[-n:] for s in sums))
+    ]
+    return max(relative_spread(list(col)) for col in zip(*rows))
+
+
 def window_eps(window: list[IterationRecording]) -> float:
     """Observed relative half-spread of cycles across the window."""
     if len(window) < 2:
@@ -676,15 +698,17 @@ class EnginePhase:
         overhead adds and monitor program — exact mode in per-iteration
         order, the float adds of simulating it; ε mode as the window
         mean scaled by ``n_skip`` — and fast-forwards the cache. Returns
-        this shard's monitor ε (the cycle spread is the driver's, over
-        its merged window) and integer deltas.
+        this shard's integer deltas and, in ε mode, its monitor's
+        per-iteration column sums, from which the driver declares ε over
+        every shard (:func:`summed_spread`; the cycle spread is the
+        driver's, over its merged window).
         """
         engine = self.engine
         detector = self.detector
         rec = detector.history[-1].rec
         monitor = self.monitor
         overhead = engine._overhead_by_tid
-        eps = 0.0
+        sums = None
         if mode == "exact":
             for _ in range(n_skip):
                 for tids, oh in rec.oh_ops:
@@ -699,7 +723,7 @@ class EnginePhase:
             oh_mean /= len(window)
             overhead += oh_mean * n_skip
             if monitor is not None:
-                eps = monitor.extrapolate_flush(
+                sums = monitor.extrapolate_flush(
                     [sample.monitor_delta for sample in window], n_skip
                 )
         if rec.cache_delta is not None:
@@ -709,7 +733,7 @@ class EnginePhase:
         if release:
             engine.memo.release_region(region_idx)
         return {
-            "eps": eps,
+            "sums": sums,
             "ints": {k: rec.ints[k] * n_skip for k in INT_FIELDS},
         }
 
@@ -785,7 +809,7 @@ class RunPhase:
             rc_mean, elapsed_mean = mean_cycles(w)
             cycles = {tid: c * n_skip for tid, c in rc_mean.items()}
             elapsed, times = elapsed_mean * n_skip, 1
-        eps = max([window_eps(w)] + [p["eps"] for p in shards])
+        eps = max(window_eps(w), summed_spread([p["sums"] for p in shards]))
         self.eps_max = max(self.eps_max, eps)
         self.n_eps += n_skip
         return n_skip, rec, cycles, elapsed, times

@@ -246,12 +246,14 @@ class SamplingMechanism(abc.ABC):
     def select_step(self, views) -> StepSampleBatch:
         """Choose samples for every chunk of one execution step at once.
 
-        ``views`` is a sequence of per-chunk views (``ChunkView``-shaped:
-        ``tid``, ``chunk``, ``levels``, ``target_domains``, ``latencies``)
-        in step order; the engine guarantees each thread contributes at
-        most one chunk per step, so per-thread carries never collide
-        within a call. Results are exactly what selecting chunk by chunk
-        in view order would produce (the scalar reference in
+        ``views`` is the engine's
+        :class:`~repro.runtime.memo.StepViews`: one view per chunk in
+        step order, with the per-chunk ``tids``, ``n_ins`` and ``n_acc``
+        arrays and the step's ``memo``. The engine guarantees each
+        thread contributes at most one chunk per step, so per-thread
+        carries never collide within a call. Results are exactly what
+        selecting chunk by chunk in view order would produce (the
+        scalar reference in
         ``tests/reference/sampling.py``; see
         ``tests/test_sampling_step.py``). Mechanisms implement it with
         vectorized selection over step-concatenated event counts.
@@ -266,20 +268,10 @@ class SamplingMechanism(abc.ABC):
         exceeds the event-based mechanisms' in Table 2 ("IBS samples all
         kinds of instructions ... which adds extra overhead").
         """
-        n_acc = getattr(views, "n_acc", None)
-        if n_acc is None:
-            n_acc = np.fromiter(
-                (v.chunk.n_accesses for v in views), np.int64, len(views)
-            )
-            n_ins = np.fromiter(
-                (v.chunk.n_instructions for v in views), np.int64, len(views)
-            )
-        else:
-            n_ins = views.n_ins
         return (
             step.n_sampled_instructions * self.per_sample_cycles
-            + n_acc * self.per_access_cycles
-            + n_ins * self.instr_tax_cycles
+            + views.n_acc * self.per_access_cycles
+            + views.n_ins * self.instr_tax_cycles
         )
 
     def _step_carries(self, tids) -> np.ndarray:
@@ -321,13 +313,11 @@ class SamplingMechanism(abc.ABC):
 class EventSamplingMechanism(SamplingMechanism):
     """Every ``period``-th trigger event, counted per thread.
 
-    A subclass names its trigger event twice, with the same meaning:
-    :attr:`event_primitive` — the view method (see
-    ``repro.runtime.engine.ChunkView``) that returns the event indices
-    directly, so a lazy view serves them from its fetch subset without
-    materializing per-access arrays — and :meth:`_event_mask` over
-    per-access arrays, for views without event primitives. A rate cap
-    hooks in through :meth:`_capped` / :meth:`_cap_step`.
+    A subclass names its trigger event once, as :attr:`event_primitive`:
+    the view method (see ``repro.runtime.engine.ChunkView``) that
+    returns the event indices directly, so a lazy view serves them from
+    its fetch subset without materializing per-access arrays. A rate
+    cap hooks in through :meth:`_capped` / :meth:`_cap_step`.
     """
 
     #: Name of the view method returning chunk-local event indices,
@@ -336,12 +326,6 @@ class EventSamplingMechanism(SamplingMechanism):
 
     def _event_args(self) -> tuple:
         return ()
-
-    @abc.abstractmethod
-    def _event_mask(
-        self, levels: np.ndarray, latencies: np.ndarray
-    ) -> np.ndarray:
-        """Which accesses are trigger events."""
 
     def _capped(self) -> bool:
         """Whether :meth:`_cap_step` thins selections (it needs latency sums)."""
@@ -361,12 +345,6 @@ class EventSamplingMechanism(SamplingMechanism):
         """
         return chosen, counts
 
-    def _view_events(self, v) -> np.ndarray:
-        prim = getattr(v, self.event_primitive, None)
-        if prim is None:
-            return np.flatnonzero(self._event_mask(v.levels, v.latencies))
-        return prim(*self._event_args())
-
     def _step_events(self, views):
         """``(events_cat, ev_counts, offsets, lat_totals)`` for a step.
 
@@ -380,19 +358,16 @@ class EventSamplingMechanism(SamplingMechanism):
         counts are the step's selection itself, so they are read-only.
         The indices are held at :func:`event_index_dtype`'s width.
         """
-        memo = getattr(views, "memo", None)
+        args = self._event_args()
         capped = self._capped()
-        key = (self.event_primitive, *self._event_args(), capped)
-        got = memo.get(key) if memo is not None else None
+        key = (self.event_primitive, *args, capped)
+        got = views.memo.get(key)
         if got is not None:
             return got
-        events = [self._view_events(v) for v in views]
+        events = [getattr(v, self.event_primitive)(*args) for v in views]
         ev_counts = np.fromiter((e.size for e in events), np.int64, len(events))
-        n_acc = getattr(views, "n_acc", None)
-        if n_acc is None:
-            n_acc = [v.chunk.n_accesses for v in views]
         events_cat = np.concatenate(
-            events, dtype=event_index_dtype(n_acc), casting="same_kind"
+            events, dtype=event_index_dtype(views.n_acc), casting="same_kind"
         )
         del events
         events_cat.flags.writeable = ev_counts.flags.writeable = False
@@ -400,20 +375,13 @@ class EventSamplingMechanism(SamplingMechanism):
         if capped:
             lat_totals = np.zeros(len(views))
             for k in np.flatnonzero(ev_counts).tolist():
-                v = views[k]
-                total = getattr(v, "latency_total", None)
-                lat_totals[k] = (
-                    total() if total is not None
-                    else float(v.latencies.sum())
-                )
-        got = (
+                lat_totals[k] = views[k].latency_total()
+        got = views.memo[key] = (
             events_cat,
             ev_counts,
             _starts_from_counts(ev_counts),
             lat_totals,
         )
-        if memo is not None:
-            memo[key] = got
         return got
 
     @traced_select_step
@@ -422,9 +390,7 @@ class EventSamplingMechanism(SamplingMechanism):
         if not views:
             return self._empty_step(latency_captured=latency_captured)
         events_cat, ev_counts, offsets, lat_totals = self._step_events(views)
-        tids = getattr(views, "tids", None)
-        if tids is None:
-            tids = [v.tid for v in views]
+        tids = views.tids
         carries = self._step_carries(tids)
         if self.period == 1 and not carries.any():
             # Every event is chosen and the zero carries stay zero: the
@@ -442,11 +408,8 @@ class EventSamplingMechanism(SamplingMechanism):
             chosen = events_cat[positions]
             del positions
         if lat_totals is not None and chosen.size:
-            n_ins = getattr(views, "n_ins", None)
-            if n_ins is None:
-                n_ins = np.array([v.chunk.n_instructions for v in views])
             chosen, counts = self._cap_step(
-                np.asarray(tids), chosen, counts, n_ins, lat_totals
+                tids, chosen, counts, views.n_ins, lat_totals
             )
         return self._finish_step(
             StepSampleBatch(

@@ -10,9 +10,6 @@ Section 10), so remote/local classification relies entirely on the
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.machine.cache import LEVEL_L1
 from repro.sampling.base import EventSamplingMechanism, MechanismCapabilities
 
 
@@ -38,8 +35,3 @@ class DEAR(EventSamplingMechanism):
         cost = {"per_sample_cycles": 3_000.0, "instr_tax_cycles": 0.06}
         cost.update(cost_overrides)
         super().__init__(period, **cost)
-
-    def _event_mask(
-        self, levels: np.ndarray, latencies: np.ndarray
-    ) -> np.ndarray:
-        return levels != LEVEL_L1

@@ -144,21 +144,7 @@ class InstructionSamplingMixin:
 
         Returns ``(access_idx_cat, counts, n_positions, n_acc, n_ins)``.
         """
-        n = len(views)
-        n_ins = getattr(views, "n_ins", None)
-        if n_ins is None:
-            n_ins = np.fromiter(
-                (v.chunk.n_instructions for v in views), np.int64, n
-            )
-            n_acc = np.fromiter(
-                (v.chunk.n_accesses for v in views), np.int64, n
-            )
-            tids = [v.tid for v in views]
-        else:
-            # Engine step: its StepViews carries the per-chunk counts
-            # pre-extracted (see repro.runtime.memo).
-            n_acc = views.n_acc
-            tids = views.tids
+        tids, n_ins, n_acc = views.tids, views.n_ins, views.n_acc
         carries = self._step_carries(tids)
         # Chunks with no accesses take instruction samples but emit no
         # memory samples and draw no jitter, so positions are built for
@@ -172,9 +158,7 @@ class InstructionSamplingMixin:
             # mem_rows is ascending, so each thread's draws concatenated
             # in view order are its chunk-by-chunk consumption.
             rows = np.flatnonzero(mem & (n_positions > 0))
-            jitter = self._jitter(
-                np.asarray(tids, dtype=np.int64)[rows], n_positions[rows]
-            )
+            jitter = self._jitter(tids[rows], n_positions[rows])
             mem_pos = np.maximum(mem_pos - jitter, 0)
             dedup = np.empty(mem_pos.size, dtype=bool)
             dedup[0] = True
@@ -194,5 +178,7 @@ class InstructionSamplingMixin:
         ni = n_ins[mem_rows]
         is_mem = (mem_pos * na) % ni < na
         access_idx = (mem_pos[is_mem] * na[is_mem]) // ni[is_mem]
-        counts = np.bincount(mem_rows[is_mem], minlength=n).astype(np.int64)
+        counts = np.bincount(
+            mem_rows[is_mem], minlength=len(views)
+        ).astype(np.int64)
         return access_idx.astype(np.int64), counts, n_positions, n_acc, n_ins

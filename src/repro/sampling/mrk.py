@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.machine.cache import LEVEL_DRAM
 from repro.sampling.base import (
     EventSamplingMechanism,
     MechanismCapabilities,
@@ -77,13 +76,6 @@ class MRK(EventSamplingMechanism):
         if self.machine is None:
             return (-np.inf,)
         return (self.machine.latency_model.demand_min_latency,)
-
-    def _event_mask(
-        self, levels: np.ndarray, latencies: np.ndarray
-    ) -> np.ndarray:
-        if self.machine is not None:
-            return self.machine.latency_model.demand_mask(latencies, levels)
-        return levels == LEVEL_DRAM
 
     def _capped(self) -> bool:
         return self.max_rate is not None and self.machine is not None

@@ -14,8 +14,6 @@ Its overhead is the lowest of the hardware mechanisms in Table 2.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.sampling.base import EventSamplingMechanism, MechanismCapabilities
 
 
@@ -55,8 +53,3 @@ class PEBSLL(EventSamplingMechanism):
 
     def _event_args(self) -> tuple:
         return (self.latency_threshold,)
-
-    def _event_mask(
-        self, levels: np.ndarray, latencies: np.ndarray
-    ) -> np.ndarray:
-        return latencies > self.latency_threshold

@@ -15,8 +15,6 @@ every 10,000,000th). Consequences modeled here:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.sampling.base import (
     MechanismCapabilities,
     SamplingMechanism,
@@ -53,10 +51,7 @@ class SoftIBS(SamplingMechanism):
     def select_step(self, views) -> StepSampleBatch:
         if not views:
             return self._empty_step(latency_captured=False)
-        n_acc = np.fromiter(
-            (v.chunk.n_accesses for v in views), np.int64, len(views)
-        )
-        tids = [v.tid for v in views]
+        tids, n_acc = views.tids, views.n_acc
         carries = self._step_carries(tids)
         positions, _, counts, new_carries = periodic_positions_step(
             carries, n_acc, self.period

@@ -1,5 +1,6 @@
 """Execution engine: scheduling, barriers, cycle accounting, hooks."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ProgramError
@@ -7,8 +8,10 @@ from repro.machine import presets
 from repro.runtime import ExecutionEngine, Monitor
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import compute_chunk
+from repro.runtime.memo import StepViews
 from repro.runtime.program import Region, RegionKind
 from repro.runtime.thread import BindingPolicy
+from repro.spec import RunSpec
 
 from tests.conftest import ToyProgram
 
@@ -137,8 +140,8 @@ class TestBarriers:
 class TestMonitorIntegration:
     def test_monitor_cost_charged_to_wall(self, small_machine, toy_program):
         class Expensive(Monitor):
-            def on_chunk(self, *args):
-                return 1e6
+            def on_step(self, views):
+                return [1e6] * len(views)
 
         base_machine = presets.generic(n_domains=4, cores_per_domain=2)
         base = ExecutionEngine(base_machine, ToyProgram(), 8).run()
@@ -178,18 +181,53 @@ class TestMonitorIntegration:
         captured = {}
 
         class Capture(Monitor):
-            def on_chunk(self, tid, cpu, chunk, levels, targets, lat, path):
-                if chunk.var is not None and "n" not in captured:
-                    captured["n"] = chunk.n_accesses
-                    captured["levels"] = levels.shape
-                    captured["lat"] = lat.shape
-                    captured["path"] = path
-                return 0.0
+            def on_step(self, views):
+                for v in views:
+                    if v.chunk.var is not None and "n" not in captured:
+                        captured["n"] = v.chunk.n_accesses
+                        captured["levels"] = v.levels.shape
+                        captured["lat"] = v.latencies.shape
+                        captured["path"] = v.path
+                return [0.0] * len(views)
 
         ExecutionEngine(small_machine, toy_program, 4, monitor=Capture()).run()
         assert captured["levels"] == (captured["n"],)
         assert captured["lat"] == (captured["n"],)
         assert captured["path"][0].func == "main"
+
+    @pytest.mark.parametrize("workload", ["lulesh", "blackscholes"])
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_step_views_carry_their_views_columns(self, workload, memoize):
+        """Every ``StepViews`` the engine hands a monitor carries its
+        views' own thread, instruction and access counts and a ``memo``
+        dict, on fresh and retained steps alike."""
+        steps = []
+
+        class Check(Monitor):
+            def on_step(self, views):
+                assert isinstance(views, StepViews)
+                n = len(views)
+                for col in (views.tids, views.n_ins, views.n_acc):
+                    assert col.dtype == np.int64 and col.shape == (n,)
+                assert views.tids.tolist() == [v.tid for v in views]
+                assert views.n_ins.tolist() == [
+                    v.chunk.n_instructions for v in views
+                ]
+                assert views.n_acc.tolist() == [
+                    v.chunk.n_accesses for v in views
+                ]
+                assert isinstance(views.memo, dict)
+                steps.append(views)
+                return [0.0] * n
+
+        spec = RunSpec(workload, scale=0.02, threads=8, machine="generic")
+        ExecutionEngine(
+            spec.machine_factory()(), spec.program(), spec.threads,
+            monitor=Check(), memoize=memoize,
+        ).run()
+        assert steps
+        # Retained steps hand back the same object on later iterations.
+        assert (len({id(v) for v in steps}) < len(steps)) == memoize
 
     def test_region_wall_accounting(self, small_machine, toy_program):
         res = ExecutionEngine(small_machine, toy_program, 8).run()

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.machine import presets
-from repro.runtime.memo import StepViews
 from repro.sampling import DEAR, MRK, PEBSLL
 from repro.sampling.base import periodic_positions_step
 from tests.reference.sampling import batch_for, select
@@ -50,19 +49,12 @@ def _general_select_step(mech, views):
     return chosen, counts, ev_counts
 
 
-def _as_step_views(views):
-    return StepViews(
-        views,
-        np.array([v.tid for v in views], dtype=np.int64),
-        np.array([v.chunk.n_instructions for v in views], dtype=np.int64),
-        np.array([v.chunk.n_accesses for v in views], dtype=np.int64),
-    )
-
-
 @pytest.mark.parametrize("period", [1, 2])
 @pytest.mark.parametrize("name", list(MECHS))
-@pytest.mark.parametrize("memo", [False, True], ids=["list", "step_views"])
+@pytest.mark.parametrize("memo", [False, True], ids=["step_views", "retained"])
 def test_select_step_equals_general_path_and_reference(name, period, memo):
+    """``retained``: each step's ``memo`` already holds its events, as
+    on a retained step's later iterations."""
     machine = presets.generic(n_domains=4, cores_per_domain=2)
     steps = make_steps(machine, n_steps=12, seed=period)
     fast, general, ref = (MECHS[name](period) for _ in range(3))
@@ -70,7 +62,10 @@ def test_select_step_equals_general_path_and_reference(name, period, memo):
         mech.configure(machine)
     for views in steps:
         if memo:
-            views = _as_step_views(views)
+            earlier = MECHS[name](period)
+            earlier.configure(machine)
+            earlier.select_step(views)
+            assert views.memo
         step = fast.select_step(views)
         want, want_counts, want_events = _general_select_step(general, views)
         np.testing.assert_array_equal(step.indices, want)
@@ -98,7 +93,7 @@ def test_period_one_selection_is_the_step_events():
     """At period 1 an uncapped step's selection is its cached events,
     read-only, so a retained step cannot be altered through a batch."""
     machine = presets.generic(n_domains=4, cores_per_domain=2)
-    views = _as_step_views(make_steps(machine, n_steps=1, seed=5)[0])
+    views = make_steps(machine, n_steps=1, seed=5)[0]
     mech = DEAR(1)
     mech.configure(machine)
     step = mech.select_step(views)

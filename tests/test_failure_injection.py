@@ -23,7 +23,7 @@ from tests.conftest import ToyProgram
 class TestMonitorFailures:
     def test_monitor_exception_propagates(self, small_machine, toy_program):
         class Broken(Monitor):
-            def on_chunk(self, *args):
+            def on_step(self, views):
                 raise RuntimeError("probe died")
 
         with pytest.raises(RuntimeError, match="probe died"):

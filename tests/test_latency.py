@@ -6,6 +6,9 @@ import pytest
 from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, LEVEL_L2, LEVEL_L3
 from repro.machine.latency import LatencyModel
 from repro.machine.topology import NumaTopology
+from repro.runtime.callstack import SourceLoc
+from repro.runtime.chunks import AccessChunk
+from repro.runtime.engine import ChunkView
 from tests.reference.access import access_latency
 
 
@@ -159,20 +162,38 @@ class TestPrefetchExposure:
         assert np.all(lat > m.prefetched_latency)
 
 
+def _view(levels, latencies):
+    """An eager one-chunk view of ``levels`` and ``latencies``."""
+    n = levels.size
+    return ChunkView(
+        0, 0, 0, AccessChunk(None, np.arange(n, dtype=np.int64) * 64, n,
+                             SourceLoc("k")),
+        levels, np.zeros(n, np.int64), latencies, (SourceLoc("k"),),
+        levels == LEVEL_DRAM, np.zeros(n, bool),
+    )
+
+
 class TestDemandMask:
+    """MRK's demand-miss events: DRAM accesses at or above
+    ``demand_min_latency`` (``ChunkView.demand_miss_events``)."""
+
     def test_separates_demand_from_prefetched(self, model, topo):
         levels = np.full(100, LEVEL_DRAM, dtype=np.uint8)
         lat = access_latency(
             model, levels, np.zeros(100, dtype=np.int64), 0, topo, ones(topo),
             sequential=True,
         )
-        mask = model.demand_mask(lat, levels)
-        assert np.array_equal(mask, lat >= 200 * 0.95)
+        events = _view(levels, lat).demand_miss_events(
+            model.demand_min_latency
+        )
+        assert 0 < events.size < lat.size
+        np.testing.assert_array_equal(events, np.flatnonzero(lat >= 200 * 0.95))
 
     def test_cache_hits_never_demand(self, model, topo):
         levels = np.array([LEVEL_L3], dtype=np.uint8)
         lat = np.array([400.0])  # even with high latency value
-        assert not model.demand_mask(lat, levels)[0]
+        view = _view(levels, lat)
+        assert view.demand_miss_events(model.demand_min_latency).size == 0
 
 
 class TestFetchLatencies:

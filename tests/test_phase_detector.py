@@ -29,6 +29,8 @@ from repro.runtime.phase import (
     IterationRecording,
     PhaseDetector,
     monitor_adapter,
+    relative_spread,
+    summed_spread,
     union_plan,
 )
 from repro.runtime.thread import BindingPolicy
@@ -235,6 +237,25 @@ def test_union_plan_requires_every_shard():
     assert union_plan([ready, None]) is None
     assert union_plan([]) is None
     assert union_plan([ready, _payload(False, False, 0)]) is None
+
+
+def test_summed_spread_adds_shards_before_the_spread():
+    # Per iteration, two columns. Shard 0 barely samples column 0
+    # ([0, 3] alone spreads by exactly 1.0); added to shard 1's, the
+    # run's sums are flat.
+    shard0 = [[0.0, 10.0], [3.0, 10.0]]
+    shard1 = [[100.0, 20.0], [97.0, 30.0]]
+    assert summed_spread([shard0, shard1]) == relative_spread([30.0, 40.0])
+    assert summed_spread([shard0]) == 1.0
+    # No monitor sums (exact mode, no window) declare nothing.
+    assert summed_spread([None, None]) == 0.0
+
+
+def test_summed_spread_uses_the_common_trailing_iterations():
+    longer = [[50.0], [1.0], [2.0]]
+    shorter = [[2.0], [1.0]]
+    assert summed_spread([longer, shorter]) == 0.0
+    assert summed_spread([longer]) == relative_spread([50.0, 1.0, 2.0])
 
 
 # ---------------------------------------------------------------------- #

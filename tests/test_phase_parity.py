@@ -29,7 +29,7 @@ from repro.runtime import ExecutionEngine
 from tests.checks import validate_phase_report
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
-from repro.spec import RunSpec
+from repro.spec import RunSpec, profile
 
 SCALE = 0.02
 THREADS = 8
@@ -297,6 +297,25 @@ def test_eps_mode_pure_ints_exact_and_report_valid(workload):
         f"wall deviation {rel:.3g} far exceeds declared eps "
         f"{report['epsilon']:.3g}"
     )
+
+
+@pytest.mark.skipif(
+    not sharding_supported(), reason="platform cannot fork worker pools"
+)
+def test_sharded_eps_equals_serial_eps():
+    """A sharded run declares the serial run's ε: the shards' column
+    sums are added before the spread is taken, so a column that one
+    shard barely samples does not declare ε = 1 on its own."""
+    reports = [
+        profile(RunSpec(
+            "blackscholes", scale=0.5, extrapolate=True, workers=workers,
+        )).phase_report
+        for workers in (1, 2)
+    ]
+    serial, sharded = (r["epsilon"] for r in reports)
+    assert [r["extrapolated_eps"] for r in reports] == [97, 97]
+    assert round(serial, 3) == 0.416
+    assert sharded == pytest.approx(serial, rel=1e-12, abs=0.0)
 
 
 def test_exact_preferred_over_eps_when_monitor_fixed():

@@ -29,7 +29,7 @@ KERNELS = frozenset({
     "_monitor_phase", "gather_samples", "SampleGather",
     # step-wide sample selection and its cost
     "select_step", "periodic_positions_step", "_instruction_samples_step",
-    "_step_events", "_view_events", "_event_mask", "_cap_step",
+    "_step_events", "_cap_step",
     "_linspace_picks", "cost_cycles_step",
     # the profiler's deferred attribution
     "_attribute_step", "_flush",

@@ -17,6 +17,7 @@ from repro.machine import presets
 from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, LEVEL_L2
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk, compute_chunk
+from repro.runtime.engine import ChunkView
 from repro.runtime.heap import HeapAllocator
 from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
 from repro.sampling.base import periodic_positions_step
@@ -24,24 +25,26 @@ from repro.sampling import instruction
 from repro.sampling.instruction import JITTER_BLOCK
 from repro.sampling.registry import MECHANISMS
 from repro.spec import ANALYSIS_PERIODS
+from tests.reference.access import step_views
 from tests.reference.sampling import batch_for, cost_cycles, select
 
 
-class StubView:
-    """ChunkView stand-in carrying just what mechanisms consume."""
-
-    def __init__(self, tid, chunk, levels, target_domains, latencies):
-        self.tid = tid
-        self.chunk = chunk
-        self.levels = levels
-        self.target_domains = target_domains
-        self.latencies = latencies
+def eager_view(machine, tid, chunk, levels, target_domains, latencies):
+    """An eager ``ChunkView`` of explicit per-access arrays, run by
+    thread ``tid`` on CPU ``tid``."""
+    domain = int(machine.topology.domain_of_cpu(tid))
+    return ChunkView(
+        tid, tid, domain, chunk, levels, target_domains, latencies,
+        (SourceLoc("main"), chunk.ip), levels == LEVEL_DRAM,
+        target_domains != domain,
+    )
 
 
 def make_steps(machine, n_steps=8, n_threads=5, seed=123, compute=(1, 500)):
-    """Random multi-chunk steps: varying sizes, empty and compute chunks
-    (``compute``: their instruction-count range), threads that skip
-    steps — one chunk per thread per step, like the engine guarantees."""
+    """Random multi-chunk steps as the engine's ``StepViews``: varying
+    sizes, empty and compute chunks (``compute``: their
+    instruction-count range), threads that skip steps — one chunk per
+    thread per step, like the engine guarantees."""
     heap = HeapAllocator(machine)
     rng = np.random.default_rng(seed)
     n_elems = 300_000
@@ -54,8 +57,9 @@ def make_steps(machine, n_steps=8, n_threads=5, seed=123, compute=(1, 500)):
             if r < 0.15:
                 continue  # this thread skips the step
             if r < 0.3:
-                views.append(StubView(
-                    tid, compute_chunk(int(rng.integers(*compute)), SourceLoc("c")),
+                views.append(eager_view(
+                    machine, tid,
+                    compute_chunk(int(rng.integers(*compute)), SourceLoc("c")),
                     np.empty(0, np.uint8), np.empty(0, np.int64),
                     np.empty(0, np.float64),
                 ))
@@ -71,9 +75,9 @@ def make_steps(machine, n_steps=8, n_threads=5, seed=123, compute=(1, 500)):
             lat = np.where(
                 levels == LEVEL_DRAM, rng.uniform(150.0, 400.0, n), 4.0
             )
-            views.append(StubView(tid, chunk, levels, targets, lat))
+            views.append(eager_view(machine, tid, chunk, levels, targets, lat))
         if views:
-            steps.append(views)
+            steps.append(step_views(views))
     return steps
 
 
@@ -190,11 +194,11 @@ class TestJitterDedupe:
         views = []
         for tid in range(2):
             chunk = _unit_chunk(heap, f"j{tid}", 64)
-            views.append(StubView(
-                tid, chunk, np.full(64, LEVEL_L1, dtype=np.uint8),
+            views.append(eager_view(
+                machine, tid, chunk, np.full(64, LEVEL_L1, dtype=np.uint8),
                 np.zeros(64, np.int64), np.full(64, 4.0),
             ))
-        step = mech.select_step(views)
+        step = mech.select_step(step_views(views))
         for k in range(2):
             np.testing.assert_array_equal(
                 batch_for(step, k).indices, [0, 7, 15, 23]

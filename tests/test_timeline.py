@@ -8,6 +8,7 @@ from repro.profiler import CompositeMonitor, NumaProfiler, TimelineRecorder
 from repro.profiler.metrics import MetricNames
 from repro.runtime import ExecutionEngine
 from repro.sampling import IBS
+from repro.spec import RunSpec
 
 from tests.conftest import ToyProgram
 
@@ -53,6 +54,20 @@ class TestTimeline:
         )
         assert counted == result.total_accesses
 
+    @pytest.mark.parametrize("workload", ["lulesh", "blackscholes"])
+    def test_instructions_sum_to_run_total(self, workload):
+        """Pure-compute chunks' instructions reach their buckets too."""
+        spec = RunSpec(workload, scale=0.05)
+        timeline = TimelineRecorder()
+        result = ExecutionEngine(
+            spec.machine_factory()(), spec.program(), spec.threads,
+            monitor=timeline,
+        ).run()
+        counted = sum(
+            b.metrics[MetricNames.INSTR] for b in timeline.buckets.values()
+        )
+        assert counted == result.total_instructions
+
     def test_dram_concentrated_in_first_compute_step(self, recorded):
         """Compulsory misses land in iteration 0; later steps hit cache."""
         timeline, _, _ = recorded
@@ -86,8 +101,8 @@ class TestCompositeMonitor:
             def __init__(self, c):
                 self.c = c
 
-            def on_chunk(self, *a):
-                return self.c
+            def on_step(self, views):
+                return [self.c] * len(views)
 
         machine = presets.generic(n_domains=4, cores_per_domain=2)
         composite = CompositeMonitor(Cost(10.0), Cost(5.0))
