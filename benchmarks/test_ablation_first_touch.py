@@ -31,8 +31,6 @@ def _program():
 
 def _study():
     machine = lambda: presets.generic(n_domains=4, cores_per_domain=4)
-    base = run_workload(machine, _program(), THREADS)
-
     # Design A (the paper's): hardware sampling + page-protection traps.
     traps = run_workload(
         machine, _program(), THREADS, IBS(period=4096),
@@ -50,7 +48,7 @@ def _study():
         profiler_kwargs={"protect_heap": False},
     )
 
-    w = base.result.wall_seconds
+    w = traps.result.unmonitored().wall_seconds
     return {
         "trap_overhead": traps.result.wall_seconds / w - 1,
         "sampling_only_overhead": no_traps.result.wall_seconds / w - 1,
@@ -60,7 +58,7 @@ def _study():
             for p in traps.profiler.archive.profiles.values()
         ),
         "pages": N_ELEMS * 8 // 4096,
-        "accesses": base.result.total_accesses,
+        "accesses": traps.result.total_accesses,
     }
 
 

@@ -40,21 +40,10 @@ def _scaled_mechanism(row):
     return create_mechanism(row.mechanism, period)
 
 
-_baseline_wall: dict = {}
-
-
 def _run_row(row):
-    machine_factory = presets.PRESETS[row.preset]
-    key = (row.preset, row.threads)
-    if key not in _baseline_wall:
-        base = run_workload(
-            machine_factory, PartitionedSweep(n_elems=1_200_000, steps=4),
-            row.threads,
-        )
-        _baseline_wall[key] = base.result.wall_seconds
     mech = _scaled_mechanism(row)
     bundle = run_workload(
-        machine_factory,
+        presets.PRESETS[row.preset],
         PartitionedSweep(n_elems=1_200_000, steps=4),
         row.threads,
         mech,
@@ -62,10 +51,11 @@ def _run_row(row):
     samples = mech.total_samples
     # Paper-equivalent rate: samples per (scaled) second of *program*
     # execution per thread — the denominator the paper's "100-1000
-    # samples per second per thread" statement refers to. The baseline
+    # samples per second per thread" statement refers to. The unmonitored
     # wall time is used so that densified-period monitoring overhead
     # does not distort the rate.
-    rate = samples / max(_baseline_wall[key] * SIM_SCALE, 1e-12) / row.threads
+    wall = bundle.result.unmonitored().wall_seconds
+    rate = samples / max(wall * SIM_SCALE, 1e-12) / row.threads
     return bundle, samples, rate
 
 

@@ -45,28 +45,19 @@ def _programs(threads):
     }
 
 
-_baseline_cache: dict = {}
-
-
-def _baseline_seconds(preset, threads, wl_name, factory):
-    key = (preset, threads, wl_name)
-    if key not in _baseline_cache:
-        bundle = run_workload(presets.PRESETS[preset], factory(), threads)
-        _baseline_cache[key] = bundle.result.wall_seconds
-    return _baseline_cache[key]
-
-
 def _overhead_row(row):
     """One Table 2 row: overhead % on all three workloads."""
     out = {}
     footprints = {}
     for wl_name, factory in _programs(row.threads).items():
-        base_s = _baseline_seconds(row.preset, row.threads, wl_name, factory)
         mech = create_mechanism(row.mechanism)  # paper period
         bundle = run_workload(
             presets.PRESETS[row.preset], factory(), row.threads, mech
         )
-        out[wl_name] = bundle.result.wall_seconds / base_s - 1.0
+        result = bundle.result
+        out[wl_name] = (
+            result.wall_seconds / result.unmonitored().wall_seconds - 1.0
+        )
         footprints[wl_name] = bundle.profiler.archive.footprint_bytes()
     return out, footprints
 

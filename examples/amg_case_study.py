@@ -34,14 +34,11 @@ HOT_REGION = "hypre_boomerAMGRelax._omp"
 def main() -> None:
     print("== AMG2006 on AMD Magny-Cours (solver phase study) ==\n")
 
-    baseline = ExecutionEngine(
-        presets.magny_cours(), AMG2006(), THREADS
-    ).run()
     profiler = NumaProfiler(IBS(period=4096))
     engine = ExecutionEngine(
         presets.magny_cours(), AMG2006(), THREADS, monitor=profiler
     )
-    engine.run()
+    baseline = engine.run().unmonitored()
     merged = merge_profiles(profiler.archive)
     analysis = NumaAnalysis(merged)
 

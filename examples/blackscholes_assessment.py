@@ -36,14 +36,11 @@ THREADS = 48
 def main() -> None:
     print("== Blackscholes on AMD Magny-Cours (severity assessment) ==\n")
 
-    baseline = ExecutionEngine(
-        presets.magny_cours(), Blackscholes(), THREADS
-    ).run()
     profiler = NumaProfiler(IBS(period=4096))
     engine = ExecutionEngine(
         presets.magny_cours(), Blackscholes(), THREADS, monitor=profiler
     )
-    engine.run()
+    baseline = engine.run().unmonitored()
     analysis = NumaAnalysis(merge_profiles(profiler.archive))
 
     # The symptoms look alarming...

@@ -36,14 +36,11 @@ THREADS = 48
 def main() -> None:
     print("== LULESH on AMD Magny-Cours (8 NUMA domains, 48 cores) ==\n")
 
-    baseline = ExecutionEngine(
-        presets.magny_cours(), Lulesh(), THREADS
-    ).run()
     profiler = NumaProfiler(IBS(period=4096))
     engine = ExecutionEngine(
         presets.magny_cours(), Lulesh(), THREADS, monitor=profiler
     )
-    engine.run()
+    baseline = engine.run().unmonitored()
     merged = merge_profiles(profiler.archive)
     analysis = NumaAnalysis(merged)
 

@@ -39,15 +39,12 @@ THREADS = 32
 def main() -> None:
     print("== UMT2013 on IBM POWER7 (32 threads across 4 domains, MRK) ==\n")
 
-    baseline = ExecutionEngine(
-        presets.power7(), UMT2013(), THREADS, binding=BindingPolicy.SCATTER
-    ).run()
     profiler = NumaProfiler(MRK(max_rate=2e6))
     engine = ExecutionEngine(
         presets.power7(), UMT2013(), THREADS, monitor=profiler,
         binding=BindingPolicy.SCATTER,
     )
-    engine.run()
+    baseline = engine.run().unmonitored()
     merged = merge_profiles(profiler.archive)
     analysis = NumaAnalysis(merged)
 

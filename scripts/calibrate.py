@@ -15,6 +15,7 @@ from repro.machine import presets
 from repro.machine.pagetable import PlacementPolicy
 from repro.optim.policies import NumaTuning, PlacementSpec, interleave_all
 from repro.profiler import NumaProfiler
+from repro.profiler.metrics import verdict
 from repro.runtime import ExecutionEngine
 from repro.runtime.heap import VariableKind
 from repro.sampling import IBS, MRK, create_mechanism
@@ -44,13 +45,12 @@ def lulesh_amd():
     print("=" * 70)
     print("LULESH on Magny-Cours / IBS (targets: lpi 0.466, z ~11.3% remote")
     print("lat & Mr/Ml ~7, nodelist 20.3%, +25% blockwise vs +13% interleave)")
-    _, base, _, wt = run(presets.magny_cours, Lulesh, 48)
-    print(f"  baseline: {base.wall_seconds:.3f}s sim ({wt:.1f}s real), "
-          f"remote dram {base.remote_dram_fraction:.2f}")
-
     eng, mon_res, prof, wt = run(
         presets.magny_cours, lambda: Lulesh(), 48, IBS(period=4096)
     )
+    base = mon_res.unmonitored()
+    print(f"  baseline: {base.wall_seconds:.3f}s sim, "
+          f"remote dram {base.remote_dram_fraction:.2f}")
     ovh = mon_res.wall_seconds / base.wall_seconds - 1
     merged = merge_profiles(prof.archive)
     an = NumaAnalysis(merged)
@@ -80,8 +80,8 @@ def lulesh_power7():
     print("LULESH on POWER7 / MRK (targets: 66% L3-miss remote, arrays 65%,")
     print("nodelist 31%, +7.5% blockwise, -16.4% interleave)")
     mk = lambda: Lulesh(partial_init_vars=("xd", "yd", "zd"))
-    _, base, _, _ = run(presets.power7, mk, 128)
-    eng, _, prof, wt = run(presets.power7, mk, 128, MRK(max_rate=2e6))
+    eng, res, prof, wt = run(presets.power7, mk, 128, MRK(max_rate=2e6))
+    base = res.unmonitored()
     merged = merge_profiles(prof.archive)
     an = NumaAnalysis(merged)
     print(f"  remote fraction of sampled L3 misses: {an.program_remote_fraction():.2f}")
@@ -107,9 +107,8 @@ def amg():
     print("=" * 70)
     print("AMG2006 on Magny-Cours / IBS (targets: lpi>0.92, RAP_diag_data")
     print("18.6% lat lpi 15.9 8.1% Mr, relax 74.2%; solver -51% vs -36%)")
-    _, base, _, wt = run(presets.magny_cours, AMG2006, 48)
-    solver_base = AMG2006.solver_seconds(base)
-    eng, _, prof, wt = run(presets.magny_cours, AMG2006, 48, IBS(period=4096))
+    eng, res, prof, wt = run(presets.magny_cours, AMG2006, 48, IBS(period=4096))
+    solver_base = AMG2006.solver_seconds(res.unmonitored())
     merged = merge_profiles(prof.archive)
     an = NumaAnalysis(merged)
     print(f"  program lpi = {an.program_lpi():.3f} "
@@ -144,12 +143,12 @@ def blackscholes():
     print("=" * 70)
     print("Blackscholes on Magny-Cours / IBS (targets: lpi 0.035 < 0.1,")
     print("buffer 51.6% of remote lat, heap 66.8%, opt gain < 0.1%)")
-    _, base, _, wt = run(presets.magny_cours, Blackscholes, 48)
-    eng, _, prof, _ = run(presets.magny_cours, Blackscholes, 48, IBS(period=4096))
+    eng, res, prof, _ = run(presets.magny_cours, Blackscholes, 48, IBS(period=4096))
+    base = res.unmonitored()
     merged = merge_profiles(prof.archive)
     an = NumaAnalysis(merged)
     print(f"  program lpi = {an.program_lpi():.4f} (warrants: "
-          f"{an.warrants_optimization()})  heap share = "
+          f"{verdict(an.program_lpi())})  heap share = "
           f"{an.kind_share(VariableKind.HEAP):.2f}")
     for s in an.hot_variables(top=3):
         print(f"    {s.name:<9} remlat%={s.remote_latency_share:5.1%} "
@@ -172,8 +171,8 @@ def umt():
     print("UMT2013 on POWER7(32 scattered)/MRK (targets: 86% misses remote,")
     print("heap 47%, STime 18.2% remote, staggered, +7% after parallel init)")
     mk = lambda: UMT2013()
-    _, base, _, _ = run(presets.power7, mk, 32, binding="SCATTER")
-    _, _, prof, _ = run(presets.power7, mk, 32, MRK(max_rate=2e6), binding="SCATTER")
+    _, res, prof, _ = run(presets.power7, mk, 32, MRK(max_rate=2e6), binding="SCATTER")
+    base = res.unmonitored()
     merged = merge_profiles(prof.archive)
     an = NumaAnalysis(merged)
     print(f"  remote fraction of L3 misses: {an.program_remote_fraction():.2f}  "

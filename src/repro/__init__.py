@@ -30,7 +30,7 @@ Quick start::
     advice = advise(analysis, thread_domains={
         t.tid: t.domain for t in engine.threads})
     tuning = apply_advice(advice, machine.n_domains)
-    # re-run Lulesh(tuning) and compare result.wall_seconds
+    # re-run Lulesh(tuning); compare result.unmonitored().wall_seconds
 """
 
 import os as _os

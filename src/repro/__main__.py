@@ -118,7 +118,6 @@ def _run(args: argparse.Namespace, spec: RunSpec) -> int:
     # The run stack is imported here, not at module top, so --help, the
     # runs subcommand and usage errors load none of it.
     from repro import (
-        ExecutionEngine,
         NumaAnalysis,
         address_centric_view,
         code_centric_view,
@@ -139,26 +138,20 @@ def _run(args: argparse.Namespace, spec: RunSpec) -> int:
                  args.trace or args.trace_jsonl, args.stats, args.metrics)
     tr = obs.TRACER
 
-    with tr.span("cli.baseline_run", "harness"):
-        # Construction binds the threads, so a count the machine cannot
-        # hold is rejected before anything is printed.
-        engine = ExecutionEngine(
-            spec.machine_factory()(), spec.program(), spec.threads,
-            extrapolate=spec.extrapolate, **spec.engine_kwargs(),
-        )
-        scale_txt = f", scale {spec.scale:g}" if spec.scale != 1.0 else ""
-        print(f"workload {spec.workload} on {spec.machine} with "
-              f"{spec.threads} threads, {spec.mechanism} period "
-              f"{spec.period}{scale_txt}\n")
-        baseline = engine.run()
     if args.metrics:
         # The metrics plane rides the tracer and covers the monitored
-        # run only (installed after the baseline so its iterations do
-        # not pollute the series). Samples are host-time-only
-        # observations, so simulated results stay bit-identical.
+        # run. Samples are host-time-only observations, so simulated
+        # results stay bit-identical.
         tr.metrics = obs.MetricsRecorder()
     with tr.span("cli.monitored_run", "harness"):
+        # A bad --threads fails here, before anything is printed.
         run = profile(spec)
+    # No second simulation: the baseline is this run without overhead.
+    baseline = run.result.unmonitored()
+    scale_txt = f", scale {spec.scale:g}" if spec.scale != 1.0 else ""
+    print(f"workload {spec.workload} on {spec.machine} with "
+          f"{spec.threads} threads, {spec.mechanism} period "
+          f"{spec.period}{scale_txt}\n")
     if spec.extrapolate:
         _print_phase_summary(run.phase_report)
     print(f"baseline {baseline.wall_seconds * 1e3:.2f} ms simulated; "

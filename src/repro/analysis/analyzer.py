@@ -15,13 +15,11 @@ import numpy as np
 
 from repro.analysis.merge import MergedProfile, MergedVar
 from repro.profiler.metrics import (
-    LPI_THRESHOLD,
     MetricNames,
     domain_request_counts,
     lpi_numa,
     mismatch_ratio,
     remote_fraction,
-    warrants_optimization,
 )
 from repro.runtime.callstack import CallPath
 from repro.runtime.heap import VariableKind
@@ -59,13 +57,6 @@ class NumaAnalysis:
     def program_lpi(self) -> float | None:
         """Whole-program NUMA latency per instruction (eq. 2 or 3)."""
         return lpi_numa(self._totals, self.caps)
-
-    def warrants_optimization(self, threshold: float = LPI_THRESHOLD) -> bool | None:
-        """Apply the 0.1 rule of thumb; ``None`` when lpi is unavailable."""
-        lpi = self.program_lpi()
-        if lpi is None:
-            return None
-        return warrants_optimization(lpi, threshold)
 
     def program_remote_fraction(self) -> float:
         """Fraction of sampled accesses touching remote pages (M_r share).

@@ -43,7 +43,7 @@ import numpy as np
 from repro import obs
 from repro.errors import ProgramError, WorkerError
 from repro.obs.stitch import absorb
-from repro.runtime.driver import DEFAULT_DISARM_AFTER, RunResult, drive
+from repro.runtime.driver import RunResult, drive
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.memo import memo_budget
 from repro.runtime.thread import BindingPolicy
@@ -194,8 +194,6 @@ class ParallelEngine:
         memo_bytes: int | None = None,
         schedule=None,
         extrapolate: bool = False,
-        extrap_warmup: int = 2,
-        extrap_disarm: int = DEFAULT_DISARM_AFTER,
     ) -> None:
         if n_workers < 1:
             raise ProgramError(f"n_workers must be >= 1, got {n_workers}")
@@ -230,8 +228,6 @@ class ParallelEngine:
         self.extrapolate = (
             bool(extrapolate) and memo_budget(memoize, memo_bytes) > 0
         )
-        self.extrap_warmup = max(1, int(extrap_warmup))
-        self.extrap_disarm = max(0, int(extrap_disarm))
         self.phase_report: dict | None = None
         self.archive = None
         self.threads = None
@@ -252,8 +248,6 @@ class ParallelEngine:
             memo_bytes=self.memo_bytes,
             schedule=self.schedule,
             extrapolate=self.extrapolate,
-            extrap_warmup=self.extrap_warmup,
-            extrap_disarm=self.extrap_disarm,
         )
 
     # ------------------------------------------------------------------ #

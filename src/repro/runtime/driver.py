@@ -38,7 +38,7 @@ worker pool's lives in :mod:`repro.parallel.engine`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,10 +49,6 @@ from repro.runtime.program import RegionKind
 #: Engine-pure integer counters, summed over shards and extrapolated by
 #: exact multiplication.
 INT_FIELDS = ("instructions", "accesses", "chunks", "dram", "remote_dram")
-
-#: Non-converging windows before a phase detector disarms
-#: (the engines' ``extrap_disarm``; 0 = never disarm).
-DEFAULT_DISARM_AFTER = 3
 
 
 @dataclass(eq=False, repr=False)
@@ -76,9 +72,10 @@ class RunResult:
     domain_traffic: np.ndarray
     ghz: float
     #: Number of access chunks executed (every chunk counts, including
-    #: pure-compute ones) — the denominator of the perf harness's
-    #: chunks/s throughput metric.
+    #: pure-compute ones).
     total_chunks: int = 0
+    #: ``(wall, thread_busy, region_wall)`` without monitoring overhead.
+    free_cycles: tuple | None = None
 
     @property
     def wall_seconds(self) -> float:
@@ -95,6 +92,30 @@ class RunResult:
     def region_seconds(self, name: str) -> float:
         """Simulated seconds spent in (all iterations of) a region."""
         return self.region_wall_cycles.get(name, 0.0) / (self.ghz * 1e9)
+
+    def unmonitored(self) -> "RunResult":
+        """This run as it is without a monitor, which changes only the
+        cycles it charges; shares this result's arrays."""
+        wall, busy, region_wall = self.free_cycles
+        return replace(
+            self, wall_cycles=wall, thread_busy_cycles=busy,
+            region_wall_cycles=region_wall, monitor_overhead_cycles=0.0,
+        )
+
+
+class _Clock:
+    """One cycle column's per-tid busy, wall and per-region wall cycles."""
+
+    def __init__(self, n_threads: int) -> None:
+        self.busy = np.zeros(n_threads, dtype=np.float64)
+        self.wall = 0.0
+        self.region_wall: dict[str, float] = {}
+
+    def add(self, name: str, active, cycles: dict, elapsed: float) -> None:
+        for t in active:
+            self.busy[t.tid] += cycles[t.tid]
+        self.wall += elapsed
+        self.region_wall[name] = self.region_wall.get(name, 0.0) + elapsed
 
 
 class InProcessBackend:
@@ -189,7 +210,6 @@ def drive(backend) -> RunResult:
     threads = engine.threads
     n_domains = machine.n_domains
     schedule = engine.schedule
-    warmup = engine.extrap_warmup
 
     started = backend.start()
     regions = engine._regions
@@ -208,11 +228,10 @@ def drive(backend) -> RunResult:
     # bit-identical with it on or off (tests/test_metrics_parity.py).
     mx = getattr(tr, "metrics", None) if traced else None
 
-    busy = np.zeros(len(threads), dtype=np.float64)
+    # Monitored cycles, and the same cycles without monitoring overhead.
+    clock, free = _Clock(len(threads)), _Clock(len(threads))
     totals = dict.fromkeys(INT_FIELDS, 0)
     skipped = 0
-    wall = 0.0
-    region_wall: dict[str, float] = {}
     domain_requests = np.zeros(n_domains, dtype=np.int64)
     domain_traffic = np.zeros((n_domains, n_domains), dtype=np.int64)
     phase = None
@@ -220,7 +239,8 @@ def drive(backend) -> RunResult:
         # Only a run that extrapolates loads the phase layer.
         from repro.runtime.phase import RunPhase
 
-        phase = RunPhase(warmup, all(s["phase_ok"] for s in started))
+        ok = all(s["phase_ok"] for s in started)
+        phase = RunPhase(engine.EXTRAP_WARMUP, ok)
 
     def _mx_values() -> dict:
         # Merged cumulative totals, passed explicitly: in a worker pool
@@ -246,12 +266,12 @@ def drive(backend) -> RunResult:
                 )
             if fold is not None:
                 n_skip, rec, cycles, elapsed, times = fold
-                # One add per skipped iteration (exact) or one scaled add.
+                # One add per skipped iteration (exact) or one scaled add;
+                # overhead-free cycles fold exactly in both modes.
                 for _ in range(times):
-                    for t in active:
-                        busy[t.tid] += cycles[t.tid]
-                    wall += elapsed
-                    region_wall[name] = region_wall.get(name, 0.0) + elapsed
+                    clock.add(name, active, cycles, elapsed)
+                for _ in range(n_skip):
+                    free.add(name, active, *rec.free)
                 # Engine-pure integers multiply exactly.
                 for k in INT_FIELDS:
                     totals[k] += rec.ints[k] * n_skip
@@ -292,12 +312,13 @@ def drive(backend) -> RunResult:
                 return contention.inflation(requests, int(_n[s]))
 
             fin = backend.run_iteration(gen, n_steps, inflate)
-            region_cycles: dict[int, float] = {}
+            region_cycles, free_cycles = {}, {}
             it_ints = dict.fromkeys(INT_FIELDS, 0)
             it_traffic = np.zeros((n_domains, n_domains), dtype=np.int64)
             flags = obs.FLAG_ITERATION
             for f in fin:
                 region_cycles.update(f["region_cycles"])
+                free_cycles.update(f["free_cycles"])
                 for k in INT_FIELDS:
                     it_ints[k] += f["ints"][k]
                 it_traffic += f["traffic"]
@@ -308,16 +329,15 @@ def drive(backend) -> RunResult:
             domain_traffic += it_traffic
             # Barrier semantics: the iteration lasts as long as its
             # slowest thread.
-            elapsed = max(region_cycles.values()) if region_cycles else 0.0
-            for t in active:
-                busy[t.tid] += region_cycles[t.tid]
-            wall += elapsed
-            region_wall[name] = region_wall.get(name, 0.0) + elapsed
+            elapsed = max(region_cycles.values(), default=0.0)
+            free_elapsed = max(free_cycles.values(), default=0.0)
+            clock.add(name, active, region_cycles, elapsed)
+            free.add(name, active, free_cycles, free_elapsed)
 
             if phase is not None:
                 phase.observe(
-                    fin, it_ints, it_requests, it_traffic, region_cycles,
-                    elapsed,
+                    fin, it_ints, it_requests, it_traffic,
+                    (region_cycles, elapsed), (free_cycles, free_elapsed),
                 )
             if mx is not None:
                 mx.sample(
@@ -342,18 +362,19 @@ def drive(backend) -> RunResult:
     result = RunResult(
         program=engine.program.name,
         n_threads=len(threads),
-        wall_cycles=wall,
-        thread_busy_cycles=busy,
+        wall_cycles=clock.wall,
+        thread_busy_cycles=clock.busy,
         total_instructions=totals["instructions"],
         total_accesses=totals["accesses"],
         dram_accesses=totals["dram"],
         remote_dram_accesses=totals["remote_dram"],
         monitor_overhead_cycles=float(overhead_by_tid.sum()),
-        region_wall_cycles=region_wall,
+        region_wall_cycles=clock.region_wall,
         domain_dram_requests=domain_requests,
         domain_traffic=domain_traffic,
         ghz=machine.ghz,
         total_chunks=totals["chunks"],
+        free_cycles=(free.wall, free.busy, free.region_wall),
     )
     backend.close(result, final)
     if mx is not None:

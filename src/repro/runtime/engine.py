@@ -8,8 +8,8 @@ Responsibilities:
   monitor (the SIGSEGV path of paper Section 6), classify cache service
   levels, and compute latencies under the step's contention inflation;
 * account per-thread busy cycles, wall-clock cycles, instruction counts,
-  and monitoring overhead (so Table 2's overhead percentages can be
-  measured exactly as the paper does: monitored time vs. unmonitored).
+  and monitoring overhead, and the cycles without that overhead (so one
+  run gives Table 2's monitored time and unmonitored time).
 
 Contention is evaluated per *step* — the set of chunks all active threads
 execute concurrently — so traffic concentrated on one domain inflates
@@ -40,12 +40,7 @@ from repro.runtime.memo import (
     _nbytes,
     memo_budget,
 )
-from repro.runtime.driver import (
-    DEFAULT_DISARM_AFTER,
-    InProcessBackend,
-    RunResult,
-    drive,
-)
+from repro.runtime.driver import InProcessBackend, RunResult, drive
 from repro.runtime.program import Program, ProgramContext, Region, RegionKind
 from repro.runtime.thread import BindingPolicy, SimThread, bind_threads
 
@@ -436,8 +431,8 @@ class _Iteration:
     __slots__ = (
         "region_idx", "region", "iteration", "fired", "epoch0", "owned",
         "retain", "steps", "events", "ev_i", "own_ips", "own_i", "states",
-        "region_cycles", "instructions", "accesses", "chunks", "dram",
-        "remote_dram", "traffic",
+        "region_cycles", "free_cycles", "instructions", "accesses", "chunks",
+        "dram", "remote_dram", "traffic",
     )
 
     def __init__(self, region_idx: int, region: Region, iteration: int):
@@ -510,6 +505,12 @@ class ExecutionEngine:
     #: total runtime matches the paper's "low runtime overhead" claim.
     TRAP_BASE_COST = 50.0
 
+    #: Phase extrapolation (see :mod:`repro.runtime.phase`): verified
+    #: steady iterations before a region may be skipped, and fruitless
+    #: detection windows before its detector disarms (0 = never).
+    EXTRAP_WARMUP = 2
+    EXTRAP_DISARM = 3
+
     #: This engine's slice of a run: it executes (and attributes) the
     #: threads with ``tid % n_shards == shard_id``. A standalone engine
     #: is shard 0 of 1; a worker pool reassigns both per process.
@@ -530,8 +531,6 @@ class ExecutionEngine:
         memo_bytes: int | None = None,
         schedule=None,
         extrapolate: bool = False,
-        extrap_warmup: int = 2,
-        extrap_disarm: int = DEFAULT_DISARM_AFTER,
     ) -> None:
         self.machine = machine
         self.program = program
@@ -560,9 +559,6 @@ class ExecutionEngine:
         #: ε-accounted otherwise. ``phase_report`` (a dict) is attached
         #: after the run.
         self.extrapolate = bool(extrapolate) and self.memo.budget > 0
-        self.extrap_warmup = max(1, int(extrap_warmup))
-        #: Non-converging windows before a detector disarms (0 = never).
-        self.extrap_disarm = max(0, int(extrap_disarm))
         self.phase_report: dict | None = None
         #: The phase layer's adapter for this engine
         #: (:class:`~repro.runtime.phase.EnginePhase`), attached at run
@@ -654,6 +650,7 @@ class ExecutionEngine:
             if self.monitor is not None:
                 self.monitor.on_region_enter(t.tid, region, it.iteration)
         it.region_cycles = np.zeros(len(self.threads))
+        it.free_cycles = np.zeros(len(self.threads))
         it.traffic = np.zeros(
             (self.machine.n_domains, self.machine.n_domains), dtype=np.int64
         )
@@ -829,9 +826,7 @@ class ExecutionEngine:
         else:
             self._latency_phase(st, inflation)
         costs = self._monitor_phase(step, st)
-        instructions, accesses = self._account_phase(
-            st, costs, it.region_cycles, self._overhead_by_tid
-        )
+        instructions, accesses = self._account_phase(st, costs, it)
         it.instructions += instructions
         it.accesses += accesses
         it.chunks += len(step)
@@ -850,11 +845,12 @@ class ExecutionEngine:
     def end_iteration(self) -> dict:
         """Close the live iteration; returns this shard's deltas.
 
-        The payload carries the per-tid region cycles, the integer
-        counters, the traffic matrix and the metrics flags this
-        iteration raised; the phase adapter, when attached, adds the
-        detector's readiness (``phase``, ``steady``). A region's memo
-        state is released after its last iteration.
+        The payload carries the per-tid region cycles, without monitoring
+        overhead too (``free_cycles``), the integer counters, the traffic
+        matrix and the metrics flags this iteration raised; the phase
+        adapter, when attached, adds the detector's readiness (``phase``,
+        ``steady``). A region's memo state is released after its last
+        iteration.
         """
         it = self._it
         self._it = None
@@ -864,6 +860,7 @@ class ExecutionEngine:
         it.region_cycles = {
             t.tid: float(it.region_cycles[t.tid]) for t in it.owned
         }
+        free = {t.tid: float(it.free_cycles[t.tid]) for t in it.owned}
         ints = {
             "instructions": it.instructions,
             "accesses": it.accesses,
@@ -878,6 +875,7 @@ class ExecutionEngine:
             flags |= obs.FLAG_EPOCH
         payload = {
             "region_cycles": it.region_cycles,
+            "free_cycles": free,
             "ints": ints,
             "traffic": it.traffic,
             "flags": flags,
@@ -1290,35 +1288,31 @@ class ExecutionEngine:
         return costs
 
     def _account_phase(
-        self,
-        st: _StepMem,
-        costs,
-        region_cycles: np.ndarray,
-        overhead_by_tid: np.ndarray,
+        self, st: _StepMem, costs, it: _Iteration
     ) -> tuple[int, int]:
         """Cycle / counter accounting; returns (instructions, accesses).
 
         Every chunk of a step runs on a distinct thread, so the per-tid
         array adds over the step's ``(tids, n_ins, n_acc)`` columns
-        equal per-chunk adds in step order.
+        equal per-chunk adds in step order. ``it.free_cycles`` takes them
+        without traps and monitor costs: an unmonitored run's cycles.
         """
         tids, n_ins, n_acc = st.cols
-        cycles = (
-            n_ins * self.machine.base_cpi
-            + st.trap_costs
-            + np.asarray(st.lat_sums) / self.machine.mlp
-        )
+        ins = n_ins * self.machine.base_cpi
+        lat = np.asarray(st.lat_sums) / self.machine.mlp
+        it.free_cycles[tids] += ins + lat
+        cycles = ins + st.trap_costs + lat
         oh = st.trap_costs
         if costs is not None:
             costs = np.asarray(costs, dtype=np.float64)
             cycles += costs
             oh = oh + costs
-        overhead_by_tid[tids] += oh
+        self._overhead_by_tid[tids] += oh
         if self._phase_rec is not None:
             # Zero adds are exact no-ops; recording only the nonzero
             # ones keeps replay cheap and bit-identical.
             nz = oh != 0.0
             if nz.any():
                 self._phase_rec.oh_ops.append((tids[nz], oh[nz]))
-        region_cycles[tids] += cycles
+        it.region_cycles[tids] += cycles
         return int(n_ins.sum()), int(n_acc.sum())

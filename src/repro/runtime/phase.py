@@ -66,7 +66,7 @@ import numpy as np
 from repro import obs
 from repro._hashing import blake2b
 from repro.machine.cache import _NEVER
-from repro.runtime.driver import DEFAULT_DISARM_AFTER, INT_FIELDS
+from repro.runtime.driver import INT_FIELDS
 
 
 def freeze_state(value):
@@ -121,7 +121,9 @@ class IterationRecording:
     (extrapolated by multiplication); ``region_cycles``/``elapsed`` are
     the iteration's per-tid cycle totals (each iteration folds exactly
     one float add per tid into ``busy``/``wall``, so n skipped
-    iterations fold n times — bit-identical to running them);
+    iterations fold n times — bit-identical to running them), and
+    ``free`` the ``(region_cycles, elapsed)`` pair without monitoring
+    overhead (in the driver's recordings);
     ``oh_ops`` is the per-step sequence of nonzero per-thread overhead
     adds; ``monitor_prog`` is the monitor's recorded accumulation
     program (see ``ProfilerPhase.record_end``). ``cache_delta`` is
@@ -136,6 +138,7 @@ class IterationRecording:
     oh_ops: list
     cache_delta: tuple | None = None
     monitor_prog: object | None = None
+    free: tuple | None = None
 
     def same_pure_deltas(self, other: "IterationRecording") -> bool:
         """Exact equality of the engine-pure deltas (defense in depth:
@@ -262,7 +265,7 @@ class PhaseDetector:
         *,
         warmup: int = 2,
         monitor_present: bool = False,
-        disarm_after: int = DEFAULT_DISARM_AFTER,
+        disarm_after: int = 3,
     ) -> None:
         self.region_name = region_name
         self.warmup = max(1, int(warmup))
@@ -603,12 +606,12 @@ class EnginePhase:
             # A region no longer than its warmup could converge only on
             # its last iteration, with nothing left to skip.
             self.detector = None
-            if it.region.repeat > engine.extrap_warmup:
+            if it.region.repeat > engine.EXTRAP_WARMUP:
                 self.detector = PhaseDetector(
                     it.region.name,
-                    warmup=engine.extrap_warmup,
+                    warmup=engine.EXTRAP_WARMUP,
                     monitor_present=self.monitor is not None,
-                    disarm_after=engine.extrap_disarm,
+                    disarm_after=engine.EXTRAP_DISARM,
                 )
         detector = self.detector
         self.observe = False
@@ -790,6 +793,8 @@ class RunPhase:
         ``cycles`` and ``elapsed`` ``times`` times — per skipped
         iteration in exact mode, the float adds of simulating it; once,
         scaled, in ε mode — and ``rec``'s integers times ``n_skip``.
+        ``rec`` is the last live iteration: its overhead-free cycles hold
+        no monitor cost, so the driver adds them ``n_skip`` times.
         """
         if self.plan is None:
             return None
@@ -816,10 +821,11 @@ class RunPhase:
 
     def observe(
         self, fin: list[dict], ints: dict, requests: np.ndarray,
-        traffic: np.ndarray, region_cycles: dict, elapsed: float,
+        traffic: np.ndarray, cycles: tuple, free: tuple,
     ) -> None:
         """Fold a live iteration: the shards' payloads ``fin`` and the
-        merged deltas."""
+        merged deltas; ``cycles`` and ``free`` are the per-tid cycles and
+        elapsed time with and without monitoring overhead."""
         if not self.ok:
             return
         infos = [f["phase"] for f in fin]
@@ -831,9 +837,10 @@ class RunPhase:
             ints=ints,
             requests=requests,
             traffic=traffic,
-            region_cycles=region_cycles,
-            elapsed=elapsed,
+            region_cycles=cycles[0],
+            elapsed=cycles[1],
             oh_ops=[],
+            free=free,
         ))
         tr = obs.TRACER
         if tr.enabled and all(f["steady"] for f in fin):

@@ -197,6 +197,23 @@ class TestTelemetryFlags:
         # The CLI must leave the global tracer off for the next caller.
         assert not obs.TRACER.enabled
 
+    @pytest.mark.parametrize("argv, runs", [
+        (["umt", "--extrapolate", "--scale", "0.05"], 1),
+        # At this scale the advisor's fixes apply and the tuned
+        # program is re-run.
+        (["lulesh", "--optimize", "--scale", "0.5"], 2),
+    ], ids=["umt-extrapolate", "lulesh-optimize"])
+    def test_profiled_program_is_simulated_once(self, argv, runs, capsys):
+        """The baseline comes from the monitored run: only the re-run of
+        a tuned program adds an ``engine.run``."""
+        from repro import obs
+
+        assert main([*argv, "--no-save", "--stats"]) == 0
+        spans = [e for e in obs.TRACER.events if e[:2] == ("B", "engine.run")]
+        assert len(spans) == runs
+        out = capsys.readouterr().out
+        assert ("optimized run:" in out) == ("--optimize" in argv)
+
     def test_stats_without_trace_file(self, tmp_path, capsys):
         rc = main(["sweep", "--threads", "4", "--scale", "0.05", "--stats"])
         assert rc == 0

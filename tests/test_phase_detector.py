@@ -49,7 +49,9 @@ from tests.test_phase_parity import (
 )
 
 
-def _run_dear(*, extrapolate, dear_period=4, warmup=6, heatmap=False):
+def _run_dear(monkeypatch, *, extrapolate, dear_period=4, heatmap=False):
+    # A six-iteration warmup gives the ε window several samples.
+    monkeypatch.setattr(ExecutionEngine, "EXTRAP_WARMUP", 6)
     build = RunSpec("blackscholes", scale=SCALE).program
     profiler = NumaProfiler(
         create_mechanism("DEAR", dear_period), heatmap=heatmap
@@ -57,18 +59,18 @@ def _run_dear(*, extrapolate, dear_period=4, warmup=6, heatmap=False):
     engine = ExecutionEngine(
         _machine_factory(), build(), THREADS,
         monitor=profiler, binding=BindingPolicy.COMPACT,
-        memoize=True, extrapolate=extrapolate, extrap_warmup=warmup,
+        memoize=True, extrapolate=extrapolate,
     )
     return engine.run(), engine
 
 
-def test_cycling_monitor_arms_eps_with_exact_integers():
+def test_cycling_monitor_arms_eps_with_exact_integers(monkeypatch):
     """DEAR's carried selection state cycles with period 2, so the
     monitor digest never repeats at lag 1 — but the engine-pure digests
     do. The detector must arm in ε mode (pure integers exact, cycles
     within the declared ε), never silently diverge."""
-    ref_result, _ = _run_dear(extrapolate=False)
-    result, engine = _run_dear(extrapolate=True)
+    ref_result, _ = _run_dear(monkeypatch, extrapolate=False)
+    result, engine = _run_dear(monkeypatch, extrapolate=True)
     for f in ("total_instructions", "total_accesses", "total_chunks",
               "dram_accesses", "remote_dram_accesses"):
         assert getattr(ref_result, f) == getattr(result, f), f
@@ -273,9 +275,9 @@ def test_only_a_plain_profiler_has_an_adapter():
         assert monitor_adapter(monitor) is None
 
 
-def test_monitor_without_adapter_keeps_the_run_live():
-    ref_result, _ = _run_dear(extrapolate=False, heatmap=True)
-    result, engine = _run_dear(extrapolate=True, heatmap=True)
+def test_monitor_without_adapter_keeps_the_run_live(monkeypatch):
+    ref_result, _ = _run_dear(monkeypatch, extrapolate=False, heatmap=True)
+    result, engine = _run_dear(monkeypatch, extrapolate=True, heatmap=True)
     _assert_results_equal(ref_result, result)
     report = engine.phase_report
     assert report["iterations"] == report["simulated"] > 0

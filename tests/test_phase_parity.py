@@ -1,9 +1,9 @@
 """Golden parity: phase-adaptive extrapolation is invisible in the results.
 
 Phase detection (:mod:`repro.runtime.phase`) lets the engine stop
-simulating a repeated region once ``--extrap-warmup`` consecutive
-iterations produced bit-identical deltas, and produce the remaining
-iterations by closed-form multiplication. The contract has two tiers:
+simulating a repeated region once ``ExecutionEngine.EXTRAP_WARMUP``
+consecutive iterations produced bit-identical deltas, and produce the
+remaining iterations by closed-form multiplication. The contract has two tiers:
 
 * **exact** (ε = 0): with a deterministic monitor (or none), every
   ``RunResult`` field, the merged CCTs, per-variable and per-bin

@@ -165,8 +165,7 @@ def test_worker_death_mid_round_raises_and_leaks_nothing():
 @needs_fork
 def test_worker_death_in_cli_is_one_line_error(monkeypatch, capsys):
     pid = os.getpid()
-    # The CLI's serial baseline runs in this process, where the guard
-    # keeps the program alive; only the sharded monitored run dies.
+    # The CLI simulates only the sharded monitored run: its workers die.
     monkeypatch.setattr(
         RunSpec, "program", lambda self, tuning=None: _DyingProgram(pid)
     )

@@ -7,6 +7,7 @@ from repro.analysis.patterns import AccessPattern
 from repro.machine import presets
 from repro.optim.policies import NumaTuning
 from repro.profiler import NumaProfiler
+from repro.profiler.metrics import verdict
 from repro.runtime import ExecutionEngine
 from repro.sampling import IBS
 from repro.workloads import Blackscholes
@@ -69,7 +70,7 @@ class TestVerdict:
         _, _, merged = profiled
         an = NumaAnalysis(merged)
         assert an.program_lpi() < 0.1
-        assert an.warrants_optimization() is False
+        assert verdict(an.program_lpi()) is False
 
 
 class TestRegroup:
