@@ -7,8 +7,6 @@ paper reports. ``benchmark.pedantic(..., rounds=1)`` is used throughout:
 each simulation run is already seconds long and fully deterministic.
 """
 
-import pytest
-
 
 def run_once(benchmark, fn):
     """Benchmark a deterministic multi-second simulation exactly once."""

@@ -11,11 +11,8 @@ cost scales with *accesses*, and the former is far cheaper on any
 workload that touches its data more than once.
 """
 
-import pytest
-
 from repro.bench.harness import fmt_table, record_experiment, run_workload
 from repro.machine import presets
-from repro.profiler import NumaProfiler
 from repro.sampling import IBS, SoftIBS
 from repro.workloads import PartitionedSweep
 

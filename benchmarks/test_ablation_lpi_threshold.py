@@ -12,8 +12,6 @@ latency-free MRK path in its own bench) from the one whose fix does not
 (Blackscholes).
 """
 
-import pytest
-
 from repro.bench.harness import fmt_table, record_experiment, run_workload
 from repro.machine import presets
 from repro.machine.pagetable import PlacementPolicy

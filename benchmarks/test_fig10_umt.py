@@ -15,8 +15,6 @@ M_l / M_r only). Targets:
   the planes it sweeps, yields a 7% whole-program speedup.
 """
 
-import pytest
-
 from repro.analysis import address_centric_view, classify_ranges
 from repro.analysis.patterns import AccessPattern
 from repro.bench.harness import fmt_table, record_experiment, run_workload

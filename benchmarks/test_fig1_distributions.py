@@ -14,7 +14,6 @@ interleaved balances requests but stays mostly remote; co-located is the
 fastest with a near-zero remote fraction.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench.harness import fmt_table, record_experiment, run_workload

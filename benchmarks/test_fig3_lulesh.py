@@ -30,7 +30,6 @@ from repro.analysis import (
     advise,
     classify_ranges,
     first_touch_view,
-    merge_profiles,
 )
 from repro.analysis.patterns import AccessPattern
 from repro.bench.harness import fmt_table, record_experiment, run_workload

@@ -16,8 +16,6 @@ by the tool-guided optimization vs 36% by interleaving everything
 (prior work's fix).
 """
 
-import pytest
-
 from repro.analysis import (
     address_centric_view,
     advise,

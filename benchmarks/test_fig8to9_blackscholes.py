@@ -12,8 +12,6 @@ parallelizing the initialization removes essentially all remote
 accesses but improves runtime by less than 0.1%.
 """
 
-import pytest
-
 from repro.analysis import address_centric_view, advise, classify_ranges
 from repro.analysis.patterns import AccessPattern
 from repro.bench.harness import fmt_table, record_experiment, run_workload

@@ -14,13 +14,12 @@ shortened simulated runtime (see Table 1 bench).
 
 import pytest
 
-from repro.analysis import advise, merge_profiles
+from repro.analysis import advise
 from repro.bench.harness import fmt_table, record_experiment, run_workload
 from repro.machine import presets
 from repro.machine.pagetable import PlacementPolicy
 from repro.optim import apply_advice, interleave_all
 from repro.optim.policies import PlacementSpec
-from repro.runtime.heap import VariableKind
 from repro.sampling import MRK
 from repro.workloads import Lulesh
 from repro.workloads.lulesh import NODAL_ARRAYS

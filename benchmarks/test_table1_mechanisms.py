@@ -21,7 +21,7 @@ import pytest
 
 from repro.bench.harness import fmt_table, record_experiment, run_workload
 from repro.machine import presets
-from repro.sampling import MECHANISMS, create_mechanism
+from repro.sampling import create_mechanism
 from repro.sampling.registry import TABLE1
 from repro.workloads import PartitionedSweep
 

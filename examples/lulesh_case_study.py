@@ -25,7 +25,6 @@ from repro import (
     merge_profiles,
     presets,
 )
-from repro.profiler.metrics import MetricNames
 from repro.runtime.heap import VariableKind
 from repro.workloads import Lulesh
 from repro.workloads.lulesh import NODAL_ARRAYS

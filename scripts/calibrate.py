@@ -18,7 +18,7 @@ from repro.profiler import NumaProfiler
 from repro.profiler.metrics import verdict
 from repro.runtime import ExecutionEngine
 from repro.runtime.heap import VariableKind
-from repro.sampling import IBS, MRK, create_mechanism
+from repro.sampling import IBS, MRK
 from repro.analysis import merge_profiles, NumaAnalysis, advise
 from repro.optim import apply_advice
 from repro.workloads import AMG2006, Blackscholes, Lulesh, UMT2013

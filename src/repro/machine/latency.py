@@ -146,7 +146,7 @@ class LatencyModel:
 
         Event counters that fire on demand misses only (MRK's
         ``PM_MRK_FROM_L3MISS``) count DRAM accesses at or above it
-        (``ChunkView.demand_miss_events``): prefetched lines do not
+        (``LazyChunkView.demand_miss_events``): prefetched lines do not
         cause demand-miss events.
         """
         return self.dram_local * 0.95

@@ -258,10 +258,7 @@ class NumaProfiler(Monitor):
             rev = None
             if counting:
                 rev = np.fromiter(
-                    (
-                        v.remote_event_count() if v.chunk.n_accesses else 0
-                        for v in views
-                    ),
+                    (v.remote_event_count() for v in views),
                     np.float64,
                     len(views),
                 )

@@ -19,8 +19,6 @@ centralized-allocation bandwidth problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro import obs
@@ -45,91 +43,34 @@ from repro.runtime.program import Program, ProgramContext, Region, RegionKind
 from repro.runtime.thread import BindingPolicy, SimThread, bind_threads
 
 
-#: Shared empty arrays handed to monitors for pure-compute chunks.
-_EMPTY_U8 = np.empty(0, dtype=np.uint8)
+#: What a pure-compute chunk's view reads: no accesses, no line fetches.
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_F64 = np.empty(0, dtype=np.float64)
-_EMPTY_BOOL = np.empty(0, dtype=bool)
-
-
-@dataclass(eq=False, repr=False)
-class ChunkView:
-    """One chunk's share of a step's memory products (see ``Monitor.on_step``).
-
-    The engine computes the step's classification, placement, and latency
-    on concatenated arrays for small-chunk steps, and each view exposes
-    one chunk's slice of those products plus the per-access masks every
-    monitor used to recompute: ``dram_mask`` (service level is DRAM) and
-    ``remote_mask`` (page owner differs from the accessing thread's
-    domain). Large-chunk steps deliver :class:`LazyChunkView` instead,
-    which exposes the same attributes but materializes them on demand.
-    Arrays may be views into shared step buffers — monitors must not
-    mutate them.
-    """
-
-    tid: int
-    cpu: int
-    domain: int
-    chunk: AccessChunk
-    levels: np.ndarray
-    target_domains: np.ndarray
-    latencies: np.ndarray
-    path: CallPath
-    dram_mask: np.ndarray
-    remote_mask: np.ndarray
-
-    def remote_event_count(self) -> int:
-        """Remote DRAM accesses in this chunk (absolute event counters)."""
-        return int(np.count_nonzero(self.dram_mask & self.remote_mask))
-
-    # Event primitives: the chunk-local indices of one sampling
-    # mechanism's trigger events, ascending. Event mechanisms select
-    # from these instead of masking the per-access arrays themselves.
-
-    def demand_miss_events(self, min_latency: float) -> np.ndarray:
-        """DRAM accesses with latency at least ``min_latency`` (MRK)."""
-        return np.flatnonzero(self.dram_mask & (self.latencies >= min_latency))
-
-    def miss_events(self) -> np.ndarray:
-        """Accesses not serviced by L1 (DEAR)."""
-        return np.flatnonzero(self.levels != LEVEL_L1)
-
-    def slow_events(self, threshold: float) -> np.ndarray:
-        """Accesses with latency above ``threshold`` (PEBS-LL)."""
-        return np.flatnonzero(self.latencies > threshold)
-
-    def latency_total(self) -> float:
-        """``float(self.latencies.sum())``."""
-        return float(self.latencies.sum())
-
-    def latencies_at(self, idx: np.ndarray) -> np.ndarray:
-        """Latencies at sampled indices ``idx`` (sorted, chunk-local).
-
-        Sampling monitors go through this instead of indexing the full
-        array so lazy views (:class:`LazyChunkView`) can serve samples
-        without materializing whole-chunk products.
-        """
-        return self.latencies[idx]
+_NO_FETCH = ChunkSummary(np.empty(0, dtype=bool), LEVEL_L1, True, 0)
 
 
 class LazyChunkView:
-    """A :class:`ChunkView` that materializes per-access arrays on demand.
+    """One chunk's share of a step's memory products (see ``Monitor.on_step``).
 
-    The monitored step pipeline computes only each chunk's
-    classification summary (line-fetch mask + single fetch level) plus —
-    for DRAM-level chunks — the fetch subset's page owners and latencies,
-    which the engine needed for timing/traffic accounting anyway. Full
-    per-access ``levels`` / ``target_domains`` / ``latencies`` / masks
-    are reconstructed lazily on first attribute access, with values
-    identical to the per-chunk, per-access definition
-    (``tests/reference/access.py``): every non-fetch access hits L1,
-    all fetches are serviced at the summary's fetch level, and
-    ``dram_fetch_latencies`` produces exactly its DRAM entries.
-    Sampling monitors that only need values at sampled indices or
-    trigger events call :meth:`latencies_at` /
-    :meth:`remote_event_count` / the event primitives (and ask the page
-    table for sampled addresses' owners) and never pay full
-    materialization.
+    A view names the chunk's thread (``tid``, ``cpu``, ``domain``), the
+    ``chunk`` and its call ``path``, and exposes per-access ``levels`` /
+    ``target_domains`` / ``latencies`` plus the masks ``dram_mask``
+    (service level is DRAM) and ``remote_mask`` (page owner differs
+    from the thread's domain). The monitored step pipeline computes
+    only each chunk's classification summary (line-fetch mask + single
+    fetch level) plus — for DRAM-level chunks — the fetch subset's page
+    owners and latencies, which the engine needed for timing/traffic
+    accounting anyway. The per-access arrays are reconstructed lazily
+    on first attribute access, with values identical to the per-chunk,
+    per-access definition (``tests/reference/access.py``): every
+    non-fetch access hits L1, all fetches are serviced at the summary's
+    fetch level, and ``dram_fetch_latencies`` produces exactly its DRAM
+    entries. A pure-compute chunk's view has no fetches (``_NO_FETCH``)
+    and answers empty arrays and zero counts. Sampling monitors that
+    only need values at sampled indices or trigger events call
+    :meth:`latencies_at` / :meth:`remote_event_count` / the event
+    primitives (and ask the page table for sampled addresses' owners)
+    and never pay full materialization. Arrays may be shared between
+    views — monitors must not mutate them.
     """
 
     __slots__ = (
@@ -182,8 +123,10 @@ class LazyChunkView:
     def target_domains(self) -> np.ndarray:
         tg = self._targets
         if tg is None:
-            obs.TRACER.count("engine.lazy.materialized_targets")
             chunk = self.chunk
+            if chunk.var is None:
+                return _EMPTY_I64
+            obs.TRACER.count("engine.lazy.materialized_targets")
             seg = chunk.var.segment
             pages = chunk.addrs // self._machine.page_size
             tg = seg.domains[pages - seg.start_page]
@@ -367,15 +310,13 @@ class SampleGather:
 
 def gather_samples(views, ks, n_s, idx, lat_ok: bool):
     """Sampled addresses (and latencies if ``lat_ok``) of views ``ks``,
-    whose ``n_s`` samples sit in ``idx`` in view order: in closed form
-    for an engine step's sweeps (:class:`SampleGather`), through each
-    view's ``chunk.addrs_at`` / ``latencies_at`` otherwise."""
-    if views.gather is not None:
-        addrs, lat, ask = views.gather(ks, n_s, idx, lat_ok)
-    else:
-        addrs = np.empty(idx.size, dtype=np.int64)
-        lat = np.empty(idx.size) if lat_ok else None
-        ask = range(ks.size)
+    whose ``n_s`` samples sit in ``idx`` in view order.
+
+    The step's gather (:class:`SampleGather`) answers sweeps in closed
+    form and names the views it left to ask; those answer through their
+    ``chunk.addrs_at`` / ``latencies_at``.
+    """
+    addrs, lat, ask = views.gather(ks, n_s, idx, lat_ok)
     ends = np.cumsum(n_s)
     for j in ask:
         a, b = ends[j] - n_s[j], ends[j]
@@ -479,13 +420,13 @@ class Monitor:
         """Observe one execution step; returns per-chunk costs in cycles.
 
         The engine calls this once per step with a :class:`StepViews`:
-        one view per executed chunk, in step order — a
-        :class:`LazyChunkView` for each memory chunk and a
-        :class:`ChunkView` with empty arrays for each pure-compute
-        chunk — plus the step's per-chunk ``tids`` / ``n_ins`` /
-        ``n_acc`` arrays and its ``memo``. Monitors consume samples
-        through ``latencies_at`` / ``remote_event_count`` and the event
-        primitives, so lazy views never materialize whole-chunk arrays.
+        one :class:`LazyChunkView` per executed chunk, in step order (a
+        pure-compute chunk's answers empty arrays and zero counts),
+        plus the step's per-chunk ``tids`` / ``n_ins`` / ``n_acc``
+        arrays, its ``memo`` and its sample ``gather``. Monitors
+        consume samples through ``latencies_at`` /
+        ``remote_event_count`` and the event primitives, so views
+        never materialize whole-chunk arrays.
         The default observes nothing and costs nothing.
         """
         return np.zeros(len(views))
@@ -1231,9 +1172,9 @@ class ExecutionEngine:
     ) -> np.ndarray | None:
         """One ``on_step`` call with the step's views; returns the costs.
 
-        The views — lazy views for memory chunks, empty arrays for
-        pure-compute chunks — and their :class:`SampleGather` are built
-        once per latency variant. Call paths come from the live
+        One :class:`LazyChunkView` per chunk — a pure-compute chunk's
+        holds no fetches — and the step's :class:`SampleGather` are
+        built once per latency variant. Call paths come from the live
         callstacks, which hold the same frames on every iteration of a
         region. The monitor itself — sampling, attribution, costs —
         always runs live on them.
@@ -1259,9 +1200,9 @@ class ExecutionEngine:
                 path = self.callstacks[t.tid].with_leaf(chunk.ip)
                 k = mem_rank.get(i)
                 if k is None:
-                    views.append(ChunkView(
-                        t.tid, t.cpu, t.domain, chunk, _EMPTY_U8, _EMPTY_I64,
-                        _EMPTY_F64, path, _EMPTY_BOOL, _EMPTY_BOOL,
+                    views.append(LazyChunkView(
+                        t.tid, t.cpu, t.domain, chunk, path,
+                        _NO_FETCH, machine, _EMPTY_I64, None, None,
                     ))
                 else:
                     views.append(LazyChunkView(

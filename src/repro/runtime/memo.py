@@ -96,8 +96,9 @@ class StepViews(list):
         #: Bytes of ``memo`` already charged to the record holding these
         #: views (:meth:`IterationMemo.charge_views`).
         self.memo_charged = 0
-        #: The engine's closed-form sample gather for these views
-        #: (``repro.runtime.engine.SampleGather``), or None.
+        #: The sample gather that ``repro.runtime.engine.gather_samples``
+        #: calls; whoever builds the views sets it (the engine attaches
+        #: its closed-form ``SampleGather``).
         self.gather = None
 
 

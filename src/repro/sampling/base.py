@@ -314,8 +314,8 @@ class EventSamplingMechanism(SamplingMechanism):
     """Every ``period``-th trigger event, counted per thread.
 
     A subclass names its trigger event once, as :attr:`event_primitive`:
-    the view method (see ``repro.runtime.engine.ChunkView``) that
-    returns the event indices directly, so a lazy view serves them from
+    the view method (see ``repro.runtime.engine.LazyChunkView``) that
+    returns the event indices directly, so the view serves them from
     its fetch subset without materializing per-access arrays. A rate
     cap hooks in through :meth:`_capped` / :meth:`_cap_step`.
     """

@@ -24,6 +24,8 @@ from repro.machine.cache import (
     SEQUENTIAL_FRACTION,
     SEQUENTIAL_STRIDE_LIMIT,
 )
+from repro.runtime.callstack import CallPath
+from repro.runtime.chunks import AccessChunk
 from repro.runtime.memo import StepViews
 
 
@@ -189,9 +191,71 @@ def machine_access_latency(
     )
 
 
+@dataclass(eq=False, repr=False)
+class ChunkView:
+    """One chunk's per-access products as explicit arrays.
+
+    The eager definition of the engine's view
+    (``repro.runtime.engine.LazyChunkView``): ``levels``,
+    ``target_domains`` and ``latencies`` per access, plus the masks
+    ``dram_mask`` (service level is DRAM) and ``remote_mask`` (page
+    owner differs from the accessing thread's domain). The oracle
+    suites build it from this module's per-chunk pipeline and compare
+    the engine's lazy views and batched monitors against it.
+    """
+
+    tid: int
+    cpu: int
+    domain: int
+    chunk: AccessChunk
+    levels: np.ndarray
+    target_domains: np.ndarray
+    latencies: np.ndarray
+    path: CallPath
+    dram_mask: np.ndarray
+    remote_mask: np.ndarray
+
+    def remote_event_count(self) -> int:
+        """Remote DRAM accesses in this chunk (absolute event counters)."""
+        return int(np.count_nonzero(self.dram_mask & self.remote_mask))
+
+    # Event primitives: the chunk-local indices of one sampling
+    # mechanism's trigger events, ascending. Event mechanisms select
+    # from these instead of masking the per-access arrays themselves.
+
+    def demand_miss_events(self, min_latency: float) -> np.ndarray:
+        """DRAM accesses with latency at least ``min_latency`` (MRK)."""
+        return np.flatnonzero(self.dram_mask & (self.latencies >= min_latency))
+
+    def miss_events(self) -> np.ndarray:
+        """Accesses not serviced by L1 (DEAR)."""
+        return np.flatnonzero(self.levels != LEVEL_L1)
+
+    def slow_events(self, threshold: float) -> np.ndarray:
+        """Accesses with latency above ``threshold`` (PEBS-LL)."""
+        return np.flatnonzero(self.latencies > threshold)
+
+    def latency_total(self) -> float:
+        """``float(self.latencies.sum())``."""
+        return float(self.latencies.sum())
+
+    def latencies_at(self, idx: np.ndarray) -> np.ndarray:
+        """Latencies at sampled indices ``idx`` (sorted, chunk-local)."""
+        return self.latencies[idx]
+
+
+def _ask_every_view(ks, n_s, idx, lat_ok: bool):
+    """A step gather that answers nothing in closed form: every view
+    ``ks`` is left to its ``chunk.addrs_at`` / ``latencies_at``."""
+    addrs = np.empty(idx.size, dtype=np.int64)
+    lat = np.empty(idx.size) if lat_ok else None
+    return addrs, lat, range(ks.size)
+
+
 def step_views(views) -> StepViews:
     """Eager per-chunk views as the ``StepViews`` a monitor's ``on_step``
-    takes, with the per-view thread, instruction and access counts."""
+    takes, with the per-view thread, instruction and access counts and a
+    gather that asks each sampled view for its addresses and latencies."""
     n = len(views)
     tids = np.fromiter((v.tid for v in views), dtype=np.int64, count=n)
     n_ins = np.fromiter(
@@ -200,4 +264,6 @@ def step_views(views) -> StepViews:
     n_acc = np.fromiter(
         (v.chunk.n_accesses for v in views), dtype=np.int64, count=n
     )
-    return StepViews(views, tids, n_ins, n_acc)
+    out = StepViews(views, tids, n_ins, n_acc)
+    out.gather = _ask_every_view
+    return out

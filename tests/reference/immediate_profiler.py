@@ -20,7 +20,8 @@ from repro.profiler.cct import DUMMY_ACCESS
 from repro.profiler.metrics import MetricNames
 from repro.profiler.profile_data import ThreadProfile
 from repro.runtime.callstack import CallPath
-from repro.runtime.engine import ChunkView
+from repro.runtime.chunks import AccessChunk
+from tests.reference.access import ChunkView
 from tests.reference.sampling import cost_cycles, select
 
 

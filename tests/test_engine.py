@@ -8,12 +8,14 @@ from repro.machine import presets
 from repro.runtime import ExecutionEngine, Monitor
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import compute_chunk
+from repro.runtime.engine import LazyChunkView
 from repro.runtime.memo import StepViews
 from repro.runtime.program import Region, RegionKind
 from repro.runtime.thread import BindingPolicy
 from repro.spec import RunSpec
 
 from tests.conftest import ToyProgram
+from tests.reference.access import ChunkView
 
 
 class ComputeOnly:
@@ -229,12 +231,62 @@ class TestMonitorIntegration:
         # Retained steps hand back the same object on later iterations.
         assert (len({id(v) for v in steps}) < len(steps)) == memoize
 
+    @pytest.mark.parametrize("workload", ["lulesh", "umt", "blackscholes"])
+    def test_compute_views_answer_as_empty_eager_views(self, workload):
+        """Every view is lazy, and a pure-compute chunk's answers as the
+        reference ``ChunkView`` with empty arrays does, dtypes included."""
+        spec = RunSpec(workload, scale=0.05, threads=8, machine="generic")
+        machine = spec.machine_factory()()
+        l1 = machine.latency_model.l1
+        thresholds = (0.0, l1 - 1.0, l1, l1 + 1.0)
+        seen = {}
+
+        class Check(Monitor):
+            def on_step(self, views):
+                for v in views:
+                    assert isinstance(v, LazyChunkView)
+                    if not v.chunk.n_accesses and id(v) not in seen:
+                        seen[id(v)] = v
+                        _check_compute_view(v, thresholds)
+                return [0.0] * len(views)
+
+        ExecutionEngine(
+            machine, spec.program(), spec.threads, monitor=Check()
+        ).run()
+        assert seen
+
     def test_region_wall_accounting(self, small_machine, toy_program):
         res = ExecutionEngine(small_machine, toy_program, 8).run()
         assert set(res.region_wall_cycles) == {"init", "compute._omp"}
         assert res.region_wall_cycles["compute._omp"] > 0
         total = sum(res.region_wall_cycles.values())
         assert total == pytest.approx(res.wall_cycles)
+
+
+def _check_compute_view(v, thresholds) -> None:
+    """``v`` answers every monitor query as an empty eager view does."""
+    ref = ChunkView(
+        v.tid, v.cpu, v.domain, v.chunk, np.empty(0, dtype=np.uint8),
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), v.path,
+        np.empty(0, dtype=bool), np.empty(0, dtype=bool),
+    )
+    answers = [("miss_events", v.miss_events(), ref.miss_events())]
+    for x in thresholds:
+        answers += [
+            ("demand_miss_events", v.demand_miss_events(x),
+             ref.demand_miss_events(x)),
+            ("slow_events", v.slow_events(x), ref.slow_events(x)),
+        ]
+    answers += [
+        (name, getattr(v, name), getattr(ref, name))
+        for name in ("levels", "target_domains", "latencies", "dram_mask",
+                     "remote_mask")
+    ]
+    for name, got, want in answers:
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape == (0,), name
+    assert v.remote_event_count() == ref.remote_event_count() == 0
+    assert v.latency_total() == ref.latency_total() == 0.0
 
 
 class TestRunResult:

@@ -8,8 +8,7 @@ from repro.machine.latency import LatencyModel
 from repro.machine.topology import NumaTopology
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk
-from repro.runtime.engine import ChunkView
-from tests.reference.access import access_latency
+from tests.reference.access import ChunkView, access_latency
 
 
 @pytest.fixture

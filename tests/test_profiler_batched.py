@@ -22,10 +22,9 @@ from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk
-from repro.runtime.engine import ChunkView
 from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
 from tests.conftest import ToyProgram
-from tests.reference.access import step_views
+from tests.reference.access import ChunkView, step_views
 from tests.reference.immediate_profiler import ImmediateProfiler
 
 #: Metrics whose accumulation order may differ between the two paths.

@@ -17,7 +17,6 @@ from repro.machine import presets
 from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, LEVEL_L2
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk, compute_chunk
-from repro.runtime.engine import ChunkView
 from repro.runtime.heap import HeapAllocator
 from repro.sampling import DEAR, IBS, MRK, PEBS, PEBSLL, SoftIBS
 from repro.sampling.base import periodic_positions_step
@@ -25,7 +24,7 @@ from repro.sampling import instruction
 from repro.sampling.instruction import JITTER_BLOCK
 from repro.sampling.registry import MECHANISMS
 from repro.spec import ANALYSIS_PERIODS
-from tests.reference.access import step_views
+from tests.reference.access import ChunkView, step_views
 from tests.reference.sampling import batch_for, cost_cycles, select
 
 

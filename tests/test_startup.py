@@ -208,6 +208,7 @@ def test_inventory_reports_whether_openssl_is_loaded():
 
 def test_oracles_are_not_in_production():
     """The per-chunk references live in ``tests/reference/``."""
+    import repro.runtime.engine as engine
     import repro.sampling.base as base
     from repro.machine.cache import CacheHierarchy
     from repro.machine.latency import LatencyModel
@@ -231,6 +232,7 @@ def test_oracles_are_not_in_production():
     assert not any(hasattr(cls, "select") for cls in MECHANISMS.values())
     assert not hasattr(base, "SampleBatch")
     assert not hasattr(base, "periodic_positions")
+    assert not hasattr(engine, "ChunkView")
 
 
 @pytest.mark.parametrize("argv", [

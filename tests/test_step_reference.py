@@ -27,11 +27,11 @@ from repro.machine.cache import LEVEL_DRAM
 from repro.machine.pagetable import PlacementPolicy
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
-from repro.runtime.engine import ChunkView
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
 from repro.spec import RunSpec
 from tests.reference.access import (
+    ChunkView,
     classify_accesses,
     dram_request_counts,
     machine_access_latency,

@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro import obs
 from repro.analysis import postmortem as analysis_io
 from repro.obs import (
     FLAG_EXTRAPOLATED,
