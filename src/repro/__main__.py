@@ -23,7 +23,7 @@ import os
 import sys
 
 from repro import obs
-from repro.errors import NumaProfError
+from repro.errors import NumaProfError, UsageError
 from repro.spec import RunSpec, add_run_arguments, profile, profile_manifest
 
 
@@ -88,6 +88,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     obs.configure_logging(verbosity=args.verbose, quiet=args.quiet)
     try:
+        if args.top < 1:
+            raise UsageError(f"--top must be at least 1, got {args.top}")
         return _run(args, RunSpec.from_args(args, extrapolate=args.extrapolate))
     except NumaProfError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -146,6 +148,10 @@ def _run(args: argparse.Namespace, spec: RunSpec) -> int:
     with tr.span("cli.monitored_run", "harness"):
         # A bad --threads fails here, before anything is printed.
         run = profile(spec)
+    merged = merge_profiles(run.archive)
+    if args.var:
+        # An unknown --var fails here, before anything is printed.
+        merged.var(args.var)
     # No second simulation: the baseline is this run without overhead.
     baseline = run.result.unmonitored()
     scale_txt = f", scale {spec.scale:g}" if spec.scale != 1.0 else ""
@@ -159,7 +165,6 @@ def _run(args: argparse.Namespace, spec: RunSpec) -> int:
           f"{run.result.wall_seconds / baseline.wall_seconds - 1:+.1%}; "
           f"remote DRAM fraction {baseline.remote_dram_fraction:.0%}\n")
 
-    merged = merge_profiles(run.archive)
     analysis = NumaAnalysis(merged)
     if not args.no_save:
         _record_run(args, spec, run, analysis, baseline, tracer=tr)

@@ -33,6 +33,13 @@ from repro.analysis.patterns import (
 from repro.profiler.metrics import LPI_THRESHOLD, MISMATCH_THRESHOLD, verdict
 from repro.runtime.callstack import CallPath
 
+#: Hot variables the advisor considers, hottest first.
+TOP_VARIABLES = 8
+
+#: Smallest share of the program's remote cost that earns a variable a
+#: recommendation.
+MIN_COST_SHARE = 0.03
+
 
 class Action(enum.Enum):
     """Recommended NUMA optimization for a variable."""
@@ -103,9 +110,6 @@ def _action_for(report: PatternReport) -> Action:
 def advise(
     analysis: NumaAnalysis,
     *,
-    top: int = 8,
-    min_cost_share: float = 0.03,
-    lpi_threshold: float = LPI_THRESHOLD,
     thread_domains: dict[int, int] | None = None,
 ) -> Advice:
     """Produce whole-program NUMA optimization advice.
@@ -115,46 +119,35 @@ def advise(
     thread's domain, used as the default).
     """
     with obs.TRACER.span("analysis.advise", "analysis"):
-        return _advise(
-            analysis,
-            top=top,
-            min_cost_share=min_cost_share,
-            lpi_threshold=lpi_threshold,
-            thread_domains=thread_domains,
-        )
+        return _advise(analysis, thread_domains)
 
 
 def _advise(
-    analysis: NumaAnalysis,
-    *,
-    top: int,
-    min_cost_share: float,
-    lpi_threshold: float,
-    thread_domains: dict[int, int] | None,
+    analysis: NumaAnalysis, thread_domains: dict[int, int] | None
 ) -> Advice:
     merged = analysis.merged
     lpi = analysis.program_lpi()
     rf = analysis.program_remote_fraction() if lpi is None else None
-    if not verdict(lpi, rf, lpi_threshold):
+    if not verdict(lpi, rf):
         return Advice(
             program=merged.program,
             lpi=lpi,
             worth_optimizing=False,
             recommendations=[],
             rationale=(
-                f"{_verdict_basis(lpi, rf, lpi_threshold, False)}: NUMA "
+                f"{_verdict_basis(lpi, rf, False)}: NUMA "
                 "losses are too small for optimization to pay off"
             ),
         )
 
     recommendations: list[Recommendation] = []
-    for summary in analysis.hot_variables(top=top):
+    for summary in analysis.hot_variables(top=TOP_VARIABLES):
         share = (
             summary.remote_latency_share
             if analysis.caps.measures_latency
             else summary.remote_access_share
         )
-        if share < min_cost_share:
+        if share < MIN_COST_SHARE:
             continue
         mv = merged.var(summary.name)
         report, scoped = _pattern_for(analysis, mv)
@@ -191,20 +184,18 @@ def _advise(
         worth_optimizing=True,
         recommendations=recommendations,
         rationale=(
-            f"{_verdict_basis(lpi, rf, lpi_threshold, True)}: NUMA "
+            f"{_verdict_basis(lpi, rf, True)}: NUMA "
             "losses warrant optimization"
         ),
     )
 
 
-def _verdict_basis(
-    lpi: float | None, rf: float | None, lpi_threshold: float, worth: bool
-) -> str:
+def _verdict_basis(lpi: float | None, rf: float | None, worth: bool) -> str:
     """The number the verdict rests on, compared with its threshold."""
     if lpi is not None:
         return (
             f"whole-program lpi_NUMA = {lpi:.3f} {'>=' if worth else '<'} "
-            f"{lpi_threshold}"
+            f"{LPI_THRESHOLD}"
         )
     return (
         f"mechanism measures no latency; remote access fraction = "

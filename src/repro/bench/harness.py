@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,8 +13,9 @@ from repro.runtime import ExecutionEngine, RunResult
 from repro.runtime.thread import BindingPolicy
 from repro.sampling.base import SamplingMechanism
 
-#: Where experiment outputs are recorded (JSON per experiment id).
-RESULTS_DIR = Path(os.environ.get("NUMAPROF_RESULTS", "results"))
+#: Where experiment outputs are recorded (JSON per experiment id), the
+#: same ``results/`` the benches write their CSVs to.
+RESULTS_DIR = Path("results")
 
 
 @dataclass
@@ -47,15 +47,9 @@ def run_workload(
     *,
     binding: BindingPolicy = BindingPolicy.COMPACT,
     seed: int = 0,
-    params: dict | None = None,
     profiler_kwargs: dict | None = None,
 ) -> RunBundle:
-    """Build a fresh machine, run ``program`` on it, return the bundle.
-
-    ``params`` is forwarded to the engine's :class:`ProgramContext`, so
-    benchmarks can pass free-form program parameters through the shared
-    harness exactly as direct engine users can.
-    """
+    """Build a fresh machine, run ``program`` on it, return the bundle."""
     machine: Machine = machine_factory()
     profiler = (
         NumaProfiler(mechanism, **(profiler_kwargs or {}))
@@ -64,7 +58,7 @@ def run_workload(
     )
     engine = ExecutionEngine(
         machine, program, n_threads, monitor=profiler, binding=binding,
-        params=params, seed=seed,
+        seed=seed,
     )
     result = engine.run()
     return RunBundle(engine=engine, result=result, profiler=profiler)

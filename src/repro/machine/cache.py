@@ -48,8 +48,6 @@ LEVEL_L2 = 1
 LEVEL_L3 = 2
 LEVEL_DRAM = 3
 
-LEVEL_NAMES = {LEVEL_L1: "L1", LEVEL_L2: "L2", LEVEL_L3: "L3", LEVEL_DRAM: "DRAM"}
-
 #: Last-visit marker of a reuse slot not visited since the last reset
 #: (real markers are stream positions after a visit, never negative).
 _NEVER = -1
@@ -201,8 +199,3 @@ class CacheHierarchy:
         ).astype(np.uint8)
         self._pos[cpus] = self._last[slots] = pos + footprints
         return levels
-
-    def level_counts(self, levels: np.ndarray) -> dict[str, int]:
-        """Histogram of service levels, keyed by level name."""
-        counts = np.bincount(levels, minlength=4)
-        return {LEVEL_NAMES[i]: int(counts[i]) for i in range(4)}

@@ -79,7 +79,3 @@ class FrameManager:
                 f"(used={int(self.used[domain])})"
             )
         self.used[domain] -= count
-
-    def usage_fraction(self) -> np.ndarray:
-        """Per-domain used/capacity ratio, useful for balance diagnostics."""
-        return self.used / self.capacity

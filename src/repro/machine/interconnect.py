@@ -73,11 +73,3 @@ class ContentionModel:
         drive = min(1.0, active_threads / self.n_domains)
         out = 1.0 + self.beta * drive * np.maximum(rho - 1.0, 0.0)
         return np.minimum(out, self.max_inflation)
-
-    def imbalance(self, requests_per_domain: np.ndarray) -> float:
-        """Max/mean request ratio: 1.0 means perfectly balanced."""
-        req = np.asarray(requests_per_domain, dtype=np.float64)
-        mean = req.mean()
-        if mean == 0:
-            return 1.0
-        return float(req.max() / mean)

@@ -67,10 +67,6 @@ class Machine:
         """Number of NUMA domains."""
         return self.topology.n_domains
 
-    def reset_caches(self) -> None:
-        """Cold-start the cache hierarchy (between measured runs)."""
-        self.cache.reset()
-
     # ------------------------------------------------------------------ #
     # allocation passthrough
     # ------------------------------------------------------------------ #
@@ -92,10 +88,6 @@ class Machine:
     def unmap_segment(self, seg: Segment) -> None:
         """Unmap a segment; see :meth:`PageTable.unmap_segment`."""
         self.page_table.unmap_segment(seg)
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        """Convert simulated cycles to simulated seconds."""
-        return cycles / (self.ghz * 1e9)
 
     def describe(self) -> str:
         """Human-readable machine summary."""

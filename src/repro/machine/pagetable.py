@@ -85,9 +85,8 @@ class Segment:
     first_toucher_cpu: np.ndarray = field(default=None)  # type: ignore[assignment]
     #: Cached counts of still-unbound and still-protected pages. The
     #: engine's hot path consults these to skip per-chunk page scans once
-    #: a segment is fully bound and unprotected; every mutation of
-    #: ``domains``/``protected`` (page table methods and
-    #: :meth:`~repro.machine.libnuma.LibNuma.move_pages`) keeps them exact.
+    #: a segment is fully bound and unprotected; every page table method
+    #: that mutates ``domains``/``protected`` keeps them exact.
     n_unbound: int = 0
     n_protected: int = 0
 
@@ -95,16 +94,6 @@ class Segment:
     def end(self) -> int:
         """One past the last mapped byte."""
         return self.base + self.nbytes
-
-    def page_index(self, page: int | np.ndarray):
-        """Convert absolute page number(s) to indices into this segment."""
-        return page - self.start_page
-
-    def bound_fraction(self) -> float:
-        """Fraction of this segment's pages already bound to a domain."""
-        if self.n_pages == 0:
-            return 1.0
-        return float(np.count_nonzero(self.domains != UNBOUND) / self.n_pages)
 
 
 class PageTable:
@@ -134,10 +123,10 @@ class PageTable:
         self.page_size = page_size
         #: Monotonically increasing mutation counter. Bumped on every
         #: *actual* change of page state (mapping, unmapping, first-touch
-        #: binding, protection changes, migration, ``move_pages``) and
-        #: never on no-op calls, so shards replaying the same event
-        #: sequence on replicated tables reach identical epochs. The
-        #: engine's memoization layer keys cached classification on it;
+        #: binding, protection changes, migration) and never on no-op
+        #: calls, so shards replaying the same event sequence on
+        #: replicated tables reach identical epochs. The engine's
+        #: memoization layer keys cached classification on it;
         #: see MODEL.md "Epoch and invalidation contract".
         self.epoch = 0
         self._segments: dict[int, Segment] = {}

@@ -123,10 +123,6 @@ class NumaTopology:
         """SLIT distance between two domains (10 = local)."""
         return int(self.distances[src_domain, dst_domain])
 
-    def is_local(self, cpu: int, domain: int) -> bool:
-        """True iff ``cpu`` resides in ``domain``."""
-        return self.domain_of_cpu(cpu) == domain
-
     def remote_domains(self, domain: int) -> list[int]:
         """All domains other than ``domain``, nearest first."""
         order = np.argsort(self.distances[domain], kind="stable")

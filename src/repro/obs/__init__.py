@@ -26,7 +26,7 @@ Usage::
 
 Hot code reads ``obs.TRACER`` through the module attribute (never ``from
 repro.obs import TRACER``) so tests and tools can swap the tracer with
-:func:`set_tracer` — e.g. the no-op overhead guard's ``CountingTracer``.
+:func:`set_tracer` — e.g. the no-op overhead guard's counting tracer.
 
 Span categories are the overhead-attribution phases: ``engine``
 (execution pipeline), ``sampling`` (mechanism selection), ``profiler``
@@ -42,7 +42,6 @@ from repro.obs.tracer import Tracer
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ".tracer": """Tracer NOOP_SPAN FLAG_ITERATION FLAG_SCHEDULE FLAG_EPOCH
         FLAG_PHASE_BREAK FLAG_EXTRAPOLATED FLAG_FINAL""",
-    ".counting": "CountingTracer",
     ".stitch": "GAUGE_MERGE DEFAULT_GAUGE_MERGE",
     ".timeseries": "MetricsRecorder",
     ".export": """chrome_trace write_chrome_trace write_jsonl summary_table

@@ -184,9 +184,7 @@ def pick_boundary(
     threads = bind_threads(
         machine.topology, spec.threads, BindingPolicy[spec.binding.upper()]
     )
-    ctx = ProgramContext(
-        machine, HeapAllocator(machine), threads, None, spec.seed
-    )
+    ctx = ProgramContext(machine, HeapAllocator(machine), threads, spec.seed)
     program.setup(ctx)
     regions = program.regions(ctx)
     best: tuple[int, int] | None = None

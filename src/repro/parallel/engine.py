@@ -45,8 +45,6 @@ from repro.errors import ProgramError, WorkerError
 from repro.obs.stitch import absorb
 from repro.runtime.driver import RunResult, drive
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.memo import memo_budget
-from repro.runtime.thread import BindingPolicy
 from repro.parallel.worker import _init_worker, _round_task
 
 
@@ -172,11 +170,17 @@ class ParallelEngine:
     Takes *factories* rather than instances — every worker process (and
     the parent's bookkeeping copy) builds its own machine/program/
     monitor, which fork inheritance makes cheap and keeps simulated
-    state identical across processes.
+    state identical across processes. ``engine_kwargs`` are
+    :class:`ExecutionEngine`'s keyword options, passed unchanged to
+    every shard's engine: page-table epochs and schedule applications
+    replay identically across shards, and the driver arms an
+    extrapolated skip only when every shard agrees.
 
     After :meth:`run`, ``archive`` holds the assembled
     :class:`~repro.profiler.profile_data.ProfileArchive` (when a
-    ``monitor_factory`` was given) and ``threads`` the thread binding.
+    ``monitor_factory`` was given), and ``threads``,
+    ``applied_actions`` and ``phase_report`` are the run's, as on an
+    :class:`ExecutionEngine`.
     """
 
     def __init__(
@@ -186,14 +190,8 @@ class ParallelEngine:
         n_threads: int,
         *,
         n_workers: int,
-        binding: BindingPolicy = BindingPolicy.COMPACT,
         monitor_factory=None,
-        params: dict | None = None,
-        seed: int = 0,
-        memoize: bool = True,
-        memo_bytes: int | None = None,
-        schedule=None,
-        extrapolate: bool = False,
+        **engine_kwargs,
     ) -> None:
         if n_workers < 1:
             raise ProgramError(f"n_workers must be >= 1, got {n_workers}")
@@ -202,32 +200,9 @@ class ParallelEngine:
         self.n_threads = int(n_threads)
         #: Workers beyond the thread count would own empty shards.
         self.n_workers = min(int(n_workers), self.n_threads)
-        self.binding = binding
         self.monitor_factory = monitor_factory
-        self.params = params
-        self.seed = seed
-        #: Iteration memoization, forwarded to every shard engine
-        #: (``memoize=False`` is a zero budget); page-table epochs replay
-        #: identically across shards, so cached classification survives
-        #: sharding.
-        self.memoize = bool(memoize)
-        self.memo_bytes = memo_bytes
-        #: Live-migration schedule (``repro.optim.schedule.PolicySchedule``),
-        #: forwarded verbatim to every shard engine so each page-table
-        #: replica applies identical mutations at identical boundaries.
-        self.schedule = schedule
-        #: ``AppliedAction`` log harvested after the run (shard 0's copy;
-        #: every shard applies the same schedule, so the logs agree on
-        #: everything except trap attribution, which the log omits).
+        self.engine_kwargs = engine_kwargs
         self.applied_actions: list = []
-        #: Phase-adaptive extrapolation (see :mod:`repro.runtime.phase`):
-        #: every shard detects fixed points over its slice, the driver
-        #: arms a skip only when all shards agree, so entry/exit rounds
-        #: are identical across worker counts. ``phase_report`` (a dict) is
-        #: attached after a run when enabled.
-        self.extrapolate = (
-            bool(extrapolate) and memo_budget(memoize, memo_bytes) > 0
-        )
         self.phase_report: dict | None = None
         self.archive = None
         self.threads = None
@@ -237,17 +212,8 @@ class ParallelEngine:
         """An engine with this run's settings (one shard's, or the
         parent's bookkeeping copy when ``monitor`` is None)."""
         return ExecutionEngine(
-            self.machine_factory(),
-            self.program_factory(),
-            self.n_threads,
-            binding=self.binding,
-            monitor=monitor,
-            params=self.params,
-            seed=self.seed,
-            memoize=self.memoize,
-            memo_bytes=self.memo_bytes,
-            schedule=self.schedule,
-            extrapolate=self.extrapolate,
+            self.machine_factory(), self.program_factory(), self.n_threads,
+            monitor=monitor, **self.engine_kwargs,
         )
 
     # ------------------------------------------------------------------ #

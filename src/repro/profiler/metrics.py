@@ -125,9 +125,9 @@ def domain_request_counts(metrics: Mapping[str, float], n_domains: int) -> list[
     return [metrics.get(MetricNames.numa_node(d), 0.0) for d in range(n_domains)]
 
 
-def warrants_optimization(lpi: float | None, threshold: float = LPI_THRESHOLD) -> bool:
+def warrants_optimization(lpi: float | None) -> bool:
     """Apply the paper's 0.1 cycles/instruction rule of thumb."""
-    return lpi is not None and lpi >= threshold
+    return lpi is not None and lpi >= LPI_THRESHOLD
 
 
 #: Section 4.1's rule for mechanisms that measure no latency: a thread may
@@ -136,20 +136,16 @@ def warrants_optimization(lpi: float | None, threshold: float = LPI_THRESHOLD) -
 MISMATCH_THRESHOLD = 0.1
 
 
-def verdict(
-    lpi: float | None,
-    remote_frac: float | None = None,
-    threshold: float = LPI_THRESHOLD,
-) -> bool:
+def verdict(lpi: float | None, remote_frac: float | None = None) -> bool:
     """Whether NUMA optimization is warranted — the one program verdict.
 
-    With latency, lpi_NUMA at or above ``threshold`` (Section 4.2).
+    With latency, lpi_NUMA at or above :data:`LPI_THRESHOLD` (Section 4.2).
     Without (``lpi`` is ``None``), the remote share of sampled accesses
     ``remote_frac`` = M_r / (M_l + M_r) decides: M_r / M_l at or above
     :data:`MISMATCH_THRESHOLD` (Section 4.1).
     """
     if lpi is not None:
-        return warrants_optimization(lpi, threshold)
+        return warrants_optimization(lpi)
     if remote_frac is None:
         return False
     return remote_frac >= MISMATCH_THRESHOLD * (1.0 - remote_frac)

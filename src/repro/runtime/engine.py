@@ -466,7 +466,6 @@ class ExecutionEngine:
         *,
         binding: BindingPolicy = BindingPolicy.COMPACT,
         monitor: Monitor | None = None,
-        params: dict | None = None,
         seed: int = 0,
         memoize: bool = True,
         memo_bytes: int | None = None,
@@ -478,7 +477,7 @@ class ExecutionEngine:
         self.threads = bind_threads(machine.topology, n_threads, binding)
         self.monitor = monitor
         self.heap = HeapAllocator(machine)
-        self.ctx = ProgramContext(machine, self.heap, self.threads, params, seed)
+        self.ctx = ProgramContext(machine, self.heap, self.threads, seed)
         self.callstacks = {t.tid: CallStack() for t in self.threads}
         #: Iteration memoization (see :mod:`repro.runtime.memo`):
         #: ``memoize=False`` is a zero budget on the same

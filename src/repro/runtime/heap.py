@@ -72,10 +72,6 @@ class Variable:
         """One past the last mapped byte."""
         return self.segment.base + self.segment.nbytes
 
-    def addr_of_elem(self, index: int, elem_size: int = 8) -> int:
-        """Byte address of element ``index``."""
-        return self.base + index * elem_size
-
     def n_elems(self, elem_size: int = 8) -> int:
         """Element count at the given element size."""
         return self.nbytes // elem_size

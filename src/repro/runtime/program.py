@@ -65,8 +65,8 @@ class Region:
 class ProgramContext:
     """Everything a program needs at setup and kernel time.
 
-    Provides the machine, the allocator, the thread binding, free-form
-    parameters, and deterministic per-thread RNG streams.
+    Provides the machine, the allocator, the thread binding, and
+    deterministic per-thread RNG streams.
     """
 
     def __init__(
@@ -74,13 +74,11 @@ class ProgramContext:
         machine: Machine,
         heap: HeapAllocator,
         threads: list[SimThread],
-        params: dict | None = None,
         seed: int = 0,
     ) -> None:
         self.machine = machine
         self.heap = heap
         self.threads = threads
-        self.params: dict = dict(params or {})
         self.seed = seed
 
     @property

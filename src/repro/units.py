@@ -1,4 +1,4 @@
-"""Address, page, and time unit helpers shared across the simulator.
+"""Address-space constants and array helpers shared across the simulator.
 
 The simulated address space is a flat 64-bit byte-addressed space. Pages are
 4 KiB and cache lines 64 bytes unless a :class:`~repro.machine.machine.Machine`
@@ -14,37 +14,6 @@ PAGE_SIZE = 4096
 
 #: Default cache line size in bytes.
 CACHE_LINE = 64
-
-#: Size of a simulated double-precision element; workloads are expressed in
-#: 8-byte elements unless stated otherwise.
-ELEM_SIZE = 8
-
-
-def page_of(addr: int | np.ndarray, page_size: int = PAGE_SIZE):
-    """Return the page number containing ``addr`` (scalar or array)."""
-    return addr // page_size
-
-
-def page_base(addr: int, page_size: int = PAGE_SIZE) -> int:
-    """Return the byte address of the start of the page containing ``addr``."""
-    return (addr // page_size) * page_size
-
-
-def pages_spanned(base: int, nbytes: int, page_size: int = PAGE_SIZE) -> int:
-    """Number of pages touched by the byte range ``[base, base + nbytes)``.
-
-    A zero-length range spans zero pages.
-    """
-    if nbytes <= 0:
-        return 0
-    first = base // page_size
-    last = (base + nbytes - 1) // page_size
-    return int(last - first + 1)
-
-
-def line_of(addr: int | np.ndarray, line_size: int = CACHE_LINE):
-    """Return the cache-line number containing ``addr`` (scalar or array)."""
-    return addr // line_size
 
 
 def fast_unique(values: np.ndarray) -> np.ndarray:
@@ -108,10 +77,3 @@ def align_up(value: int, alignment: int) -> int:
     if alignment <= 0:
         raise ValueError(f"alignment must be positive, got {alignment}")
     return ((value + alignment - 1) // alignment) * alignment
-
-
-def cycles_to_seconds(cycles: float, ghz: float) -> float:
-    """Convert a cycle count to seconds at a clock rate of ``ghz`` GHz."""
-    if ghz <= 0:
-        raise ValueError(f"clock rate must be positive, got {ghz}")
-    return cycles / (ghz * 1e9)

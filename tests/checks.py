@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 
+from repro.obs.tracer import NOOP_SPAN, Tracer
+
 
 def validate_phase_report(report: dict) -> list[str]:
     """Internal-consistency check of a phase report dict.
@@ -76,6 +78,42 @@ def run_sharded(par):
     return par._run_sharded()
 
 
+class CountingTracer(Tracer):
+    """A tracer that only counts touch points — no timing, no storage.
+
+    Running an instrumented workload under a ``CountingTracer`` reveals
+    how many tracer calls the disabled path would have to absorb,
+    without paying for event recording (:func:`measure_noop_overhead`).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.enabled = True
+        self.n_calls = 0
+
+    def begin(self, name, cat="harness", **args) -> None:  # noqa: ARG002
+        self.n_calls += 1
+
+    def end(self) -> None:
+        self.n_calls += 1
+
+    def span(self, name, cat="harness", **args):  # noqa: ARG002
+        self.n_calls += 2  # a span is a begin plus an end
+        return NOOP_SPAN
+
+    def pair(self, name, cat, track, t0_ns, t1_ns) -> None:  # noqa: ARG002
+        self.n_calls += 1
+
+    def instant(self, name, cat="harness", **args) -> None:  # noqa: ARG002
+        self.n_calls += 1
+
+    def count(self, name, n=1) -> None:  # noqa: ARG002
+        self.n_calls += 1
+
+    def gauge(self, name, value) -> None:  # noqa: ARG002
+        self.n_calls += 1
+
+
 def measure_noop_overhead(
     *,
     preset: str = "generic",
@@ -87,10 +125,10 @@ def measure_noop_overhead(
     """Estimate what disabled telemetry costs an engine-only run.
 
     There is no un-instrumented build to race against, so the estimate is
-    constructive: run a small workload under a :class:`~repro.obs.counting.
-    CountingTracer` to count how many instrumentation sites actually fire,
-    microbenchmark the disabled per-site cost (a module-global fetch plus
-    an ``enabled`` test — exactly what every guarded hot path executes),
+    constructive: run a small workload under a :class:`CountingTracer` to
+    count how many instrumentation sites actually fire, microbenchmark
+    the disabled per-site cost (a module-global fetch plus an
+    ``enabled`` test — exactly what every guarded hot path executes),
     and compare their product against the run's wall time. The site count
     is taken from the *enabled* path, which touches strictly more calls
     than the disabled one, so the estimate errs high.
@@ -114,7 +152,7 @@ def measure_noop_overhead(
     run()  # warm-up (imports, allocator pools)
     wall_s = min(run() for _ in range(repeats))
 
-    counter = obs.CountingTracer()
+    counter = CountingTracer()
     old = obs.set_tracer(counter)
     try:
         run()

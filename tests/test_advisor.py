@@ -2,6 +2,7 @@
 
 
 from repro.analysis import NumaAnalysis, advise, merge_profiles
+from repro.analysis import advisor
 from repro.analysis.advisor import Action
 from repro.machine import presets
 from repro.profiler import NumaProfiler
@@ -128,9 +129,11 @@ class TestThresholdBoundary:
 
 
 class TestScoping:
-    def test_min_cost_share_filters(self):
+    def test_min_cost_share_filters(self, monkeypatch):
         advice, an = analyze(ToyProgram())
-        filtered = advise(an, min_cost_share=2.0)  # impossible bar
+        # An impossible bar.
+        monkeypatch.setattr(advisor, "MIN_COST_SHARE", 2.0)
+        filtered = advise(an)
         assert filtered.worth_optimizing
         assert filtered.recommendations == []
 

@@ -143,16 +143,6 @@ class TestSequentialDetection:
         assert is_sequential(addrs)
 
 
-class TestLevelCounts:
-    def test_histogram(self):
-        cache = make_cache()
-        cls = classify(cache, sweep(80), cpu=0, seg_id=1)
-        counts = cache.level_counts(cls.levels)
-        assert counts["DRAM"] == 10
-        assert counts["L1"] == 70
-        assert sum(counts.values()) == 80
-
-
 @given(
     n=st.integers(min_value=1, max_value=2000),
     stride=st.sampled_from([4, 8, 16, 64, 128]),

@@ -154,6 +154,37 @@ class TestErrors:
         assert not (tmp_path / "runs").exists()
 
 
+    @pytest.mark.parametrize("report", [[], ["--report"]],
+                             ids=["views", "report"])
+    def test_unknown_var_is_one_clean_line(self, tmp_path, capsys, report):
+        """An unknown --var is checked against the merged profile before
+        the run prints or records anything, with or without --report."""
+        rc = main(["sweep", "--threads", "4", "--scale", "0.05",
+                   "--var", "nosuch", *report,
+                   "--runs-dir", str(tmp_path / "runs")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no profile data for variable 'nosuch'\n"
+        )
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_top_below_one_is_rejected_before_the_run(
+        self, tmp_path, capsys, bad
+    ):
+        """--top 0 would print an empty table and a negative --top a
+        slice of all but the last variables; both are usage errors."""
+        rc = main(["sweep", "--top", bad, "--runs-dir",
+                   str(tmp_path / "runs")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --top must be at least 1, got {bad}\n"
+        assert not (tmp_path / "runs").exists()
+
+
 def test_truncated_pipe_ends_quietly():
     """A reader that closes the pipe early (``| head -1``) ends the run
     with exit 1 and no traceback, whether stdout is buffered or not."""

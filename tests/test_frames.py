@@ -1,6 +1,5 @@
 """Physical frame accounting: reservation, spilling, release."""
 
-import numpy as np
 import pytest
 
 from repro.errors import AllocationError
@@ -69,11 +68,6 @@ class TestAccounting:
         assert frames.total_available() == 300
         frames.reserve(0, 25)
         assert frames.total_available() == 275
-
-    def test_usage_fraction(self, frames):
-        frames.reserve(1, 50)
-        frac = frames.usage_fraction()
-        np.testing.assert_allclose(frac, [0.0, 0.5, 0.0])
 
     def test_invalid_capacity(self):
         topo = NumaTopology(n_domains=1, cores_per_domain=1)

@@ -58,17 +58,3 @@ class TestInflation:
         mild = model.inflation(np.array([600, 400]), 8)
         severe = model.inflation(np.array([900, 100]), 8)
         assert severe[0] > mild[0]
-
-
-class TestImbalance:
-    def test_balanced_is_one(self):
-        model = ContentionModel(4)
-        assert model.imbalance(np.full(4, 7)) == pytest.approx(1.0)
-
-    def test_centralized_equals_n_domains(self):
-        model = ContentionModel(4)
-        assert model.imbalance(np.array([100, 0, 0, 0])) == pytest.approx(4.0)
-
-    def test_zero_traffic(self):
-        model = ContentionModel(4)
-        assert model.imbalance(np.zeros(4)) == 1.0

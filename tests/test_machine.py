@@ -82,16 +82,3 @@ class TestAccessPipeline:
         lat_l = machine_access_latency(machine, cls_l.levels, t_l, 0, infl)
         lat_r = machine_access_latency(machine, cls_r.levels, t_r, 0, infl)
         assert lat_r.sum() > lat_l.sum()
-
-    def test_reset_caches(self, machine):
-        seg = machine.map_segment(0, 4096, PlacementPolicy.BIND, domains=[0])
-        addrs = np.arange(0, 4096, 8, dtype=np.int64)
-        classify_accesses(machine, addrs, 0, seg)
-        machine.reset_caches()
-        cls, _ = classify_accesses(machine, addrs, 0, seg)
-        # Cold again: fetches go to DRAM.
-        assert np.any(cls.levels == LEVEL_DRAM)
-
-    def test_cycles_to_seconds(self, machine):
-        ghz = machine.ghz
-        assert machine.cycles_to_seconds(ghz * 1e9) == pytest.approx(1.0)

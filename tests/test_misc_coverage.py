@@ -1,39 +1,16 @@
-"""Remaining small-surface coverage: segment helpers, classification
-objects, timeline buckets, and engine edge conditions."""
+"""Remaining small-surface coverage: classification objects, timeline
+buckets, and engine edge conditions."""
 
 import numpy as np
 import pytest
 
-from repro.machine import presets
 from repro.machine.cache import LEVEL_DRAM, LEVEL_L1
-from repro.machine.pagetable import PlacementPolicy
 from repro.profiler.timeline import TimelineBucket
 from repro.runtime import ExecutionEngine
 from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import compute_chunk
 from repro.runtime.program import Region, RegionKind
 from tests.reference.access import ChunkClassification
-
-
-class TestSegmentHelpers:
-    def test_page_index(self):
-        machine = presets.generic()
-        seg = machine.map_segment(8 * 4096, 4 * 4096)
-        assert seg.page_index(8) == 0
-        np.testing.assert_array_equal(
-            seg.page_index(np.array([9, 11])), [1, 3]
-        )
-
-    def test_bound_fraction(self):
-        machine = presets.generic()
-        seg = machine.map_segment(0, 4 * 4096)
-        assert seg.bound_fraction() == 0.0
-        machine.page_table.touch_pages(np.array([0, 1]), cpu=0)
-        assert seg.bound_fraction() == 0.5
-        seg2 = machine.map_segment(
-            1 << 20, 4 * 4096, PlacementPolicy.BIND, domains=[1]
-        )
-        assert seg2.bound_fraction() == 1.0
 
 
 class TestChunkClassification:
@@ -107,14 +84,3 @@ class TestEngineEdges:
 
         res = ExecutionEngine(small_machine, One(), 1).run()
         assert res.total_instructions == 100
-
-
-class TestLibNumaArena:
-    def test_many_allocations_never_collide(self):
-        from repro.machine.libnuma import LibNuma
-
-        numa = LibNuma(presets.generic())
-        segs = [numa.numa_alloc_onnode(1000, node=0) for _ in range(50)]
-        starts = sorted((s.base, s.end) for s in segs)
-        for (a0, a1), (b0, b1) in zip(starts[:-1], starts[1:]):
-            assert a1 <= b0

@@ -9,9 +9,9 @@ import pytest
 
 from repro import obs
 from repro.obs.stitch import absorb, export_state
+from tests.checks import CountingTracer
 from repro.obs import (
     NOOP_SPAN,
-    CountingTracer,
     Tracer,
     chrome_trace,
     configure_logging,

@@ -18,7 +18,7 @@ def ctx():
     machine = presets.generic(n_domains=4, cores_per_domain=2)
     heap = HeapAllocator(machine)
     threads = bind_threads(machine.topology, 8)
-    return ProgramContext(machine, heap, threads, params={"k": 3}, seed=7)
+    return ProgramContext(machine, heap, threads, seed=7)
 
 
 class TestRegion:
@@ -31,9 +31,6 @@ class TestContext:
     def test_counts(self, ctx):
         assert ctx.n_threads == 8
         assert ctx.n_domains == 4
-
-    def test_params_copied(self, ctx):
-        assert ctx.params["k"] == 3
 
     def test_var_lookup(self, ctx):
         ctx.heap.malloc(100, "a", (SourceLoc("main"),))

@@ -40,7 +40,7 @@ COLD = (
     "repro.obs.export", "repro.obs.timeseries", "repro.obs.log", "logging",
     "repro.analysis.diff", "repro.profiler.timeline", "repro.parallel",
     "repro.optim.autotune", "repro.bench", "numpy.ma",
-    "repro.optim.schedule", "repro.obs.stitch", "repro.obs.counting",
+    "repro.optim.schedule", "repro.obs.stitch",
 )
 
 #: Read-back code: archive and series readers, the registry's read side.

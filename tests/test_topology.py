@@ -101,11 +101,6 @@ class TestDistances:
         assert topo.distance(0, 0) == 10
         assert topo.distance(0, 1) == 20
 
-    def test_is_local(self):
-        topo = NumaTopology(n_domains=2, cores_per_domain=2)
-        assert topo.is_local(0, 0)
-        assert not topo.is_local(0, 1)
-
     def test_remote_domains_sorted_by_distance(self):
         dist = np.array(
             [[10, 30, 15], [30, 10, 20], [15, 20, 10]], dtype=np.int64

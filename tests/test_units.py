@@ -1,49 +1,9 @@
-"""Unit helpers: page/line math and conversions."""
+"""Unit helpers: alignment and the sorted-array fast paths."""
 
 import numpy as np
 import pytest
 
 from repro import units
-
-
-class TestPageMath:
-    def test_page_of_scalar(self):
-        assert units.page_of(0) == 0
-        assert units.page_of(4095) == 0
-        assert units.page_of(4096) == 1
-
-    def test_page_of_array(self):
-        addrs = np.array([0, 4095, 4096, 8192])
-        np.testing.assert_array_equal(units.page_of(addrs), [0, 0, 1, 2])
-
-    def test_page_base(self):
-        assert units.page_base(4097) == 4096
-        assert units.page_base(4096) == 4096
-
-    def test_pages_spanned_exact(self):
-        assert units.pages_spanned(0, 4096) == 1
-        assert units.pages_spanned(0, 4097) == 2
-
-    def test_pages_spanned_unaligned_base(self):
-        # 100 bytes starting near a page end span two pages.
-        assert units.pages_spanned(4090, 100) == 2
-
-    def test_pages_spanned_zero_length(self):
-        assert units.pages_spanned(1234, 0) == 0
-
-    def test_custom_page_size(self):
-        assert units.pages_spanned(0, 65536, page_size=65536) == 1
-
-
-class TestLineMath:
-    def test_line_of(self):
-        assert units.line_of(63) == 0
-        assert units.line_of(64) == 1
-
-    def test_line_of_array(self):
-        np.testing.assert_array_equal(
-            units.line_of(np.array([0, 64, 127])), [0, 1, 1]
-        )
 
 
 class TestAlignUp:
@@ -60,15 +20,6 @@ class TestAlignUp:
     def test_invalid_alignment(self):
         with pytest.raises(ValueError):
             units.align_up(10, 0)
-
-
-class TestCycleConversion:
-    def test_cycles_to_seconds(self):
-        assert units.cycles_to_seconds(2e9, 2.0) == pytest.approx(1.0)
-
-    def test_invalid_clock(self):
-        with pytest.raises(ValueError):
-            units.cycles_to_seconds(1, 0)
 
 
 class TestFastUnique:
